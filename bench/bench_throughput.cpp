@@ -11,16 +11,13 @@
 //   concurrent_pipeline — submissions run concurrently; only the
 //     synthesis model swap serializes, so client threads overlap their
 //     controller work and broker/resource waits.
-// Async rows (PR 6) compare the two submit_async() cores under a
-// closed-loop feeder (bounded in-flight window, so latency measures the
-// pipeline, not open-loop queue buildup):
-//   async_parked — the PR-5 pipeline: one worker holds each request
-//     end-to-end (staged_pipeline=false).
-//   async_staged — the event-driven staged core: each layer hop is a
-//     continuation, waits park on the event loop.
-// Two in-flight rows measure requests-in-flight-per-core against a
-// "device" that completes asynchronously after 5ms: the parked core
-// caps in-flight at the worker count; the staged core parks them all.
+// The async_staged row (PR 6) drives submit_async() — the event-driven
+// staged core: each layer hop is a continuation, waits park on the
+// event loop — under a closed-loop feeder (bounded in-flight window, so
+// latency measures the pipeline, not open-loop queue buildup). The
+// inflight_staged row measures requests-in-flight-per-core against a
+// "device" that completes asynchronously after 5ms: the staged core
+// parks every request on the event loop instead of holding a worker.
 //
 // Output: human summary on stderr, one JSON document on stdout so
 // run_benches.sh can record the rows in BENCH_6.json.
@@ -74,12 +71,11 @@ class SimulatedCommService final : public broker::ResourceAdapter {
   std::atomic<std::uint64_t> invocations_{0};
 };
 
-/// A "device" whose operations take 5ms of wall time but no thread: on
-/// the staged path execute_async() parks the request on the platform's
-/// event loop and completes from a timer; on the parked path the broker
-/// falls back to execute(), which sleeps the worker — exactly the
-/// contrast the in-flight rows measure. Tracks the high-water mark of
-/// concurrently outstanding operations.
+/// A "device" whose operations take 5ms of wall time but no thread:
+/// execute_async() parks the request on the platform's event loop and
+/// completes from a timer (a synchronous execute() would sleep the
+/// caller instead). Tracks the high-water mark of concurrently
+/// outstanding operations.
 class ParkingCommService final : public broker::ResourceAdapter {
  public:
   ParkingCommService(std::string name, core::Platform** platform,
@@ -174,12 +170,10 @@ struct Row {
 
 Result<std::unique_ptr<core::Platform>> make_bench_platform(
     const BenchConfig& config, unsigned pipeline_threads,
-    bool staged = true,
     std::unique_ptr<broker::ResourceAdapter> service = nullptr) {
   core::PlatformConfig platform_config;
   platform_config.dsml = comm::cml_metamodel();
   platform_config.pipeline_threads = pipeline_threads;
-  platform_config.staged_pipeline = staged;
   auto platform = core::Platform::assemble_from_text(
       comm::cvm_middleware_model_text(), platform_config);
   if (!platform.ok()) return platform.status();
@@ -270,11 +264,9 @@ Result<Row> run_sync(const BenchConfig& config, int threads, bool serialize) {
 /// Async mode (PR 6): a closed-loop feeder keeps at most 2×width
 /// requests in flight through submit_async() — latency then measures
 /// the pipeline itself, not the open-loop queue an all-at-once feeder
-/// builds. `staged` selects the event-driven core vs the PR-5 parked
-/// pipeline.
-Result<Row> run_async(const BenchConfig& config, int width, bool staged) {
-  auto platform =
-      make_bench_platform(config, static_cast<unsigned>(width), staged);
+/// builds.
+Result<Row> run_async(const BenchConfig& config, int width) {
+  auto platform = make_bench_platform(config, static_cast<unsigned>(width));
   if (!platform.ok()) return platform.status();
   core::Platform& p = **platform;
 
@@ -318,7 +310,7 @@ Result<Row> run_async(const BenchConfig& config, int width, bool staged) {
   double elapsed_ms = wall.elapsed_ms();
 
   Row row;
-  row.mode = staged ? "async_staged" : "async_parked";
+  row.mode = "async_staged";
   row.threads = width;
   row.failures = failures;
   finish_row(row, latencies_us, elapsed_ms);
@@ -326,20 +318,17 @@ Result<Row> run_async(const BenchConfig& config, int width, bool staged) {
 }
 
 /// In-flight rows (PR 6): `total` requests against a device that takes
-/// 5ms per operation but (on the staged path) no thread — all submitted
-/// at once over a small worker pool. The parked core caps concurrent
-/// device operations at the worker count; the staged core parks every
-/// request on the event loop, so in-flight-per-core is the request
-/// count over the pool size.
-Result<Row> run_inflight(const BenchConfig& config, bool staged) {
+/// 5ms per operation but no thread — all submitted at once over a small
+/// worker pool. The staged core parks every request on the event loop,
+/// so in-flight-per-core is the request count over the pool size.
+Result<Row> run_inflight(const BenchConfig& config) {
   constexpr unsigned kWorkers = 2;
   const int total = config.reps_per_thread;
   core::Platform* handle = nullptr;
   auto service = std::make_unique<ParkingCommService>(
       "comm", &handle, std::chrono::milliseconds(5));
   ParkingCommService* device = service.get();
-  auto platform =
-      make_bench_platform(config, kWorkers, staged, std::move(service));
+  auto platform = make_bench_platform(config, kWorkers, std::move(service));
   if (!platform.ok()) return platform.status();
   core::Platform& p = **platform;
   handle = &p;
@@ -375,7 +364,7 @@ Result<Row> run_inflight(const BenchConfig& config, bool staged) {
   double elapsed_ms = wall.elapsed_ms();
 
   Row row;
-  row.mode = staged ? "inflight_staged" : "inflight_parked";
+  row.mode = "inflight_staged";
   row.threads = static_cast<int>(kWorkers);
   row.failures = failures;
   finish_row(row, latencies_us, elapsed_ms);
@@ -435,22 +424,20 @@ int main(int argc, char** argv) {
       rows.push_back(std::move(row.value()));
     }
   }
-  for (bool staged : {false, true}) {
-    auto async_row = run_async(config, 8, staged);
-    if (!async_row.ok()) {
-      std::fprintf(stderr, "async bench run failed: %s\n",
-                   async_row.status().to_string().c_str());
-      return 1;
-    }
-    rows.push_back(std::move(async_row.value()));
-    auto inflight_row = run_inflight(config, staged);
-    if (!inflight_row.ok()) {
-      std::fprintf(stderr, "inflight bench run failed: %s\n",
-                   inflight_row.status().to_string().c_str());
-      return 1;
-    }
-    rows.push_back(std::move(inflight_row.value()));
+  auto async_row = run_async(config, 8);
+  if (!async_row.ok()) {
+    std::fprintf(stderr, "async bench run failed: %s\n",
+                 async_row.status().to_string().c_str());
+    return 1;
   }
+  rows.push_back(std::move(async_row.value()));
+  auto inflight_row = run_inflight(config);
+  if (!inflight_row.ok()) {
+    std::fprintf(stderr, "inflight bench run failed: %s\n",
+                 inflight_row.status().to_string().c_str());
+    return 1;
+  }
+  rows.push_back(std::move(inflight_row.value()));
 
   double baseline_8 = 0.0;
   double pipeline_8 = 0.0;

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# PR-10 bench trajectory: runs bench_throughput (serialized/concurrent
-# sync rows plus the staged-vs-parked async and in-flight-per-core
-# rows in one binary),
+# Bench trajectory: runs bench_throughput (serialized/concurrent sync
+# rows plus the staged async and in-flight-per-core rows in one binary),
 # bench_im_generation, bench_trace_overhead, bench_resilience
 # (retry/breaker goodput against a chaotic resource), bench_overload
 # (goodput/shed-rate/p99 as offered load sweeps 1x-10x of pipeline
@@ -16,23 +15,37 @@
 # mode — and the PR-10 session-resume row: checkpointed sessions whose
 # owner dies mid-feed must close on the survivor with exactly one
 # re-executed step each and post-failover goodput >= 0.9x the pre-kill
-# plateau), then composes their JSON outputs into a consolidated
-# BENCH_10.json at the repo root.
+# plateau), then composes their JSON outputs into one consolidated file.
 #
-# Usage: bench/run_benches.sh [build-dir] [--smoke]
+# Usage: bench/run_benches.sh [build-dir] <pr> | [build-dir] --smoke
 #   build-dir  defaults to <repo>/build
-#   --smoke    small rep counts (CI bit-rot check, numbers not meaningful)
+#   pr         full run: writes BENCH_<pr>.json at the repo root
+#   --smoke    small rep counts (CI bit-rot check, numbers not
+#              meaningful); writes <build-dir>/BENCH_smoke.json and
+#              leaves the tracked BENCH_<n>.json files alone
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="$ROOT/build"
+PR=""
 SMOKE=0
+positional=()
 for arg in "$@"; do
   case "$arg" in
     --smoke) SMOKE=1 ;;
-    *) BUILD="$arg" ;;
+    *) positional+=("$arg") ;;
   esac
 done
+case "${#positional[@]}" in
+  0) ;;
+  1) if [ "$SMOKE" = 1 ]; then BUILD="${positional[0]}"; else PR="${positional[0]}"; fi ;;
+  2) BUILD="${positional[0]}"; PR="${positional[1]}" ;;
+  *) echo "usage: $0 [build-dir] <pr> | [build-dir] --smoke" >&2; exit 2 ;;
+esac
+if [ "$SMOKE" = 0 ] && ! [[ "$PR" =~ ^[0-9]+$ ]]; then
+  echo "a full run needs the PR number: $0 [build-dir] <pr>" >&2
+  exit 2
+fi
 BENCH_DIR="$BUILD/bench"
 
 for binary in bench_throughput bench_im_generation bench_trace_overhead \
@@ -61,10 +74,14 @@ else
 fi
 trace_json="$("$BENCH_DIR/bench_trace_overhead")"
 
-OUT="$ROOT/BENCH_10.json"
+if [ "$SMOKE" = 1 ]; then
+  OUT="$BUILD/BENCH_smoke.json"
+else
+  OUT="$ROOT/BENCH_$PR.json"
+fi
 {
   printf '{\n'
-  printf '  "pr": 10,\n'
+  printf '  "pr": %s,\n' "${PR:-null}"
   printf '  "smoke": %s,\n' "$([ "$SMOKE" = 1 ] && echo true || echo false)"
   printf '  "throughput": %s,\n' "$throughput_json"
   printf '  "im_generation": %s,\n' "$im_json"

@@ -84,18 +84,41 @@ void BrokerLayer::set_metrics(obs::MetricsRegistry* metrics) noexcept {
 
 Result<model::Value> BrokerLayer::call(const Call& call,
                                        obs::RequestContext& context) {
+  return run_inline<Result<model::Value>>([&](CallCallback done) {
+    start_call(call, context, true, std::move(done));
+  });
+}
+
+void BrokerLayer::call_async(const Call& broker_call,
+                             obs::RequestContext& context,
+                             CallCallback done) {
+  start_call(broker_call, context, false, std::move(done));
+}
+
+void BrokerLayer::start_call(const Call& broker_call,
+                             obs::RequestContext& context, bool inline_mode,
+                             CallCallback done) {
   obs::ContextScope ambient(context);
-  obs::ScopedSpan span(context, "broker.call", call.name);
   calls_handled_.fetch_add(1, std::memory_order_relaxed);
   if (metrics_ != nullptr) metrics_->counter("broker.calls").add();
-  if (Status deadline = context.check_deadline("broker"); !deadline.ok()) {
-    return deadline;
+  // The span is closed when the step run finishes, not by a ScopedSpan:
+  // in async mode the call may park and complete on another thread long
+  // after this frame unwinds.
+  const std::uint64_t span = context.open_span("broker.call",
+                                               broker_call.name);
+  Status deadline = context.check_deadline("broker");
+  Result<const Action*> action = deadline.ok()
+                                     ? select_action(broker_call.name)
+                                     : Result<const Action*>(deadline);
+  if (!action.ok()) {
+    context.close_span(span);
+    done(action.status());
+    return;
   }
-  Result<const Action*> action = select_action(call.name);
-  if (!action.ok()) return action.status();
-  log_debug("broker") << name() << " call " << call.name << " -> action "
-                      << (*action)->name;
-  return execute_steps((*action)->steps, call.args, context);
+  log_debug("broker") << name() << " call " << broker_call.name
+                      << " -> action " << (*action)->name;
+  run_steps((*action)->steps, broker_call.args, context, inline_mode, span,
+            std::move(done));
 }
 
 Status BrokerLayer::handle_event(const std::string& topic,
@@ -118,220 +141,142 @@ Status BrokerLayer::handle_event(const std::string& topic,
   return result.ok() ? Status::Ok() : result.status();
 }
 
-// ---- staged execution (PR 6) -----------------------------------------
+// ---- the step state machine (inline or async; DESIGN.md §6b) --------
+//
+// Only kInvoke can suspend: inline it is ResourceManager::invoke(), async
+// it is invoke_async(), which may park and resume the run on the thread
+// that settles the resource invocation.
 
 struct BrokerLayer::StepRun {
   const std::vector<ActionStep>* steps = nullptr;
-  Args call_args;
+  const Args* call_args = nullptr;  ///< the caller's, or `owned_args`
+  Args owned_args;                  ///< async mode: the run's own copy
   obs::RequestContext* context = nullptr;
+  bool inline_mode = false;
+  std::uint64_t span = 0;  ///< the caller's "broker.call" span (0 = none)
   CallCallback done;
   model::Value result;
   std::optional<Result<model::Value>> pending;  ///< settled kInvoke outcome
   std::size_t index = 0;
 };
 
-void BrokerLayer::call_async(const Call& broker_call,
-                             obs::RequestContext& context,
-                             CallCallback done) {
-  obs::ContextScope ambient(context);
-  calls_handled_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) metrics_->counter("broker.calls").add();
-  // The span is closed by `finish`, not a ScopedSpan: the call may park
-  // and complete on another thread long after this frame unwinds.
-  const std::uint64_t span = context.open_span("broker.call",
-                                               broker_call.name);
-  obs::RequestContext* context_ptr = &context;
-  CallCallback finish = [context_ptr, span,
-                         done = std::move(done)](Result<model::Value> r) {
-    context_ptr->close_span(span);
-    done(std::move(r));
-  };
-  if (Status deadline = context.check_deadline("broker"); !deadline.ok()) {
-    finish(deadline);
-    return;
-  }
-  Result<const Action*> action = select_action(broker_call.name);
-  if (!action.ok()) {
-    finish(action.status());
-    return;
-  }
-  log_debug("broker") << name() << " call " << broker_call.name
-                      << " -> action " << (*action)->name;
-  execute_steps_async((*action)->steps, broker_call.args, context,
-                      std::move(finish));
+Result<model::Value> BrokerLayer::execute_steps(
+    const std::vector<ActionStep>& steps, const Args& call_args,
+    obs::RequestContext& context) {
+  return run_inline<Result<model::Value>>([&](CallCallback done) {
+    run_steps(steps, call_args, context, true, 0, std::move(done));
+  });
 }
 
-void BrokerLayer::execute_steps_async(const std::vector<ActionStep>& steps,
-                                      Args call_args,
-                                      obs::RequestContext& context,
-                                      CallCallback done) {
-  auto run = std::make_shared<StepRun>();
+void BrokerLayer::run_steps(const std::vector<ActionStep>& steps,
+                            const Args& call_args,
+                            obs::RequestContext& context, bool inline_mode,
+                            std::uint64_t span, CallCallback done) {
+  StepRun local;
+  std::shared_ptr<StepRun> run = run_state(inline_mode, local);
   run->steps = &steps;
-  run->call_args = std::move(call_args);
+  run->call_args = &call_args;
+  if (!inline_mode) {  // the caller's args may not outlive an async run
+    run->owned_args = call_args;
+    run->call_args = &run->owned_args;
+  }
   run->context = &context;
+  run->inline_mode = inline_mode;
+  run->span = span;
   run->done = std::move(done);
   drive_steps(std::move(run));
+}
+
+void BrokerLayer::finish(StepRun& run, Result<model::Value> outcome) {
+  run.context->close_span(run.span);
+  run.done(std::move(outcome));
 }
 
 bool BrokerLayer::consume_pending(StepRun& run) {
   Result<model::Value> invoked = std::move(*run.pending);
   run.pending.reset();
   if (!invoked.ok()) {
-    run.done(invoked.status());
+    finish(run, invoked.status());
     return false;
   }
   run.result = std::move(invoked.value());
   return true;
 }
 
+Status BrokerLayer::exec_step(const ActionStep& step, StepRun& run) {
+  if (step.op == StepOp::kGuard) {
+    Result<bool> holds = step.guard.evaluate_bool(*context_);
+    if (!holds.ok()) return holds.status();
+    if (!*holds) {
+      return FailedPrecondition("action guard '" + step.guard.text() +
+                                "' failed");
+    }
+    return Status::Ok();
+  }
+  // The remaining synchronous steps each apply one required argument.
+  Args resolved = resolve_args(step.args, *run.call_args, *context_);
+  Result<model::Value> value = require_arg(
+      resolved, step.op == StepOp::kEmit ? "payload" : "value",
+      to_string(step.op));
+  if (!value.ok()) return value.status();
+  switch (step.op) {
+    case StepOp::kSetState:
+      state_.set(step.a, std::move(value.value()));
+      break;
+    case StepOp::kSetContext:
+      context_->set(step.a, std::move(value.value()));
+      break;
+    case StepOp::kEmit:
+      bus_->publish(step.a, name(), std::move(value.value()));
+      break;
+    case StepOp::kResult:
+      run.result = std::move(value.value());
+      break;
+    case StepOp::kGuard:
+    case StepOp::kInvoke:
+      return Internal("step '" + std::string(to_string(step.op)) +
+                      "' reached exec_step");
+  }
+  return Status::Ok();
+}
+
 void BrokerLayer::drive_steps(std::shared_ptr<StepRun> run) {
   obs::ContextScope ambient(*run->context);
   const std::vector<ActionStep>& steps = *run->steps;
   while (run->index < steps.size()) {
-    const ActionStep& step = steps[run->index];
-    ++run->index;
-    switch (step.op) {
-      case StepOp::kGuard: {
-        Result<bool> holds = step.guard.evaluate_bool(*context_);
-        if (!holds.ok()) {
-          run->done(holds.status());
-          return;
-        }
-        if (!*holds) {
-          run->done(FailedPrecondition("action guard '" + step.guard.text() +
-                                       "' failed"));
-          return;
-        }
-        break;
+    const ActionStep& step = steps[run->index++];
+    if (step.op != StepOp::kInvoke) {
+      if (Status status = exec_step(step, *run); !status.ok()) {
+        finish(*run, std::move(status));
+        return;
       }
-      case StepOp::kInvoke: {
-        Args resolved = resolve_args(step.args, run->call_args, *context_);
-        // Trampoline: 0 = driver still in this frame, 1 = driver parked,
-        // 2 = completion fired inline. Whoever arrives second owns the
-        // continuation, so inline completions stay in this loop (no
-        // recursion) and true parks resume on the settling thread.
-        auto turn = std::make_shared<std::atomic<int>>(0);
-        StepRun& state = *run;
-        resources_.invoke_async(
-            step.a, step.b, resolved, *run->context,
-            [this, run, turn](Result<model::Value> invoked) {
-              run->pending.emplace(std::move(invoked));
-              if (turn->exchange(2, std::memory_order_acq_rel) == 1) {
-                if (consume_pending(*run)) drive_steps(run);
-              }
-            });
-        if (turn->exchange(1, std::memory_order_acq_rel) == 0) {
-          return;  // parked: the completion resumes the run
-        }
-        if (!consume_pending(state)) return;
-        break;
-      }
-      case StepOp::kSetState: {
-        Args resolved = resolve_args(step.args, run->call_args, *context_);
-        Result<model::Value> value = require_arg(resolved, "value",
-                                                 "set-state");
-        if (!value.ok()) {
-          run->done(value.status());
-          return;
-        }
-        state_.set(step.a, std::move(value.value()));
-        break;
-      }
-      case StepOp::kSetContext: {
-        Args resolved = resolve_args(step.args, run->call_args, *context_);
-        Result<model::Value> value = require_arg(resolved, "value",
-                                                 "set-context");
-        if (!value.ok()) {
-          run->done(value.status());
-          return;
-        }
-        context_->set(step.a, std::move(value.value()));
-        break;
-      }
-      case StepOp::kEmit: {
-        Args resolved = resolve_args(step.args, run->call_args, *context_);
-        Result<model::Value> payload = require_arg(resolved, "payload",
-                                                   "emit");
-        if (!payload.ok()) {
-          run->done(payload.status());
-          return;
-        }
-        bus_->publish(step.a, name(), std::move(payload.value()));
-        break;
-      }
-      case StepOp::kResult: {
-        Args resolved = resolve_args(step.args, run->call_args, *context_);
-        Result<model::Value> value = require_arg(resolved, "value", "result");
-        if (!value.ok()) {
-          run->done(value.status());
-          return;
-        }
-        run->result = std::move(value.value());
-        break;
+      continue;
+    }
+    Args resolved = resolve_args(step.args, *run->call_args, *context_);
+    if (run->inline_mode) {
+      run->pending.emplace(
+          resources_.invoke(step.a, step.b, resolved, *run->context));
+    } else {
+      // Trampoline: 0 = driver still in this frame, 1 = driver parked,
+      // 2 = completion fired inline. Whoever arrives second owns the
+      // continuation, so inline completions stay in this loop (no
+      // recursion) and true parks resume on the settling thread.
+      auto turn = std::make_shared<std::atomic<int>>(0);
+      resources_.invoke_async(
+          step.a, step.b, resolved, *run->context,
+          [this, run, turn](Result<model::Value> invoked) {
+            run->pending.emplace(std::move(invoked));
+            if (turn->exchange(2, std::memory_order_acq_rel) == 1) {
+              if (consume_pending(*run)) drive_steps(run);
+            }
+          });
+      if (turn->exchange(1, std::memory_order_acq_rel) == 0) {
+        return;  // parked: the completion resumes the run
       }
     }
+    if (!consume_pending(*run)) return;
   }
-  run->done(std::move(run->result));
-}
-
-Result<model::Value> BrokerLayer::execute_steps(
-    const std::vector<ActionStep>& steps, const Args& call_args,
-    obs::RequestContext& context) {
-  obs::ContextScope ambient(context);
-  model::Value result;
-  for (const ActionStep& step : steps) {
-    switch (step.op) {
-      case StepOp::kGuard: {
-        Result<bool> holds = step.guard.evaluate_bool(*context_);
-        if (!holds.ok()) return holds.status();
-        if (!*holds) {
-          return FailedPrecondition("action guard '" + step.guard.text() +
-                                    "' failed");
-        }
-        break;
-      }
-      case StepOp::kInvoke: {
-        Args resolved = resolve_args(step.args, call_args, *context_);
-        Result<model::Value> invoked =
-            resources_.invoke(step.a, step.b, resolved, context);
-        if (!invoked.ok()) return invoked.status();
-        result = std::move(invoked.value());
-        break;
-      }
-      case StepOp::kSetState: {
-        Args resolved = resolve_args(step.args, call_args, *context_);
-        Result<model::Value> value = require_arg(resolved, "value",
-                                                 "set-state");
-        if (!value.ok()) return value.status();
-        state_.set(step.a, std::move(value.value()));
-        break;
-      }
-      case StepOp::kSetContext: {
-        Args resolved = resolve_args(step.args, call_args, *context_);
-        Result<model::Value> value = require_arg(resolved, "value",
-                                                 "set-context");
-        if (!value.ok()) return value.status();
-        context_->set(step.a, std::move(value.value()));
-        break;
-      }
-      case StepOp::kEmit: {
-        Args resolved = resolve_args(step.args, call_args, *context_);
-        Result<model::Value> payload = require_arg(resolved, "payload",
-                                                   "emit");
-        if (!payload.ok()) return payload.status();
-        bus_->publish(step.a, name(), std::move(payload.value()));
-        break;
-      }
-      case StepOp::kResult: {
-        Args resolved = resolve_args(step.args, call_args, *context_);
-        Result<model::Value> value = require_arg(resolved, "value", "result");
-        if (!value.ok()) return value.status();
-        result = std::move(value.value());
-        break;
-      }
-    }
-  }
-  return result;
+  finish(*run, std::move(run->result));
 }
 
 }  // namespace mdsm::broker

@@ -68,14 +68,16 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
 
   /// Select (via the signal's handler + guards + priority) and execute an
   /// action for the call. Returns the action's result value (none if the
-  /// action set none). Opens one "broker.call" span per crossing.
+  /// action set none). Opens one "broker.call" span per crossing. Runs
+  /// the step state machine in inline mode: it completes before it
+  /// returns.
   Result<model::Value> call(const Call& call,
                             obs::RequestContext& context) override;
 
-  /// Staged-core variant of call(): the action's steps run as a resumable
-  /// state machine, so a kInvoke that parks in ResourceManager (retry
-  /// backoff, attempt overrun) suspends this call instead of a thread;
-  /// the surviving steps resume on whatever thread settles the resource
+  /// call() in async mode: the action's steps run as a resumable state
+  /// machine, so a kInvoke that parks in ResourceManager (retry backoff,
+  /// attempt overrun) suspends this call instead of a thread; the
+  /// surviving steps resume on whatever thread settles the resource
   /// invocation. `context` must outlive the call; `done` fires exactly
   /// once (inline when every step completes synchronously).
   void call_async(const Call& broker_call, obs::RequestContext& context,
@@ -95,7 +97,7 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
   }
 
   /// Execute a step sequence against this layer (shared by actions and
-  /// autonomic change plans).
+  /// autonomic change plans), in inline mode.
   Result<model::Value> execute_steps(const std::vector<ActionStep>& steps,
                                      const Args& call_args,
                                      obs::RequestContext& context);
@@ -103,14 +105,6 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
                                      const Args& call_args) {
     return execute_steps(steps, call_args, obs::RequestContext::noop());
   }
-
-  /// Resumable twin of execute_steps(). `steps` must outlive the run
-  /// (action step lists are never removed once registered); `call_args`
-  /// is copied into the run state. Synchronous steps (guards, state,
-  /// context, emit, result) execute inline; only kInvoke can park.
-  void execute_steps_async(const std::vector<ActionStep>& steps,
-                           Args call_args, obs::RequestContext& context,
-                           CallCallback done);
 
   // -- statistics
 
@@ -125,11 +119,24 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
   [[nodiscard]] Result<const Action*> select_action(
       const std::string& signal) const;
 
-  /// Shared state of one execute_steps_async() run (step cursor, copied
-  /// args, accumulated result, the pending invoke outcome in flight).
+  /// Open the "broker.call" span, select the action and run its steps.
+  void start_call(const Call& broker_call, obs::RequestContext& context,
+                  bool inline_mode, CallCallback done);
+  /// Shared state of one step run (step cursor, copied args, accumulated
+  /// result, the pending invoke outcome in flight).
   struct StepRun;
+  /// Run `steps` (which must outlive the run: action step lists are
+  /// never removed once registered); `span` (0 = none) is closed when
+  /// the run finishes.
+  void run_steps(const std::vector<ActionStep>& steps,
+                 const Args& call_args, obs::RequestContext& context,
+                 bool inline_mode, std::uint64_t span, CallCallback done);
   /// Drive steps from the run's cursor until done or a kInvoke parks.
   void drive_steps(std::shared_ptr<StepRun> run);
+  /// Execute one synchronous (non-kInvoke) step.
+  Status exec_step(const ActionStep& step, StepRun& run);
+  /// Close the run's span and resolve it.
+  void finish(StepRun& run, Result<model::Value> outcome);
   /// Consume run->pending after a kInvoke settles; false means the run
   /// failed and `done` has already been invoked.
   bool consume_pending(StepRun& run);

@@ -31,12 +31,6 @@ Status ResourceManager::remove_adapter(const std::string& name) {
   return Status::Ok();
 }
 
-ResourceAdapter* ResourceManager::find_adapter(std::string_view name) {
-  std::shared_lock lock(mutex_);
-  auto it = adapters_.find(name);
-  return it == adapters_.end() ? nullptr : it->second.get();
-}
-
 bool ResourceManager::has_adapter(std::string_view name) const {
   std::shared_lock lock(mutex_);
   return adapters_.contains(name);
@@ -119,235 +113,24 @@ void ResourceManager::set_metrics(obs::MetricsRegistry* metrics) noexcept {
   late_completions_counter_ = &metrics->counter("broker.late_completions");
 }
 
-Result<model::Value> ResourceManager::invoke_attempt(
-    ResourceAdapter& adapter, const std::string& resource,
-    const std::string& command, const Args& args) {
-  trace_.record(resource, command, args);
-  count(commands_counter_);
-  log_debug("resource-manager")
-      << resource << "." << format_invocation(command, args);
-  // Adapters are plugin code over external resources; this is the fault
-  // boundary. An escaping exception must degrade to a Status, not unwind
-  // through the controller's EU stack (which would strand queued signals
-  // for the next request to pick up).
-  try {
-    return adapter.execute(command, args);
-  } catch (const std::exception& e) {
-    count(exceptions_counter_);
-    log_error("resource-manager")
-        << resource << "." << command << " threw: " << e.what();
-    return ExecutionError("resource adapter '" + resource +
-                          "' threw during '" + command + "': " + e.what());
-  } catch (...) {
-    count(exceptions_counter_);
-    log_error("resource-manager")
-        << resource << "." << command << " threw a non-std::exception";
-    return ExecutionError("resource adapter '" + resource +
-                          "' threw a non-std::exception during '" + command +
-                          "'");
-  }
-}
-
-Result<model::Value> ResourceManager::invoke(const std::string& resource,
-                                             const std::string& command,
-                                             const Args& args,
-                                             obs::RequestContext& context) {
-  // Pin the adapter (and its policy) under a brief shared lock, execute
-  // unlocked: a concurrent remove_adapter() unregisters immediately while
-  // this call finishes on the pinned instance, and an adapter that
-  // re-enters invoke() through the bus (event → autonomic plan → kInvoke)
-  // cannot self-deadlock on the map lock.
-  std::shared_ptr<ResourceAdapter> adapter;
-  std::shared_ptr<PolicyState> state;
-  {
-    std::shared_lock lock(mutex_);
-    auto it = adapters_.find(resource);
-    if (it == adapters_.end()) {
-      return NotFound("no resource adapter '" + resource + "'");
-    }
-    adapter = it->second;
-    auto policy_it = policies_.find(resource);
-    if (policy_it != policies_.end()) state = policy_it->second;
-  }
-  if (state == nullptr) {
-    // Fire-once fast path (no policy): identical to the historical
-    // behavior plus the deadline gate around the resource call itself —
-    // a request with no budget left must not issue the command at all.
-    if (Status gate = context.check_deadline("broker.invoke"); !gate.ok()) {
-      return gate;
-    }
-    return invoke_attempt(*adapter, resource, command, args);
-  }
-  return invoke_with_policy(std::move(adapter), state, resource, command,
-                            args, context);
-}
-
-Result<model::Value> ResourceManager::invoke_with_policy(
-    std::shared_ptr<ResourceAdapter> adapter,
-    const std::shared_ptr<PolicyState>& state, const std::string& resource,
-    const std::string& command, const Args& args,
-    obs::RequestContext& context) {
-  const InvocationPolicy& policy = state->policy;
-  const Clock& clock = context.clock();
-  // One jitter chain per logical invoke; the per-chain seed keeps soak
-  // runs repeatable without sharing RNG state across threads.
-  RetryBackoff backoff(
-      policy.initial_backoff, policy.max_backoff,
-      policy.jitter_seed +
-          state->chains.fetch_add(1, std::memory_order_relaxed));
-  Status last_status;
-  for (int attempt = 1; attempt <= policy.max_attempts; ++attempt) {
-    CircuitBreaker::AdmitResult admitted{};
-    if (state->breaker != nullptr) {
-      admitted = state->breaker->admit(clock.now());
-      if (admitted.admission == CircuitBreaker::Admission::kReject) {
-        count(breaker_open_counter_);
-        log_debug("resource-manager")
-            << resource << "." << command << " fast-failed: circuit open";
-        return invoke_fallback(
-            policy, resource, command, args, context,
-            Unavailable("circuit open for resource '" + resource + "' ('" +
-                        command + "' fast-failed)"));
-      }
-    }
-    // The deadline budget gates every attempt, not just layer crossings:
-    // a stalled previous attempt must not let this one start over budget.
-    if (Status gate = context.check_deadline("broker.invoke"); !gate.ok()) {
-      if (state->breaker != nullptr &&
-          admitted.admission == CircuitBreaker::Admission::kProbe) {
-        // The admitted probe never ran; retire its slot (as a failure, so
-        // the breaker re-opens) rather than leaking it — a leaked probe
-        // slot would reject every future probe and wedge the breaker
-        // half-open forever. Closed-state admissions need no retiring and
-        // must not record a synthetic outcome in the window.
-        publish_transition(resource,
-                           state->breaker->on_result(admitted.admission,
-                                                     false, clock.now()));
-      }
-      count(exhausted_counter_);
-      return gate;
-    }
-    if (attempt > 1) count(retries_counter_);
-    std::uint64_t span =
-        context.open_span("broker.attempt", resource + "." + command + "#" +
-                                                std::to_string(attempt));
-    const TimePoint started = clock.now();
-    Result<model::Value> outcome =
-        invoke_attempt(*adapter, resource, command, args);
-    const Duration took = clock.now() - started;
-    context.close_span(span);
-    const bool success = outcome.ok();
-    if (state->breaker != nullptr) {
-      publish_transition(resource,
-                         state->breaker->on_result(admitted.admission,
-                                                   success, clock.now()));
-    }
-    if (success) return outcome;
-    last_status = outcome.status();
-    // Cooperative per-attempt timeout: a synchronous adapter cannot be
-    // preempted, but a failure that stalled past the attempt budget is
-    // a timeout fault (retryable), whatever the adapter claimed.
-    if (policy.attempt_timeout.count() > 0 && took >= policy.attempt_timeout) {
-      last_status = Timeout(
-          "resource '" + resource + "' attempt " + std::to_string(attempt) +
-          " of '" + command + "' exceeded its " +
-          std::to_string(policy.attempt_timeout.count()) + "us budget (" +
-          last_status.to_string() + ")");
-    }
-    if (!retryable(last_status.code())) {
-      // Permanent fault (authoring/registry error): retrying or degrading
-      // to a fallback would only mask it.
-      return last_status;
-    }
-    if (attempt == policy.max_attempts) break;
-    Duration delay = backoff.next();
-    if (std::optional<TimePoint> deadline = context.deadline()) {
-      const Duration remaining = *deadline - clock.now();
-      if (remaining.count() <= 0 || delay >= remaining) {
-        // Sleeping the backoff would blow the budget; give up with the
-        // budget intact rather than returning late.
-        count(exhausted_counter_);
-        return invoke_fallback(
-            policy, resource, command, args, context,
-            Timeout("resource '" + resource + "' retry budget exhausted "
-                    "after attempt " +
-                    std::to_string(attempt) + " of '" + command + "' (" +
-                    last_status.to_string() + ")"));
-      }
-    }
-    if (delay.count() > 0) {
-      if (sleep_hook_ != nullptr) {
-        sleep_hook_(delay);
-      } else {
-        std::this_thread::sleep_for(delay);
-      }
-    }
-  }
-  count(exhausted_counter_);
-  log_warn("resource-manager")
-      << resource << "." << command << " failed after "
-      << policy.max_attempts << " attempts: " << last_status.to_string();
-  return invoke_fallback(policy, resource, command, args, context,
-                         std::move(last_status));
-}
-
-Result<model::Value> ResourceManager::invoke_fallback(
-    const InvocationPolicy& policy, const std::string& resource,
-    const std::string& command, const Args& args,
-    obs::RequestContext& context, Status primary_status) {
-  if (policy.fallback_resource.empty()) return primary_status;
-  std::shared_ptr<ResourceAdapter> fallback;
-  {
-    std::shared_lock lock(mutex_);
-    auto it = adapters_.find(policy.fallback_resource);
-    if (it != adapters_.end()) fallback = it->second;
-  }
-  if (fallback == nullptr) {
-    log_warn("resource-manager")
-        << resource << " fallback '" << policy.fallback_resource
-        << "' is not registered";
-    return primary_status;
-  }
-  count(fallbacks_counter_);
-  bus_->publish("resource.degraded", resource,
-                model::Value(model::ValueList{
-                    model::Value(resource),
-                    model::Value(policy.fallback_resource),
-                    model::Value(command)}));
-  std::uint64_t span = context.open_span(
-      "broker.fallback", resource + "->" + policy.fallback_resource);
-  Result<model::Value> outcome = invoke_attempt(
-      *fallback, policy.fallback_resource, command, args);
-  context.close_span(span);
-  if (!outcome.ok()) {
-    // The degraded path failed too; the primary fault is the one worth
-    // reporting upward.
-    return primary_status;
-  }
-  if (!policy.tag_degraded) return outcome;
-  return model::Value(model::ValueList{model::Value("degraded"),
-                                       std::move(outcome.value())});
-}
-
-// ---- event-driven invocation (PR 6) ----------------------------------
+// ---- the invocation state machine (inline or async; DESIGN.md §6b) ----
 //
-// The async path mirrors invoke_with_policy step for step, but nothing
-// blocks: backoff is an event-loop timer that re-enters
-// start_attempt_async on a pipeline worker, and the per-attempt timeout
-// is a timer that *disowns* an overrunning attempt — each attempt
-// carries a settle flag, and whoever flips it first (adapter completion
-// or the overrun timer) owns the outcome, the breaker record and the
-// span close; the loser only bumps a counter. That single-owner
-// discipline is also what keeps the request's Trace single-writer even
-// though attempts, timers and retries run on different threads.
+// In async mode the per-attempt timeout is a timer that *disowns* an
+// overrunning attempt: each attempt carries a settle flag, and whoever
+// flips it first (adapter completion or the overrun timer) owns the
+// outcome, the breaker record and the span close; the loser only bumps
+// a counter. That single-owner discipline is also what keeps the
+// request's Trace single-writer even though attempts, timers and retries
+// run on different threads.
 
-struct ResourceManager::AsyncInvocation {
+struct ResourceManager::Invocation {
   std::shared_ptr<ResourceAdapter> adapter;
   std::shared_ptr<PolicyState> state;
   std::string resource;
   std::string command;
   Args args;
   obs::RequestContext* context = nullptr;
+  bool inline_mode = false;
   InvokeCallback done;
   RetryBackoff backoff{Duration(0), Duration(0), 0};
   int attempt = 0;  ///< attempts issued so far
@@ -372,42 +155,19 @@ void ResourceManager::set_async_engine(
 void ResourceManager::resume_on_worker(std::function<void()> fn) {
   if (resume_ != nullptr) {
     resume_(std::move(fn));
-  } else if (loop_ != nullptr) {
-    loop_->post(std::move(fn));
   } else {
-    fn();
+    loop_->post(std::move(fn));
   }
 }
 
-void ResourceManager::execute_attempt_async(
-    ResourceAdapter& adapter, const std::string& resource,
-    const std::string& command, const Args& args,
-    ResourceAdapter::Completion done) {
-  trace_.record(resource, command, args);
-  count(commands_counter_);
-  log_debug("resource-manager")
-      << resource << "." << format_invocation(command, args);
-  // Same fault boundary as invoke_attempt: a synchronously escaping
-  // exception degrades to a Status. (The copy of `done` is for the catch
-  // path; callers' settle flags absorb the pathological adapter that
-  // completes and then throws.)
-  ResourceAdapter::Completion on_throw = done;
-  try {
-    adapter.execute_async(command, args, std::move(done));
-  } catch (const std::exception& e) {
-    count(exceptions_counter_);
-    log_error("resource-manager")
-        << resource << "." << command << " threw: " << e.what();
-    on_throw(ExecutionError("resource adapter '" + resource +
-                            "' threw during '" + command + "': " + e.what()));
-  } catch (...) {
-    count(exceptions_counter_);
-    log_error("resource-manager")
-        << resource << "." << command << " threw a non-std::exception";
-    on_throw(ExecutionError("resource adapter '" + resource +
-                            "' threw a non-std::exception during '" +
-                            command + "'"));
-  }
+Result<model::Value> ResourceManager::invoke(const std::string& resource,
+                                             const std::string& command,
+                                             const Args& args,
+                                             obs::RequestContext& context) {
+  return run_inline<Result<model::Value>>([&](InvokeCallback done) {
+    start_invocation(resource, command, args, context, true,
+                     std::move(done));
+  });
 }
 
 void ResourceManager::invoke_async(const std::string& resource,
@@ -416,12 +176,71 @@ void ResourceManager::invoke_async(const std::string& resource,
                                    obs::RequestContext& context,
                                    InvokeCallback done) {
   if (done == nullptr) done = [](Result<model::Value>) {};
-  if (loop_ == nullptr) {
-    // No event engine wired: degrade to the synchronous path (tests and
-    // split deployments that never built a staged pipeline).
-    done(invoke(resource, command, args, context));
-    return;
+  // No event engine wired (tests and split deployments that never built
+  // a staged pipeline): run inline on the calling thread.
+  start_invocation(resource, command, args, context, loop_ == nullptr,
+                   std::move(done));
+}
+
+void ResourceManager::execute_attempt(ResourceAdapter& adapter,
+                                      const std::string& resource,
+                                      const std::string& command,
+                                      const Args& args, bool inline_mode,
+                                      ResourceAdapter::Completion done) {
+  trace_.record(resource, command, args);
+  count(commands_counter_);
+  log_debug("resource-manager")
+      << resource << "." << format_invocation(command, args);
+  // Adapters are plugin code over external resources; this is the fault
+  // boundary. An escaping exception must degrade to a Status, not unwind
+  // through the controller's EU stack (which would strand queued signals
+  // for the next request to pick up). The completion runs outside the
+  // try, so a throw from the layers above is never misattributed to the
+  // adapter.
+  std::optional<Result<model::Value>> outcome;
+  try {
+    if (!inline_mode) {
+      // Settle at most once, even for the pathological adapter that
+      // completes and then throws.
+      auto once = std::make_shared<std::atomic<bool>>(false);
+      done = [once, done = std::move(done)](Result<model::Value> settled) {
+        if (!once->exchange(true, std::memory_order_acq_rel)) {
+          done(std::move(settled));
+        }
+      };
+      adapter.execute_async(command, args, done);
+      return;
+    }
+    outcome.emplace(adapter.execute(command, args));
+  } catch (const std::exception& e) {
+    count(exceptions_counter_);
+    log_error("resource-manager")
+        << resource << "." << command << " threw: " << e.what();
+    outcome.emplace(ExecutionError("resource adapter '" + resource +
+                                   "' threw during '" + command +
+                                   "': " + e.what()));
+  } catch (...) {
+    count(exceptions_counter_);
+    log_error("resource-manager")
+        << resource << "." << command << " threw a non-std::exception";
+    outcome.emplace(ExecutionError("resource adapter '" + resource +
+                                   "' threw a non-std::exception during '" +
+                                   command + "'"));
   }
+  done(std::move(*outcome));
+}
+
+void ResourceManager::start_invocation(const std::string& resource,
+                                       const std::string& command,
+                                       const Args& args,
+                                       obs::RequestContext& context,
+                                       bool inline_mode,
+                                       InvokeCallback done) {
+  // Pin the adapter (and its policy) under a brief shared lock, execute
+  // unlocked: a concurrent remove_adapter() unregisters immediately while
+  // this call finishes on the pinned instance, and an adapter that
+  // re-enters invoke() through the bus (event → autonomic plan → kInvoke)
+  // cannot self-deadlock on the map lock.
   std::shared_ptr<ResourceAdapter> adapter;
   std::shared_ptr<PolicyState> state;
   {
@@ -437,38 +256,37 @@ void ResourceManager::invoke_async(const std::string& resource,
     if (policy_it != policies_.end()) state = policy_it->second;
   }
   if (state == nullptr) {
-    // Fire-once fast path, async flavor: deadline gate, then a single
-    // attempt whose completion is the resolution.
+    // Fire-once fast path (no policy): the deadline gate around the
+    // resource call itself — a request with no budget left must not
+    // issue the command at all — then a single attempt whose completion
+    // is the resolution.
     if (Status gate = context.check_deadline("broker.invoke"); !gate.ok()) {
       done(gate);
       return;
     }
-    auto settled = std::make_shared<std::atomic<bool>>(false);
-    execute_attempt_async(
-        *adapter, resource, command, args,
-        [settled, done = std::move(done)](Result<model::Value> outcome) {
-          if (settled->exchange(true, std::memory_order_acq_rel)) return;
-          done(std::move(outcome));
-        });
+    execute_attempt(*adapter, resource, command, args, inline_mode,
+                    std::move(done));
     return;
   }
-  auto call = std::make_shared<AsyncInvocation>();
+  auto call = std::make_shared<Invocation>();
   call->adapter = std::move(adapter);
   call->state = state;
   call->resource = resource;
   call->command = command;
   call->args = args;
   call->context = &context;
+  call->inline_mode = inline_mode;
   call->done = std::move(done);
+  // One jitter chain per logical invoke; the per-chain seed keeps soak
+  // runs repeatable without sharing RNG state across threads.
   call->backoff = RetryBackoff(
       state->policy.initial_backoff, state->policy.max_backoff,
       state->policy.jitter_seed +
           state->chains.fetch_add(1, std::memory_order_relaxed));
-  start_attempt_async(std::move(call));
+  start_attempt(std::move(call));
 }
 
-void ResourceManager::start_attempt_async(
-    std::shared_ptr<AsyncInvocation> call) {
+void ResourceManager::start_attempt(std::shared_ptr<Invocation> call) {
   const InvocationPolicy& policy = call->state->policy;
   obs::RequestContext& context = *call->context;
   const Clock& clock = context.clock();
@@ -479,17 +297,22 @@ void ResourceManager::start_attempt_async(
       count(breaker_open_counter_);
       log_debug("resource-manager") << call->resource << "." << call->command
                                     << " fast-failed: circuit open";
-      invoke_fallback_async(
-          call, Unavailable("circuit open for resource '" + call->resource +
-                            "' ('" + call->command + "' fast-failed)"));
+      degrade(call, Unavailable("circuit open for resource '" +
+                                call->resource + "' ('" + call->command +
+                                "' fast-failed)"));
       return;
     }
   }
+  // The deadline budget gates every attempt, not just layer crossings:
+  // a stalled previous attempt must not let this one start over budget.
   if (Status gate = context.check_deadline("broker.invoke"); !gate.ok()) {
     if (call->state->breaker != nullptr &&
         admitted.admission == CircuitBreaker::Admission::kProbe) {
-      // Same probe-slot retirement as the sync loop: an admitted probe
-      // that never ran must not wedge the breaker half-open.
+      // The admitted probe never ran; retire its slot (as a failure, so
+      // the breaker re-opens) rather than leaking it — a leaked probe
+      // slot would reject every future probe and wedge the breaker
+      // half-open forever. Closed-state admissions need no retiring and
+      // must not record a synthetic outcome in the window.
       publish_transition(call->resource, call->state->breaker->on_result(
                                              admitted.admission, false,
                                              clock.now()));
@@ -503,16 +326,18 @@ void ResourceManager::start_attempt_async(
   const std::uint64_t span = context.open_span(
       "broker.attempt", call->resource + "." + call->command + "#" +
                             std::to_string(call->attempt));
+  const TimePoint started = clock.now();
   auto settled = std::make_shared<std::atomic<bool>>(false);
   std::uint64_t overrun_timer = 0;
-  if (policy.attempt_timeout.count() > 0) {
+  if (!call->inline_mode && policy.attempt_timeout.count() > 0) {
     // The overrun timer makes the attempt timeout *preemptive*: when it
     // wins the settle race the attempt is disowned — failed against the
     // breaker, retried or degraded right away — while the adapter is
     // still grinding on some other thread.
     overrun_timer = loop_->schedule(
         policy.attempt_timeout,
-        [this, call, settled, admission = admitted.admission, span] {
+        [this, call, settled, admission = admitted.admission, span,
+         started] {
           if (settled->exchange(true, std::memory_order_acq_rel)) return;
           count(overruns_counter_);
           Status timed_out = Timeout(
@@ -524,16 +349,17 @@ void ResourceManager::start_attempt_async(
               "us budget (disowned)");
           // Settle on a worker, not the loop thread: the retry decision
           // may issue the next attempt inline.
-          resume_on_worker([this, call, admission, span,
+          resume_on_worker([this, call, admission, span, started,
                             timed_out = std::move(timed_out)] {
-            attempt_settled(call, admission, span, timed_out);
+            attempt_settled(call, admission, span, started, timed_out);
           });
         });
   }
-  execute_attempt_async(
+  execute_attempt(
       *call->adapter, call->resource, call->command, call->args,
+      call->inline_mode,
       [this, call, settled, overrun_timer, admission = admitted.admission,
-       span](Result<model::Value> outcome) {
+       span, started](Result<model::Value> outcome) {
         if (settled->exchange(true, std::memory_order_acq_rel)) {
           // The overrun timer already disowned this attempt; its actual
           // outcome — success or not — arrives too late to matter.
@@ -541,17 +367,18 @@ void ResourceManager::start_attempt_async(
           return;
         }
         if (overrun_timer != 0) loop_->cancel(overrun_timer);
-        attempt_settled(call, admission, span, std::move(outcome));
+        attempt_settled(call, admission, span, started, std::move(outcome));
       });
 }
 
-void ResourceManager::attempt_settled(
-    const std::shared_ptr<AsyncInvocation>& call,
-    CircuitBreaker::Admission admission, std::uint64_t span,
-    Result<model::Value> outcome) {
+void ResourceManager::attempt_settled(const std::shared_ptr<Invocation>& call,
+                                      CircuitBreaker::Admission admission,
+                                      std::uint64_t span, TimePoint started,
+                                      Result<model::Value> outcome) {
   const InvocationPolicy& policy = call->state->policy;
   obs::RequestContext& context = *call->context;
   const Clock& clock = context.clock();
+  const Duration took = clock.now() - started;
   context.close_span(span);
   const bool success = outcome.ok();
   if (call->state->breaker != nullptr) {
@@ -563,7 +390,20 @@ void ResourceManager::attempt_settled(
     return;
   }
   Status last_status = outcome.status();
+  // Cooperative per-attempt timeout (inline mode): a synchronous adapter
+  // cannot be preempted, but a failure that stalled past the attempt
+  // budget is a timeout fault (retryable), whatever the adapter claimed.
+  if (call->inline_mode && policy.attempt_timeout.count() > 0 &&
+      took >= policy.attempt_timeout) {
+    last_status = Timeout(
+        "resource '" + call->resource + "' attempt " +
+        std::to_string(call->attempt) + " of '" + call->command +
+        "' exceeded its " + std::to_string(policy.attempt_timeout.count()) +
+        "us budget (" + last_status.to_string() + ")");
+  }
   if (!retryable(last_status.code())) {
+    // Permanent fault (authoring/registry error): retrying or degrading
+    // to a fallback would only mask it.
     call->resolve(std::move(last_status));
     return;
   }
@@ -572,38 +412,49 @@ void ResourceManager::attempt_settled(
     log_warn("resource-manager")
         << call->resource << "." << call->command << " failed after "
         << policy.max_attempts << " attempts: " << last_status.to_string();
-    invoke_fallback_async(call, std::move(last_status));
+    degrade(call, std::move(last_status));
     return;
   }
   Duration delay = call->backoff.next();
   if (std::optional<TimePoint> deadline = context.deadline()) {
     const Duration remaining = *deadline - clock.now();
     if (remaining.count() <= 0 || delay >= remaining) {
-      // Parking past the deadline would only deliver a late failure;
-      // give up with the budget intact, exactly like the sync loop.
+      // Waiting the backoff would only deliver a late failure; give up
+      // with the budget intact rather than returning late.
       count(exhausted_counter_);
-      invoke_fallback_async(
-          call,
-          Timeout("resource '" + call->resource + "' retry budget exhausted "
-                  "after attempt " +
-                  std::to_string(call->attempt) + " of '" + call->command +
-                  "' (" + last_status.to_string() + ")"));
+      degrade(call, Timeout("resource '" + call->resource +
+                            "' retry budget exhausted after attempt " +
+                            std::to_string(call->attempt) + " of '" +
+                            call->command + "' (" + last_status.to_string() +
+                            ")"));
       return;
     }
   }
+  if (call->inline_mode) {
+    // Recursion depth is bounded by policy.max_attempts.
+    if (delay.count() > 0) {
+      if (sleep_hook_ != nullptr) {
+        sleep_hook_(delay);
+      } else {
+        std::this_thread::sleep_for(delay);
+      }
+    }
+    start_attempt(call);
+    return;
+  }
   if (delay.count() <= 0) {
     // Degenerate zero backoff: hop through a worker to bound recursion.
-    resume_on_worker([this, call] { start_attempt_async(call); });
+    resume_on_worker([this, call] { start_attempt(call); });
     return;
   }
   // The park: no worker holds this request while the backoff elapses.
   loop_->schedule(delay, [this, call] {
-    resume_on_worker([this, call] { start_attempt_async(call); });
+    resume_on_worker([this, call] { start_attempt(call); });
   });
 }
 
-void ResourceManager::invoke_fallback_async(
-    const std::shared_ptr<AsyncInvocation>& call, Status primary_status) {
+void ResourceManager::degrade(const std::shared_ptr<Invocation>& call,
+                              Status primary_status) {
   const InvocationPolicy& policy = call->state->policy;
   if (policy.fallback_resource.empty()) {
     call->resolve(std::move(primary_status));
@@ -630,14 +481,12 @@ void ResourceManager::invoke_fallback_async(
                     model::Value(call->command)}));
   std::uint64_t span = call->context->open_span(
       "broker.fallback", call->resource + "->" + policy.fallback_resource);
-  auto settled = std::make_shared<std::atomic<bool>>(false);
   const bool tag_degraded = policy.tag_degraded;
-  execute_attempt_async(
+  execute_attempt(
       *fallback, policy.fallback_resource, call->command, call->args,
-      [call, span, settled, tag_degraded,
-       primary_status = std::move(primary_status)](
+      call->inline_mode,
+      [call, span, tag_degraded, primary_status = std::move(primary_status)](
           Result<model::Value> outcome) {
-        if (settled->exchange(true, std::memory_order_acq_rel)) return;
         call->context->close_span(span);
         if (!outcome.ok()) {
           // The degraded path failed too; surface the primary fault.

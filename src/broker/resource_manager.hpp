@@ -86,11 +86,6 @@ class ResourceManager {
   /// Unregisters immediately; in-flight invoke()s finish on the pinned
   /// adapter (shared ownership), new ones get NotFound.
   Status remove_adapter(const std::string& name);
-  /// Borrowed pointer; may dangle across a concurrent remove_adapter().
-  /// Steady-state invocation goes through invoke(), which pins the
-  /// adapter for the duration of the call; presence checks should use
-  /// has_adapter(), which never exposes the pointer.
-  [[nodiscard]] ResourceAdapter* find_adapter(std::string_view name);
   [[nodiscard]] bool has_adapter(std::string_view name) const;
   [[nodiscard]] std::vector<std::string> adapter_names() const;
 
@@ -118,9 +113,13 @@ class ResourceManager {
   /// here and degraded to an ExecutionError status (counted in
   /// "broker.adapter_exceptions") — an adapter can never unwind the
   /// layers above it. Retries consume `context`'s deadline budget: the
-  /// loop never issues an attempt (or sleeps a backoff) past the
+  /// invocation never issues an attempt (or waits a backoff) past the
   /// request deadline. The context-free overload runs under the shared
   /// noop context (no deadline, no spans).
+  /// Runs the invocation state machine inline (DESIGN.md §6b): attempts
+  /// are the adapter's execute(), backoff waits through the sleep hook,
+  /// and a failure that stalled past policy.attempt_timeout becomes a
+  /// retryable kTimeout. It completes before it returns, on any thread.
   Result<model::Value> invoke(const std::string& resource,
                               const std::string& command, const Args& args,
                               obs::RequestContext& context);
@@ -135,15 +134,15 @@ class ResourceManager {
   /// attempt-timeout timers go to `loop`; continuations hop back onto
   /// pipeline workers through `resume` (the platform submits them to its
   /// broker stage). Both must outlive steady-state traffic; configure at
-  /// assembly time. Unwired, invoke_async() degrades to the synchronous
-  /// invoke() on the calling thread.
+  /// assembly time. Unwired, invoke_async() runs in inline mode on the
+  /// calling thread.
   void set_async_engine(runtime::EventLoop* loop,
                         std::function<void(std::function<void()>)> resume);
 
-  /// Asynchronous invoke with the same policy semantics as invoke() —
-  /// bounded retries, breaker, fallback, per-attempt deadline gates —
-  /// but no thread ever sleeps: backoff parks the invocation on an
-  /// event-loop timer, and an attempt that overruns
+  /// The same invocation state machine as invoke() — bounded retries,
+  /// breaker, fallback, per-attempt deadline gates — in *async mode*:
+  /// attempts go through the adapter's execute_async(), backoff parks
+  /// the invocation on an event-loop timer, and an attempt that overruns
   /// policy.attempt_timeout is *disowned* by a timer (counted in
   /// "broker.attempt_overruns", recorded as a breaker failure, retried
   /// or degraded immediately) instead of cooperatively reclassified
@@ -182,46 +181,37 @@ class ResourceManager {
     std::atomic<std::uint64_t> chains{0};
   };
 
-  /// One physical attempt: trace record, metrics, exception containment.
-  Result<model::Value> invoke_attempt(ResourceAdapter& adapter,
-                                      const std::string& resource,
-                                      const std::string& command,
-                                      const Args& args);
-  /// Shared state of one logical invoke_async() (all attempts + fallback).
-  struct AsyncInvocation;
+  /// Shared state of one policy-managed invocation (all attempts +
+  /// fallback), in either mode.
+  struct Invocation;
+  /// Pin the adapter and policy, then run the invocation: fire-once
+  /// without a policy, else the attempt state machine.
+  void start_invocation(const std::string& resource,
+                        const std::string& command, const Args& args,
+                        obs::RequestContext& context, bool inline_mode,
+                        InvokeCallback done);
   /// Issue attempt `call->attempt + 1`, gated by breaker and deadline.
-  void start_attempt_async(std::shared_ptr<AsyncInvocation> call);
-  /// Settle one attempt (exactly once: adapter completion or the overrun
-  /// timer, whichever wins the per-attempt flag): breaker accounting,
-  /// span close, then resolve / retry / degrade.
-  void attempt_settled(const std::shared_ptr<AsyncInvocation>& call,
+  void start_attempt(std::shared_ptr<Invocation> call);
+  /// Settle one attempt (exactly once: adapter completion or, in async
+  /// mode, the overrun timer, whichever wins the per-attempt flag):
+  /// breaker accounting, span close, then resolve / retry / degrade.
+  void attempt_settled(const std::shared_ptr<Invocation>& call,
                        CircuitBreaker::Admission admission,
-                       std::uint64_t span, Result<model::Value> outcome);
-  /// Async twin of invoke_attempt: trace record, metrics, containment.
-  void execute_attempt_async(ResourceAdapter& adapter,
-                             const std::string& resource,
-                             const std::string& command, const Args& args,
-                             ResourceAdapter::Completion done);
-  /// Async twin of invoke_fallback (fire-once on the fallback adapter).
-  void invoke_fallback_async(const std::shared_ptr<AsyncInvocation>& call,
-                             Status primary_status);
-  /// Hand a continuation to a pipeline worker (resume_ hook, or the
-  /// loop, or inline as a last resort).
-  void resume_on_worker(std::function<void()> fn);
-  Result<model::Value> invoke_with_policy(
-      std::shared_ptr<ResourceAdapter> adapter,
-      const std::shared_ptr<PolicyState>& state, const std::string& resource,
-      const std::string& command, const Args& args,
-      obs::RequestContext& context);
+                       std::uint64_t span, TimePoint started,
+                       Result<model::Value> outcome);
+  /// One physical attempt: trace record, metrics, exception containment;
+  /// execute() inline, execute_async() otherwise.
+  void execute_attempt(ResourceAdapter& adapter, const std::string& resource,
+                       const std::string& command, const Args& args,
+                       bool inline_mode, ResourceAdapter::Completion done);
   /// Degraded path: fire-once on the fallback adapter; a success is
   /// tagged ["degraded", value] when the policy asks for it, a failure
   /// surfaces `primary_status` (the more informative fault).
-  Result<model::Value> invoke_fallback(const InvocationPolicy& policy,
-                                       const std::string& resource,
-                                       const std::string& command,
-                                       const Args& args,
-                                       obs::RequestContext& context,
-                                       Status primary_status);
+  void degrade(const std::shared_ptr<Invocation>& call,
+               Status primary_status);
+  /// Async mode: hand a continuation to a pipeline worker (the resume_
+  /// hook, else the loop).
+  void resume_on_worker(std::function<void()> fn);
   void publish_transition(const std::string& resource,
                           CircuitBreaker::Transition transition);
   void count(obs::Counter* counter) {
@@ -239,7 +229,7 @@ class ResourceManager {
   obs::Counter* overruns_counter_ = nullptr;
   obs::Counter* late_completions_counter_ = nullptr;
   std::function<void(Duration)> sleep_hook_;  ///< null = real sleep
-  runtime::EventLoop* loop_ = nullptr;        ///< timers for async invokes
+  runtime::EventLoop* loop_ = nullptr;  ///< null = invoke_async runs inline
   std::function<void(std::function<void()>)> resume_;  ///< worker hand-off
   /// Reader/writer lock over the adapter and policy maps only — never
   /// held across adapter execution (an adapter event can re-enter

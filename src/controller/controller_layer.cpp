@@ -71,127 +71,35 @@ Status ControllerLayer::map_command(const std::string& command,
 void ControllerLayer::attach_event_topic(const std::string& topic) {
   subscriptions_.push_back(
       bus_->subscribe(topic, [this](const runtime::Event& event) {
-        Signal signal;
-        signal.kind = SignalKind::kEvent;
-        signal.name = event.topic;
-        signal.args["event.payload"] = event.payload;
-        signal.args["event.source"] = model::Value(event.source);
-        {
-          std::lock_guard lock(queue_mutex_);
-          queue_.push_back(std::move(signal));
-        }
-        stats_.signals_received.fetch_add(1, std::memory_order_relaxed);
+        broker::Args args;
+        args["event.payload"] = event.payload;
+        args["event.source"] = model::Value(event.source);
+        enqueue({SignalKind::kEvent, event.topic, std::move(args)});
       }));
+}
+
+void ControllerLayer::enqueue(Signal signal) {
+  {
+    std::lock_guard lock(queue_mutex_);
+    queue_.push_back(std::move(signal));
+  }
+  stats_.signals_received.fetch_add(1, std::memory_order_relaxed);
 }
 
 Status ControllerLayer::submit_script(const ControlScript& script,
                                       obs::RequestContext& context) {
   MDSM_RETURN_IF_ERROR(context.check_deadline("controller"));
   for (const Command& command : script.commands) {
-    Signal signal;
-    signal.kind = SignalKind::kCall;
-    signal.name = command.name;
-    signal.args = command.args;
-    {
-      std::lock_guard lock(queue_mutex_);
-      queue_.push_back(std::move(signal));
-    }
-    stats_.signals_received.fetch_add(1, std::memory_order_relaxed);
+    enqueue({SignalKind::kCall, command.name, command.args});
     if (metrics_ != nullptr) metrics_->counter("controller.signals").add();
   }
   return Status::Ok();
 }
 
 Status ControllerLayer::submit_command(Command command) {
-  Signal signal;
-  signal.kind = SignalKind::kCall;
-  signal.name = std::move(command.name);
-  signal.args = std::move(command.args);
-  {
-    std::lock_guard lock(queue_mutex_);
-    queue_.push_back(std::move(signal));
-  }
-  stats_.signals_received.fetch_add(1, std::memory_order_relaxed);
+  enqueue({SignalKind::kCall, std::move(command.name),
+           std::move(command.args)});
   return Status::Ok();
-}
-
-Status ControllerLayer::execute_script(const ControlScript& script,
-                                       obs::RequestContext& context) {
-  obs::ContextScope ambient(context);
-  obs::ScopedSpan span(context, "controller.script",
-                       std::to_string(script.commands.size()) + " commands");
-  MDSM_RETURN_IF_ERROR(context.check_deadline("controller"));
-  for (const Command& command : script.commands) {
-    stats_.signals_received.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_ != nullptr) metrics_->counter("controller.signals").add();
-    obs::ScopedSpan signal_span(context, "controller.signal", command.name);
-    Result<model::Value> outcome = execute_command(command, context);
-    if (!outcome.ok()) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_ != nullptr) metrics_->counter("controller.errors").add();
-      bus_->publish("controller.error", name(),
-                    model::Value(command.to_text() + ": " +
-                                 outcome.status().to_string()));
-    }
-  }
-  // Drain event signals the executions raised (kEmit → subscribed topic).
-  process_pending(context);
-  return Status::Ok();
-}
-
-std::size_t ControllerLayer::process_pending(obs::RequestContext& context) {
-  obs::ContextScope ambient(context);
-  std::size_t processed = 0;
-  // Signals enqueued during processing (events raised by executions) are
-  // drained too, up to a sanity bound. Pop one signal per lock hold:
-  // executions themselves run unlocked, so concurrent drainers interleave
-  // instead of serializing on the queue.
-  constexpr std::size_t kMaxBatch = 100000;
-  while (processed < kMaxBatch) {
-    Signal signal;
-    {
-      std::lock_guard lock(queue_mutex_);
-      if (queue_.empty()) break;
-      signal = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    ++processed;
-    obs::ScopedSpan span(context, "controller.signal", signal.name);
-    if (signal.kind == SignalKind::kCall) {
-      Command command{signal.name, std::move(signal.args)};
-      Result<model::Value> outcome = execute_command(command, context);
-      if (!outcome.ok()) {
-        stats_.errors.fetch_add(1, std::memory_order_relaxed);
-        if (metrics_ != nullptr) metrics_->counter("controller.errors").add();
-        bus_->publish("controller.error", name(),
-                      model::Value(command.to_text() + ": " +
-                                   outcome.status().to_string()));
-      }
-    } else {
-      stats_.events_handled.fetch_add(1, std::memory_order_relaxed);
-      // Events are handled by Case-1 actions bound to the topic; an
-      // unbound event is simply observed (layers subscribe selectively).
-      bool bound;
-      {
-        std::shared_lock lock(config_mutex_);
-        bound = bindings_.contains(signal.name);
-      }
-      if (bound) {
-        Command command{signal.name, std::move(signal.args)};
-        Result<model::Value> outcome = execute_case1(command, context);
-        if (!outcome.ok()) {
-          stats_.errors.fetch_add(1, std::memory_order_relaxed);
-          if (metrics_ != nullptr) {
-            metrics_->counter("controller.errors").add();
-          }
-          bus_->publish("controller.error", name(),
-                        model::Value(signal.name + ": " +
-                                     outcome.status().to_string()));
-        }
-      }
-    }
-  }
-  return processed;
 }
 
 Result<ControllerLayer::Case> ControllerLayer::classify(
@@ -233,88 +141,155 @@ SelectionStrategy ControllerLayer::selection_strategy() const {
   return SelectionStrategy::kMinCost;
 }
 
-Result<model::Value> ControllerLayer::execute_case1(
-    const Command& command, obs::RequestContext& context) {
-  // Select under the shared lock, execute outside it (action nodes are
-  // never removed, so `best` stays valid after release).
-  const ControllerAction* best = nullptr;
-  {
-    std::shared_lock lock(config_mutex_);
-    auto it = bindings_.find(command.name);
-    if (it == bindings_.end()) {
-      return NotFound("no action bound to command '" + command.name + "'");
-    }
-    for (const std::string& action_name : it->second) {
-      auto action_it = actions_.find(action_name);
-      if (action_it == actions_.end()) continue;
-      const ControllerAction& action = action_it->second;
-      Result<bool> applicable = action.guard.evaluate_bool(*context_);
-      if (!applicable.ok() || !*applicable) continue;
-      if (best == nullptr || action.priority > best->priority) best = &action;
-    }
-  }
-  if (best == nullptr) {
-    return FailedPrecondition("no applicable action for command '" +
-                              command.name + "' in current context");
-  }
-  stats_.case1_executions.fetch_add(1, std::memory_order_relaxed);
-  stats_.commands_executed.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) {
-    metrics_->counter("controller.case1").add();
-    metrics_->counter("controller.commands").add();
-  }
-  return engine_.execute_flat(best->body, command.args, context);
-}
+// ---- the signal state machine (inline or async; DESIGN.md §6b) ------
+//
+// Commands run through the engine's entry point of the run's mode. In
+// async mode a command whose broker call parks suspends the run, and the
+// rest — remaining commands, then the signal-queue drain — resumes on
+// the settling thread.
 
-Result<model::Value> ControllerLayer::execute_case2(
-    const Command& command, obs::RequestContext& context) {
-  std::string dsc;
-  {
-    std::shared_lock lock(config_mutex_);
-    auto it = command_dsc_.find(command.name);
-    dsc = it != command_dsc_.end() ? it->second : command.name;
-  }
-  if (!dscs_.contains(dsc)) {
-    return NotFound("command '" + command.name + "' resolves to unknown DSC '" +
-                    dsc + "'");
-  }
-  Result<IntentModelPtr> intent_model =
-      generator_.generate_cached(dsc, selection_strategy());
-  if (!intent_model.ok()) return intent_model.status();
-  stats_.case2_executions.fetch_add(1, std::memory_order_relaxed);
-  stats_.commands_executed.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) {
-    metrics_->counter("controller.case2").add();
-    metrics_->counter("controller.commands").add();
-  }
-  return engine_.execute(**intent_model, command.args, context);
-}
+struct ControllerLayer::ScriptRun {
+  const ControlScript* script = nullptr;  ///< null for a bare drain
+  obs::RequestContext* context = nullptr;
+  bool inline_mode = false;
+  ScriptCallback done;
+  std::uint64_t script_span = 0;  ///< "controller.script", closed at end
+  std::size_t index = 0;          ///< next script command
+  std::size_t drained = 0;        ///< queued signals processed so far
+  Command signal;                 ///< the drained signal in flight
+};
 
 Result<model::Value> ControllerLayer::execute_command(
     const Command& command, obs::RequestContext& context) {
-  obs::ContextScope ambient(context);
-  MDSM_RETURN_IF_ERROR(context.check_deadline("controller"));
-  Result<Case> which = classify(command);
-  if (!which.ok()) return which.status();
-  log_debug("controller") << name() << " " << command.to_text() << " -> "
-                          << (*which == Case::kCase1 ? "case1" : "case2");
-  return *which == Case::kCase1 ? execute_case1(command, context)
-                                : execute_case2(command, context);
+  return run_inline<Result<model::Value>>([&](CommandCallback done) {
+    run_command(command, context, true, std::move(done));
+  });
 }
 
-// ---- staged execution (PR 6) -----------------------------------------
+Status ControllerLayer::execute_script(const ControlScript& script,
+                                       obs::RequestContext& context) {
+  return run_inline<Status>([&](ScriptCallback done) {
+    start_script(script, context, true, std::move(done));
+  });
+}
 
-struct ControllerLayer::ScriptRun {
-  ControlScript script;
-  obs::RequestContext* context = nullptr;
-  ScriptCallback done;
-  std::uint64_t script_span = 0;  ///< "controller.script", closed at end
-  std::size_t index = 0;
-};
+void ControllerLayer::execute_script_async(const ControlScript& script,
+                                           obs::RequestContext& context,
+                                           ScriptCallback done) {
+  start_script(script, context, false, std::move(done));
+}
 
-void ControllerLayer::execute_command_async(const Command& command,
-                                            obs::RequestContext& context,
-                                            CommandCallback done) {
+std::size_t ControllerLayer::process_pending(obs::RequestContext& context) {
+  auto run = std::make_shared<ScriptRun>();
+  run->context = &context;
+  run->inline_mode = true;
+  run->done = [](Status) {};
+  drive_script(run);
+  return run->drained;
+}
+
+void ControllerLayer::start_script(const ControlScript& script,
+                                   obs::RequestContext& context,
+                                   bool inline_mode, ScriptCallback done) {
+  obs::ContextScope ambient(context);
+  auto run = std::make_shared<ScriptRun>();
+  run->script = &script;
+  run->context = &context;
+  run->inline_mode = inline_mode;
+  run->done = std::move(done);
+  run->script_span = context.open_span(
+      "controller.script",
+      std::to_string(run->script->commands.size()) + " commands");
+  if (Status deadline = context.check_deadline("controller");
+      !deadline.ok()) {
+    context.close_span(run->script_span);
+    run->done(deadline);
+    return;
+  }
+  drive_script(std::move(run));
+}
+
+void ControllerLayer::drive_script(std::shared_ptr<ScriptRun> run) {
+  obs::ContextScope ambient(*run->context);
+  // Signals enqueued during processing (events raised by executions) are
+  // drained too, up to a sanity bound. Pop one signal per lock hold:
+  // executions themselves run unlocked, so concurrent drainers interleave
+  // instead of serializing on the queue.
+  constexpr std::size_t kMaxBatch = 100000;
+  while (true) {
+    const Command* command = nullptr;
+    bool event = false;
+    if (run->script != nullptr && run->index < run->script->commands.size()) {
+      command = &run->script->commands[run->index++];
+      stats_.signals_received.fetch_add(1, std::memory_order_relaxed);
+      if (metrics_ != nullptr) metrics_->counter("controller.signals").add();
+    } else {
+      // Script done: drain the signal queue (event signals the executions
+      // raised — kEmit → subscribed topic — and submitted calls).
+      if (run->drained >= kMaxBatch) break;
+      Signal signal;
+      {
+        std::lock_guard lock(queue_mutex_);
+        if (queue_.empty()) break;
+        signal = std::move(queue_.front());
+        queue_.pop_front();
+      }
+      ++run->drained;
+      event = signal.kind == SignalKind::kEvent;
+      run->signal = Command{std::move(signal.name), std::move(signal.args)};
+      command = &run->signal;
+    }
+    const std::uint64_t span =
+        run->context->open_span("controller.signal", command->name);
+    if (event) {
+      stats_.events_handled.fetch_add(1, std::memory_order_relaxed);
+      // Events are handled by Case-1 actions bound to the topic; an
+      // unbound event is simply observed (layers subscribe selectively).
+      std::shared_lock lock(config_mutex_);
+      if (!bindings_.contains(command->name)) {
+        lock.unlock();
+        run->context->close_span(span);
+        continue;
+      }
+    }
+    // Trampoline: inline completions continue this loop; a parked
+    // command's completion re-enters drive_script on the settling thread.
+    // Errors are counted and published as "controller.error" events, not
+    // returned — one bad command must not wedge the script or the queue.
+    auto turn = std::make_shared<std::atomic<int>>(0);
+    CommandCallback settled = [this, run, turn, span, command,
+                               event](Result<model::Value> outcome) {
+      if (!outcome.ok()) {
+        stats_.errors.fetch_add(1, std::memory_order_relaxed);
+        if (metrics_ != nullptr) metrics_->counter("controller.errors").add();
+        bus_->publish("controller.error", name(),
+                      model::Value((event ? command->name
+                                          : command->to_text()) +
+                                   ": " + outcome.status().to_string()));
+      }
+      run->context->close_span(span);
+      if (turn->exchange(2, std::memory_order_acq_rel) == 1) {
+        drive_script(run);
+      }
+    };
+    if (event) {
+      run_case1(*command, *run->context, run->inline_mode,
+                std::move(settled));
+    } else {
+      run_command(*command, *run->context, run->inline_mode,
+                  std::move(settled));
+    }
+    if (turn->exchange(1, std::memory_order_acq_rel) == 0) {
+      return;  // parked: the command's completion resumes the run
+    }
+  }
+  run->context->close_span(run->script_span);
+  run->done(Status::Ok());
+}
+
+void ControllerLayer::run_command(const Command& command,
+                                  obs::RequestContext& context,
+                                  bool inline_mode, CommandCallback done) {
   obs::ContextScope ambient(context);
   if (Status deadline = context.check_deadline("controller");
       !deadline.ok()) {
@@ -329,15 +304,17 @@ void ControllerLayer::execute_command_async(const Command& command,
   log_debug("controller") << name() << " " << command.to_text() << " -> "
                           << (*which == Case::kCase1 ? "case1" : "case2");
   if (*which == Case::kCase1) {
-    execute_case1_async(command, context, std::move(done));
+    run_case1(command, context, inline_mode, std::move(done));
   } else {
-    execute_case2_async(command, context, std::move(done));
+    run_case2(command, context, inline_mode, std::move(done));
   }
 }
 
-void ControllerLayer::execute_case1_async(const Command& command,
-                                          obs::RequestContext& context,
-                                          CommandCallback done) {
+void ControllerLayer::run_case1(const Command& command,
+                                obs::RequestContext& context,
+                                bool inline_mode, CommandCallback done) {
+  // Select under the shared lock, execute outside it (action nodes are
+  // never removed, so `best` — and its body — outlive the run).
   const ControllerAction* best = nullptr;
   {
     std::shared_lock lock(config_mutex_);
@@ -367,14 +344,13 @@ void ControllerLayer::execute_case1_async(const Command& command,
     metrics_->counter("controller.case1").add();
     metrics_->counter("controller.commands").add();
   }
-  // Action bodies are never removed, so `best->body` outlives the run.
-  engine_.execute_flat_async(best->body, command.args, context,
-                             std::move(done));
+  engine_.start(nullptr, &best->body, command.args, context, inline_mode,
+                std::move(done));
 }
 
-void ControllerLayer::execute_case2_async(const Command& command,
-                                          obs::RequestContext& context,
-                                          CommandCallback done) {
+void ControllerLayer::run_case2(const Command& command,
+                                obs::RequestContext& context,
+                                bool inline_mode, CommandCallback done) {
   std::string dsc;
   {
     std::shared_lock lock(config_mutex_);
@@ -398,76 +374,16 @@ void ControllerLayer::execute_case2_async(const Command& command,
     metrics_->counter("controller.case2").add();
     metrics_->counter("controller.commands").add();
   }
-  // The completion capture keeps the IM alive for the whole run (the
-  // cache may evict it while the request is parked mid-execution).
-  IntentModelPtr pinned = std::move(intent_model.value());
-  const IntentModel& model_ref = *pinned;
-  engine_.execute_async(
-      model_ref, command.args, context,
-      [pinned = std::move(pinned),
-       done = std::move(done)](Result<model::Value> outcome) {
-        done(std::move(outcome));
-      });
-}
-
-void ControllerLayer::execute_script_async(ControlScript script,
-                                           obs::RequestContext& context,
-                                           ScriptCallback done) {
-  obs::ContextScope ambient(context);
-  auto run = std::make_shared<ScriptRun>();
-  run->script = std::move(script);
-  run->context = &context;
-  run->done = std::move(done);
-  run->script_span = context.open_span(
-      "controller.script",
-      std::to_string(run->script.commands.size()) + " commands");
-  if (Status deadline = context.check_deadline("controller");
-      !deadline.ok()) {
-    context.close_span(run->script_span);
-    run->done(deadline);
-    return;
+  const IntentModelPtr& pinned = intent_model.value();
+  if (!inline_mode) {
+    // The cache may evict the IM while the run is parked mid-execution:
+    // the completion capture keeps it alive.
+    done = [pinned, done = std::move(done)](Result<model::Value> r) {
+      done(std::move(r));
+    };
   }
-  drive_script(std::move(run));
-}
-
-void ControllerLayer::drive_script(std::shared_ptr<ScriptRun> run) {
-  obs::ContextScope ambient(*run->context);
-  while (run->index < run->script.commands.size()) {
-    const std::size_t cmd_index = run->index++;
-    const Command& command = run->script.commands[cmd_index];
-    stats_.signals_received.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_ != nullptr) metrics_->counter("controller.signals").add();
-    const std::uint64_t span =
-        run->context->open_span("controller.signal", command.name);
-    // Trampoline: inline completions continue this loop; a parked
-    // command's completion re-enters drive_script on the settling thread.
-    auto turn = std::make_shared<std::atomic<int>>(0);
-    execute_command_async(
-        command, *run->context,
-        [this, run, turn, span, cmd_index](Result<model::Value> outcome) {
-          if (!outcome.ok()) {
-            stats_.errors.fetch_add(1, std::memory_order_relaxed);
-            if (metrics_ != nullptr) {
-              metrics_->counter("controller.errors").add();
-            }
-            bus_->publish("controller.error", name(),
-                          model::Value(
-                              run->script.commands[cmd_index].to_text() +
-                              ": " + outcome.status().to_string()));
-          }
-          run->context->close_span(span);
-          if (turn->exchange(2, std::memory_order_acq_rel) == 1) {
-            drive_script(run);
-          }
-        });
-    if (turn->exchange(1, std::memory_order_acq_rel) == 0) {
-      return;  // parked: the command's completion resumes the script
-    }
-  }
-  // Drain event signals the executions raised (kEmit → subscribed topic).
-  process_pending(*run->context);
-  run->context->close_span(run->script_span);
-  run->done(Status::Ok());
+  engine_.start(pinned.get(), nullptr, command.args, context, inline_mode,
+                std::move(done));
 }
 
 ControllerStats ControllerLayer::stats() const {

@@ -129,8 +129,8 @@ class ControllerLayer final : public runtime::Component {
   /// the parallel phase of the request pipeline. Each command runs under
   /// its own "controller.signal" span with the same error containment as
   /// process_pending() (errors are counted and published, not returned),
-  /// then any event signals raised by the executions are drained.
-  /// Safe to call concurrently from many request threads.
+  /// then the signal queue — event signals raised by the executions — is
+  /// drained. Safe to call concurrently from many request threads.
   Status execute_script(const ControlScript& script,
                         obs::RequestContext& context);
   Status execute_script(const ControlScript& script) {
@@ -156,23 +156,14 @@ class ControllerLayer final : public runtime::Component {
   using CommandCallback = ExecutionEngine::ExecuteCallback;
   using ScriptCallback = std::function<void(Status)>;
 
-  /// Staged-core twin of execute_script() (PR 6): commands run in order
-  /// as a resumable chain — a command whose broker call parks suspends
-  /// the script, and the remaining commands resume on the settling
-  /// thread. Error containment is identical to the sync path (counted
-  /// and published, never returned); `done` fires exactly once after the
-  /// final command and the pending-event drain. The script is copied
-  /// into the run state; `context` must outlive the run.
-  void execute_script_async(ControlScript script,
+  /// The three entry points above run the controller's one signal state
+  /// machine inline; execute_script_async() runs it async (DESIGN.md
+  /// §6b): a command whose broker call parks suspends the script, and
+  /// the remaining commands, then the drain, resume on the settling
+  /// thread. Error containment is identical; `done` fires exactly once,
+  /// after the drain. `script` and `context` must outlive the run.
+  void execute_script_async(const ControlScript& script,
                             obs::RequestContext& context, ScriptCallback done);
-
-  /// Staged-core twin of execute_command(): classification is
-  /// synchronous, execution may park. `command` is only read before the
-  /// first suspension point (the engine copies its args); `context` must
-  /// outlive the run.
-  void execute_command_async(const Command& command,
-                             obs::RequestContext& context,
-                             CommandCallback done);
 
   /// Snapshot of the counters (each exact; cross-counter sums may tear
   /// momentarily while requests are in flight).
@@ -182,24 +173,26 @@ class ControllerLayer final : public runtime::Component {
  private:
   enum class Case { kCase1, kCase2 };
 
+  /// Queue a signal for the next drain and count it as received.
+  void enqueue(Signal signal);
   Result<Case> classify(const Command& command) const;
   [[nodiscard]] SelectionStrategy selection_strategy() const;
-  Result<model::Value> execute_case1(const Command& command,
-                                     obs::RequestContext& context);
-  Result<model::Value> execute_case2(const Command& command,
-                                     obs::RequestContext& context);
-
-  /// Shared state of one execute_script_async() run.
+  /// Shared state of one script run or queue drain.
   struct ScriptRun;
-  /// Drive script commands from the run's cursor until done or a command
-  /// parks.
+  /// Open the "controller.script" span, gate on the deadline, then drive.
+  void start_script(const ControlScript& script, obs::RequestContext& context,
+                    bool inline_mode, ScriptCallback done);
+  /// Drive script commands from the run's cursor, then drain the signal
+  /// queue, until done or a command parks.
   void drive_script(std::shared_ptr<ScriptRun> run);
-  void execute_case1_async(const Command& command,
-                           obs::RequestContext& context,
-                           CommandCallback done);
-  void execute_case2_async(const Command& command,
-                           obs::RequestContext& context,
-                           CommandCallback done);
+  /// Classification + execution of one command. `command` is only read
+  /// before the first suspension point (the engine copies its args).
+  void run_command(const Command& command, obs::RequestContext& context,
+                   bool inline_mode, CommandCallback done);
+  void run_case1(const Command& command, obs::RequestContext& context,
+                 bool inline_mode, CommandCallback done);
+  void run_case2(const Command& command, obs::RequestContext& context,
+                 bool inline_mode, CommandCallback done);
 
   broker::BrokerApi* broker_;
   runtime::EventBus* bus_;

@@ -61,22 +61,19 @@ void ExecutionEngine::set_memory(const std::string& key, model::Value value) {
 Result<model::Value> ExecutionEngine::execute(
     const IntentModel& intent_model, const broker::Args& command_args,
     obs::RequestContext& context) {
-  if (intent_model.root == nullptr) {
-    return InvalidArgument("intent model has no root procedure");
-  }
-  Frame initial{};
-  initial.node = intent_model.root.get();
-  initial.flat = nullptr;
-  return run(initial, command_args, context);
+  return run_inline<Result<model::Value>>([&](ExecuteCallback done) {
+    start(&intent_model, nullptr, command_args, context, true,
+          std::move(done));
+  });
 }
 
 Result<model::Value> ExecutionEngine::execute_flat(
     const std::vector<Instruction>& body, const broker::Args& command_args,
     obs::RequestContext& context) {
-  Frame initial{};
-  initial.node = nullptr;
-  initial.flat = &body;
-  return run(initial, command_args, context);
+  return run_inline<Result<model::Value>>([&](ExecuteCallback done) {
+    start(nullptr, &body, command_args, context, true,
+          std::move(done));
+  });
 }
 
 const Instruction* ExecutionEngine::fetch(std::vector<Frame>& stack,
@@ -121,8 +118,8 @@ Status ExecutionEngine::exec_instruction(const Instruction& instruction,
       break;
     }
     case OpCode::kBrokerCall:
-      // The sync and async drivers dispatch this op themselves (it is
-      // the only instruction that can suspend an async run).
+      // drive() dispatches this op itself (it is the only instruction
+      // that can suspend a run).
       return Internal("kBrokerCall reached exec_instruction");
     case OpCode::kCallDep: {
       if (node == nullptr) {
@@ -213,69 +210,18 @@ Status ExecutionEngine::exec_instruction(const Instruction& instruction,
   return Status::Ok();
 }
 
-Result<model::Value> ExecutionEngine::run(Frame initial,
-                                          const broker::Args& command_args,
-                                          obs::RequestContext& context) {
-  stats_.executions.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) metrics_->counter("controller.eu_executions").add();
-  // One "controller.eu" span per procedure frame. The root frame's span is
-  // scoped to the whole run so error returns close-through any spans left
-  // open by frames still on the stack.
-  obs::ScopedSpan root_span(
-      context, "controller.eu",
-      initial.node != nullptr ? initial.node->procedure->name : "action");
-  std::vector<Frame> stack;
-  stack.push_back(initial);
-  model::Value result;
-  std::size_t steps = 0;
-  while (true) {
-    // Atomic running-max: CAS loop so concurrent runs never regress it.
-    std::size_t depth = stack.size();
-    std::size_t seen = stats_.max_stack_depth.load(std::memory_order_relaxed);
-    while (depth > seen &&
-           !stats_.max_stack_depth.compare_exchange_weak(
-               seen, depth, std::memory_order_relaxed)) {
-    }
-    const Instruction* instruction = fetch(stack, context);
-    if (instruction == nullptr) break;
-    if (++steps > config_.max_steps) {
-      return ExecutionError("execution exceeded " +
-                            std::to_string(config_.max_steps) + " steps");
-    }
-    // The EU loop is the controller's steady-state: checking here (not
-    // just at the layer crossing) stops a long instruction stream as soon
-    // as the budget runs out instead of at the next broker call.
-    if (Status budget = context.check_deadline("controller.engine");
-        !budget.ok()) {
-      return budget;
-    }
-    stats_.instructions.fetch_add(1, std::memory_order_relaxed);
-    if (instruction->op == OpCode::kBrokerCall) {
-      stats_.broker_calls.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_ != nullptr) {
-        metrics_->counter("controller.broker_calls").add();
-      }
-      broker::Call call;
-      call.name = instruction->a;
-      call.args = resolve_all(instruction->args, command_args);
-      Result<model::Value> value = broker_->call(call, context);
-      if (!value.ok()) return value.status();
-      result = value.value();
-      set_memory("last.result", std::move(value.value()));
-      continue;
-    }
-    Status status = exec_instruction(*instruction, stack.back().node, stack,
-                                     result, command_args, context);
-    if (!status.ok()) return status;
-  }
-  return result;
-}
-
-// ---- staged execution (PR 6) -----------------------------------------
+// ---- the stack machine (inline or async; DESIGN.md §6b) -------------
+//
+// Only kBrokerCall can suspend: inline (execute(), execute_flat()) it is
+// BrokerApi::call(), async (the controller's async entry) it is
+// call_async(), which may park and resume the surviving instructions on
+// whatever thread completes the call.
 
 struct ExecutionEngine::RunState {
-  broker::Args command_args;
+  const broker::Args* command_args = nullptr;  ///< caller's or `owned_args`
+  broker::Args owned_args;  ///< async mode: the run's own copy
   obs::RequestContext* context = nullptr;
+  bool inline_mode = false;
   ExecuteCallback done;
   std::uint64_t root_span = 0;
   std::vector<Frame> stack;
@@ -284,44 +230,38 @@ struct ExecutionEngine::RunState {
   std::optional<Result<model::Value>> pending;  ///< settled broker call
 };
 
-void ExecutionEngine::execute_async(const IntentModel& intent_model,
-                                    broker::Args command_args,
-                                    obs::RequestContext& context,
-                                    ExecuteCallback done) {
-  if (intent_model.root == nullptr) {
+void ExecutionEngine::start(const IntentModel* intent_model,
+                            const std::vector<Instruction>* flat,
+                            const broker::Args& command_args,
+                            obs::RequestContext& context, bool inline_mode,
+                            ExecuteCallback done) {
+  if (flat == nullptr && intent_model->root == nullptr) {
     done(InvalidArgument("intent model has no root procedure"));
     return;
   }
-  Frame initial{};
-  initial.node = intent_model.root.get();
-  start_async(initial, intent_model.root->procedure->name,
-              std::move(command_args), context, std::move(done));
-}
-
-void ExecutionEngine::execute_flat_async(const std::vector<Instruction>& body,
-                                         broker::Args command_args,
-                                         obs::RequestContext& context,
-                                         ExecuteCallback done) {
-  Frame initial{};
-  initial.flat = &body;
-  start_async(initial, "action", std::move(command_args), context,
-              std::move(done));
-}
-
-void ExecutionEngine::start_async(Frame initial, std::string root_name,
-                                  broker::Args command_args,
-                                  obs::RequestContext& context,
-                                  ExecuteCallback done) {
   stats_.executions.fetch_add(1, std::memory_order_relaxed);
   if (metrics_ != nullptr) metrics_->counter("controller.eu_executions").add();
-  auto run = std::make_shared<RunState>();
-  run->command_args = std::move(command_args);
+  RunState local;
+  std::shared_ptr<RunState> run = run_state(inline_mode, local);
+  run->command_args = &command_args;
+  if (!inline_mode) {  // the caller's args may not outlive an async run
+    run->owned_args = command_args;
+    run->command_args = &run->owned_args;
+  }
   run->context = &context;
+  run->inline_mode = inline_mode;
   run->done = std::move(done);
-  // The root span is closed by finish() (closing through any frames the
-  // run abandoned), mirroring run()'s ScopedSpan — but it must live on
-  // the heap state because the run can outlive this frame.
-  run->root_span = context.open_span("controller.eu", root_name);
+  // One "controller.eu" span per procedure frame. The root frame's span
+  // is closed by finish(), closing through any spans left open by frames
+  // still on the stack when a run fails; it is kept in the run state
+  // because an async run can outlive this frame.
+  Frame initial{};
+  initial.node = flat == nullptr ? intent_model->root.get() : nullptr;
+  initial.flat = flat;
+  run->root_span = context.open_span(
+      "controller.eu",
+      flat == nullptr ? std::string_view(initial.node->procedure->name)
+                      : std::string_view("action"));
   run->stack.push_back(initial);
   drive(std::move(run));
 }
@@ -347,6 +287,7 @@ bool ExecutionEngine::consume_call(const std::shared_ptr<RunState>& run) {
 void ExecutionEngine::drive(std::shared_ptr<RunState> run) {
   obs::ContextScope ambient(*run->context);
   while (true) {
+    // Atomic running-max: CAS loop so concurrent runs never regress it.
     std::size_t depth = run->stack.size();
     std::size_t seen = stats_.max_stack_depth.load(std::memory_order_relaxed);
     while (depth > seen &&
@@ -361,6 +302,9 @@ void ExecutionEngine::drive(std::shared_ptr<RunState> run) {
                                  " steps"));
       return;
     }
+    // The EU loop is the controller's steady-state: checking here (not
+    // just at the layer crossing) stops a long instruction stream as soon
+    // as the budget runs out instead of at the next broker call.
     if (Status budget = run->context->check_deadline("controller.engine");
         !budget.ok()) {
       finish(run, budget);
@@ -374,28 +318,32 @@ void ExecutionEngine::drive(std::shared_ptr<RunState> run) {
       }
       broker::Call call;
       call.name = instruction->a;
-      call.args = resolve_all(instruction->args, run->command_args);
-      // Trampoline (same discipline as BrokerLayer::drive_steps): the
-      // second arrival at the turnstile owns the continuation, so inline
-      // completions keep looping here instead of recursing.
-      auto turn = std::make_shared<std::atomic<int>>(0);
-      broker_->call_async(
-          call, *run->context,
-          [this, run, turn](Result<model::Value> value) {
-            run->pending.emplace(std::move(value));
-            if (turn->exchange(2, std::memory_order_acq_rel) == 1) {
-              if (consume_call(run)) drive(run);
-            }
-          });
-      if (turn->exchange(1, std::memory_order_acq_rel) == 0) {
-        return;  // parked: the broker completion resumes the run
+      call.args = resolve_all(instruction->args, *run->command_args);
+      if (run->inline_mode) {
+        run->pending.emplace(broker_->call(call, *run->context));
+      } else {
+        // Trampoline (same discipline as BrokerLayer::drive_steps): the
+        // second arrival at the turnstile owns the continuation, so
+        // inline completions keep looping here instead of recursing.
+        auto turn = std::make_shared<std::atomic<int>>(0);
+        broker_->call_async(
+            call, *run->context,
+            [this, run, turn](Result<model::Value> value) {
+              run->pending.emplace(std::move(value));
+              if (turn->exchange(2, std::memory_order_acq_rel) == 1) {
+                if (consume_call(run)) drive(run);
+              }
+            });
+        if (turn->exchange(1, std::memory_order_acq_rel) == 0) {
+          return;  // parked: the broker completion resumes the run
+        }
       }
       if (!consume_call(run)) return;
       continue;
     }
     Status status =
         exec_instruction(*instruction, run->stack.back().node, run->stack,
-                         run->result, run->command_args, *run->context);
+                         run->result, *run->command_args, *run->context);
     if (!status.ok()) {
       finish(run, status);
       return;

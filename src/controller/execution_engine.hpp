@@ -58,7 +58,9 @@ class ExecutionEngine {
   /// Case 2: execute a generated intent model. Dependencies are resolved
   /// through the IM's matched children, never looked up dynamically.
   /// Every procedure frame (root and kCallDep pushes) runs under its own
-  /// "controller.eu" span of `context`.
+  /// "controller.eu" span of `context`. Runs the stack machine in inline
+  /// mode (each kBrokerCall is a synchronous BrokerApi::call()), so it
+  /// completes before it returns.
   Result<model::Value> execute(const IntentModel& intent_model,
                                const broker::Args& command_args,
                                obs::RequestContext& context);
@@ -77,23 +79,9 @@ class ExecutionEngine {
     return execute_flat(body, command_args, obs::RequestContext::noop());
   }
 
-  /// Completion of the *_async variants; invoked exactly once (inline
-  /// when no broker call parks).
+  /// Completion of a run; invoked exactly once (inline when no broker
+  /// call parks).
   using ExecuteCallback = std::function<void(Result<model::Value>)>;
-
-  /// Staged-core twins of execute()/execute_flat() (PR 6): the stack
-  /// machine's state lives on the heap, and a kBrokerCall that parks in
-  /// the Broker layer suspends the run — the surviving instructions
-  /// resume on whatever thread completes the call. `intent_model` /
-  /// `body` and `context` must outlive the run (callers keep the IM
-  /// alive by capturing its shared_ptr in `done`; action bodies are
-  /// never removed); `command_args` is copied into the run state.
-  void execute_async(const IntentModel& intent_model,
-                     broker::Args command_args, obs::RequestContext& context,
-                     ExecuteCallback done);
-  void execute_flat_async(const std::vector<Instruction>& body,
-                          broker::Args command_args,
-                          obs::RequestContext& context, ExecuteCallback done);
 
   /// Platform-wide metrics sink (optional; wired via the controller).
   void set_metrics(obs::MetricsRegistry* metrics) noexcept {
@@ -133,16 +121,13 @@ class ExecutionEngine {
                              ///< whose span is scoped to the whole run)
   };
 
-  Result<model::Value> run(Frame initial, const broker::Args& command_args,
-                           obs::RequestContext& context);
-
   /// Advance past exhausted frames (closing their spans, popping);
   /// returns the next instruction of the top frame, or null when the
-  /// stack has drained. Shared by the sync and async drivers.
+  /// stack has drained.
   const Instruction* fetch(std::vector<Frame>& stack,
                            obs::RequestContext& context);
-  /// Execute one non-broker instruction (kBrokerCall is the only op the
-  /// sync and async drivers dispatch differently). `node` is the current
+  /// Execute one non-broker instruction (kBrokerCall, the only op that
+  /// can suspend a run, is dispatched by drive()). `node` is the current
   /// frame's IM node (null in flat runs); kCallDep pushes onto `stack`.
   Status exec_instruction(const Instruction& instruction,
                           const IntentModelNode* node,
@@ -150,13 +135,24 @@ class ExecutionEngine {
                           const broker::Args& command_args,
                           obs::RequestContext& context);
 
-  /// Heap-allocated stack-machine state of one *_async run.
+  /// The owning controller runs the machine in the mode of its own entry
+  /// point through start().
+  friend class ControllerLayer;
+
+  /// Stack-machine state of one run.
   struct RunState;
-  /// Start an async run from `initial` (opens the root "controller.eu"
-  /// span, then drives).
-  void start_async(Frame initial, std::string root_name,
-                   broker::Args command_args, obs::RequestContext& context,
-                   ExecuteCallback done);
+  /// Start a run of `intent_model` (Case 2) or of `flat` (Case 1, when
+  /// non-null): opens the root "controller.eu" span, then drives. In
+  /// async mode each kBrokerCall goes through BrokerApi::call_async(),
+  /// and one that parks suspends the run; `intent_model` / `flat` and
+  /// `context` must then outlive it (the controller keeps the IM alive
+  /// by capturing its shared_ptr in `done`; action bodies are never
+  /// removed), while `command_args` is copied into the run state.
+  void start(const IntentModel* intent_model,
+             const std::vector<Instruction>* flat,
+             const broker::Args& command_args,
+             obs::RequestContext& context, bool inline_mode,
+             ExecuteCallback done);
   /// Drive the stack machine until the run completes or a broker call
   /// parks it.
   void drive(std::shared_ptr<RunState> run);

@@ -46,7 +46,6 @@ Result<std::unique_ptr<Platform>> Platform::assemble(
   platform->name_ = root.get_string("name");
   platform->dsml_ = config.dsml;
   platform->pipeline_threads_ = config.pipeline_threads;
-  platform->staged_ = config.staged_pipeline;
   platform->manual_loop_ = config.manual_event_loop;
   if (config.clock != nullptr) platform->clock_ = config.clock;
 
@@ -468,21 +467,8 @@ Result<controller::ControlScript> Platform::submit_model(
     metrics_.counter("requests.failed").add();
     return status;
   };
-  if (!running_.load(std::memory_order_acquire)) {
-    return fail(
-        FailedPrecondition("platform '" + name_ + "' is not started"));
-  }
-  // UI-layer admission (PR 5): shed requests whose deadline is already
-  // spent or whose remaining budget cannot cover the predicted pipeline
-  // latency — before they cost any synthesis work. For async submissions
-  // this re-checks the enqueue-time decision after queue delay ate into
-  // the budget. Falls through to the plain deadline check when admission
-  // is disabled.
-  if (Status admitted = admission_.admit(context); !admitted.ok()) {
+  if (Status admitted = admit(context); !admitted.ok()) {
     return fail(std::move(admitted));
-  }
-  if (Status deadline = context.check_deadline("ui"); !deadline.ok()) {
-    return fail(std::move(deadline));
   }
   Result<controller::ControlScript> script =
       synthesis_->submit_model(std::move(application_model), context);
@@ -492,15 +478,34 @@ Result<controller::ControlScript> Platform::submit_model(
   // sheds never reach this line.
   admission_.record_latency(context.elapsed());
   if (!script.ok()) return fail(script.status());
+  if (Status late = deliverable(context); !late.ok()) {
+    return fail(std::move(late));
+  }
+  return script;
+}
+
+Status Platform::admit(obs::RequestContext& context) {
+  if (!running_.load(std::memory_order_acquire)) {
+    return FailedPrecondition("platform '" + name_ + "' is not started");
+  }
+  // UI-layer admission (PR 5): shed requests whose deadline is already
+  // spent or whose remaining budget cannot cover the predicted pipeline
+  // latency — before they cost any synthesis work. For async submissions
+  // this re-checks the enqueue-time decision after queue delay ate into
+  // the budget. Falls through to the plain deadline check when admission
+  // is disabled.
+  MDSM_RETURN_IF_ERROR(admission_.admit(context));
+  return context.check_deadline("ui");
+}
+
+Status Platform::deliverable(obs::RequestContext& context) {
   // Overload contract: a success the caller's budget can no longer use
   // is delivered as kTimeout, never as a late Ok. The pre-stage gates
   // make this rare — it fires only when the final pipeline stage itself
   // crossed the deadline.
-  if (context.expired()) {
-    metrics_.counter("ui.completed_late").add();
-    return fail(Timeout(context.tag() + " completed after its deadline"));
-  }
-  return script;
+  if (!context.expired()) return Status::Ok();
+  metrics_.counter("ui.completed_late").add();
+  return Timeout(context.tag() + " completed after its deadline");
 }
 
 void Platform::ensure_pipeline() {
@@ -514,7 +519,6 @@ void Platform::ensure_pipeline() {
   pipeline_ = std::make_unique<runtime::Executor>(config);
   pipeline_->set_metrics(&metrics_);
   pipeline_->set_clock(clock_);
-  if (!staged_) return;
   // The staged core: logical per-stage queues over the shared executor,
   // plus the event loop that parks requests between stages.
   stages_ = std::make_unique<runtime::StagePipeline>(*pipeline_, *clock_,
@@ -546,61 +550,9 @@ void Platform::ensure_pipeline() {
       });
 }
 
-Status Platform::submit_async(std::string text, SubmitCallback callback,
-                              SubmitOptions options) {
-  return staged_
-             ? submit_async_staged(std::move(text), std::move(callback),
-                                   options)
-             : submit_async_parked(std::move(text), std::move(callback),
-                                   options);
-}
-
-Status Platform::submit_async_parked(std::string text,
-                                     SubmitCallback callback,
-                                     SubmitOptions options) {
-  if (!running_.load(std::memory_order_acquire)) {
-    return FailedPrecondition("platform '" + name_ + "' is not started");
-  }
-  ensure_pipeline();
-  // The context is minted at enqueue, not at dequeue: queue delay counts
-  // against the request's deadline, shows up in its trace as the
-  // "runtime.queue" span, and flows into the admission EWMA. shared_ptr
-  // because std::function requires a copyable callable.
-  auto request = std::make_shared<obs::RequestContext>(*clock_, &metrics_,
-                                                       options.deadline);
-  if (options.high_priority) request->set_attribute("priority", "high");
-  for (auto& [key, value] : options.attributes) {
-    request->set_attribute(key, value);
-  }
-  // Enqueue-time admission: refuse doomed work before it costs a queue
-  // slot. submit_model re-checks at dequeue, after queue delay.
-  if (Status admitted = admission_.admit(*request); !admitted.ok()) {
-    return admitted;
-  }
-  const std::uint64_t queue_span = request->open_span("runtime.queue");
-  runtime::Executor::Task task;
-  task.lane = request->high_priority() ? runtime::TaskLane::kHigh
-                                       : runtime::TaskLane::kNormal;
-  task.run = [this, text = std::move(text), callback, request, queue_span] {
-    request->close_span(queue_span);
-    Result<controller::ControlScript> outcome =
-        submit_model_text(text, *request);
-    invoke_callback(callback, std::move(outcome));
-  };
-  // kShedOldest victims still resolve their callback — exactly once, on
-  // the shedding submitter's thread — so every accepted submission
-  // reaches its completion.
-  task.on_shed = [this, callback, request] {
-    invoke_callback(
-        callback, Unavailable(request->tag() +
-                              " shed from the pipeline queue under overload"));
-  };
-  return pipeline_->submit(std::move(task));
-}
-
 // ---- staged pipeline (PR 6) ------------------------------------------
 //
-// A request is no longer a worker parked end-to-end: it is a StagedRequest
+// A request does not hold a worker end-to-end: it is a StagedRequest
 // hopping synthesis → controller → broker → complete as continuations,
 // parking on the event loop whenever the broker backs off or an attempt
 // overruns. Ownership discipline: exactly one continuation "holds" the
@@ -628,9 +580,8 @@ struct Platform::StagedRequest {
   std::optional<InflightGuard> inflight;
 };
 
-Status Platform::submit_async_staged(std::string text,
-                                     SubmitCallback callback,
-                                     SubmitOptions options) {
+Status Platform::submit_async(std::string text, SubmitCallback callback,
+                              SubmitOptions options) {
   auto request = std::make_shared<StagedRequest>();
   // The inflight slot registers before the running_ check (same rule as
   // submit_model): stop() either rejects this request or waits for it.
@@ -704,7 +655,7 @@ Status Platform::submit_async_staged(std::string text,
       stage_options);
   if (!submitted.ok()) {
     // Door refusal (kReject/full queue): undo — no callback, the caller
-    // gets the status, exactly like the parked path.
+    // gets the status.
     request->context->close_span(request->root_span);
     if (request->watchdog != 0) loop_->cancel(request->watchdog);
     return submitted;
@@ -772,19 +723,9 @@ void Platform::stage_synthesis(std::shared_ptr<StagedRequest> request) {
   if (staged_abandoned(request)) return;
   obs::ContextScope ambient(*request->context);
   metrics_.counter("requests.submitted").add();
-  if (!running_.load(std::memory_order_acquire)) {
-    finish_staged(request, FailedPrecondition("platform '" + name_ +
-                                              "' is not started"));
-    return;
-  }
   // Dequeue-time admission re-check: queue delay ate into the budget.
-  if (Status admitted = admission_.admit(*request->context); !admitted.ok()) {
+  if (Status admitted = admit(*request->context); !admitted.ok()) {
     finish_staged(request, std::move(admitted));
-    return;
-  }
-  if (Status deadline = request->context->check_deadline("ui");
-      !deadline.ok()) {
-    finish_staged(request, std::move(deadline));
     return;
   }
   Result<model::Model> parsed = model::parse_model(request->text, dsml_);
@@ -818,7 +759,8 @@ void Platform::stage_controller(std::shared_ptr<StagedRequest> request) {
   obs::ContextScope ambient(*request->context);
   // The script chain may park in the broker (backoff, attempt overrun);
   // its completion fires on whatever thread settles the last command and
-  // hops to the completion stage from there.
+  // hops to the completion stage from there. The completion holds the
+  // request, so request->script outlives the run.
   controller_->execute_script_async(
       request->script, *request->context, [this, request](Status executed) {
         submit_continuation(stage_complete_, request,
@@ -832,16 +774,9 @@ void Platform::stage_complete(std::shared_ptr<StagedRequest> request,
                               Status executed) {
   if (staged_abandoned(request)) return;
   obs::ContextScope ambient(*request->context);
+  if (executed.ok()) executed = deliverable(*request->context);
   if (!executed.ok()) {
     finish_staged(request, std::move(executed));
-    return;
-  }
-  // Overload contract (PR 5): a success the caller's budget can no
-  // longer use is delivered as kTimeout, never as a late Ok.
-  if (request->context->expired()) {
-    metrics_.counter("ui.completed_late").add();
-    finish_staged(request, Timeout(request->context->tag() +
-                                   " completed after its deadline"));
     return;
   }
   finish_staged(request, std::move(request->script));

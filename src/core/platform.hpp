@@ -60,14 +60,7 @@ struct PlatformConfig {
   /// hardware thread). The pool is created lazily on the first async
   /// submission; synchronous submits never pay for it.
   unsigned pipeline_threads = 0;
-  /// PR 6: run submit_async() through the event-driven staged pipeline
-  /// (admission → synthesis-commit → controller-execute → broker-invoke
-  /// → completion as non-blocking continuations, with retry backoff and
-  /// attempt timeouts on the event loop). false restores the PR-5 parked
-  /// pipeline — one worker holds each request end-to-end — kept for the
-  /// staged-vs-parked benchmark comparison.
-  bool staged_pipeline = true;
-  /// Staged pipeline only: create the event loop in manual mode (no loop
+  /// Create the staged pipeline's event loop in manual mode (no loop
   /// thread; nothing fires until event_loop()->poll()/flush()).
   /// Deterministic tests pair this with an injected SimClock and pump
   /// the loop themselves.
@@ -271,14 +264,14 @@ class Platform {
   };
   [[nodiscard]] PipelineStats pipeline_stats() const;
   /// Per-stage queue depth / delay statistics of the staged pipeline
-  /// (empty before the first async submission, or when staged_pipeline
-  /// is off). Stage order: synthesis, controller, broker, complete.
+  /// (empty before the first async submission). Stage order: synthesis,
+  /// controller, broker, complete.
   [[nodiscard]] std::vector<runtime::StagePipeline::StageStats> stage_stats()
       const;
   /// The staged pipeline's event loop (timers for retry backoff, attempt
   /// overruns and deadline watchdogs). Null before the first async
-  /// submission or when staged_pipeline is off. With manual_event_loop,
-  /// tests pump poll()/flush() on it after advancing their SimClock.
+  /// submission. With manual_event_loop, tests pump poll()/flush() on it
+  /// after advancing their SimClock.
   [[nodiscard]] runtime::EventLoop* event_loop() noexcept {
     return loop_.get();
   }
@@ -321,6 +314,12 @@ class Platform {
                           const model::ModelObject& broker_spec);
   Status load_controller_spec(const model::Model& middleware_model,
                               const model::ModelObject& controller_spec);
+  /// The UI layer's gate before synthesis work: running, admission
+  /// control, then the deadline.
+  Status admit(obs::RequestContext& context);
+  /// Non-Ok (kTimeout, counted in "ui.completed_late") when a finished
+  /// request's deadline passed.
+  Status deliverable(obs::RequestContext& context);
   /// Invoke a SubmitCallback with exception containment: a throw is
   /// counted ("ui.callback_failures") and logged, never propagated into
   /// the pipeline worker.
@@ -330,15 +329,9 @@ class Platform {
   /// One request traversing the staged pipeline (heap state; the request
   /// owns its context, root span, deadline watchdog and inflight slot).
   struct StagedRequest;
-  /// Lazily create the executor — and, when staged, the stage pipeline,
-  /// the event loop and the broker's async engine wiring.
+  /// Lazily create the executor, the stage pipeline over it, the event
+  /// loop and the broker's async engine wiring.
   void ensure_pipeline();
-  /// PR-5 parked pipeline (one worker holds the request end-to-end);
-  /// kept behind staged_pipeline=false for benchmark comparison.
-  Status submit_async_parked(std::string text, SubmitCallback callback,
-                             SubmitOptions options);
-  Status submit_async_staged(std::string text, SubmitCallback callback,
-                             SubmitOptions options);
   /// Stage bodies. Each runs as a continuation on a pipeline worker.
   void stage_synthesis(std::shared_ptr<StagedRequest> request);
   void stage_controller(std::shared_ptr<StagedRequest> request);
@@ -416,7 +409,6 @@ class Platform {
   std::size_t stage_controller_ = 0;
   std::size_t stage_broker_ = 0;
   std::size_t stage_complete_ = 0;
-  bool staged_ = true;
   bool manual_loop_ = false;
   unsigned pipeline_threads_ = 0;
   /// Queue bound + overflow policy decoded from the middleware model's

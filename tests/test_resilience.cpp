@@ -1,6 +1,7 @@
 // Fault-tolerance tests for the Broker layer: retry backoff math, the
 // circuit-breaker state machine, the ResourceManager's policy-driven
-// invoke loop (deadline budgets, attempt timeouts, fallbacks), the
+// invocation state machine (deadline budgets, attempt timeouts,
+// fallbacks) through both of its entry points, sync and async, the
 // autonomic reaction to breaker events, and chaos soaks proving that
 // transient resource faults below the retry budget never surface to the
 // submitting user while the cross-layer ledgers still reconcile exactly.
@@ -10,14 +11,17 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "broker/broker_layer.hpp"
 #include "broker/invocation_policy.hpp"
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/event_loop.hpp"
 #include "soak_fixtures.hpp"
 
 namespace mdsm {
@@ -166,25 +170,33 @@ class ScriptedAdapter final : public ResourceAdapter {
   }
 };
 
-struct ResilienceFixture : ::testing::Test {
-  runtime::EventBus bus;
-  policy::ContextStore store;
-  BrokerLayer layer{"resilient", bus, store};
-  obs::MetricsRegistry metrics;
-  SimClock clock;
-  ScriptedAdapter* primary = nullptr;
+/// The two entry points of ResourceManager's one invocation state
+/// machine: the sync invoke() runs it inline (backoff waits through the
+/// sleep hook, which advances the SimClock), invoke_async() on a manual
+/// event loop parks each backoff on a loop timer that the pump reaches
+/// by stepping the same SimClock.
+enum class Entry { kInvoke, kInvokeAsync };
 
-  void SetUp() override {
-    set_log_level(LogLevel::kOff);
+/// One broker layer over a ScriptedAdapter "svc", driven through one
+/// entry point.
+struct Rig {
+  explicit Rig(Entry entry_point) : entry(entry_point) {
     auto adapter = std::make_unique<ScriptedAdapter>("svc");
     primary = adapter.get();
-    ASSERT_TRUE(layer.resources().add_adapter(std::move(adapter)).ok());
+    EXPECT_TRUE(layer.resources().add_adapter(std::move(adapter)).ok());
     layer.set_metrics(&metrics);
-    // Backoff sleeps advance the simulated clock instead of wall-blocking.
-    layer.resources().set_sleep_hook(
-        [this](Duration d) { clock.advance(d); });
+    if (entry == Entry::kInvoke) {
+      // Backoff sleeps advance the simulated clock instead of
+      // wall-blocking.
+      layer.resources().set_sleep_hook(
+          [this](Duration d) { clock.advance(d); });
+    } else {
+      layer.resources().set_sleep_hook([](Duration) {
+        ADD_FAILURE() << "async mode slept a backoff";
+      });
+      layer.resources().set_async_engine(&loop, nullptr);
+    }
   }
-  void TearDown() override { set_log_level(LogLevel::kWarn); }
 
   obs::RequestContext make_context(
       std::optional<Duration> deadline = std::nullopt) {
@@ -193,272 +205,361 @@ struct ResilienceFixture : ::testing::Test {
   [[nodiscard]] std::uint64_t counter(std::string_view name) const {
     return metrics.snapshot().counter_value(name);
   }
+  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
+  broker_counters() const {
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    for (const auto& row : metrics.snapshot().counters) {
+      if (row.name.starts_with("broker.")) out.emplace_back(row.name, row.value);
+    }
+    return out;
+  }
+
+  Result<Value> invoke(const std::string& resource,
+                       obs::RequestContext& context) {
+    if (entry == Entry::kInvoke) {
+      return layer.resources().invoke(resource, "start", {}, context);
+    }
+    std::optional<Result<Value>> outcome;
+    layer.resources().invoke_async(
+        resource, "start", {}, context,
+        [&outcome](Result<Value> settled) { outcome.emplace(settled); });
+    // Pump: run what is due; when idle, step virtual time towards the
+    // next parked backoff.
+    while (!outcome.has_value() &&
+           loop.pending_timers() + loop.pending_posts() > 0) {
+      if (loop.poll() == 0) clock.advance(Duration(1));
+    }
+    if (!outcome.has_value()) return Internal("invoke_async never settled");
+    return *outcome;
+  }
+
+  Entry entry;
+  runtime::EventBus bus;
+  policy::ContextStore store;
+  BrokerLayer layer{"resilient", bus, store};
+  obs::MetricsRegistry metrics;
+  SimClock clock;
+  runtime::EventLoop loop{{.clock = &clock, .threaded = false}};
+  ScriptedAdapter* primary = nullptr;
+};
+
+struct ResilienceFixture : ::testing::Test {
+  void SetUp() override { set_log_level(LogLevel::kOff); }
+  void TearDown() override { set_log_level(LogLevel::kWarn); }
+
+  /// Run `body` once per entry point, each on a fresh rig, then check
+  /// the parity the single state machine guarantees: the same command
+  /// trace and the same broker.* counters. (`body` asserts the results
+  /// and spans, identically for both.)
+  template <typename Body>
+  void for_each_entry(Body body) {
+    Rig sync(Entry::kInvoke);
+    {
+      SCOPED_TRACE("invoke");
+      body(sync);
+    }
+    Rig async(Entry::kInvokeAsync);
+    {
+      SCOPED_TRACE("invoke_async");
+      body(async);
+    }
+    EXPECT_EQ(sync.layer.trace().snapshot(), async.layer.trace().snapshot());
+    EXPECT_EQ(sync.broker_counters(), async.broker_counters());
+  }
 };
 
 TEST_F(ResilienceFixture, RetriesTransientFaultsUntilSuccess) {
-  InvocationPolicy policy;
-  policy.max_attempts = 3;
-  policy.initial_backoff = Duration(100);
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
-  primary->fail_times(2, Unavailable("flaky"));
+  for_each_entry([](Rig& r) {
+    InvocationPolicy policy;
+    policy.max_attempts = 3;
+    policy.initial_backoff = Duration(100);
+    ASSERT_TRUE(r.layer.resources().set_policy("svc", policy).ok());
+    r.primary->fail_times(2, Unavailable("flaky"));
 
-  obs::RequestContext context = make_context();
-  auto result = layer.resources().invoke("svc", "start", {}, context);
-  ASSERT_TRUE(result.ok()) << result.status().to_string();
-  EXPECT_EQ(result->as_string(), "ok:start");
-  EXPECT_EQ(primary->executed, 3);
-  EXPECT_EQ(layer.trace().size(), 3u);  // every physical attempt traced
-  EXPECT_EQ(counter("broker.commands"), 3u);
-  EXPECT_EQ(counter("broker.retries"), 2u);
-  EXPECT_EQ(counter("broker.retry_exhausted"), 0u);
-  // One "broker.attempt" span per physical attempt, under the policy path.
-  EXPECT_EQ(context.trace().count("broker.attempt"), 3u);
-  // Two backoff sleeps actually elapsed (on the simulated clock).
-  EXPECT_GE(clock.now().time_since_epoch(), Duration(200));
+    obs::RequestContext context = r.make_context();
+    auto result = r.invoke("svc", context);
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    EXPECT_EQ(result->as_string(), "ok:start");
+    EXPECT_EQ(r.primary->executed, 3);
+    EXPECT_EQ(r.layer.trace().size(), 3u);  // every physical attempt traced
+    EXPECT_EQ(r.counter("broker.commands"), 3u);
+    EXPECT_EQ(r.counter("broker.retries"), 2u);
+    EXPECT_EQ(r.counter("broker.retry_exhausted"), 0u);
+    // One "broker.attempt" span per physical attempt, under the policy
+    // path.
+    EXPECT_EQ(context.trace().count("broker.attempt"), 3u);
+    // Two backoff waits actually elapsed (on the simulated clock).
+    EXPECT_GE(r.clock.now().time_since_epoch(), Duration(200));
+  });
 }
 
 TEST_F(ResilienceFixture, PolicyFreeResourceKeepsFireOnceSemantics) {
-  primary->fail_times(1, Unavailable("flaky"));
-  obs::RequestContext context = make_context();
-  auto result = layer.resources().invoke("svc", "start", {}, context);
-  EXPECT_EQ(result.status().code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(primary->executed, 1);
-  EXPECT_EQ(counter("broker.retries"), 0u);
-  EXPECT_EQ(context.trace().count("broker.attempt"), 0u);  // fast path
+  for_each_entry([](Rig& r) {
+    r.primary->fail_times(1, Unavailable("flaky"));
+    obs::RequestContext context = r.make_context();
+    auto result = r.invoke("svc", context);
+    EXPECT_EQ(result.status().code(), ErrorCode::kUnavailable);
+    EXPECT_EQ(r.primary->executed, 1);
+    EXPECT_EQ(r.counter("broker.retries"), 0u);
+    EXPECT_EQ(context.trace().count("broker.attempt"), 0u);  // fast path
+  });
 }
 
 TEST_F(ResilienceFixture, NonRetryableFaultFailsFast) {
-  InvocationPolicy policy;
-  policy.max_attempts = 3;
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
-  primary->script.push_back(
-      [] { return Result<Value>(InvalidArgument("bad command")); });
+  for_each_entry([](Rig& r) {
+    InvocationPolicy policy;
+    policy.max_attempts = 3;
+    ASSERT_TRUE(r.layer.resources().set_policy("svc", policy).ok());
+    r.primary->script.push_back(
+        [] { return Result<Value>(InvalidArgument("bad command")); });
 
-  obs::RequestContext context = make_context();
-  auto result = layer.resources().invoke("svc", "start", {}, context);
-  EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
-  EXPECT_EQ(primary->executed, 1);  // authoring bugs are not retried
-  EXPECT_EQ(counter("broker.retries"), 0u);
-  EXPECT_EQ(counter("broker.retry_exhausted"), 0u);
+    obs::RequestContext context = r.make_context();
+    auto result = r.invoke("svc", context);
+    EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(r.primary->executed, 1);  // authoring bugs are not retried
+    EXPECT_EQ(r.counter("broker.retries"), 0u);
+    EXPECT_EQ(r.counter("broker.retry_exhausted"), 0u);
+  });
 }
 
 TEST_F(ResilienceFixture, RetryLoopNeverSleepsPastTheDeadline) {
-  InvocationPolicy policy;
-  policy.max_attempts = 10;
-  policy.initial_backoff = Duration(200);
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
-  primary->fail_times(10, Unavailable("down"));
+  for_each_entry([](Rig& r) {
+    InvocationPolicy policy;
+    policy.max_attempts = 10;
+    policy.initial_backoff = Duration(200);
+    ASSERT_TRUE(r.layer.resources().set_policy("svc", policy).ok());
+    r.primary->fail_times(10, Unavailable("down"));
 
-  const Duration budget(500);
-  obs::RequestContext context = make_context(budget);
-  const TimePoint start = clock.now();
-  auto result = layer.resources().invoke("svc", "start", {}, context);
-  EXPECT_EQ(result.status().code(), ErrorCode::kTimeout);
-  EXPECT_EQ(counter("broker.retry_exhausted"), 1u);
-  // The loop gave up with budget to spare rather than oversleeping: the
-  // simulated clock (advanced only by backoff sleeps) stayed inside it.
-  EXPECT_LT(clock.now() - start, budget);
-  EXPECT_LT(primary->executed, 10);
+    const Duration budget(500);
+    obs::RequestContext context = r.make_context(budget);
+    const TimePoint start = r.clock.now();
+    auto result = r.invoke("svc", context);
+    EXPECT_EQ(result.status().code(), ErrorCode::kTimeout);
+    EXPECT_EQ(r.counter("broker.retry_exhausted"), 1u);
+    // The invocation gave up with budget to spare rather than waiting
+    // past it: the simulated clock (advanced only by backoff waits)
+    // stayed inside it.
+    EXPECT_LT(r.clock.now() - start, budget);
+    EXPECT_LT(r.primary->executed, 10);
+  });
 }
 
 TEST_F(ResilienceFixture, ExhaustedBudgetAtEntryIssuesNoCommand) {
-  InvocationPolicy policy;
-  policy.max_attempts = 3;
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
-  obs::RequestContext context = make_context(Duration(100));
-  clock.advance(Duration(100));  // spend the whole budget first
-  auto result = layer.resources().invoke("svc", "start", {}, context);
-  EXPECT_EQ(result.status().code(), ErrorCode::kTimeout);
-  EXPECT_EQ(primary->executed, 0);
-  EXPECT_EQ(layer.trace().size(), 0u);
+  for_each_entry([](Rig& r) {
+    InvocationPolicy policy;
+    policy.max_attempts = 3;
+    ASSERT_TRUE(r.layer.resources().set_policy("svc", policy).ok());
+    obs::RequestContext context = r.make_context(Duration(100));
+    r.clock.advance(Duration(100));  // spend the whole budget first
+    auto result = r.invoke("svc", context);
+    EXPECT_EQ(result.status().code(), ErrorCode::kTimeout);
+    EXPECT_EQ(r.primary->executed, 0);
+    EXPECT_EQ(r.layer.trace().size(), 0u);
+  });
 }
 
+// Mode-specific: inline mode cannot preempt a synchronous adapter, so it
+// reclassifies a slow failure after the fact; async mode disowns an
+// overrunning attempt from a loop timer instead.
 TEST_F(ResilienceFixture, AttemptTimeoutReclassifiesSlowFailuresAsRetryable) {
+  Rig r(Entry::kInvoke);
   InvocationPolicy policy;
   policy.max_attempts = 2;
   policy.attempt_timeout = Duration(100);
   policy.initial_backoff = Duration(0);
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
+  ASSERT_TRUE(r.layer.resources().set_policy("svc", policy).ok());
   // A stalled attempt that then fails with a non-retryable code: the
   // stall past the attempt budget makes it a Timeout fault, so it IS
   // retried — and the retry succeeds.
-  primary->script.push_back([this]() -> Result<Value> {
-    clock.advance(Duration(150));
+  r.primary->script.push_back([&r]() -> Result<Value> {
+    r.clock.advance(Duration(150));
     return InvalidArgument("garbled response after stall");
   });
 
-  obs::RequestContext context = make_context();
-  auto result = layer.resources().invoke("svc", "start", {}, context);
+  obs::RequestContext context = r.make_context();
+  auto result = r.invoke("svc", context);
   ASSERT_TRUE(result.ok()) << result.status().to_string();
-  EXPECT_EQ(primary->executed, 2);
-  EXPECT_EQ(counter("broker.retries"), 1u);
+  EXPECT_EQ(r.primary->executed, 2);
+  EXPECT_EQ(r.counter("broker.retries"), 1u);
 }
 
 TEST_F(ResilienceFixture, FallbackTagsDegradedResultAndPublishesEvent) {
-  auto backup = std::make_unique<ScriptedAdapter>("backup");
-  ASSERT_TRUE(layer.resources().add_adapter(std::move(backup)).ok());
-  InvocationPolicy policy;
-  policy.max_attempts = 2;
-  policy.initial_backoff = Duration(0);
-  policy.fallback_resource = "backup";
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
-  primary->fail_times(2, Unavailable("down"));
+  for_each_entry([](Rig& r) {
+    auto backup = std::make_unique<ScriptedAdapter>("backup");
+    ASSERT_TRUE(r.layer.resources().add_adapter(std::move(backup)).ok());
+    InvocationPolicy policy;
+    policy.max_attempts = 2;
+    policy.initial_backoff = Duration(0);
+    policy.fallback_resource = "backup";
+    ASSERT_TRUE(r.layer.resources().set_policy("svc", policy).ok());
+    r.primary->fail_times(2, Unavailable("down"));
 
-  std::vector<std::string> degraded_events;
-  bus.subscribe("resource.degraded", [&](const runtime::Event& e) {
-    degraded_events.push_back(e.payload.as_list()[0].as_string());
+    std::vector<std::string> degraded_events;
+    r.bus.subscribe("resource.degraded", [&](const runtime::Event& e) {
+      degraded_events.push_back(e.payload.as_list()[0].as_string());
+    });
+
+    obs::RequestContext context = r.make_context();
+    auto result = r.invoke("svc", context);
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    ASSERT_TRUE(result->is_list());
+    ASSERT_EQ(result->as_list().size(), 2u);
+    EXPECT_EQ(result->as_list()[0].as_string(), "degraded");
+    EXPECT_EQ(result->as_list()[1].as_string(), "ok:start");
+    EXPECT_EQ(r.counter("broker.fallbacks"), 1u);
+    EXPECT_EQ(r.counter("broker.retry_exhausted"), 1u);
+    ASSERT_EQ(degraded_events.size(), 1u);
+    EXPECT_EQ(degraded_events[0], "svc");
+    EXPECT_EQ(context.trace().count("broker.fallback"), 1u);
   });
-
-  obs::RequestContext context = make_context();
-  auto result = layer.resources().invoke("svc", "start", {}, context);
-  ASSERT_TRUE(result.ok()) << result.status().to_string();
-  ASSERT_TRUE(result->is_list());
-  ASSERT_EQ(result->as_list().size(), 2u);
-  EXPECT_EQ(result->as_list()[0].as_string(), "degraded");
-  EXPECT_EQ(result->as_list()[1].as_string(), "ok:start");
-  EXPECT_EQ(counter("broker.fallbacks"), 1u);
-  EXPECT_EQ(counter("broker.retry_exhausted"), 1u);
-  ASSERT_EQ(degraded_events.size(), 1u);
-  EXPECT_EQ(degraded_events[0], "svc");
-  EXPECT_EQ(context.trace().count("broker.fallback"), 1u);
 }
 
 TEST_F(ResilienceFixture, UntaggedFallbackReturnsPlainValue) {
-  auto backup = std::make_unique<ScriptedAdapter>("backup");
-  ASSERT_TRUE(layer.resources().add_adapter(std::move(backup)).ok());
-  InvocationPolicy policy;
-  policy.max_attempts = 1;
-  policy.fallback_resource = "backup";
-  policy.tag_degraded = false;
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
-  primary->fail_times(1, Unavailable("down"));
+  for_each_entry([](Rig& r) {
+    auto backup = std::make_unique<ScriptedAdapter>("backup");
+    ASSERT_TRUE(r.layer.resources().add_adapter(std::move(backup)).ok());
+    InvocationPolicy policy;
+    policy.max_attempts = 1;
+    policy.fallback_resource = "backup";
+    policy.tag_degraded = false;
+    ASSERT_TRUE(r.layer.resources().set_policy("svc", policy).ok());
+    r.primary->fail_times(1, Unavailable("down"));
 
-  obs::RequestContext context = make_context();
-  auto result = layer.resources().invoke("svc", "start", {}, context);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->as_string(), "ok:start");
+    obs::RequestContext context = r.make_context();
+    auto result = r.invoke("svc", context);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->as_string(), "ok:start");
+  });
 }
 
 TEST_F(ResilienceFixture, FallbackFailureSurfacesThePrimaryFault) {
-  auto backup = std::make_unique<ScriptedAdapter>("backup");
-  backup->fail_times(1, ExecutionError("backup also broken"));
-  ASSERT_TRUE(layer.resources().add_adapter(std::move(backup)).ok());
-  InvocationPolicy policy;
-  policy.max_attempts = 1;
-  policy.fallback_resource = "backup";
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
-  primary->fail_times(1, Unavailable("primary down"));
+  for_each_entry([](Rig& r) {
+    auto backup = std::make_unique<ScriptedAdapter>("backup");
+    backup->fail_times(1, ExecutionError("backup also broken"));
+    ASSERT_TRUE(r.layer.resources().add_adapter(std::move(backup)).ok());
+    InvocationPolicy policy;
+    policy.max_attempts = 1;
+    policy.fallback_resource = "backup";
+    ASSERT_TRUE(r.layer.resources().set_policy("svc", policy).ok());
+    r.primary->fail_times(1, Unavailable("primary down"));
 
-  obs::RequestContext context = make_context();
-  auto result = layer.resources().invoke("svc", "start", {}, context);
-  EXPECT_EQ(result.status().code(), ErrorCode::kUnavailable);
-  EXPECT_NE(result.status().to_string().find("primary down"),
-            std::string::npos);
-  EXPECT_EQ(counter("broker.fallbacks"), 1u);
+    obs::RequestContext context = r.make_context();
+    auto result = r.invoke("svc", context);
+    EXPECT_EQ(result.status().code(), ErrorCode::kUnavailable);
+    EXPECT_NE(result.status().to_string().find("primary down"),
+              std::string::npos);
+    EXPECT_EQ(r.counter("broker.fallbacks"), 1u);
+  });
 }
 
 TEST_F(ResilienceFixture, BreakerFastFailsWhileOpenThenProbesClosed) {
-  InvocationPolicy policy;
-  policy.max_attempts = 1;
-  policy.breaker.window = 4;
-  policy.breaker.min_samples = 4;
-  policy.breaker.failure_threshold = 0.5;
-  policy.breaker.cooldown = Duration(1'000);
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
-  primary->fail_times(4, Unavailable("down"));
+  for_each_entry([](Rig& r) {
+    InvocationPolicy policy;
+    policy.max_attempts = 1;
+    policy.breaker.window = 4;
+    policy.breaker.min_samples = 4;
+    policy.breaker.failure_threshold = 0.5;
+    policy.breaker.cooldown = Duration(1'000);
+    ASSERT_TRUE(r.layer.resources().set_policy("svc", policy).ok());
+    r.primary->fail_times(4, Unavailable("down"));
 
-  std::vector<std::string> breaker_events;
-  bus.subscribe("resource.breaker.*", [&](const runtime::Event& e) {
-    breaker_events.push_back(e.topic);
+    std::vector<std::string> breaker_events;
+    r.bus.subscribe("resource.breaker.*", [&](const runtime::Event& e) {
+      breaker_events.push_back(e.topic);
+    });
+
+    obs::RequestContext context = r.make_context();
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_FALSE(r.invoke("svc", context).ok());
+    }
+    EXPECT_EQ(r.layer.resources().breaker_state("svc"),
+              CircuitBreaker::State::kOpen);
+    ASSERT_EQ(breaker_events.size(), 1u);
+    EXPECT_EQ(breaker_events[0], "resource.breaker.open");
+
+    // While open: fast-fail, the resource is never touched.
+    auto rejected = r.invoke("svc", context);
+    EXPECT_EQ(rejected.status().code(), ErrorCode::kUnavailable);
+    EXPECT_NE(rejected.status().to_string().find("circuit open"),
+              std::string::npos);
+    EXPECT_EQ(r.primary->executed, 4);
+    EXPECT_EQ(r.counter("broker.breaker_open"), 1u);
+
+    // After the cooldown the next invoke runs as the probe and succeeds
+    // (the script is exhausted), closing the breaker.
+    r.clock.advance(Duration(1'000));
+    auto probe = r.invoke("svc", context);
+    ASSERT_TRUE(probe.ok());
+    EXPECT_EQ(r.layer.resources().breaker_state("svc"),
+              CircuitBreaker::State::kClosed);
+    ASSERT_EQ(breaker_events.size(), 2u);
+    EXPECT_EQ(breaker_events[1], "resource.breaker.close");
+    EXPECT_EQ(r.counter("broker.breaker_transitions"), 2u);
   });
-
-  obs::RequestContext context = make_context();
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_FALSE(layer.resources().invoke("svc", "start", {}, context).ok());
-  }
-  EXPECT_EQ(layer.resources().breaker_state("svc"),
-            CircuitBreaker::State::kOpen);
-  ASSERT_EQ(breaker_events.size(), 1u);
-  EXPECT_EQ(breaker_events[0], "resource.breaker.open");
-
-  // While open: fast-fail, the resource is never touched.
-  auto rejected = layer.resources().invoke("svc", "start", {}, context);
-  EXPECT_EQ(rejected.status().code(), ErrorCode::kUnavailable);
-  EXPECT_NE(rejected.status().to_string().find("circuit open"),
-            std::string::npos);
-  EXPECT_EQ(primary->executed, 4);
-  EXPECT_EQ(counter("broker.breaker_open"), 1u);
-
-  // After the cooldown the next invoke runs as the probe and succeeds
-  // (the script is exhausted), closing the breaker.
-  clock.advance(Duration(1'000));
-  auto probe = layer.resources().invoke("svc", "start", {}, context);
-  ASSERT_TRUE(probe.ok());
-  EXPECT_EQ(layer.resources().breaker_state("svc"),
-            CircuitBreaker::State::kClosed);
-  ASSERT_EQ(breaker_events.size(), 2u);
-  EXPECT_EQ(breaker_events[1], "resource.breaker.close");
-  EXPECT_EQ(counter("broker.breaker_transitions"), 2u);
 }
 
 TEST_F(ResilienceFixture, AutonomicSymptomReactsToBreakerOpen) {
-  ASSERT_TRUE(layer.autonomic()
-                  .add_symptom({.name = "svc-circuit-open",
-                                .trigger_topic = "resource.breaker.open",
-                                .condition = {},
-                                .change_request = "enter-safe-mode"})
-                  .ok());
-  ChangePlan plan;
-  plan.name = "degrade-gracefully";
-  plan.handles_request = "enter-safe-mode";
-  plan.steps = {broker::set_context_step("mode", Value("safe"))};
-  ASSERT_TRUE(layer.autonomic().add_plan(std::move(plan)).ok());
+  for_each_entry([](Rig& r) {
+    ASSERT_TRUE(r.layer.autonomic()
+                    .add_symptom({.name = "svc-circuit-open",
+                                  .trigger_topic = "resource.breaker.open",
+                                  .condition = {},
+                                  .change_request = "enter-safe-mode"})
+                    .ok());
+    ChangePlan plan;
+    plan.name = "degrade-gracefully";
+    plan.handles_request = "enter-safe-mode";
+    plan.steps = {broker::set_context_step("mode", Value("safe"))};
+    ASSERT_TRUE(r.layer.autonomic().add_plan(std::move(plan)).ok());
 
-  InvocationPolicy policy;
-  policy.max_attempts = 1;
-  policy.breaker.window = 2;
-  policy.breaker.min_samples = 2;
-  policy.breaker.failure_threshold = 0.5;
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
-  primary->fail_times(2, Unavailable("down"));
+    InvocationPolicy policy;
+    policy.max_attempts = 1;
+    policy.breaker.window = 2;
+    policy.breaker.min_samples = 2;
+    policy.breaker.failure_threshold = 0.5;
+    ASSERT_TRUE(r.layer.resources().set_policy("svc", policy).ok());
+    r.primary->fail_times(2, Unavailable("down"));
 
-  obs::RequestContext context = make_context();
-  (void)layer.resources().invoke("svc", "start", {}, context);
-  (void)layer.resources().invoke("svc", "start", {}, context);
-  EXPECT_EQ(layer.resources().breaker_state("svc"),
-            CircuitBreaker::State::kOpen);
-  EXPECT_EQ(layer.autonomic().adaptations(), 1u);
-  EXPECT_EQ(store.get("mode"), Value("safe"));
+    obs::RequestContext context = r.make_context();
+    (void)r.invoke("svc", context);
+    (void)r.invoke("svc", context);
+    EXPECT_EQ(r.layer.resources().breaker_state("svc"),
+              CircuitBreaker::State::kOpen);
+    EXPECT_EQ(r.layer.autonomic().adaptations(), 1u);
+    EXPECT_EQ(r.store.get("mode"), Value("safe"));
+  });
 }
 
 TEST_F(ResilienceFixture, LegacyContextFreeInvokeRunsThePolicy) {
+  Rig r(Entry::kInvoke);
   InvocationPolicy policy;
   policy.max_attempts = 2;
   policy.initial_backoff = Duration(0);
-  ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
-  primary->fail_times(1, Unavailable("flaky"));
-  auto result = layer.resources().invoke("svc", "start", {});
+  ASSERT_TRUE(r.layer.resources().set_policy("svc", policy).ok());
+  r.primary->fail_times(1, Unavailable("flaky"));
+  auto result = r.layer.resources().invoke("svc", "start", {});
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(counter("broker.retries"), 1u);
+  EXPECT_EQ(r.counter("broker.retries"), 1u);
 }
 
 TEST_F(ResilienceFixture, SetPolicyValidatesItsInputs) {
+  Rig r(Entry::kInvoke);
   InvocationPolicy policy;
   policy.max_attempts = 0;
-  EXPECT_EQ(layer.resources().set_policy("svc", policy).code(),
+  EXPECT_EQ(r.layer.resources().set_policy("svc", policy).code(),
             ErrorCode::kInvalidArgument);
   policy.max_attempts = 1;
   policy.breaker.window = 4;
   policy.breaker.failure_threshold = 1.5;
-  EXPECT_EQ(layer.resources().set_policy("svc", policy).code(),
+  EXPECT_EQ(r.layer.resources().set_policy("svc", policy).code(),
             ErrorCode::kInvalidArgument);
   policy.breaker.failure_threshold = 0.5;
   policy.fallback_resource = "svc";
-  EXPECT_EQ(layer.resources().set_policy("svc", policy).code(),
+  EXPECT_EQ(r.layer.resources().set_policy("svc", policy).code(),
             ErrorCode::kInvalidArgument);
   // No policy installed by the failed attempts: default is fire-once.
-  EXPECT_EQ(layer.resources().policy("svc").max_attempts, 1);
-  EXPECT_EQ(layer.resources().breaker_state("svc"),
+  EXPECT_EQ(r.layer.resources().policy("svc").max_attempts, 1);
+  EXPECT_EQ(r.layer.resources().breaker_state("svc"),
             CircuitBreaker::State::kClosed);
 }
 

@@ -1,8 +1,9 @@
 // The event-driven staged pipeline (PR 6): cross-thread span parentage,
 // deadline expiry while a request is parked between stages, and N
-// concurrent retrying requests progressing on fewer than N executor
-// threads — the properties that distinguish the continuation-passing
-// core from the PR-5 parked pipeline.
+// concurrent retrying requests — in the script or in its event-signal
+// drain — progressing on fewer than N executor threads: the properties
+// that distinguish the continuation-passing core from a pipeline that
+// holds one worker per request end-to-end.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "broker/action.hpp"
 #include "broker/invocation_policy.hpp"
 #include "common/log.hpp"
 #include "core/platform.hpp"
@@ -232,12 +234,11 @@ TEST(Staged, ConcurrentRetriesProgressOnOneWorkerThread) {
   config.clock = &sim;
   config.pipeline_threads = 1;  // fewer threads than retrying requests
   config.manual_event_loop = true;
-  auto fixture = make_staged_platform(
-      config, std::make_unique<FlakyAdapter>("svc", kRequests));
+  auto flaky = std::make_unique<FlakyAdapter>("svc", kRequests);
+  FlakyAdapter* svc = flaky.get();  // owned by the platform from here on
+  auto fixture = make_staged_platform(config, std::move(flaky));
   ASSERT_NE(fixture.platform, nullptr);
   Platform& platform = *fixture.platform;
-  auto* svc = static_cast<FlakyAdapter*>(
-      platform.broker().resources().find_adapter("svc"));
   broker::InvocationPolicy policy;
   policy.max_attempts = 2;
   policy.initial_backoff = std::chrono::milliseconds(50);
@@ -285,6 +286,120 @@ TEST(Staged, ConcurrentRetriesProgressOnOneWorkerThread) {
   set_log_level(LogLevel::kWarn);
 }
 
+/// Succeeds at once and raises "resource.opened" on every "open": the
+/// script emits an event mid-execution, which the controller queues as
+/// an event signal for the drain at the end of the script.
+class OpenNotifyingAdapter final : public broker::ResourceAdapter {
+ public:
+  explicit OpenNotifyingAdapter(std::string name)
+      : ResourceAdapter(std::move(name)) {}
+
+  Result<model::Value> execute(const std::string& command,
+                               const broker::Args& args) override {
+    if (command == "open") {
+      auto id = args.find("id");
+      raise_event("opened", id == args.end() ? model::Value() : id->second);
+    }
+    return model::Value("done:" + command);
+  }
+};
+
+// Regression: the event-signal drain at the end of a staged script is
+// part of the script's state machine, so an event-bound Case-1 action
+// whose resource retries parks its backoff on the event loop like any
+// other staged invocation. A blocking drain would sleep the only
+// pipeline worker through the backoff and stall every other request.
+TEST(Staged, EventDrainRetryParksInsteadOfSleeping) {
+  set_log_level(LogLevel::kOff);
+  SimClock sim;
+  PlatformConfig config;
+  config.clock = &sim;
+  config.pipeline_threads = 1;
+  config.manual_event_loop = true;
+  auto flaky = std::make_unique<FlakyAdapter>("flaky", /*failures=*/1);
+  FlakyAdapter* poked = flaky.get();  // the platform owns it once added
+  auto fixture = make_staged_platform(
+      config, std::make_unique<OpenNotifyingAdapter>("svc"));
+  ASSERT_NE(fixture.platform, nullptr);
+  Platform& platform = *fixture.platform;
+  ASSERT_TRUE(platform.add_resource_adapter(std::move(flaky)).ok());
+  broker::BrokerLayer& broker = platform.broker();
+  broker::InvocationPolicy policy;
+  policy.max_attempts = 2;
+  policy.initial_backoff = std::chrono::milliseconds(50);
+  ASSERT_TRUE(broker.resources().set_policy("flaky", policy).ok());
+  std::atomic<int> sleeps{0};
+  broker.resources().set_sleep_hook([&sleeps](Duration) { ++sleeps; });
+  broker::Action poke;
+  poke.name = "bk-poke";
+  poke.steps = {broker::invoke_step("flaky", "poke")};
+  ASSERT_TRUE(broker.register_action(std::move(poke)).ok());
+  ASSERT_TRUE(broker.bind_handler("flaky.poke", {"bk-poke"}).ok());
+  controller::ControllerLayer& controller = platform.controller();
+  controller::ControllerAction on_opened;
+  on_opened.name = "on-opened";
+  on_opened.body = {controller::broker_call("flaky.poke")};
+  ASSERT_TRUE(controller.register_action(std::move(on_opened)).ok());
+  ASSERT_TRUE(controller.bind_action("resource.opened", {"on-opened"}).ok());
+  controller.attach_event_topic("resource.opened");
+
+  std::atomic<int> first_done{0};
+  std::atomic<int> second_done{0};
+  ASSERT_TRUE(platform
+                  .submit_async(soak::open_session_text("s0"),
+                                [&](Result<controller::ControlScript> r) {
+                                  EXPECT_TRUE(r.ok());
+                                  ++first_done;
+                                })
+                  .ok());
+  // The first request's drained event action fails its first attempt
+  // and parks the backoff on the loop: one pending timer, no sleep.
+  runtime::EventLoop* loop = platform.event_loop();
+  ASSERT_NE(loop, nullptr);
+  const auto wall_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (loop->pending_timers() < 1 &&
+         std::chrono::steady_clock::now() < wall_deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(loop->pending_timers(), 1u);
+  EXPECT_EQ(poked->executed(), 1u);
+
+  // The single worker is free: a second request runs to completion
+  // (its own drained event action succeeds first time) while the first
+  // one's backoff is still parked.
+  ASSERT_TRUE(platform
+                  .submit_async(soak::open_session_text("s1"),
+                                [&](Result<controller::ControlScript> r) {
+                                  EXPECT_TRUE(r.ok());
+                                  ++second_done;
+                                })
+                  .ok());
+  while (second_done.load() != 1 &&
+         std::chrono::steady_clock::now() < wall_deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(second_done.load(), 1);
+  EXPECT_EQ(first_done.load(), 0);
+  EXPECT_EQ(loop->pending_timers(), 1u);
+
+  // Virtual time releases the parked retry; the first request finishes.
+  sim.advance(std::chrono::seconds(1));
+  loop->poll();
+  while (first_done.load() != 1 &&
+         std::chrono::steady_clock::now() < wall_deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(first_done.load(), 1);
+  EXPECT_TRUE(platform.stop().ok());
+  EXPECT_EQ(poked->executed(), 3u);
+  EXPECT_EQ(sleeps.load(), 0);  // no worker ever slept a backoff
+  EXPECT_EQ(platform.metrics().snapshot().counter_value("broker.retries"),
+            1u);
+  EXPECT_EQ(controller.stats().errors, 0u);
+  set_log_level(LogLevel::kWarn);
+}
+
 // Per-stage queue visibility: the staged pipeline reports depth/entered
 // counters for each of its four stages.
 TEST(Staged, StageStatsExposePerStageCounters) {
@@ -319,29 +434,6 @@ TEST(Staged, StageStatsExposePerStageCounters) {
   const auto snapshot = platform.metrics().snapshot();
   EXPECT_NE(snapshot.histogram("stage.synthesis.delay_us"), nullptr);
   EXPECT_NE(snapshot.histogram("stage.complete.delay_us"), nullptr);
-}
-
-// The PR-5 parked pipeline stays available behind the config flag, and
-// the exactly-once callback ledger holds on both paths.
-TEST(Staged, ParkedPipelineStillAvailableBehindFlag) {
-  PlatformConfig config;
-  config.pipeline_threads = 2;
-  config.staged_pipeline = false;
-  auto fixture = make_staged_platform(
-      config, std::make_unique<FlakyAdapter>("svc", 0));
-  ASSERT_NE(fixture.platform, nullptr);
-  Platform& platform = *fixture.platform;
-  std::atomic<int> done{0};
-  ASSERT_TRUE(platform
-                  .submit_async(soak::open_session_text("s1"),
-                                [&done](Result<controller::ControlScript> r) {
-                                  EXPECT_TRUE(r.ok());
-                                  ++done;
-                                })
-                  .ok());
-  while (done.load() != 1) std::this_thread::yield();
-  EXPECT_TRUE(platform.stop().ok());
-  EXPECT_TRUE(platform.stage_stats().empty());  // no stages on this path
 }
 
 // PR 10 bugfix regression: only EXECUTED requests feed the admission
