@@ -184,6 +184,22 @@ Status IntentModelGenerator::validate(const IntentModel& intent_model) const {
 
 Result<IntentModelPtr> IntentModelGenerator::generate(
     std::string_view root_dsc, SelectionStrategy strategy) {
+  // Optimistic retry: each rerun needs a repository or vocabulary
+  // mutation that landed during the previous cycle, so the loop ends once
+  // those (administrative, rare) writers pause.
+  for (;;) {
+    const std::uint64_t repository_version = repository_->version();
+    const std::uint64_t dsc_version = dscs_->version();
+    Result<IntentModelPtr> generated = generate_once(root_dsc, strategy);
+    if (generated.ok() || (repository_->version() == repository_version &&
+                           dscs_->version() == dsc_version)) {
+      return generated;
+    }
+  }
+}
+
+Result<IntentModelPtr> IntentModelGenerator::generate_once(
+    std::string_view root_dsc, SelectionStrategy strategy) {
   if (!dscs_->contains(root_dsc)) {
     return NotFound("unknown DSC '" + std::string(root_dsc) + "'");
   }

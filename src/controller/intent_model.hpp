@@ -86,7 +86,11 @@ class IntentModelGenerator {
                        GeneratorConfig config = {});
 
   /// Full cycle: enumerate valid configurations for `root_dsc`, validate
-  /// each, select per `strategy`. Does not consult the cache.
+  /// each, select per `strategy`. Does not consult the cache. A failure
+  /// observed while the repository or the DSC vocabulary changed
+  /// underneath is not trusted (enumeration and validation may have read
+  /// different states): the cycle reruns, so a DSC removed mid-generation
+  /// surfaces as NotFound, never as a torn failure.
   Result<IntentModelPtr> generate(std::string_view root_dsc,
                                   SelectionStrategy strategy);
 
@@ -137,6 +141,10 @@ class IntentModelGenerator {
   void enumerate(std::string_view dsc, std::vector<std::string_view>& path,
                  std::vector<std::unique_ptr<IntentModelNode>>& out,
                  std::vector<ProcedurePtr>& pins, std::size_t bound);
+
+  /// One generation cycle against whatever state it reads.
+  Result<IntentModelPtr> generate_once(std::string_view root_dsc,
+                                       SelectionStrategy strategy);
 
   Status validate_node(const IntentModelNode& node,
                        std::vector<std::string_view>& path) const;

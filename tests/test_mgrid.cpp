@@ -237,12 +237,21 @@ TEST(MgridEquivalence, StorageDischargePreferredOverShedding) {
 // Property sweep: every microgrid scenario stays trace-equivalent under
 // each grid mode (eco mode routes through a different Case-2 procedure
 // on the model-based side, which must not change the resource trace).
+struct GridMode {
+  const char* name;
+};
+
+// Test names embed the printed parameters; print the mode by value (the
+// default printer shows a const char* as a per-build pointer address).
+void PrintTo(const GridMode& mode, std::ostream* os) { *os << mode.name; }
+
 class MgridEquivalenceSweep
-    : public ::testing::TestWithParam<std::tuple<std::size_t, const char*>> {
+    : public ::testing::TestWithParam<std::tuple<std::size_t, GridMode>> {
 };
 
 TEST_P(MgridEquivalenceSweep, TracesEqualUnderGridMode) {
-  auto [scenario_index, mode] = GetParam();
+  auto [scenario_index, grid_mode] = GetParam();
+  const char* mode = grid_mode.name;
   const MgridScenario& scenario = mgrid_scenarios()[scenario_index];
   auto vm = make_mgridvm();
   ASSERT_TRUE(vm.ok());
@@ -264,7 +273,8 @@ TEST_P(MgridEquivalenceSweep, TracesEqualUnderGridMode) {
 INSTANTIATE_TEST_SUITE_P(
     AllScenariosAllModes, MgridEquivalenceSweep,
     ::testing::Combine(::testing::Range<std::size_t>(0, 6),
-                       ::testing::Values("normal", "eco")));
+                       ::testing::Values(GridMode{"normal"},
+                                         GridMode{"eco"})));
 
 TEST(MgridScenarios, SixScenariosWithUniqueNames) {
   const auto& scenarios = mgrid_scenarios();
