@@ -3,6 +3,7 @@
 // algebraic invariants every layer of the platform silently relies on.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
 
 #include "model/diff.hpp"
@@ -110,6 +111,95 @@ TEST_P(ModelProperty, DiffIsEmptyOnlyForEquivalentModels) {
   ASSERT_FALSE(all_sessions.empty());
   mutated.set_attribute(all_sessions[0]->id(), "label", Value("changed"));
   EXPECT_FALSE(diff(a, mutated).empty());
+}
+
+/// 64-bit FNV-1a: a fixed, platform-independent digest of a diff listing.
+std::uint64_t fnv1a(std::string_view text) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+/// summarize(diff(...)) over random pairs that share ids (so objects
+/// survive, move between parents or change class) and over single-slot
+/// edits of one model: set, unset, list-valued set, add and remove a
+/// cross-reference, and all of them on one object at once.
+std::string diff_listings(const MetamodelPtr& mm, unsigned seed) {
+  Model a = random_model(mm, seed, "r");
+  Model b = random_model(mm, seed * 31 + 7, "r");
+  std::string out = summarize(diff(a, b)) + "\n" + summarize(diff(b, a));
+  auto edited = [&](const std::function<void(Model&)>& edit) {
+    Model copy = a.clone();
+    edit(copy);
+    out += "\n" + summarize(diff(a, copy));
+  };
+  // Edit a session with participants where there is one, so that the
+  // cross-reference edits have a target.
+  std::string sid = a.objects_of("Session").front()->id();
+  for (const ModelObject* candidate : a.objects_of("Session")) {
+    if (!a.children(candidate->id(), "participants").empty()) {
+      sid = candidate->id();
+      break;
+    }
+  }
+  const ModelObject* session = a.find(sid);
+  const auto participants = a.children(sid, "participants");
+  auto set = [&](Model& m) {
+    EXPECT_TRUE(m.set_attribute(sid, "label", Value("changed")).ok());
+    EXPECT_TRUE(m.set_attribute(sid, "state", Value("closed")).ok());
+  };
+  auto unset = [&](Model& m) {
+    EXPECT_TRUE(m.unset_attribute(sid, "state").ok());
+  };
+  auto set_list = [&](Model& m) {
+    EXPECT_TRUE(
+        m.set_attribute(sid, "tags", Value(ValueList{"x", "y", "z"})).ok());
+  };
+  auto relink = [&](Model& m) {
+    if (!session->targets("initiator").empty()) {
+      EXPECT_TRUE(m.remove_reference(sid, "initiator",
+                                     session->targets("initiator").front())
+                      .ok());
+    } else if (!participants.empty()) {
+      EXPECT_TRUE(
+          m.add_reference(sid, "initiator", participants.back()->id()).ok());
+    }
+  };
+  edited(set);
+  edited(unset);
+  edited(set_list);
+  edited(relink);
+  edited([&](Model& m) {
+    relink(m);
+    set_list(m);
+    unset(m);
+    set(m);
+    if (!participants.empty()) {
+      EXPECT_TRUE(m.set_attribute(participants.front()->id(), "priority",
+                                  Value(99))
+                      .ok());
+    }
+  });
+  return out;
+}
+
+// The change interpreter fires the first transition that matches, so the
+// order of a ChangeList is part of its contract. These digests pin the
+// listings the diff produced when they were first recorded.
+TEST_P(ModelProperty, DiffOrderIsPinned) {
+  static const std::uint64_t kExpected[] = {
+      0x2c1ad0589ccf35e7ull, 0x7d1736dea3f88b25ull, 0xae63feeaa2c8abefull,
+      0x7780e150572c1d38ull, 0xbdd237390a8180a8ull, 0x31e12da4443391d4ull,
+      0xa01460620368f36eull, 0xcce1ef2724500c07ull, 0x11b27e61c0992287ull,
+      0x16543e79a993effcull, 0xec8c347ded0218e5ull, 0x6c189328dc6e66daull,
+      0x91a79f2ab45b07c3ull, 0xffd5d124941b07d3ull, 0x2ebd032a23b69e3aull,
+  };
+  MetamodelPtr mm = make_test_metamodel();
+  const std::string listings = diff_listings(mm, GetParam());
+  EXPECT_EQ(fnv1a(listings), kExpected[GetParam() - 1]) << listings;
 }
 
 TEST_P(ModelProperty, WeaveIdentityAndDisjointUnion) {

@@ -133,6 +133,80 @@ TEST(TextFormat, ErrorsAreParseErrorsWithLineNumbers) {
   }
 }
 
+// Exact error text for one malformed input per failure mode. A line
+// number names the line of the token the parser was looking at when it
+// failed: for a rejected object that is the token after its id, for a
+// rejected slot the token after its value, for a bad cross-reference
+// the token after its target.
+TEST(TextFormat, MalformedInputErrorTable) {
+  MetamodelPtr mm = make_test_metamodel();
+  struct Case {
+    std::string_view text;
+    std::string_view message;
+  };
+  const Case model_cases[] = {
+      {"model x conforms testlang\nobject Participant p {\n  address = \"abc",
+       "line 3: unterminated string"},
+      {"model x conforms testlang\nobject Participant p {\n"
+       "  address = \"ab\ncd\"\n}",
+       "line 3: unterminated string"},
+      {"model x conforms testlang\nobject Participant p {\n"
+       "  address = \"a\"\n  priority = +5\n}",
+       "line 4: bad number '+5'"},
+      {"model x conforms testlang\nobject Participant p {\n"
+       "  address = \"a\"\n  priority = 99999999999999999999\n}",
+       "line 4: bad number '99999999999999999999'"},
+      {"model x conforms testlang\nobject Participant p {\n  address = @\n}",
+       "line 3: unexpected character '@'"},
+      {"model x conforms testlang\nobject Session s\n  state = idle\n}",
+       "line 3: expected '{', got 'state'"},
+      {"model x conforms testlang\nobject Ghost g\n{}",
+       "line 3: class 'Ghost' not in metamodel 'testlang'"},
+      {"model x conforms testlang\nobject NamedElement n {}",
+       "line 2: class 'NamedElement' is abstract"},
+      {"model x conforms testlang\nobject Session s {}\nobject Session s {}",
+       "line 3: object 's' already in model"},
+      {"model x conforms testlang\nobject Session s {\n  initiator -> ghost\n}",
+       "line 4: reference target 'ghost' not in model"},
+      {"model x conforms testlang\nobject Session s {\n"
+       "  participants -> p\n"
+       "  child participants Participant p { address = \"a\" }\n}",
+       "line 4: containment reference 'participants' is populated via "
+       "create_child"},
+      {"model x conforms other\nobject Session s {}",
+       "line 2: model conforms to 'other' but metamodel is 'testlang'"},
+      {"model x conformz testlang", "line 1: expected 'conforms'"},
+      {"model x\n", "line 2: expected identifier, got ''"},
+      {"model x conforms testlang\nobject Session s {",
+       "line 2: unexpected EOF"},
+      {"model x conforms testlang\nobject Session s { state = }",
+       "line 2: expected value, got '}'"},
+      {"model x conforms testlang\nobject Session s {\n  ghost = 1\n}",
+       "line 4: class 'Session' has no attribute 'ghost'"},
+      {"model x conforms testlang\nobject Session s { state idle }",
+       "line 2: expected '=' or '->' after 'state'"},
+  };
+  for (const Case& c : model_cases) {
+    auto model = parse_model(c.text, mm);
+    ASSERT_FALSE(model.ok()) << c.text;
+    EXPECT_EQ(model.status().code(), ErrorCode::kParseError) << c.text;
+    EXPECT_EQ(model.status().message(), c.message) << c.text;
+  }
+  const Case value_cases[] = {
+      {"1 2", "line 1: trailing input after value, got '2'"},
+      {"[1, 2]\n\"s\"", "line 2: trailing input after value, got 's'"},
+      {"[1, 2", "line 1: expected ']', got ''"},
+      {"\"open", "line 1: unterminated string"},
+      {"", "line 1: expected value, got ''"},
+  };
+  for (const Case& c : value_cases) {
+    auto value = parse_value(c.text);
+    ASSERT_FALSE(value.ok()) << c.text;
+    EXPECT_EQ(value.status().code(), ErrorCode::kParseError) << c.text;
+    EXPECT_EQ(value.status().message(), c.message) << c.text;
+  }
+}
+
 TEST(TextFormat, EmptyListAndNoneValues) {
   constexpr std::string_view text = R"(
 model n conforms testlang
