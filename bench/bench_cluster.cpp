@@ -60,6 +60,7 @@
 #include "cluster/shard_node.hpp"
 #include "common/clock.hpp"
 #include "common/log.hpp"
+#include "common/strings.hpp"
 #include "core/middleware_metamodel.hpp"
 #include "core/platform.hpp"
 #include "domains/comm/cml.hpp"
@@ -135,7 +136,7 @@ std::string cluster_cvm_text(const BenchConfig& config) {
 }
 
 std::string scenario_text(int rep) {
-  std::string id = "c" + std::to_string(rep);
+  std::string id = numbered("c", rep);
   return "model app_" + id + " conforms cml\nobject Connection " + id +
          " { state = pending }\n";
 }
@@ -211,7 +212,7 @@ Result<std::unique_ptr<Fleet>> make_fleet(
   std::vector<std::string> endpoints;
   for (std::size_t i = 0; i < shards + spare_nodes; ++i) {
     cluster::ShardNodeOptions options;
-    options.endpoint = "shard-" + std::to_string(i);
+    options.endpoint = numbered("shard-", i);
     options.platform_config.dsml = comm::cml_metamodel();
     options.platform_config.pipeline_threads =
         static_cast<unsigned>(config.pipeline_threads_per_shard);
@@ -380,7 +381,7 @@ Result<Row> run_step(const BenchConfig& config, std::size_t shards,
     ledger.outstanding.fetch_add(1, std::memory_order_relaxed);
     const std::size_t index = static_cast<std::size_t>(r);
     auto submitted = fleet.value()->client->submit(
-        "cml", "s" + std::to_string(r), scenario_text(r),
+        "cml", numbered("s", r), scenario_text(r),
         [&ledger, index, enqueued](const ingress::RemoteOutcome& outcome) {
           ledger.resolve(index, outcome,
                          std::chrono::duration<double, std::micro>(
@@ -498,7 +499,7 @@ Result<RebalanceRow> run_rebalance_step(const BenchConfig& config,
     ledger.outstanding.fetch_add(1, std::memory_order_relaxed);
     const std::size_t index = static_cast<std::size_t>(r);
     auto submitted = fleet.value()->client->submit(
-        "cml", "s" + std::to_string(r), scenario_text(r),
+        "cml", numbered("s", r), scenario_text(r),
         [&ledger, &times_mutex, &ok_times_s, index,
          start](const ingress::RemoteOutcome& outcome) {
           const double at_s = std::chrono::duration<double>(
@@ -582,7 +583,7 @@ struct ResumeRow {
 };
 
 std::string probe_text(int id, const char* state) {
-  const std::string name = "probe" + std::to_string(id);
+  const std::string name = numbered("probe", id);
   return "model app_" + name + " conforms cml\nobject Connection " + name +
          " { state = " + state + " }\n";
 }
@@ -615,7 +616,7 @@ Result<ResumeRow> run_resume_step(const BenchConfig& base,
   // Probe ids whose session key hashes onto the shard we will kill.
   std::vector<int> probe_ids;
   for (int id = 0; probe_ids.size() < kProbes && id < 4096; ++id) {
-    if (frontend.ring().owner("probe-" + std::to_string(id)) == 0) {
+    if (frontend.ring().owner(numbered("probe-", id)) == 0) {
       probe_ids.push_back(id);
     }
   }
@@ -652,7 +653,7 @@ Result<ResumeRow> run_resume_step(const BenchConfig& base,
   // stage-only ship acked on the replica.
   std::uint64_t acks_expected = 0;
   for (const int id : probe_ids) {
-    const std::string session = "probe-" + std::to_string(id);
+    const std::string session = numbered("probe-", id);
     bool ok = false;
     submit_and_wait(session, probe_text(id, "pending"), ok);
     if (!ok) return Internal("probe open did not complete: " + session);
@@ -697,7 +698,7 @@ Result<ResumeRow> run_resume_step(const BenchConfig& base,
     ledger.outstanding.fetch_add(1, std::memory_order_relaxed);
     const std::size_t index = static_cast<std::size_t>(r);
     auto submitted = fleet.value()->client->submit(
-        "cml", "s" + std::to_string(r), scenario_text(r),
+        "cml", numbered("s", r), scenario_text(r),
         [&ledger, &times_mutex, &ok_times_s, index,
          start](const ingress::RemoteOutcome& outcome) {
           const double at_s = std::chrono::duration<double>(
@@ -729,7 +730,7 @@ Result<ResumeRow> run_resume_step(const BenchConfig& base,
   // each other's just-imported state.
   for (const int id : probe_ids) {
     bool ok = false;
-    submit_and_wait("probe-" + std::to_string(id), probe_text(id, "closed"),
+    submit_and_wait(numbered("probe-", id), probe_text(id, "closed"),
                     ok);
     if (ok) ++row.probe_ok;
   }

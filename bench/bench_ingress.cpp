@@ -37,6 +37,7 @@
 
 #include "common/clock.hpp"
 #include "common/log.hpp"
+#include "common/strings.hpp"
 #include "core/platform.hpp"
 #include "domains/comm/cml.hpp"
 #include "domains/comm/cvm.hpp"
@@ -92,7 +93,7 @@ std::string ingress_cvm_text(const BenchConfig& config) {
 }
 
 std::string scenario_text(int rep) {
-  std::string id = "c" + std::to_string(rep);
+  std::string id = numbered("c", rep);
   return "model app_" + id + " conforms cml\nobject Connection " + id +
          " { state = pending }\n";
 }
@@ -276,7 +277,7 @@ Result<Row> run_over_the_wire(const BenchConfig& config, double multiplier,
     ++row.submitted;
     ledger.outstanding.fetch_add(1, std::memory_order_relaxed);
     auto submitted = client.value()->submit(
-        "cml", "s" + std::to_string(r), scenario_text(r),
+        "cml", numbered("s", r), scenario_text(r),
         [&ledger, enqueued](const ingress::RemoteOutcome& outcome) {
           ledger.resolve(outcome.status.ok(),
                          std::chrono::duration<double, std::micro>(

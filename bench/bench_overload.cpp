@@ -37,6 +37,7 @@
 
 #include "common/clock.hpp"
 #include "common/log.hpp"
+#include "common/strings.hpp"
 #include "core/platform.hpp"
 #include "domains/comm/cml.hpp"
 #include "domains/comm/cvm.hpp"
@@ -88,7 +89,7 @@ std::string overload_cvm_text(const BenchConfig& config) {
 }
 
 std::string scenario_text(int rep) {
-  std::string id = "c" + std::to_string(rep);
+  std::string id = numbered("c", rep);
   return "model app_" + id + " conforms cml\nobject Connection " + id +
          " { state = pending }\n";
 }

@@ -36,6 +36,7 @@
 
 #include "common/clock.hpp"
 #include "common/log.hpp"
+#include "common/strings.hpp"
 #include "core/platform.hpp"
 #include "domains/comm/cml.hpp"
 #include "domains/comm/cvm.hpp"
@@ -126,7 +127,7 @@ class ParkingCommService final : public broker::ResourceAdapter {
 /// the full path (synthesis diff -> Case-2 session establishment with
 /// IM generation/cache -> Case-1 pass-throughs -> broker -> resource).
 std::string scenario_text(int variant, int thread, int rep) {
-  std::string id = "c" + std::to_string(thread) + "_" + std::to_string(rep);
+  std::string id = numbered("c", thread) + numbered("_", rep);
   std::string text = "model app_" + id + " conforms cml\n";
   switch (variant % 3) {
     case 0:  // bare session establishment (Case 2, IM cache hot path)

@@ -21,6 +21,7 @@
 #include <string>
 #include <thread>
 
+#include "common/strings.hpp"
 #include "core/platform.hpp"
 #include "domains/comm/cml.hpp"
 #include "domains/comm/cvm.hpp"
@@ -149,7 +150,7 @@ int main() {
   std::map<std::string, int> tally;
   int resolved = 0;
   for (int i = 0; i < 20; ++i) {
-    std::string id = "b" + std::to_string(i);
+    std::string id = numbered("b", i);
     (void)client.value()->submit(
         "cml", "burst",
         "model app_" + id + " conforms cml\nobject Connection " + id +

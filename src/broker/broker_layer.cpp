@@ -115,8 +115,8 @@ void BrokerLayer::start_call(const Call& broker_call,
     done(action.status());
     return;
   }
-  log_debug("broker") << name() << " call " << broker_call.name
-                      << " -> action " << (*action)->name;
+  MDSM_LOG_DEBUG("broker") << name() << " call " << broker_call.name
+                           << " -> action " << (*action)->name;
   run_steps((*action)->steps, broker_call.args, context, inline_mode, span,
             std::move(done));
 }

@@ -18,8 +18,12 @@ Result<model::Value> require_arg(const Args& args, std::string_view key,
                                  std::string_view op) {
   auto it = args.find(key);
   if (it == args.end()) {
-    return ExecutionError("'" + std::string(op) + "' is missing required arg '" +
-                          std::string(key) + "'");
+    std::string message = "'";
+    message += op;
+    message += "' is missing required arg '";
+    message += key;
+    message += '\'';
+    return ExecutionError(std::move(message));
   }
   return it->second;
 }

@@ -189,7 +189,7 @@ void ResourceManager::execute_attempt(ResourceAdapter& adapter,
                                       ResourceAdapter::Completion done) {
   trace_.record(resource, command, args);
   count(commands_counter_);
-  log_debug("resource-manager")
+  MDSM_LOG_DEBUG("resource-manager")
       << resource << "." << format_invocation(command, args);
   // Adapters are plugin code over external resources; this is the fault
   // boundary. An escaping exception must degrade to a Status, not unwind
@@ -295,8 +295,9 @@ void ResourceManager::start_attempt(std::shared_ptr<Invocation> call) {
     admitted = call->state->breaker->admit(clock.now());
     if (admitted.admission == CircuitBreaker::Admission::kReject) {
       count(breaker_open_counter_);
-      log_debug("resource-manager") << call->resource << "." << call->command
-                                    << " fast-failed: circuit open";
+      MDSM_LOG_DEBUG("resource-manager")
+          << call->resource << "." << call->command
+          << " fast-failed: circuit open";
       degrade(call, Unavailable("circuit open for resource '" +
                                 call->resource + "' ('" + call->command +
                                 "' fast-failed)"));

@@ -4,34 +4,42 @@
 // variable store for cheap bookkeeping.
 #pragma once
 
+#include <map>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 
 #include "model/model.hpp"
 
 namespace mdsm::broker {
 
-/// Value accessors (set/get/has/erase and set_runtime_model) are safe
-/// under concurrent execution. The runtime_model() reference accessors
-/// hand out the stored model for in-place manipulation and are for
-/// quiescent use (tests, single-threaded domain code).
+/// Safe under concurrent execution. The runtime model is the committed,
+/// immutable model the synthesis layer shares with this mirror; readers
+/// get their own reference to it, so a later commit never pulls it out
+/// from under them.
 class StateManager {
  public:
+  using ModelPtr = std::shared_ptr<const model::Model>;
+
   /// Install/replace the runtime model. Usually set by the platform
   /// assembler with an empty model of the application DSML metamodel;
   /// re-set on every commit by the synthesis model listener.
-  void set_runtime_model(model::Model model) {
-    std::lock_guard lock(mutex_);
-    runtime_model_ = std::move(model);
+  void set_runtime_model(ModelPtr model) {
+    {
+      std::lock_guard lock(mutex_);
+      runtime_model_.swap(model);
+    }
+    // The replaced model, if this held its last reference, is destroyed
+    // here, outside the lock.
   }
   [[nodiscard]] bool has_runtime_model() const {
     std::lock_guard lock(mutex_);
-    return runtime_model_.has_value();
+    return runtime_model_ != nullptr;
   }
-  [[nodiscard]] model::Model& runtime_model() { return *runtime_model_; }
-  [[nodiscard]] const model::Model& runtime_model() const {
-    return *runtime_model_;
+  /// The current runtime model (null before one is installed).
+  [[nodiscard]] ModelPtr runtime_model() const {
+    std::lock_guard lock(mutex_);
+    return runtime_model_;
   }
 
   /// Scalar state variables (session counters, flags, ...).
@@ -66,7 +74,7 @@ class StateManager {
 
  private:
   mutable std::mutex mutex_;
-  std::optional<model::Model> runtime_model_;
+  ModelPtr runtime_model_;
   std::map<std::string, model::Value, std::less<>> variables_;
 };
 

@@ -45,11 +45,23 @@ class LogLine {
   std::ostringstream out_;
 };
 
+/// Turns a streamed LogLine expression into void, so that MDSM_LOG_DEBUG
+/// can be the second operand of a conditional expression.
+struct LogVoidify {
+  void operator&(const LogLine&) const noexcept {}
+};
+
 }  // namespace detail
 
-inline detail::LogLine log_debug(std::string_view component) {
-  return {LogLevel::kDebug, component};
-}
+/// `MDSM_LOG_DEBUG("component") << a << b;` logs at kDebug. Below that
+/// level it costs one level check: no line is built and the streamed
+/// operands are not evaluated.
+#define MDSM_LOG_DEBUG(component)                                  \
+  (::mdsm::log_level() > ::mdsm::LogLevel::kDebug)                 \
+      ? (void)0                                                    \
+      : ::mdsm::detail::LogVoidify() &                             \
+            ::mdsm::detail::LogLine(::mdsm::LogLevel::kDebug, (component))
+
 inline detail::LogLine log_info(std::string_view component) {
   return {LogLevel::kInfo, component};
 }

@@ -90,6 +90,12 @@ inline Status Internal(std::string msg) {
   return {ErrorCode::kInternal, std::move(msg)};
 }
 
+/// The Status a successful Result reports. A namespace-scope constant
+/// rather than a function-local static: the guarded initialization of
+/// a local static makes GCC 12 misreport -Wmaybe-uninitialized in
+/// callers of Result<T>::status().
+inline const Status kOkStatus{};
+
 /// Thrown only by Result<T>::value() on misuse (programming error).
 class BadResultAccess : public std::logic_error {
  public:
@@ -117,8 +123,7 @@ class Result {
   }
 
   [[nodiscard]] const Status& status() const noexcept {
-    static const Status kOk{};
-    return ok() ? kOk : std::get<Status>(rep_);
+    return ok() ? kOkStatus : std::get<Status>(rep_);
   }
 
   [[nodiscard]] T& value() & {

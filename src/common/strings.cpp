@@ -50,6 +50,12 @@ std::string join(const std::vector<std::string>& parts,
   return out;
 }
 
+std::string numbered(std::string_view prefix, std::int64_t n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
 bool starts_with(std::string_view s, std::string_view prefix) noexcept {
   return s.substr(0, prefix.size()) == prefix;
 }

@@ -1,6 +1,7 @@
 // Small string utilities shared by the textual model/script parsers.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,6 +20,11 @@ std::vector<std::string> split_ws(std::string_view s);
 /// Join with a separator.
 std::string join(const std::vector<std::string>& parts,
                  std::string_view separator);
+
+/// `prefix` followed by the decimal digits of `n`: numbered("s", 7) is
+/// "s7". It appends rather than writing `"s" + std::to_string(7)`, which
+/// GCC 12 misreports under -Wrestrict when optimizing.
+std::string numbered(std::string_view prefix, std::int64_t n);
 
 /// True if `s` begins with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix) noexcept;

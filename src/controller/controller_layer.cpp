@@ -109,7 +109,7 @@ Result<ControllerLayer::Case> ControllerLayer::classify(
   // classifications neither race each other nor churn the context
   // version the IM cache keys on.
   policy::ContextOverlay view(*context_);
-  view.bind("command.name", model::Value(command.name));
+  view.bind("command.name", command.name);
   auto decision = classification_policies_.evaluate(view);
   if (decision.has_value()) {
     if (decision->decision == "case1") return Case::kCase1;
@@ -301,8 +301,9 @@ void ControllerLayer::run_command(const Command& command,
     done(which.status());
     return;
   }
-  log_debug("controller") << name() << " " << command.to_text() << " -> "
-                          << (*which == Case::kCase1 ? "case1" : "case2");
+  MDSM_LOG_DEBUG("controller")
+      << name() << " " << command.to_text() << " -> "
+      << (*which == Case::kCase1 ? "case1" : "case2");
   if (*which == Case::kCase1) {
     run_case1(command, context, inline_mode, std::move(done));
   } else {

@@ -56,14 +56,12 @@ void AdmissionController::record_latency(Duration observed) noexcept {
 void AdmissionController::publish_shed(const obs::RequestContext& context,
                                        const char* reason) {
   if (bus_ == nullptr) return;
-  model::Value payload(
-      model::ValueList{model::Value(reason), model::Value(context.tag())});
-  runtime::Event event;
-  event.topic = "request.shed";
-  event.source = "ui";
-  event.payload = std::move(payload);
-  event.request_id = context.id();
-  bus_->publish(std::move(event));
+  bus_->publish(runtime::Event{
+      .topic = "request.shed",
+      .source = "ui",
+      .payload = model::ValueList{model::Value(reason),
+                                  model::Value(context.tag())},
+      .request_id = context.id()});
 }
 
 }  // namespace mdsm::core

@@ -187,8 +187,8 @@ Result<std::unique_ptr<Platform>> Platform::assemble(
   // autonomic rules in future) can consult it.
   broker::BrokerLayer* broker = platform->broker_.get();
   platform->synthesis_->set_model_listener(
-      [broker](const model::Model& committed) {
-        broker->state().set_runtime_model(committed.clone());
+      [broker](const synthesis::SynthesisEngine::ModelPtr& committed) {
+        broker->state().set_runtime_model(committed);
       });
 
   return platform;
@@ -290,7 +290,8 @@ Status Platform::load_broker_spec(const model::Model& middleware_model,
     }
   }
   // The broker keeps the application runtime model (models@runtime).
-  broker_->state().set_runtime_model(model::Model("runtime", dsml_));
+  broker_->state().set_runtime_model(
+      std::make_shared<const model::Model>("runtime", dsml_));
   return Status::Ok();
 }
 

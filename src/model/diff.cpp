@@ -39,37 +39,124 @@ std::string Change::to_text() const {
 
 namespace {
 
-bool is_containment(const ModelObject& object, std::string_view reference) {
-  const MetaReference* ref = object.meta().find_reference(reference);
+const Value kNone{};
+const std::vector<std::string> kNoTargets{};
+
+bool is_containment(const MetaClass& meta, std::string_view reference) {
+  const MetaReference* ref = meta.find_reference(reference);
   return ref != nullptr && ref->containment;
+}
+
+/// A change on `object`, with its class and containment context filled.
+Change object_change(ChangeKind kind, const ModelObject& object) {
+  Change change;
+  change.kind = kind;
+  change.object_id = object.id();
+  change.class_name = object.class_name();
+  change.parent_id = object.parent_id();
+  change.containment = object.containing_reference();
+  return change;
+}
+
+void emit_attribute(const ModelObject& object, const std::string& name,
+                    const Value& old_value, const Value& new_value,
+                    ChangeList& out) {
+  Change change = object_change(ChangeKind::kSetAttribute, object);
+  change.feature = name;
+  change.old_value = old_value;
+  change.new_value = new_value;
+  out.push_back(std::move(change));
+}
+
+/// One change of `kind` per target in `targets` that `other` lacks.
+void emit_references(ChangeKind kind, const ModelObject& object,
+                     const std::string& name,
+                     const std::vector<std::string>& targets,
+                     const std::vector<std::string>& other, ChangeList& out) {
+  for (const auto& target : targets) {
+    if (std::find(other.begin(), other.end(), target) != other.end()) continue;
+    Change change = object_change(kind, object);
+    change.feature = name;
+    change.target_id = target;
+    out.push_back(std::move(change));
+  }
 }
 
 /// Attribute/cross-reference state of one object as SetAttribute /
 /// AddReference changes (used for freshly added objects).
 void emit_object_state(const ModelObject& object, ChangeList& out) {
   for (const auto& [name, value] : object.attributes()) {
-    Change change;
-    change.kind = ChangeKind::kSetAttribute;
-    change.object_id = object.id();
-    change.class_name = object.class_name();
-    change.parent_id = object.parent_id();
-    change.containment = object.containing_reference();
-    change.feature = name;
-    change.new_value = value;
-    out.push_back(std::move(change));
+    emit_attribute(object, name, kNone, value, out);
   }
   for (const auto& [name, targets] : object.references()) {
-    if (is_containment(object, name)) continue;
-    for (const auto& target : targets) {
-      Change change;
-      change.kind = ChangeKind::kAddReference;
-      change.object_id = object.id();
-      change.class_name = object.class_name();
-      change.parent_id = object.parent_id();
-      change.containment = object.containing_reference();
-      change.feature = name;
-      change.target_id = target;
-      out.push_back(std::move(change));
+    if (is_containment(object.meta(), name)) continue;
+    emit_references(ChangeKind::kAddReference, object, name, targets,
+                    kNoTargets, out);
+  }
+}
+
+/// Advance `it` to the first entry of a sorted slot table whose name is
+/// not less than `name`; return that entry if its name equals `name`.
+template <typename Iterator>
+Iterator seek(Iterator& it, Iterator end, const std::string& name) {
+  while (it != end && it->first < name) ++it;
+  return it != end && it->first == name ? it : end;
+}
+
+/// Attribute changes of a surviving object: a merge-join of the two
+/// sorted slot tables. The slots `before` has come first, in name order,
+/// then the slots only `after` has, in name order.
+void diff_attributes(const ModelObject& before, const ModelObject& after,
+                     ChangeList& out) {
+  const auto& old_slots = before.attributes();
+  const auto& new_slots = after.attributes();
+  auto cursor = new_slots.begin();
+  for (const auto& [name, old_value] : old_slots) {
+    auto match = seek(cursor, new_slots.end(), name);
+    const Value& new_value =
+        match == new_slots.end() ? kNone : match->second;
+    if (old_value != new_value) {
+      emit_attribute(after, name, old_value, new_value, out);
+    }
+  }
+  auto old_cursor = old_slots.begin();
+  for (const auto& [name, new_value] : new_slots) {
+    if (seek(old_cursor, old_slots.end(), name) != old_slots.end()) continue;
+    if (new_value != kNone) emit_attribute(after, name, kNone, new_value, out);
+  }
+}
+
+/// Cross-reference changes of a surviving object, merge-joined the same
+/// way: removals then additions per slot, `before`'s cross-reference
+/// slots first, then those only `after` has as cross-references.
+void diff_references(const ModelObject& before, const ModelObject& after,
+                     ChangeList& out) {
+  const auto& old_slots = before.references();
+  const auto& new_slots = after.references();
+  const bool same_class = &before.meta() == &after.meta();
+  auto emit = [&](const std::string& name,
+                  const std::vector<std::string>& old_targets,
+                  const std::vector<std::string>& new_targets) {
+    emit_references(ChangeKind::kRemoveReference, after, name, old_targets,
+                    new_targets, out);
+    emit_references(ChangeKind::kAddReference, after, name, new_targets,
+                    old_targets, out);
+  };
+  auto cursor = new_slots.begin();
+  for (const auto& [name, old_targets] : old_slots) {
+    if (is_containment(before.meta(), name)) continue;
+    auto match = seek(cursor, new_slots.end(), name);
+    emit(name, old_targets,
+         match == new_slots.end() ? kNoTargets : match->second);
+  }
+  auto old_cursor = old_slots.begin();
+  for (const auto& [name, new_targets] : new_slots) {
+    if (is_containment(after.meta(), name)) continue;
+    auto match = seek(old_cursor, old_slots.end(), name);
+    if (match == old_slots.end()) {
+      emit(name, kNoTargets, new_targets);
+    } else if (!same_class && is_containment(before.meta(), name)) {
+      emit(name, match->second, new_targets);
     }
   }
 }
@@ -81,113 +168,36 @@ ChangeList diff(const Model& old_model, const Model& new_model) {
 
   // Removals: objects present in old but not in new, children first
   // (reverse creation order puts contained objects after — so reverse).
-  std::vector<const ModelObject*> removed;
-  for (const ModelObject* object : old_model.objects()) {
-    if (!new_model.contains(object->id())) removed.push_back(object);
-  }
-  std::reverse(removed.begin(), removed.end());
-  for (const ModelObject* object : removed) {
-    Change change;
-    change.kind = ChangeKind::kRemoveObject;
-    change.object_id = object->id();
-    change.class_name = object->class_name();
-    change.parent_id = object->parent_id();
-    change.containment = object->containing_reference();
-    out.push_back(std::move(change));
+  const auto& old_objects = old_model.objects();
+  for (auto it = old_objects.rbegin(); it != old_objects.rend(); ++it) {
+    if (!new_model.contains((*it)->id())) {
+      out.push_back(object_change(ChangeKind::kRemoveObject, **it));
+    }
   }
 
   // Additions: objects in new but not old, creation order (parents first,
   // guaranteed because create_child requires an existing parent). All
   // AddObject changes come before any added object's state so that
   // cross-references among the additions — including forward ones —
-  // resolve when the change list is applied.
-  std::vector<const ModelObject*> added;
-  for (const ModelObject* object : new_model.objects()) {
-    if (old_model.contains(object->id())) continue;
-    Change change;
-    change.kind = ChangeKind::kAddObject;
-    change.object_id = object->id();
-    change.class_name = object->class_name();
-    change.parent_id = object->parent_id();
-    change.containment = object->containing_reference();
-    out.push_back(std::move(change));
-    added.push_back(object);
+  // resolve when the change list is applied. `before[i]` is the old
+  // version of new object i, or null for an addition.
+  const auto& new_objects = new_model.objects();
+  std::vector<const ModelObject*> before(new_objects.size());
+  for (std::size_t i = 0; i < new_objects.size(); ++i) {
+    before[i] = old_model.find(new_objects[i]->id());
+    if (before[i] == nullptr) {
+      out.push_back(object_change(ChangeKind::kAddObject, *new_objects[i]));
+    }
   }
-  for (const ModelObject* object : added) {
-    emit_object_state(*object, out);
+  for (std::size_t i = 0; i < new_objects.size(); ++i) {
+    if (before[i] == nullptr) emit_object_state(*new_objects[i], out);
   }
 
   // Mutations on surviving objects, in new-model creation order.
-  for (const ModelObject* after : new_model.objects()) {
-    const ModelObject* before = old_model.find(after->id());
-    if (before == nullptr) continue;
-    // Attribute slots: union of names on both sides.
-    std::vector<std::string> names;
-    for (const auto& [name, value] : before->attributes()) {
-      names.push_back(name);
-    }
-    for (const auto& [name, value] : after->attributes()) {
-      if (!before->has(name)) names.push_back(name);
-    }
-    for (const auto& name : names) {
-      const Value& old_value = before->get(name);
-      const Value& new_value = after->get(name);
-      if (old_value == new_value) continue;
-      Change change;
-      change.kind = ChangeKind::kSetAttribute;
-      change.object_id = after->id();
-      change.class_name = after->class_name();
-      change.parent_id = after->parent_id();
-      change.containment = after->containing_reference();
-      change.feature = name;
-      change.old_value = old_value;
-      change.new_value = new_value;
-      out.push_back(std::move(change));
-    }
-    // Cross-reference slots.
-    std::vector<std::string> ref_names;
-    for (const auto& [name, targets] : before->references()) {
-      if (!is_containment(*before, name)) ref_names.push_back(name);
-    }
-    for (const auto& [name, targets] : after->references()) {
-      if (is_containment(*after, name)) continue;
-      if (std::find(ref_names.begin(), ref_names.end(), name) ==
-          ref_names.end()) {
-        ref_names.push_back(name);
-      }
-    }
-    for (const auto& name : ref_names) {
-      const auto& old_targets = before->targets(name);
-      const auto& new_targets = after->targets(name);
-      for (const auto& target : old_targets) {
-        if (std::find(new_targets.begin(), new_targets.end(), target) ==
-            new_targets.end()) {
-          Change change;
-          change.kind = ChangeKind::kRemoveReference;
-          change.object_id = after->id();
-          change.class_name = after->class_name();
-          change.parent_id = after->parent_id();
-          change.containment = after->containing_reference();
-          change.feature = name;
-          change.target_id = target;
-          out.push_back(std::move(change));
-        }
-      }
-      for (const auto& target : new_targets) {
-        if (std::find(old_targets.begin(), old_targets.end(), target) ==
-            old_targets.end()) {
-          Change change;
-          change.kind = ChangeKind::kAddReference;
-          change.object_id = after->id();
-          change.class_name = after->class_name();
-          change.parent_id = after->parent_id();
-          change.containment = after->containing_reference();
-          change.feature = name;
-          change.target_id = target;
-          out.push_back(std::move(change));
-        }
-      }
-    }
+  for (std::size_t i = 0; i < new_objects.size(); ++i) {
+    if (before[i] == nullptr) continue;
+    diff_attributes(*before[i], *new_objects[i], out);
+    diff_references(*before[i], *new_objects[i], out);
   }
   return out;
 }

@@ -50,6 +50,12 @@ const MetaClass* Metamodel::find_class(std::string_view name) const noexcept {
 bool Metamodel::is_kind_of(std::string_view cls,
                            std::string_view ancestor) const noexcept {
   const MetaClass* current = find_class(cls);
+  return current != nullptr && is_kind_of(*current, ancestor);
+}
+
+bool Metamodel::is_kind_of(const MetaClass& cls,
+                           std::string_view ancestor) const noexcept {
+  const MetaClass* current = &cls;
   while (current != nullptr) {
     if (current->name() == ancestor) return true;
     if (current->parent().empty()) return false;

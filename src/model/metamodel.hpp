@@ -125,6 +125,9 @@ class Metamodel {
   /// True if `cls` equals `ancestor` or inherits from it (transitively).
   [[nodiscard]] bool is_kind_of(std::string_view cls,
                                 std::string_view ancestor) const noexcept;
+  /// The same, for an already resolved class.
+  [[nodiscard]] bool is_kind_of(const MetaClass& cls,
+                                std::string_view ancestor) const noexcept;
 
   /// All classes in insertion order.
   [[nodiscard]] std::vector<const MetaClass*> classes() const;

@@ -70,26 +70,30 @@ Result<ModelObject*> Model::create(const std::string& class_name,
     return NotFound("class '" + class_name + "' not in metamodel '" +
                     metamodel_->name() + "'");
   }
-  if (meta->is_abstract()) {
-    return InvalidArgument("class '" + class_name + "' is abstract");
+  return add_object(*meta, id);
+}
+
+Result<ModelObject*> Model::add_object(const MetaClass& meta,
+                                       const std::string& id) {
+  if (meta.is_abstract()) {
+    return InvalidArgument("class '" + meta.name() + "' is abstract");
   }
   if (!is_identifier(id)) {
     return InvalidArgument("'" + id + "' is not a valid object id");
   }
-  if (objects_.contains(id)) {
+  auto created = std::make_unique<ModelObject>(id, meta);
+  ModelObject* object = created.get();
+  if (!objects_.try_emplace(id, std::move(created)).second) {
     return AlreadyExists("object '" + id + "' already in model");
   }
-  auto object = std::make_unique<ModelObject>(id, *meta);
   // Apply attribute defaults declared in the metamodel.
-  for (const auto& attr : meta->attributes()) {
+  for (const auto& attr : meta.attributes()) {
     if (!attr.default_value.is_none()) {
-      object->attributes_[attr.name] = attr.default_value;
+      object->attributes_.emplace(attr.name, attr.default_value);
     }
   }
-  ModelObject* raw = object.get();
-  objects_[id] = std::move(object);
-  order_.push_back(id);
-  return raw;
+  order_.push_back(object);
+  return object;
 }
 
 Result<ModelObject*> Model::create_child(const std::string& parent_id,
@@ -109,7 +113,8 @@ Result<ModelObject*> Model::create_child(const std::string& parent_id,
     return InvalidArgument("reference '" + reference +
                            "' is not a containment reference");
   }
-  if (!metamodel_->is_kind_of(class_name, ref->target_class)) {
+  const MetaClass* meta = metamodel_->find_class(class_name);
+  if (meta == nullptr || !metamodel_->is_kind_of(*meta, ref->target_class)) {
     return InvalidArgument("class '" + class_name + "' is not a kind of '" +
                            ref->target_class + "'");
   }
@@ -117,7 +122,7 @@ Result<ModelObject*> Model::create_child(const std::string& parent_id,
     return FailedPrecondition("single-valued containment '" + reference +
                               "' of '" + parent_id + "' already filled");
   }
-  Result<ModelObject*> created = create(class_name, id);
+  Result<ModelObject*> created = add_object(*meta, id);
   if (!created.ok()) return created.status();
   ModelObject* child = created.value();
   child->parent_id_ = parent_id;
@@ -266,9 +271,9 @@ Status Model::remove(const std::string& id) {
   }
   // Erase the subtree and scrub dangling cross-references to it.
   for (const std::string& gone : doomed) {
-    objects_.erase(gone);
-    order_.erase(std::remove(order_.begin(), order_.end(), gone),
+    order_.erase(std::remove(order_.begin(), order_.end(), find(gone)),
                  order_.end());
+    objects_.erase(gone);
   }
   for (auto& [oid, obj] : objects_) {
     for (auto it = obj->references_.begin(); it != obj->references_.end();) {
@@ -296,18 +301,10 @@ ModelObject* Model::find(std::string_view id) noexcept {
   return it == objects_.end() ? nullptr : it->second.get();
 }
 
-std::vector<const ModelObject*> Model::objects() const {
-  std::vector<const ModelObject*> out;
-  out.reserve(order_.size());
-  for (const auto& id : order_) out.push_back(find(id));
-  return out;
-}
-
 std::vector<const ModelObject*> Model::objects_of(
     std::string_view class_name) const {
   std::vector<const ModelObject*> out;
-  for (const auto& id : order_) {
-    const ModelObject* object = find(id);
+  for (const ModelObject* object : order_) {
     if (metamodel_->is_kind_of(object->class_name(), class_name)) {
       out.push_back(object);
     }
@@ -317,8 +314,7 @@ std::vector<const ModelObject*> Model::objects_of(
 
 std::vector<const ModelObject*> Model::roots() const {
   std::vector<const ModelObject*> out;
-  for (const auto& id : order_) {
-    const ModelObject* object = find(id);
+  for (const ModelObject* object : order_) {
     if (object->parent_id().empty()) out.push_back(object);
   }
   return out;
@@ -336,8 +332,8 @@ std::vector<const ModelObject*> Model::children(
 }
 
 Status Model::validate() const {
-  for (const auto& id : order_) {
-    const ModelObject* object = find(id);
+  for (const ModelObject* object : order_) {
+    const std::string& id = object->id();
     const MetaClass& meta = object->meta();
     // Unknown slots cannot occur (set_attribute checks), but required
     // and enum constraints are deferred to validation.
@@ -403,15 +399,10 @@ Status Model::validate() const {
 
 Model Model::clone() const {
   Model copy(name_, metamodel_);
-  for (const auto& id : order_) {
-    const ModelObject* object = find(id);
-    auto duplicate = std::make_unique<ModelObject>(id, object->meta());
-    duplicate->parent_id_ = object->parent_id_;
-    duplicate->containing_reference_ = object->containing_reference_;
-    duplicate->attributes_ = object->attributes_;
-    duplicate->references_ = object->references_;
-    copy.objects_[id] = std::move(duplicate);
-    copy.order_.push_back(id);
+  for (const ModelObject* object : order_) {
+    auto duplicate = std::make_unique<ModelObject>(*object);
+    copy.order_.push_back(duplicate.get());
+    copy.objects_.emplace(object->id(), std::move(duplicate));
   }
   return copy;
 }

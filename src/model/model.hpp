@@ -9,6 +9,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.hpp"
@@ -137,7 +139,10 @@ class Model {
   }
 
   /// All objects in creation order.
-  [[nodiscard]] std::vector<const ModelObject*> objects() const;
+  [[nodiscard]] const std::vector<const ModelObject*>& objects()
+      const noexcept {
+    return order_;
+  }
   /// Objects whose class is (a subclass of) `class_name`, creation order.
   [[nodiscard]] std::vector<const ModelObject*> objects_of(
       std::string_view class_name) const;
@@ -158,14 +163,26 @@ class Model {
   [[nodiscard]] Model clone() const;
 
  private:
+  /// create() once the class is resolved.
+  Result<ModelObject*> add_object(const MetaClass& meta,
+                                  const std::string& id);
   Status check_reference(const ModelObject& object,
                          const MetaReference& reference,
                          const std::string& target_id) const;
 
   std::string name_;
   MetamodelPtr metamodel_;
-  std::map<std::string, std::unique_ptr<ModelObject>, std::less<>> objects_;
-  std::vector<std::string> order_;  ///< creation order of ids
+  /// Hashes ids for lookup by std::string_view as well as std::string.
+  struct IdHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view id) const noexcept {
+      return std::hash<std::string_view>{}(id);
+    }
+  };
+  std::unordered_map<std::string, std::unique_ptr<ModelObject>, IdHash,
+                     std::equal_to<>>
+      objects_;
+  std::vector<const ModelObject*> order_;  ///< creation order
 };
 
 }  // namespace mdsm::model

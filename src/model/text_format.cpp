@@ -1,186 +1,121 @@
 #include "model/text_format.hpp"
 
-#include <cctype>
+#include <array>
 #include <charconv>
 #include <sstream>
 #include <vector>
-
-#include "common/strings.hpp"
 
 namespace mdsm::model {
 
 namespace {
 
-enum class TokenKind {
-  kWord,     // identifier or bare literal
-  kString,   // quoted, unescaped
-  kNumber,   // raw text of an int/real literal
-  kPunct,    // one of { } = , [ ] or the two-char ->
-  kEnd,
+// Character classes of the grammar: ASCII only, whatever the locale.
+enum CharClass : unsigned char {
+  kSpace = 1,
+  kDigit = 2,
+  kAlpha = 4,
+  kWordMark = 8,  // '_', '.' and '-', which may continue a word
 };
 
+constexpr std::array<unsigned char, 256> kCharClasses = [] {
+  std::array<unsigned char, 256> table{};
+  for (unsigned char c : std::string_view(" \t\n\v\f\r")) table[c] = kSpace;
+  for (unsigned char c = '0'; c <= '9'; ++c) table[c] = kDigit;
+  for (unsigned char c = 'a'; c <= 'z'; ++c) table[c] = kAlpha;
+  for (unsigned char c = 'A'; c <= 'Z'; ++c) table[c] = kAlpha;
+  for (unsigned char c : std::string_view("_.-")) table[c] = kWordMark;
+  return table;
+}();
+
+bool has_class(char c, unsigned char classes) {
+  return (kCharClasses[static_cast<unsigned char>(c)] & classes) != 0;
+}
+bool is_digit(char c) { return has_class(c, kDigit); }
+
+enum class TokenKind {
+  kWord,    // identifier or bare literal
+  kString,  // quoted; the text is the raw content between the quotes
+  kNumber,  // raw text of an int/real literal
+  kPunct,   // one of { } = , [ ] or the two-char ->
+  kEnd,
+  kError,   // lexical error, described by Parser::lex_error_
+};
+
+/// A token is a view into the source text, valid for the whole parse.
 struct Token {
   TokenKind kind = TokenKind::kEnd;
-  std::string text;
-  int line = 0;
+  std::string_view text;
+  int line = 1;
+  bool escaped = false;  ///< kString: the text holds backslash escapes
 };
 
-class Lexer {
- public:
-  explicit Lexer(std::string_view text) : text_(text) {}
-
-  Result<std::vector<Token>> run() {
-    std::vector<Token> out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c)) != 0) {
-        ++pos_;
-      } else if (c == '#') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-      } else if (c == '"') {
-        Result<Token> tok = lex_string();
-        if (!tok.ok()) return tok.status();
-        out.push_back(std::move(tok.value()));
-      } else if (std::isdigit(static_cast<unsigned char>(c)) != 0 ||
-                 ((c == '-' || c == '+') && pos_ + 1 < text_.size() &&
-                  std::isdigit(static_cast<unsigned char>(text_[pos_ + 1])) !=
-                      0)) {
-        out.push_back(lex_number());
-      } else if (c == '-' && pos_ + 1 < text_.size() &&
-                 text_[pos_ + 1] == '>') {
-        out.push_back({TokenKind::kPunct, "->", line_});
-        pos_ += 2;
-      } else if (c == '{' || c == '}' || c == '=' || c == ',' || c == '[' ||
-                 c == ']') {
-        out.push_back({TokenKind::kPunct, std::string(1, c), line_});
-        ++pos_;
-      } else if (std::isalpha(static_cast<unsigned char>(c)) != 0 ||
-                 c == '_') {
-        out.push_back(lex_word());
-      } else {
-        return ParseError("line " + std::to_string(line_) +
-                          ": unexpected character '" + std::string(1, c) +
-                          "'");
+std::string unescape(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size());
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    char c = raw[i];
+    if (c == '\\' && i + 1 < raw.size()) {
+      switch (char esc = raw[++i]) {
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        default: out += esc;
       }
+    } else {
+      out += c;
     }
-    out.push_back({TokenKind::kEnd, "", line_});
-    return out;
   }
-
- private:
-  Result<Token> lex_string() {
-    int line = line_;
-    ++pos_;  // opening quote
-    std::string value;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': value += '\n'; break;
-          case 't': value += '\t'; break;
-          case '"': value += '"'; break;
-          case '\\': value += '\\'; break;
-          default: value += esc;
-        }
-      } else if (c == '\n') {
-        return ParseError("line " + std::to_string(line) +
-                          ": unterminated string");
-      } else {
-        value += c;
-      }
-    }
-    if (pos_ >= text_.size()) {
-      return ParseError("line " + std::to_string(line) +
-                        ": unterminated string");
-    }
-    ++pos_;  // closing quote
-    return Token{TokenKind::kString, std::move(value), line};
-  }
-
-  Token lex_number() {
-    int line = line_;
-    std::size_t start = pos_;
-    if (text_[pos_] == '-' || text_[pos_] == '+') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            ((text_[pos_] == '-' || text_[pos_] == '+') &&
-             (text_[pos_ - 1] == 'e' || text_[pos_ - 1] == 'E')))) {
-      ++pos_;
-    }
-    return {TokenKind::kNumber, std::string(text_.substr(start, pos_ - start)),
-            line};
-  }
-
-  Token lex_word() {
-    int line = line_;
-    std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '_' || text_[pos_] == '.' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    return {TokenKind::kWord, std::string(text_.substr(start, pos_ - start)),
-            line};
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int line_ = 1;
-};
+  return out;
+}
 
 struct PendingReference {
-  std::string object_id;
-  std::string reference;
-  std::string target_id;
+  std::string_view object_id;
+  std::string_view reference;
+  std::string_view target_id;
   int line;
 };
 
-// Bind the next identifier token to `var`, or propagate the parse error.
-// Works in functions returning Status or Result<T> (both accept a Status).
-#define MDSM_WORD(var)                                     \
-  std::string var;                                         \
-  {                                                        \
-    auto mdsm_word_result_ = expect_word();                \
-    if (!mdsm_word_result_.ok()) return mdsm_word_result_.status(); \
-    var = std::move(mdsm_word_result_.value());            \
-  }
+// Bind the next identifier to `var`, or return the parse error. Works in
+// functions returning Status or Result<T> (both accept a Status).
+#define MDSM_TAKE_WORD(var)                                         \
+  std::string_view var;                                             \
+  if (tok_.kind != TokenKind::kWord) return expected("identifier"); \
+  var = tok_.text;                                                  \
+  advance()
 
+/// Recursive-descent parser straight over the source text, with one
+/// token of lookahead (`tok_`) and no token buffer. It builds the model
+/// through the Model API as it reads. A lexical error becomes an error
+/// token, so the parse stops at the first fault in reading order.
 class Parser {
  public:
-  Parser(std::vector<Token> tokens, MetamodelPtr metamodel)
-      : tokens_(std::move(tokens)), metamodel_(std::move(metamodel)) {}
+  Parser(std::string_view text, MetamodelPtr metamodel)
+      : text_(text), metamodel_(std::move(metamodel)) {
+    advance();
+  }
 
   Result<Model> run() {
     // Header: model <name> conforms <metamodel>
-    MDSM_WORD(kw);
-    if (kw != "model") return error("expected 'model'");
-    MDSM_WORD(name);
-    MDSM_WORD(conforms);
+    MDSM_TAKE_WORD(keyword);
+    if (keyword != "model") return error("expected 'model'");
+    MDSM_TAKE_WORD(name);
+    MDSM_TAKE_WORD(conforms);
     if (conforms != "conforms") return error("expected 'conforms'");
-    MDSM_WORD(mm_name);
-    if (mm_name != metamodel_->name()) {
-      return error("model conforms to '" + mm_name + "' but metamodel is '" +
-                   metamodel_->name() + "'");
+    MDSM_TAKE_WORD(metamodel_name);
+    if (metamodel_name != metamodel_->name()) {
+      return error("model conforms to '" + std::string(metamodel_name) +
+                   "' but metamodel is '" + metamodel_->name() + "'");
     }
-    Model model(name, metamodel_);
-    while (peek().kind != TokenKind::kEnd) {
-      MDSM_WORD(word);
+    Model model(std::string(name), metamodel_);
+    while (tok_.kind != TokenKind::kEnd) {
+      MDSM_TAKE_WORD(word);
       if (word != "object") return error("expected 'object'");
-      Status status = parse_object(model, /*parent_id=*/"", /*ref=*/"");
-      if (!status.ok()) return status;
+      MDSM_RETURN_IF_ERROR(parse_object(model, /*parent_id=*/"", /*ref=*/""));
     }
-    for (const auto& pending : pending_refs_) {
-      Status status = model.add_reference(pending.object_id, pending.reference,
-                                          pending.target_id);
-      if (!status.ok()) {
-        return ParseError("line " + std::to_string(pending.line) + ": " +
-                          status.message());
-      }
+    for (const PendingReference& pending : pending_refs_) {
+      Status status = model.add_reference(std::string(pending.object_id),
+                                          std::string(pending.reference),
+                                          std::string(pending.target_id));
+      if (!status.ok()) return at_line(pending.line, status.message());
     }
     return model;
   }
@@ -190,147 +125,249 @@ class Parser {
   Result<Value> run_value() {
     Result<Value> value = parse_value();
     if (!value.ok()) return value.status();
-    if (peek().kind != TokenKind::kEnd) {
-      return error("trailing input after value, got '" + peek().text + "'");
+    if (tok_.kind != TokenKind::kEnd) {
+      return unexpected("trailing input after value");
     }
     return value;
   }
 
  private:
-  const Token& peek() const { return tokens_[index_]; }
-  Token take() { return tokens_[index_++]; }
+  // ---- Lexer: fills tok_ with the next token. An error token stays. ----
+  void advance() {
+    if (tok_.kind == TokenKind::kError) return;
+    while (pos_ < text_.size()) {
+      char c = text_[pos_];
+      if (c == '\n') {
+        ++line_;
+        ++pos_;
+      } else if (has_class(c, kSpace)) {
+        ++pos_;
+      } else if (c == '#') {
+        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
+      } else {
+        break;
+      }
+    }
+    tok_ = Token{TokenKind::kEnd, {}, line_};
+    if (pos_ >= text_.size()) return;
+    char c = text_[pos_];
+    bool signed_digit = (c == '-' || c == '+') && pos_ + 1 < text_.size() &&
+                        is_digit(text_[pos_ + 1]);
+    if (c == '"') {
+      lex_string();
+    } else if (is_digit(c) || signed_digit) {
+      lex_number();
+    } else if (c == '-' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '>') {
+      take(TokenKind::kPunct, 2);
+    } else if (c == '{' || c == '}' || c == '=' || c == ',' || c == '[' ||
+               c == ']') {
+      take(TokenKind::kPunct, 1);
+    } else if (c == '_' || has_class(c, kAlpha)) {
+      std::size_t end = pos_ + 1;
+      while (end < text_.size() &&
+             has_class(text_[end], kAlpha | kDigit | kWordMark)) {
+        ++end;
+      }
+      take(TokenKind::kWord, end - pos_);
+    } else {
+      lex_fail("unexpected character '" + std::string(1, c) + "'");
+    }
+  }
 
+  void take(TokenKind kind, std::size_t length) {
+    tok_.kind = kind;
+    tok_.text = text_.substr(pos_, length);
+    pos_ += length;
+  }
+
+  void lex_string() {
+    std::size_t end = pos_ + 1;  // past the opening quote
+    bool escaped = false;
+    while (end < text_.size() && text_[end] != '"') {
+      if (text_[end] == '\\' && end + 1 < text_.size()) {
+        escaped = true;
+        end += 2;
+      } else if (text_[end] == '\n') {
+        return lex_fail("unterminated string");
+      } else {
+        ++end;
+      }
+    }
+    if (end >= text_.size()) return lex_fail("unterminated string");
+    tok_.kind = TokenKind::kString;
+    tok_.text = text_.substr(pos_ + 1, end - pos_ - 1);
+    tok_.escaped = escaped;
+    pos_ = end + 1;  // past the closing quote
+  }
+
+  void lex_number() {
+    std::size_t end = pos_ + 1;  // the first char is a digit or a sign
+    while (end < text_.size()) {
+      char c = text_[end];
+      bool exponent_sign = (c == '-' || c == '+') &&
+                           (text_[end - 1] == 'e' || text_[end - 1] == 'E');
+      if (!is_digit(c) && c != '.' && c != 'e' && c != 'E' && !exponent_sign) {
+        break;
+      }
+      ++end;
+    }
+    take(TokenKind::kNumber, end - pos_);
+  }
+
+  void lex_fail(std::string message) {
+    tok_ = Token{TokenKind::kError, {}, line_};
+    lex_error_ = std::move(message);
+    pos_ = text_.size();
+  }
+
+  // ---- Errors. A lexical error in the lookahead outranks the parse
+  // error that noticed it. ----
+  Status at_line(int line, const std::string& message) const {
+    if (tok_.kind == TokenKind::kError) {
+      return ParseError("line " + std::to_string(tok_.line) + ": " +
+                        lex_error_);
+    }
+    return ParseError("line " + std::to_string(line) + ": " + message);
+  }
   Status error(const std::string& message) const {
-    return ParseError("line " + std::to_string(peek().line) + ": " + message);
+    return at_line(tok_.line, message);
+  }
+  /// "expected <what>, got '<lookahead>'".
+  Status expected(std::string_view what) const {
+    return unexpected("expected " + std::string(what));
+  }
+  /// "<message>, got '<lookahead>'".
+  Status unexpected(std::string message) const {
+    message += ", got '";
+    message += tok_.kind == TokenKind::kString && tok_.escaped
+                   ? unescape(tok_.text)
+                   : std::string(tok_.text);
+    message += '\'';
+    return error(message);
   }
 
-  Result<std::string> expect_word() {
-    if (peek().kind != TokenKind::kWord) {
-      return ParseError("line " + std::to_string(peek().line) +
-                        ": expected identifier, got '" + peek().text + "'");
-    }
-    return take().text;
+  bool at_punct(std::string_view punct) const {
+    return tok_.kind == TokenKind::kPunct && tok_.text == punct;
   }
-
+  /// Consume `punct` if it is the lookahead.
+  bool take_punct(std::string_view punct) {
+    if (!at_punct(punct)) return false;
+    advance();
+    return true;
+  }
   Status expect_punct(std::string_view punct) {
-    if (peek().kind != TokenKind::kPunct || peek().text != punct) {
-      return error("expected '" + std::string(punct) + "', got '" +
-                   peek().text + "'");
-    }
-    take();
-    return Status::Ok();
+    if (take_punct(punct)) return Status::Ok();
+    std::string what = "'";
+    what += punct;
+    what += '\'';
+    return expected(what);
   }
 
+  // ---- Grammar. ----
   Status parse_object(Model& model, const std::string& parent_id,
-                      const std::string& containment) {
-    MDSM_WORD(class_name);
-    MDSM_WORD(id);
+                      std::string_view containment) {
+    MDSM_TAKE_WORD(class_name);
+    MDSM_TAKE_WORD(id_text);
+    std::string id(id_text);
     Result<ModelObject*> created =
         parent_id.empty()
-            ? model.create(class_name, id)
-            : model.create_child(parent_id, containment, class_name, id);
-    if (!created.ok()) {
-      return ParseError("line " + std::to_string(peek().line) + ": " +
-                        created.status().message());
-    }
+            ? model.create(std::string(class_name), id)
+            : model.create_child(parent_id, std::string(containment),
+                                 std::string(class_name), id);
+    if (!created.ok()) return error(created.status().message());
     MDSM_RETURN_IF_ERROR(expect_punct("{"));
-    while (!(peek().kind == TokenKind::kPunct && peek().text == "}")) {
-      if (peek().kind == TokenKind::kEnd) return error("unexpected EOF");
-      MDSM_WORD(slot);
+    while (!take_punct("}")) {
+      if (tok_.kind == TokenKind::kEnd) return error("unexpected EOF");
+      MDSM_TAKE_WORD(slot);
       if (slot == "child") {
-        MDSM_WORD(ref_name);
-        MDSM_RETURN_IF_ERROR(parse_object(model, id, ref_name));
-        continue;
-      }
-      if (peek().kind == TokenKind::kPunct && peek().text == "=") {
-        take();
+        MDSM_TAKE_WORD(reference);
+        MDSM_RETURN_IF_ERROR(parse_object(model, id, reference));
+      } else if (take_punct("=")) {
         Result<Value> value = parse_value();
         if (!value.ok()) return value.status();
-        Status status = model.set_attribute(id, slot, std::move(value.value()));
-        if (!status.ok()) {
-          return ParseError("line " + std::to_string(peek().line) + ": " +
-                            status.message());
-        }
-      } else if (peek().kind == TokenKind::kPunct && peek().text == "->") {
-        take();
-        while (true) {
-          MDSM_WORD(target);
-          pending_refs_.push_back({id, slot, target, peek().line});
-          if (peek().kind == TokenKind::kPunct && peek().text == ",") {
-            take();
-            continue;
-          }
-          break;
-        }
+        Status status =
+            model.set_attribute(id, std::string(slot), std::move(*value));
+        if (!status.ok()) return error(status.message());
+      } else if (take_punct("->")) {
+        do {
+          MDSM_TAKE_WORD(target);
+          pending_refs_.push_back({id_text, slot, target, tok_.line});
+        } while (take_punct(","));
       } else {
-        return error("expected '=' or '->' after '" + slot + "'");
+        return error("expected '=' or '->' after '" + std::string(slot) +
+                     "'");
       }
     }
-    take();  // '}'
     return Status::Ok();
   }
 
   Result<Value> parse_value() {
-    const Token& tok = peek();
+    const Token tok = tok_;
     switch (tok.kind) {
       case TokenKind::kString:
-        return Value(take().text);
+        advance();
+        return Value(tok.escaped ? unescape(tok.text) : std::string(tok.text));
       case TokenKind::kNumber: {
-        std::string text = take().text;
-        if (text.find('.') != std::string::npos ||
-            text.find('e') != std::string::npos ||
-            text.find('E') != std::string::npos) {
-          return Value(std::stod(text));
+        advance();
+        if (Result<Value> number = parse_number(tok.text); number.ok()) {
+          return number;
         }
-        std::int64_t i = 0;
-        auto [ptr, ec] =
-            std::from_chars(text.data(), text.data() + text.size(), i);
-        if (ec != std::errc{} || ptr != text.data() + text.size()) {
-          return ParseError("line " + std::to_string(tok.line) +
-                            ": bad number '" + text + "'");
-        }
-        return Value(i);
+        return at_line(tok.line, "bad number '" + std::string(tok.text) + "'");
       }
-      case TokenKind::kWord: {
-        std::string word = take().text;
-        if (word == "true") return Value(true);
-        if (word == "false") return Value(false);
-        if (word == "none") return Value();
-        return Value(word);  // bare word: enum literal / short string
-      }
+      case TokenKind::kWord:
+        advance();
+        if (tok.text == "true") return Value(true);
+        if (tok.text == "false") return Value(false);
+        if (tok.text == "none") return Value();
+        return Value(std::string(tok.text));  // enum literal / short string
       case TokenKind::kPunct:
         if (tok.text == "[") {
-          take();
+          advance();
           ValueList items;
-          if (peek().kind == TokenKind::kPunct && peek().text == "]") {
-            take();
-            return Value(std::move(items));
-          }
-          while (true) {
+          if (take_punct("]")) return Value(std::move(items));
+          do {
             Result<Value> item = parse_value();
             if (!item.ok()) return item.status();
-            items.push_back(std::move(item.value()));
-            if (peek().kind == TokenKind::kPunct && peek().text == ",") {
-              take();
-              continue;
-            }
-            break;
-          }
+            items.push_back(std::move(*item));
+          } while (take_punct(","));
           MDSM_RETURN_IF_ERROR(expect_punct("]"));
           return Value(std::move(items));
         }
         [[fallthrough]];
       default:
-        return ParseError("line " + std::to_string(tok.line) +
-                          ": expected value, got '" + tok.text + "'");
+        return expected("value");
     }
   }
 
-  std::vector<Token> tokens_;
-  std::size_t index_ = 0;
+  /// An int literal must be all digits (with an optional '-'); a real
+  /// literal (one with '.', 'e' or 'E') is read as far as it parses.
+  static Result<Value> parse_number(std::string_view text) {
+    const char* first = text.data();
+    const char* last = text.data() + text.size();
+    if (text.find_first_of(".eE") != std::string_view::npos) {
+      if (*first == '+') ++first;
+      double d = 0;
+      if (std::from_chars(first, last, d).ec != std::errc{}) {
+        return ParseError("bad number");
+      }
+      return Value(d);
+    }
+    std::int64_t i = 0;
+    auto [ptr, ec] = std::from_chars(first, last, i);
+    if (ec != std::errc{} || ptr != last) return ParseError("bad number");
+    return Value(i);
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  int line_ = 1;
+  Token tok_;
+  std::string lex_error_;
   MetamodelPtr metamodel_;
   std::vector<PendingReference> pending_refs_;
 };
+
+#undef MDSM_TAKE_WORD
 
 void serialize_object(const Model& model, const ModelObject& object,
                       int indent, std::ostringstream& out) {
@@ -367,27 +404,17 @@ void serialize_object(const Model& model, const ModelObject& object,
   out << pad << "}\n";
 }
 
-#undef MDSM_WORD
-
 }  // namespace
 
 Result<Model> parse_model(std::string_view text, MetamodelPtr metamodel) {
   if (metamodel == nullptr || !metamodel->finalized()) {
     return InvalidArgument("parse_model requires a finalized metamodel");
   }
-  Lexer lexer(text);
-  Result<std::vector<Token>> tokens = lexer.run();
-  if (!tokens.ok()) return tokens.status();
-  Parser parser(std::move(tokens.value()), std::move(metamodel));
-  return parser.run();
+  return Parser(text, std::move(metamodel)).run();
 }
 
 Result<Value> parse_value(std::string_view text) {
-  Lexer lexer(text);
-  Result<std::vector<Token>> tokens = lexer.run();
-  if (!tokens.ok()) return tokens.status();
-  Parser parser(std::move(tokens.value()), /*metamodel=*/nullptr);
-  return parser.run_value();
+  return Parser(text, /*metamodel=*/nullptr).run_value();
 }
 
 std::string serialize_model(const Model& model) {

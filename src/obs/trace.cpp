@@ -70,7 +70,9 @@ std::string Trace::to_text() const {
     auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                   span.elapsed())
                   .count();
-    out += " " + std::to_string(us) + "us";
+    out += ' ';
+    out += std::to_string(us);
+    out += "us";
     if (!span.closed) out += " (open)";
     out += "\n";
   }

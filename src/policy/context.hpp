@@ -56,8 +56,10 @@ class ContextOverlay {
  public:
   explicit ContextOverlay(const ContextStore& base) : base_(&base) {}
 
-  void bind(std::string name, model::Value value) {
-    bindings_.emplace_back(std::move(name), std::move(value));
+  /// Bind `name` to a Value built in place from `value`.
+  template <typename V>
+  void bind(std::string name, V&& value) {
+    bindings_.emplace_back(std::move(name), std::forward<V>(value));
   }
 
   [[nodiscard]] model::Value get(std::string_view name) const {

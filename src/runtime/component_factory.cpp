@@ -46,8 +46,8 @@ Result<std::unique_ptr<Component>> ComponentFactory::instantiate(
     return NotFound("no component template '" + template_name +
                     "' (needed by model object '" + spec.id() + "')");
   }
-  log_debug("factory") << "instantiating '" << spec.id() << "' via template '"
-                       << template_name << "'";
+  MDSM_LOG_DEBUG("factory") << "instantiating '" << spec.id()
+                            << "' via template '" << template_name << "'";
   Result<std::unique_ptr<Component>> component =
       it->second(spec, middleware_model);
   if (component.ok() && component.value() == nullptr) {

@@ -1,5 +1,7 @@
 #include "synthesis/synthesis_engine.hpp"
 
+#include <utility>
+
 #include "common/log.hpp"
 #include "model/text_format.hpp"
 
@@ -13,7 +15,7 @@ SynthesisEngine::SynthesisEngine(std::string name, model::MetamodelPtr dsml,
       lts_(std::move(lts)),
       interpreter_(lts_, dsml, context),
       dispatch_(std::move(dispatch)),
-      runtime_model_("runtime", dsml) {}
+      runtime_model_(std::make_shared<const model::Model>("runtime", dsml)) {}
 
 Result<controller::ControlScript> SynthesisEngine::submit_model(
     model::Model new_model, obs::RequestContext& context) {
@@ -62,12 +64,13 @@ Result<controller::ControlScript> SynthesisEngine::commit_core(
     return valid;
   }
   Result<controller::ControlScript> script = InvalidArgument("unreachable");
+  ModelPtr previous;  // released after the mutex, if this was its last use
   {
     std::lock_guard lock(mutex_);
     // Model comparator.
-    model::ChangeList changes = model::diff(runtime_model_, new_model);
-    log_debug("synthesis") << name() << ": " << changes.size()
-                           << " change(s) between runtime and new model";
+    model::ChangeList changes = model::diff(*runtime_model_, new_model);
+    MDSM_LOG_DEBUG("synthesis") << name() << ": " << changes.size()
+                                << " change(s) between runtime and new model";
     // Change interpreter. Interpreter state mutates as transitions fire;
     // on interpretation failure the engine keeps the old runtime model
     // but interpreter states may have advanced — domains treat
@@ -93,7 +96,9 @@ Result<controller::ControlScript> SynthesisEngine::commit_core(
       metrics_->counter("synthesis.scripts").add();
       metrics_->counter("synthesis.commands").add(script->commands.size());
     }
-    runtime_model_ = std::move(new_model);
+    previous = std::exchange(
+        runtime_model_,
+        std::make_shared<const model::Model>(std::move(new_model)));
     if (listener_ != nullptr) listener_(runtime_model_);
   }
   return script;
@@ -106,16 +111,24 @@ void SynthesisEngine::handle_controller_event(const std::string& topic,
   event_log_.push_back(topic + ": " + payload.to_text());
 }
 
-std::string SynthesisEngine::runtime_model_text() const {
+SynthesisEngine::ModelPtr SynthesisEngine::runtime_model() const {
   std::lock_guard lock(mutex_);
-  return model::serialize_model(runtime_model_);
+  return runtime_model_;
+}
+
+std::string SynthesisEngine::runtime_model_text() const {
+  return model::serialize_model(*runtime_model());
 }
 
 SynthesisEngine::ExportedState SynthesisEngine::export_state() const {
-  std::lock_guard lock(mutex_);
   ExportedState out;
-  out.runtime_model_text = model::serialize_model(runtime_model_);
-  out.lts_states = interpreter_.states();
+  ModelPtr committed;
+  {
+    std::lock_guard lock(mutex_);
+    committed = runtime_model_;
+    out.lts_states = interpreter_.states();
+  }
+  out.runtime_model_text = model::serialize_model(*committed);
   return out;
 }
 
@@ -129,8 +142,9 @@ Status SynthesisEngine::restore_state(
   }
   Status valid = runtime_model.validate();
   if (!valid.ok()) return valid;
+  auto restored = std::make_shared<const model::Model>(std::move(runtime_model));
   std::lock_guard lock(mutex_);
-  runtime_model_ = std::move(runtime_model);
+  runtime_model_.swap(restored);
   interpreter_.restore_states(std::move(lts_states));
   if (listener_ != nullptr) listener_(runtime_model_);
   return Status::Ok();

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -52,9 +53,13 @@ class SynthesisEngine final : public runtime::Component {
   /// request's span tree.
   using Dispatch = std::function<Status(const controller::ControlScript&,
                                         obs::RequestContext&)>;
+  /// The committed runtime model. It is immutable once committed, so
+  /// every holder shares it instead of copying it.
+  using ModelPtr = std::shared_ptr<const model::Model>;
   /// Listener invoked with the updated runtime model after a successful
-  /// submission ("dispatches a new runtime model to the UI").
-  using ModelListener = std::function<void(const model::Model&)>;
+  /// submission ("dispatches a new runtime model to the UI"). It runs
+  /// under the serial mutex, so listeners see commits in commit order.
+  using ModelListener = std::function<void(const ModelPtr&)>;
 
   SynthesisEngine(std::string name, model::MetamodelPtr dsml, Lts lts,
                   const policy::ContextStore& context, Dispatch dispatch);
@@ -108,14 +113,11 @@ class SynthesisEngine final : public runtime::Component {
   void handle_controller_event(const std::string& topic,
                                const model::Value& payload);
 
-  /// Reference to the committed runtime model. Only meaningful while no
-  /// submission is in flight; concurrent readers should use
-  /// runtime_model_text() instead.
-  [[nodiscard]] const model::Model& runtime_model() const noexcept {
-    return runtime_model_;
-  }
-  /// Serialized runtime model, captured under the engine's mutex — the
-  /// race-free way to observe the model while submissions are running.
+  /// The committed runtime model, taken under the engine's mutex. It
+  /// stays valid (and unchanged) for as long as the caller holds it, even
+  /// while later submissions commit.
+  [[nodiscard]] ModelPtr runtime_model() const;
+  /// Serialized runtime model (the committed model at the time of call).
   [[nodiscard]] std::string runtime_model_text() const;
   [[nodiscard]] const ChangeInterpreter& interpreter() const noexcept {
     return interpreter_;
@@ -126,9 +128,10 @@ class SynthesisEngine final : public runtime::Component {
   [[nodiscard]] std::vector<std::string> event_log() const;
 
   /// Atomic export of the synthesis-layer session state: the serialized
-  /// runtime model and every tracked LTS state, captured under ONE hold
-  /// of the serial mutex so the pair is mutually consistent even while
-  /// submissions are racing. This is the checkpoint payload.
+  /// runtime model and every tracked LTS state, both taken under ONE
+  /// hold of the serial mutex so the pair is mutually consistent even
+  /// while submissions are racing (the model is serialized after the
+  /// mutex is released). This is the checkpoint payload.
   struct ExportedState {
     std::string runtime_model_text;
     std::map<std::string, std::string, std::less<>> lts_states;
@@ -157,10 +160,10 @@ class SynthesisEngine final : public runtime::Component {
   Dispatch executor_;
   ModelListener listener_;
   /// Serializes diff → interpret → dispatch → commit → listener. Also
-  /// guards runtime_model_ and the interpreter's LTS state.
+  /// guards the runtime_model_ pointer and the interpreter's LTS state.
   mutable std::mutex mutex_;
-  model::Model runtime_model_;  ///< "an empty model if the system has
-                                ///< just been started"
+  ModelPtr runtime_model_;  ///< "an empty model if the system has just
+                            ///< been started"
   struct AtomicStats {
     std::atomic<std::uint64_t> models_submitted{0};
     std::atomic<std::uint64_t> scripts_dispatched{0};

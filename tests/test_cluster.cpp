@@ -17,6 +17,7 @@
 #include "cluster/cluster_front_end.hpp"
 #include "cluster/shard_node.hpp"
 #include "cluster/shard_ring.hpp"
+#include "common/strings.hpp"
 #include "core/middleware_metamodel.hpp"
 #include "core/platform.hpp"
 #include "ingress/ingress_client.hpp"
@@ -43,7 +44,7 @@ TEST(ShardRing, CoversEveryShardWithRoughBalance) {
   EXPECT_EQ(ring.points(), 256u);
   std::vector<int> owned(4, 0);
   for (int i = 0; i < 1000; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = numbered("k", i);
     const std::size_t owner = ring.owner(key);
     ASSERT_LT(owner, 4u);
     EXPECT_EQ(ring.owner(key), owner);  // deterministic
@@ -59,7 +60,7 @@ TEST(ShardRing, CoversEveryShardWithRoughBalance) {
 TEST(ShardRing, ReplicaIsAlwaysADistinctShard) {
   const cluster::ShardRing ring(3, 32);
   for (int i = 0; i < 200; ++i) {
-    const std::string key = "s" + std::to_string(i);
+    const std::string key = numbered("s", i);
     EXPECT_NE(ring.replica(key), ring.owner(key)) << key;
   }
   // Degenerate single-shard ring: the only candidate is the owner.
@@ -73,7 +74,7 @@ TEST(ShardRing, GrowingTheRingMovesOnlyAMinorityOfKeys) {
   int moved = 0;
   constexpr int kKeys = 1000;
   for (int i = 0; i < kKeys; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = numbered("k", i);
     if (four.owner(key) != five.owner(key)) ++moved;
   }
   // Consistent hashing's whole point: ~1/5 of keys move, not ~4/5 as
@@ -99,7 +100,7 @@ TEST(ShardRing, AddShardMovesBoundedArcsToTheNewcomerOnly) {
     const cluster::ShardRing fresh(n + 1, 64);
     int moved = 0;
     for (int i = 0; i < kKeys; ++i) {
-      const std::string key = "k" + std::to_string(i);
+      const std::string key = numbered("k", i);
       ASSERT_EQ(ring.owner(key), fresh.owner(key)) << key;
       if (before.owner(key) != ring.owner(key)) {
         ++moved;
@@ -130,7 +131,7 @@ TEST(ShardRing, RemoveShardHandsArcsToSurvivorsOthersStayPut) {
   for (const cluster::ShardRing::Arc& arc : arcs) EXPECT_EQ(arc.from, 2u);
   int moved = 0;
   for (int i = 0; i < kKeys; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = numbered("k", i);
     if (before.owner(key) == 2) {
       ++moved;
       EXPECT_NE(ring.owner(key), 2u) << key;
@@ -145,7 +146,7 @@ TEST(ShardRing, RemoveShardHandsArcsToSurvivorsOthersStayPut) {
   // Splicing the leaver back restores the original placement exactly.
   ASSERT_FALSE(ring.add_shard(2).empty());
   for (int i = 0; i < kKeys; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = numbered("k", i);
     ASSERT_EQ(ring.owner(key), before.owner(key)) << key;
   }
 }
@@ -261,7 +262,7 @@ std::unique_ptr<ClusterDeployment> make_cluster(
 
   std::vector<std::string> endpoints;
   for (std::size_t i = 0; i < shards; ++i) {
-    if (!launch_spare(*out, "shard-" + std::to_string(i))) return nullptr;
+    if (!launch_spare(*out, numbered("shard-", i))) return nullptr;
     endpoints.push_back(out->nodes.back()->endpoint_name());
   }
 
@@ -313,7 +314,7 @@ TEST(ClusterE2E, SessionStickyRoutingMatchesTheRing) {
   Ledger ledger;
   std::vector<std::uint64_t> expected_executions(4, 0);
   for (int i = 0; i < kSessions; ++i) {
-    const std::string session = "s" + std::to_string(i);
+    const std::string session = numbered("s", i);
     // Each soak submission costs two svc invocations on its owner.
     expected_executions[cluster->frontend->ring().owner(session)] += 2;
     ASSERT_TRUE(cluster->client
@@ -377,7 +378,7 @@ TEST(ClusterE2E, QueryFansOutAndMergesEveryShard) {
 
   ASSERT_TRUE(merged->status.ok()) << merged->status.to_string();
   for (int shard = 0; shard < 3; ++shard) {
-    EXPECT_NE(merged->payload.find("=== shard " + std::to_string(shard) +
+    EXPECT_NE(merged->payload.find(numbered("=== shard ", shard) +
                                    " ==="),
               std::string::npos)
         << merged->payload;
@@ -473,7 +474,7 @@ TEST(ClusterE2E, FailoverResolvesEveryRequestExactlyOnce) {
   const std::size_t victim = 0;
   std::vector<std::string> victim_sessions;
   for (int i = 0; victim_sessions.size() < 12; ++i) {
-    const std::string session = "s" + std::to_string(i);
+    const std::string session = numbered("s", i);
     if (cluster->frontend->ring().owner(session) == victim) {
       victim_sessions.push_back(session);
     }
@@ -523,7 +524,7 @@ TEST(ClusterE2E, FailoverResolvesEveryRequestExactlyOnce) {
   Ledger second_wave;
   std::vector<std::string> more;
   for (int i = 1000; more.size() < 4; ++i) {
-    const std::string session = "s" + std::to_string(i);
+    const std::string session = numbered("s", i);
     if (cluster->frontend->ring().owner(session) == victim) {
       more.push_back(session);
       EXPECT_EQ(cluster->frontend->shard_for(session),
@@ -563,8 +564,8 @@ TEST(ClusterE2E, SingleShardDeathYieldsTypedLossNotSilence) {
   constexpr int kSubmissions = 3;
   for (int i = 0; i < kSubmissions; ++i) {
     ASSERT_TRUE(cluster->client
-                    ->submit("testlang", "s" + std::to_string(i),
-                             soak::open_session_text("s" + std::to_string(i)),
+                    ->submit("testlang", numbered("s", i),
+                             soak::open_session_text(numbered("s", i)),
                              ledger.recorder())
                     .ok());
   }
@@ -673,7 +674,7 @@ TEST(ClusterE2E, FailoverConsultsTheReplicaBreaker) {
   cluster->nodes[1]->kill();
   std::vector<std::string> owned_by_1;
   for (int i = 0; owned_by_1.size() < 8; ++i) {
-    const std::string session = "a" + std::to_string(i);
+    const std::string session = numbered("a", i);
     if (cluster->frontend->ring().owner(session) == 1) {
       owned_by_1.push_back(session);
     }
@@ -702,7 +703,7 @@ TEST(ClusterE2E, FailoverConsultsTheReplicaBreaker) {
   cluster->nodes[2]->kill();
   std::vector<std::string> doomed;
   for (int i = 0; doomed.size() < 4; ++i) {
-    const std::string session = "b" + std::to_string(i);
+    const std::string session = numbered("b", i);
     if (cluster->frontend->ring().owner(session) == 2 &&
         cluster->frontend->ring().replica(session) == 1) {
       doomed.push_back(session);
@@ -735,7 +736,7 @@ TEST(ClusterE2E, FailoverConsultsTheReplicaBreaker) {
   Ledger third;
   std::vector<std::string> more;
   for (int i = 1000; more.size() < 3; ++i) {
-    const std::string session = "b" + std::to_string(i);
+    const std::string session = numbered("b", i);
     if (cluster->frontend->ring().owner(session) == 2 &&
         cluster->frontend->ring().replica(session) == 1) {
       more.push_back(session);
@@ -773,7 +774,7 @@ TEST(ClusterE2E, FailoverDeductsTheDeadlineAlreadySpent) {
   cluster->nodes[victim]->kill();
   std::vector<std::string> sessions;
   for (int i = 0; sessions.size() < 6; ++i) {
-    const std::string session = "d" + std::to_string(i);
+    const std::string session = numbered("d", i);
     if (cluster->frontend->ring().owner(session) == victim) {
       sessions.push_back(session);
     }
@@ -875,7 +876,7 @@ TEST(ClusterE2E, JoinWarmsTheNewcomerThenServesMovedSessions) {
   Ledger ledger;
   std::vector<std::uint64_t> expected(5, 0);
   for (int i = 0; i < kSessions; ++i) {
-    const std::string session = "j" + std::to_string(i);
+    const std::string session = numbered("j", i);
     expected[cluster->frontend->ring().owner(session)] += 2;
     ASSERT_TRUE(cluster->client
                     ->submit("testlang", session,
@@ -911,7 +912,7 @@ TEST(ClusterE2E, LeaveDrainsInFlightForwardsThenRetires) {
 
   std::vector<std::string> sessions;
   for (int i = 0; sessions.size() < 8; ++i) {
-    const std::string session = "l" + std::to_string(i);
+    const std::string session = numbered("l", i);
     if (cluster->frontend->ring().owner(session) == victim) {
       sessions.push_back(session);
     }
@@ -995,7 +996,7 @@ TEST(ClusterE2E, ElasticResizeUnderLoadKeepsCallbacksExactlyOnce) {
   int submitted = 0;
   auto blast = [&](int count) {
     for (int i = 0; i < count; ++i, ++submitted) {
-      const std::string session = "load-" + std::to_string(submitted);
+      const std::string session = numbered("load-", submitted);
       ASSERT_TRUE(cluster->client
                       ->submit("testlang", session,
                                soak::open_session_text(session),
@@ -1052,7 +1053,7 @@ TEST(ClusterE2E, FailoverResumesSessionFromReplicatedCheckpoint) {
   // A session shard 0 owns; in a two-member ring its replica is 1.
   std::string session;
   for (int i = 0; session.empty(); ++i) {
-    const std::string candidate = "r" + std::to_string(i);
+    const std::string candidate = numbered("r", i);
     if (cluster->frontend->ring().owner(candidate) == 0) session = candidate;
   }
   const std::size_t owner = 0;

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "common/ids.hpp"
+#include "common/strings.hpp"
 #include "policy/context.hpp"
 #include "policy/policy_engine.hpp"
 #include "runtime/event_bus.hpp"
@@ -95,14 +96,14 @@ TEST(Concurrency, ContextStoreConcurrentReadersAndWriters) {
     threads.emplace_back([&context, &stop, w] {
       std::int64_t n = 0;
       while (!stop.load()) {
-        context.set("k" + std::to_string(w), model::Value(++n));
+        context.set(numbered("k", w), model::Value(++n));
       }
     });
   }
   for (int r = 0; r < 4; ++r) {
     threads.emplace_back([&context, &stop, &read_errors, r] {
       while (!stop.load()) {
-        model::Value value = context.get("k" + std::to_string(r));
+        model::Value value = context.get(numbered("k", r));
         if (!value.is_none() && !value.is_int()) {
           read_errors.fetch_add(1);
         }

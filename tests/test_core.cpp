@@ -6,6 +6,10 @@
 //   synthesis → controller (Case 1 + Case 2) → broker → resource trace.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <thread>
+
 #include "core/platform.hpp"
 #include "core/spec_decode.hpp"
 #include "model_fixtures.hpp"
@@ -319,12 +323,57 @@ TEST_F(PlatformFixture, BrokerStateManagerMirrorsRuntimeModel) {
                   ->submit_model_text("model app conforms testlang\n"
                                       "object Session s1 { state = open }\n")
                   .ok());
-  // models@runtime at the broker layer: the state manager holds a copy
-  // of the committed application model.
+  // models@runtime at the broker layer: the state manager holds the
+  // committed application model.
   ASSERT_TRUE(platform->broker().state().has_runtime_model());
-  const model::Model& mirror = platform->broker().state().runtime_model();
-  ASSERT_NE(mirror.find("s1"), nullptr);
-  EXPECT_EQ(mirror.find("s1")->get_string("state"), "open");
+  std::shared_ptr<const model::Model> mirror =
+      platform->broker().state().runtime_model();
+  ASSERT_NE(mirror->find("s1"), nullptr);
+  EXPECT_EQ(mirror->find("s1")->get_string("state"), "open");
+}
+
+// Regression: the mirror used to hand out a reference to a model that
+// the next commit destroyed. A reader now holds the committed model it
+// was given, however many commits land while it serializes it.
+TEST_F(PlatformFixture, BrokerMirrorReadableWhileSubmissionsCommit) {
+  ASSERT_TRUE(platform->start().ok());
+  platform->context().set("bandwidth", Value(5.0));
+  constexpr int kSubmitters = 4;
+  constexpr int kPerSubmitter = 40;
+  std::atomic<int> running{kSubmitters};
+  std::atomic<int> failed_submits{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int i = 0; i < kPerSubmitter; ++i) {
+        std::string text =
+            "model app conforms testlang\nobject Session s1 { state = open "
+            "label = \"";
+        text += std::to_string(t * kPerSubmitter + i);
+        text += "\" }\n";
+        obs::RequestContext context = platform->make_context();
+        if (!platform->submit_model_text(text, context).ok()) {
+          ++failed_submits;
+        }
+      }
+      --running;
+    });
+  }
+  int reads = 0;
+  do {
+    std::shared_ptr<const model::Model> mirror =
+        platform->broker().state().runtime_model();
+    ASSERT_NE(mirror, nullptr);
+    std::string text = model::serialize_model(*mirror);
+    EXPECT_TRUE(model::parse_model(text, dsml).ok()) << text;
+    ++reads;
+  } while (running.load() > 0);
+  for (auto& thread : submitters) thread.join();
+  EXPECT_EQ(failed_submits.load(), 0);
+  EXPECT_GT(reads, 0);
+  std::shared_ptr<const model::Model> last =
+      platform->broker().state().runtime_model();
+  EXPECT_EQ(model::serialize_model(*last), platform->runtime_model_text());
 }
 
 TEST_F(PlatformFixture, BadApplicationModelTextIsParseError) {

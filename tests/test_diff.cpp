@@ -3,6 +3,7 @@
 
 #include <random>
 
+#include "common/strings.hpp"
 #include "model/diff.hpp"
 #include "model_fixtures.hpp"
 
@@ -157,7 +158,7 @@ TEST_P(DiffPropertyTest, ObjectCountDeltaMatchesAddRemoveBalance) {
   for (int step = 0; step < 20; ++step) {
     switch (op(rng)) {
       case 0: {  // add participant
-        std::string id = "gen" + std::to_string(++created) + "x" +
+        std::string id = numbered("gen", ++created) + "x" +
                          std::to_string(GetParam());
         if (after.contains("s1")) {
           after.create_child("s1", "participants", "Participant", id);
@@ -183,7 +184,7 @@ TEST_P(DiffPropertyTest, ObjectCountDeltaMatchesAddRemoveBalance) {
         if (after.contains("s1")) {
           after.set_attribute(
               "s1", "tags",
-              Value(ValueList{Value("t" + std::to_string(step))}));
+              Value(ValueList{Value(numbered("t", step))}));
         }
         break;
       }
@@ -274,7 +275,7 @@ TEST_P(DiffPropertyTest, EncodedChangeListsSurviveTheWire) {
   for (int step = 0; step < 20; ++step) {
     switch (op(rng)) {
       case 0: {
-        std::string id = "wire" + std::to_string(++created) + "x" +
+        std::string id = numbered("wire", ++created) + "x" +
                          std::to_string(GetParam());
         if (after.contains("s1")) {
           after.create_child("s1", "participants", "Participant", id);
@@ -300,7 +301,7 @@ TEST_P(DiffPropertyTest, EncodedChangeListsSurviveTheWire) {
         if (after.contains("s1")) {
           after.set_attribute(
               "s1", "tags",
-              Value(ValueList{Value("t" + std::to_string(step)),
+              Value(ValueList{Value(numbered("t", step)),
                               Value(static_cast<std::int64_t>(step))}));
         }
         break;

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "core/platform.hpp"
 #include "ingress/ingress_client.hpp"
 #include "ingress/ingress_server.hpp"
@@ -494,8 +495,8 @@ TEST(IngressE2E, OverloadRefusalsPropagateAsTypedRepliesUnderLoad) {
   constexpr int kSubmissions = 100;
   for (int i = 0; i < kSubmissions; ++i) {
     auto submitted = deployment->client->submit(
-        "testlang", "s" + std::to_string(i),
-        soak::open_session_text("s" + std::to_string(i)), ledger.recorder());
+        "testlang", numbered("s", i),
+        soak::open_session_text(numbered("s", i)), ledger.recorder());
     ASSERT_TRUE(submitted.ok()) << submitted.status().to_string();
   }
 
@@ -547,8 +548,8 @@ TEST(IngressE2E, LostRepliesExpireExactlyOnceUnderDropRate) {
   constexpr int kSubmissions = 60;
   for (int i = 0; i < kSubmissions; ++i) {
     ASSERT_TRUE(deployment->client
-                    ->submit("testlang", "s" + std::to_string(i),
-                             soak::open_session_text("s" + std::to_string(i)),
+                    ->submit("testlang", numbered("s", i),
+                             soak::open_session_text(numbered("s", i)),
                              ledger.recorder())
                     .ok());
   }
@@ -827,7 +828,7 @@ TEST(IngressE2E, ModelDrivenRateLimitRefusesTheBurstOverflow) {
 
   Ledger ledger;
   for (int i = 0; i < 4; ++i) {
-    const std::string session = "rl" + std::to_string(i);
+    const std::string session = numbered("rl", i);
     ASSERT_TRUE(deployment->client
                     ->submit("testlang", session,
                              soak::open_session_text(session),
@@ -976,7 +977,7 @@ TEST(IngressE2E, RetryBudgetHealsLossesWithoutDoubleExecution) {
   Ledger ledger;
   constexpr int kSubmissions = 60;
   for (int i = 0; i < kSubmissions; ++i) {
-    const std::string session = "r" + std::to_string(i);
+    const std::string session = numbered("r", i);
     ASSERT_TRUE(deployment->client
                     ->submit("testlang", session,
                              soak::open_session_text(session),
@@ -1062,7 +1063,7 @@ TEST(IngressE2E, InFlightDedupEntrySurvivesCapacityPressure) {
   Ledger ledger;
   constexpr int kFlood = 4;
   for (int i = 0; i < kFlood; ++i) {
-    const std::string session = "flood" + std::to_string(i);
+    const std::string session = numbered("flood", i);
     ASSERT_TRUE(deployment->client
                     ->submit("testlang", session,
                              soak::open_session_text(session),

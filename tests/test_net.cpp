@@ -4,6 +4,7 @@
 #include <atomic>
 #include <thread>
 
+#include "common/strings.hpp"
 #include "net/network.hpp"
 
 namespace mdsm::net {
@@ -74,7 +75,7 @@ TEST(Network, FifoBetweenSamePairWithoutJitter) {
   auto b = network.create_endpoint("b").value();
   std::vector<std::string> topics;
   b->set_handler([&](const Message& m) { topics.push_back(m.topic); });
-  for (int i = 0; i < 5; ++i) a->send("b", "m" + std::to_string(i));
+  for (int i = 0; i < 5; ++i) a->send("b", numbered("m", i));
   network.run_until_idle();
   EXPECT_EQ(topics, (std::vector<std::string>{"m0", "m1", "m2", "m3", "m4"}));
 }
@@ -113,7 +114,7 @@ TEST(Network, DeterministicAcrossRunsWithSameSeed) {
     std::vector<std::uint64_t> order;
     network.find_endpoint("b")->set_handler(
         [&](const Message& m) { order.push_back(m.id % 1000); });
-    for (int i = 0; i < 50; ++i) a->send("b", "m" + std::to_string(i));
+    for (int i = 0; i < 50; ++i) a->send("b", numbered("m", i));
     network.run_until_idle();
     return std::pair(order.size(), network.stats().dropped);
   };

@@ -24,7 +24,9 @@ void expect_full_pipeline(const obs::Trace& trace, bool has_broker) {
   EXPECT_EQ(trace.count("synthesis.submit"), 1u);
   EXPECT_EQ(trace.count("controller.script"), 1u);
   EXPECT_GE(trace.count("controller.signal"), 1u);
-  if (has_broker) EXPECT_GE(trace.count("broker.call"), 1u);
+  if (has_broker) {
+    EXPECT_GE(trace.count("broker.call"), 1u);
+  }
   const obs::Span* ui = trace.find("ui.submit");
   const obs::Span* synthesis = trace.find("synthesis.submit");
   const obs::Span* script = trace.find("controller.script");

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/log.hpp"
+#include "common/strings.hpp"
 #include "core/platform.hpp"
 #include "soak_fixtures.hpp"
 
@@ -249,7 +250,7 @@ TEST(Overload, ConcurrentLedgerAccountsForEverySubmission) {
   for (int t = 0; t < kThreads; ++t) {
     submitters.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        std::string id = "s" + std::to_string(t) + "_" + std::to_string(i);
+        std::string id = numbered("s", t) + numbered("_", i);
         Status status = platform->submit_async(
             soak::open_session_text(id),
             [&](Result<controller::ControlScript> outcome) {

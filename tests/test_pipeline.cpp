@@ -17,6 +17,7 @@
 #include "broker/broker_api.hpp"
 #include "broker/chaos_adapter.hpp"
 #include "common/log.hpp"
+#include "common/strings.hpp"
 #include "controller/controller_layer.hpp"
 #include "core/platform.hpp"
 #include "model_fixtures.hpp"
@@ -361,7 +362,7 @@ TEST_F(PipelineTest, StopDrainsInflightPipelinedSubmissions) {
   int rejected = 0;
   for (int i = 0; i < kSubmissions; ++i) {
     Status queued = platform.submit_async(
-        soak::open_session_text("d" + std::to_string(i)),
+        soak::open_session_text(numbered("d", i)),
         [&](Result<controller::ControlScript> script) {
           std::lock_guard lock(done_mutex);
           ++completed;

@@ -6,6 +6,7 @@
 #include <functional>
 #include <random>
 
+#include "common/strings.hpp"
 #include "model/diff.hpp"
 #include "model/text_format.hpp"
 #include "model_fixtures.hpp"
@@ -26,11 +27,11 @@ Model random_model(const MetamodelPtr& mm, unsigned seed,
   std::uniform_real_distribution<double> bandwidth(0.0, 10.0);
   const char* states[] = {"idle", "open", "closed"};
   const char* kinds[] = {"audio", "video", "file"};
-  Model model("rand" + std::to_string(seed), mm);
+  Model model(numbered("rand", seed), mm);
   int uid = 0;
   int session_count = sessions(rng);
   for (int s = 0; s < session_count; ++s) {
-    std::string sid = prefix + "s" + std::to_string(s);
+    std::string sid = prefix + numbered("s", s);
     model.create("Session", sid);
     model.set_attribute(sid, "state", Value(states[seed % 3]));
     if (coin(rng) == 1) {
@@ -39,14 +40,14 @@ Model random_model(const MetamodelPtr& mm, unsigned seed,
     if (coin(rng) == 1) {
       ValueList tags;
       for (int t = 0; t <= coin(rng); ++t) {
-        tags.push_back(Value("tag" + std::to_string(t)));
+        tags.push_back(Value(numbered("tag", t)));
       }
       model.set_attribute(sid, "tags", Value(std::move(tags)));
     }
     int participant_count = children(rng);
     std::vector<std::string> participant_ids;
     for (int p = 0; p < participant_count; ++p) {
-      std::string pid = prefix + "p" + std::to_string(uid++);
+      std::string pid = prefix + numbered("p", uid++);
       model.create_child(sid, "participants", "Participant", pid);
       model.set_attribute(pid, "address", Value(pid + "@host"));
       if (coin(rng) == 1) {
@@ -57,7 +58,7 @@ Model random_model(const MetamodelPtr& mm, unsigned seed,
     }
     int media_count = children(rng) / 2;
     for (int m = 0; m < media_count; ++m) {
-      std::string mid = prefix + "m" + std::to_string(uid++);
+      std::string mid = prefix + numbered("m", uid++);
       const char* cls = coin(rng) == 1 ? "StreamMedia" : "Media";
       model.create_child(sid, "media", cls, mid);
       model.set_attribute(mid, "kind", Value(kinds[uid % 3]));
@@ -134,7 +135,8 @@ std::string diff_listings(const MetamodelPtr& mm, unsigned seed) {
   auto edited = [&](const std::function<void(Model&)>& edit) {
     Model copy = a.clone();
     edit(copy);
-    out += "\n" + summarize(diff(a, copy));
+    out += '\n';
+    out += summarize(diff(a, copy));
   };
   // Edit a session with participants where there is one, so that the
   // cross-reference edits have a target.

@@ -20,6 +20,7 @@
 #include "broker/broker_layer.hpp"
 #include "broker/invocation_policy.hpp"
 #include "common/log.hpp"
+#include "common/strings.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/event_loop.hpp"
 #include "soak_fixtures.hpp"
@@ -595,7 +596,7 @@ TEST_F(ResilienceSoak, SeededChaosBelowRetryBudgetIsInvisibleToUsers) {
   for (int i = 0; i < kSessions; ++i) {
     obs::RequestContext context = platform.make_context(kDeadline);
     auto script = platform.submit_model_text(
-        soak::open_session_text("s" + std::to_string(i)), context);
+        soak::open_session_text(numbered("s", i)), context);
     ASSERT_TRUE(script.ok()) << "submission " << i << ": "
                              << script.status().to_string();
     EXPECT_LT(context.elapsed(), kDeadline);
@@ -646,7 +647,7 @@ TEST_F(ResilienceSoak, ConcurrentChaosLedgerReconcilesWithRetries) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        std::string id = "r-" + std::to_string(t) + "-" + std::to_string(i);
+        std::string id = numbered("r-", t) + numbered("-", i);
         obs::RequestContext context = platform.make_context();
         if (platform.submit_model_text(soak::open_session_text(id), context)
                 .ok()) {

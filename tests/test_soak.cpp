@@ -172,6 +172,12 @@ TEST_F(SoakTest, BackgroundBusAndTimerChurnDoesNotDisturbSubmissions) {
     timers.run_due();
   });
 
+  // The storm is under way before the first submission, however fast
+  // the submissions then run: both kinds of churn have cycled once.
+  while (churn_deliveries.load() == 0 || timers_fired.load() == 0) {
+    std::this_thread::yield();
+  }
+
   constexpr int kThreads = 2;
   constexpr int kPerThread = 30;
   constexpr std::uint64_t kTotal = kThreads * kPerThread;

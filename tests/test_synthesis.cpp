@@ -62,7 +62,7 @@ TEST_F(SynthesisFixture, AddObjectFiresCreationTransition) {
   ASSERT_EQ(dispatched.size(), 1u);
   EXPECT_EQ(dispatched[0].to_text(), "session.create(id=\"s1\")");
   EXPECT_EQ(engine.interpreter().state_of("s1"), "created");
-  EXPECT_EQ(engine.runtime_model().size(), 1u);
+  EXPECT_EQ(engine.runtime_model()->size(), 1u);
 }
 
 TEST_F(SynthesisFixture, LifecycleAcrossSubmissions) {
@@ -146,7 +146,7 @@ TEST_F(SynthesisFixture, InvalidModelRejectedAndRuntimeModelUnchanged) {
   bad.create("Participant", "p");  // missing required address
   EXPECT_EQ(engine.submit_model(std::move(bad)).status().code(),
             ErrorCode::kConformanceError);
-  EXPECT_EQ(engine.runtime_model().size(), 1u);  // previous model in force
+  EXPECT_EQ(engine.runtime_model()->size(), 1u);  // previous model in force
   EXPECT_EQ(engine.stats().rejected_models, 1u);
 }
 
@@ -166,13 +166,13 @@ TEST_F(SynthesisFixture, DispatchFailureKeepsOldModel) {
                           });
   EXPECT_EQ(failing.submit_model(base_model()).status().code(),
             ErrorCode::kUnavailable);
-  EXPECT_TRUE(failing.runtime_model().empty());
+  EXPECT_TRUE(failing.runtime_model()->empty());
 }
 
 TEST_F(SynthesisFixture, ModelListenerSeesCommittedModel) {
   std::string seen;
   engine.set_model_listener(
-      [&](const model::Model& m) { seen = m.name(); });
+      [&](const std::shared_ptr<const model::Model>& m) { seen = m->name(); });
   ASSERT_TRUE(engine.submit_model(base_model("committed")).ok());
   EXPECT_EQ(seen, "committed");
 }
