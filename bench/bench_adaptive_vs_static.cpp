@@ -94,7 +94,9 @@ int main() {
   NullBroker broker;
   runtime::EventBus bus;
   policy::ContextStore context;
-  controller::ControllerLayer adaptive("adaptive", broker, bus, context);
+  obs::MetricsRegistry metrics;
+  controller::ControllerLayer adaptive("adaptive", broker, bus, context,
+                                       metrics);
   load_dsk(adaptive);
   controller::StaticController fixed(broker, bus, context);
   fixed.set_table(table_for("wired"));

@@ -104,7 +104,8 @@ int main(int argc, char** argv) {
   NullBroker broker;
   runtime::EventBus bus;
   policy::ContextStore context;
-  ControllerLayer layer("bench", broker, bus, context);
+  obs::MetricsRegistry metrics;
+  ControllerLayer layer("bench", broker, bus, context, metrics);
   populate_repository(layer);
   if (!json_only) {
     std::printf("Exp-3: IM generation with %zu procedures in the repository\n",

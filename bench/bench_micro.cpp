@@ -113,7 +113,8 @@ BENCHMARK(BM_MiddlewareModelParse);
 struct BrokerFixtureState {
   runtime::EventBus bus;
   policy::ContextStore context;
-  broker::BrokerLayer layer{"b", bus, context};
+  obs::MetricsRegistry metrics;
+  broker::BrokerLayer layer{"b", bus, context, metrics};
 
   BrokerFixtureState() {
     class Echo : public broker::ResourceAdapter {
@@ -169,7 +170,8 @@ struct ControllerFixtureState {
   NullBroker broker;
   runtime::EventBus bus;
   policy::ContextStore context;
-  controller::ControllerLayer layer{"c", broker, bus, context};
+  obs::MetricsRegistry metrics;
+  controller::ControllerLayer layer{"c", broker, bus, context, metrics};
   controller::StaticController fixed{broker, bus, context};
 
   ControllerFixtureState() {
@@ -239,7 +241,8 @@ void BM_ImGenerationColdByRepoSize(benchmark::State& state) {
   NullBroker broker;
   runtime::EventBus bus;
   policy::ContextStore context;
-  controller::ControllerLayer layer("g", broker, bus, context);
+  obs::MetricsRegistry metrics;
+  controller::ControllerLayer layer("g", broker, bus, context, metrics);
   const int variants = static_cast<int>(state.range(0));
   (void)layer.dscs().add({"root", {}, "", ""});
   (void)layer.dscs().add({"dep", {}, "", ""});

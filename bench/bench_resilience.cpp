@@ -60,7 +60,8 @@ RunResult run(double fail_rate, const broker::InvocationPolicy* policy,
               int invokes) {
   mdsm::runtime::EventBus bus;
   mdsm::policy::ContextStore store;
-  broker::BrokerLayer layer("bench", bus, store);
+  mdsm::obs::MetricsRegistry metrics;
+  broker::BrokerLayer layer("bench", bus, store, metrics);
   broker::ChaosConfig chaos_config;
   chaos_config.fail_rate = fail_rate;
   auto chaos = std::make_unique<broker::ChaosAdapter>(

@@ -104,7 +104,8 @@ int main() {
   runtime::EventBus bus;
   policy::ContextStore context;
   // ONE engine instance, both domains' DSK — no engine modification.
-  ControllerLayer layer("shared-engine", broker, bus, context);
+  obs::MetricsRegistry metrics;
+  ControllerLayer layer("shared-engine", broker, bus, context, metrics);
   load_comm_dsk(layer);
   load_mgrid_dsk(layer);
   context.set("grid.mode", Value("normal"));

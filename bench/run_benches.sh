@@ -16,6 +16,8 @@
 # owner dies mid-feed must close on the survivor with exactly one
 # re-executed step each and post-failover goodput >= 0.9x the pre-kill
 # plateau), then composes their JSON outputs into one consolidated file.
+# The file also records src_lines, the total line count of src/*.cpp and
+# src/*.hpp, the code-size figure the roadmap tracks.
 #
 # Usage: bench/run_benches.sh [build-dir] <pr> | [build-dir] --smoke
 #   build-dir  defaults to <repo>/build
@@ -73,6 +75,7 @@ else
   cluster_json="$("$BENCH_DIR/bench_cluster" --json)"
 fi
 trace_json="$("$BENCH_DIR/bench_trace_overhead")"
+src_lines="$(find "$ROOT/src" -name '*.cpp' -o -name '*.hpp' | xargs cat | wc -l)"
 
 if [ "$SMOKE" = 1 ]; then
   OUT="$BUILD/BENCH_smoke.json"
@@ -83,6 +86,7 @@ fi
   printf '{\n'
   printf '  "pr": %s,\n' "${PR:-null}"
   printf '  "smoke": %s,\n' "$([ "$SMOKE" = 1 ] && echo true || echo false)"
+  printf '  "src_lines": %s,\n' "$src_lines"
   printf '  "throughput": %s,\n' "$throughput_json"
   printf '  "im_generation": %s,\n' "$im_json"
   printf '  "trace_overhead": %s,\n' "$trace_json"

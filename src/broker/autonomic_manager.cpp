@@ -8,8 +8,14 @@ namespace mdsm::broker {
 
 AutonomicManager::AutonomicManager(runtime::EventBus& bus,
                                    policy::ContextStore& context,
+                                   obs::MetricsRegistry& metrics,
                                    StepExecutor execute_steps)
-    : bus_(&bus), context_(&context), execute_steps_(std::move(execute_steps)) {}
+    : bus_(&bus),
+      context_(&context),
+      adaptations_(metrics.counter("autonomic.reactions")),
+      detected_(metrics.counter("autonomic.symptoms_detected")),
+      reaction_failures_(metrics.counter("autonomic.reaction_failures")),
+      execute_steps_(std::move(execute_steps)) {}
 
 AutonomicManager::~AutonomicManager() {
   for (auto id : subscriptions_) bus_->unsubscribe(id);
@@ -51,7 +57,7 @@ void AutonomicManager::on_event(const runtime::Event& event,
   const Symptom& symptom = symptoms_[symptom_index];
   Result<bool> holds = symptom.condition.evaluate_bool(*context_);
   if (!holds.ok() || !*holds) return;
-  detected_.fetch_add(1, std::memory_order_relaxed);
+  detected_.add();
   log_entry("symptom " + symptom.name + " on " + event.topic +
             " -> request " + symptom.change_request);
   Args args;
@@ -70,8 +76,7 @@ Status AutonomicManager::raise_request(const std::string& request,
     if (plan.handles_request != request) continue;
     Result<bool> applicable = plan.guard.evaluate_bool(*context_);
     if (!applicable.ok() || !*applicable) continue;
-    adaptations_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_ != nullptr) metrics_->counter("autonomic.reactions").add();
+    adaptations_.add();
     log_entry("plan " + plan.name + " executing for " + request);
     // Reactions are reached through bus subscriptions, so the request
     // that caused them is only visible as the ambient context; the span
@@ -83,9 +88,7 @@ Status AutonomicManager::raise_request(const std::string& request,
     }
     Status executed = execute_steps_(plan.steps, args);
     if (request_context != nullptr) request_context->close_span(span);
-    if (!executed.ok() && metrics_ != nullptr) {
-      metrics_->counter("autonomic.reaction_failures").add();
-    }
+    if (!executed.ok()) reaction_failures_.add();
     return executed;
   }
   return NotFound("no applicable change plan for request '" + request + "'");

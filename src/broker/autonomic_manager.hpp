@@ -9,7 +9,6 @@
 // through the layer's step executor).
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -17,6 +16,7 @@
 
 #include "broker/action.hpp"
 #include "common/status.hpp"
+#include "obs/metrics.hpp"
 #include "obs/request_context.hpp"
 #include "policy/context.hpp"
 #include "runtime/event_bus.hpp"
@@ -49,8 +49,10 @@ class AutonomicManager {
   using StepExecutor = std::function<Status(
       const std::vector<ActionStep>& steps, const Args& request_args)>;
 
+  /// Counts go to `metrics` ("autonomic.*" cells, resolved here), which
+  /// must outlive the manager.
   AutonomicManager(runtime::EventBus& bus, policy::ContextStore& context,
-                   StepExecutor execute_steps);
+                   obs::MetricsRegistry& metrics, StepExecutor execute_steps);
   ~AutonomicManager();
 
   AutonomicManager(const AutonomicManager&) = delete;
@@ -59,20 +61,15 @@ class AutonomicManager {
   Status add_symptom(Symptom symptom);
   Status add_plan(ChangePlan plan);
 
-  /// Platform-wide metrics sink (optional; wired via the broker layer).
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept {
-    metrics_ = metrics;
-  }
-
   /// Manually raise a change request (also used internally by symptom
   /// detection). Selects the highest-priority applicable plan.
   Status raise_request(const std::string& request, const Args& args = {});
 
   [[nodiscard]] std::uint64_t adaptations() const noexcept {
-    return adaptations_.load(std::memory_order_relaxed);
+    return adaptations_.value();
   }
   [[nodiscard]] std::uint64_t symptoms_detected() const noexcept {
-    return detected_.load(std::memory_order_relaxed);
+    return detected_.value();
   }
   /// Copy of the adaptation log (events fire on request threads).
   [[nodiscard]] std::vector<std::string> adaptation_log() const {
@@ -89,13 +86,13 @@ class AutonomicManager {
 
   runtime::EventBus* bus_;
   policy::ContextStore* context_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Counter& adaptations_;  ///< "autonomic.reactions"
+  obs::Counter& detected_;     ///< "autonomic.symptoms_detected"
+  obs::Counter& reaction_failures_;
   StepExecutor execute_steps_;
   std::vector<Symptom> symptoms_;
   std::vector<ChangePlan> plans_;
   std::vector<std::uint64_t> subscriptions_;
-  std::atomic<std::uint64_t> adaptations_{0};
-  std::atomic<std::uint64_t> detected_{0};
   mutable std::mutex log_mutex_;  ///< guards log_ only
   std::vector<std::string> log_;
 };

@@ -1,3 +1,4 @@
+#include <atomic>
 #include <mutex>
 #include <optional>
 
@@ -8,13 +9,17 @@
 namespace mdsm::broker {
 
 BrokerLayer::BrokerLayer(std::string name, runtime::EventBus& bus,
-                         policy::ContextStore& context)
+                         policy::ContextStore& context,
+                         obs::MetricsRegistry& metrics)
     : Component(std::move(name)),
       bus_(&bus),
       context_(&context),
-      resources_(bus) {
+      calls_handled_(metrics.counter("broker.calls")),
+      events_received_(metrics.counter("broker.events_received")),
+      events_dispatched_(metrics.counter("broker.events")),
+      resources_(bus, metrics) {
   autonomic_ = std::make_unique<AutonomicManager>(
-      bus, context,
+      bus, context, metrics,
       [this](const std::vector<ActionStep>& steps, const Args& args) {
         Result<model::Value> result = execute_steps(steps, args);
         return result.ok() ? Status::Ok() : result.status();
@@ -76,12 +81,6 @@ Result<const Action*> BrokerLayer::select_action(
   return best;
 }
 
-void BrokerLayer::set_metrics(obs::MetricsRegistry* metrics) noexcept {
-  metrics_ = metrics;
-  resources_.set_metrics(metrics);
-  autonomic_->set_metrics(metrics);
-}
-
 Result<model::Value> BrokerLayer::call(const Call& call,
                                        obs::RequestContext& context) {
   return run_inline<Result<model::Value>>([&](CallCallback done) {
@@ -99,8 +98,7 @@ void BrokerLayer::start_call(const Call& broker_call,
                              obs::RequestContext& context, bool inline_mode,
                              CallCallback done) {
   obs::ContextScope ambient(context);
-  calls_handled_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) metrics_->counter("broker.calls").add();
+  calls_handled_.add();
   // The span is closed when the step run finishes, not by a ScopedSpan:
   // in async mode the call may park and complete on another thread long
   // after this frame unwinds.
@@ -124,7 +122,7 @@ void BrokerLayer::start_call(const Call& broker_call,
 Status BrokerLayer::handle_event(const std::string& topic,
                                  model::Value payload,
                                  obs::RequestContext& context) {
-  events_handled_.fetch_add(1, std::memory_order_relaxed);
+  events_received_.add();
   Result<const Action*> action = select_action(topic);
   if (!action.ok()) {
     // Unhandled events are not errors: layers subscribe selectively.
@@ -132,7 +130,7 @@ Status BrokerLayer::handle_event(const std::string& topic,
   }
   obs::ContextScope ambient(context);
   obs::ScopedSpan span(context, "broker.event", topic);
-  if (metrics_ != nullptr) metrics_->counter("broker.events").add();
+  events_dispatched_.add();
   Args args;
   args["event.topic"] = model::Value(topic);
   args["event.payload"] = std::move(payload);

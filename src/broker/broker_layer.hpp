@@ -7,7 +7,6 @@
 // assembler targets and what tests drive directly.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <shared_mutex>
@@ -30,8 +29,10 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
   /// The bus and context are owned by the enclosing platform; a broker
   /// layer participates in them rather than owning them (so controller,
   /// broker and autonomic behavior observe one coherent context).
+  /// The layer and its resource and autonomic managers count into
+  /// `metrics` (cells resolved here), which must outlive the layer.
   BrokerLayer(std::string name, runtime::EventBus& bus,
-              policy::ContextStore& context);
+              policy::ContextStore& context, obs::MetricsRegistry& metrics);
 
   // -- configuration (performed by the assembler or by domain DSK code)
 
@@ -57,10 +58,6 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
     std::shared_lock lock(config_mutex_);
     return actions_.size();
   }
-
-  /// Platform-wide metrics sink; also forwarded to the resource and
-  /// autonomic managers (optional; wired by the assembler).
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept;
 
   // -- BrokerApi (the upward-facing interface)
 
@@ -108,11 +105,14 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
 
   // -- statistics
 
+  /// "broker.calls": every call crossing.
   [[nodiscard]] std::uint64_t calls_handled() const noexcept {
-    return calls_handled_.load(std::memory_order_relaxed);
+    return calls_handled_.value();
   }
+  /// "broker.events_received": every event, handled or not (only the
+  /// handled ones count in "broker.events").
   [[nodiscard]] std::uint64_t events_handled() const noexcept {
-    return events_handled_.load(std::memory_order_relaxed);
+    return events_received_.value();
   }
 
  private:
@@ -143,7 +143,9 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
 
   runtime::EventBus* bus_;
   policy::ContextStore* context_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Counter& calls_handled_;
+  obs::Counter& events_received_;
+  obs::Counter& events_dispatched_;  ///< "broker.events"
   StateManager state_;
   policy::PolicySet policies_;
   ResourceManager resources_;
@@ -154,8 +156,6 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
   mutable std::shared_mutex config_mutex_;
   std::map<std::string, Action, std::less<>> actions_;
   std::map<std::string, Handler, std::less<>> handlers_;
-  std::atomic<std::uint64_t> calls_handled_{0};
-  std::atomic<std::uint64_t> events_handled_{0};
 };
 
 }  // namespace mdsm::broker

@@ -7,6 +7,20 @@
 
 namespace mdsm::broker {
 
+ResourceManager::ResourceManager(runtime::EventBus& bus,
+                                 obs::MetricsRegistry& metrics)
+    : bus_(&bus),
+      commands_counter_(metrics.counter("broker.commands")),
+      exceptions_counter_(metrics.counter("broker.adapter_exceptions")),
+      retries_counter_(metrics.counter("broker.retries")),
+      exhausted_counter_(metrics.counter("broker.retry_exhausted")),
+      breaker_open_counter_(metrics.counter("broker.breaker_open")),
+      breaker_transitions_counter_(
+          metrics.counter("broker.breaker_transitions")),
+      fallbacks_counter_(metrics.counter("broker.fallbacks")),
+      overruns_counter_(metrics.counter("broker.attempt_overruns")),
+      late_completions_counter_(metrics.counter("broker.late_completions")) {}
+
 Status ResourceManager::add_adapter(std::unique_ptr<ResourceAdapter> adapter) {
   if (adapter == nullptr) return InvalidArgument("null resource adapter");
   const std::string name = adapter->name();
@@ -93,26 +107,6 @@ CircuitBreaker::State ResourceManager::breaker_state(
                             : breaker->state();
 }
 
-void ResourceManager::set_metrics(obs::MetricsRegistry* metrics) noexcept {
-  if (metrics == nullptr) {
-    commands_counter_ = exceptions_counter_ = retries_counter_ =
-        exhausted_counter_ = breaker_open_counter_ =
-            breaker_transitions_counter_ = fallbacks_counter_ =
-                overruns_counter_ = late_completions_counter_ = nullptr;
-    return;
-  }
-  commands_counter_ = &metrics->counter("broker.commands");
-  exceptions_counter_ = &metrics->counter("broker.adapter_exceptions");
-  retries_counter_ = &metrics->counter("broker.retries");
-  exhausted_counter_ = &metrics->counter("broker.retry_exhausted");
-  breaker_open_counter_ = &metrics->counter("broker.breaker_open");
-  breaker_transitions_counter_ = &metrics->counter(
-      "broker.breaker_transitions");
-  fallbacks_counter_ = &metrics->counter("broker.fallbacks");
-  overruns_counter_ = &metrics->counter("broker.attempt_overruns");
-  late_completions_counter_ = &metrics->counter("broker.late_completions");
-}
-
 // ---- the invocation state machine (inline or async; DESIGN.md §6b) ----
 //
 // In async mode the per-attempt timeout is a timer that *disowns* an
@@ -188,7 +182,7 @@ void ResourceManager::execute_attempt(ResourceAdapter& adapter,
                                       const Args& args, bool inline_mode,
                                       ResourceAdapter::Completion done) {
   trace_.record(resource, command, args);
-  count(commands_counter_);
+  commands_counter_.add();
   MDSM_LOG_DEBUG("resource-manager")
       << resource << "." << format_invocation(command, args);
   // Adapters are plugin code over external resources; this is the fault
@@ -213,14 +207,14 @@ void ResourceManager::execute_attempt(ResourceAdapter& adapter,
     }
     outcome.emplace(adapter.execute(command, args));
   } catch (const std::exception& e) {
-    count(exceptions_counter_);
+    exceptions_counter_.add();
     log_error("resource-manager")
         << resource << "." << command << " threw: " << e.what();
     outcome.emplace(ExecutionError("resource adapter '" + resource +
                                    "' threw during '" + command +
                                    "': " + e.what()));
   } catch (...) {
-    count(exceptions_counter_);
+    exceptions_counter_.add();
     log_error("resource-manager")
         << resource << "." << command << " threw a non-std::exception";
     outcome.emplace(ExecutionError("resource adapter '" + resource +
@@ -294,7 +288,7 @@ void ResourceManager::start_attempt(std::shared_ptr<Invocation> call) {
   if (call->state->breaker != nullptr) {
     admitted = call->state->breaker->admit(clock.now());
     if (admitted.admission == CircuitBreaker::Admission::kReject) {
-      count(breaker_open_counter_);
+      breaker_open_counter_.add();
       MDSM_LOG_DEBUG("resource-manager")
           << call->resource << "." << call->command
           << " fast-failed: circuit open";
@@ -318,12 +312,12 @@ void ResourceManager::start_attempt(std::shared_ptr<Invocation> call) {
                                              admitted.admission, false,
                                              clock.now()));
     }
-    count(exhausted_counter_);
+    exhausted_counter_.add();
     call->resolve(gate);
     return;
   }
   ++call->attempt;
-  if (call->attempt > 1) count(retries_counter_);
+  if (call->attempt > 1) retries_counter_.add();
   const std::uint64_t span = context.open_span(
       "broker.attempt", call->resource + "." + call->command + "#" +
                             std::to_string(call->attempt));
@@ -340,7 +334,7 @@ void ResourceManager::start_attempt(std::shared_ptr<Invocation> call) {
         [this, call, settled, admission = admitted.admission, span,
          started] {
           if (settled->exchange(true, std::memory_order_acq_rel)) return;
-          count(overruns_counter_);
+          overruns_counter_.add();
           Status timed_out = Timeout(
               "resource '" + call->resource + "' attempt " +
               std::to_string(call->attempt) + " of '" + call->command +
@@ -364,7 +358,7 @@ void ResourceManager::start_attempt(std::shared_ptr<Invocation> call) {
         if (settled->exchange(true, std::memory_order_acq_rel)) {
           // The overrun timer already disowned this attempt; its actual
           // outcome — success or not — arrives too late to matter.
-          count(late_completions_counter_);
+          late_completions_counter_.add();
           return;
         }
         if (overrun_timer != 0) loop_->cancel(overrun_timer);
@@ -409,7 +403,7 @@ void ResourceManager::attempt_settled(const std::shared_ptr<Invocation>& call,
     return;
   }
   if (call->attempt >= policy.max_attempts) {
-    count(exhausted_counter_);
+    exhausted_counter_.add();
     log_warn("resource-manager")
         << call->resource << "." << call->command << " failed after "
         << policy.max_attempts << " attempts: " << last_status.to_string();
@@ -422,7 +416,7 @@ void ResourceManager::attempt_settled(const std::shared_ptr<Invocation>& call,
     if (remaining.count() <= 0 || delay >= remaining) {
       // Waiting the backoff would only deliver a late failure; give up
       // with the budget intact rather than returning late.
-      count(exhausted_counter_);
+      exhausted_counter_.add();
       degrade(call, Timeout("resource '" + call->resource +
                             "' retry budget exhausted after attempt " +
                             std::to_string(call->attempt) + " of '" +
@@ -474,7 +468,7 @@ void ResourceManager::degrade(const std::shared_ptr<Invocation>& call,
     call->resolve(std::move(primary_status));
     return;
   }
-  count(fallbacks_counter_);
+  fallbacks_counter_.add();
   bus_->publish("resource.degraded", call->resource,
                 model::Value(model::ValueList{
                     model::Value(call->resource),
@@ -506,7 +500,7 @@ void ResourceManager::degrade(const std::shared_ptr<Invocation>& call,
 void ResourceManager::publish_transition(
     const std::string& resource, CircuitBreaker::Transition transition) {
   if (transition == CircuitBreaker::Transition::kNone) return;
-  count(breaker_transitions_counter_);
+  breaker_transitions_counter_.add();
   const bool opened = transition == CircuitBreaker::Transition::kOpened;
   log_warn("resource-manager")
       << "circuit for '" << resource << "' "

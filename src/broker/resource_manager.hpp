@@ -80,7 +80,17 @@ class ResourceManager {
   /// breaker trips/recoveries surface as "resource.breaker.open" /
   /// "resource.breaker.close" and degraded fallbacks as
   /// "resource.degraded", so autonomic symptoms can react to them.
-  explicit ResourceManager(runtime::EventBus& bus) : bus_(&bus) {}
+  /// Counts go to `metrics` ("broker.*" cells, resolved here; see
+  /// DESIGN.md §6a): every attempted resource command bumps
+  /// "broker.commands"; contained adapter exceptions bump
+  /// "broker.adapter_exceptions"; the fault-tolerance loop records
+  /// "broker.retries" (attempts after the first), "broker.retry_exhausted"
+  /// (policy-managed invokes that gave up — attempts or deadline budget
+  /// spent), "broker.breaker_open" (fast-fail rejections while open),
+  /// "broker.breaker_transitions" (state-machine edges) and
+  /// "broker.fallbacks" (degraded invocations attempted). `metrics` must
+  /// outlive the manager.
+  ResourceManager(runtime::EventBus& bus, obs::MetricsRegistry& metrics);
 
   Status add_adapter(std::unique_ptr<ResourceAdapter> adapter);
   /// Unregisters immediately; in-flight invoke()s finish on the pinned
@@ -162,16 +172,6 @@ class ResourceManager {
   /// unsynchronized mutation around it.
   void clear_trace() { trace_.clear(); }
 
-  /// Platform-wide metrics sink: every attempted resource command bumps
-  /// "broker.commands"; contained adapter exceptions bump
-  /// "broker.adapter_exceptions"; the fault-tolerance loop records
-  /// "broker.retries" (attempts after the first), "broker.retry_exhausted"
-  /// (policy-managed invokes that gave up — attempts or deadline budget
-  /// spent), "broker.breaker_open" (fast-fail rejections while open),
-  /// "broker.breaker_transitions" (state-machine edges) and
-  /// "broker.fallbacks" (degraded invocations attempted).
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept;
-
  private:
   /// Per-resource fault-tolerance state; immutable policy after set,
   /// breaker internally synchronized, chain counter seeds backoff jitter.
@@ -214,20 +214,16 @@ class ResourceManager {
   void resume_on_worker(std::function<void()> fn);
   void publish_transition(const std::string& resource,
                           CircuitBreaker::Transition transition);
-  void count(obs::Counter* counter) {
-    if (counter != nullptr) counter->add();
-  }
-
   runtime::EventBus* bus_;
-  obs::Counter* commands_counter_ = nullptr;
-  obs::Counter* exceptions_counter_ = nullptr;
-  obs::Counter* retries_counter_ = nullptr;
-  obs::Counter* exhausted_counter_ = nullptr;
-  obs::Counter* breaker_open_counter_ = nullptr;
-  obs::Counter* breaker_transitions_counter_ = nullptr;
-  obs::Counter* fallbacks_counter_ = nullptr;
-  obs::Counter* overruns_counter_ = nullptr;
-  obs::Counter* late_completions_counter_ = nullptr;
+  obs::Counter& commands_counter_;
+  obs::Counter& exceptions_counter_;
+  obs::Counter& retries_counter_;
+  obs::Counter& exhausted_counter_;
+  obs::Counter& breaker_open_counter_;
+  obs::Counter& breaker_transitions_counter_;
+  obs::Counter& fallbacks_counter_;
+  obs::Counter& overruns_counter_;
+  obs::Counter& late_completions_counter_;
   std::function<void(Duration)> sleep_hook_;  ///< null = real sleep
   runtime::EventLoop* loop_ = nullptr;  ///< null = invoke_async runs inline
   std::function<void(std::function<void()>)> resume_;  ///< worker hand-off

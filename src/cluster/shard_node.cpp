@@ -68,6 +68,8 @@ Result<std::unique_ptr<ShardNode>> ShardNode::launch(
   std::unique_ptr<ShardNode> node(new ShardNode(middleware_model.clone()));
   node->network_ = &network;
   node->platform_ = std::move(platform).value();
+  node->states_imported_ =
+      &node->platform_->metrics().counter("platform.session_states_imported");
   if (options.provision != nullptr) {
     MDSM_RETURN_IF_ERROR(options.provision(*node->platform_));
   }
@@ -188,8 +190,6 @@ void ShardNode::handle_session_state(const net::Message& message,
       server_->post_refusal(message.from, id, imported, {});
       return;
     }
-    std::lock_guard lock(replica_mutex_);
-    ++stats_.session_states_imported;
   }
   ingress::wire::Reply reply;
   reply.request_id = id;
@@ -377,7 +377,9 @@ void ShardNode::kill() {
 
 ShardNode::Stats ShardNode::replication_stats() const {
   std::lock_guard lock(replica_mutex_);
-  return stats_;
+  Stats out = stats_;
+  out.session_states_imported = states_imported_->value();
+  return out;
 }
 
 std::optional<std::int64_t> ShardNode::staged_checkpoint_version(

@@ -92,7 +92,9 @@ class ShardNode {
     // Session-state replication (PR 10).
     std::uint64_t checkpoints_exported = 0;  ///< "checkpoint/{session}" serves
     std::uint64_t session_states_staged = 0;  ///< checkpoints accepted+held
-    std::uint64_t session_states_imported = 0;  ///< resume imports applied
+    /// Session-state imports applied: the platform's
+    /// "platform.session_states_imported" cell.
+    std::uint64_t session_states_imported = 0;
     std::uint64_t session_states_rejected_stale = 0;  ///< version-gated drops
   };
   [[nodiscard]] Stats replication_stats() const;
@@ -130,6 +132,7 @@ class ShardNode {
   mutable std::mutex replica_mutex_;  ///< guards replica_model_ + stats
   model::Model replica_model_;
   Stats stats_;
+  const obs::Counter* states_imported_ = nullptr;  ///< the platform's cell
 
   /// Last checkpoint shipped per session, version-gated (strict <: an
   /// equal-version re-ship is an idempotent retry and is accepted).

@@ -1,5 +1,7 @@
 #include "controller/controller_layer.hpp"
 
+#include <atomic>
+
 #include "common/log.hpp"
 
 namespace mdsm::controller {
@@ -7,13 +9,21 @@ namespace mdsm::controller {
 ControllerLayer::ControllerLayer(std::string name, broker::BrokerApi& broker,
                                  runtime::EventBus& bus,
                                  policy::ContextStore& context,
+                                 obs::MetricsRegistry& metrics,
                                  GeneratorConfig generator_config)
     : Component(std::move(name)),
       broker_(&broker),
       bus_(&bus),
       context_(&context),
-      generator_(dscs_, repository_, context, generator_config),
-      engine_(broker, bus, context) {}
+      signals_received_(metrics.counter("controller.signals_received")),
+      script_signals_(metrics.counter("controller.signals")),
+      commands_executed_(metrics.counter("controller.commands")),
+      case1_executions_(metrics.counter("controller.case1")),
+      case2_executions_(metrics.counter("controller.case2")),
+      errors_(metrics.counter("controller.errors")),
+      events_handled_(metrics.counter("controller.events_handled")),
+      generator_(dscs_, repository_, context, metrics, generator_config),
+      engine_(broker, bus, context, metrics) {}
 
 Status ControllerLayer::add_procedure(Procedure procedure) {
   if (!dscs_.contains(procedure.classifier)) {
@@ -83,7 +93,7 @@ void ControllerLayer::enqueue(Signal signal) {
     std::lock_guard lock(queue_mutex_);
     queue_.push_back(std::move(signal));
   }
-  stats_.signals_received.fetch_add(1, std::memory_order_relaxed);
+  signals_received_.add();
 }
 
 Status ControllerLayer::submit_script(const ControlScript& script,
@@ -91,7 +101,7 @@ Status ControllerLayer::submit_script(const ControlScript& script,
   MDSM_RETURN_IF_ERROR(context.check_deadline("controller"));
   for (const Command& command : script.commands) {
     enqueue({SignalKind::kCall, command.name, command.args});
-    if (metrics_ != nullptr) metrics_->counter("controller.signals").add();
+    script_signals_.add();
   }
   return Status::Ok();
 }
@@ -221,8 +231,8 @@ void ControllerLayer::drive_script(std::shared_ptr<ScriptRun> run) {
     bool event = false;
     if (run->script != nullptr && run->index < run->script->commands.size()) {
       command = &run->script->commands[run->index++];
-      stats_.signals_received.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_ != nullptr) metrics_->counter("controller.signals").add();
+      signals_received_.add();
+      script_signals_.add();
     } else {
       // Script done: drain the signal queue (event signals the executions
       // raised — kEmit → subscribed topic — and submitted calls).
@@ -242,7 +252,7 @@ void ControllerLayer::drive_script(std::shared_ptr<ScriptRun> run) {
     const std::uint64_t span =
         run->context->open_span("controller.signal", command->name);
     if (event) {
-      stats_.events_handled.fetch_add(1, std::memory_order_relaxed);
+      events_handled_.add();
       // Events are handled by Case-1 actions bound to the topic; an
       // unbound event is simply observed (layers subscribe selectively).
       std::shared_lock lock(config_mutex_);
@@ -260,8 +270,7 @@ void ControllerLayer::drive_script(std::shared_ptr<ScriptRun> run) {
     CommandCallback settled = [this, run, turn, span, command,
                                event](Result<model::Value> outcome) {
       if (!outcome.ok()) {
-        stats_.errors.fetch_add(1, std::memory_order_relaxed);
-        if (metrics_ != nullptr) metrics_->counter("controller.errors").add();
+        errors_.add();
         bus_->publish("controller.error", name(),
                       model::Value((event ? command->name
                                           : command->to_text()) +
@@ -339,12 +348,8 @@ void ControllerLayer::run_case1(const Command& command,
                             command.name + "' in current context"));
     return;
   }
-  stats_.case1_executions.fetch_add(1, std::memory_order_relaxed);
-  stats_.commands_executed.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) {
-    metrics_->counter("controller.case1").add();
-    metrics_->counter("controller.commands").add();
-  }
+  case1_executions_.add();
+  commands_executed_.add();
   engine_.start(nullptr, &best->body, command.args, context, inline_mode,
                 std::move(done));
 }
@@ -369,12 +374,8 @@ void ControllerLayer::run_case2(const Command& command,
     done(intent_model.status());
     return;
   }
-  stats_.case2_executions.fetch_add(1, std::memory_order_relaxed);
-  stats_.commands_executed.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) {
-    metrics_->counter("controller.case2").add();
-    metrics_->counter("controller.commands").add();
-  }
+  case2_executions_.add();
+  commands_executed_.add();
   const IntentModelPtr& pinned = intent_model.value();
   if (!inline_mode) {
     // The cache may evict the IM while the run is parked mid-execution:
@@ -388,18 +389,12 @@ void ControllerLayer::run_case2(const Command& command,
 }
 
 ControllerStats ControllerLayer::stats() const {
-  ControllerStats out;
-  out.signals_received =
-      stats_.signals_received.load(std::memory_order_relaxed);
-  out.commands_executed =
-      stats_.commands_executed.load(std::memory_order_relaxed);
-  out.case1_executions =
-      stats_.case1_executions.load(std::memory_order_relaxed);
-  out.case2_executions =
-      stats_.case2_executions.load(std::memory_order_relaxed);
-  out.errors = stats_.errors.load(std::memory_order_relaxed);
-  out.events_handled = stats_.events_handled.load(std::memory_order_relaxed);
-  return out;
+  return {.signals_received = signals_received_.value(),
+          .commands_executed = commands_executed_.value(),
+          .case1_executions = case1_executions_.value(),
+          .case2_executions = case2_executions_.value(),
+          .errors = errors_.value(),
+          .events_handled = events_handled_.value()};
 }
 
 std::size_t ControllerLayer::queued() const {

@@ -13,7 +13,6 @@
 // policies and context information."
 #pragma once
 
-#include <atomic>
 #include <deque>
 #include <map>
 #include <memory>
@@ -53,7 +52,9 @@ struct Signal {
   broker::Args args;
 };
 
+/// View over the layer's registry cells ("controller.*", DESIGN.md §6a).
 struct ControllerStats {
+  /// Every signal: script commands, submitted calls and bus events.
   std::uint64_t signals_received = 0;
   std::uint64_t commands_executed = 0;
   std::uint64_t case1_executions = 0;
@@ -64,8 +65,12 @@ struct ControllerStats {
 
 class ControllerLayer final : public runtime::Component {
  public:
+  /// The layer, its IM generator and its execution engine count into
+  /// `metrics` ("controller.*" cells, resolved here), which must outlive
+  /// the layer.
   ControllerLayer(std::string name, broker::BrokerApi& broker,
                   runtime::EventBus& bus, policy::ContextStore& context,
+                  obs::MetricsRegistry& metrics,
                   GeneratorConfig generator_config = {});
 
   // ---- configuration (domain DSK + middleware model loading)
@@ -107,13 +112,6 @@ class ControllerLayer final : public runtime::Component {
   /// Subscribe this controller to a bus topic; matching events enter the
   /// signal queue as event signals (processed by process_pending()).
   void attach_event_topic(const std::string& topic);
-
-  /// Platform-wide metrics sink; also forwarded to the execution engine
-  /// (optional; wired by the assembler).
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept {
-    metrics_ = metrics;
-    engine_.set_metrics(metrics);
-  }
 
   // ---- operation
 
@@ -197,7 +195,13 @@ class ControllerLayer final : public runtime::Component {
   broker::BrokerApi* broker_;
   runtime::EventBus* bus_;
   policy::ContextStore* context_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Counter& signals_received_;
+  obs::Counter& script_signals_;  ///< "controller.signals": script commands
+  obs::Counter& commands_executed_;
+  obs::Counter& case1_executions_;
+  obs::Counter& case2_executions_;
+  obs::Counter& errors_;
+  obs::Counter& events_handled_;
   DscRegistry dscs_;
   ProcedureRepository repository_;
   IntentModelGenerator generator_;
@@ -215,15 +219,6 @@ class ControllerLayer final : public runtime::Component {
   mutable std::mutex queue_mutex_;  ///< guards queue_ only
   std::deque<Signal> queue_;
   std::vector<std::uint64_t> subscriptions_;
-  struct AtomicStats {
-    std::atomic<std::uint64_t> signals_received{0};
-    std::atomic<std::uint64_t> commands_executed{0};
-    std::atomic<std::uint64_t> case1_executions{0};
-    std::atomic<std::uint64_t> case2_executions{0};
-    std::atomic<std::uint64_t> errors{0};
-    std::atomic<std::uint64_t> events_handled{0};
-  };
-  mutable AtomicStats stats_;
 };
 
 }  // namespace mdsm::controller

@@ -11,8 +11,16 @@ namespace mdsm::controller {
 ExecutionEngine::ExecutionEngine(broker::BrokerApi& broker,
                                  runtime::EventBus& bus,
                                  policy::ContextStore& context,
+                                 obs::MetricsRegistry& metrics,
                                  EngineConfig config)
-    : broker_(&broker), bus_(&bus), context_(&context), config_(config) {}
+    : broker_(&broker),
+      bus_(&bus),
+      context_(&context),
+      instructions_(metrics.counter("controller.instructions")),
+      broker_calls_(metrics.counter("controller.broker_calls")),
+      procedure_pushes_(metrics.counter("controller.procedure_pushes")),
+      executions_(metrics.counter("controller.eu_executions")),
+      config_(config) {}
 
 model::Value ExecutionEngine::resolve(const model::Value& value,
                                       const broker::Args& command_args) const {
@@ -143,7 +151,7 @@ Status ExecutionEngine::exec_instruction(const Instruction& instruction,
       if (stack.size() >= config_.max_stack_depth) {
         return ExecutionError("procedure stack overflow");
       }
-      stats_.procedure_pushes.fetch_add(1, std::memory_order_relaxed);
+      procedure_pushes_.add();
       Frame child{};
       child.node = node->children[index].get();
       child.span = context.open_span("controller.eu",
@@ -239,8 +247,7 @@ void ExecutionEngine::start(const IntentModel* intent_model,
     done(InvalidArgument("intent model has no root procedure"));
     return;
   }
-  stats_.executions.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) metrics_->counter("controller.eu_executions").add();
+  executions_.add();
   RunState local;
   std::shared_ptr<RunState> run = run_state(inline_mode, local);
   run->command_args = &command_args;
@@ -289,9 +296,9 @@ void ExecutionEngine::drive(std::shared_ptr<RunState> run) {
   while (true) {
     // Atomic running-max: CAS loop so concurrent runs never regress it.
     std::size_t depth = run->stack.size();
-    std::size_t seen = stats_.max_stack_depth.load(std::memory_order_relaxed);
+    std::size_t seen = max_stack_depth_.load(std::memory_order_relaxed);
     while (depth > seen &&
-           !stats_.max_stack_depth.compare_exchange_weak(
+           !max_stack_depth_.compare_exchange_weak(
                seen, depth, std::memory_order_relaxed)) {
     }
     const Instruction* instruction = fetch(run->stack, *run->context);
@@ -310,12 +317,9 @@ void ExecutionEngine::drive(std::shared_ptr<RunState> run) {
       finish(run, budget);
       return;
     }
-    stats_.instructions.fetch_add(1, std::memory_order_relaxed);
+    instructions_.add();
     if (instruction->op == OpCode::kBrokerCall) {
-      stats_.broker_calls.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_ != nullptr) {
-        metrics_->counter("controller.broker_calls").add();
-      }
+      broker_calls_.add();
       broker::Call call;
       call.name = instruction->a;
       call.args = resolve_all(instruction->args, *run->command_args);
@@ -353,23 +357,11 @@ void ExecutionEngine::drive(std::shared_ptr<RunState> run) {
 }
 
 EngineStats ExecutionEngine::stats() const {
-  EngineStats out;
-  out.instructions = stats_.instructions.load(std::memory_order_relaxed);
-  out.broker_calls = stats_.broker_calls.load(std::memory_order_relaxed);
-  out.procedure_pushes =
-      stats_.procedure_pushes.load(std::memory_order_relaxed);
-  out.max_stack_depth =
-      stats_.max_stack_depth.load(std::memory_order_relaxed);
-  out.executions = stats_.executions.load(std::memory_order_relaxed);
-  return out;
-}
-
-void ExecutionEngine::reset_stats() {
-  stats_.instructions.store(0, std::memory_order_relaxed);
-  stats_.broker_calls.store(0, std::memory_order_relaxed);
-  stats_.procedure_pushes.store(0, std::memory_order_relaxed);
-  stats_.max_stack_depth.store(0, std::memory_order_relaxed);
-  stats_.executions.store(0, std::memory_order_relaxed);
+  return {.instructions = instructions_.value(),
+          .broker_calls = broker_calls_.value(),
+          .procedure_pushes = procedure_pushes_.value(),
+          .max_stack_depth = max_stack_depth_.load(std::memory_order_relaxed),
+          .executions = executions_.value()};
 }
 
 }  // namespace mdsm::controller

@@ -28,6 +28,8 @@
 
 namespace mdsm::controller {
 
+/// View over the engine's registry cells ("controller.*", DESIGN.md §6a)
+/// plus its stack-depth high-water gauge.
 struct EngineStats {
   std::uint64_t instructions = 0;
   std::uint64_t broker_calls = 0;
@@ -50,8 +52,11 @@ class ExecutionEngine {
                                       const std::string& topic,
                                       model::Value payload)>;
 
+  /// Counts go to `metrics` (cells resolved here), which must outlive
+  /// the engine.
   ExecutionEngine(broker::BrokerApi& broker, runtime::EventBus& bus,
-                  policy::ContextStore& context, EngineConfig config = {});
+                  policy::ContextStore& context, obs::MetricsRegistry& metrics,
+                  EngineConfig config = {});
 
   void set_sender(Sender sender) { sender_ = std::move(sender); }
 
@@ -83,11 +88,6 @@ class ExecutionEngine {
   /// call parks).
   using ExecuteCallback = std::function<void(Result<model::Value>)>;
 
-  /// Platform-wide metrics sink (optional; wired via the controller).
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept {
-    metrics_ = metrics;
-  }
-
   /// Engine memory ("memory management" ops). Shared across executions —
   /// procedures use it to pass data between calls, tests inspect it.
   /// Internally synchronized: concurrent executions (or monitors reading
@@ -109,7 +109,6 @@ class ExecutionEngine {
   /// Snapshot of the counters (each exact; cross-counter sums may tear
   /// momentarily under concurrent executions).
   [[nodiscard]] EngineStats stats() const;
-  void reset_stats();
 
  private:
   struct Frame {
@@ -172,19 +171,15 @@ class ExecutionEngine {
   broker::BrokerApi* broker_;
   runtime::EventBus* bus_;
   policy::ContextStore* context_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Counter& instructions_;
+  obs::Counter& broker_calls_;
+  obs::Counter& procedure_pushes_;
+  obs::Counter& executions_;
+  std::atomic<std::size_t> max_stack_depth_{0};  ///< high-water gauge
   Sender sender_;
   EngineConfig config_;
   mutable std::mutex memory_mutex_;  ///< guards memory_ only
   std::map<std::string, model::Value, std::less<>> memory_;
-  struct AtomicStats {
-    std::atomic<std::uint64_t> instructions{0};
-    std::atomic<std::uint64_t> broker_calls{0};
-    std::atomic<std::uint64_t> procedure_pushes{0};
-    std::atomic<std::size_t> max_stack_depth{0};
-    std::atomic<std::uint64_t> executions{0};
-  };
-  AtomicStats stats_;
 };
 
 }  // namespace mdsm::controller

@@ -51,11 +51,19 @@ std::string IntentModel::to_text() const {
 
 IntentModelGenerator::IntentModelGenerator(
     const DscRegistry& dscs, const ProcedureRepository& repository,
-    const policy::ContextStore& context, GeneratorConfig config)
+    const policy::ContextStore& context, obs::MetricsRegistry& metrics,
+    GeneratorConfig config)
     : dscs_(&dscs),
       repository_(&repository),
       context_(&context),
-      config_(config) {}
+      config_(config),
+      generated_(metrics.counter("controller.im_generated")),
+      validated_(metrics.counter("controller.im_validated")),
+      selected_(metrics.counter("controller.im_selected")),
+      cache_hits_(metrics.counter("controller.im_cache_hits")),
+      cache_misses_(metrics.counter("controller.im_cache_misses")),
+      guard_rejections_(metrics.counter("controller.im_guard_rejections")),
+      cycle_rejections_(metrics.counter("controller.im_cycle_rejections")) {}
 
 void IntentModelGenerator::enumerate(
     std::string_view dsc, std::vector<std::string_view>& path,
@@ -64,7 +72,7 @@ void IntentModelGenerator::enumerate(
   if (out.size() >= bound) return;
   if (path.size() >= config_.max_depth) return;
   if (std::find(path.begin(), path.end(), dsc) != path.end()) {
-    stats_.cycle_rejections.fetch_add(1, std::memory_order_relaxed);
+    cycle_rejections_.add();
     return;
   }
   path.push_back(dsc);
@@ -76,7 +84,7 @@ void IntentModelGenerator::enumerate(
     if (out.size() >= bound) break;
     Result<bool> applicable = candidate->guard.evaluate_bool(*context_);
     if (!applicable.ok() || !*applicable) {
-      stats_.guard_rejections.fetch_add(1, std::memory_order_relaxed);
+      guard_rejections_.add();
       continue;
     }
     if (candidate->dependencies.empty()) {
@@ -208,8 +216,7 @@ Result<IntentModelPtr> IntentModelGenerator::generate_once(
   std::vector<std::string_view> path;
   std::vector<ProcedurePtr> pins;
   enumerate(root_dsc, path, configurations, pins, config_.max_configurations);
-  stats_.generated.fetch_add(configurations.size(),
-                             std::memory_order_relaxed);
+  generated_.add(configurations.size());
   if (configurations.empty()) {
     return FailedPrecondition("no valid configuration for DSC '" +
                               std::string(root_dsc) + "' in current context");
@@ -229,7 +236,7 @@ Result<IntentModelPtr> IntentModelGenerator::generate_once(
   for (auto& configuration : configurations) {
     probe.root = std::move(configuration);
     if (validate(probe).ok()) {
-      stats_.validated.fetch_add(1, std::memory_order_relaxed);
+      validated_.add();
       double cost = 0.0;
       double quality = 1e300;
       int count = 0;
@@ -261,7 +268,7 @@ Result<IntentModelPtr> IntentModelGenerator::generate_once(
         break;
     }
   }
-  stats_.selected.fetch_add(1, std::memory_order_relaxed);
+  selected_.add();
   auto intent_model = std::make_shared<IntentModel>();
   intent_model->root_dsc = std::move(probe.root_dsc);
   intent_model->root = std::move(valid[best].root);
@@ -289,11 +296,11 @@ Result<IntentModelPtr> IntentModelGenerator::generate_cached(
         it->second.repository_version == repository_version &&
         it->second.dsc_version == dsc_version &&
         it->second.strategy == strategy) {
-      stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
+      cache_hits_.add();
       return it->second.intent_model;
     }
   }
-  stats_.cache_misses.fetch_add(1, std::memory_order_relaxed);
+  cache_misses_.add();
   // Generate outside the shard lock: concurrent misses on the same DSC
   // duplicate work instead of serializing the whole pipeline.
   Result<IntentModelPtr> generated = generate(root_dsc, strategy);
@@ -318,27 +325,13 @@ void IntentModelGenerator::invalidate_cache() {
 }
 
 GeneratorStats IntentModelGenerator::stats() const {
-  GeneratorStats out;
-  out.generated = stats_.generated.load(std::memory_order_relaxed);
-  out.validated = stats_.validated.load(std::memory_order_relaxed);
-  out.selected = stats_.selected.load(std::memory_order_relaxed);
-  out.cache_hits = stats_.cache_hits.load(std::memory_order_relaxed);
-  out.cache_misses = stats_.cache_misses.load(std::memory_order_relaxed);
-  out.guard_rejections =
-      stats_.guard_rejections.load(std::memory_order_relaxed);
-  out.cycle_rejections =
-      stats_.cycle_rejections.load(std::memory_order_relaxed);
-  return out;
-}
-
-void IntentModelGenerator::reset_stats() {
-  stats_.generated.store(0, std::memory_order_relaxed);
-  stats_.validated.store(0, std::memory_order_relaxed);
-  stats_.selected.store(0, std::memory_order_relaxed);
-  stats_.cache_hits.store(0, std::memory_order_relaxed);
-  stats_.cache_misses.store(0, std::memory_order_relaxed);
-  stats_.guard_rejections.store(0, std::memory_order_relaxed);
-  stats_.cycle_rejections.store(0, std::memory_order_relaxed);
+  return {.generated = generated_.value(),
+          .validated = validated_.value(),
+          .selected = selected_.value(),
+          .cache_hits = cache_hits_.value(),
+          .cache_misses = cache_misses_.value(),
+          .guard_rejections = guard_rejections_.value(),
+          .cycle_rejections = cycle_rejections_.value()};
 }
 
 }  // namespace mdsm::controller

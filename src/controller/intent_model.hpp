@@ -16,7 +16,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -26,6 +25,7 @@
 #include "common/status.hpp"
 #include "controller/dsc.hpp"
 #include "controller/procedure.hpp"
+#include "obs/metrics.hpp"
 #include "policy/context.hpp"
 #include "policy/policy_engine.hpp"
 
@@ -64,6 +64,7 @@ struct GeneratorConfig {
   std::size_t max_depth = 32;            ///< dependency chain bound
 };
 
+/// View over the generator's "controller.im_*" registry cells.
 struct GeneratorStats {
   std::uint64_t generated = 0;     ///< complete candidate configurations
   std::uint64_t validated = 0;
@@ -80,9 +81,12 @@ struct GeneratorStats {
 /// corruption — and last-writer-wins on the entry).
 class IntentModelGenerator {
  public:
+  /// Counts go to `metrics` ("controller.im_*" cells, resolved here),
+  /// which must outlive the generator.
   IntentModelGenerator(const DscRegistry& dscs,
                        const ProcedureRepository& repository,
                        const policy::ContextStore& context,
+                       obs::MetricsRegistry& metrics,
                        GeneratorConfig config = {});
 
   /// Full cycle: enumerate valid configurations for `root_dsc`, validate
@@ -111,7 +115,6 @@ class IntentModelGenerator {
   /// Consistent-enough snapshot of the counters (each counter is exact;
   /// cross-counter sums may be momentarily torn under concurrency).
   [[nodiscard]] GeneratorStats stats() const;
-  void reset_stats();
 
  private:
   struct CacheEntry {
@@ -153,16 +156,13 @@ class IntentModelGenerator {
   const ProcedureRepository* repository_;
   const policy::ContextStore* context_;
   GeneratorConfig config_;
-  struct AtomicStats {
-    std::atomic<std::uint64_t> generated{0};
-    std::atomic<std::uint64_t> validated{0};
-    std::atomic<std::uint64_t> selected{0};
-    std::atomic<std::uint64_t> cache_hits{0};
-    std::atomic<std::uint64_t> cache_misses{0};
-    std::atomic<std::uint64_t> guard_rejections{0};
-    std::atomic<std::uint64_t> cycle_rejections{0};
-  };
-  mutable AtomicStats stats_;
+  obs::Counter& generated_;
+  obs::Counter& validated_;
+  obs::Counter& selected_;
+  obs::Counter& cache_hits_;
+  obs::Counter& cache_misses_;
+  obs::Counter& guard_rejections_;
+  obs::Counter& cycle_rejections_;
   std::array<CacheShard, kCacheShards> cache_;
 };
 

@@ -5,7 +5,7 @@ namespace mdsm::controller {
 StaticController::StaticController(broker::BrokerApi& broker,
                                    runtime::EventBus& bus,
                                    policy::ContextStore& context)
-    : engine_(broker, bus, context) {}
+    : engine_(broker, bus, context, metrics_) {}
 
 Result<model::Value> StaticController::execute(const Command& command) {
   if (!running_) {

@@ -59,6 +59,7 @@ class StaticController {
   [[nodiscard]] ExecutionEngine& engine() noexcept { return engine_; }
 
  private:
+  obs::MetricsRegistry metrics_;
   ExecutionEngine engine_;
   DispatchTable table_;
   std::uint64_t executed_ = 0;

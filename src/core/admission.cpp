@@ -2,15 +2,11 @@
 
 namespace mdsm::core {
 
-void AdmissionController::set_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    shed_expired_ = nullptr;
-    shed_predicted_ = nullptr;
-    return;
-  }
-  shed_expired_ = &metrics->counter("ui.shed_expired");
-  shed_predicted_ = &metrics->counter("ui.shed_predicted");
-}
+AdmissionController::AdmissionController(obs::MetricsRegistry& metrics,
+                                         runtime::EventBus& bus)
+    : shed_expired_(metrics.counter("ui.shed_expired")),
+      shed_predicted_(metrics.counter("ui.shed_predicted")),
+      bus_(bus) {}
 
 Status AdmissionController::admit(const obs::RequestContext& context) {
   if (!config_.enabled || !context.deadline().has_value()) {
@@ -18,7 +14,7 @@ Status AdmissionController::admit(const obs::RequestContext& context) {
   }
   const TimePoint now = context.clock().now();
   if (now >= *context.deadline()) {
-    if (shed_expired_ != nullptr) shed_expired_->add();
+    shed_expired_.add();
     publish_shed(context, "expired");
     return Timeout(context.tag() + " shed at admission: deadline already "
                    "spent");
@@ -28,7 +24,7 @@ Status AdmissionController::admit(const obs::RequestContext& context) {
   if (predicted.count() > 0 &&
       static_cast<double>(budget.count()) <
           config_.safety_factor * static_cast<double>(predicted.count())) {
-    if (shed_predicted_ != nullptr) shed_predicted_->add();
+    shed_predicted_.add();
     publish_shed(context, "predicted");
     return Unavailable(context.tag() + " shed at admission: budget " +
                        std::to_string(budget.count()) +
@@ -55,8 +51,7 @@ void AdmissionController::record_latency(Duration observed) noexcept {
 
 void AdmissionController::publish_shed(const obs::RequestContext& context,
                                        const char* reason) {
-  if (bus_ == nullptr) return;
-  bus_->publish(runtime::Event{
+  bus_.publish(runtime::Event{
       .topic = "request.shed",
       .source = "ui",
       .payload = model::ValueList{model::Value(reason),

@@ -40,15 +40,14 @@ struct AdmissionConfig {
 
 class AdmissionController {
  public:
+  /// Sheds count into `metrics` (cells resolved here) and publish on
+  /// `bus`; both must outlive the controller.
+  AdmissionController(obs::MetricsRegistry& metrics, runtime::EventBus& bus);
+
   void configure(AdmissionConfig config) noexcept { config_ = config; }
   [[nodiscard]] const AdmissionConfig& config() const noexcept {
     return config_;
   }
-
-  /// Wire the platform's metrics registry and event bus. Call once,
-  /// before traffic.
-  void set_metrics(obs::MetricsRegistry* metrics);
-  void set_bus(runtime::EventBus* bus) noexcept { bus_ = bus; }
 
   /// Gate a request at the UI boundary. Ok admits; kTimeout means the
   /// deadline is already spent; kUnavailable means the remaining budget
@@ -72,9 +71,9 @@ class AdmissionController {
   AdmissionConfig config_;
   std::atomic<double> ewma_us_{0.0};
   std::atomic<bool> seeded_{false};
-  obs::Counter* shed_expired_ = nullptr;
-  obs::Counter* shed_predicted_ = nullptr;
-  runtime::EventBus* bus_ = nullptr;
+  obs::Counter& shed_expired_;
+  obs::Counter& shed_predicted_;
+  runtime::EventBus& bus_;
 };
 
 }  // namespace mdsm::core

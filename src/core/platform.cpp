@@ -66,8 +66,6 @@ Result<std::unique_ptr<Platform>> Platform::assemble(
   admission_config.ewma_alpha = root.get_real("admission_alpha", 0.2);
   admission_config.safety_factor = root.get_real("admission_safety", 1.0);
   platform->admission_.configure(admission_config);
-  platform->admission_.set_metrics(&platform->metrics_);
-  platform->admission_.set_bus(&platform->bus_);
 
   // Networked ingress (PR 7): the front-end's endpoint name, auth stub
   // and default wire deadline are model attributes too — a split
@@ -86,14 +84,19 @@ Result<std::unique_ptr<Platform>> Platform::assemble(
 
   // The component factory holds the layer "code templates"; assembly then
   // instantiates them with the model objects as metadata (paper §V-A).
+  // Every layer counts into the platform-wide registry (stable address:
+  // the platform is heap-allocated and non-movable).
   runtime::EventBus& bus = platform->bus_;
   policy::ContextStore& context = platform->context_;
+  obs::MetricsRegistry& metrics = platform->metrics_;
   MDSM_RETURN_IF_ERROR(platform->factory_.register_template(
       "BrokerLayerSpec",
-      [&bus, &context](const model::ModelObject& spec, const model::Model&)
+      [&bus, &context, &metrics](const model::ModelObject& spec,
+                                 const model::Model&)
           -> Result<std::unique_ptr<runtime::Component>> {
         return Result<std::unique_ptr<runtime::Component>>(
-            std::make_unique<broker::BrokerLayer>(spec.id(), bus, context));
+            std::make_unique<broker::BrokerLayer>(spec.id(), bus, context,
+                                                  metrics));
       }));
 
   // ---- Broker layer ----------------------------------------------------
@@ -126,7 +129,7 @@ Result<std::unique_ptr<Platform>> Platform::assemble(
           ? config.max_configurations
           : static_cast<std::size_t>(model_bound);
   platform->controller_ = std::make_unique<controller::ControllerLayer>(
-      controller_specs[0]->id(), *platform->broker_, bus, context,
+      controller_specs[0]->id(), *platform->broker_, bus, context, metrics,
       generator_config);
   MDSM_RETURN_IF_ERROR(
       platform->load_controller_spec(middleware_model, *controller_specs[0]));
@@ -151,7 +154,7 @@ Result<std::unique_ptr<Platform>> Platform::assemble(
   controller::ControllerLayer* controller = platform->controller_.get();
   platform->synthesis_ = std::make_unique<synthesis::SynthesisEngine>(
       synthesis_specs.empty() ? "synthesis" : synthesis_specs[0]->id(),
-      config.dsml, std::move(lts), context,
+      config.dsml, std::move(lts), context, metrics,
       // Pre-commit dispatch runs under the synthesis serial mutex, so it
       // must stay cheap: just the controller-crossing deadline check (a
       // dispatch failure keeps the old runtime model in force).
@@ -167,12 +170,6 @@ Result<std::unique_ptr<Platform>> Platform::assemble(
                    obs::RequestContext& request) {
         return controller->execute_script(script, request);
       });
-
-  // Every layer records into the platform-wide registry (stable address:
-  // the platform is heap-allocated and non-movable).
-  platform->broker_->set_metrics(&platform->metrics_);
-  platform->controller_->set_metrics(&platform->metrics_);
-  platform->synthesis_->set_metrics(&platform->metrics_);
 
   // Controller exceptional conditions flow back to the Synthesis layer
   // ("handles events from the Controller layer", paper §V-A).
@@ -463,9 +460,9 @@ Result<controller::ControlScript> Platform::submit_model(
   // stamped with this request's id.
   obs::ContextScope ambient(context);
   obs::ScopedSpan span(context, "ui.submit", application_model.name());
-  metrics_.counter("requests.submitted").add();
+  requests_submitted_.add();
   auto fail = [this](Status status) -> Result<controller::ControlScript> {
-    metrics_.counter("requests.failed").add();
+    requests_failed_.add();
     return status;
   };
   if (Status admitted = admit(context); !admitted.ok()) {
@@ -505,7 +502,7 @@ Status Platform::deliverable(obs::RequestContext& context) {
   // make this rare — it fires only when the final pipeline stage itself
   // crossed the deadline.
   if (!context.expired()) return Status::Ok();
-  metrics_.counter("ui.completed_late").add();
+  completed_late_.add();
   return Timeout(context.tag() + " completed after its deadline");
 }
 
@@ -517,13 +514,12 @@ void Platform::ensure_pipeline() {
                             ? pipeline_threads_
                             : std::thread::hardware_concurrency();
   if (config.thread_count == 0) config.thread_count = 1;
-  pipeline_ = std::make_unique<runtime::Executor>(config);
-  pipeline_->set_metrics(&metrics_);
+  pipeline_ = std::make_unique<runtime::Executor>(config, metrics_);
   pipeline_->set_clock(clock_);
   // The staged core: logical per-stage queues over the shared executor,
   // plus the event loop that parks requests between stages.
   stages_ = std::make_unique<runtime::StagePipeline>(*pipeline_, *clock_,
-                                                     &metrics_);
+                                                     metrics_);
   stage_synthesis_ = stages_->add_stage("synthesis");
   stage_controller_ = stages_->add_stage("controller");
   stage_broker_ = stages_->add_stage("broker");
@@ -625,8 +621,8 @@ Status Platform::submit_async(std::string text, SubmitCallback callback,
           if (request->resolved.exchange(true, std::memory_order_acq_rel)) {
             return;
           }
-          metrics_.counter("ui.watchdog_timeouts").add();
-          metrics_.counter("requests.failed").add();
+          watchdog_timeouts_.add();
+          requests_failed_.add();
           invoke_callback(request->callback,
                           Timeout(request->context->tag() +
                                   " deadline expired in the staged pipeline"));
@@ -685,7 +681,7 @@ void Platform::finish_staged(const std::shared_ptr<StagedRequest>& request,
   if (request->executed) {
     admission_.record_latency(request->context->elapsed());
   }
-  if (!outcome.ok()) metrics_.counter("requests.failed").add();
+  if (!outcome.ok()) requests_failed_.add();
   const bool won =
       !request->resolved.exchange(true, std::memory_order_acq_rel);
   // Close-through: the root span pops any child spans a timed-out chain
@@ -723,7 +719,7 @@ void Platform::stage_synthesis(std::shared_ptr<StagedRequest> request) {
   request->context->close_span(request->queue_span);
   if (staged_abandoned(request)) return;
   obs::ContextScope ambient(*request->context);
-  metrics_.counter("requests.submitted").add();
+  requests_submitted_.add();
   // Dequeue-time admission re-check: queue delay ate into the budget.
   if (Status admitted = admit(*request->context); !admitted.ok()) {
     finish_staged(request, std::move(admitted));
@@ -789,10 +785,10 @@ void Platform::invoke_callback(const SubmitCallback& callback,
   try {
     callback(std::move(outcome));
   } catch (const std::exception& error) {
-    metrics_.counter("ui.callback_failures").add();
+    callback_failures_.add();
     log_warn("platform") << "submit_async callback threw: " << error.what();
   } catch (...) {
-    metrics_.counter("ui.callback_failures").add();
+    callback_failures_.add();
     log_warn("platform") << "submit_async callback threw a non-exception";
   }
 }
@@ -972,7 +968,7 @@ Status Platform::import_session_state(const model::Value& state) {
       [this](const std::string& key, const model::Value& value) {
         broker_->state().set(key, value);
       }));
-  metrics_.counter("platform.session_states_imported").add();
+  states_imported_.add();
   return Status::Ok();
 }
 

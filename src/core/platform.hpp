@@ -415,8 +415,16 @@ class Platform {
   /// MiddlewarePlatform attributes (thread_count is filled in at lazy
   /// pipeline creation).
   runtime::ExecutorConfig pipeline_config_;
-  AdmissionController admission_;
+  AdmissionController admission_{metrics_, bus_};
   IngressSettings ingress_settings_;
+  // UI-layer cells (DESIGN.md §6a), resolved once per platform.
+  obs::Counter& requests_submitted_ = metrics_.counter("requests.submitted");
+  obs::Counter& requests_failed_ = metrics_.counter("requests.failed");
+  obs::Counter& completed_late_ = metrics_.counter("ui.completed_late");
+  obs::Counter& watchdog_timeouts_ = metrics_.counter("ui.watchdog_timeouts");
+  obs::Counter& callback_failures_ = metrics_.counter("ui.callback_failures");
+  obs::Counter& states_imported_ =
+      metrics_.counter("platform.session_states_imported");
 };
 
 }  // namespace mdsm::core

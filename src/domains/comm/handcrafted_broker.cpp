@@ -7,7 +7,7 @@ using model::Value;
 HandcraftedCommBroker::HandcraftedCommBroker(CommSessionService& service,
                                              runtime::EventBus& bus,
                                              policy::ContextStore& context)
-    : bus_(&bus), context_(&context), resources_(bus) {
+    : bus_(&bus), context_(&context), resources_(bus, metrics_) {
   auto adapter = std::make_unique<CommServiceAdapter>(service, "comm");
   // The adapter registry cannot fail here (fresh manager, unique name).
   (void)resources_.add_adapter(std::move(adapter));

@@ -44,6 +44,7 @@ class HandcraftedCommBroker final : public broker::BrokerApi {
 
   runtime::EventBus* bus_;
   policy::ContextStore* context_;
+  obs::MetricsRegistry metrics_;
   broker::ResourceManager resources_;
   broker::StateManager state_;
   std::uint64_t subscription_ = 0;

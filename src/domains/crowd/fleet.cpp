@@ -155,7 +155,7 @@ synthesis::Lts make_csml_lts() {
 
 CrowdProvider::CrowdProvider(net::Network& network) {
   broker_ = std::make_unique<broker::BrokerLayer>("provider-broker", bus_,
-                                                  context_);
+                                                  context_, metrics_);
   (void)broker_->resources().add_adapter(
       std::make_unique<AggregatorAdapter>(*this));
   broker::Action fold;
@@ -167,7 +167,7 @@ CrowdProvider::CrowdProvider(net::Network& network) {
   (void)broker_->register_action(std::move(fold));
   (void)broker_->bind_handler("cs.report", {"fold-report"});
   controller_ = std::make_unique<controller::ControllerLayer>(
-      "provider-controller", *broker_, bus_, context_);
+      "provider-controller", *broker_, bus_, context_, metrics_);
   controller::ControllerAction forward;
   forward.name = "fwd-report";
   forward.body = {controller::broker_call("cs.report",
@@ -177,8 +177,6 @@ CrowdProvider::CrowdProvider(net::Network& network) {
                                             Value("$aggregate")}})};
   (void)controller_->register_action(std::move(forward));
   (void)controller_->bind_action("cs.report", {"fwd-report"});
-  broker_->set_metrics(&metrics_);
-  controller_->set_metrics(&metrics_);
   (void)broker_->start();
   (void)controller_->start();
 
@@ -208,7 +206,7 @@ CrowdDevice::CrowdDevice(std::string id, std::uint32_t seed,
                          net::Network& network, SimClock& clock)
     : id_(std::move(id)), seed_(seed), timers_(clock) {
   broker_ = std::make_unique<broker::BrokerLayer>(id_ + "-broker", bus_,
-                                                  context_);
+                                                  context_, metrics_);
   (void)broker_->resources().add_adapter(
       std::make_unique<SensorAdapter>(*this));
   broker::Action start;
@@ -235,7 +233,7 @@ CrowdDevice::CrowdDevice(std::string id, std::uint32_t seed,
   (void)broker_->bind_handler("cs.query.stop", {"q-stop"});
 
   controller_ = std::make_unique<controller::ControllerLayer>(
-      id_ + "-controller", *broker_, bus_, context_);
+      id_ + "-controller", *broker_, bus_, context_, metrics_);
   for (const char* command :
        {"cs.query.start", "cs.query.retune", "cs.query.stop"}) {
     controller::ControllerAction action;
@@ -256,6 +254,7 @@ CrowdDevice::CrowdDevice(std::string id, std::uint32_t seed,
   controller::ControllerLayer* controller = controller_.get();
   synthesis_ = std::make_unique<synthesis::SynthesisEngine>(
       id_ + "-synthesis", csml_metamodel(), make_csml_lts(), context_,
+      metrics_,
       [controller](const controller::ControlScript& script,
                    obs::RequestContext& request) {
         obs::ScopedSpan span(request, "controller.script",
@@ -265,9 +264,6 @@ CrowdDevice::CrowdDevice(std::string id, std::uint32_t seed,
         controller->process_pending(request);
         return Status::Ok();
       });
-  broker_->set_metrics(&metrics_);
-  controller_->set_metrics(&metrics_);
-  synthesis_->set_metrics(&metrics_);
   (void)synthesis_->start();
 
   auto endpoint = network.create_endpoint(id_);
@@ -285,10 +281,10 @@ Result<controller::ControlScript> CrowdDevice::submit_model_text(
   // bulk query starts.
   if (!queries_.empty()) context.set_attribute("priority", "high");
   obs::ScopedSpan span(context, "ui.submit", parsed->name());
-  metrics_.counter("requests.submitted").add();
+  requests_submitted_.add();
   Result<controller::ControlScript> script =
       synthesis_->submit_model(std::move(parsed.value()), context);
-  if (!script.ok()) metrics_.counter("requests.failed").add();
+  if (!script.ok()) requests_failed_.add();
   return script;
 }
 

@@ -7,7 +7,7 @@ using model::Value;
 HandcraftedMgridBroker::HandcraftedMgridBroker(MicrogridPlant& plant,
                                                runtime::EventBus& bus,
                                                policy::ContextStore& context)
-    : bus_(&bus), context_(&context), resources_(bus) {
+    : bus_(&bus), context_(&context), resources_(bus, metrics_) {
   (void)resources_.add_adapter(std::make_unique<PlantAdapter>(plant, "plant"));
   // Hand-coded rebalancing, mirroring the model-loaded autonomic rules:
   // storage discharge preferred, shedding a non-critical load as fallback.

@@ -33,6 +33,7 @@ class HandcraftedMgridBroker final : public broker::BrokerApi {
  private:
   runtime::EventBus* bus_;
   policy::ContextStore* context_;
+  obs::MetricsRegistry metrics_;
   broker::ResourceManager resources_;
   std::uint64_t subscription_ = 0;
   std::uint64_t rebalances_ = 0;

@@ -68,7 +68,7 @@ SmartObjectNode::SmartObjectNode(std::string id, std::string kind,
     : id_(std::move(id)) {
   device_.kind = std::move(kind);
   broker_ = std::make_unique<broker::BrokerLayer>(id_ + "-broker", bus_,
-                                                  context_);
+                                                  context_, metrics_);
   (void)broker_->resources().add_adapter(
       std::make_unique<DeviceAdapter>(device_));
   // Broker actions: the local device vocabulary.
@@ -86,7 +86,7 @@ SmartObjectNode::SmartObjectNode(std::string id, std::string kind,
   (void)broker_->bind_handler("so.level", {"dev-level"});
 
   controller_ = std::make_unique<controller::ControllerLayer>(
-      id_ + "-controller", *broker_, bus_, context_);
+      id_ + "-controller", *broker_, bus_, context_, metrics_);
   // Pass-through Case-1 actions for direct commands from the hub.
   controller::ControllerAction fwd_power;
   fwd_power.name = "fwd-power";

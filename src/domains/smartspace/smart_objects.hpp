@@ -13,6 +13,7 @@
 #include "broker/broker_layer.hpp"
 #include "controller/controller_layer.hpp"
 #include "net/network.hpp"
+#include "obs/metrics.hpp"
 #include "policy/context.hpp"
 #include "runtime/event_bus.hpp"
 
@@ -60,6 +61,7 @@ class SmartObjectNode {
   DeviceState device_;
   runtime::EventBus bus_;
   policy::ContextStore context_;
+  obs::MetricsRegistry metrics_;
   std::unique_ptr<broker::BrokerLayer> broker_;
   std::unique_ptr<controller::ControllerLayer> controller_;
   std::size_t installs_ = 0;

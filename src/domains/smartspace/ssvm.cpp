@@ -47,9 +47,10 @@ SsvmHub::SsvmHub(net::Network& network) {
   // satisfy the layer wiring and rejects every call, proving that all
   // hub behaviour flows through message passing.
   null_broker_ =
-      std::make_unique<broker::BrokerLayer>("hub-null-broker", bus_, context_);
+      std::make_unique<broker::BrokerLayer>("hub-null-broker", bus_, context_,
+                                            metrics_);
   controller_ = std::make_unique<controller::ControllerLayer>(
-      "hub-controller", *null_broker_, bus_, context_);
+      "hub-controller", *null_broker_, bus_, context_, metrics_);
 
   // The hub endpoint; kSend in hub actions goes through it.
   auto endpoint = network.create_endpoint("hub");
@@ -127,7 +128,7 @@ SsvmHub::SsvmHub(net::Network& network) {
   controller::ControllerLayer* controller = controller_.get();
   std::vector<std::string>* registered = &registered_;
   synthesis_ = std::make_unique<synthesis::SynthesisEngine>(
-      "hub-synthesis", ssml_metamodel(), make_ssml_lts(), context_,
+      "hub-synthesis", ssml_metamodel(), make_ssml_lts(), context_, metrics_,
       [controller, registered](const controller::ControlScript& script,
                                obs::RequestContext& request) {
         obs::ScopedSpan span(request, "controller.script",
@@ -145,9 +146,6 @@ SsvmHub::SsvmHub(net::Network& network) {
         controller->process_pending(request);
         return Status::Ok();
       });
-  controller_->set_metrics(&metrics_);
-  synthesis_->set_metrics(&metrics_);
-  null_broker_->set_metrics(&metrics_);
   (void)synthesis_->start();
 }
 
@@ -157,10 +155,10 @@ Result<controller::ControlScript> SsvmHub::submit_model_text(
   Result<model::Model> parsed = model::parse_model(text, ssml_metamodel());
   if (!parsed.ok()) return parsed.status();
   obs::ScopedSpan span(context, "ui.submit", parsed->name());
-  metrics_.counter("requests.submitted").add();
+  requests_submitted_.add();
   Result<controller::ControlScript> script =
       synthesis_->submit_model(std::move(parsed.value()), context);
-  if (!script.ok()) metrics_.counter("requests.failed").add();
+  if (!script.ok()) requests_failed_.add();
   return script;
 }
 

@@ -59,6 +59,8 @@ class SsvmHub {
   runtime::EventBus bus_;
   policy::ContextStore context_;
   obs::MetricsRegistry metrics_;
+  obs::Counter& requests_submitted_ = metrics_.counter("requests.submitted");
+  obs::Counter& requests_failed_ = metrics_.counter("requests.failed");
   std::unique_ptr<obs::RequestContext> last_context_;
   std::unique_ptr<broker::BrokerLayer> null_broker_;  ///< hub has no broker
   std::unique_ptr<controller::ControllerLayer> controller_;

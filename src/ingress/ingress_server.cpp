@@ -25,7 +25,21 @@ std::string dedup_key(const net::Message& message,
 }  // namespace
 
 IngressServer::IngressServer(core::Platform& platform, net::Network& network)
-    : platform_(&platform), network_(&network) {}
+    : platform_(&platform),
+      network_(&network),
+      chain_(platform.metrics()),
+      received_(platform.metrics().counter("ingress.received")),
+      malformed_(platform.metrics().counter("ingress.malformed")),
+      unrouted_(platform.metrics().counter("ingress.unrouted")),
+      refused_(platform.metrics().counter("ingress.refused")),
+      accepted_(platform.metrics().counter("ingress.accepted")),
+      completed_ok_(platform.metrics().counter("ingress.completed_ok")),
+      completed_error_(platform.metrics().counter("ingress.completed_error")),
+      replies_(platform.metrics().counter("ingress.replies")),
+      reply_failures_(platform.metrics().counter("ingress.reply_failures")),
+      deduped_(platform.metrics().counter("ingress.deduped")),
+      dedup_expired_(platform.metrics().counter("ingress.dedup_expired")),
+      service_us_(platform.metrics().histogram("ingress.service_us")) {}
 
 Result<std::unique_ptr<IngressServer>> IngressServer::attach(
     core::Platform& platform, net::Network& network,
@@ -46,7 +60,6 @@ Result<std::unique_ptr<IngressServer>> IngressServer::attach(
   server->attach_time_ = platform.clock().now();
   server->ledger_capacity_ = options.ledger_capacity;
   server->dedup_ttl_ = settings.dedup_ttl;
-  server->chain_.set_metrics(&platform.metrics());
   server->install_default_chain(settings);
   if (Status routes = server->install_default_routes(); !routes.ok()) {
     network.remove_endpoint(server->endpoint_name_);
@@ -156,13 +169,11 @@ Status IngressServer::install_default_routes() {
 }
 
 void IngressServer::on_message(const net::Message& message) {
-  received_.fetch_add(1, std::memory_order_relaxed);
-  platform_->metrics().counter("ingress.received").add();
+  received_.add();
 
   std::optional<Router::Match> match = router_.route(message.topic);
   if (!match.has_value()) {
-    unrouted_.fetch_add(1, std::memory_order_relaxed);
-    platform_->metrics().counter("ingress.unrouted").add();
+    unrouted_.add();
     // Best-effort correlation: the body may still carry a request id.
     Result<wire::Request> decoded = wire::decode_request(message.payload);
     const std::uint64_t id = decoded.ok() ? decoded.value().request_id : 0;
@@ -178,8 +189,7 @@ void IngressServer::handle_submit(const net::Message& message,
                                   const RouteParams& params) {
   Result<wire::Request> decoded = wire::decode_request(message.payload);
   if (!decoded.ok()) {
-    malformed_.fetch_add(1, std::memory_order_relaxed);
-    platform_->metrics().counter("ingress.malformed").add();
+    malformed_.add();
     refuse(message.from, 0, decoded.status(),
            wire::is_version_mismatch(decoded.status()) ? "bad-version"
                                                        : "malformed");
@@ -229,14 +239,11 @@ void IngressServer::handle_submit(const net::Message& message,
   Status door = platform_->submit_async(
       std::move(context.request.text),
       [this, to, id, key, start](Result<controller::ControlScript> outcome) {
-        platform_->metrics()
-            .histogram("ingress.service_us")
-            .record(platform_->clock().now() - start);
+        service_us_.record(platform_->clock().now() - start);
         wire::Reply reply;
         reply.request_id = id;
         if (outcome.ok()) {
-          completed_ok_.fetch_add(1, std::memory_order_relaxed);
-          platform_->metrics().counter("ingress.completed_ok").add();
+          completed_ok_.add();
           reply.code = ErrorCode::kOk;
           reply.message = outcome.value().id;
           reply.commands =
@@ -244,8 +251,7 @@ void IngressServer::handle_submit(const net::Message& message,
           record_outcome(key, reply);
           send_reply(to, std::move(reply));
         } else {
-          completed_error_.fetch_add(1, std::memory_order_relaxed);
-          platform_->metrics().counter("ingress.completed_error").add();
+          completed_error_.add();
           // Pipeline errors are terminal for this identity too: the
           // work was consumed, so a retry must see the same answer.
           reply.code = outcome.status().code();
@@ -267,16 +273,14 @@ void IngressServer::handle_submit(const net::Message& message,
     refuse(to, id, door, std::move(context.refusal));
     return;
   }
-  accepted_.fetch_add(1, std::memory_order_relaxed);
-  platform_->metrics().counter("ingress.accepted").add();
+  accepted_.add();
 }
 
 void IngressServer::handle_query(const net::Message& message,
                                  const RouteParams& params) {
   Result<wire::Request> decoded = wire::decode_request(message.payload);
   if (!decoded.ok()) {
-    malformed_.fetch_add(1, std::memory_order_relaxed);
-    platform_->metrics().counter("ingress.malformed").add();
+    malformed_.add();
     refuse(message.from, 0, decoded.status(),
            wire::is_version_mismatch(decoded.status()) ? "bad-version"
                                                        : "malformed");
@@ -312,8 +316,7 @@ void IngressServer::handle_query(const net::Message& message,
 void IngressServer::refuse(const std::string& to, std::uint64_t request_id,
                            const Status& status, std::string refusal) {
   if (refusal.empty()) refusal = std::string(wire::classify_refusal(status));
-  refused_.fetch_add(1, std::memory_order_relaxed);
-  platform_->metrics().counter("ingress.refused").add();
+  refused_.add();
   platform_->metrics().counter("ingress.refused." + refusal).add();
 
   wire::Reply reply;
@@ -336,11 +339,9 @@ void IngressServer::send_reply(const std::string& to, wire::Reply reply) {
     Status sent =
         endpoint->send(to, std::string(wire::kReplyTopic), payload);
     if (sent.ok()) {
-      replies_.fetch_add(1, std::memory_order_relaxed);
-      platform_->metrics().counter("ingress.replies").add();
+      replies_.add();
     } else {
-      reply_failures_.fetch_add(1, std::memory_order_relaxed);
-      platform_->metrics().counter("ingress.reply_failures").add();
+      reply_failures_.add();
     }
   });
 }
@@ -367,15 +368,13 @@ IngressServer::DedupVerdict IngressServer::check_dedup(const std::string& key,
     // TTL lapsed: the recorded outcome is too old to answer from, so
     // the retry re-executes as fresh work. The stale (key, seq) pair
     // left in ledger_order_ is skipped at eviction by its seq mismatch.
-    dedup_expired_.fetch_add(1, std::memory_order_relaxed);
-    platform_->metrics().counter("ingress.dedup_expired").add();
+    dedup_expired_.add();
     --ledger_completed_;
     ledger_.erase(it);
     it = ledger_.end();
   }
   if (it != ledger_.end()) {
-    deduped_.fetch_add(1, std::memory_order_relaxed);
-    platform_->metrics().counter("ingress.deduped").add();
+    deduped_.add();
     if (it->second.completed) {
       *recorded = it->second.reply;
       return DedupVerdict::kCompleted;
@@ -421,19 +420,17 @@ void IngressServer::record_outcome(const std::string& key,
 }
 
 IngressServer::Stats IngressServer::stats() const {
-  Stats stats;
-  stats.received = received_.load(std::memory_order_relaxed);
-  stats.malformed = malformed_.load(std::memory_order_relaxed);
-  stats.unrouted = unrouted_.load(std::memory_order_relaxed);
-  stats.refused = refused_.load(std::memory_order_relaxed);
-  stats.accepted = accepted_.load(std::memory_order_relaxed);
-  stats.completed_ok = completed_ok_.load(std::memory_order_relaxed);
-  stats.completed_error = completed_error_.load(std::memory_order_relaxed);
-  stats.replies = replies_.load(std::memory_order_relaxed);
-  stats.reply_failures = reply_failures_.load(std::memory_order_relaxed);
-  stats.deduped = deduped_.load(std::memory_order_relaxed);
-  stats.dedup_expired = dedup_expired_.load(std::memory_order_relaxed);
-  return stats;
+  return {.received = received_.value(),
+          .malformed = malformed_.value(),
+          .unrouted = unrouted_.value(),
+          .refused = refused_.value(),
+          .accepted = accepted_.value(),
+          .completed_ok = completed_ok_.value(),
+          .completed_error = completed_error_.value(),
+          .replies = replies_.value(),
+          .reply_failures = reply_failures_.value(),
+          .deduped = deduped_.value(),
+          .dedup_expired = dedup_expired_.value()};
 }
 
 }  // namespace mdsm::ingress

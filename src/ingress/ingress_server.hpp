@@ -20,7 +20,6 @@
 // racing teardown fail soft with kUnavailable instead of crashing).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -84,8 +83,8 @@ class IngressServer {
   void post_refusal(const std::string& to, std::uint64_t request_id,
                     const Status& status, std::string refusal = {});
 
-  /// Snapshot of the server's delivery ledger (all counters are also
-  /// mirrored as "ingress.*" metrics in the platform registry).
+  /// View over the server's delivery counters: the "ingress.<field>"
+  /// cells of the platform registry.
   struct Stats {
     std::uint64_t received = 0;     ///< wire messages seen
     std::uint64_t malformed = 0;    ///< undecodable payloads
@@ -141,17 +140,18 @@ class IngressServer {
   std::unique_ptr<runtime::EventLoop> reply_loop_;
   TimePoint attach_time_{};
 
-  std::atomic<std::uint64_t> received_{0};
-  std::atomic<std::uint64_t> malformed_{0};
-  std::atomic<std::uint64_t> unrouted_{0};
-  std::atomic<std::uint64_t> refused_{0};
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> completed_ok_{0};
-  std::atomic<std::uint64_t> completed_error_{0};
-  std::atomic<std::uint64_t> replies_{0};
-  std::atomic<std::uint64_t> reply_failures_{0};
-  std::atomic<std::uint64_t> deduped_{0};
-  std::atomic<std::uint64_t> dedup_expired_{0};
+  obs::Counter& received_;
+  obs::Counter& malformed_;
+  obs::Counter& unrouted_;
+  obs::Counter& refused_;
+  obs::Counter& accepted_;
+  obs::Counter& completed_ok_;
+  obs::Counter& completed_error_;
+  obs::Counter& replies_;
+  obs::Counter& reply_failures_;
+  obs::Counter& deduped_;
+  obs::Counter& dedup_expired_;
+  obs::Histogram& service_us_;
 
   /// Dedup ledger (PR 8, restructured in PR 10): one entry per
   /// "<client>#<id>" identity, in flight from admission until its

@@ -9,17 +9,16 @@
 namespace mdsm::ingress {
 
 void MiddlewareChain::add(std::string name, Middleware fn) {
-  entries_.push_back(Entry{std::move(name), std::move(fn)});
+  obs::Counter& refusals =
+      metrics_.counter("ingress.middleware." + name + ".refusals");
+  entries_.push_back(Entry{std::move(name), std::move(fn), &refusals});
 }
 
 Status MiddlewareChain::run(IngressContext& context) const {
   for (const Entry& entry : entries_) {
     Status status = entry.fn(context);
     if (!status.ok()) {
-      if (metrics_ != nullptr) {
-        metrics_->counter("ingress.middleware." + entry.name + ".refusals")
-            .add();
-      }
+      entry.refusals->add();
       if (context.refusal.empty()) {
         context.refusal = std::string(wire::classify_refusal(status));
       }

@@ -49,18 +49,18 @@ using Middleware = std::function<Status(IngressContext&)>;
 
 class MiddlewareChain {
  public:
-  /// Append `fn` under `name` (names show up in metrics:
-  /// "ingress.middleware.<name>.refusals").
+  /// Refusals count into `metrics`, which must outlive the chain.
+  explicit MiddlewareChain(obs::MetricsRegistry& metrics)
+      : metrics_(metrics) {}
+
+  /// Append `fn` under `name`; its refusals count in the
+  /// "ingress.middleware.<name>.refusals" cell, resolved here.
   void add(std::string name, Middleware fn);
 
   /// Run every middleware in registration order; the first non-Ok
-  /// status stops the chain and is returned. Counts per-middleware
-  /// refusals when a registry is attached.
+  /// status stops the chain, counts as the refusing middleware's
+  /// refusal and is returned.
   [[nodiscard]] Status run(IngressContext& context) const;
-
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept {
-    metrics_ = metrics;
-  }
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
@@ -70,9 +70,10 @@ class MiddlewareChain {
   struct Entry {
     std::string name;
     Middleware fn;
+    obs::Counter* refusals;
   };
+  obs::MetricsRegistry& metrics_;
   std::vector<Entry> entries_;
-  obs::MetricsRegistry* metrics_ = nullptr;
 };
 
 /// Per-client token-bucket rate limiter backing the "rate-limit"

@@ -2,7 +2,10 @@
 // latency histograms, recorded from every layer of the pipeline. The hot
 // path is lock-cheap — counters and histogram buckets are relaxed
 // atomics; the registry mutex is only taken to resolve a metric name to
-// its (stable) cell, and layers cache the returned references.
+// its (stable) cell. Components resolve their cells once, at
+// construction, and each event bumps exactly one cell: a component's
+// typed stats() view reads those same cells, so there is no second copy
+// of any count.
 //
 // Snapshots are value copies so callers can diff them across a workload
 // without racing the recorders (models@runtime discipline applied to the
@@ -39,7 +42,7 @@ class Counter {
 
 /// Latency histogram over microseconds with fixed power-of-two buckets:
 /// bucket 0 holds 0µs, bucket i holds [2^(i-1), 2^i) µs, and the last
-/// bucket absorbs everything longer (~2 minutes and up).
+/// bucket absorbs everything from 2^26 µs (~67 s) up.
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = 28;

@@ -19,11 +19,16 @@ const Clock& process_clock() noexcept {
 
 }  // namespace
 
-Executor::Executor(unsigned thread_count)
-    : Executor(ExecutorConfig{.thread_count = thread_count}) {}
+Executor::Executor(unsigned thread_count, obs::MetricsRegistry& metrics)
+    : Executor(ExecutorConfig{.thread_count = thread_count}, metrics) {}
 
-Executor::Executor(ExecutorConfig config)
-    : config_(config), clock_(&process_clock()) {
+Executor::Executor(ExecutorConfig config, obs::MetricsRegistry& metrics)
+    : config_(config),
+      clock_(&process_clock()),
+      task_failures_(metrics.counter("runtime.executor_task_failures")),
+      rejections_(metrics.counter("runtime.executor_rejections")),
+      shed_(metrics.counter("runtime.executor_shed")),
+      queue_delay_(metrics.histogram("runtime.queue_delay_us")) {
   if (config_.thread_count == 0) config_.thread_count = 1;
   workers_.reserve(config_.thread_count);
   for (unsigned i = 0; i < config_.thread_count; ++i) {
@@ -51,8 +56,7 @@ void Executor::shutdown() {
 }
 
 Status Executor::reject(const char* why) {
-  rejections_.fetch_add(1, std::memory_order_relaxed);
-  if (rejections_counter_ != nullptr) rejections_counter_->add();
+  rejections_.add();
   return Unavailable(std::string("executor refused task: ") + why);
 }
 
@@ -108,8 +112,7 @@ Status Executor::submit(Task task) {
             return false;
           };
           if (!shed_from(queues_[0])) shed_from(queues_[1]);
-          shed_.fetch_add(1, std::memory_order_relaxed);
-          if (shed_counter_ != nullptr) shed_counter_->add();
+          shed_.add();
           break;
         }
       }
@@ -195,9 +198,7 @@ void Executor::worker_loop() {
       lane.pop_front();
       if (!next.continuation) --bounded_pending_;
       ++active_;
-      if (queue_delay_histogram_ != nullptr) {
-        queue_delay_histogram_->record(clock_->now() - next.enqueued_at);
-      }
+      queue_delay_.record(clock_->now() - next.enqueued_at);
       task = std::move(next.run);
       space_.notify_one();
     }
@@ -205,12 +206,10 @@ void Executor::worker_loop() {
     try {
       task();
     } catch (const std::exception& e) {
-      task_failures_.fetch_add(1, std::memory_order_relaxed);
-      if (failures_counter_ != nullptr) failures_counter_->add();
+      task_failures_.add();
       log_error("executor") << "task threw: " << e.what();
     } catch (...) {
-      task_failures_.fetch_add(1, std::memory_order_relaxed);
-      if (failures_counter_ != nullptr) failures_counter_->add();
+      task_failures_.add();
       log_error("executor") << "task threw a non-std::exception";
     }
   }

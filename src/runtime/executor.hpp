@@ -49,8 +49,10 @@ struct ExecutorConfig {
 
 class Executor {
  public:
-  explicit Executor(unsigned thread_count = std::thread::hardware_concurrency());
-  explicit Executor(ExecutorConfig config);
+  /// Counts and the queue-delay histogram go to `metrics` ("runtime.*"
+  /// cells, resolved here), which must outlive the executor.
+  Executor(unsigned thread_count, obs::MetricsRegistry& metrics);
+  Executor(ExecutorConfig config, obs::MetricsRegistry& metrics);
   ~Executor();
 
   Executor(const Executor&) = delete;
@@ -74,15 +76,15 @@ class Executor {
   /// Returns Ok when the task was accepted, kUnavailable when it was
   /// refused — the queue is at capacity under kReject, or shutdown has
   /// begun (a task enqueued after shutdown would never run; refusing is
-  /// the only honest answer). Refusals count into rejections() and the
-  /// "runtime.executor_rejections" metric. Tasks submitted from a worker
+  /// the only honest answer). Refusals count into rejections() (the
+  /// "runtime.executor_rejections" cell). Tasks submitted from a worker
   /// thread of this executor bypass the capacity bound: blocking or
   /// rejecting a worker's own continuation could deadlock a full queue.
   ///
   /// A task that throws does not kill the worker or the process: the
-  /// exception is caught, counted in task_failures() (and the
-  /// "runtime.executor_task_failures" metric when one is attached) and
-  /// logged; the pool keeps serving and drain() still returns.
+  /// exception is caught, counted in task_failures() (the
+  /// "runtime.executor_task_failures" cell) and logged; the pool keeps
+  /// serving and drain() still returns.
   Status submit(std::function<void()> task);
   Status submit(Task task);
 
@@ -93,21 +95,6 @@ class Executor {
   /// Begin shutdown and join all workers. Queued tasks still run;
   /// subsequent submits are rejected. Idempotent; the destructor calls it.
   void shutdown();
-
-  /// Platform-wide metrics sink (optional). Call before submitting.
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept {
-    if (metrics == nullptr) {
-      failures_counter_ = nullptr;
-      rejections_counter_ = nullptr;
-      shed_counter_ = nullptr;
-      queue_delay_histogram_ = nullptr;
-      return;
-    }
-    failures_counter_ = &metrics->counter("runtime.executor_task_failures");
-    rejections_counter_ = &metrics->counter("runtime.executor_rejections");
-    shed_counter_ = &metrics->counter("runtime.executor_shed");
-    queue_delay_histogram_ = &metrics->histogram("runtime.queue_delay_us");
-  }
 
   /// Clock used to stamp enqueue→dequeue delay (default: process steady
   /// clock). Platforms inject theirs so queue delay shares request time.
@@ -137,15 +124,15 @@ class Executor {
   }
   /// Tasks whose invocation threw (contained, never propagated).
   [[nodiscard]] std::uint64_t task_failures() const noexcept {
-    return task_failures_.load(std::memory_order_relaxed);
+    return task_failures_.value();
   }
   /// Submits refused (queue full under kReject, or after shutdown).
   [[nodiscard]] std::uint64_t rejections() const noexcept {
-    return rejections_.load(std::memory_order_relaxed);
+    return rejections_.value();
   }
   /// Queued tasks dropped by kShedOldest before running.
   [[nodiscard]] std::uint64_t shed_tasks() const noexcept {
-    return shed_.load(std::memory_order_relaxed);
+    return shed_.value();
   }
 
  private:
@@ -164,6 +151,10 @@ class Executor {
 
   ExecutorConfig config_;
   const Clock* clock_;
+  obs::Counter& task_failures_;
+  obs::Counter& rejections_;
+  obs::Counter& shed_;
+  obs::Histogram& queue_delay_;
   mutable std::mutex mutex_;
   std::condition_variable wake_;
   std::condition_variable idle_;
@@ -177,13 +168,6 @@ class Executor {
   bool joined_ = false;
   std::atomic<std::size_t> max_pending_{0};
   std::atomic<std::size_t> max_bounded_pending_{0};
-  std::atomic<std::uint64_t> task_failures_{0};
-  std::atomic<std::uint64_t> rejections_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  obs::Counter* failures_counter_ = nullptr;
-  obs::Counter* rejections_counter_ = nullptr;
-  obs::Counter* shed_counter_ = nullptr;
-  obs::Histogram* queue_delay_histogram_ = nullptr;
 };
 
 }  // namespace mdsm::runtime

@@ -19,18 +19,16 @@ void raise_max(std::atomic<T>& cell, T candidate) {
 }  // namespace
 
 StagePipeline::StagePipeline(Executor& executor, const Clock& clock,
-                             obs::MetricsRegistry* metrics)
+                             obs::MetricsRegistry& metrics)
     : executor_(&executor), clock_(&clock), metrics_(metrics) {}
 
 std::size_t StagePipeline::add_stage(std::string name) {
-  auto stage = std::make_unique<Stage>();
-  stage->name = std::move(name);
-  if (metrics_ != nullptr) {
-    stage->delay = &metrics_->histogram("stage." + stage->name + ".delay_us");
-    stage->entered_counter =
-        &metrics_->counter("stage." + stage->name + ".entered");
-  }
-  stages_.push_back(std::move(stage));
+  const std::string prefix = "stage." + name + ".";
+  stages_.push_back(std::unique_ptr<Stage>(
+      new Stage{.name = std::move(name),
+                .delay = metrics_.histogram(prefix + "delay_us"),
+                .entered = metrics_.counter(prefix + "entered"),
+                .shed = metrics_.counter(prefix + "shed")}));
   return stages_.size() - 1;
 }
 
@@ -46,14 +44,12 @@ Status StagePipeline::submit(std::size_t stage_index, Continuation fn,
   task.continuation = options.continuation;
   task.run = [this, stage, enqueued, fn = std::move(fn)] {
     stage->depth.fetch_sub(1, std::memory_order_relaxed);
-    if (stage->delay != nullptr) {
-      stage->delay->record(clock_->now() - enqueued);
-    }
+    stage->delay.record(clock_->now() - enqueued);
     fn();
   };
   task.on_shed = [stage, on_shed = std::move(options.on_shed)] {
     stage->depth.fetch_sub(1, std::memory_order_relaxed);
-    stage->shed.fetch_add(1, std::memory_order_relaxed);
+    stage->shed.add();
     if (on_shed != nullptr) on_shed();
   };
   // Count the submission as queued before handing it to the executor:
@@ -68,8 +64,7 @@ Status StagePipeline::submit(std::size_t stage_index, Continuation fn,
     stage->depth.fetch_sub(1, std::memory_order_relaxed);
     return accepted;
   }
-  stage->entered.fetch_add(1, std::memory_order_relaxed);
-  if (stage->entered_counter != nullptr) stage->entered_counter->add();
+  stage->entered.add();
   return accepted;
 }
 
@@ -81,8 +76,8 @@ std::vector<StagePipeline::StageStats> StagePipeline::stats() const {
     row.name = stage->name;
     row.depth = stage->depth.load(std::memory_order_relaxed);
     row.max_depth = stage->max_depth.load(std::memory_order_relaxed);
-    row.entered = stage->entered.load(std::memory_order_relaxed);
-    row.shed = stage->shed.load(std::memory_order_relaxed);
+    row.entered = stage->entered.value();
+    row.shed = stage->shed.value();
     out.push_back(std::move(row));
   }
   return out;

@@ -34,9 +34,11 @@ using Continuation = std::function<void()>;
 
 class StagePipeline {
  public:
-  /// Metrics may be null (tests); stages then keep counters only.
+  /// Each stage's delay histogram and counters are cells of `metrics`
+  /// ("stage.<name>.*", resolved by add_stage()), which must outlive the
+  /// pipeline.
   StagePipeline(Executor& executor, const Clock& clock,
-                obs::MetricsRegistry* metrics);
+                obs::MetricsRegistry& metrics);
 
   StagePipeline(const StagePipeline&) = delete;
   StagePipeline& operator=(const StagePipeline&) = delete;
@@ -68,8 +70,9 @@ class StagePipeline {
     std::string name;
     std::size_t depth = 0;      ///< currently queued, not yet started
     std::size_t max_depth = 0;  ///< deepest the stage queue ever got
-    std::uint64_t entered = 0;  ///< accepted submissions
+    std::uint64_t entered = 0;  ///< accepted submissions (".entered")
     std::uint64_t shed = 0;     ///< dropped by kShedOldest while queued
+                                ///< (".shed")
   };
   [[nodiscard]] std::vector<StageStats> stats() const;
   [[nodiscard]] std::size_t stage_count() const noexcept {
@@ -80,17 +83,16 @@ class StagePipeline {
  private:
   struct Stage {
     std::string name;
-    obs::Histogram* delay = nullptr;   ///< "stage.<name>.delay_us"
-    obs::Counter* entered_counter = nullptr;
+    obs::Histogram& delay;  ///< "stage.<name>.delay_us"
+    obs::Counter& entered;
+    obs::Counter& shed;
     std::atomic<std::size_t> depth{0};
     std::atomic<std::size_t> max_depth{0};
-    std::atomic<std::uint64_t> entered{0};
-    std::atomic<std::uint64_t> shed{0};
   };
 
   Executor* executor_;
   const Clock* clock_;
-  obs::MetricsRegistry* metrics_;
+  obs::MetricsRegistry& metrics_;
   /// unique_ptr for stable addresses: queued closures hold Stage*
   /// across add_stage() growth. Add-only.
   std::vector<std::unique_ptr<Stage>> stages_;

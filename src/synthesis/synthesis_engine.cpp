@@ -9,11 +9,17 @@ namespace mdsm::synthesis {
 
 SynthesisEngine::SynthesisEngine(std::string name, model::MetamodelPtr dsml,
                                  Lts lts, const policy::ContextStore& context,
+                                 obs::MetricsRegistry& metrics,
                                  Dispatch dispatch)
     : Component(std::move(name)),
       dsml_(dsml),
       lts_(std::move(lts)),
       interpreter_(lts_, dsml, context),
+      models_submitted_(metrics.counter("synthesis.models")),
+      scripts_dispatched_(metrics.counter("synthesis.scripts")),
+      commands_generated_(metrics.counter("synthesis.commands")),
+      rejected_models_(metrics.counter("synthesis.rejected_models")),
+      controller_events_(metrics.counter("synthesis.controller_events")),
       dispatch_(std::move(dispatch)),
       runtime_model_(std::make_shared<const model::Model>("runtime", dsml)) {}
 
@@ -44,23 +50,22 @@ Result<controller::ControlScript> SynthesisEngine::commit_model(
 
 Result<controller::ControlScript> SynthesisEngine::commit_core(
     model::Model new_model, obs::RequestContext& context) {
-  stats_.models_submitted.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) metrics_->counter("synthesis.models").add();
+  models_submitted_.add();
   // Checks that do not touch shared synthesis state run before the serial
   // section so rejected submissions never contend with live ones.
   if (Status deadline = context.check_deadline("synthesis"); !deadline.ok()) {
-    stats_.rejected_models.fetch_add(1, std::memory_order_relaxed);
+    rejected_models_.add();
     return deadline;
   }
   if (&new_model.metamodel() != dsml_.get()) {
-    stats_.rejected_models.fetch_add(1, std::memory_order_relaxed);
+    rejected_models_.add();
     return InvalidArgument("submitted model conforms to metamodel '" +
                            new_model.metamodel().name() +
                            "', engine expects '" + dsml_->name() + "'");
   }
   Status valid = new_model.validate();
   if (!valid.ok()) {
-    stats_.rejected_models.fetch_add(1, std::memory_order_relaxed);
+    rejected_models_.add();
     return valid;
   }
   Result<controller::ControlScript> script = InvalidArgument("unreachable");
@@ -78,24 +83,19 @@ Result<controller::ControlScript> SynthesisEngine::commit_core(
     // paper's assumption that LTSs fully cover their DSML.
     script = interpreter_.interpret(changes, new_model);
     if (!script.ok()) {
-      stats_.rejected_models.fetch_add(1, std::memory_order_relaxed);
+      rejected_models_.add();
       return script;
     }
     // Dispatcher: ship the script down, then commit the runtime model.
     if (dispatch_ != nullptr && !script->empty()) {
       Status dispatched = dispatch_(*script, context);
       if (!dispatched.ok()) {
-        stats_.rejected_models.fetch_add(1, std::memory_order_relaxed);
+        rejected_models_.add();
         return dispatched;
       }
     }
-    stats_.scripts_dispatched.fetch_add(1, std::memory_order_relaxed);
-    stats_.commands_generated.fetch_add(script->commands.size(),
-                                        std::memory_order_relaxed);
-    if (metrics_ != nullptr) {
-      metrics_->counter("synthesis.scripts").add();
-      metrics_->counter("synthesis.commands").add(script->commands.size());
-    }
+    scripts_dispatched_.add();
+    commands_generated_.add(script->commands.size());
     previous = std::exchange(
         runtime_model_,
         std::make_shared<const model::Model>(std::move(new_model)));
@@ -106,9 +106,11 @@ Result<controller::ControlScript> SynthesisEngine::commit_core(
 
 void SynthesisEngine::handle_controller_event(const std::string& topic,
                                               const model::Value& payload) {
-  stats_.controller_events.fetch_add(1, std::memory_order_relaxed);
+  controller_events_.add();
+  std::string entry = topic + ": " + payload.to_text();
   std::lock_guard lock(event_mutex_);
-  event_log_.push_back(topic + ": " + payload.to_text());
+  if (event_log_.size() == kEventLogCapacity) event_log_.pop_front();
+  event_log_.push_back(std::move(entry));
 }
 
 SynthesisEngine::ModelPtr SynthesisEngine::runtime_model() const {
@@ -151,22 +153,16 @@ Status SynthesisEngine::restore_state(
 }
 
 SynthesisStats SynthesisEngine::stats() const {
-  SynthesisStats out;
-  out.models_submitted =
-      stats_.models_submitted.load(std::memory_order_relaxed);
-  out.scripts_dispatched =
-      stats_.scripts_dispatched.load(std::memory_order_relaxed);
-  out.commands_generated =
-      stats_.commands_generated.load(std::memory_order_relaxed);
-  out.rejected_models = stats_.rejected_models.load(std::memory_order_relaxed);
-  out.controller_events =
-      stats_.controller_events.load(std::memory_order_relaxed);
-  return out;
+  return {.models_submitted = models_submitted_.value(),
+          .scripts_dispatched = scripts_dispatched_.value(),
+          .commands_generated = commands_generated_.value(),
+          .rejected_models = rejected_models_.value(),
+          .controller_events = controller_events_.value()};
 }
 
 std::vector<std::string> SynthesisEngine::event_log() const {
   std::lock_guard lock(event_mutex_);
-  return event_log_;
+  return {event_log_.begin(), event_log_.end()};
 }
 
 }  // namespace mdsm::synthesis

@@ -15,7 +15,7 @@
 // swap, not the work.
 #pragma once
 
-#include <atomic>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -27,12 +27,14 @@
 #include "controller/script.hpp"
 #include "model/diff.hpp"
 #include "model/model.hpp"
+#include "obs/metrics.hpp"
 #include "obs/request_context.hpp"
 #include "runtime/component.hpp"
 #include "synthesis/change_interpreter.hpp"
 
 namespace mdsm::synthesis {
 
+/// View over the engine's registry cells ("synthesis.*", DESIGN.md §6a).
 struct SynthesisStats {
   std::uint64_t models_submitted = 0;
   std::uint64_t scripts_dispatched = 0;
@@ -61,8 +63,11 @@ class SynthesisEngine final : public runtime::Component {
   /// under the serial mutex, so listeners see commits in commit order.
   using ModelListener = std::function<void(const ModelPtr&)>;
 
+  /// Counts go to `metrics` ("synthesis.*" cells, resolved here), which
+  /// must outlive the engine.
   SynthesisEngine(std::string name, model::MetamodelPtr dsml, Lts lts,
-                  const policy::ContextStore& context, Dispatch dispatch);
+                  const policy::ContextStore& context,
+                  obs::MetricsRegistry& metrics, Dispatch dispatch);
 
   void set_model_listener(ModelListener listener) {
     listener_ = std::move(listener);
@@ -101,15 +106,12 @@ class SynthesisEngine final : public runtime::Component {
   Result<controller::ControlScript> commit_model(model::Model new_model,
                                                  obs::RequestContext& context);
 
-  /// Platform-wide metrics sink (optional; wired by the assembler).
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept {
-    metrics_ = metrics;
-  }
-
   /// Events from the Controller layer (exceptional conditions); recorded
   /// and exposed so domain logic (or tests) can react — e.g. resubmitting
-  /// a degraded model. Safe to call concurrently (published from request
-  /// threads mid-execution).
+  /// a degraded model. The log keeps the newest kEventLogCapacity
+  /// entries; the total stays readable as stats().controller_events.
+  /// Safe to call concurrently (published from request threads
+  /// mid-execution).
   void handle_controller_event(const std::string& topic,
                                const model::Value& payload);
 
@@ -125,7 +127,9 @@ class SynthesisEngine final : public runtime::Component {
   /// Snapshot of the counters (each exact; cross-counter sums may tear
   /// momentarily while submissions are in flight).
   [[nodiscard]] SynthesisStats stats() const;
+  /// The newest controller events, oldest first.
   [[nodiscard]] std::vector<std::string> event_log() const;
+  static constexpr std::size_t kEventLogCapacity = 64;
 
   /// Atomic export of the synthesis-layer session state: the serialized
   /// runtime model and every tracked LTS state, both taken under ONE
@@ -155,7 +159,11 @@ class SynthesisEngine final : public runtime::Component {
   model::MetamodelPtr dsml_;
   Lts lts_;
   ChangeInterpreter interpreter_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Counter& models_submitted_;
+  obs::Counter& scripts_dispatched_;
+  obs::Counter& commands_generated_;
+  obs::Counter& rejected_models_;
+  obs::Counter& controller_events_;
   Dispatch dispatch_;
   Dispatch executor_;
   ModelListener listener_;
@@ -164,16 +172,8 @@ class SynthesisEngine final : public runtime::Component {
   mutable std::mutex mutex_;
   ModelPtr runtime_model_;  ///< "an empty model if the system has just
                             ///< been started"
-  struct AtomicStats {
-    std::atomic<std::uint64_t> models_submitted{0};
-    std::atomic<std::uint64_t> scripts_dispatched{0};
-    std::atomic<std::uint64_t> commands_generated{0};
-    std::atomic<std::uint64_t> rejected_models{0};
-    std::atomic<std::uint64_t> controller_events{0};
-  };
-  mutable AtomicStats stats_;
   mutable std::mutex event_mutex_;  ///< guards event_log_ only
-  std::vector<std::string> event_log_;
+  std::deque<std::string> event_log_;
 };
 
 }  // namespace mdsm::synthesis

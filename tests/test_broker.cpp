@@ -40,7 +40,8 @@ class FakeResource : public ResourceAdapter {
 struct BrokerFixture : ::testing::Test {
   runtime::EventBus bus;
   policy::ContextStore context;
-  BrokerLayer layer{"ncb", bus, context};
+  obs::MetricsRegistry metrics;
+  BrokerLayer layer{"ncb", bus, context, metrics};
   FakeResource* resource = nullptr;
 
   void SetUp() override {
@@ -319,8 +320,6 @@ TEST_F(BrokerFixture, ThrowingAdapterIsContainedAsExecutionError) {
     }
   };
   set_log_level(LogLevel::kOff);
-  obs::MetricsRegistry metrics;
-  layer.set_metrics(&metrics);
   ASSERT_TRUE(
       layer.resources().add_adapter(std::make_unique<ThrowingResource>()).ok());
   auto result = layer.resources().invoke("video", "start", {});

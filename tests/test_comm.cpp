@@ -78,7 +78,8 @@ TEST_F(ServiceFixture, FaultInjectionRaisesEventAndReconnectRestores) {
 
 TEST_F(ServiceFixture, AdapterMapsCommandsAndErrors) {
   runtime::EventBus bus;
-  broker::ResourceManager resources(bus);
+  obs::MetricsRegistry metrics;
+  broker::ResourceManager resources(bus, metrics);
   ASSERT_TRUE(resources
                   .add_adapter(std::make_unique<CommServiceAdapter>(service))
                   .ok());

@@ -147,7 +147,8 @@ TEST(Concurrency, PolicyEvaluationWhileContextMutates) {
 }
 
 TEST(Concurrency, ExecutorStressWithMixedWorkloads) {
-  runtime::Executor executor(4);
+  obs::MetricsRegistry metrics;
+  runtime::Executor executor(4, metrics);
   std::atomic<std::int64_t> sum{0};
   constexpr int kTasks = 2000;
   for (int i = 0; i < kTasks; ++i) {

@@ -36,7 +36,8 @@ struct ControllerFixture : ::testing::Test {
   StubBroker broker;
   runtime::EventBus bus;
   policy::ContextStore context;
-  ControllerLayer layer{"ucm", broker, bus, context};
+  obs::MetricsRegistry metrics;
+  ControllerLayer layer{"ucm", broker, bus, context, metrics};
 
   void add_dsc(const std::string& name, const std::string& category = "ops") {
     ASSERT_TRUE(layer.dscs().add({name, DscKind::kOperation, category, ""}).ok());
@@ -379,7 +380,7 @@ TEST_F(ControllerFixture, StepBudgetStopsRunawayEu) {
   ASSERT_TRUE(layer.add_procedure(std::move(p)).ok());
   EngineConfig config;
   config.max_steps = 10;
-  ExecutionEngine tight(broker, bus, context, config);
+  ExecutionEngine tight(broker, bus, context, metrics, config);
   auto intent = layer.generator().generate("loop", SelectionStrategy::kMinCost);
   ASSERT_TRUE(intent.ok());
   EXPECT_EQ(tight.execute(**intent, {}).status().code(),
@@ -546,7 +547,8 @@ TEST_P(GeneratorProperty, GeneratedImsAlwaysValid) {
   StubBroker broker;
   runtime::EventBus bus;
   policy::ContextStore context;
-  ControllerLayer layer("gen", broker, bus, context);
+  obs::MetricsRegistry metrics;
+  ControllerLayer layer("gen", broker, bus, context, metrics);
   std::mt19937 rng(GetParam());
   // Layered DSCs: layer L procedures depend only on DSCs in layer L+1.
   constexpr int kLayers = 4;

@@ -128,7 +128,8 @@ TEST(Router, RejectsDuplicateAndUnnamedPatterns) {
 // ---- middleware chain -----------------------------------------------------
 
 TEST(MiddlewareChain, RunsInOrderAndShortCircuits) {
-  ingress::MiddlewareChain chain;
+  obs::MetricsRegistry metrics;
+  ingress::MiddlewareChain chain(metrics);
   std::vector<std::string> ran;
   chain.add("first", [&ran](ingress::IngressContext&) {
     ran.push_back("first");
@@ -154,7 +155,8 @@ TEST(MiddlewareChain, RunsInOrderAndShortCircuits) {
 }
 
 TEST(MiddlewareChain, FillsRefusalSlugFromStatusWhenUntyped) {
-  ingress::MiddlewareChain chain;
+  obs::MetricsRegistry metrics;
+  ingress::MiddlewareChain chain(metrics);
   chain.add("gate",
             [](ingress::IngressContext&) { return Unavailable("busy"); });
   ingress::IngressContext context;

@@ -3,14 +3,25 @@
 // them to a request's journey through the layers.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
+#include <optional>
 #include <set>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "core/platform.hpp"
+#include "ingress/ingress_client.hpp"
+#include "ingress/ingress_server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_context.hpp"
 #include "obs/trace.hpp"
 #include "runtime/executor.hpp"
+#include "soak_fixtures.hpp"
 
 namespace mdsm::obs {
 namespace {
@@ -74,7 +85,8 @@ TEST(MetricsRegistry, SafeUnderConcurrentRecording) {
   MetricsRegistry registry;
   constexpr int kTasks = 64;
   constexpr int kPerTask = 250;
-  runtime::Executor executor(4);
+  obs::MetricsRegistry executor_metrics;
+  runtime::Executor executor(4, executor_metrics);
   for (int task = 0; task < kTasks; ++task) {
     executor.submit([&registry, task] {
       // Mix of shared cells and per-task cells: exercises both the map
@@ -251,6 +263,295 @@ TEST(AmbientScope, ThreadLocalIsolation) {
   std::thread worker([&seen] { seen = current(); });
   worker.join();
   EXPECT_EQ(seen, nullptr);  // other threads see no ambient context
+}
+
+// ---- count once: typed views read the registry cells ---------------------
+
+/// The soak platform's "svc" resource, plus two levers: executions for
+/// session "bad" fail (a controller error), and hold_next() parks the
+/// next execution on its worker until release().
+class LeverAdapter final : public broker::ResourceAdapter {
+ public:
+  LeverAdapter() : ResourceAdapter("svc") {}
+
+  Result<model::Value> execute(const std::string& command,
+                               const broker::Args& args) override {
+    auto id = args.find("id");
+    if (id != args.end() && id->second == model::Value("bad")) {
+      return Unavailable("svc refuses session 'bad'");
+    }
+    std::unique_lock lock(mutex_);
+    if (hold_) {
+      hold_ = false;
+      parked_ = true;
+      changed_.notify_all();
+      changed_.wait(lock, [this] { return !parked_; });
+    }
+    return model::Value("done:" + command);
+  }
+
+  void hold_next() {
+    std::lock_guard lock(mutex_);
+    hold_ = true;
+  }
+  void wait_parked() {
+    std::unique_lock lock(mutex_);
+    changed_.wait(lock, [this] { return parked_; });
+  }
+  void release() {
+    {
+      std::lock_guard lock(mutex_);
+      parked_ = false;
+    }
+    changed_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  bool hold_ = false;
+  bool parked_ = false;
+};
+
+/// Counter names the platform and its ingress registered for the
+/// CountOnce run before typed views became views over registry cells.
+/// A rename or a dropped cell fails here; new cells may be added.
+constexpr std::string_view kPinnedCounterNames[] = {
+    "broker.adapter_exceptions",
+    "broker.attempt_overruns",
+    "broker.breaker_open",
+    "broker.breaker_transitions",
+    "broker.calls",
+    "broker.commands",
+    "broker.fallbacks",
+    "broker.late_completions",
+    "broker.retries",
+    "broker.retry_exhausted",
+    "controller.broker_calls",
+    "controller.case2",
+    "controller.commands",
+    "controller.errors",
+    "controller.eu_executions",
+    "controller.signals",
+    "ingress.accepted",
+    "ingress.completed_ok",
+    "ingress.received",
+    "ingress.refused",
+    "ingress.refused.no-route",
+    "ingress.replies",
+    "requests.failed",
+    "requests.submitted",
+    "runtime.executor_rejections",
+    "runtime.executor_shed",
+    "runtime.executor_task_failures",
+    "stage.broker.entered",
+    "stage.complete.entered",
+    "stage.controller.entered",
+    "stage.synthesis.entered",
+    "synthesis.commands",
+    "synthesis.models",
+    "synthesis.scripts",
+    "ui.shed_expired",
+    "ui.shed_predicted",
+};
+
+// One platform with an attached ingress, driven through a wire submit
+// and query, sync and async submits, one controller error, one
+// admission shed and one executor rejection. Each event must land in
+// exactly one registry cell, and every typed view must read that cell.
+TEST(CountOnce, TypedViewsEqualTheirRegistryCells) {
+  std::string text(soak::kSoakMiddlewareModel);
+  const std::string anchor = "domain = \"testing\"";
+  text.insert(text.find(anchor) + anchor.size(),
+              "\n  admission = true\n  queue_capacity = 1");
+  core::PlatformConfig config;
+  config.dsml = model::testing::make_test_metamodel();
+  config.pipeline_threads = 1;
+  auto assembled = core::Platform::assemble_from_text(text, config);
+  ASSERT_TRUE(assembled.ok()) << assembled.status().to_string();
+  core::Platform& platform = *assembled.value();
+  auto lever = std::make_unique<LeverAdapter>();
+  LeverAdapter& svc = *lever;
+  ASSERT_TRUE(platform.add_resource_adapter(std::move(lever)).ok());
+  ASSERT_TRUE(platform.start().ok());
+
+  SimClock clock;
+  net::Network network(clock);
+  auto server = ingress::IngressServer::attach(
+      platform, network, {.manual_reply_loop = true});
+  ASSERT_TRUE(server.ok()) << server.status().to_string();
+  auto client =
+      ingress::IngressClient::attach(network, (*server)->endpoint_name());
+  ASSERT_TRUE(client.ok()) << client.status().to_string();
+  auto drive_until = [&](const std::function<bool()>& done) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done() && std::chrono::steady_clock::now() < give_up) {
+      network.run_until_idle();
+      (*server)->pump();
+      network.run_until_idle();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return done();
+  };
+
+  // Over the wire: one submit that completes, one refused query.
+  std::optional<ingress::RemoteOutcome> submitted;
+  std::optional<ingress::RemoteOutcome> queried;
+  ASSERT_TRUE((*client)
+                  ->submit("testlang", "w1", soak::open_session_text("w1"),
+                           [&](const ingress::RemoteOutcome& outcome) {
+                             submitted = outcome;
+                           })
+                  .ok());
+  ASSERT_TRUE((*client)
+                  ->query("no-such-view",
+                          [&](const ingress::RemoteOutcome& outcome) {
+                            queried = outcome;
+                          })
+                  .ok());
+  ASSERT_TRUE(drive_until(
+      [&] { return submitted.has_value() && queried.has_value(); }));
+  EXPECT_TRUE(submitted->status.ok()) << submitted->status.to_string();
+  EXPECT_EQ(queried->refusal, "no-route");
+
+  // In process: a sync submit, a shed and a controller error.
+  EXPECT_TRUE(platform.submit_model_text(soak::open_session_text("s1")).ok());
+  obs::RequestContext spent = platform.make_context(Duration(0));
+  EXPECT_EQ(platform.submit_model_text(soak::open_session_text("s2"), spent)
+                .status()
+                .code(),
+            ErrorCode::kTimeout);
+  EXPECT_TRUE(platform.submit_model_text(soak::open_session_text("bad")).ok());
+
+  // Async: park the only worker, fill the one queue slot, and the next
+  // submit is refused by the executor.
+  svc.hold_next();
+  std::atomic<int> completed{0};
+  auto count = [&completed](Result<controller::ControlScript> outcome) {
+    EXPECT_TRUE(outcome.ok()) << outcome.status().to_string();
+    ++completed;
+  };
+  ASSERT_TRUE(platform.submit_async(soak::open_session_text("a1"), count).ok());
+  svc.wait_parked();
+  ASSERT_TRUE(platform.submit_async(soak::open_session_text("a2"), count).ok());
+  EXPECT_EQ(platform.submit_async(soak::open_session_text("a3"), count).code(),
+            ErrorCode::kUnavailable);
+  svc.release();
+  ASSERT_TRUE(drive_until([&] { return completed.load() == 2; }));
+  ASSERT_TRUE(platform.stop().ok());
+
+  const MetricsSnapshot snapshot = platform.metrics().snapshot();
+  const synthesis::SynthesisStats synthesis = platform.synthesis().stats();
+  const controller::ControllerStats layer = platform.controller().stats();
+  const controller::EngineStats engine =
+      platform.controller().engine().stats();
+  const controller::GeneratorStats im =
+      platform.controller().generator().stats();
+  const broker::BrokerLayer& broker = platform.broker();
+  const ingress::IngressServer::Stats wire = (*server)->stats();
+  const core::Platform::PipelineStats pipeline = platform.pipeline_stats();
+  const std::vector<runtime::StagePipeline::StageStats> stages =
+      platform.stage_stats();
+  ASSERT_EQ(stages.size(), 4u);
+  struct Row {
+    std::string cell;
+    std::uint64_t view;
+  };
+  const std::vector<Row> rows = {
+      {"synthesis.models", synthesis.models_submitted},
+      {"synthesis.scripts", synthesis.scripts_dispatched},
+      {"synthesis.commands", synthesis.commands_generated},
+      {"synthesis.rejected_models", synthesis.rejected_models},
+      {"synthesis.controller_events", synthesis.controller_events},
+      {"controller.signals_received", layer.signals_received},
+      {"controller.commands", layer.commands_executed},
+      {"controller.case1", layer.case1_executions},
+      {"controller.case2", layer.case2_executions},
+      {"controller.errors", layer.errors},
+      {"controller.events_handled", layer.events_handled},
+      {"controller.instructions", engine.instructions},
+      {"controller.broker_calls", engine.broker_calls},
+      {"controller.procedure_pushes", engine.procedure_pushes},
+      {"controller.eu_executions", engine.executions},
+      {"controller.im_generated", im.generated},
+      {"controller.im_validated", im.validated},
+      {"controller.im_selected", im.selected},
+      {"controller.im_cache_hits", im.cache_hits},
+      {"controller.im_cache_misses", im.cache_misses},
+      {"controller.im_guard_rejections", im.guard_rejections},
+      {"controller.im_cycle_rejections", im.cycle_rejections},
+      {"broker.calls", broker.calls_handled()},
+      {"broker.events_received", broker.events_handled()},
+      {"autonomic.reactions", platform.broker().autonomic().adaptations()},
+      {"autonomic.symptoms_detected",
+       platform.broker().autonomic().symptoms_detected()},
+      {"ingress.received", wire.received},
+      {"ingress.malformed", wire.malformed},
+      {"ingress.unrouted", wire.unrouted},
+      {"ingress.refused", wire.refused},
+      {"ingress.accepted", wire.accepted},
+      {"ingress.completed_ok", wire.completed_ok},
+      {"ingress.completed_error", wire.completed_error},
+      {"ingress.replies", wire.replies},
+      {"ingress.reply_failures", wire.reply_failures},
+      {"ingress.deduped", wire.deduped},
+      {"ingress.dedup_expired", wire.dedup_expired},
+      {"runtime.executor_rejections", pipeline.rejections},
+      {"runtime.executor_shed", pipeline.shed},
+  };
+  for (const Row& row : rows) {
+    EXPECT_NE(snapshot.counter(row.cell), nullptr) << row.cell;
+    EXPECT_EQ(snapshot.counter_value(row.cell), row.view) << row.cell;
+  }
+  for (const auto& stage : stages) {
+    EXPECT_EQ(snapshot.counter_value("stage." + stage.name + ".entered"),
+              stage.entered)
+        << stage.name;
+    EXPECT_EQ(snapshot.counter_value("stage." + stage.name + ".shed"),
+              stage.shed)
+        << stage.name;
+  }
+  // Each lever fired once and counted once.
+  EXPECT_EQ(layer.errors, 1u);
+  EXPECT_EQ(synthesis.controller_events, 1u);
+  EXPECT_EQ(snapshot.counter_value("ui.shed_expired"), 1u);
+  EXPECT_EQ(pipeline.rejections, 1u);
+  EXPECT_EQ(wire.refused, 1u);
+  EXPECT_EQ(snapshot.counter_value("ingress.refused.no-route"), 1u);
+  // Four sync attempts and three accepted async ones reached the UI
+  // layer; the shed one and the refused one failed there.
+  EXPECT_EQ(snapshot.counter_value("requests.submitted"), 6u);
+  EXPECT_EQ(snapshot.counter_value("requests.failed"), 1u);
+  for (std::string_view name : kPinnedCounterNames) {
+    EXPECT_NE(snapshot.counter(name), nullptr) << name;
+  }
+
+  (*client).reset();
+  (*server).reset();
+}
+
+// The platform's registry carries the IM cache counters, so the
+// query/metrics route reports them.
+TEST(CountOnce, PlatformMetricsCarryIntentModelCacheCounters) {
+  soak::SoakPlatform soak = soak::make_soak_platform(broker::ChaosConfig{});
+  ASSERT_TRUE(soak.ok()) << soak.status.to_string();
+  core::Platform& platform = *soak.platform;
+  for (const char* id : {"s1", "s2", "s3"}) {
+    ASSERT_TRUE(platform.submit_model_text(soak::open_session_text(id)).ok());
+  }
+  ASSERT_TRUE(platform.stop().ok());
+  const controller::GeneratorStats im =
+      platform.controller().generator().stats();
+  EXPECT_GT(im.cache_hits, 0u);
+  EXPECT_GT(im.cache_misses, 0u);
+  const MetricsSnapshot snapshot = platform.metrics().snapshot();
+  ASSERT_NE(snapshot.counter("controller.im_cache_hits"), nullptr);
+  ASSERT_NE(snapshot.counter("controller.im_cache_misses"), nullptr);
+  EXPECT_EQ(snapshot.counter_value("controller.im_cache_hits"),
+            im.cache_hits);
+  EXPECT_EQ(snapshot.counter_value("controller.im_cache_misses"),
+            im.cache_misses);
 }
 
 }  // namespace

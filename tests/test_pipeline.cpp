@@ -249,7 +249,8 @@ TEST_F(PipelineTest, DscRemovalInvalidatesCachedIntentModel) {
   NullBroker broker;
   runtime::EventBus bus;
   policy::ContextStore context;
-  controller::ControllerLayer layer("pipeline", broker, bus, context);
+  obs::MetricsRegistry metrics;
+  controller::ControllerLayer layer("pipeline", broker, bus, context, metrics);
   ASSERT_TRUE(
       layer.dscs().add({"op", controller::DscKind::kOperation, "", ""}).ok());
   ASSERT_TRUE(layer.add_procedure(make_procedure("p1", "op")).ok());
@@ -288,7 +289,8 @@ TEST_F(PipelineTest, ConcurrentReadersNeverSeeStaleImAcrossRemoval) {
   NullBroker broker;
   runtime::EventBus bus;
   policy::ContextStore context;
-  controller::ControllerLayer layer("pipeline", broker, bus, context);
+  obs::MetricsRegistry metrics;
+  controller::ControllerLayer layer("pipeline", broker, bus, context, metrics);
   ASSERT_TRUE(
       layer.dscs().add({"op", controller::DscKind::kOperation, "", ""}).ok());
   ASSERT_TRUE(layer.add_procedure(make_procedure("p1", "op")).ok());

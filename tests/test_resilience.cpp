@@ -185,7 +185,6 @@ struct Rig {
     auto adapter = std::make_unique<ScriptedAdapter>("svc");
     primary = adapter.get();
     EXPECT_TRUE(layer.resources().add_adapter(std::move(adapter)).ok());
-    layer.set_metrics(&metrics);
     if (entry == Entry::kInvoke) {
       // Backoff sleeps advance the simulated clock instead of
       // wall-blocking.
@@ -237,8 +236,8 @@ struct Rig {
   Entry entry;
   runtime::EventBus bus;
   policy::ContextStore store;
-  BrokerLayer layer{"resilient", bus, store};
   obs::MetricsRegistry metrics;
+  BrokerLayer layer{"resilient", bus, store, metrics};
   SimClock clock;
   runtime::EventLoop loop{{.clock = &clock, .threaded = false}};
   ScriptedAdapter* primary = nullptr;
@@ -703,7 +702,8 @@ TEST_F(ResilienceSoak, ChaosStallsRunInVirtualTimeThroughTheSleeperHook) {
 
   runtime::EventBus bus;
   policy::ContextStore store;
-  BrokerLayer layer("stalls", bus, store);
+  obs::MetricsRegistry metrics;
+  BrokerLayer layer("stalls", bus, store, metrics);
   auto inner = std::make_unique<ScriptedAdapter>("svc");
   auto chaos = std::make_unique<broker::ChaosAdapter>(std::move(inner),
                                                       chaos_config);

@@ -213,7 +213,8 @@ TEST(EventBus, PayloadCarriedThrough) {
 // --------------------------------------------------------------- Executor
 
 TEST(Executor, RunsSubmittedTasks) {
-  Executor executor(4);
+  obs::MetricsRegistry metrics;
+  Executor executor(4, metrics);
   std::atomic<int> counter{0};
   for (int i = 0; i < 100; ++i) {
     executor.submit([&counter] { ++counter; });
@@ -223,7 +224,8 @@ TEST(Executor, RunsSubmittedTasks) {
 }
 
 TEST(Executor, DrainWaitsForInFlightWork) {
-  Executor executor(2);
+  obs::MetricsRegistry metrics;
+  Executor executor(2, metrics);
   std::atomic<bool> done{false};
   executor.submit([&done] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -234,7 +236,8 @@ TEST(Executor, DrainWaitsForInFlightWork) {
 }
 
 TEST(Executor, WorkersMaySubmitMoreWork) {
-  Executor executor(2);
+  obs::MetricsRegistry metrics;
+  Executor executor(2, metrics);
   std::atomic<int> counter{0};
   executor.submit([&] {
     for (int i = 0; i < 10; ++i) {
@@ -246,7 +249,8 @@ TEST(Executor, WorkersMaySubmitMoreWork) {
 }
 
 TEST(Executor, ZeroThreadsClampedToOne) {
-  Executor executor(0);
+  obs::MetricsRegistry metrics;
+  Executor executor(0, metrics);
   EXPECT_EQ(executor.thread_count(), 1u);
 }
 
@@ -256,8 +260,7 @@ TEST(Executor, ZeroThreadsClampedToOne) {
 TEST(Executor, ThrowingTaskIsContainedAndCounted) {
   set_log_level(LogLevel::kOff);
   obs::MetricsRegistry metrics;
-  Executor executor(2);
-  executor.set_metrics(&metrics);
+  Executor executor(2, metrics);
   std::atomic<int> counter{0};
   executor.submit([] { throw std::runtime_error("task fault"); });
   executor.submit([&counter] { ++counter; });
@@ -281,8 +284,7 @@ TEST(Executor, ThrowingTaskIsContainedAndCounted) {
 // no workers left — the task silently never ran. It must be refused.
 TEST(Executor, SubmitAfterShutdownIsRejected) {
   obs::MetricsRegistry metrics;
-  Executor executor(1);
-  executor.set_metrics(&metrics);
+  Executor executor(1, metrics);
   std::atomic<int> ran{0};
   EXPECT_TRUE(executor.submit([&ran] { ++ran; }).ok());
   executor.shutdown();
@@ -300,8 +302,8 @@ TEST(Executor, BoundedQueueRejectsAtCapacityWithoutDeadlock) {
   obs::MetricsRegistry metrics;
   Executor executor(ExecutorConfig{.thread_count = 1,
                                    .queue_capacity = 2,
-                                   .overflow_policy = OverflowPolicy::kReject});
-  executor.set_metrics(&metrics);
+                                   .overflow_policy = OverflowPolicy::kReject},
+                    metrics);
   std::atomic<bool> gate{false};
   // Park the single worker so submissions pile up behind it.
   executor.submit([&gate] {
@@ -329,8 +331,7 @@ TEST(Executor, ShedOldestDropsOldestAndKeepsNewest) {
   Executor executor(
       ExecutorConfig{.thread_count = 1,
                      .queue_capacity = 2,
-                     .overflow_policy = OverflowPolicy::kShedOldest});
-  executor.set_metrics(&metrics);
+                     .overflow_policy = OverflowPolicy::kShedOldest}, metrics);
   std::atomic<bool> gate{false};
   executor.submit([&gate] {
     while (!gate.load()) std::this_thread::yield();
@@ -358,9 +359,11 @@ TEST(Executor, ShedOldestDropsOldestAndKeepsNewest) {
 // kBlock applies backpressure: the submitter waits for space instead of
 // failing, and nothing is lost.
 TEST(Executor, BlockPolicyWaitsForSpaceInsteadOfFailing) {
+  obs::MetricsRegistry metrics;
   Executor executor(ExecutorConfig{.thread_count = 1,
                                    .queue_capacity = 1,
-                                   .overflow_policy = OverflowPolicy::kBlock});
+                                   .overflow_policy = OverflowPolicy::kBlock},
+                    metrics);
   std::atomic<bool> gate{false};
   std::atomic<int> ran{0};
   executor.submit([&gate] {
@@ -386,7 +389,8 @@ TEST(Executor, BlockPolicyWaitsForSpaceInsteadOfFailing) {
 // The high lane drains before any queued normal work, regardless of
 // arrival order.
 TEST(Executor, HighLaneOvertakesQueuedNormalWork) {
-  Executor executor(ExecutorConfig{.thread_count = 1});
+  obs::MetricsRegistry metrics;
+  Executor executor(ExecutorConfig{.thread_count = 1}, metrics);
   std::atomic<bool> gate{false};
   std::vector<std::string> order;
   executor.submit([&gate] {
@@ -411,8 +415,7 @@ TEST(Executor, HighLaneOvertakesQueuedNormalWork) {
 TEST(Executor, QueueDelayRecordedOnInjectedClock) {
   obs::MetricsRegistry metrics;
   SimClock sim;
-  Executor executor(ExecutorConfig{.thread_count = 1});
-  executor.set_metrics(&metrics);
+  Executor executor(ExecutorConfig{.thread_count = 1}, metrics);
   executor.set_clock(&sim);
   std::atomic<bool> gate{false};
   executor.submit([&gate] {
@@ -659,8 +662,8 @@ TEST(EventLoop, ThrowingCallbackIsContained) {
 TEST(StagePipeline, TracksPerStageDepthAndDelay) {
   obs::MetricsRegistry metrics;
   SimClock sim;
-  Executor executor(ExecutorConfig{.thread_count = 1});
-  StagePipeline stages(executor, sim, &metrics);
+  Executor executor(ExecutorConfig{.thread_count = 1}, metrics);
+  StagePipeline stages(executor, sim, metrics);
   const std::size_t synthesis = stages.add_stage("synthesis");
   const std::size_t broker = stages.add_stage("broker");
   ASSERT_EQ(stages.stage_count(), 2u);
@@ -694,11 +697,13 @@ TEST(StagePipeline, TracksPerStageDepthAndDelay) {
 // Continuations of admitted work bypass the executor's capacity bound:
 // a full queue must never strand a mid-pipeline hop.
 TEST(StagePipeline, ContinuationBypassesCapacityBound) {
+  obs::MetricsRegistry metrics;
   Executor executor(ExecutorConfig{.thread_count = 1,
                                    .queue_capacity = 1,
-                                   .overflow_policy = OverflowPolicy::kReject});
+                                   .overflow_policy = OverflowPolicy::kReject},
+                    metrics);
   SteadyClock clock;
-  StagePipeline stages(executor, clock, nullptr);
+  StagePipeline stages(executor, clock, metrics);
   const std::size_t stage = stages.add_stage("s");
   std::atomic<bool> gate{false};
   executor.submit([&gate] {
@@ -719,12 +724,13 @@ TEST(StagePipeline, ContinuationBypassesCapacityBound) {
 // A shed entry submission fires its on_shed hook and counts against the
 // stage, so the caller can resolve the callback of work that never ran.
 TEST(StagePipeline, ShedEntryRunsOnShedAndCounts) {
+  obs::MetricsRegistry metrics;
   Executor executor(
       ExecutorConfig{.thread_count = 1,
                      .queue_capacity = 1,
-                     .overflow_policy = OverflowPolicy::kShedOldest});
+                     .overflow_policy = OverflowPolicy::kShedOldest}, metrics);
   SteadyClock clock;
-  StagePipeline stages(executor, clock, nullptr);
+  StagePipeline stages(executor, clock, metrics);
   const std::size_t stage = stages.add_stage("s");
   std::atomic<bool> gate{false};
   executor.submit([&gate] {

@@ -229,8 +229,7 @@ TEST_F(SoakTest, BackgroundBusAndTimerChurnDoesNotDisturbSubmissions) {
 
 TEST_F(SoakTest, ExecutorDrainSurvivesThrowingTasksUnderLoad) {
   obs::MetricsRegistry metrics;
-  runtime::Executor executor(4);
-  executor.set_metrics(&metrics);
+  runtime::Executor executor(4, metrics);
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 200;

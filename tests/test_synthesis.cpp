@@ -40,7 +40,8 @@ struct SynthesisFixture : ::testing::Test {
   model::MetamodelPtr mm = make_test_metamodel();
   policy::ContextStore context;
   std::vector<controller::Command> dispatched;
-  SynthesisEngine engine{"se", mm, make_session_lts(), context,
+  obs::MetricsRegistry metrics;
+  SynthesisEngine engine{"se", mm, make_session_lts(), context, metrics,
                          [this](const controller::ControlScript& script, obs::RequestContext&) {
                            for (const auto& command : script.commands) {
                              dispatched.push_back(command);
@@ -121,7 +122,7 @@ TEST_F(SynthesisFixture, GuardBlocksTransition) {
   lts.on("initial", ChangeKind::kAddObject, "Session", "", "created",
          {{"session.create", {{"id", Value("%id")}}}}, "defined(allowed)");
   std::vector<controller::Command> out;
-  SynthesisEngine guarded("se2", mm, std::move(lts), context,
+  SynthesisEngine guarded("se2", mm, std::move(lts), context, metrics,
                           [&](const controller::ControlScript& script, obs::RequestContext&) {
                             for (const auto& c : script.commands) {
                               out.push_back(c);
@@ -160,7 +161,7 @@ TEST_F(SynthesisFixture, WrongMetamodelRejected) {
 }
 
 TEST_F(SynthesisFixture, DispatchFailureKeepsOldModel) {
-  SynthesisEngine failing("se3", mm, make_session_lts(), context,
+  SynthesisEngine failing("se3", mm, make_session_lts(), context, metrics,
                           [](const controller::ControlScript&, obs::RequestContext&) {
                             return Unavailable("controller down");
                           });
@@ -192,6 +193,21 @@ TEST_F(SynthesisFixture, ControllerEventsRecorded) {
   EXPECT_EQ(engine.event_log()[0], "controller.error: \"cmd failed\"");
 }
 
+// The event log keeps only the newest entries; the total stays in the
+// "synthesis.controller_events" cell.
+TEST_F(SynthesisFixture, ControllerEventLogIsBoundedNewestLast) {
+  for (int i = 0; i < 1000; ++i) {
+    engine.handle_controller_event("controller.error", Value(i));
+  }
+  const std::vector<std::string> log = engine.event_log();
+  ASSERT_EQ(log.size(), 64u);
+  EXPECT_EQ(log.front(), "controller.error: 936");
+  EXPECT_EQ(log.back(), "controller.error: 999");
+  EXPECT_EQ(engine.stats().controller_events, 1000u);
+  EXPECT_EQ(metrics.snapshot().counter_value("synthesis.controller_events"),
+            1000u);
+}
+
 TEST_F(SynthesisFixture, TemplateEscapesAndUnknownsPassThrough) {
   Lts lts("initial");
   lts.on("initial", ChangeKind::kAddObject, "Session", "", "created",
@@ -199,7 +215,7 @@ TEST_F(SynthesisFixture, TemplateEscapesAndUnknownsPassThrough) {
            {{"lit", Value("%%raw")}, {"weird", Value("%nosuch")},
             {"num", Value(7)}}}});
   std::vector<controller::Command> out;
-  SynthesisEngine e2("se4", mm, std::move(lts), context,
+  SynthesisEngine e2("se4", mm, std::move(lts), context, metrics,
                      [&](const controller::ControlScript& script, obs::RequestContext&) {
                        for (const auto& c : script.commands) out.push_back(c);
                        return Status::Ok();
