@@ -42,7 +42,8 @@ class NullBroker : public broker::BrokerApi {
   }
 
  private:
-  broker::CommandTrace trace_;
+  obs::MetricsRegistry trace_metrics_;
+  broker::CommandTrace trace_{trace_metrics_};
 };
 
 /// 100 curated procedures: 5 dependency layers × 5 DSCs per layer ×

@@ -32,7 +32,8 @@ class NullBroker : public broker::BrokerApi {
   }
 
  private:
-  broker::CommandTrace trace_;
+  obs::MetricsRegistry trace_metrics_;
+  broker::CommandTrace trace_{trace_metrics_};
 };
 
 // ------------------------------------------------------------ expression

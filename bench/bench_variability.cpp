@@ -38,7 +38,8 @@ class NullBroker : public broker::BrokerApi {
   }
 
  private:
-  broker::CommandTrace trace_;
+  obs::MetricsRegistry trace_metrics_;
+  broker::CommandTrace trace_{trace_metrics_};
 };
 
 Procedure proc(std::string name, std::string dsc, double cost,

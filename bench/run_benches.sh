@@ -17,7 +17,10 @@
 # re-executed step each and post-failover goodput >= 0.9x the pre-kill
 # plateau), then composes their JSON outputs into one consolidated file.
 # The file also records src_lines, the total line count of src/*.cpp and
-# src/*.hpp, the code-size figure the roadmap tracks.
+# src/*.hpp, the code-size figure the roadmap tracks. A last compare
+# step (bench/compare_bench.py) lists every metric that moved by more
+# than its noise band against the newest BENCH_<n>.json; it reports and
+# never fails the run.
 #
 # Usage: bench/run_benches.sh [build-dir] <pr> | [build-dir] --smoke
 #   build-dir  defaults to <repo>/build
@@ -97,3 +100,7 @@ fi
   printf '}\n'
 } > "$OUT"
 echo "wrote $OUT"
+
+# Compare step: flag metrics that moved beyond the noise band against
+# the newest tracked BENCH_<n>.json. Informational, never gating.
+python3 "$ROOT/bench/compare_bench.py" "$OUT" || true

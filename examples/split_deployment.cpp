@@ -132,9 +132,10 @@ int main() {
                 outcome->status.to_string().c_str());
   }
 
-  // 4. Round-trip engineering, remotely: query the runtime model.
+  // 4. Round-trip engineering, remotely: query the "demo" session's
+  //    runtime model.
   std::optional<ingress::RemoteOutcome> runtime_model;
-  (void)client.value()->query("runtime-model",
+  (void)client.value()->query("runtime-model/demo",
                               [&](const ingress::RemoteOutcome& result) {
                                 runtime_model = result;
                               });

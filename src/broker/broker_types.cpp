@@ -32,7 +32,12 @@ void CommandTrace::record(const std::string& resource,
                           const std::string& command, const Args& args) {
   // Format outside the lock; only the append is serialized.
   std::string entry = resource + "." + format_invocation(command, args);
+  recorded_.add();
   std::lock_guard lock(mutex_);
+  if (entries_.size() == kCapacity) {
+    entries_.pop_front();
+    dropped_.add();
+  }
   entries_.push_back(std::move(entry));
 }
 

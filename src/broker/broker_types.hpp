@@ -7,6 +7,7 @@
 // for the underlying resources as a result of model interpretation".
 #pragma once
 
+#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -14,6 +15,7 @@
 
 #include "common/status.hpp"
 #include "model/value.hpp"
+#include "obs/metrics.hpp"
 
 namespace mdsm::broker {
 
@@ -35,23 +37,36 @@ std::string format_invocation(const std::string& name, const Args& args);
 Result<model::Value> require_arg(const Args& args, std::string_view key,
                                  std::string_view op);
 
-/// Append-only record of resource commands, used for equivalence checks
-/// and performance accounting. record()/size()/clear()/snapshot() are safe
-/// under concurrent execution; entries() hands out the underlying vector
-/// and is for quiescent inspection (equivalence checks after the run).
+/// Record of the newest resource commands, used for equivalence checks
+/// and performance accounting. A fixed-capacity ring: once kCapacity
+/// entries are held, each record drops the oldest. Every record counts
+/// in the "broker.commands" cell and every drop in
+/// "broker.trace_dropped", so the totals survive the ring.
+/// record()/size()/clear()/snapshot() are safe under concurrent
+/// execution; entries() hands out the ring itself and is for quiescent
+/// inspection (equivalence checks after the run).
 class CommandTrace {
  public:
+  static constexpr std::size_t kCapacity = 4096;
+
+  /// `metrics` must outlive the trace.
+  explicit CommandTrace(obs::MetricsRegistry& metrics)
+      : recorded_(metrics.counter("broker.commands")),
+        dropped_(metrics.counter("broker.trace_dropped")) {}
+
   void record(const std::string& resource, const std::string& command,
               const Args& args);
 
-  [[nodiscard]] const std::vector<std::string>& entries() const noexcept {
+  /// The held entries, oldest first.
+  [[nodiscard]] const std::deque<std::string>& entries() const noexcept {
     return entries_;
   }
   /// Locked point-in-time copy, safe while other threads still record.
   [[nodiscard]] std::vector<std::string> snapshot() const {
     std::lock_guard lock(mutex_);
-    return entries_;
+    return {entries_.begin(), entries_.end()};
   }
+  /// Entries held (at most kCapacity).
   [[nodiscard]] std::size_t size() const {
     std::lock_guard lock(mutex_);
     return entries_.size();
@@ -69,8 +84,10 @@ class CommandTrace {
   }
 
  private:
+  obs::Counter& recorded_;
+  obs::Counter& dropped_;
   mutable std::mutex mutex_;
-  std::vector<std::string> entries_;
+  std::deque<std::string> entries_;
 };
 
 }  // namespace mdsm::broker

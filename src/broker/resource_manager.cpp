@@ -10,7 +10,6 @@ namespace mdsm::broker {
 ResourceManager::ResourceManager(runtime::EventBus& bus,
                                  obs::MetricsRegistry& metrics)
     : bus_(&bus),
-      commands_counter_(metrics.counter("broker.commands")),
       exceptions_counter_(metrics.counter("broker.adapter_exceptions")),
       retries_counter_(metrics.counter("broker.retries")),
       exhausted_counter_(metrics.counter("broker.retry_exhausted")),
@@ -19,7 +18,8 @@ ResourceManager::ResourceManager(runtime::EventBus& bus,
           metrics.counter("broker.breaker_transitions")),
       fallbacks_counter_(metrics.counter("broker.fallbacks")),
       overruns_counter_(metrics.counter("broker.attempt_overruns")),
-      late_completions_counter_(metrics.counter("broker.late_completions")) {}
+      late_completions_counter_(metrics.counter("broker.late_completions")),
+      trace_(metrics) {}
 
 Status ResourceManager::add_adapter(std::unique_ptr<ResourceAdapter> adapter) {
   if (adapter == nullptr) return InvalidArgument("null resource adapter");
@@ -182,7 +182,6 @@ void ResourceManager::execute_attempt(ResourceAdapter& adapter,
                                       const Args& args, bool inline_mode,
                                       ResourceAdapter::Completion done) {
   trace_.record(resource, command, args);
-  commands_counter_.add();
   MDSM_LOG_DEBUG("resource-manager")
       << resource << "." << format_invocation(command, args);
   // Adapters are plugin code over external resources; this is the fault

@@ -215,7 +215,6 @@ class ResourceManager {
   void publish_transition(const std::string& resource,
                           CircuitBreaker::Transition transition);
   runtime::EventBus* bus_;
-  obs::Counter& commands_counter_;
   obs::Counter& exceptions_counter_;
   obs::Counter& retries_counter_;
   obs::Counter& exhausted_counter_;

@@ -77,6 +77,8 @@ Result<std::unique_ptr<ClusterFrontEnd>> ClusterFrontEnd::attach(
   if (!platforms.empty()) {
     front->checkpoint_interval_ =
         platforms[0]->get_int("checkpoint_interval", 0);
+    front->checkpoint_idle_ttl_ =
+        Duration(platforms[0]->get_int("session_idle_ttl_us", 0));
   }
 
   Status routes = front->router_.add(
@@ -85,11 +87,12 @@ Result<std::unique_ptr<ClusterFrontEnd>> ClusterFrontEnd::attach(
                           const ingress::RouteParams& params) {
         raw->handle_submit(message, params);
       });
-  if (routes.ok()) {
+  for (std::string_view pattern :
+       {wire::kQueryPattern, wire::kSessionQueryPattern}) {
+    if (!routes.ok()) break;
     routes = front->router_.add(
-        wire::kQueryPattern,
-        [raw = front.get()](const net::Message& message,
-                            const ingress::RouteParams& params) {
+        pattern, [raw = front.get()](const net::Message& message,
+                                     const ingress::RouteParams& params) {
           raw->handle_query(message, params);
         });
   }
@@ -445,8 +448,11 @@ void ClusterFrontEnd::maybe_checkpoint(const std::string& session,
                                        std::size_t owner) {
   bool capture = false;
   {
+    const TimePoint now = network_->clock().now();
     std::lock_guard lock(checkpoint_mutex_);
+    sweep_checkpoints(now);
     SessionCheckpoint& entry = checkpoints_[session];
+    entry.last_used = now;
     ++entry.completed;
     if (entry.completed %
                 static_cast<std::uint64_t>(checkpoint_interval_) ==
@@ -494,7 +500,7 @@ void ClusterFrontEnd::checkpoint_session(const std::string& session,
           std::lock_guard lock(checkpoint_mutex_);
           SessionCheckpoint& entry = checkpoints_[session];
           entry.state_text = outcome.payload;
-          version = ++entry.version;
+          version = entry.version = ++checkpoint_versions_;
           entry.capture_in_flight = false;
           // The capture SOURCE holds this state live by construction —
           // a later reroute/failover to it must not re-import.
@@ -576,6 +582,22 @@ void ClusterFrontEnd::warm_joiner_sessions(std::size_t index) {
   }
 }
 
+void ClusterFrontEnd::sweep_checkpoints(TimePoint now) {
+  if (checkpoint_idle_ttl_ <= Duration(0) || now < next_checkpoint_sweep_) {
+    return;
+  }
+  next_checkpoint_sweep_ = now + checkpoint_idle_ttl_ / 2;
+  std::erase_if(checkpoints_, [&](const auto& entry) {
+    return !entry.second.capture_in_flight &&
+           now - entry.second.last_used >= checkpoint_idle_ttl_;
+  });
+}
+
+std::size_t ClusterFrontEnd::checkpointed_sessions() const {
+  std::lock_guard lock(checkpoint_mutex_);
+  return checkpoints_.size();
+}
+
 std::int64_t ClusterFrontEnd::checkpoint_version(
     std::string_view session) const {
   std::lock_guard lock(checkpoint_mutex_);
@@ -593,7 +615,11 @@ void ClusterFrontEnd::handle_query(const net::Message& message,
     return;
   }
   const std::uint64_t id = decoded.value().request_id;
-  const std::string what(params.get("what"));
+  std::string what(params.get("what"));
+  if (std::string_view session = params.get("session"); !session.empty()) {
+    what += "/";
+    what += session;
+  }
   query_fanouts_.fetch_add(1, std::memory_order_relaxed);
 
   // Fan out to every ACTIVE shard (joiners aren't serving yet, leavers
@@ -962,6 +988,9 @@ std::size_t ClusterFrontEnd::maintain() {
       kick_full_sync(entry.index);
     }
   }
+  const TimePoint now = network_->clock().now();
+  std::lock_guard lock(checkpoint_mutex_);
+  sweep_checkpoints(now);
   return resolved;
 }
 

@@ -162,8 +162,8 @@ class ClusterFrontEnd {
 
   /// Housekeeping for simulation drivers: expire overdue downstream
   /// forwards (triggering retries/failover), retire drained leavers,
-  /// and re-ship the full model to stale shards. Returns outcomes
-  /// resolved.
+  /// re-ship the full model to stale shards, and drop idle checkpoint
+  /// entries. Returns outcomes resolved.
   std::size_t maintain();
 
   struct Stats {
@@ -201,8 +201,12 @@ class ClusterFrontEnd {
   [[nodiscard]] Stats stats() const;
 
   /// Version of the last checkpoint captured for `session` (0 = none) —
-  /// exposed for tests.
+  /// exposed for tests. Versions come from one front-end-wide sequence,
+  /// so a session's versions keep rising even after its entry was
+  /// dropped for idleness and re-created.
   [[nodiscard]] std::int64_t checkpoint_version(std::string_view session) const;
+  /// Sessions with a checkpoint entry (bounded by session_idle_ttl_us).
+  [[nodiscard]] std::size_t checkpointed_sessions() const;
 
  private:
   /// Everything one forwarded submit needs to fail over and reply.
@@ -286,6 +290,9 @@ class ClusterFrontEnd {
   void ship_session_state(const std::string& session, std::int64_t version,
                           const std::string& state_text, std::size_t index,
                           bool resume, std::function<void(bool)> done);
+  /// Drop checkpoint entries idle for the session TTL (sim clock), at
+  /// most every ttl/2; checkpoint_mutex_ held.
+  void sweep_checkpoints(TimePoint now);
   /// Warm a joining shard with every cached checkpoint (stage-only
   /// ships) — called before the join completes.
   void warm_joiner_sessions(std::size_t index);
@@ -328,8 +335,12 @@ class ClusterFrontEnd {
   /// model's `checkpoint_interval` attr: pull + ship a checkpoint after
   /// every N completed sequenced requests per session (0 disables).
   std::int64_t checkpoint_interval_ = 0;
+  /// The model's `session_idle_ttl_us`: an entry idle this long on the
+  /// network clock is dropped (0 = kept for the front-end's lifetime).
+  Duration checkpoint_idle_ttl_{0};
   struct SessionCheckpoint {
     std::int64_t version = 0;    ///< stamp of the cached state_text
+    TimePoint last_used{};       ///< last completed request
     std::string state_text;      ///< last captured checkpoint (text codec)
     std::uint64_t completed = 0;  ///< completed requests since attach
     bool capture_in_flight = false;  ///< at most one pull per session
@@ -342,6 +353,8 @@ class ClusterFrontEnd {
   mutable std::mutex checkpoint_mutex_;  ///< guards checkpoints_ only;
                                          ///< never held across a send
   std::map<std::string, SessionCheckpoint, std::less<>> checkpoints_;
+  std::int64_t checkpoint_versions_ = 0;  ///< last version stamped
+  TimePoint next_checkpoint_sweep_{};
 
   std::atomic<std::uint64_t> received_{0};
   std::atomic<std::uint64_t> forwarded_{0};

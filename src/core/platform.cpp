@@ -179,9 +179,17 @@ Result<std::unique_ptr<Platform>> Platform::assemble(
         synthesis->handle_controller_event(event.topic, event.payload);
       });
 
+  // Backstop for sessions that never reach a terminal LTS state: release
+  // them after this much idleness on the platform clock (0 = never).
+  if (const std::int64_t ttl = root.get_int("session_idle_ttl_us", 0);
+      ttl > 0) {
+    platform->synthesis_->set_session_idle_ttl(Duration(ttl),
+                                               *platform->clock_);
+  }
+
   // models@runtime at the broker layer: the State Manager mirrors the
-  // committed application model so broker-level introspection (and
-  // autonomic rules in future) can consult it.
+  // model each commit installs (that request's session) so broker-level
+  // introspection (and autonomic rules in future) can consult it.
   broker::BrokerLayer* broker = platform->broker_.get();
   platform->synthesis_->set_model_listener(
       [broker](const synthesis::SynthesisEngine::ModelPtr& committed) {
@@ -819,16 +827,18 @@ Result<controller::ControlScript> Platform::submit_model(
   return submit_model(std::move(application_model), *last_context_);
 }
 
-std::string Platform::runtime_model_text() const {
-  return synthesis_->runtime_model_text();
+std::string Platform::runtime_model_text(std::string_view session) const {
+  return synthesis_->runtime_model_text(session);
 }
 
 // ---- session-state checkpoint / snapshot-restore (PR 10) --------------
 
 namespace {
 
-/// Wire/disk format tag; bumped if the pair layout ever changes.
-constexpr std::string_view kCheckpointFormat = "mdsm-session-checkpoint-v1";
+/// Wire/disk format tag; bumped if the pair layout ever changes (v2: a
+/// "sessions" list of [key, runtime model, LTS states] triples replaced
+/// the single runtime_model/lts_states pair).
+constexpr std::string_view kCheckpointFormat = "mdsm-session-checkpoint-v2";
 
 /// The checkpoint tree is a list of [key, value] pairs; find `key`.
 const model::Value* find_checkpoint_entry(const model::ValueList& entries,
@@ -883,32 +893,44 @@ Status each_checkpoint_pair(const model::Value* section,
 
 }  // namespace
 
-Result<model::Value> Platform::export_session_state(
-    const std::string& session) {
-  // The runtime model and the interpreter's LTS states are captured in
-  // ONE hold of the synthesis mutex — mutually consistent even while
-  // submissions race. The scalar stores follow as point-in-time copies
-  // (each internally synchronized).
-  synthesis::SynthesisEngine::ExportedState synth = synthesis_->export_state();
-  model::ValueList lts;
-  lts.reserve(synth.lts_states.size());
-  for (const auto& [object_id, state] : synth.lts_states) {
-    lts.push_back(make_pair(object_id, model::Value(state)));
+model::Value Platform::export_sessions(
+    const std::string& label, const std::vector<std::string>& sessions) {
+  // Each session's runtime model and LTS states are captured in ONE hold
+  // of the synthesis mutex — mutually consistent even while submissions
+  // race. The scalar stores follow as point-in-time copies (each
+  // internally synchronized).
+  model::ValueList exported;
+  exported.reserve(sessions.size());
+  for (const std::string& session : sessions) {
+    synthesis::SynthesisEngine::ExportedState synth =
+        synthesis_->export_state(session);
+    model::ValueList lts;
+    lts.reserve(synth.lts_states.size());
+    for (const auto& [object_id, state] : synth.lts_states) {
+      lts.push_back(make_pair(object_id, model::Value(state)));
+    }
+    model::ValueList triple;
+    triple.push_back(model::Value(session));
+    triple.push_back(model::Value(std::move(synth.runtime_model_text)));
+    triple.push_back(model::Value(std::move(lts)));
+    exported.push_back(model::Value(std::move(triple)));
   }
   model::ValueList root;
   root.push_back(make_pair("format", model::Value(std::string(
                                          kCheckpointFormat))));
-  root.push_back(make_pair("session", model::Value(session)));
-  root.push_back(
-      make_pair("runtime_model",
-                model::Value(std::move(synth.runtime_model_text))));
-  root.push_back(make_pair("lts_states", model::Value(std::move(lts))));
+  root.push_back(make_pair("session", model::Value(label)));
+  root.push_back(make_pair("sessions", model::Value(std::move(exported))));
   root.push_back(make_pair(
       "memory", pack_scalar_map(controller_->engine().memory_snapshot())));
   root.push_back(make_pair("context", pack_scalar_map(context_.snapshot())));
   root.push_back(make_pair(
       "broker", pack_scalar_map(broker_->state().variables_snapshot())));
   return model::Value(std::move(root));
+}
+
+Result<model::Value> Platform::export_session_state(
+    const std::string& session) {
+  return export_sessions(session, {session});
 }
 
 Status Platform::import_session_state(const model::Value& state) {
@@ -922,37 +944,52 @@ Status Platform::import_session_state(const model::Value& state) {
       format->as_string() != kCheckpointFormat) {
     return InvalidArgument("unrecognized session-checkpoint format");
   }
-  const model::Value* model_text =
-      find_checkpoint_entry(entries, "runtime_model");
-  if (model_text == nullptr || !model_text->is_string()) {
-    return InvalidArgument("session checkpoint carries no runtime model");
+  const model::Value* sessions = find_checkpoint_entry(entries, "sessions");
+  if (sessions == nullptr || !sessions->is_list()) {
+    return InvalidArgument("session checkpoint carries no sessions list");
   }
-  Result<model::Model> checkpointed =
-      model::parse_model(model_text->as_string(), dsml_);
-  if (!checkpointed.ok()) return checkpointed.status();
-  std::map<std::string, std::string, std::less<>> lts_states;
-  if (const model::Value* lts = find_checkpoint_entry(entries, "lts_states");
-      lts != nullptr) {
-    if (!lts->is_list()) {
-      return InvalidArgument("checkpoint lts_states must be a list");
+  // Decode and validate every session before adopting any, so a bad
+  // checkpoint leaves the platform untouched.
+  struct Decoded {
+    std::string key;
+    model::Model model;
+    synthesis::LtsStates lts_states;
+  };
+  std::vector<Decoded> decoded;
+  for (const model::Value& entry : sessions->as_list()) {
+    if (!entry.is_list() || entry.as_list().size() != 3 ||
+        !entry.as_list()[0].is_string() || !entry.as_list()[1].is_string()) {
+      return InvalidArgument(
+          "checkpoint sessions entries must be [key, model, lts_states]");
     }
-    for (const model::Value& entry : lts->as_list()) {
-      if (!entry.is_list() || entry.as_list().size() != 2 ||
-          !entry.as_list()[0].is_string() ||
-          !entry.as_list()[1].is_string()) {
-        return InvalidArgument(
-            "checkpoint lts_states entries must be [id, state] string "
-            "pairs");
-      }
-      lts_states[entry.as_list()[0].as_string()] =
-          entry.as_list()[1].as_string();
+    const model::ValueList& triple = entry.as_list();
+    Result<model::Model> checkpointed =
+        model::parse_model(triple[1].as_string(), dsml_);
+    if (!checkpointed.ok()) return checkpointed.status();
+    MDSM_RETURN_IF_ERROR(checkpointed.value().validate());
+    synthesis::LtsStates lts_states;
+    bool states_ok = true;
+    MDSM_RETURN_IF_ERROR(each_checkpoint_pair(
+        &triple[2], "lts_states",
+        [&](const std::string& id, const model::Value& value) {
+          states_ok = states_ok && value.is_string();
+          if (states_ok) lts_states[id] = value.as_string();
+        }));
+    if (!states_ok) {
+      return InvalidArgument(
+          "checkpoint lts_states entries must be [id, state] string pairs");
     }
+    decoded.push_back(Decoded{triple[0].as_string(),
+                              std::move(checkpointed.value()),
+                              std::move(lts_states)});
   }
-  // Adopt model + LTS states first (validates conformance; fires the
-  // model listener so the broker's runtime-model mirror converges). On
-  // failure nothing below has been touched.
-  MDSM_RETURN_IF_ERROR(synthesis_->restore_state(
-      std::move(checkpointed.value()), std::move(lts_states)));
+  // Adopt each session's model + LTS states (replacing that session only;
+  // fires the model listener so the broker's runtime-model mirror
+  // converges), then merge the platform-wide scalar stores.
+  for (Decoded& session : decoded) {
+    MDSM_RETURN_IF_ERROR(synthesis_->restore_state(
+        session.key, std::move(session.model), std::move(session.lts_states)));
+  }
   MDSM_RETURN_IF_ERROR(each_checkpoint_pair(
       find_checkpoint_entry(entries, "memory"), "memory",
       [this](const std::string& key, const model::Value& value) {
@@ -973,9 +1010,11 @@ Status Platform::import_session_state(const model::Value& state) {
 }
 
 Result<std::string> Platform::snapshot() {
-  Result<model::Value> exported = export_session_state(name_);
-  if (!exported.ok()) return exported.status();
-  return exported.value().to_text();
+  std::vector<std::string> sessions{""};  // the default session first
+  for (std::string& session : synthesis_->live_sessions()) {
+    sessions.push_back(std::move(session));
+  }
+  return export_sessions(name_, sessions).to_text();
 }
 
 Status Platform::restore(std::string_view snapshot_text) {

@@ -197,34 +197,38 @@ class Platform {
       const std::vector<std::string_view>& concern_texts,
       synthesis::WeaveConfig weave_config = {});
 
-  /// Serialized current runtime model (round-trip engineering).
-  [[nodiscard]] std::string runtime_model_text() const;
+  /// Serialized runtime model of `session` (round-trip engineering);
+  /// "" is the default session that requests without a session key use.
+  [[nodiscard]] std::string runtime_model_text(
+      std::string_view session = {}) const;
 
   // ---- session-state checkpoint / snapshot-restore (PR 10) -------------
 
-  /// Serialize the platform's session-visible runtime state as a
-  /// model::Value tree: the committed runtime model, every tracked LTS
-  /// state, ExecutionEngine memory, ContextStore entries and the broker
-  /// StateManager's scalar store. `session` is a label stamped into the
-  /// payload (the cluster ships one checkpoint per session key; a disk
-  /// snapshot stamps the platform name). The model + LTS pair is
-  /// captured atomically under the synthesis mutex; the scalar stores
-  /// are point-in-time copies. Encoded with the text-format Value codec,
-  /// so payload.to_text() round-trips through model::parse_value().
+  /// Serialize one session's runtime state as a model::Value tree: that
+  /// session's committed runtime model and LTS states, plus the
+  /// platform-wide scalar stores (ExecutionEngine memory, ContextStore
+  /// entries, the broker StateManager's variables). `session` is the
+  /// session key ("" = the default session) and is also stamped into
+  /// the payload as its label. The model + LTS pair is captured
+  /// atomically under the synthesis mutex; the scalar stores are
+  /// point-in-time copies. Encoded with the text-format Value codec, so
+  /// payload.to_text() round-trips through model::parse_value().
   Result<model::Value> export_session_state(const std::string& session);
 
-  /// Inverse of export_session_state(): adopt the checkpointed runtime
-  /// model + LTS states wholesale (so the next submission diffs against
-  /// the checkpointed model and sequenced work RESUMES rather than
-  /// restarts) and merge the memory/context/broker scalar entries in.
-  /// Merging — not clearing — keeps an importing replica's own sessions
-  /// intact; a fresh platform ends up byte-equal to the exporter.
+  /// Inverse of export_session_state(): adopt each checkpointed
+  /// session's runtime model + LTS states, replacing that session only
+  /// (so its next submission diffs against the checkpointed model and
+  /// sequenced work RESUMES rather than restarts), and merge the
+  /// memory/context/broker scalar entries in. The importer's other
+  /// sessions stay untouched; a fresh platform ends up byte-equal to the
+  /// exporter.
   Status import_session_state(const model::Value& state);
 
-  /// Disk-format snapshot of a running platform: the export tree
-  /// serialized as text. restore() on a fresh platform assembled from
-  /// the same middleware model round-trips byte-equal on both
-  /// runtime_model_text() and a re-snapshot.
+  /// Disk-format snapshot of a running platform: the export tree of the
+  /// default session and every live session, serialized as text.
+  /// restore() on a fresh platform assembled from the same middleware
+  /// model round-trips byte-equal on both runtime_model_text() and a
+  /// re-snapshot.
   Result<std::string> snapshot();
   Status restore(std::string_view snapshot_text);
 
@@ -314,6 +318,9 @@ class Platform {
                           const model::ModelObject& broker_spec);
   Status load_controller_spec(const model::Model& middleware_model,
                               const model::ModelObject& controller_spec);
+  /// The checkpoint tree for `sessions`, labelled `label`.
+  model::Value export_sessions(const std::string& label,
+                               const std::vector<std::string>& sessions);
   /// The UI layer's gate before synthesis work: running, admission
   /// control, then the deadline.
   Status admit(obs::RequestContext& context);

@@ -108,8 +108,9 @@ void IngressServer::install_default_chain(
         std::move(remote_id));
     if (std::string_view session = context.params->get("session");
         !session.empty()) {
-      context.options.attributes.emplace_back("ingress.session",
-                                              std::string(session));
+      context.options.attributes.emplace_back(
+          std::string(obs::RequestContext::kSessionAttribute),
+          std::string(session));
     }
     return Status::Ok();
   });
@@ -161,11 +162,15 @@ Status IngressServer::install_default_routes() {
         handle_submit(message, params);
       });
   if (!submit_route.ok()) return submit_route;
-  return router_.add(
-      wire::kQueryPattern,
-      [this](const net::Message& message, const RouteParams& params) {
-        handle_query(message, params);
-      });
+  for (std::string_view pattern :
+       {wire::kQueryPattern, wire::kSessionQueryPattern}) {
+    MDSM_RETURN_IF_ERROR(router_.add(
+        pattern,
+        [this](const net::Message& message, const RouteParams& params) {
+          handle_query(message, params);
+        }));
+  }
+  return Status::Ok();
 }
 
 void IngressServer::on_message(const net::Message& message) {
@@ -302,7 +307,7 @@ void IngressServer::handle_query(const net::Message& message,
   wire::Reply reply;
   reply.request_id = id;
   if (what == "runtime-model") {
-    reply.message = platform_->runtime_model_text();
+    reply.message = platform_->runtime_model_text(params.get("session"));
   } else if (what == "metrics") {
     reply.message = platform_->metrics().to_text();
   } else {

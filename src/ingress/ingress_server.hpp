@@ -55,7 +55,8 @@ class IngressServer {
   /// Bind the server to `network` and front `platform`. Auth token and
   /// default deadline come from the platform's model-decoded
   /// IngressSettings; the default router serves
-  /// "submit/{dsml}/{session}" and "query/{what}".
+  /// "submit/{dsml}/{session}", "query/{what}" and
+  /// "query/{what}/{session}".
   static Result<std::unique_ptr<IngressServer>> attach(
       core::Platform& platform, net::Network& network,
       IngressServerOptions options = {});

@@ -29,6 +29,10 @@ inline constexpr std::string_view kReplyTopic = "mdsm.reply";
 /// Route prefixes the default router installs.
 inline constexpr std::string_view kSubmitPattern = "submit/{dsml}/{session}";
 inline constexpr std::string_view kQueryPattern = "query/{what}";
+/// Session-scoped query: "query/runtime-model/s1" reads session s1's
+/// runtime model (the unscoped query reads the default session's).
+inline constexpr std::string_view kSessionQueryPattern =
+    "query/{what}/{session}";
 
 /// Wire schema version (PR 8). Every encoded message stamps
 /// [major, minor] under "wire_version"; decoders accept any minor of

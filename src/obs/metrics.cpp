@@ -65,12 +65,28 @@ std::uint64_t MetricsSnapshot::counter_value(std::string_view name) const {
   return row == nullptr ? 0 : row->value;
 }
 
+std::int64_t MetricsSnapshot::gauge_value(std::string_view name) const {
+  for (const GaugeRow& row : gauges) {
+    if (row.name == name) return row.value;
+  }
+  return 0;
+}
+
 Counter& MetricsRegistry::counter(std::string_view name) {
   std::lock_guard lock(mutex_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
     it = counters_.emplace(std::string(name), std::make_unique<Counter>())
              .first;
+  }
+  return *it->second;
+}
+
+Gauge& MetricsRegistry::gauge(std::string_view name) {
+  std::lock_guard lock(mutex_);
+  auto it = gauges_.find(name);
+  if (it == gauges_.end()) {
+    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
   }
   return *it->second;
 }
@@ -93,6 +109,10 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (const auto& [name, cell] : counters_) {
     out.counters.push_back({name, cell->value()});
   }
+  out.gauges.reserve(gauges_.size());
+  for (const auto& [name, cell] : gauges_) {
+    out.gauges.push_back({name, cell->value()});
+  }
   out.histograms.reserve(histograms_.size());
   for (const auto& [name, cell] : histograms_) {
     MetricsSnapshot::HistogramRow row;
@@ -111,6 +131,9 @@ std::string MetricsRegistry::to_text() const {
   MetricsSnapshot snap = snapshot();
   std::string out;
   for (const auto& row : snap.counters) {
+    out += row.name + " " + std::to_string(row.value) + "\n";
+  }
+  for (const auto& row : snap.gauges) {
     out += row.name + " " + std::to_string(row.value) + "\n";
   }
   for (const auto& row : snap.histograms) {

@@ -1,11 +1,11 @@
-// Platform-wide metrics registry: monotonic counters plus fixed-bucket
-// latency histograms, recorded from every layer of the pipeline. The hot
-// path is lock-cheap — counters and histogram buckets are relaxed
-// atomics; the registry mutex is only taken to resolve a metric name to
-// its (stable) cell. Components resolve their cells once, at
-// construction, and each event bumps exactly one cell: a component's
-// typed stats() view reads those same cells, so there is no second copy
-// of any count.
+// Platform-wide metrics registry: monotonic counters, gauges and
+// fixed-bucket latency histograms, recorded from every layer of the
+// pipeline. The hot path is lock-cheap — counters, gauges and histogram
+// buckets are relaxed atomics; the registry mutex is only taken to
+// resolve a metric name to its (stable) cell. Components resolve their
+// cells once, at construction, and each event bumps exactly one cell: a
+// component's typed stats() view reads those same cells, so there is no
+// second copy of any count.
 //
 // Snapshots are value copies so callers can diff them across a workload
 // without racing the recorders (models@runtime discipline applied to the
@@ -38,6 +38,21 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> value_{0};
+};
+
+/// Level that moves both ways (live sessions, queue depth). Written by
+/// one owner under its own lock; readers see a relaxed snapshot.
+class Gauge {
+ public:
+  void add(std::int64_t delta) noexcept {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::int64_t value() const noexcept {
+    return value_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<std::int64_t> value_{0};
 };
 
 /// Latency histogram over microseconds with fixed power-of-two buckets:
@@ -81,6 +96,10 @@ struct MetricsSnapshot {
     std::string name;
     std::uint64_t value = 0;
   };
+  struct GaugeRow {
+    std::string name;
+    std::int64_t value = 0;
+  };
   struct HistogramRow {
     std::string name;
     std::uint64_t count = 0;
@@ -91,12 +110,15 @@ struct MetricsSnapshot {
   };
 
   std::vector<CounterRow> counters;      ///< sorted by name
+  std::vector<GaugeRow> gauges;          ///< sorted by name
   std::vector<HistogramRow> histograms;  ///< sorted by name
 
   [[nodiscard]] const CounterRow* counter(std::string_view name) const;
   [[nodiscard]] const HistogramRow* histogram(std::string_view name) const;
   /// Counter value by name; 0 when the counter was never touched.
   [[nodiscard]] std::uint64_t counter_value(std::string_view name) const;
+  /// Gauge value by name; 0 when the gauge was never registered.
+  [[nodiscard]] std::int64_t gauge_value(std::string_view name) const;
 };
 
 /// Name → metric cells. Cells are heap-allocated once and never move, so
@@ -105,6 +127,7 @@ struct MetricsSnapshot {
 class MetricsRegistry {
  public:
   Counter& counter(std::string_view name);
+  Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
@@ -114,6 +137,7 @@ class MetricsRegistry {
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
+  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 

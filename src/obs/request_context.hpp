@@ -105,6 +105,14 @@ class RequestContext {
   [[nodiscard]] std::string_view remote_id() const noexcept {
     return attribute(kRemoteIdAttribute);
   }
+  /// Session key: the attribute under which the ingress stamps the
+  /// submit route's {session} capture. The synthesis engine keeps one
+  /// runtime model per key; empty (in-process requests) selects the
+  /// platform's default session.
+  static constexpr std::string_view kSessionAttribute = "ingress.session";
+  [[nodiscard]] std::string_view session() const noexcept {
+    return attribute(kSessionAttribute);
+  }
 
  private:
   struct NoopTag {};

@@ -54,7 +54,8 @@ bool ChangeInterpreter::trigger_matches(const Trigger& trigger,
 }
 
 Result<controller::ControlScript> ChangeInterpreter::interpret(
-    const model::ChangeList& changes, const model::Model& new_model) {
+    const model::ChangeList& changes, const model::Model& new_model,
+    LtsStates& states) {
   controller::ControlScript script;
   script.id = next_tagged_id("script");
   for (const model::Change& change : changes) {
@@ -62,11 +63,11 @@ Result<controller::ControlScript> ChangeInterpreter::interpret(
     // Creation enters the initial state before matching, so AddObject
     // transitions are written from the initial state.
     if (change.kind == model::ChangeKind::kAddObject) {
-      states_[change.object_id] = lts_->initial_state();
+      states[change.object_id] = lts_->initial_state();
     }
-    auto state_it = states_.find(change.object_id);
+    auto state_it = states.find(change.object_id);
     const std::string current_state =
-        state_it == states_.end() ? lts_->initial_state() : state_it->second;
+        state_it == states.end() ? lts_->initial_state() : state_it->second;
     const Transition* fired = nullptr;
     bool matched_any = false;
     for (const Transition& transition : lts_->transitions()) {
@@ -86,12 +87,12 @@ Result<controller::ControlScript> ChangeInterpreter::interpret(
       if (!matched_any) ++stats_.unhandled_changes;
       // Removal of an untracked/unmatched object still clears state.
       if (change.kind == model::ChangeKind::kRemoveObject) {
-        states_.erase(change.object_id);
+        states.erase(change.object_id);
       }
       continue;
     }
     ++stats_.transitions_fired;
-    states_[change.object_id] = fired->to;
+    states[change.object_id] = fired->to;
     for (const CommandTemplate& command_template : fired->commands) {
       controller::Command command;
       command.name = command_template.name;
@@ -101,15 +102,10 @@ Result<controller::ControlScript> ChangeInterpreter::interpret(
       script.commands.push_back(std::move(command));
     }
     if (change.kind == model::ChangeKind::kRemoveObject) {
-      states_.erase(change.object_id);
+      states.erase(change.object_id);
     }
   }
   return script;
-}
-
-std::string ChangeInterpreter::state_of(std::string_view object_id) const {
-  auto it = states_.find(object_id);
-  return it == states_.end() ? "" : it->second;
 }
 
 }  // namespace mdsm::synthesis

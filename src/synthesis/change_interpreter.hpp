@@ -1,8 +1,9 @@
 // Change interpreter (paper §V-A): "processes the change list to generate
 // control scripts (using the current state of the labeled transition
-// system)". Tracks each model object's LTS state across submissions so a
-// reconfiguration of a long-lived object continues from where its
-// lifecycle left off.
+// system)". The LTS state of each model object is kept by the caller,
+// one map per session (see SynthesisEngine), so a reconfiguration of a
+// long-lived object continues from where its lifecycle left off and two
+// sessions never share an object's state.
 #pragma once
 
 #include <map>
@@ -22,6 +23,9 @@ struct InterpreterStats {
   std::uint64_t guard_blocked = 0;      ///< matched but guard failed
 };
 
+/// Object id → current LTS state, for one session.
+using LtsStates = std::map<std::string, std::string, std::less<>>;
+
 class ChangeInterpreter {
  public:
   /// The metamodel is consulted for class-kind matching in triggers; the
@@ -30,37 +34,15 @@ class ChangeInterpreter {
                     const policy::ContextStore& context);
 
   /// Turn a change list into a control script. `new_model` supplies
-  /// "%attr:" template lookups. Object states advance as transitions
-  /// fire; unmatched changes are counted, not errors (a DSML may have
-  /// inert attributes).
+  /// "%attr:" template lookups. The objects' entries in `states` advance
+  /// as transitions fire; unmatched changes are counted, not errors (a
+  /// DSML may have inert attributes). Callers serialize calls.
   Result<controller::ControlScript> interpret(const model::ChangeList& changes,
-                                              const model::Model& new_model);
-
-  /// Current LTS state of an object ("" if untracked).
-  [[nodiscard]] std::string state_of(std::string_view object_id) const;
+                                              const model::Model& new_model,
+                                              LtsStates& states);
 
   [[nodiscard]] const InterpreterStats& stats() const noexcept {
     return stats_;
-  }
-
-  void reset() {
-    states_.clear();
-    stats_ = {};
-  }
-
-  /// Snapshot of every tracked object's LTS state — the session-
-  /// checkpoint payload. Callers synchronize (the owning engine holds
-  /// its commit mutex across both accessors).
-  [[nodiscard]] std::map<std::string, std::string, std::less<>> states()
-      const {
-    return states_;
-  }
-
-  /// Replace the tracked LTS states wholesale (checkpoint import /
-  /// snapshot restore). Replace — not merge — so a restored platform is
-  /// byte-equal to the exporter, including absent entries.
-  void restore_states(std::map<std::string, std::string, std::less<>> states) {
-    states_ = std::move(states);
   }
 
  private:
@@ -70,7 +52,6 @@ class ChangeInterpreter {
   const Lts* lts_;
   model::MetamodelPtr metamodel_;
   const policy::ContextStore* context_;
-  std::map<std::string, std::string, std::less<>> states_;
   InterpreterStats stats_;
 };
 

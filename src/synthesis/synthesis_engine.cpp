@@ -1,5 +1,6 @@
 #include "synthesis/synthesis_engine.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/log.hpp"
@@ -20,8 +21,20 @@ SynthesisEngine::SynthesisEngine(std::string name, model::MetamodelPtr dsml,
       commands_generated_(metrics.counter("synthesis.commands")),
       rejected_models_(metrics.counter("synthesis.rejected_models")),
       controller_events_(metrics.counter("synthesis.controller_events")),
+      sessions_live_(metrics.gauge("synthesis.sessions_live")),
+      sessions_released_(metrics.counter("synthesis.sessions_released")),
+      sessions_expired_(metrics.counter("synthesis.sessions_expired")),
       dispatch_(std::move(dispatch)),
-      runtime_model_(std::make_shared<const model::Model>("runtime", dsml)) {}
+      empty_model_(std::make_shared<const model::Model>("runtime", dsml)),
+      default_session_{.model = empty_model_} {
+  for (const Transition& transition : lts_.transitions()) {
+    active_states_.push_back(transition.from);
+  }
+  std::sort(active_states_.begin(), active_states_.end());
+  active_states_.erase(
+      std::unique(active_states_.begin(), active_states_.end()),
+      active_states_.end());
+}
 
 Result<controller::ControlScript> SynthesisEngine::submit_model(
     model::Model new_model, obs::RequestContext& context) {
@@ -68,20 +81,38 @@ Result<controller::ControlScript> SynthesisEngine::commit_core(
     rejected_models_.add();
     return valid;
   }
+  const std::string_view key = context.session();
   Result<controller::ControlScript> script = InvalidArgument("unreachable");
-  ModelPtr previous;  // released after the mutex, if this was its last use
+  // Released after the mutex, if this was their last use.
+  ModelPtr previous;
+  decltype(sessions_)::node_type released;
   {
     std::lock_guard lock(mutex_);
+    if (idle_ttl_ > Duration(0)) sweep_idle(clock_->now());
+    // The session this request diffs against. A named session seen for
+    // the first time starts from the empty model, in a local that joins
+    // sessions_ only if the commit succeeds and leaves work in flight.
+    Session* session = &default_session_;
+    auto named = sessions_.end();
+    std::optional<Session> created;
+    if (!key.empty()) {
+      named = sessions_.find(key);
+      if (named != sessions_.end()) {
+        session = &named->second;
+      } else {
+        session = &created.emplace(Session{.model = empty_model_});
+      }
+    }
     // Model comparator.
-    model::ChangeList changes = model::diff(*runtime_model_, new_model);
+    model::ChangeList changes = model::diff(*session->model, new_model);
     MDSM_LOG_DEBUG("synthesis") << name() << ": " << changes.size()
                                 << " change(s) between runtime and new model";
     // Change interpreter. Interpreter state mutates as transitions fire;
     // on interpretation failure the engine keeps the old runtime model
-    // but interpreter states may have advanced — domains treat
+    // but the session's LTS states may have advanced — domains treat
     // interpretation errors as fatal configuration bugs, matching the
     // paper's assumption that LTSs fully cover their DSML.
-    script = interpreter_.interpret(changes, new_model);
+    script = interpreter_.interpret(changes, new_model, session->lts_states);
     if (!script.ok()) {
       rejected_models_.add();
       return script;
@@ -97,11 +128,66 @@ Result<controller::ControlScript> SynthesisEngine::commit_core(
     scripts_dispatched_.add();
     commands_generated_.add(script->commands.size());
     previous = std::exchange(
-        runtime_model_,
+        session->model,
         std::make_shared<const model::Model>(std::move(new_model)));
-    if (listener_ != nullptr) listener_(runtime_model_);
+    if (listener_ != nullptr) listener_(session->model);
+    if (!key.empty()) {
+      if (at_rest(*session)) {
+        if (named != sessions_.end()) {
+          released = sessions_.extract(named);
+          sessions_live_.add(-1);
+          sessions_released_.add();
+        }
+      } else {
+        if (named == sessions_.end()) {
+          named = sessions_.emplace(std::string(key), std::move(*created))
+                      .first;
+          sessions_live_.add(1);
+        }
+        if (idle_ttl_ > Duration(0)) named->second.last_used = clock_->now();
+      }
+    }
   }
   return script;
+}
+
+const SynthesisEngine::Session* SynthesisEngine::find_session(
+    std::string_view key) const {
+  if (key.empty()) return &default_session_;
+  auto it = sessions_.find(key);
+  return it == sessions_.end() ? nullptr : &it->second;
+}
+
+bool SynthesisEngine::at_rest(const Session& session) const {
+  for (const model::ModelObject* object : session.model->objects()) {
+    if (!object->parent_id().empty()) continue;
+    auto it = session.lts_states.find(object->id());
+    const std::string& state =
+        it == session.lts_states.end() ? lts_.initial_state() : it->second;
+    if (std::binary_search(active_states_.begin(), active_states_.end(),
+                           state)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void SynthesisEngine::set_session_idle_ttl(Duration ttl, const Clock& clock) {
+  std::lock_guard lock(mutex_);
+  idle_ttl_ = ttl;
+  clock_ = &clock;
+  next_sweep_ = clock.now() + ttl / 2;
+}
+
+void SynthesisEngine::sweep_idle(TimePoint now) {
+  if (now < next_sweep_) return;
+  next_sweep_ = now + idle_ttl_ / 2;
+  const std::size_t expired = std::erase_if(sessions_, [&](const auto& entry) {
+    return now - entry.second.last_used >= idle_ttl_;
+  });
+  sessions_live_.add(-static_cast<std::int64_t>(expired));
+  sessions_released_.add(expired);
+  sessions_expired_.add(expired);
 }
 
 void SynthesisEngine::handle_controller_event(const std::string& topic,
@@ -113,30 +199,53 @@ void SynthesisEngine::handle_controller_event(const std::string& topic,
   event_log_.push_back(std::move(entry));
 }
 
-SynthesisEngine::ModelPtr SynthesisEngine::runtime_model() const {
+SynthesisEngine::ModelPtr SynthesisEngine::runtime_model(
+    std::string_view session) const {
   std::lock_guard lock(mutex_);
-  return runtime_model_;
+  const Session* found = find_session(session);
+  return found == nullptr ? empty_model_ : found->model;
 }
 
-std::string SynthesisEngine::runtime_model_text() const {
-  return model::serialize_model(*runtime_model());
+std::string SynthesisEngine::runtime_model_text(
+    std::string_view session) const {
+  return model::serialize_model(*runtime_model(session));
 }
 
-SynthesisEngine::ExportedState SynthesisEngine::export_state() const {
+std::string SynthesisEngine::state_of(std::string_view object_id,
+                                      std::string_view session) const {
+  std::lock_guard lock(mutex_);
+  const Session* found = find_session(session);
+  if (found == nullptr) return "";
+  auto it = found->lts_states.find(object_id);
+  return it == found->lts_states.end() ? "" : it->second;
+}
+
+std::vector<std::string> SynthesisEngine::live_sessions() const {
+  std::lock_guard lock(mutex_);
+  std::vector<std::string> out;
+  out.reserve(sessions_.size());
+  for (const auto& [key, session] : sessions_) out.push_back(key);
+  return out;
+}
+
+SynthesisEngine::ExportedState SynthesisEngine::export_state(
+    std::string_view session) const {
   ExportedState out;
-  ModelPtr committed;
+  ModelPtr committed = empty_model_;
   {
     std::lock_guard lock(mutex_);
-    committed = runtime_model_;
-    out.lts_states = interpreter_.states();
+    if (const Session* found = find_session(session); found != nullptr) {
+      committed = found->model;
+      out.lts_states = found->lts_states;
+    }
   }
   out.runtime_model_text = model::serialize_model(*committed);
   return out;
 }
 
-Status SynthesisEngine::restore_state(
-    model::Model runtime_model,
-    std::map<std::string, std::string, std::less<>> lts_states) {
+Status SynthesisEngine::restore_state(std::string_view session,
+                                      model::Model runtime_model,
+                                      LtsStates lts_states) {
   if (&runtime_model.metamodel() != dsml_.get()) {
     return InvalidArgument("restored model conforms to metamodel '" +
                            runtime_model.metamodel().name() +
@@ -144,11 +253,32 @@ Status SynthesisEngine::restore_state(
   }
   Status valid = runtime_model.validate();
   if (!valid.ok()) return valid;
-  auto restored = std::make_shared<const model::Model>(std::move(runtime_model));
+  Session restored{
+      .model = std::make_shared<const model::Model>(std::move(runtime_model)),
+      .lts_states = std::move(lts_states)};
+  decltype(sessions_)::node_type released;  // destroyed after the mutex
   std::lock_guard lock(mutex_);
-  runtime_model_.swap(restored);
-  interpreter_.restore_states(std::move(lts_states));
-  if (listener_ != nullptr) listener_(runtime_model_);
+  if (listener_ != nullptr) listener_(restored.model);
+  if (session.empty()) {
+    std::swap(default_session_, restored);
+    return Status::Ok();
+  }
+  auto it = sessions_.find(session);
+  if (at_rest(restored)) {
+    // A checkpoint of a finished session: nothing stays live.
+    if (it != sessions_.end()) {
+      released = sessions_.extract(it);
+      sessions_live_.add(-1);
+      sessions_released_.add();
+    }
+    return Status::Ok();
+  }
+  if (it == sessions_.end()) {
+    it = sessions_.emplace(std::string(session), Session{}).first;
+    sessions_live_.add(1);
+  }
+  if (idle_ttl_ > Duration(0)) restored.last_used = clock_->now();
+  std::swap(it->second, restored);
   return Status::Ok();
 }
 

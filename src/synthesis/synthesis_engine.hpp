@@ -6,10 +6,19 @@
 // dispatches a new runtime model to the UI and updates the currently
 // executing model."
 //
-// Concurrency: synthesis itself is inherently serial — each submission
-// diffs against (and then replaces) the single shared runtime model — so
-// the diff→interpret→dispatch→commit section runs under an internal
-// mutex. Everything after the commit (the executor hook, i.e. actual
+// Sessions: the engine keeps one current runtime model, with the LTS
+// state of its objects, per session — the request's session key
+// (obs::RequestContext::session(), stamped by the ingress from the
+// submit route). Requests without a key share the default session, a
+// plain member, so the in-process path pays no lookup. A named session
+// is released once every root object of its committed model rests in
+// an LTS state with no outgoing transition (the lifecycle ended), or
+// after an idle TTL when one is set (DESIGN.md §6k).
+//
+// Concurrency: synthesis itself is serial — each submission diffs
+// against (and then replaces) its session's runtime model — so the
+// diff→interpret→dispatch→commit section runs under an internal mutex.
+// Everything after the commit (the executor hook, i.e. actual
 // controller/broker execution) runs *outside* that mutex, which is what
 // lets independent requests overlap: the serial window is only the model
 // swap, not the work.
@@ -22,6 +31,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "controller/script.hpp"
@@ -115,12 +125,20 @@ class SynthesisEngine final : public runtime::Component {
   void handle_controller_event(const std::string& topic,
                                const model::Value& payload);
 
-  /// The committed runtime model, taken under the engine's mutex. It
-  /// stays valid (and unchanged) for as long as the caller holds it, even
-  /// while later submissions commit.
-  [[nodiscard]] ModelPtr runtime_model() const;
-  /// Serialized runtime model (the committed model at the time of call).
-  [[nodiscard]] std::string runtime_model_text() const;
+  /// The committed runtime model of `session` ("" = the default
+  /// session; a released or unknown session reads as the empty model),
+  /// taken under the engine's mutex. It stays valid (and unchanged) for
+  /// as long as the caller holds it, even while later submissions commit.
+  [[nodiscard]] ModelPtr runtime_model(std::string_view session = {}) const;
+  /// Serialized runtime model of `session` (the committed model at the
+  /// time of call).
+  [[nodiscard]] std::string runtime_model_text(
+      std::string_view session = {}) const;
+  /// Current LTS state of an object in `session` ("" if untracked).
+  [[nodiscard]] std::string state_of(std::string_view object_id,
+                                     std::string_view session = {}) const;
+  /// The named sessions holding state, sorted.
+  [[nodiscard]] std::vector<std::string> live_sessions() const;
   [[nodiscard]] const ChangeInterpreter& interpreter() const noexcept {
     return interpreter_;
   }
@@ -131,47 +149,78 @@ class SynthesisEngine final : public runtime::Component {
   [[nodiscard]] std::vector<std::string> event_log() const;
   static constexpr std::size_t kEventLogCapacity = 64;
 
-  /// Atomic export of the synthesis-layer session state: the serialized
-  /// runtime model and every tracked LTS state, both taken under ONE
-  /// hold of the serial mutex so the pair is mutually consistent even
-  /// while submissions are racing (the model is serialized after the
-  /// mutex is released). This is the checkpoint payload.
+  /// Release named sessions left idle for `ttl` on `clock` (0 = never).
+  /// Swept lazily by submissions, at most every ttl/2, so an idle
+  /// session goes within 1.5 × ttl. Set before traffic starts.
+  void set_session_idle_ttl(Duration ttl, const Clock& clock);
+
+  /// Atomic export of one session's synthesis state: the serialized
+  /// runtime model and its LTS states, both taken under ONE hold of the
+  /// serial mutex so the pair is mutually consistent even while
+  /// submissions are racing (the model is serialized after the mutex is
+  /// released). This is the checkpoint payload.
   struct ExportedState {
     std::string runtime_model_text;
-    std::map<std::string, std::string, std::less<>> lts_states;
+    LtsStates lts_states;
   };
-  [[nodiscard]] ExportedState export_state() const;
+  [[nodiscard]] ExportedState export_state(
+      std::string_view session = {}) const;
 
   /// Inverse of export_state(): swap in `runtime_model` as the committed
-  /// model and replace the interpreter's LTS states wholesale, then fire
+  /// model of `session` and replace that session's LTS states, then fire
   /// the model listener so downstream mirrors (broker runtime model)
-  /// converge. The model must conform to this engine's DSML.
-  Status restore_state(
-      model::Model runtime_model,
-      std::map<std::string, std::string, std::less<>> lts_states);
+  /// converge. Other sessions are untouched. The model must conform to
+  /// this engine's DSML.
+  Status restore_state(std::string_view session, model::Model runtime_model,
+                       LtsStates lts_states);
 
  private:
+  /// One session's synthesis state.
+  struct Session {
+    ModelPtr model;         ///< "an empty model if the system has just
+                            ///< been started"
+    LtsStates lts_states;
+    TimePoint last_used{};  ///< only kept while an idle TTL is set
+  };
+
   /// Shared pre-check + serial diff→interpret→dispatch→commit section of
   /// submit_model()/commit_model() (everything except the executor hook).
   Result<controller::ControlScript> commit_core(model::Model new_model,
                                                 obs::RequestContext& context);
+  /// `key`'s session, or null when it holds no state ("" = default).
+  /// Callers hold mutex_.
+  [[nodiscard]] const Session* find_session(std::string_view key) const;
+  /// True when every root object of the session's model sits in an LTS
+  /// state with no outgoing transition: its lifecycle is over.
+  [[nodiscard]] bool at_rest(const Session& session) const;
+  /// Drop named sessions idle for the TTL (mutex_ held).
+  void sweep_idle(TimePoint now);
 
   model::MetamodelPtr dsml_;
   Lts lts_;
+  /// LTS states with at least one outgoing transition, sorted.
+  std::vector<std::string> active_states_;
   ChangeInterpreter interpreter_;
   obs::Counter& models_submitted_;
   obs::Counter& scripts_dispatched_;
   obs::Counter& commands_generated_;
   obs::Counter& rejected_models_;
   obs::Counter& controller_events_;
+  obs::Gauge& sessions_live_;
+  obs::Counter& sessions_released_;
+  obs::Counter& sessions_expired_;
   Dispatch dispatch_;
   Dispatch executor_;
   ModelListener listener_;
   /// Serializes diff → interpret → dispatch → commit → listener. Also
-  /// guards the runtime_model_ pointer and the interpreter's LTS state.
+  /// guards every session's model pointer and LTS states.
   mutable std::mutex mutex_;
-  ModelPtr runtime_model_;  ///< "an empty model if the system has just
-                            ///< been started"
+  const ModelPtr empty_model_;  ///< what a new session diffs against
+  Session default_session_;
+  std::map<std::string, Session, std::less<>> sessions_;
+  Duration idle_ttl_{0};
+  const Clock* clock_ = nullptr;
+  TimePoint next_sweep_{};
   mutable std::mutex event_mutex_;  ///< guards event_log_ only
   std::deque<std::string> event_log_;
 };

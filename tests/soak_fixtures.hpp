@@ -185,14 +185,18 @@ struct SoakPlatform {
 inline SoakPlatform make_soak_platform(
     broker::ChaosConfig config,
     std::optional<broker::InvocationPolicy> policy = std::nullopt,
-    std::function<void(Duration)> sleep_hook = nullptr) {
+    std::function<void(Duration)> sleep_hook = nullptr,
+    std::string_view root_attributes = {}, const Clock* clock = nullptr) {
   SoakPlatform out;
   out.dsml = model::testing::make_test_metamodel();
   core::PlatformConfig platform_config;
   platform_config.dsml = out.dsml;
-  auto assembled =
-      core::Platform::assemble_from_text(kSoakMiddlewareModel,
-                                         platform_config);
+  platform_config.clock = clock;
+  std::string text(kSoakMiddlewareModel);
+  const std::string anchor = "domain = \"testing\"";
+  text.insert(text.find(anchor) + anchor.size(),
+              "\n  " + std::string(root_attributes));
+  auto assembled = core::Platform::assemble_from_text(text, platform_config);
   if (!assembled.ok()) {
     out.status = assembled.status();
     return out;
@@ -215,6 +219,24 @@ inline SoakPlatform make_soak_platform(
   }
   out.status = out.platform->start();
   return out;
+}
+
+/// A fault-free soak platform whose MiddlewarePlatform root also carries
+/// `root_attributes` (e.g. "session_idle_ttl_us = 1000"), on `clock`.
+inline SoakPlatform make_session_platform(std::string_view root_attributes,
+                                          const Clock* clock = nullptr) {
+  return make_soak_platform(broker::ChaosConfig{}, std::nullopt, nullptr,
+                            root_attributes, clock);
+}
+
+/// Submit `text` in session `session`, as the ingress would stamp it.
+inline Result<controller::ControlScript> submit_in_session(
+    core::Platform& platform, const std::string& session,
+    std::string_view text) {
+  obs::RequestContext context = platform.make_context();
+  context.set_attribute(std::string(obs::RequestContext::kSessionAttribute),
+                        session);
+  return platform.submit_model_text(text, context);
 }
 
 /// Application-model text creating one open session with a unique id.

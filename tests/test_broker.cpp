@@ -7,6 +7,7 @@
 #include "broker/broker_layer.hpp"
 #include "broker/chaos_adapter.hpp"
 #include "common/log.hpp"
+#include "common/strings.hpp"
 
 namespace mdsm::broker {
 namespace {
@@ -403,8 +404,9 @@ TEST(StateManager, RuntimeModelAndVariables) {
 }
 
 TEST(CommandTrace, EqualityIsSequenceEquality) {
-  CommandTrace a;
-  CommandTrace b;
+  obs::MetricsRegistry metrics;
+  CommandTrace a(metrics);
+  CommandTrace b(metrics);
   a.record("r", "c", {{"x", Value(1)}});
   b.record("r", "c", {{"x", Value(1)}});
   EXPECT_TRUE(a == b);
@@ -412,6 +414,27 @@ TEST(CommandTrace, EqualityIsSequenceEquality) {
   EXPECT_FALSE(a == b);
   a.record("r", "e", {});  // same length, different content
   EXPECT_FALSE(a == b);
+}
+
+// The trace is a ring: it holds the newest kCapacity entries, oldest
+// first, and the registry keeps the totals the ring forgets.
+TEST(CommandTrace, RingKeepsTheNewestEntriesAndCountsDrops) {
+  obs::MetricsRegistry metrics;
+  CommandTrace trace(metrics);
+  const std::size_t total = CommandTrace::kCapacity + 10;
+  for (std::size_t i = 0; i < total; ++i) {
+    trace.record("r", "c", {{"i", Value(static_cast<std::int64_t>(i))}});
+  }
+  EXPECT_EQ(trace.size(), CommandTrace::kCapacity);
+  EXPECT_EQ(trace.entries().front(), "r.c(i=10)");
+  EXPECT_EQ(trace.entries().back(),
+            numbered("r.c(i=", static_cast<std::int64_t>(total - 1)) + ")");
+  const obs::MetricsSnapshot snapshot = metrics.snapshot();
+  EXPECT_EQ(snapshot.counter_value("broker.commands"), total);
+  EXPECT_EQ(snapshot.counter_value("broker.trace_dropped"), 10u);
+  trace.clear();
+  EXPECT_EQ(trace.size(), 0u);
+  EXPECT_EQ(metrics.snapshot().counter_value("broker.commands"), total);
 }
 
 }  // namespace

@@ -1198,6 +1198,80 @@ TEST(ClusterE2E, StaleCheckpointNeverAppliesOverNewer) {
   cluster->shutdown();
 }
 
+// Two sessions on one shard keep separate runtime models even when they
+// name the same objects: each open creates, each close tears down its
+// own session, and nothing is issued across sessions.
+TEST(ClusterE2E, TwoSessionsOnOneShardNeverCrossCommands) {
+  auto cluster = make_cluster(1);
+  ASSERT_NE(cluster, nullptr);
+  const std::vector<std::pair<std::string, std::string>> steps = {
+      {"a", soak::open_session_text("x")},
+      {"b", soak::open_session_text("x")},
+      {"a", soak::close_session_text("x")},
+      {"b", soak::close_session_text("x")}};
+  for (const auto& [session, text] : steps) {
+    std::optional<ingress::RemoteOutcome> reply;
+    ASSERT_TRUE(cluster->client
+                    ->submit("testlang", session, text,
+                             [&](const ingress::RemoteOutcome& r) {
+                               reply = r;
+                             })
+                    .ok());
+    ASSERT_TRUE(cluster->drive_until([&] { return reply.has_value(); }));
+    EXPECT_TRUE(reply->status.ok()) << reply->status.to_string();
+    EXPECT_EQ(reply->commands, 1) << session;
+  }
+  // create + open per open, close per close; none for the other session.
+  EXPECT_EQ(cluster->adapters[0]->executed(), 6u);
+  const obs::MetricsSnapshot metrics =
+      cluster->nodes[0]->platform().metrics().snapshot();
+  EXPECT_EQ(metrics.gauge_value("synthesis.sessions_live"), 0);
+  EXPECT_EQ(metrics.counter_value("synthesis.sessions_released"), 2u);
+  cluster->shutdown();
+}
+
+// The front-end's checkpoint cache is bounded by the model's
+// session_idle_ttl_us: an entry idle that long on the network clock is
+// dropped, and a session that comes back is checkpointed afresh under a
+// higher version, so replicas never refuse it as stale.
+TEST(ClusterE2E, IdleCheckpointEntriesAreDropped) {
+  auto cluster = make_cluster(
+      2, {}, {}, "checkpoint_interval = 1\n  session_idle_ttl_us = 10000000");
+  ASSERT_NE(cluster, nullptr);
+  // Open `session` and wait until its checkpoint is staged on the
+  // replica, so no ship is in flight when the clock jumps.
+  auto open = [&](const std::string& session) {
+    const std::uint64_t acked = cluster->frontend->stats().checkpoint_acks;
+    std::optional<ingress::RemoteOutcome> reply;
+    EXPECT_TRUE(cluster->client
+                    ->submit("testlang", session,
+                             soak::open_session_text(session),
+                             [&](const ingress::RemoteOutcome& r) {
+                               reply = r;
+                             })
+                    .ok());
+    EXPECT_TRUE(cluster->drive_until([&] {
+      return reply.has_value() &&
+             cluster->frontend->stats().checkpoint_acks > acked;
+    }));
+  };
+  for (const char* session : {"a", "b", "c"}) open(session);
+  EXPECT_EQ(cluster->frontend->checkpointed_sessions(), 3u);
+  const std::int64_t last = cluster->frontend->checkpoint_version("c");
+
+  cluster->clock.advance(std::chrono::seconds(25));
+  cluster->frontend->maintain();
+  EXPECT_EQ(cluster->frontend->checkpointed_sessions(), 0u);
+  EXPECT_EQ(cluster->frontend->checkpoint_version("a"), 0);
+
+  open("a");
+  EXPECT_EQ(cluster->frontend->checkpointed_sessions(), 1u);
+  EXPECT_GT(cluster->frontend->checkpoint_version("a"), last);
+  EXPECT_EQ(cluster->frontend->stats().checkpoint_acks, 4u);
+  EXPECT_EQ(cluster->frontend->stats().checkpoint_failures, 0u);
+  cluster->shutdown();
+}
+
 // PR 10 satellite regression: the query fan-out targets only ACTIVE
 // shards. A joiner still warming up must not receive (or corrupt) a
 // fan-out — its section appears in merged replies only after the join

@@ -29,7 +29,8 @@ class StubBroker : public broker::BrokerApi {
   std::string fail_on;
 
  private:
-  broker::CommandTrace trace_;
+  obs::MetricsRegistry trace_metrics_;
+  broker::CommandTrace trace_{trace_metrics_};
 };
 
 struct ControllerFixture : ::testing::Test {

@@ -459,18 +459,26 @@ TEST(IngressE2E, QueryReturnsRuntimeModelAndMetrics) {
                   .ok());
   ASSERT_TRUE(deployment->drive_until([&] { return submitted.has_value(); }));
 
-  std::optional<ingress::RemoteOutcome> runtime_model;
-  ASSERT_TRUE(deployment->client
-                  ->query("runtime-model",
-                          [&](const ingress::RemoteOutcome& r) {
-                            runtime_model = r;
-                          })
-                  .ok());
-  ASSERT_TRUE(
-      deployment->drive_until([&] { return runtime_model.has_value(); }));
-  EXPECT_TRUE(runtime_model->status.ok());
-  // The session the submit created is visible in the round-tripped model.
-  EXPECT_NE(runtime_model->payload.find("s1"), std::string::npos);
+  auto query = [&](std::string_view what) {
+    std::optional<ingress::RemoteOutcome> outcome;
+    EXPECT_TRUE(deployment->client
+                    ->query(what,
+                            [&](const ingress::RemoteOutcome& r) {
+                              outcome = r;
+                            })
+                    .ok());
+    EXPECT_TRUE(deployment->drive_until([&] { return outcome.has_value(); }));
+    return outcome.value_or(ingress::RemoteOutcome{});
+  };
+  // The session the submit created is visible in its own round-tripped
+  // runtime model...
+  const ingress::RemoteOutcome session_model = query("runtime-model/s1");
+  EXPECT_TRUE(session_model.status.ok());
+  EXPECT_NE(session_model.payload.find("s1"), std::string::npos);
+  // ...and not in the default session's, which the unnamed query reads.
+  const ingress::RemoteOutcome default_model = query("runtime-model");
+  EXPECT_TRUE(default_model.status.ok());
+  EXPECT_EQ(default_model.payload.find("s1"), std::string::npos);
 
   std::optional<ingress::RemoteOutcome> metrics;
   ASSERT_TRUE(deployment->client
@@ -480,6 +488,11 @@ TEST(IngressE2E, QueryReturnsRuntimeModelAndMetrics) {
   ASSERT_TRUE(deployment->drive_until([&] { return metrics.has_value(); }));
   EXPECT_TRUE(metrics->status.ok());
   EXPECT_NE(metrics->payload.find("ingress.received"), std::string::npos);
+  // s1 is open, so it is the one live session.
+  EXPECT_NE(metrics->payload.find("synthesis.sessions_live 1\n"),
+            std::string::npos);
+  EXPECT_NE(metrics->payload.find("synthesis.sessions_released 0\n"),
+            std::string::npos);
   deployment->shutdown();
 }
 

@@ -233,7 +233,8 @@ class NullBroker : public broker::BrokerApi {
   }
 
  private:
-  broker::CommandTrace trace_;
+  obs::MetricsRegistry trace_metrics_;
+  broker::CommandTrace trace_{trace_metrics_};
 };
 
 controller::Procedure make_procedure(const std::string& name,

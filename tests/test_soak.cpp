@@ -10,16 +10,20 @@
 // This binary is the TSan CI job's main course (with test_concurrency):
 // build with -DMDSM_TSAN=ON to run it under ThreadSanitizer.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "common/log.hpp"
+#include "common/strings.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/timer_service.hpp"
@@ -276,6 +280,85 @@ TEST_F(SoakTest, ExecutorDrainSurvivesThrowingTasksUnderLoad) {
   }
   executor.drain();
   EXPECT_EQ(completed.load(), 50);
+}
+
+/// Heap bytes in use (0 where the allocator cannot say, e.g. under
+/// sanitizers that replace malloc).
+std::size_t heap_in_use() {
+#if defined(__GLIBC__) && __GLIBC_PREREQ(2, 33)
+  return mallinfo2().uordblks;
+#else
+  return 0;
+#endif
+}
+
+// The session-count soak: 10k sessions opened from four threads and left
+// idle each hold their own runtime model (the bytes per idle session are
+// reported), and every one is released again — half by closing, half by
+// the idle TTL — so the sessions_live gauge returns to 0.
+TEST_F(SoakTest, IdleSessionsAreReleasedByCloseAndByTtl) {
+  constexpr int kThreads = 4;
+  constexpr int kSessions = 10'000;
+  SimClock clock;
+  soak::SoakPlatform soaked =
+      soak::make_session_platform("session_idle_ttl_us = 1000000", &clock);
+  ASSERT_TRUE(soaked.ok()) << soaked.status.to_string();
+  core::Platform& platform = *soaked.platform;
+  auto name = [](int i) { return numbered("s", i); };
+  auto live = [&] {
+    return platform.metrics().snapshot().gauge_value("synthesis.sessions_live");
+  };
+  // Submit `text_of(i)` in session i for every i with i % step == 0.
+  auto run = [&](int step, std::string (*text_of)(const std::string&)) {
+    std::atomic<int> failed{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = t * step; i < kSessions; i += kThreads * step) {
+          if (!soak::submit_in_session(platform, name(i), text_of(name(i)))
+                   .ok()) {
+            failed.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    return failed.load();
+  };
+
+  platform.broker().resources().clear_trace();
+  const std::size_t heap_before = heap_in_use();
+  ASSERT_EQ(run(1, [](const std::string& id) {
+              return soak::open_session_text(id);
+            }),
+            0);
+  platform.broker().resources().clear_trace();
+  const std::size_t heap_after = heap_in_use();
+  EXPECT_EQ(live(), kSessions);
+  const double per_session =
+      heap_after > heap_before
+          ? static_cast<double>(heap_after - heap_before) / kSessions
+          : 0.0;
+  RecordProperty("bytes_per_idle_session", std::to_string(per_session));
+  std::printf("bytes per idle session: %.0f\n", per_session);
+
+  // Close every other session: each is released at its terminal state.
+  ASSERT_EQ(run(2, [](const std::string& id) {
+              return soak::close_session_text(id);
+            }),
+            0);
+  EXPECT_EQ(live(), kSessions / 2);
+  // The rest never close; past the TTL the next submission sweeps them.
+  clock.advance(std::chrono::seconds(2));
+  ASSERT_TRUE(platform.submit_model_text(open_session_text("tick")).ok());
+  const obs::MetricsSnapshot metrics = platform.metrics().snapshot();
+  EXPECT_EQ(metrics.gauge_value("synthesis.sessions_live"), 0);
+  EXPECT_EQ(metrics.counter_value("synthesis.sessions_released"),
+            static_cast<std::uint64_t>(kSessions));
+  EXPECT_EQ(metrics.counter_value("synthesis.sessions_expired"),
+            static_cast<std::uint64_t>(kSessions / 2));
+  EXPECT_TRUE(platform.synthesis().live_sessions().empty());
+  EXPECT_TRUE(platform.stop().ok());
 }
 
 }  // namespace

@@ -62,7 +62,7 @@ TEST_F(SynthesisFixture, AddObjectFiresCreationTransition) {
   ASSERT_TRUE(script.ok()) << script.status().to_string();
   ASSERT_EQ(dispatched.size(), 1u);
   EXPECT_EQ(dispatched[0].to_text(), "session.create(id=\"s1\")");
-  EXPECT_EQ(engine.interpreter().state_of("s1"), "created");
+  EXPECT_EQ(engine.state_of("s1"), "created");
   EXPECT_EQ(engine.runtime_model()->size(), 1u);
 }
 
@@ -87,7 +87,7 @@ TEST_F(SynthesisFixture, LifecycleAcrossSubmissions) {
   EXPECT_EQ(texts[1], "session.open(bw=3.5, id=\"s1\")");
   EXPECT_EQ(texts[2], "session.retune(id=\"s1\", new=1.5, old=3.5)");
   EXPECT_EQ(texts[3], "session.close(id=\"s1\")");
-  EXPECT_EQ(engine.interpreter().state_of("s1"), "closed");
+  EXPECT_EQ(engine.state_of("s1"), "closed");
 }
 
 TEST_F(SynthesisFixture, StateGatesWhichTransitionFires) {
@@ -99,7 +99,7 @@ TEST_F(SynthesisFixture, StateGatesWhichTransitionFires) {
   ASSERT_TRUE(engine.submit_model(std::move(skip)).ok());
   EXPECT_EQ(dispatched.size(), 1u);  // only the create
   EXPECT_GT(engine.interpreter().stats().unhandled_changes, 0u);
-  EXPECT_EQ(engine.interpreter().state_of("s1"), "created");
+  EXPECT_EQ(engine.state_of("s1"), "created");
 }
 
 TEST_F(SynthesisFixture, ContainedObjectsGetOwnLifecycles) {
@@ -114,7 +114,7 @@ TEST_F(SynthesisFixture, ContainedObjectsGetOwnLifecycles) {
   ASSERT_TRUE(engine.submit_model(base_model("m2")).ok());
   ASSERT_EQ(dispatched.size(), 3u);
   EXPECT_EQ(dispatched[2].to_text(), "party.leave(id=\"alice\")");
-  EXPECT_EQ(engine.interpreter().state_of("alice"), "");
+  EXPECT_EQ(engine.state_of("alice"), "");
 }
 
 TEST_F(SynthesisFixture, GuardBlocksTransition) {
