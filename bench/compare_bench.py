@@ -1,19 +1,17 @@
 #!/usr/bin/env python3
 """Flag bench metrics that moved by more than their noise band.
 
-    bench/compare_bench.py NEW.json [BASE.json] [--band 0.25]
+    bench/compare_bench.py NEW.json
 
 Compares every numeric and boolean field of a run_benches.sh output
-against a baseline, by default the newest BENCH_<n>.json at the repo
-root other than NEW itself. Rows inside lists are matched by their
-identifying fields (mode, kind, policy, threads, shards, multiplier,
-fail_rate), so a reordered or extended table still lines up. A number is
-flagged when it moved by more than `band` relative to the baseline; a
-boolean is flagged when it flipped. The report is informational: the
-exit code is 0 whatever moved (it is non-zero only when an input cannot
-be read).
+against the newest BENCH_<n>.json at the repo root other than NEW
+itself. Rows inside lists are matched by their identifying fields (mode,
+kind, policy, threads, shards, multiplier, fail_rate), so a reordered or
+extended table still lines up. A number is flagged when it moved by more
+than BAND relative to the baseline; a boolean is flagged when it
+flipped. The report is informational: the exit code is 0 whatever moved
+(it is non-zero only when an input cannot be read).
 """
-import argparse
 import glob
 import json
 import os
@@ -25,6 +23,9 @@ ROW_KEYS = ("mode", "kind", "policy", "threads", "shards", "multiplier",
             "fail_rate")
 # Inputs that describe the run rather than measure it.
 SKIP = {"pr", "smoke"}
+# One relative noise band for every metric, until repeated runs give
+# each metric its own.
+BAND = 0.25
 
 
 def newest_bench(exclude):
@@ -58,7 +59,7 @@ def flatten(value, prefix, out):
         out[prefix] = value
 
 
-def compare(new, base, band):
+def compare(new, base):
     flagged = []
     for key in sorted(set(new) & set(base)):
         now, then = new[key], base[key]
@@ -71,24 +72,22 @@ def compare(new, base, band):
                 flagged.append((key, then, now, "was 0"))
             continue
         moved = (now - then) / abs(then)
-        if abs(moved) > band:
+        if abs(moved) > BAND:
             flagged.append((key, then, now, "%+.1f%%" % (100.0 * moved)))
     return flagged
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("new")
-    parser.add_argument("base", nargs="?")
-    parser.add_argument("--band", type=float, default=0.25,
-                        help="relative noise band (default 0.25)")
-    args = parser.parse_args()
-    base_path = args.base or newest_bench(args.new)
+    if len(sys.argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 1
+    new_path = sys.argv[1]
+    base_path = newest_bench(new_path)
     if base_path is None:
         print("compare: no BENCH_<n>.json baseline to compare against")
         return 0
     try:
-        with open(args.new) as handle:
+        with open(new_path) as handle:
             new_doc = json.load(handle)
         with open(base_path) as handle:
             base_doc = json.load(handle)
@@ -98,10 +97,10 @@ def main():
     new, base = {}, {}
     flatten(new_doc, "", new)
     flatten(base_doc, "", base)
-    flagged = compare(new, base, args.band)
+    flagged = compare(new, base)
     print("compare: %s vs %s (band %.0f%%, %d shared metrics)" %
-          (os.path.basename(args.new), os.path.basename(base_path),
-           100.0 * args.band, len(set(new) & set(base))))
+          (os.path.basename(new_path), os.path.basename(base_path),
+           100.0 * BAND, len(set(new) & set(base))))
     if new_doc.get("smoke") != base_doc.get("smoke"):
         print("compare: one side is a smoke run; its numbers are not "
               "comparable to a full run's")

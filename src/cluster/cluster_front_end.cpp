@@ -77,8 +77,6 @@ Result<std::unique_ptr<ClusterFrontEnd>> ClusterFrontEnd::attach(
   if (!platforms.empty()) {
     front->checkpoint_interval_ =
         platforms[0]->get_int("checkpoint_interval", 0);
-    front->checkpoint_idle_ttl_ =
-        Duration(platforms[0]->get_int("session_idle_ttl_us", 0));
   }
 
   Status routes = front->router_.add(
@@ -498,6 +496,12 @@ void ClusterFrontEnd::checkpoint_session(const std::string& session,
         std::int64_t version = 0;
         {
           std::lock_guard lock(checkpoint_mutex_);
+          if (outcome.commands == 0) {
+            // The session ended on its owner: the checkpoint holds
+            // nothing to resume, so neither it nor the entry is kept.
+            checkpoints_.erase(session);
+            return;
+          }
           SessionCheckpoint& entry = checkpoints_[session];
           entry.state_text = outcome.payload;
           version = entry.version = ++checkpoint_versions_;
@@ -583,13 +587,11 @@ void ClusterFrontEnd::warm_joiner_sessions(std::size_t index) {
 }
 
 void ClusterFrontEnd::sweep_checkpoints(TimePoint now) {
-  if (checkpoint_idle_ttl_ <= Duration(0) || now < next_checkpoint_sweep_) {
-    return;
-  }
-  next_checkpoint_sweep_ = now + checkpoint_idle_ttl_ / 2;
+  if (now < next_checkpoint_sweep_) return;
+  next_checkpoint_sweep_ = now + kCheckpointIdleTtl / 2;
   std::erase_if(checkpoints_, [&](const auto& entry) {
     return !entry.second.capture_in_flight &&
-           now - entry.second.last_used >= checkpoint_idle_ttl_;
+           now - entry.second.last_used >= kCheckpointIdleTtl;
   });
 }
 

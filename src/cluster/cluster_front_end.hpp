@@ -67,6 +67,7 @@
 #include "ingress/wire.hpp"
 #include "model/model.hpp"
 #include "net/network.hpp"
+#include "synthesis/synthesis_engine.hpp"
 
 namespace mdsm::cluster {
 
@@ -205,8 +206,14 @@ class ClusterFrontEnd {
   /// so a session's versions keep rising even after its entry was
   /// dropped for idleness and re-created.
   [[nodiscard]] std::int64_t checkpoint_version(std::string_view session) const;
-  /// Sessions with a checkpoint entry (bounded by session_idle_ttl_us).
+  /// Sessions with a checkpoint entry. An entry goes when a capture
+  /// finds its session ended, or after kCheckpointIdleTtl of idleness.
   [[nodiscard]] std::size_t checkpointed_sessions() const;
+  /// The idleness (network clock) after which an entry is dropped: the
+  /// shards' own session idle TTL, past which the owner has released
+  /// the session as well.
+  static constexpr Duration kCheckpointIdleTtl =
+      synthesis::SynthesisEngine::kSessionIdleTtl;
 
  private:
   /// Everything one forwarded submit needs to fail over and reply.
@@ -290,8 +297,8 @@ class ClusterFrontEnd {
   void ship_session_state(const std::string& session, std::int64_t version,
                           const std::string& state_text, std::size_t index,
                           bool resume, std::function<void(bool)> done);
-  /// Drop checkpoint entries idle for the session TTL (sim clock), at
-  /// most every ttl/2; checkpoint_mutex_ held.
+  /// Drop checkpoint entries idle for kCheckpointIdleTtl (network
+  /// clock), at most every half TTL; checkpoint_mutex_ held.
   void sweep_checkpoints(TimePoint now);
   /// Warm a joining shard with every cached checkpoint (stage-only
   /// ships) — called before the join completes.
@@ -335,9 +342,6 @@ class ClusterFrontEnd {
   /// model's `checkpoint_interval` attr: pull + ship a checkpoint after
   /// every N completed sequenced requests per session (0 disables).
   std::int64_t checkpoint_interval_ = 0;
-  /// The model's `session_idle_ttl_us`: an entry idle this long on the
-  /// network clock is dropped (0 = kept for the front-end's lifetime).
-  Duration checkpoint_idle_ttl_{0};
   struct SessionCheckpoint {
     std::int64_t version = 0;    ///< stamp of the cached state_text
     TimePoint last_used{};       ///< last completed request

@@ -128,8 +128,8 @@ void ShardNode::handle_checkpoint(const net::Message& message,
     return;
   }
   const std::uint64_t id = decoded.value().request_id;
-  Result<model::Value> state =
-      platform_->export_session_state(std::string(params.get("session")));
+  const std::string session(params.get("session"));
+  Result<model::Value> state = platform_->export_session_state(session);
   if (!state.ok()) {
     server_->post_refusal(message.from, id, state.status(), {});
     return;
@@ -141,6 +141,9 @@ void ShardNode::handle_checkpoint(const net::Message& message,
   ingress::wire::Reply reply;
   reply.request_id = id;
   reply.message = state.value().to_text();
+  // 0 once the session has ended here (read after the export, so a
+  // session that ends meanwhile reads as ended): nothing to resume.
+  reply.commands = platform_->synthesis().is_live(session) ? 1 : 0;
   server_->post_reply(message.from, std::move(reply));
 }
 

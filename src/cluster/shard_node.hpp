@@ -112,7 +112,9 @@ class ShardNode {
   void handle_replicate(const net::Message& message,
                         const ingress::RouteParams& params);
   /// Serve "checkpoint/{session}": export this platform's session state
-  /// and reply with its text encoding (the front-end's capture path).
+  /// and reply with its text encoding (the front-end's capture path);
+  /// the reply's `commands` is 1 while the session is live, 0 once it
+  /// has ended.
   void handle_checkpoint(const net::Message& message,
                          const ingress::RouteParams& params);
   /// "replicate/session-state" payload: version-gate, stage, and (on a

@@ -359,14 +359,6 @@ Metamodel build() {
   platform.add_attribute({.name = "checkpoint_interval",
                           .type = AttrType::kInt,
                           .default_value = Value(0)});
-  // Session lifecycle backstop: a named session's runtime model and LTS
-  // states are released when its lifecycle ends (every root object in a
-  // terminal LTS state) or after this much idleness, whichever comes
-  // first; the cluster front-end drops its cached checkpoint of a
-  // session after the same idleness. 0 = no idle release.
-  platform.add_attribute({.name = "session_idle_ttl_us",
-                          .type = AttrType::kInt,
-                          .default_value = Value(0)});
   platform.add_reference({.name = "broker",
                           .target_class = "BrokerLayerSpec",
                           .containment = true,

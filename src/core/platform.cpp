@@ -154,7 +154,7 @@ Result<std::unique_ptr<Platform>> Platform::assemble(
   controller::ControllerLayer* controller = platform->controller_.get();
   platform->synthesis_ = std::make_unique<synthesis::SynthesisEngine>(
       synthesis_specs.empty() ? "synthesis" : synthesis_specs[0]->id(),
-      config.dsml, std::move(lts), context, metrics,
+      config.dsml, std::move(lts), context, metrics, *platform->clock_,
       // Pre-commit dispatch runs under the synthesis serial mutex, so it
       // must stay cheap: just the controller-crossing deadline check (a
       // dispatch failure keeps the old runtime model in force).
@@ -178,14 +178,6 @@ Result<std::unique_ptr<Platform>> Platform::assemble(
       "controller.error", [synthesis](const runtime::Event& event) {
         synthesis->handle_controller_event(event.topic, event.payload);
       });
-
-  // Backstop for sessions that never reach a terminal LTS state: release
-  // them after this much idleness on the platform clock (0 = never).
-  if (const std::int64_t ttl = root.get_int("session_idle_ttl_us", 0);
-      ttl > 0) {
-    platform->synthesis_->set_session_idle_ttl(Duration(ttl),
-                                               *platform->clock_);
-  }
 
   // models@runtime at the broker layer: the State Manager mirrors the
   // model each commit installs (that request's session) so broker-level
@@ -949,7 +941,8 @@ Status Platform::import_session_state(const model::Value& state) {
     return InvalidArgument("session checkpoint carries no sessions list");
   }
   // Decode and validate every session before adopting any, so a bad
-  // checkpoint leaves the platform untouched.
+  // checkpoint leaves the platform untouched. This is the only
+  // conformance check: restore_state() trusts what it is handed.
   struct Decoded {
     std::string key;
     model::Model model;
@@ -987,8 +980,8 @@ Status Platform::import_session_state(const model::Value& state) {
   // fires the model listener so the broker's runtime-model mirror
   // converges), then merge the platform-wide scalar stores.
   for (Decoded& session : decoded) {
-    MDSM_RETURN_IF_ERROR(synthesis_->restore_state(
-        session.key, std::move(session.model), std::move(session.lts_states)));
+    synthesis_->restore_state(session.key, std::move(session.model),
+                              std::move(session.lts_states));
   }
   MDSM_RETURN_IF_ERROR(each_checkpoint_pair(
       find_checkpoint_entry(entries, "memory"), "memory",

@@ -254,7 +254,7 @@ CrowdDevice::CrowdDevice(std::string id, std::uint32_t seed,
   controller::ControllerLayer* controller = controller_.get();
   synthesis_ = std::make_unique<synthesis::SynthesisEngine>(
       id_ + "-synthesis", csml_metamodel(), make_csml_lts(), context_,
-      metrics_,
+      metrics_, obs::steady_clock(),
       [controller](const controller::ControlScript& script,
                    obs::RequestContext& request) {
         obs::ScopedSpan span(request, "controller.script",

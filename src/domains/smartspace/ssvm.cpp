@@ -129,6 +129,7 @@ SsvmHub::SsvmHub(net::Network& network) {
   std::vector<std::string>* registered = &registered_;
   synthesis_ = std::make_unique<synthesis::SynthesisEngine>(
       "hub-synthesis", ssml_metamodel(), make_ssml_lts(), context_, metrics_,
+      obs::steady_clock(),
       [controller, registered](const controller::ControlScript& script,
                                obs::RequestContext& request) {
         obs::ScopedSpan span(request, "controller.script",

@@ -11,7 +11,7 @@ namespace mdsm::synthesis {
 SynthesisEngine::SynthesisEngine(std::string name, model::MetamodelPtr dsml,
                                  Lts lts, const policy::ContextStore& context,
                                  obs::MetricsRegistry& metrics,
-                                 Dispatch dispatch)
+                                 const Clock& clock, Dispatch dispatch)
     : Component(std::move(name)),
       dsml_(dsml),
       lts_(std::move(lts)),
@@ -26,7 +26,9 @@ SynthesisEngine::SynthesisEngine(std::string name, model::MetamodelPtr dsml,
       sessions_expired_(metrics.counter("synthesis.sessions_expired")),
       dispatch_(std::move(dispatch)),
       empty_model_(std::make_shared<const model::Model>("runtime", dsml)),
-      default_session_{.model = empty_model_} {
+      default_session_{.model = empty_model_},
+      clock_(clock),
+      next_sweep_(clock.now() + kSessionIdleTtl / 2) {
   for (const Transition& transition : lts_.transitions()) {
     active_states_.push_back(transition.from);
   }
@@ -85,10 +87,16 @@ Result<controller::ControlScript> SynthesisEngine::commit_core(
   Result<controller::ControlScript> script = InvalidArgument("unreachable");
   // Released after the mutex, if this was their last use.
   ModelPtr previous;
-  decltype(sessions_)::node_type released;
+  SessionMap::node_type released;
   {
     std::lock_guard lock(mutex_);
-    if (idle_ttl_ > Duration(0)) sweep_idle(clock_->now());
+    // Only named sessions expire, so the default-session path reads no
+    // clock while none is live.
+    TimePoint now{};
+    if (!key.empty() || !sessions_.empty()) {
+      now = clock_.now();
+      sweep_idle(now);
+    }
     // The session this request diffs against. A named session seen for
     // the first time starts from the empty model, in a local that joins
     // sessions_ only if the commit succeeds and leaves work in flight.
@@ -99,6 +107,12 @@ Result<controller::ControlScript> SynthesisEngine::commit_core(
       named = sessions_.find(key);
       if (named != sessions_.end()) {
         session = &named->second;
+      } else if (retired(key)) {
+        // Its resources were torn down (or abandoned at expiry): a diff
+        // against the empty model would create them a second time.
+        rejected_models_.add();
+        return FailedPrecondition("session '" + std::string(key) +
+                                  "' has ended; submit under a new key");
       } else {
         session = &created.emplace(Session{.model = empty_model_});
       }
@@ -133,18 +147,14 @@ Result<controller::ControlScript> SynthesisEngine::commit_core(
     if (listener_ != nullptr) listener_(session->model);
     if (!key.empty()) {
       if (at_rest(*session)) {
-        if (named != sessions_.end()) {
-          released = sessions_.extract(named);
-          sessions_live_.add(-1);
-          sessions_released_.add();
-        }
+        if (named != sessions_.end()) released = release(named);
       } else {
         if (named == sessions_.end()) {
           named = sessions_.emplace(std::string(key), std::move(*created))
                       .first;
           sessions_live_.add(1);
         }
-        if (idle_ttl_ > Duration(0)) named->second.last_used = clock_->now();
+        named->second.last_used = now;
       }
     }
   }
@@ -172,22 +182,44 @@ bool SynthesisEngine::at_rest(const Session& session) const {
   return true;
 }
 
-void SynthesisEngine::set_session_idle_ttl(Duration ttl, const Clock& clock) {
-  std::lock_guard lock(mutex_);
-  idle_ttl_ = ttl;
-  clock_ = &clock;
-  next_sweep_ = clock.now() + ttl / 2;
-}
-
 void SynthesisEngine::sweep_idle(TimePoint now) {
   if (now < next_sweep_) return;
-  next_sweep_ = now + idle_ttl_ / 2;
-  const std::size_t expired = std::erase_if(sessions_, [&](const auto& entry) {
-    return now - entry.second.last_used >= idle_ttl_;
-  });
-  sessions_live_.add(-static_cast<std::int64_t>(expired));
-  sessions_released_.add(expired);
-  sessions_expired_.add(expired);
+  next_sweep_ = now + kSessionIdleTtl / 2;
+  for (auto it = sessions_.begin(); it != sessions_.end();) {
+    if (now - it->second.last_used >= kSessionIdleTtl) {
+      release(it++);
+      sessions_expired_.add();
+    } else {
+      ++it;
+    }
+  }
+}
+
+SynthesisEngine::SessionMap::node_type SynthesisEngine::release(
+    SessionMap::iterator it) {
+  SessionMap::node_type node = sessions_.extract(it);
+  retire(node.key());
+  sessions_live_.add(-1);
+  sessions_released_.add();
+  return node;
+}
+
+void SynthesisEngine::retire(std::string_view key) {
+  if (retired(key)) return;
+  if (retired_.size() == kRetiredSessionCapacity) {
+    retired_.erase(retired_.begin());
+  }
+  retired_.push_back(std::hash<std::string_view>{}(key));
+}
+
+bool SynthesisEngine::retired(std::string_view key) const {
+  return std::find(retired_.begin(), retired_.end(),
+                   std::hash<std::string_view>{}(key)) != retired_.end();
+}
+
+bool SynthesisEngine::is_live(std::string_view session) const {
+  std::lock_guard lock(mutex_);
+  return find_session(session) != nullptr;
 }
 
 void SynthesisEngine::handle_controller_event(const std::string& topic,
@@ -243,43 +275,37 @@ SynthesisEngine::ExportedState SynthesisEngine::export_state(
   return out;
 }
 
-Status SynthesisEngine::restore_state(std::string_view session,
-                                      model::Model runtime_model,
-                                      LtsStates lts_states) {
-  if (&runtime_model.metamodel() != dsml_.get()) {
-    return InvalidArgument("restored model conforms to metamodel '" +
-                           runtime_model.metamodel().name() +
-                           "', engine expects '" + dsml_->name() + "'");
-  }
-  Status valid = runtime_model.validate();
-  if (!valid.ok()) return valid;
+void SynthesisEngine::restore_state(std::string_view session,
+                                    model::Model runtime_model,
+                                    LtsStates lts_states) {
   Session restored{
       .model = std::make_shared<const model::Model>(std::move(runtime_model)),
       .lts_states = std::move(lts_states)};
-  decltype(sessions_)::node_type released;  // destroyed after the mutex
+  SessionMap::node_type released;  // destroyed after the mutex
   std::lock_guard lock(mutex_);
   if (listener_ != nullptr) listener_(restored.model);
   if (session.empty()) {
     std::swap(default_session_, restored);
-    return Status::Ok();
+    return;
   }
   auto it = sessions_.find(session);
   if (at_rest(restored)) {
-    // A checkpoint of a finished session: nothing stays live.
+    // A checkpoint of a finished session: nothing stays live, and the
+    // key refuses further submits as after a close.
     if (it != sessions_.end()) {
-      released = sessions_.extract(it);
-      sessions_live_.add(-1);
-      sessions_released_.add();
+      released = release(it);
+    } else {
+      retire(session);
     }
-    return Status::Ok();
+    return;
   }
+  std::erase(retired_, std::hash<std::string_view>{}(session));
   if (it == sessions_.end()) {
     it = sessions_.emplace(std::string(session), Session{}).first;
     sessions_live_.add(1);
   }
-  if (idle_ttl_ > Duration(0)) restored.last_used = clock_->now();
+  restored.last_used = clock_.now();
   std::swap(it->second, restored);
-  return Status::Ok();
 }
 
 SynthesisStats SynthesisEngine::stats() const {

@@ -13,7 +13,8 @@
 // plain member, so the in-process path pays no lookup. A named session
 // is released once every root object of its committed model rests in
 // an LTS state with no outgoing transition (the lifecycle ended), or
-// after an idle TTL when one is set (DESIGN.md §6k).
+// after kSessionIdleTtl of idleness; the engine then refuses further
+// submits in it for as long as it remembers the key (DESIGN.md §6k).
 //
 // Concurrency: synthesis itself is serial — each submission diffs
 // against (and then replaces) its session's runtime model — so the
@@ -34,6 +35,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "controller/script.hpp"
 #include "model/diff.hpp"
 #include "model/model.hpp"
@@ -74,10 +76,11 @@ class SynthesisEngine final : public runtime::Component {
   using ModelListener = std::function<void(const ModelPtr&)>;
 
   /// Counts go to `metrics` ("synthesis.*" cells, resolved here), which
-  /// must outlive the engine.
+  /// must outlive the engine; session idleness is read from `clock`.
   SynthesisEngine(std::string name, model::MetamodelPtr dsml, Lts lts,
                   const policy::ContextStore& context,
-                  obs::MetricsRegistry& metrics, Dispatch dispatch);
+                  obs::MetricsRegistry& metrics, const Clock& clock,
+                  Dispatch dispatch);
 
   void set_model_listener(ModelListener listener) {
     listener_ = std::move(listener);
@@ -96,7 +99,9 @@ class SynthesisEngine final : public runtime::Component {
   /// current runtime model, interpret the changes, dispatch the script,
   /// commit the new model as the running one, then execute via the
   /// executor hook. On any pre-commit failure the previous runtime model
-  /// stays in force. Opens the request's "synthesis.submit" span.
+  /// stays in force. A submit in a retired session (released, and among
+  /// the newest kRetiredSessionCapacity) fails with FailedPrecondition
+  /// and issues nothing. Opens the request's "synthesis.submit" span.
   /// Safe to call concurrently (submissions serialize on the internal
   /// mutex up to the commit; execution overlaps).
   Result<controller::ControlScript> submit_model(model::Model new_model,
@@ -149,10 +154,21 @@ class SynthesisEngine final : public runtime::Component {
   [[nodiscard]] std::vector<std::string> event_log() const;
   static constexpr std::size_t kEventLogCapacity = 64;
 
-  /// Release named sessions left idle for `ttl` on `clock` (0 = never).
-  /// Swept lazily by submissions, at most every ttl/2, so an idle
-  /// session goes within 1.5 × ttl. Set before traffic starts.
-  void set_session_idle_ttl(Duration ttl, const Clock& clock);
+  /// True while `session` holds state: it is the default session, or a
+  /// named one that has committed and not been released since.
+  [[nodiscard]] bool is_live(std::string_view session) const;
+
+  /// The backstop for named sessions that never reach a terminal LTS
+  /// state: one idle this long on the engine's clock is released.
+  /// Swept lazily by submissions, at most every half TTL, so an idle
+  /// session goes within 1.5 × the TTL.
+  static constexpr Duration kSessionIdleTtl = std::chrono::hours(1);
+  /// How many released session keys the engine remembers. A submit in a
+  /// remembered key is refused, so a re-sent or retried model cannot
+  /// re-open a session that closed or expired (its resources would be
+  /// created twice). An older key is forgotten and opens a new session.
+  /// Keys are remembered by their 64-bit hash: 8 KB when full.
+  static constexpr std::size_t kRetiredSessionCapacity = 1024;
 
   /// Atomic export of one session's synthesis state: the serialized
   /// runtime model and its LTS states, both taken under ONE hold of the
@@ -169,10 +185,12 @@ class SynthesisEngine final : public runtime::Component {
   /// Inverse of export_state(): swap in `runtime_model` as the committed
   /// model of `session` and replace that session's LTS states, then fire
   /// the model listener so downstream mirrors (broker runtime model)
-  /// converge. Other sessions are untouched. The model must conform to
-  /// this engine's DSML.
-  Status restore_state(std::string_view session, model::Model runtime_model,
-                       LtsStates lts_states);
+  /// converge. Other sessions are untouched. Restoring live state
+  /// re-admits a retired key; restoring a finished one retires it. The
+  /// caller has parsed the model with this engine's DSML and validated
+  /// it; the engine does not check again.
+  void restore_state(std::string_view session, model::Model runtime_model,
+                     LtsStates lts_states);
 
  private:
   /// One session's synthesis state.
@@ -180,8 +198,9 @@ class SynthesisEngine final : public runtime::Component {
     ModelPtr model;         ///< "an empty model if the system has just
                             ///< been started"
     LtsStates lts_states;
-    TimePoint last_used{};  ///< only kept while an idle TTL is set
+    TimePoint last_used{};  ///< named sessions: last commit or restore
   };
+  using SessionMap = std::map<std::string, Session, std::less<>>;
 
   /// Shared pre-check + serial diff→interpret→dispatch→commit section of
   /// submit_model()/commit_model() (everything except the executor hook).
@@ -195,6 +214,13 @@ class SynthesisEngine final : public runtime::Component {
   [[nodiscard]] bool at_rest(const Session& session) const;
   /// Drop named sessions idle for the TTL (mutex_ held).
   void sweep_idle(TimePoint now);
+  /// Release the named session at `it` and remember its key; the node
+  /// is returned so its model is freed after the mutex (mutex_ held).
+  SessionMap::node_type release(SessionMap::iterator it);
+  /// Remember `key` as released, forgetting the oldest beyond
+  /// kRetiredSessionCapacity (mutex_ held).
+  void retire(std::string_view key);
+  [[nodiscard]] bool retired(std::string_view key) const;
 
   model::MetamodelPtr dsml_;
   Lts lts_;
@@ -217,10 +243,11 @@ class SynthesisEngine final : public runtime::Component {
   mutable std::mutex mutex_;
   const ModelPtr empty_model_;  ///< what a new session diffs against
   Session default_session_;
-  std::map<std::string, Session, std::less<>> sessions_;
-  Duration idle_ttl_{0};
-  const Clock* clock_ = nullptr;
-  TimePoint next_sweep_{};
+  SessionMap sessions_;
+  /// Hashes of the newest released keys, oldest first.
+  std::vector<std::size_t> retired_;
+  const Clock& clock_;
+  TimePoint next_sweep_;
   mutable std::mutex event_mutex_;  ///< guards event_log_ only
   std::deque<std::string> event_log_;
 };

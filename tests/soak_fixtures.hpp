@@ -186,17 +186,15 @@ inline SoakPlatform make_soak_platform(
     broker::ChaosConfig config,
     std::optional<broker::InvocationPolicy> policy = std::nullopt,
     std::function<void(Duration)> sleep_hook = nullptr,
-    std::string_view root_attributes = {}, const Clock* clock = nullptr) {
+    const Clock* clock = nullptr) {
   SoakPlatform out;
   out.dsml = model::testing::make_test_metamodel();
   core::PlatformConfig platform_config;
   platform_config.dsml = out.dsml;
   platform_config.clock = clock;
-  std::string text(kSoakMiddlewareModel);
-  const std::string anchor = "domain = \"testing\"";
-  text.insert(text.find(anchor) + anchor.size(),
-              "\n  " + std::string(root_attributes));
-  auto assembled = core::Platform::assemble_from_text(text, platform_config);
+  auto assembled =
+      core::Platform::assemble_from_text(kSoakMiddlewareModel,
+                                         platform_config);
   if (!assembled.ok()) {
     out.status = assembled.status();
     return out;
@@ -221,12 +219,10 @@ inline SoakPlatform make_soak_platform(
   return out;
 }
 
-/// A fault-free soak platform whose MiddlewarePlatform root also carries
-/// `root_attributes` (e.g. "session_idle_ttl_us = 1000"), on `clock`.
-inline SoakPlatform make_session_platform(std::string_view root_attributes,
-                                          const Clock* clock = nullptr) {
+/// A fault-free soak platform on `clock` (null: the real clock).
+inline SoakPlatform make_session_platform(const Clock* clock = nullptr) {
   return make_soak_platform(broker::ChaosConfig{}, std::nullopt, nullptr,
-                            root_attributes, clock);
+                            clock);
 }
 
 /// Submit `text` in session `session`, as the ingress would stamp it.

@@ -1227,16 +1227,30 @@ TEST(ClusterE2E, TwoSessionsOnOneShardNeverCrossCommands) {
       cluster->nodes[0]->platform().metrics().snapshot();
   EXPECT_EQ(metrics.gauge_value("synthesis.sessions_live"), 0);
   EXPECT_EQ(metrics.counter_value("synthesis.sessions_released"), 2u);
+
+  // A re-sent close of the closed session a is refused and re-opens
+  // nothing.
+  std::optional<ingress::RemoteOutcome> resent;
+  ASSERT_TRUE(cluster->client
+                  ->submit("testlang", "a", soak::close_session_text("x"),
+                           [&](const ingress::RemoteOutcome& r) {
+                             resent = r;
+                           })
+                  .ok());
+  ASSERT_TRUE(cluster->drive_until([&] { return resent.has_value(); }));
+  EXPECT_EQ(resent->status.code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(resent->commands, 0);
+  EXPECT_EQ(cluster->adapters[0]->executed(), 6u);
   cluster->shutdown();
 }
 
-// The front-end's checkpoint cache is bounded by the model's
-// session_idle_ttl_us: an entry idle that long on the network clock is
-// dropped, and a session that comes back is checkpointed afresh under a
-// higher version, so replicas never refuse it as stale.
+// The front-end's checkpoint cache stays bounded without any setting: a
+// capture that finds its session ended drops the entry (and ships
+// nothing), and an entry idle for kCheckpointIdleTtl on the network
+// clock is dropped too. A session that comes back is checkpointed afresh
+// under a higher version, so replicas never refuse it as stale.
 TEST(ClusterE2E, IdleCheckpointEntriesAreDropped) {
-  auto cluster = make_cluster(
-      2, {}, {}, "checkpoint_interval = 1\n  session_idle_ttl_us = 10000000");
+  auto cluster = make_cluster(2, {}, {}, "checkpoint_interval = 1");
   ASSERT_NE(cluster, nullptr);
   // Open `session` and wait until its checkpoint is staged on the
   // replica, so no ship is in flight when the clock jumps.
@@ -1255,11 +1269,32 @@ TEST(ClusterE2E, IdleCheckpointEntriesAreDropped) {
              cluster->frontend->stats().checkpoint_acks > acked;
     }));
   };
-  for (const char* session : {"a", "b", "c"}) open(session);
+  for (const char* session : {"a", "b", "c", "d"}) open(session);
+  EXPECT_EQ(cluster->frontend->checkpointed_sessions(), 4u);
+  const std::uint64_t acks = cluster->frontend->stats().checkpoint_acks;
+
+  // d closes: its owner reports the session ended, so the entry goes at
+  // once and nothing is shipped to the replica.
+  const std::uint64_t taken = cluster->frontend->stats().checkpoints_taken;
+  std::optional<ingress::RemoteOutcome> closed;
+  ASSERT_TRUE(cluster->client
+                  ->submit("testlang", "d", soak::close_session_text("d"),
+                           [&](const ingress::RemoteOutcome& r) {
+                             closed = r;
+                           })
+                  .ok());
+  ASSERT_TRUE(cluster->drive_until([&] {
+    return closed.has_value() &&
+           cluster->frontend->stats().checkpoints_taken > taken;
+  }));
+  EXPECT_TRUE(closed->status.ok()) << closed->status.to_string();
   EXPECT_EQ(cluster->frontend->checkpointed_sessions(), 3u);
+  EXPECT_EQ(cluster->frontend->checkpoint_version("d"), 0);
+  EXPECT_EQ(cluster->frontend->stats().checkpoint_acks, acks);
   const std::int64_t last = cluster->frontend->checkpoint_version("c");
 
-  cluster->clock.advance(std::chrono::seconds(25));
+  // The rest never close: idle past the TTL, maintain() drops them.
+  cluster->clock.advance(2 * cluster::ClusterFrontEnd::kCheckpointIdleTtl);
   cluster->frontend->maintain();
   EXPECT_EQ(cluster->frontend->checkpointed_sessions(), 0u);
   EXPECT_EQ(cluster->frontend->checkpoint_version("a"), 0);
@@ -1267,7 +1302,7 @@ TEST(ClusterE2E, IdleCheckpointEntriesAreDropped) {
   open("a");
   EXPECT_EQ(cluster->frontend->checkpointed_sessions(), 1u);
   EXPECT_GT(cluster->frontend->checkpoint_version("a"), last);
-  EXPECT_EQ(cluster->frontend->stats().checkpoint_acks, 4u);
+  EXPECT_EQ(cluster->frontend->stats().checkpoint_acks, 5u);
   EXPECT_EQ(cluster->frontend->stats().checkpoint_failures, 0u);
   cluster->shutdown();
 }

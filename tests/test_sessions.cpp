@@ -3,8 +3,8 @@
 // route) selects its own runtime model and LTS states, so one session
 // never diffs against — or tears down — another. A named session is
 // released when its lifecycle ends (every root object in a terminal LTS
-// state) or after the model's idle TTL, and a checkpoint carries one
-// session only.
+// state) or after the engine's idle TTL, after which its key refuses
+// further submits; a checkpoint carries one session only.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -188,7 +188,7 @@ TEST(SessionIsolation, RandomInterleavingsMatchSoloRuns) {
 }
 
 TEST(SessionIsolation, SameObjectIdsInTwoSessionsDoNotCollide) {
-  soak::SoakPlatform soak = soak::make_session_platform("");
+  soak::SoakPlatform soak = soak::make_session_platform();
   ASSERT_TRUE(soak.ok()) << soak.status.to_string();
   Platform& platform = *soak.platform;
   ASSERT_TRUE(
@@ -220,7 +220,7 @@ TEST(SessionIsolation, SameObjectIdsInTwoSessionsDoNotCollide) {
 }
 
 TEST(SessionLifecycle, TerminalStateReleasesTheSession) {
-  soak::SoakPlatform soak = soak::make_session_platform("");
+  soak::SoakPlatform soak = soak::make_session_platform();
   ASSERT_TRUE(soak.ok()) << soak.status.to_string();
   Platform& platform = *soak.platform;
   auto live = [&] {
@@ -245,10 +245,69 @@ TEST(SessionLifecycle, TerminalStateReleasesTheSession) {
   EXPECT_EQ(live(), 0);
 }
 
+// A closed session's key is retired: re-sending its last model (or a
+// retried close, or a fresh open) issues nothing, where a diff against
+// the released, empty model would create its resources again.
+TEST(SessionLifecycle, ClosedSessionRefusesResubmits) {
+  soak::SoakPlatform soak = soak::make_session_platform();
+  ASSERT_TRUE(soak.ok()) << soak.status.to_string();
+  Platform& platform = *soak.platform;
+  ASSERT_TRUE(
+      submit_in_session(platform, "k", soak::open_session_text("x")).ok());
+  ASSERT_TRUE(
+      submit_in_session(platform, "k", soak::close_session_text("x")).ok());
+  const std::uint64_t executed = soak.inner->executed();
+  for (const std::string& text :
+       {soak::close_session_text("x"), soak::open_session_text("x")}) {
+    Result<controller::ControlScript> again =
+        submit_in_session(platform, "k", text);
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.status().code(), ErrorCode::kFailedPrecondition);
+  }
+  EXPECT_EQ(soak.inner->executed(), executed);
+  EXPECT_TRUE(platform.synthesis().live_sessions().empty());
+  EXPECT_EQ(platform.metrics().snapshot().counter_value(
+                "synthesis.rejected_models"),
+            2u);
+  // Another key is a new session.
+  Result<controller::ControlScript> other =
+      submit_in_session(platform, "k2", soak::open_session_text("x"));
+  ASSERT_TRUE(other.ok()) << other.status().to_string();
+  EXPECT_EQ(other->commands.size(), 1u);
+}
+
+// The engine remembers only the newest kRetiredSessionCapacity released
+// keys, so retired keys cost bounded memory; an older key opens anew.
+TEST(SessionLifecycle, OnlyTheNewestReleasedKeysAreRemembered) {
+  soak::SoakPlatform soak = soak::make_session_platform();
+  ASSERT_TRUE(soak.ok()) << soak.status.to_string();
+  Platform& platform = *soak.platform;
+  auto open_and_close = [&](const std::string& session) {
+    return submit_in_session(platform, session,
+                             soak::open_session_text(session))
+               .ok() &&
+           submit_in_session(platform, session,
+                             soak::close_session_text(session))
+               .ok();
+  };
+  ASSERT_TRUE(open_and_close("first"));
+  for (std::size_t i = 0;
+       i + 1 < synthesis::SynthesisEngine::kRetiredSessionCapacity; ++i) {
+    ASSERT_TRUE(open_and_close(numbered("s", static_cast<std::int64_t>(i))));
+  }
+  EXPECT_FALSE(
+      submit_in_session(platform, "first", soak::open_session_text("first"))
+          .ok());
+  ASSERT_TRUE(open_and_close("last"));  // pushes "first" out
+  EXPECT_TRUE(
+      submit_in_session(platform, "first", soak::open_session_text("first"))
+          .ok());
+}
+
 TEST(SessionLifecycle, IdleTtlReleasesSessionsThatNeverClose) {
+  constexpr Duration kTtl = synthesis::SynthesisEngine::kSessionIdleTtl;
   SimClock clock;
-  soak::SoakPlatform soak =
-      soak::make_session_platform("session_idle_ttl_us = 1000", &clock);
+  soak::SoakPlatform soak = soak::make_session_platform(&clock);
   ASSERT_TRUE(soak.ok()) << soak.status.to_string();
   Platform& platform = *soak.platform;
   for (const char* session : {"a", "b", "c"}) {
@@ -256,27 +315,38 @@ TEST(SessionLifecycle, IdleTtlReleasesSessionsThatNeverClose) {
                                   soak::open_session_text(session))
                     .ok());
   }
-  clock.advance(Duration(600));
+  clock.advance(kTtl * 6 / 10);
   // b stays busy; a and c go idle.
   ASSERT_TRUE(submit_in_session(platform, "b", soak::open_session_text("b"))
                   .ok());
-  clock.advance(Duration(600));
+  clock.advance(kTtl * 6 / 10);
   ASSERT_TRUE(platform.submit_model_text(soak::open_session_text("d")).ok());
   EXPECT_EQ(platform.synthesis().live_sessions(),
             std::vector<std::string>{"b"});
-  clock.advance(Duration(1200));
+  clock.advance(kTtl * 12 / 10);
   ASSERT_TRUE(platform.submit_model_text(soak::open_session_text("d")).ok());
   const obs::MetricsSnapshot metrics = platform.metrics().snapshot();
   EXPECT_EQ(metrics.gauge_value("synthesis.sessions_live"), 0);
   EXPECT_EQ(metrics.counter_value("synthesis.sessions_expired"), 3u);
   EXPECT_EQ(metrics.counter_value("synthesis.sessions_released"), 3u);
+
+  // A late submit in an expired session is refused: its Session object
+  // still exists in the resource, and a diff against the empty model
+  // would create it a second time.
+  const std::uint64_t executed = soak.inner->executed();
+  Result<controller::ControlScript> late =
+      submit_in_session(platform, "a", soak::close_session_text("a"));
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(soak.inner->executed(), executed);
+  EXPECT_TRUE(platform.synthesis().live_sessions().empty());
 }
 
 // Resuming one session on a replica replaces that session only: the
 // replica's other live sessions export byte-equal before and after.
 TEST(SessionCheckpoint, ImportLeavesOtherSessionsByteEqual) {
-  soak::SoakPlatform source = soak::make_session_platform("");
-  soak::SoakPlatform replica = soak::make_session_platform("");
+  soak::SoakPlatform source = soak::make_session_platform();
+  soak::SoakPlatform replica = soak::make_session_platform();
   ASSERT_TRUE(source.ok() && replica.ok());
   for (const char* session : {"x", "y"}) {
     ASSERT_TRUE(submit_in_session(*replica.platform, session,
@@ -318,7 +388,7 @@ TEST(SessionCheckpoint, ImportLeavesOtherSessionsByteEqual) {
 // does not grow with the other sessions a shard serves; the snapshot,
 // which covers every live session, does.
 TEST(SessionCheckpoint, BytesScaleWithOneSessionNotTheShard) {
-  soak::SoakPlatform soak = soak::make_session_platform("");
+  soak::SoakPlatform soak = soak::make_session_platform();
   ASSERT_TRUE(soak.ok()) << soak.status.to_string();
   Platform& platform = *soak.platform;
   ASSERT_TRUE(submit_in_session(platform, "probe",
@@ -348,8 +418,8 @@ TEST(SessionCheckpoint, BytesScaleWithOneSessionNotTheShard) {
 
 // snapshot()/restore() cover the default session and every live one.
 TEST(SessionCheckpoint, SnapshotRoundTripsEverySession) {
-  soak::SoakPlatform source = soak::make_session_platform("");
-  soak::SoakPlatform target = soak::make_session_platform("");
+  soak::SoakPlatform source = soak::make_session_platform();
+  soak::SoakPlatform target = soak::make_session_platform();
   ASSERT_TRUE(source.ok() && target.ok());
   ASSERT_TRUE(
       source.platform->submit_model_text(soak::open_session_text("d")).ok());

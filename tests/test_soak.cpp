@@ -300,8 +300,7 @@ TEST_F(SoakTest, IdleSessionsAreReleasedByCloseAndByTtl) {
   constexpr int kThreads = 4;
   constexpr int kSessions = 10'000;
   SimClock clock;
-  soak::SoakPlatform soaked =
-      soak::make_session_platform("session_idle_ttl_us = 1000000", &clock);
+  soak::SoakPlatform soaked = soak::make_session_platform(&clock);
   ASSERT_TRUE(soaked.ok()) << soaked.status.to_string();
   core::Platform& platform = *soaked.platform;
   auto name = [](int i) { return numbered("s", i); };
@@ -349,7 +348,7 @@ TEST_F(SoakTest, IdleSessionsAreReleasedByCloseAndByTtl) {
             0);
   EXPECT_EQ(live(), kSessions / 2);
   // The rest never close; past the TTL the next submission sweeps them.
-  clock.advance(std::chrono::seconds(2));
+  clock.advance(2 * synthesis::SynthesisEngine::kSessionIdleTtl);
   ASSERT_TRUE(platform.submit_model_text(open_session_text("tick")).ok());
   const obs::MetricsSnapshot metrics = platform.metrics().snapshot();
   EXPECT_EQ(metrics.gauge_value("synthesis.sessions_live"), 0);

@@ -41,7 +41,8 @@ struct SynthesisFixture : ::testing::Test {
   policy::ContextStore context;
   std::vector<controller::Command> dispatched;
   obs::MetricsRegistry metrics;
-  SynthesisEngine engine{"se", mm, make_session_lts(), context, metrics,
+  SteadyClock clock;
+  SynthesisEngine engine{"se", mm, make_session_lts(), context, metrics, clock,
                          [this](const controller::ControlScript& script, obs::RequestContext&) {
                            for (const auto& command : script.commands) {
                              dispatched.push_back(command);
@@ -122,7 +123,7 @@ TEST_F(SynthesisFixture, GuardBlocksTransition) {
   lts.on("initial", ChangeKind::kAddObject, "Session", "", "created",
          {{"session.create", {{"id", Value("%id")}}}}, "defined(allowed)");
   std::vector<controller::Command> out;
-  SynthesisEngine guarded("se2", mm, std::move(lts), context, metrics,
+  SynthesisEngine guarded("se2", mm, std::move(lts), context, metrics, clock,
                           [&](const controller::ControlScript& script, obs::RequestContext&) {
                             for (const auto& c : script.commands) {
                               out.push_back(c);
@@ -161,7 +162,7 @@ TEST_F(SynthesisFixture, WrongMetamodelRejected) {
 }
 
 TEST_F(SynthesisFixture, DispatchFailureKeepsOldModel) {
-  SynthesisEngine failing("se3", mm, make_session_lts(), context, metrics,
+  SynthesisEngine failing("se3", mm, make_session_lts(), context, metrics, clock,
                           [](const controller::ControlScript&, obs::RequestContext&) {
                             return Unavailable("controller down");
                           });
@@ -215,7 +216,7 @@ TEST_F(SynthesisFixture, TemplateEscapesAndUnknownsPassThrough) {
            {{"lit", Value("%%raw")}, {"weird", Value("%nosuch")},
             {"num", Value(7)}}}});
   std::vector<controller::Command> out;
-  SynthesisEngine e2("se4", mm, std::move(lts), context, metrics,
+  SynthesisEngine e2("se4", mm, std::move(lts), context, metrics, clock,
                      [&](const controller::ControlScript& script, obs::RequestContext&) {
                        for (const auto& c : script.commands) out.push_back(c);
                        return Status::Ok();
