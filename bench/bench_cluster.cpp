@@ -565,11 +565,11 @@ struct ResumeRow {
   std::uint64_t duplicate_callbacks = 0;
   std::uint64_t unresolved = 0;
   std::uint64_t checkpoints_taken = 0;
-  std::uint64_t checkpoint_acks = 0;
   std::uint64_t resumes_shipped = 0;
   std::uint64_t resumes_completed = 0;
   std::uint64_t failovers = 0;
   std::uint64_t rerouted = 0;
+  std::uint64_t messages = 0;  ///< network messages sent over the whole row
   std::uint64_t probe_sessions = 0;  ///< victim-owned, checkpointed pre-kill
   std::uint64_t probe_ok = 0;        ///< closes that completed after the kill
   /// Survivor-side adapter executions attributable to the probes. Every
@@ -590,13 +590,13 @@ std::string probe_text(int id, const char* state) {
 
 /// Session-resume row (PR 10): a 2-shard fleet with checkpoint_interval=1
 /// opens a handful of probe sessions owned by shard 0 and waits for each
-/// checkpoint to land on the replica BEFORE any other traffic (so the
-/// capture races nothing). A background feed then runs at 0.4x fleet
+/// checkpoint to be captured into the front-end's cache BEFORE any other
+/// traffic (so the capture races nothing). A background feed then runs at 0.4x fleet
 /// capacity — low enough that the survivor can absorb the whole load —
 /// and shard 0 is killed halfway through. After the feed drains, the
 /// probe sessions are CLOSED one at a time: each close reroutes/fails
-/// over to the survivor, which must import the session's checkpoint
-/// first, so the close executes exactly one teardown instead of
+/// over to the survivor, which the front-end ships the cached checkpoint
+/// to first, so the close executes exactly one teardown instead of
 /// re-running the session lifecycle cold.
 Result<ResumeRow> run_resume_step(const BenchConfig& base,
                                   double shard_capacity_rps) {
@@ -649,19 +649,15 @@ Result<ResumeRow> run_resume_step(const BenchConfig& base,
     ok = done.load(std::memory_order_acquire) == 1;
   };
 
-  // Open every probe and wait until its checkpoint is captured AND the
-  // stage-only ship acked on the replica.
-  std::uint64_t acks_expected = 0;
+  // Open every probe and wait until its checkpoint is captured.
   for (const int id : probe_ids) {
     const std::string session = numbered("probe-", id);
     bool ok = false;
     submit_and_wait(session, probe_text(id, "pending"), ok);
     if (!ok) return Internal("probe open did not complete: " + session);
-    ++acks_expected;
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while ((frontend.checkpoint_version(session) < 1 ||
-            frontend.stats().checkpoint_acks < acks_expected) &&
+    while (frontend.checkpoint_version(session) < 1 &&
            std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -739,11 +735,11 @@ Result<ResumeRow> run_resume_step(const BenchConfig& base,
 
   const cluster::ClusterFrontEnd::Stats stats = frontend.stats();
   row.checkpoints_taken = stats.checkpoints_taken;
-  row.checkpoint_acks = stats.checkpoint_acks;
   row.resumes_shipped = stats.resumes_shipped;
   row.resumes_completed = stats.resumes_completed;
   row.failovers = stats.failovers;
   row.rerouted = stats.rerouted;
+  row.messages = fleet.value()->network->stats().sent;
   fleet.value().reset();  // joins the driver; detach resolves stragglers
 
   Row scratch;
@@ -976,7 +972,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(reb.lost));
     std::fprintf(stderr,
                  "resume: probes=%llu ok=%llu survivor_execs=%llu "
-                 "resumed=%llu/%llu ckpts=%llu acks=%llu pre=%.1f/s "
+                 "resumed=%llu/%llu ckpts=%llu msgs=%llu pre=%.1f/s "
                  "post=%.1f/s recovery=%.2fx dupes=%llu unresolved=%llu\n",
                  static_cast<unsigned long long>(res.probe_sessions),
                  static_cast<unsigned long long>(res.probe_ok),
@@ -985,7 +981,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(res.resumes_completed),
                  static_cast<unsigned long long>(res.resumes_shipped),
                  static_cast<unsigned long long>(res.checkpoints_taken),
-                 static_cast<unsigned long long>(res.checkpoint_acks),
+                 static_cast<unsigned long long>(res.messages),
                  res.pre_kill_goodput_rps, res.post_kill_goodput_rps,
                  res.recovery_ratio,
                  static_cast<unsigned long long>(res.duplicate_callbacks),
@@ -1037,7 +1033,7 @@ int main(int argc, char** argv) {
       "\"survivor_probe_executions\": %llu, \"submitted\": %llu, "
       "\"completed_ok\": %llu, \"refused\": %llu, \"lost\": %llu, "
       "\"duplicate_callbacks\": %llu, \"unresolved\": %llu, "
-      "\"checkpoints_taken\": %llu, \"checkpoint_acks\": %llu, "
+      "\"checkpoints_taken\": %llu, \"messages\": %llu, "
       "\"resumes_shipped\": %llu, \"resumes_completed\": %llu, "
       "\"failovers\": %llu, \"rerouted\": %llu, "
       "\"pre_kill_goodput_rps\": %.1f, \"post_kill_goodput_rps\": %.1f, "
@@ -1052,7 +1048,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(res.duplicate_callbacks),
       static_cast<unsigned long long>(res.unresolved),
       static_cast<unsigned long long>(res.checkpoints_taken),
-      static_cast<unsigned long long>(res.checkpoint_acks),
+      static_cast<unsigned long long>(res.messages),
       static_cast<unsigned long long>(res.resumes_shipped),
       static_cast<unsigned long long>(res.resumes_completed),
       static_cast<unsigned long long>(res.failovers),

@@ -12,10 +12,12 @@
 # joins and a shard leaves mid-feed; gated on exactly-once callbacks,
 # moved keyspace <= ~1/5, and post-resize goodput >= 0.9x the pre-join
 # plateau, plus 4-shard goodput >= 3x 1-shard, relaxed to 2.5x in smoke
-# mode — and the PR-10 session-resume row: checkpointed sessions whose
-# owner dies mid-feed must close on the survivor with exactly one
+# mode — and the session-resume row: sessions checkpointed into the
+# front-end's cache, whose owner dies mid-feed, must close on the
+# survivor (which imports the cached checkpoint first) with exactly one
 # re-executed step each and post-failover goodput >= 0.9x the pre-kill
-# plateau), then composes their JSON outputs into one consolidated file.
+# plateau; the row also reports the network messages it sent), then
+# composes their JSON outputs into one consolidated file.
 # The file also records src_lines, the total line count of src/*.cpp and
 # src/*.hpp, the code-size figure the roadmap tracks. A last compare
 # step (bench/compare_bench.py) lists every metric that moved by more

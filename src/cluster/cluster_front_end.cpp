@@ -19,7 +19,6 @@ ingress::IngressClientOptions downstream_options(const ClusterConfig& config,
   ingress::IngressClientOptions options;
   options.endpoint = config.endpoint + ".to." + std::to_string(index);
   options.reply_timeout = config.downstream_reply_timeout;
-  options.retry_budget = config.downstream_retry_budget;
   return options;
 }
 
@@ -51,7 +50,7 @@ Result<std::unique_ptr<ClusterFrontEnd>> ClusterFrontEnd::attach(
       new ClusterFrontEnd(network, authoritative_model.clone()));
   front->endpoint_ = network.endpoint_handle(config.endpoint);
   front->endpoint_name_ = config.endpoint;
-  front->ring_ = ShardRing(shard_endpoints.size(), config.virtual_nodes);
+  front->ring_ = ShardRing(shard_endpoints.size());
 
   for (std::size_t i = 0; i < shard_endpoints.size(); ++i) {
     auto shard = std::make_unique<Shard>();
@@ -185,14 +184,13 @@ void ClusterFrontEnd::handle_submit(const net::Message& message,
   }
 
   std::size_t target = 0;
-  bool rerouted = false;  // off the owner → resume the session first
   std::optional<Status> refusal;  // decided under the lock, sent outside
   {
     std::shared_lock lock(topology_mutex_);
     const std::size_t primary = ring_.owner(state.session);
     const std::size_t replica = ring_.replica(state.session);
     target = primary;
-    if (config_.failover && replica != primary) state.fallback = replica;
+    if (replica != primary) state.fallback = replica;
     state.epoch = epoch_.load(std::memory_order_acquire);
 
     // Health gate: an open primary window reroutes the whole attempt to
@@ -215,7 +213,6 @@ void ClusterFrontEnd::handle_submit(const net::Message& message,
               " are both unhealthy (primary and replica windows open)");
         } else {
           rerouted_.fetch_add(1, std::memory_order_relaxed);
-          rerouted = true;
           target = replica;
           state.fallback.reset();  // the replica is the last resort
           state.admission = replica_admit.admission;
@@ -229,21 +226,58 @@ void ClusterFrontEnd::handle_submit(const net::Message& message,
     refuse(message.from, state.id, *refusal, "shard-unavailable");
     return;
   }
-  // Admission-time reroute is a resume path too (PR 10): the rerouted
-  // request lands on the replica, which must import the session's last
-  // checkpoint before serving or it would restart sequenced work cold.
-  if (rerouted) {
-    resume_then_forward(std::move(state), target);
-    return;
-  }
   forward(std::move(state), target);
 }
 
 void ClusterFrontEnd::forward(Forward state, std::size_t shard_index) {
   // Shared ownership: the downstream callback needs the state to settle
   // the outcome, but a send failure drops that callback unfired and the
-  // failure path here still needs it for the failover/refusal.
+  // failure path still needs it for the failover/refusal.
   auto shared = std::make_shared<Forward>(std::move(state));
+  // The one resume rule. Wherever the request lands — the owner, a
+  // rerouted or failed-over replica, a shard that took the session's arc
+  // by a join or leave — a target not known to hold the cached version
+  // live imports it first, so sequenced work continues instead of
+  // replaying the session cold.
+  std::optional<std::pair<std::int64_t, std::string>> checkpoint;
+  {
+    std::lock_guard lock(checkpoint_mutex_);
+    auto it = checkpoints_.find(shared->session);
+    if (it != checkpoints_.end() && it->second.version > 0 &&
+        !(it->second.resumed_shard == shard_index &&
+          it->second.resumed_version >= it->second.version)) {
+      checkpoint = {it->second.version, it->second.state_text};
+    }
+  }
+  if (!checkpoint.has_value()) {
+    send_forward(shared, shard_index);
+    return;
+  }
+  resumes_shipped_.fetch_add(1, std::memory_order_relaxed);
+  const std::int64_t version = checkpoint->first;
+  ship_session_state(
+      shared->session, version, checkpoint->second, shard_index,
+      [this, shared, shard_index, version](bool acked) {
+        if (acked) {
+          resumes_completed_.fetch_add(1, std::memory_order_relaxed);
+          std::lock_guard lock(checkpoint_mutex_);
+          auto it = checkpoints_.find(shared->session);
+          if (it != checkpoints_.end() &&
+              (it->second.resumed_shard != shard_index ||
+               it->second.resumed_version < version)) {
+            it->second.resumed_shard = shard_index;
+            it->second.resumed_version = version;
+          }
+        }
+        // A lost ship still sends: the cold run is strictly better than
+        // refusing, and the receiver's version gate makes a late
+        // duplicate ship harmless.
+        send_forward(shared, shard_index);
+      });
+}
+
+void ClusterFrontEnd::send_forward(const std::shared_ptr<Forward>& shared,
+                                   std::size_t shard_index) {
   std::shared_ptr<ingress::IngressClient> client;
   {
     std::shared_lock lock(topology_mutex_);
@@ -297,7 +331,7 @@ void ClusterFrontEnd::settle_forward(Forward& state, std::size_t shard_index,
   const bool shutting_down = shutting_down_.load(std::memory_order_acquire);
   if (!shutting_down) record_health(shard_index, state.admission, !lost);
 
-  if (lost && config_.failover && !shutting_down) {
+  if (lost && !shutting_down) {
     const TimePoint now = network_->clock().now();
 
     // Pick the failover target against the CURRENT topology. A same-
@@ -372,12 +406,7 @@ void ClusterFrontEnd::settle_forward(Forward& state, std::size_t shard_index,
       retry.admission = admission;
       retry.deadline = remaining;
       retry.epoch = routed_epoch;
-      // Resume-before-retry (PR 10): when a checkpoint of this session
-      // is cached, it is imported on the failover target BEFORE the
-      // retried request forwards, so sequenced work resumes from where
-      // the dead owner left off instead of restarting. No checkpoint
-      // (or a lost ship) degrades to the PR-8 cold retry.
-      resume_then_forward(std::move(retry), *target);
+      forward(std::move(retry), *target);
       return;
     }
     // No candidate at all (single-shard ring): fall through and report
@@ -397,49 +426,6 @@ void ClusterFrontEnd::settle_forward(Forward& state, std::size_t shard_index,
       checkpoint_interval_ > 0) {
     maybe_checkpoint(state.session, shard_index);
   }
-}
-
-void ClusterFrontEnd::resume_then_forward(Forward state,
-                                          std::size_t shard_index) {
-  // Skip the ship when the target already holds this (or a newer)
-  // version live — it captured the checkpoint itself, or a prior
-  // resume landed it there. Re-importing would only redo work the
-  // shard has already applied.
-  std::optional<std::pair<std::int64_t, std::string>> checkpoint;
-  {
-    std::lock_guard lock(checkpoint_mutex_);
-    auto it = checkpoints_.find(state.session);
-    if (it != checkpoints_.end() && it->second.version > 0 &&
-        !(it->second.resumed_shard == shard_index &&
-          it->second.resumed_version >= it->second.version)) {
-      checkpoint = {it->second.version, it->second.state_text};
-    }
-  }
-  if (!checkpoint.has_value()) {
-    forward(std::move(state), shard_index);
-    return;
-  }
-  resumes_shipped_.fetch_add(1, std::memory_order_relaxed);
-  const std::int64_t version = checkpoint->first;
-  auto shared = std::make_shared<Forward>(std::move(state));
-  ship_session_state(
-      shared->session, version, checkpoint->second, shard_index,
-      /*resume=*/true, [this, shared, shard_index, version](bool acked) {
-        if (acked) {
-          resumes_completed_.fetch_add(1, std::memory_order_relaxed);
-          std::lock_guard lock(checkpoint_mutex_);
-          SessionCheckpoint& entry = checkpoints_[shared->session];
-          if (entry.resumed_shard != shard_index ||
-              entry.resumed_version < version) {
-            entry.resumed_shard = shard_index;
-            entry.resumed_version = version;
-          }
-        }
-        // A lost ship still forwards: the cold retry is strictly better
-        // than refusing, and the receiver's version gate makes a late
-        // duplicate import harmless.
-        forward(std::move(*shared), shard_index);
-      });
 }
 
 void ClusterFrontEnd::maybe_checkpoint(const std::string& session,
@@ -466,11 +452,9 @@ void ClusterFrontEnd::maybe_checkpoint(const std::string& session,
 void ClusterFrontEnd::checkpoint_session(const std::string& session,
                                          std::size_t owner) {
   std::shared_ptr<ingress::IngressClient> client;
-  std::size_t replica = owner;
   {
     std::shared_lock lock(topology_mutex_);
     if (owner < shards_.size()) client = shards_[owner]->client;
-    replica = ring_.replica(session);
   }
   auto abort_capture = [this, &session] {
     checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
@@ -484,7 +468,7 @@ void ClusterFrontEnd::checkpoint_session(const std::string& session,
   wire::Request request;
   Result<std::uint64_t> sent = client->call(
       "checkpoint/" + session, std::move(request),
-      [this, session, owner, replica](const ingress::RemoteOutcome& outcome) {
+      [this, session, owner](const ingress::RemoteOutcome& outcome) {
         if (shutting_down_.load(std::memory_order_acquire)) return;
         if (!outcome.status.ok()) {
           checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
@@ -493,34 +477,21 @@ void ClusterFrontEnd::checkpoint_session(const std::string& session,
           return;
         }
         checkpoints_taken_.fetch_add(1, std::memory_order_relaxed);
-        std::int64_t version = 0;
-        {
-          std::lock_guard lock(checkpoint_mutex_);
-          if (outcome.commands == 0) {
-            // The session ended on its owner: the checkpoint holds
-            // nothing to resume, so neither it nor the entry is kept.
-            checkpoints_.erase(session);
-            return;
-          }
-          SessionCheckpoint& entry = checkpoints_[session];
-          entry.state_text = outcome.payload;
-          version = entry.version = ++checkpoint_versions_;
-          entry.capture_in_flight = false;
-          // The capture SOURCE holds this state live by construction —
-          // a later reroute/failover to it must not re-import.
-          entry.resumed_shard = owner;
-          entry.resumed_version = version;
+        std::lock_guard lock(checkpoint_mutex_);
+        if (outcome.commands == 0) {
+          // The session ended on its owner: the checkpoint holds nothing
+          // to resume, so neither it nor the entry is kept.
+          checkpoints_.erase(session);
+          return;
         }
-        // Ship to the ring replica so a failover can resume there. A
-        // single-shard ring has nowhere to ship; the cache still powers
-        // a later re-resolved failover.
-        if (replica == owner) return;
-        ship_session_state(session, version, outcome.payload, replica,
-                           /*resume=*/false, [this](bool acked) {
-                             (acked ? checkpoint_acks_
-                                    : checkpoint_failures_)
-                                 .fetch_add(1, std::memory_order_relaxed);
-                           });
+        SessionCheckpoint& entry = checkpoints_[session];
+        entry.state_text = outcome.payload;
+        entry.version = ++checkpoint_versions_;
+        entry.capture_in_flight = false;
+        // The capture SOURCE holds this state live by construction — a
+        // later forward to it ships nothing.
+        entry.resumed_shard = owner;
+        entry.resumed_version = entry.version;
       });
   if (!sent.ok()) abort_capture();
 }
@@ -528,11 +499,8 @@ void ClusterFrontEnd::checkpoint_session(const std::string& session,
 void ClusterFrontEnd::ship_session_state(const std::string& session,
                                          std::int64_t version,
                                          const std::string& state_text,
-                                         std::size_t index, bool resume,
+                                         std::size_t index,
                                          std::function<void(bool)> done) {
-  auto settle = [done = std::move(done)](bool acked) {
-    if (done != nullptr) done(acked);
-  };
   std::shared_ptr<ingress::IngressClient> client;
   {
     std::shared_lock lock(topology_mutex_);
@@ -540,50 +508,22 @@ void ClusterFrontEnd::ship_session_state(const std::string& session,
   }
   Result<model::Value> state = model::parse_value(state_text);
   if (client == nullptr || !state.ok()) {
-    settle(false);
+    done(false);
     return;
   }
-  auto pair = [](std::string key, model::Value value) {
-    model::ValueList entry;
-    entry.push_back(model::Value(std::move(key)));
-    entry.push_back(std::move(value));
-    return model::Value(std::move(entry));
-  };
   model::ValueList envelope;
-  envelope.push_back(pair("session", model::Value(session)));
-  envelope.push_back(pair("version", model::Value(version)));
-  envelope.push_back(pair("resume", model::Value(resume)));
-  envelope.push_back(pair("state", std::move(state).value()));
+  envelope.push_back(model::make_entry("session", model::Value(session)));
+  envelope.push_back(model::make_entry("version", model::Value(version)));
+  envelope.push_back(model::make_entry("state", std::move(state).value()));
   wire::Request request;
   request.body = model::Value(std::move(envelope));
   Result<std::uint64_t> sent = client->call(
       "replicate/session-state", std::move(request),
-      [this, settle](const ingress::RemoteOutcome& outcome) {
+      [this, done](const ingress::RemoteOutcome& outcome) {
         if (shutting_down_.load(std::memory_order_acquire)) return;
-        settle(outcome.status.ok());
+        done(outcome.status.ok());
       });
-  if (!sent.ok()) settle(false);
-}
-
-void ClusterFrontEnd::warm_joiner_sessions(std::size_t index) {
-  struct Cached {
-    std::string session;
-    std::int64_t version;
-    std::string text;
-  };
-  std::vector<Cached> cached;
-  {
-    std::lock_guard lock(checkpoint_mutex_);
-    for (const auto& [session, entry] : checkpoints_) {
-      if (entry.version > 0) {
-        cached.push_back(Cached{session, entry.version, entry.state_text});
-      }
-    }
-  }
-  for (Cached& entry : cached) {
-    ship_session_state(entry.session, entry.version, entry.text, index,
-                       /*resume=*/false, nullptr);
-  }
+  if (!sent.ok()) done(false);
 }
 
 void ClusterFrontEnd::sweep_checkpoints(TimePoint now) {
@@ -826,13 +766,7 @@ void ClusterFrontEnd::kick_full_sync(std::size_t index) {
             // Stays stale; the next maintain() retries.
           }
         }
-        if (warmed) {
-          // Warm the joiner's checkpoint staging table before it takes
-          // ring arcs: a failover targeting it right after the splice
-          // must find session state already staged.
-          warm_joiner_sessions(index);
-          complete_join(index);
-        }
+        if (warmed) complete_join(index);
       });
   if (!sent.ok()) {
     replication_failures_.fetch_add(1, std::memory_order_relaxed);
@@ -1062,7 +996,6 @@ ClusterFrontEnd::Stats ClusterFrontEnd::stats() const {
   stats.leaves_started = leaves_started_.load(std::memory_order_relaxed);
   stats.leaves_completed = leaves_completed_.load(std::memory_order_relaxed);
   stats.checkpoints_taken = checkpoints_taken_.load(std::memory_order_relaxed);
-  stats.checkpoint_acks = checkpoint_acks_.load(std::memory_order_relaxed);
   stats.checkpoint_failures =
       checkpoint_failures_.load(std::memory_order_relaxed);
   stats.resumes_shipped = resumes_shipped_.load(std::memory_order_relaxed);

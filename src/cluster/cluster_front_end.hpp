@@ -24,6 +24,12 @@
 // exactly-once refers to the client-facing callback ledger (one
 // terminal outcome per request, never two).
 //
+// Session resume: the front-end caches the last checkpoint it pulled
+// from each session's holder, and that cache is the only copy outside
+// the shard that holds the session live. forward() ships it ahead of a
+// request whenever the target is not known to hold that version live —
+// failover, breaker reroute, join and leave all take that one path.
+//
 // Replication: update_model() diffs the new authoritative middleware
 // model against the current one and ships the model::diff ChangeList —
 // not full model text — to every current shard's "replicate/model-diff"
@@ -73,7 +79,6 @@ namespace mdsm::cluster {
 
 struct ClusterConfig {
   std::string endpoint = "cluster";  ///< the fleet's public endpoint
-  std::size_t virtual_nodes = 64;    ///< ring points per shard
   /// Per-shard health window (PR-4 machinery). The defaults trip after
   /// half of the last 16 forwards are lost, with min_samples guarding
   /// cold shards and a cooldown before half-open probes retest.
@@ -82,14 +87,9 @@ struct ClusterConfig {
                                .failure_threshold = 0.5,
                                .cooldown = std::chrono::milliseconds(200),
                                .half_open_probes = 1};
-  /// Reply budget per downstream hop before a forward counts as lost.
+  /// Reply budget per downstream hop before a forward counts as lost;
+  /// a lost request is re-forwarded to the replica shard once.
   Duration downstream_reply_timeout = std::chrono::milliseconds(500);
-  /// Retries each downstream client performs itself before reporting
-  /// reply-lost (shard-side dedup keeps them idempotent).
-  int downstream_retry_budget = 0;
-  /// Re-forward a lost request to the replica shard once (false: report
-  /// reply-lost to the client as-is).
-  bool failover = true;
 };
 
 class ClusterFrontEnd {
@@ -194,9 +194,8 @@ class ClusterFrontEnd {
     std::uint64_t leaves_completed = 0;  ///< drained shard retired
     // Session-state replication ledger (PR 10):
     std::uint64_t checkpoints_taken = 0;   ///< captures pulled from owners
-    std::uint64_t checkpoint_acks = 0;     ///< replica staged the ship
-    std::uint64_t checkpoint_failures = 0;  ///< capture or ship lost/nacked
-    std::uint64_t resumes_shipped = 0;    ///< failovers that found a ckpt
+    std::uint64_t checkpoint_failures = 0;  ///< captures lost or refused
+    std::uint64_t resumes_shipped = 0;    ///< forwards that shipped a ckpt
     std::uint64_t resumes_completed = 0;  ///< ...whose import acked
   };
   [[nodiscard]] Stats stats() const;
@@ -264,12 +263,13 @@ class ClusterFrontEnd {
                      const ingress::RouteParams& params);
   void handle_query(const net::Message& message,
                     const ingress::RouteParams& params);
+  /// Forward `state` to `shard_index`. When the session has a cached
+  /// checkpoint that shard is not known to hold live, ship it there
+  /// first and send the request once the ship settles.
   void forward(Forward state, std::size_t shard_index);
-  /// Forward `state` to `shard_index`, first importing the session's
-  /// cached checkpoint there if that shard is not already known to hold
-  /// it live. Used by both resume paths: settle-time failover and
-  /// admission-time reroute (breaker open on the owner).
-  void resume_then_forward(Forward state, std::size_t shard_index);
+  /// The downstream submit of one forward attempt.
+  void send_forward(const std::shared_ptr<Forward>& state,
+                    std::size_t shard_index);
   /// Resolve one downstream outcome: fail over, or reply to the client.
   void settle_forward(Forward& state, std::size_t shard_index,
                       const ingress::RemoteOutcome& outcome);
@@ -287,22 +287,18 @@ class ClusterFrontEnd {
   /// checkpoint from the owning shard.
   void maybe_checkpoint(const std::string& session, std::size_t owner);
   /// Capture `session`'s state from shard `owner` ("checkpoint/{session}"),
-  /// version-stamp and cache it, then ship it to the ring replica.
+  /// version-stamp it and cache it.
   void checkpoint_session(const std::string& session, std::size_t owner);
   /// Ship a cached checkpoint to shard `index` via
-  /// "replicate/session-state". `resume` asks the receiver to import it
-  /// into its live platform (the failover path); false merely stages it.
-  /// `done(acked)` fires once the ship settles (immediately on a send
-  /// failure); it may be null.
+  /// "replicate/session-state"; the receiver imports it into its live
+  /// platform. `done(acked)` fires once the ship settles (immediately on
+  /// a send failure).
   void ship_session_state(const std::string& session, std::int64_t version,
                           const std::string& state_text, std::size_t index,
-                          bool resume, std::function<void(bool)> done);
+                          std::function<void(bool)> done);
   /// Drop checkpoint entries idle for kCheckpointIdleTtl (network
   /// clock), at most every half TTL; checkpoint_mutex_ held.
   void sweep_checkpoints(TimePoint now);
-  /// Warm a joining shard with every cached checkpoint (stage-only
-  /// ships) — called before the join completes.
-  void warm_joiner_sessions(std::size_t index);
   void send_reply(const std::string& to, ingress::wire::Reply reply);
   void refuse(const std::string& to, std::uint64_t request_id,
               const Status& status, std::string refusal);
@@ -338,9 +334,9 @@ class ClusterFrontEnd {
   /// clients must not fail over or touch breakers mid-destruction.
   std::atomic<bool> shutting_down_{false};
 
-  /// Session-state replication (PR 10). Decoded from the authoritative
-  /// model's `checkpoint_interval` attr: pull + ship a checkpoint after
-  /// every N completed sequenced requests per session (0 disables).
+  /// Session-state replication. Decoded from the authoritative model's
+  /// `checkpoint_interval` attr: pull a checkpoint after every N
+  /// completed sequenced requests per session (0 disables).
   std::int64_t checkpoint_interval_ = 0;
   struct SessionCheckpoint {
     std::int64_t version = 0;    ///< stamp of the cached state_text
@@ -349,8 +345,8 @@ class ClusterFrontEnd {
     std::uint64_t completed = 0;  ///< completed requests since attach
     bool capture_in_flight = false;  ///< at most one pull per session
     /// Highest version known to be LIVE at resumed_shard — captures mark
-    /// their source shard current; resume ships mark their target. A
-    /// forward to that shard skips the redundant re-import.
+    /// their source shard current; acked ships mark their target. A
+    /// forward to that shard ships nothing.
     std::int64_t resumed_version = 0;
     std::size_t resumed_shard = static_cast<std::size_t>(-1);
   };
@@ -382,7 +378,6 @@ class ClusterFrontEnd {
   std::atomic<std::uint64_t> leaves_started_{0};
   std::atomic<std::uint64_t> leaves_completed_{0};
   std::atomic<std::uint64_t> checkpoints_taken_{0};
-  std::atomic<std::uint64_t> checkpoint_acks_{0};
   std::atomic<std::uint64_t> checkpoint_failures_{0};
   std::atomic<std::uint64_t> resumes_shipped_{0};
   std::atomic<std::uint64_t> resumes_completed_{0};

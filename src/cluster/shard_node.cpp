@@ -1,5 +1,7 @@
 #include "cluster/shard_node.hpp"
 
+#include <algorithm>
+#include <functional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -39,20 +41,6 @@ controller::Dsc decode_dsc(const model::ModelObject& dsc_spec) {
   dsc.category = dsc_spec.get_string("category");
   dsc.description = dsc_spec.get_string("description");
   return dsc;
-}
-
-/// The session-state envelope is a list of [key, value] pairs
-/// ([["session", s], ["version", v], ["resume", b], ["state", tree]]);
-/// find `key`.
-const model::Value* find_envelope_entry(const model::Value& envelope,
-                                        std::string_view key) {
-  if (!envelope.is_list()) return nullptr;
-  for (const model::Value& entry : envelope.as_list()) {
-    if (!entry.is_list() || entry.as_list().size() != 2) continue;
-    const model::ValueList& pair = entry.as_list();
-    if (pair[0].is_string() && pair[0].as_string() == key) return &pair[1];
-  }
-  return nullptr;
 }
 
 }  // namespace
@@ -150,10 +138,15 @@ void ShardNode::handle_checkpoint(const net::Message& message,
 void ShardNode::handle_session_state(const net::Message& message,
                                      std::uint64_t id,
                                      const ingress::wire::Request& request) {
-  const model::Value* session = find_envelope_entry(request.body, "session");
-  const model::Value* version = find_envelope_entry(request.body, "version");
-  const model::Value* state = find_envelope_entry(request.body, "state");
-  const model::Value* resume = find_envelope_entry(request.body, "resume");
+  // The envelope: [["session", s], ["version", v], ["state", tree]].
+  auto field = [&request](std::string_view key) -> const model::Value* {
+    return request.body.is_list()
+               ? model::find_entry(request.body.as_list(), key)
+               : nullptr;
+  };
+  const model::Value* session = field("session");
+  const model::Value* version = field("version");
+  const model::Value* state = field("state");
   if (session == nullptr || !session->is_string() || version == nullptr ||
       !version->is_int() || state == nullptr) {
     server_->post_refusal(
@@ -164,39 +157,46 @@ void ShardNode::handle_session_state(const net::Message& message,
   }
   const std::string& key = session->as_string();
   const std::int64_t shipped = version->as_int();
+  const std::size_t hash = std::hash<std::string_view>{}(key);
+  Status status = Status::Ok();
+  std::string refusal;
   {
+    // Held across the import, so two ships of one session never
+    // interleave between the gate and the adoption.
     std::lock_guard lock(replica_mutex_);
-    auto it = staged_checkpoints_.find(key);
-    // Strict <: re-shipping the staged version is an idempotent retry
-    // and must succeed; only an *older* checkpoint is refused so a
-    // delayed ship can never roll a session back.
-    if (it != staged_checkpoints_.end() && shipped < it->second.version) {
+    auto it = std::find_if(
+        imported_versions_.begin(), imported_versions_.end(),
+        [hash](const auto& entry) { return entry.first == hash; });
+    if (it != imported_versions_.end() && shipped < it->second) {
+      // Strictly older: a delayed ship must never roll a session back.
       ++stats_.session_states_rejected_stale;
-      server_->post_refusal(
-          message.from, id,
-          FailedPrecondition("checkpoint v" + std::to_string(shipped) +
-                             " for session '" + key +
-                             "' is older than staged v" +
-                             std::to_string(it->second.version)),
-          "stale-checkpoint");
-      return;
+      status = FailedPrecondition(
+          "checkpoint v" + std::to_string(shipped) + " for session '" + key +
+          "' is older than imported v" + std::to_string(it->second));
+      refusal = "stale-checkpoint";
+    } else if (it == imported_versions_.end() || shipped > it->second) {
+      // Adopt the checkpoint into the live platform before the front-end
+      // forwards the request it ships for, so sequenced work continues
+      // from the state the previous holder left. An equal version is a
+      // retried ship of what this shard already holds: it only acks.
+      status = platform_->import_session_state(*state);
+      if (status.ok()) {
+        if (it != imported_versions_.end()) {
+          imported_versions_.erase(it);
+        } else if (imported_versions_.size() == kCheckpointGateCapacity) {
+          imported_versions_.erase(imported_versions_.begin());
+        }
+        imported_versions_.emplace_back(hash, shipped);
+      }
     }
-    staged_checkpoints_[key] = StagedCheckpoint{shipped, *state};
-    ++stats_.session_states_staged;
   }
-  if (resume != nullptr && resume->is_bool() && resume->as_bool()) {
-    // Failover: adopt the checkpoint into the live platform *before*
-    // the front-end forwards the retried request, so sequenced work
-    // resumes from where the dead owner left off.
-    if (Status imported = platform_->import_session_state(*state);
-        !imported.ok()) {
-      server_->post_refusal(message.from, id, imported, {});
-      return;
-    }
+  if (!status.ok()) {
+    server_->post_refusal(message.from, id, status, std::move(refusal));
+    return;
   }
   ingress::wire::Reply reply;
   reply.request_id = id;
-  reply.message = "session-state staged";
+  reply.message = "session-state imported";
   reply.commands = shipped;
   server_->post_reply(message.from, std::move(reply));
 }
@@ -383,14 +383,6 @@ ShardNode::Stats ShardNode::replication_stats() const {
   Stats out = stats_;
   out.session_states_imported = states_imported_->value();
   return out;
-}
-
-std::optional<std::int64_t> ShardNode::staged_checkpoint_version(
-    std::string_view session) const {
-  std::lock_guard lock(replica_mutex_);
-  auto it = staged_checkpoints_.find(session);
-  if (it == staged_checkpoints_.end()) return std::nullopt;
-  return it->second.version;
 }
 
 }  // namespace mdsm::cluster

@@ -15,11 +15,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/status.hpp"
 #include "core/platform.hpp"
@@ -35,7 +35,7 @@ struct ShardNodeOptions {
   /// "<platform-name>.ingress" — pass explicit names, shards share one
   /// middleware model).
   std::string endpoint;
-  /// Platform assembly knobs (clock, pipeline threads, LTS override...).
+  /// Platform assembly knobs (DSML, clock, pipeline threads...).
   core::PlatformConfig platform_config;
   /// Manual reply loop for deterministic tests (see IngressServer).
   bool manual_reply_loop = false;
@@ -91,7 +91,6 @@ class ShardNode {
     std::uint64_t dscs_synced = 0;
     // Session-state replication (PR 10).
     std::uint64_t checkpoints_exported = 0;  ///< "checkpoint/{session}" serves
-    std::uint64_t session_states_staged = 0;  ///< checkpoints accepted+held
     /// Session-state imports applied: the platform's
     /// "platform.session_states_imported" cell.
     std::uint64_t session_states_imported = 0;
@@ -99,10 +98,9 @@ class ShardNode {
   };
   [[nodiscard]] Stats replication_stats() const;
 
-  /// Version of the checkpoint currently staged for `session` (nullopt
-  /// when none has been shipped) — exposed for tests.
-  [[nodiscard]] std::optional<std::int64_t> staged_checkpoint_version(
-      std::string_view session) const;
+  /// Sessions whose last imported checkpoint version the gate keeps:
+  /// the newest this many (8 bytes of hash and 8 of version each).
+  static constexpr std::size_t kCheckpointGateCapacity = 1024;
 
  private:
   explicit ShardNode(model::Model replica_model)
@@ -117,8 +115,8 @@ class ShardNode {
   /// has ended.
   void handle_checkpoint(const net::Message& message,
                          const ingress::RouteParams& params);
-  /// "replicate/session-state" payload: version-gate, stage, and (on a
-  /// resume ship) import into the live platform.
+  /// "replicate/session-state" payload: version-gate, then import into
+  /// the live platform.
   void handle_session_state(const net::Message& message, std::uint64_t id,
                             const ingress::wire::Request& request);
   /// apply_changes with replica_mutex_ already held.
@@ -131,19 +129,16 @@ class ShardNode {
   net::Network* network_ = nullptr;
   bool killed_ = false;
 
-  mutable std::mutex replica_mutex_;  ///< guards replica_model_ + stats
+  mutable std::mutex replica_mutex_;  ///< guards replica_model_, stats,
+                                      ///< the gate and each import
   model::Model replica_model_;
   Stats stats_;
   const obs::Counter* states_imported_ = nullptr;  ///< the platform's cell
 
-  /// Last checkpoint shipped per session, version-gated (strict <: an
-  /// equal-version re-ship is an idempotent retry and is accepted).
-  struct StagedCheckpoint {
-    std::int64_t version = 0;
-    model::Value state;
-  };
-  std::map<std::string, StagedCheckpoint, std::less<>>
-      staged_checkpoints_;  ///< guarded by replica_mutex_
+  /// The checkpoint version gate: {hash of session key, last imported
+  /// version}, oldest first, at most kCheckpointGateCapacity entries.
+  /// Only integers: the state itself lives in the platform.
+  std::vector<std::pair<std::size_t, std::int64_t>> imported_versions_;
 };
 
 }  // namespace mdsm::cluster

@@ -122,12 +122,8 @@ Result<std::unique_ptr<Platform>> Platform::assemble(
     return InvalidArgument("middleware model must define a controller layer");
   }
   controller::GeneratorConfig generator_config;
-  std::int64_t model_bound = controller_specs[0]->get_int(
-      "max_configurations", 256);
-  generator_config.max_configurations =
-      config.max_configurations != 0
-          ? config.max_configurations
-          : static_cast<std::size_t>(model_bound);
+  generator_config.max_configurations = static_cast<std::size_t>(
+      controller_specs[0]->get_int("max_configurations", 256));
   platform->controller_ = std::make_unique<controller::ControllerLayer>(
       controller_specs[0]->id(), *platform->broker_, bus, context, metrics,
       generator_config);
@@ -144,12 +140,9 @@ Result<std::unique_ptr<Platform>> Platform::assemble(
         decode_lts(middleware_model, *synthesis_specs[0]);
     if (!decoded.ok()) return decoded.status();
     lts = std::move(decoded.value());
-  } else if (config.lts_override.has_value()) {
-    lts = std::move(*config.lts_override);
   } else {
     return InvalidArgument(
-        "no synthesis semantics: middleware model declares no transitions "
-        "and no LTS override was supplied");
+        "no synthesis semantics: middleware model declares no transitions");
   }
   controller::ControllerLayer* controller = platform->controller_.get();
   platform->synthesis_ = std::make_unique<synthesis::SynthesisEngine>(
@@ -832,23 +825,8 @@ namespace {
 /// the single runtime_model/lts_states pair).
 constexpr std::string_view kCheckpointFormat = "mdsm-session-checkpoint-v2";
 
-/// The checkpoint tree is a list of [key, value] pairs; find `key`.
-const model::Value* find_checkpoint_entry(const model::ValueList& entries,
-                                          std::string_view key) {
-  for (const model::Value& entry : entries) {
-    if (!entry.is_list() || entry.as_list().size() != 2) continue;
-    const model::ValueList& pair = entry.as_list();
-    if (pair[0].is_string() && pair[0].as_string() == key) return &pair[1];
-  }
-  return nullptr;
-}
-
-model::Value make_pair(std::string key, model::Value value) {
-  model::ValueList pair;
-  pair.push_back(model::Value(std::move(key)));
-  pair.push_back(std::move(value));
-  return model::Value(std::move(pair));
-}
+using model::find_entry;
+using model::make_entry;
 
 /// Pack a sorted string→Value map as [[key, value], ...]. The input maps
 /// are std::map, so the encoding is deterministic — snapshot() texts are
@@ -858,7 +836,7 @@ model::Value pack_scalar_map(const Map& map) {
   model::ValueList out;
   out.reserve(map.size());
   for (const auto& [key, value] : map) {
-    out.push_back(make_pair(key, value));
+    out.push_back(make_entry(key, value));
   }
   return model::Value(std::move(out));
 }
@@ -899,7 +877,7 @@ model::Value Platform::export_sessions(
     model::ValueList lts;
     lts.reserve(synth.lts_states.size());
     for (const auto& [object_id, state] : synth.lts_states) {
-      lts.push_back(make_pair(object_id, model::Value(state)));
+      lts.push_back(make_entry(object_id, model::Value(state)));
     }
     model::ValueList triple;
     triple.push_back(model::Value(session));
@@ -908,14 +886,14 @@ model::Value Platform::export_sessions(
     exported.push_back(model::Value(std::move(triple)));
   }
   model::ValueList root;
-  root.push_back(make_pair("format", model::Value(std::string(
-                                         kCheckpointFormat))));
-  root.push_back(make_pair("session", model::Value(label)));
-  root.push_back(make_pair("sessions", model::Value(std::move(exported))));
-  root.push_back(make_pair(
+  root.push_back(
+      make_entry("format", model::Value(std::string(kCheckpointFormat))));
+  root.push_back(make_entry("session", model::Value(label)));
+  root.push_back(make_entry("sessions", model::Value(std::move(exported))));
+  root.push_back(make_entry(
       "memory", pack_scalar_map(controller_->engine().memory_snapshot())));
-  root.push_back(make_pair("context", pack_scalar_map(context_.snapshot())));
-  root.push_back(make_pair(
+  root.push_back(make_entry("context", pack_scalar_map(context_.snapshot())));
+  root.push_back(make_entry(
       "broker", pack_scalar_map(broker_->state().variables_snapshot())));
   return model::Value(std::move(root));
 }
@@ -931,12 +909,12 @@ Status Platform::import_session_state(const model::Value& state) {
         "session checkpoint must be a list of [key, value] pairs");
   }
   const model::ValueList& entries = state.as_list();
-  const model::Value* format = find_checkpoint_entry(entries, "format");
+  const model::Value* format = find_entry(entries, "format");
   if (format == nullptr || !format->is_string() ||
       format->as_string() != kCheckpointFormat) {
     return InvalidArgument("unrecognized session-checkpoint format");
   }
-  const model::Value* sessions = find_checkpoint_entry(entries, "sessions");
+  const model::Value* sessions = find_entry(entries, "sessions");
   if (sessions == nullptr || !sessions->is_list()) {
     return InvalidArgument("session checkpoint carries no sessions list");
   }
@@ -984,17 +962,17 @@ Status Platform::import_session_state(const model::Value& state) {
                               std::move(session.lts_states));
   }
   MDSM_RETURN_IF_ERROR(each_checkpoint_pair(
-      find_checkpoint_entry(entries, "memory"), "memory",
+      find_entry(entries, "memory"), "memory",
       [this](const std::string& key, const model::Value& value) {
         controller_->engine().set_memory(key, value);
       }));
   MDSM_RETURN_IF_ERROR(each_checkpoint_pair(
-      find_checkpoint_entry(entries, "context"), "context",
+      find_entry(entries, "context"), "context",
       [this](const std::string& key, const model::Value& value) {
         context_.set(key, value);
       }));
   MDSM_RETURN_IF_ERROR(each_checkpoint_pair(
-      find_checkpoint_entry(entries, "broker"), "broker",
+      find_entry(entries, "broker"), "broker",
       [this](const std::string& key, const model::Value& value) {
         broker_->state().set(key, value);
       }));

@@ -47,11 +47,6 @@ struct PlatformConfig {
   /// The application-level DSML this platform executes. Its name must
   /// match the middleware model's UiLayerSpec.dsml attribute.
   model::MetamodelPtr dsml;
-  /// LTS used when the middleware model's SynthesisLayerSpec declares no
-  /// transitions (domains may prefer authoring LTSs in code).
-  std::optional<synthesis::Lts> lts_override;
-  /// Intent-model generation bound override (0 = take from the model).
-  std::size_t max_configurations = 0;
   /// Clock used for request timestamps/deadlines (null = process steady
   /// clock). Simulated domains inject their SimClock here so request
   /// traces share the domain's virtual time.

@@ -8,22 +8,8 @@ namespace {
 
 using model::Value;
 using model::ValueList;
-
-void put(ValueList& fields, std::string_view key, Value value) {
-  fields.push_back(Value(ValueList{Value(std::string(key)),
-                                   std::move(value)}));
-}
-
-/// Find `key` in a [key, value]-pair list; nullptr when absent/malformed.
-const Value* get(const ValueList& fields, std::string_view key) {
-  for (const Value& field : fields) {
-    if (!field.is_list()) continue;
-    const ValueList& pair = field.as_list();
-    if (pair.size() != 2 || !pair[0].is_string()) continue;
-    if (pair[0].as_string() == key) return &pair[1];
-  }
-  return nullptr;
-}
+using model::find_entry;
+using model::make_entry;
 
 Status malformed(std::string_view what) {
   return InvalidArgument("malformed wire payload: " + std::string(what));
@@ -34,14 +20,14 @@ Status malformed(std::string_view what) {
 constexpr std::string_view kVersionMismatchPrefix = "wire version mismatch";
 
 void put_version(ValueList& fields) {
-  put(fields, "wire_version",
-      Value(ValueList{Value(kWireMajor), Value(kWireMinor)}));
+  fields.push_back(make_entry(
+      "wire_version", Value(ValueList{Value(kWireMajor), Value(kWireMinor)})));
 }
 
 /// Accept an absent stamp (pre-versioning peer == major 1), any minor of
 /// our major; refuse a foreign major or an unreadable stamp.
 Status check_version(const ValueList& fields) {
-  const Value* stamp = get(fields, "wire_version");
+  const Value* stamp = find_entry(fields, "wire_version");
   if (stamp == nullptr) return Status::Ok();
   if (!stamp->is_list() || stamp->as_list().size() != 2 ||
       !stamp->as_list()[0].is_int() || !stamp->as_list()[1].is_int()) {
@@ -62,17 +48,24 @@ Status check_version(const ValueList& fields) {
 model::Value encode_request(const Request& request) {
   ValueList fields;
   put_version(fields);
-  put(fields, "request_id", Value(static_cast<std::int64_t>(
-                                request.request_id)));
-  put(fields, "text", Value(request.text));
-  if (!request.auth.empty()) put(fields, "auth", Value(request.auth));
-  if (request.deadline_us != 0) {
-    put(fields, "deadline_us", Value(request.deadline_us));
+  fields.push_back(make_entry(
+      "request_id", Value(static_cast<std::int64_t>(request.request_id))));
+  fields.push_back(make_entry("text", Value(request.text)));
+  if (!request.auth.empty()) {
+    fields.push_back(make_entry("auth", Value(request.auth)));
   }
-  if (request.high_priority) put(fields, "priority", Value("high"));
-  if (!request.body.is_none()) put(fields, "body", request.body);
+  if (request.deadline_us != 0) {
+    fields.push_back(make_entry("deadline_us", Value(request.deadline_us)));
+  }
+  if (request.high_priority) {
+    fields.push_back(make_entry("priority", Value("high")));
+  }
+  if (!request.body.is_none()) {
+    fields.push_back(make_entry("body", request.body));
+  }
   if (!request.forwarded_for.empty()) {
-    put(fields, "forwarded_for", Value(request.forwarded_for));
+    fields.push_back(
+        make_entry("forwarded_for", Value(request.forwarded_for)));
   }
   return Value(std::move(fields));
 }
@@ -82,34 +75,35 @@ Result<Request> decode_request(const model::Value& payload) {
   const ValueList& fields = payload.as_list();
   MDSM_RETURN_IF_ERROR(check_version(fields));
   Request request;
-  const Value* id = get(fields, "request_id");
+  const Value* id = find_entry(fields, "request_id");
   if (id == nullptr || !id->is_int() || id->as_int() < 0) {
     return malformed("missing or non-integer request_id");
   }
   request.request_id = static_cast<std::uint64_t>(id->as_int());
-  if (const Value* text = get(fields, "text"); text != nullptr) {
+  if (const Value* text = find_entry(fields, "text"); text != nullptr) {
     if (!text->is_string()) return malformed("text is not a string");
     request.text = text->as_string();
   }
-  if (const Value* auth = get(fields, "auth"); auth != nullptr) {
+  if (const Value* auth = find_entry(fields, "auth"); auth != nullptr) {
     if (!auth->is_string()) return malformed("auth is not a string");
     request.auth = auth->as_string();
   }
-  if (const Value* deadline = get(fields, "deadline_us");
+  if (const Value* deadline = find_entry(fields, "deadline_us");
       deadline != nullptr) {
     if (!deadline->is_int() || deadline->as_int() < 0) {
       return malformed("deadline_us is not a non-negative integer");
     }
     request.deadline_us = deadline->as_int();
   }
-  if (const Value* priority = get(fields, "priority"); priority != nullptr) {
+  if (const Value* priority = find_entry(fields, "priority");
+      priority != nullptr) {
     if (!priority->is_string()) return malformed("priority is not a string");
     request.high_priority = priority->as_string() == "high";
   }
-  if (const Value* body = get(fields, "body"); body != nullptr) {
+  if (const Value* body = find_entry(fields, "body"); body != nullptr) {
     request.body = *body;
   }
-  if (const Value* forwarded = get(fields, "forwarded_for");
+  if (const Value* forwarded = find_entry(fields, "forwarded_for");
       forwarded != nullptr) {
     if (!forwarded->is_string()) {
       return malformed("forwarded_for is not a string");
@@ -122,12 +116,19 @@ Result<Request> decode_request(const model::Value& payload) {
 model::Value encode_reply(const Reply& reply) {
   ValueList fields;
   put_version(fields);
-  put(fields, "request_id",
-      Value(static_cast<std::int64_t>(reply.request_id)));
-  put(fields, "code", Value(static_cast<std::int64_t>(reply.code)));
-  if (!reply.refusal.empty()) put(fields, "refusal", Value(reply.refusal));
-  if (!reply.message.empty()) put(fields, "message", Value(reply.message));
-  if (reply.commands != 0) put(fields, "commands", Value(reply.commands));
+  fields.push_back(make_entry(
+      "request_id", Value(static_cast<std::int64_t>(reply.request_id))));
+  fields.push_back(
+      make_entry("code", Value(static_cast<std::int64_t>(reply.code))));
+  if (!reply.refusal.empty()) {
+    fields.push_back(make_entry("refusal", Value(reply.refusal)));
+  }
+  if (!reply.message.empty()) {
+    fields.push_back(make_entry("message", Value(reply.message)));
+  }
+  if (reply.commands != 0) {
+    fields.push_back(make_entry("commands", Value(reply.commands)));
+  }
   return Value(std::move(fields));
 }
 
@@ -136,26 +137,29 @@ Result<Reply> decode_reply(const model::Value& payload) {
   const ValueList& fields = payload.as_list();
   MDSM_RETURN_IF_ERROR(check_version(fields));
   Reply reply;
-  const Value* id = get(fields, "request_id");
+  const Value* id = find_entry(fields, "request_id");
   if (id == nullptr || !id->is_int() || id->as_int() < 0) {
     return malformed("missing or non-integer request_id");
   }
   reply.request_id = static_cast<std::uint64_t>(id->as_int());
-  const Value* code = get(fields, "code");
+  const Value* code = find_entry(fields, "code");
   if (code == nullptr || !code->is_int() || code->as_int() < 0 ||
       code->as_int() > static_cast<std::int64_t>(ErrorCode::kInternal)) {
     return malformed("missing or out-of-range code");
   }
   reply.code = static_cast<ErrorCode>(code->as_int());
-  if (const Value* refusal = get(fields, "refusal"); refusal != nullptr) {
+  if (const Value* refusal = find_entry(fields, "refusal");
+      refusal != nullptr) {
     if (!refusal->is_string()) return malformed("refusal is not a string");
     reply.refusal = refusal->as_string();
   }
-  if (const Value* message = get(fields, "message"); message != nullptr) {
+  if (const Value* message = find_entry(fields, "message");
+      message != nullptr) {
     if (!message->is_string()) return malformed("message is not a string");
     reply.message = message->as_string();
   }
-  if (const Value* commands = get(fields, "commands"); commands != nullptr) {
+  if (const Value* commands = find_entry(fields, "commands");
+      commands != nullptr) {
     if (!commands->is_int()) return malformed("commands is not an integer");
     reply.commands = commands->as_int();
   }

@@ -68,4 +68,18 @@ std::string Value::to_text() const {
   return "none";
 }
 
+Value make_entry(std::string key, Value value) {
+  return Value(ValueList{Value(std::move(key)), std::move(value)});
+}
+
+const Value* find_entry(const ValueList& entries, std::string_view key) {
+  for (const Value& entry : entries) {
+    if (!entry.is_list()) continue;
+    const ValueList& pair = entry.as_list();
+    if (pair.size() != 2 || !pair[0].is_string()) continue;
+    if (pair[0].as_string() == key) return &pair[1];
+  }
+  return nullptr;
+}
+
 }  // namespace mdsm::model

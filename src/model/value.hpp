@@ -102,4 +102,12 @@ class Value {
 /// Quote + escape a string for the textual model format.
 std::string quote(std::string_view raw);
 
+/// A `[key, value]` entry, the shape of every field in the wire
+/// envelopes and session checkpoints.
+Value make_entry(std::string key, Value value);
+
+/// The value paired with `key` in a list of `[key, value]` entries;
+/// nullptr when absent. Entries of any other shape are skipped.
+const Value* find_entry(const ValueList& entries, std::string_view key);
+
 }  // namespace mdsm::model

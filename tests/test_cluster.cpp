@@ -1035,13 +1035,12 @@ TEST(ClusterE2E, ElasticResizeUnderLoadKeepsCallbacksExactlyOnce) {
   cluster->shutdown();
 }
 
-// The PR 10 tentpole: with a model-driven checkpoint cadence
-// (checkpoint_interval = 1), every completed request captures the
-// session's runtime state from its owner and stages it on the ring
-// replica. When the owner dies, the failover ships the cached
-// checkpoint resume=true and the replica IMPORTS it before the retried
-// request forwards — so the retry is a pure continuation (one step),
-// not the cold whole-lifecycle replay (three steps, see
+// With a model-driven checkpoint cadence (checkpoint_interval = 1),
+// every completed request captures the session's runtime state from its
+// owner into the front-end's cache. When the owner dies, the failover
+// ships the cached checkpoint and the replica IMPORTS it before the
+// retried request forwards — so the retry is a pure continuation (one
+// step), not the cold whole-lifecycle replay (three steps, see
 // test_snapshot.cpp), and the client still hears exactly once.
 TEST(ClusterE2E, FailoverResumesSessionFromReplicatedCheckpoint) {
   cluster::ClusterConfig config;
@@ -1060,8 +1059,8 @@ TEST(ClusterE2E, FailoverResumesSessionFromReplicatedCheckpoint) {
   const std::size_t replica = 1;
   ASSERT_EQ(cluster->frontend->ring().replica(session), replica);
 
-  // Open the session; the completion triggers capture (owner exports),
-  // then the stage ship to the replica, version-stamped 1.
+  // Open the session; the completion triggers a capture (the owner
+  // exports), version-stamped 1.
   Ledger ledger;
   ASSERT_TRUE(cluster->client
                   ->submit("testlang", session,
@@ -1070,27 +1069,23 @@ TEST(ClusterE2E, FailoverResumesSessionFromReplicatedCheckpoint) {
                   .ok());
   ASSERT_TRUE(cluster->drive_until([&] {
     return ledger.total() == 1 &&
-           cluster->frontend->stats().checkpoint_acks >= 1;
+           cluster->frontend->stats().checkpoints_taken >= 1;
   }));
   EXPECT_EQ(cluster->frontend->checkpoint_version(session), 1);
-  ASSERT_TRUE(cluster->nodes[replica]
-                  ->staged_checkpoint_version(session)
-                  .has_value());
-  EXPECT_EQ(*cluster->nodes[replica]->staged_checkpoint_version(session), 1);
   EXPECT_GE(cluster->nodes[owner]->replication_stats().checkpoints_exported,
             1u);
   EXPECT_EQ(cluster->adapters[owner]->executed(), 2u);  // create + open
   EXPECT_EQ(cluster->adapters[replica]->executed(), 0u);
-  // Staged is not applied: the replica's own runtime stays untouched
-  // until a failover actually needs it.
+  // Nothing is shipped while the owner serves: the replica's own
+  // runtime stays untouched until a failover actually needs it.
   EXPECT_EQ(cluster->nodes[replica]->replication_stats()
                 .session_states_imported,
             0u);
 
   // Kill the owner and close the session. The forward times out, the
-  // failover ships the cached checkpoint resume=true, the replica
-  // imports it, and ONLY THEN does the retry forward: one svc.close,
-  // not the cold three-step replay.
+  // failover ships the cached checkpoint, the replica imports it, and
+  // ONLY THEN does the retry forward: one svc.close, not the cold
+  // three-step replay.
   cluster->nodes[owner]->kill();
   Ledger close_ledger;
   ASSERT_TRUE(cluster->client
@@ -1118,45 +1113,51 @@ TEST(ClusterE2E, FailoverResumesSessionFromReplicatedCheckpoint) {
   EXPECT_GE(stats.resumes_completed, 1u);
   const cluster::ShardNode::Stats replica_stats =
       cluster->nodes[replica]->replication_stats();
-  EXPECT_GE(replica_stats.session_states_staged, 1u);
   EXPECT_EQ(replica_stats.session_states_imported, 1u);
   EXPECT_EQ(replica_stats.session_states_rejected_stale, 0u);
   cluster->shutdown();
 }
 
-// Version gating on the session-state route: a checkpoint older than
-// what the replica already staged is refused "stale-checkpoint" and
-// never overwrites the newer state; re-shipping the SAME version is an
-// idempotent retry and is accepted.
+// Version gating on the session-state route: every ship imports, a
+// checkpoint older than the one the shard imported is refused
+// "stale-checkpoint" and never overwrites the newer state, and
+// re-shipping the SAME version is an idempotent retry that acks.
 TEST(ClusterE2E, StaleCheckpointNeverAppliesOverNewer) {
   auto cluster = make_cluster(1);
   ASSERT_NE(cluster, nullptr);
 
   // Talk to the shard's replication route directly, as the front-end
-  // would. The staged payload is a REAL export so the test mirrors the
-  // production envelope byte-for-byte.
+  // would. The payloads are REAL exports so the test mirrors the
+  // production envelope byte-for-byte: v1 is the session before it
+  // opened, v2 the open session.
   ingress::IngressClientOptions raw_options;
   raw_options.endpoint = "raw-shipper";  // "client" is taken
   auto raw = ingress::IngressClient::attach(
       *cluster->network, cluster->nodes[0]->endpoint_name(),
       std::move(raw_options));
   ASSERT_TRUE(raw.ok());
-  Result<model::Value> state =
-      cluster->nodes[0]->platform().export_session_state("gate");
-  ASSERT_TRUE(state.ok()) << state.status().to_string();
+  core::Platform& platform = cluster->nodes[0]->platform();
+  Result<model::Value> older = platform.export_session_state("gate");
+  ASSERT_TRUE(older.ok()) << older.status().to_string();
+  std::optional<ingress::RemoteOutcome> opened;
+  ASSERT_TRUE(cluster->client
+                  ->submit("testlang", "gate",
+                           soak::open_session_text("gate"),
+                           [&](const ingress::RemoteOutcome& r) {
+                             opened = r;
+                           })
+                  .ok());
+  ASSERT_TRUE(cluster->drive_until([&] { return opened.has_value(); }));
+  ASSERT_TRUE(opened->status.ok()) << opened->status.to_string();
+  Result<model::Value> newer = platform.export_session_state("gate");
+  ASSERT_TRUE(newer.ok()) << newer.status().to_string();
 
-  auto pair = [](std::string key, model::Value value) {
-    model::ValueList entry;
-    entry.push_back(model::Value(std::move(key)));
-    entry.push_back(std::move(value));
-    return model::Value(std::move(entry));
-  };
-  auto ship = [&](std::int64_t version) {
+  auto ship = [&](std::int64_t version, const model::Value& state) {
     model::ValueList envelope;
-    envelope.push_back(pair("session", model::Value(std::string("gate"))));
-    envelope.push_back(pair("version", model::Value(version)));
-    envelope.push_back(pair("resume", model::Value(false)));
-    envelope.push_back(pair("state", state.value()));
+    envelope.push_back(
+        model::make_entry("session", model::Value(std::string("gate"))));
+    envelope.push_back(model::make_entry("version", model::Value(version)));
+    envelope.push_back(model::make_entry("state", state));
     ingress::wire::Request request;
     request.body = model::Value(std::move(envelope));
     auto outcome = std::make_shared<std::optional<ingress::RemoteOutcome>>();
@@ -1171,29 +1172,29 @@ TEST(ClusterE2E, StaleCheckpointNeverAppliesOverNewer) {
     return **outcome;
   };
 
-  // Version 2 stages.
-  ingress::RemoteOutcome first = ship(2);
+  // Version 2 imports.
+  ingress::RemoteOutcome first = ship(2, newer.value());
   EXPECT_TRUE(first.status.ok()) << first.status.to_string();
-  ASSERT_TRUE(
-      cluster->nodes[0]->staged_checkpoint_version("gate").has_value());
-  EXPECT_EQ(*cluster->nodes[0]->staged_checkpoint_version("gate"), 2);
+  EXPECT_EQ(cluster->nodes[0]->replication_stats().session_states_imported,
+            1u);
+  const std::string text = platform.runtime_model_text("gate");
+  EXPECT_NE(text.find("open"), std::string::npos) << text;
 
   // Version 1 arrives late (reordered ship): refused, nothing replaced.
-  ingress::RemoteOutcome stale = ship(1);
+  ingress::RemoteOutcome stale = ship(1, older.value());
   EXPECT_FALSE(stale.status.ok());
   EXPECT_EQ(stale.refusal, "stale-checkpoint");
-  EXPECT_EQ(*cluster->nodes[0]->staged_checkpoint_version("gate"), 2);
+  EXPECT_EQ(platform.runtime_model_text("gate"), text);
 
   // Re-shipping version 2 is an idempotent retry, not a stale ship.
-  ingress::RemoteOutcome again = ship(2);
+  ingress::RemoteOutcome again = ship(2, newer.value());
   EXPECT_TRUE(again.status.ok()) << again.status.to_string();
-  EXPECT_EQ(*cluster->nodes[0]->staged_checkpoint_version("gate"), 2);
+  EXPECT_EQ(platform.runtime_model_text("gate"), text);
 
   const cluster::ShardNode::Stats stats =
       cluster->nodes[0]->replication_stats();
-  EXPECT_EQ(stats.session_states_staged, 2u);
   EXPECT_EQ(stats.session_states_rejected_stale, 1u);
-  EXPECT_EQ(stats.session_states_imported, 0u);  // stage-only ships
+  EXPECT_EQ(stats.session_states_imported, 1u);
   raw.value().reset();
   cluster->shutdown();
 }
@@ -1245,17 +1246,17 @@ TEST(ClusterE2E, TwoSessionsOnOneShardNeverCrossCommands) {
 }
 
 // The front-end's checkpoint cache stays bounded without any setting: a
-// capture that finds its session ended drops the entry (and ships
-// nothing), and an entry idle for kCheckpointIdleTtl on the network
-// clock is dropped too. A session that comes back is checkpointed afresh
-// under a higher version, so replicas never refuse it as stale.
+// capture that finds its session ended drops the entry, and an entry
+// idle for kCheckpointIdleTtl on the network clock is dropped too. A
+// session that comes back is checkpointed afresh under a higher version,
+// so shards never refuse it as stale.
 TEST(ClusterE2E, IdleCheckpointEntriesAreDropped) {
   auto cluster = make_cluster(2, {}, {}, "checkpoint_interval = 1");
   ASSERT_NE(cluster, nullptr);
-  // Open `session` and wait until its checkpoint is staged on the
-  // replica, so no ship is in flight when the clock jumps.
+  // Open `session` and wait until its checkpoint is captured, so no
+  // capture is in flight when the clock jumps.
   auto open = [&](const std::string& session) {
-    const std::uint64_t acked = cluster->frontend->stats().checkpoint_acks;
+    const std::uint64_t taken = cluster->frontend->stats().checkpoints_taken;
     std::optional<ingress::RemoteOutcome> reply;
     EXPECT_TRUE(cluster->client
                     ->submit("testlang", session,
@@ -1266,15 +1267,14 @@ TEST(ClusterE2E, IdleCheckpointEntriesAreDropped) {
                     .ok());
     EXPECT_TRUE(cluster->drive_until([&] {
       return reply.has_value() &&
-             cluster->frontend->stats().checkpoint_acks > acked;
+             cluster->frontend->stats().checkpoints_taken > taken;
     }));
   };
   for (const char* session : {"a", "b", "c", "d"}) open(session);
   EXPECT_EQ(cluster->frontend->checkpointed_sessions(), 4u);
-  const std::uint64_t acks = cluster->frontend->stats().checkpoint_acks;
 
   // d closes: its owner reports the session ended, so the entry goes at
-  // once and nothing is shipped to the replica.
+  // once.
   const std::uint64_t taken = cluster->frontend->stats().checkpoints_taken;
   std::optional<ingress::RemoteOutcome> closed;
   ASSERT_TRUE(cluster->client
@@ -1290,7 +1290,6 @@ TEST(ClusterE2E, IdleCheckpointEntriesAreDropped) {
   EXPECT_TRUE(closed->status.ok()) << closed->status.to_string();
   EXPECT_EQ(cluster->frontend->checkpointed_sessions(), 3u);
   EXPECT_EQ(cluster->frontend->checkpoint_version("d"), 0);
-  EXPECT_EQ(cluster->frontend->stats().checkpoint_acks, acks);
   const std::int64_t last = cluster->frontend->checkpoint_version("c");
 
   // The rest never close: idle past the TTL, maintain() drops them.
@@ -1302,8 +1301,123 @@ TEST(ClusterE2E, IdleCheckpointEntriesAreDropped) {
   open("a");
   EXPECT_EQ(cluster->frontend->checkpointed_sessions(), 1u);
   EXPECT_GT(cluster->frontend->checkpoint_version("a"), last);
-  EXPECT_EQ(cluster->frontend->stats().checkpoint_acks, 5u);
   EXPECT_EQ(cluster->frontend->stats().checkpoint_failures, 0u);
+  cluster->shutdown();
+}
+
+/// Submit `text` in `session` and drive until its reply lands.
+std::optional<ingress::RemoteOutcome> submit_and_settle(
+    ClusterDeployment& cluster, const std::string& session,
+    const std::string& text) {
+  std::optional<ingress::RemoteOutcome> reply;
+  const bool sent =
+      cluster.client
+          ->submit("testlang", session, text,
+                   [&](const ingress::RemoteOutcome& r) { reply = r; })
+          .ok();
+  if (sent) cluster.drive_until([&] { return reply.has_value(); });
+  return reply;
+}
+
+/// Open a session and drive until its first checkpoint is captured.
+bool open_checkpointed(ClusterDeployment& cluster,
+                       const std::string& session) {
+  std::optional<ingress::RemoteOutcome> reply =
+      submit_and_settle(cluster, session, soak::open_session_text(session));
+  return reply.has_value() && reply->status.ok() &&
+         cluster.drive_until([&] {
+           return cluster.frontend->checkpoint_version(session) > 0;
+         });
+}
+
+// A join that moves a checkpointed session's arc to the newcomer resumes
+// the session there: the first request on the new owner imports the
+// cached checkpoint, so the close runs one step, not the cold replay of
+// create, open and close.
+TEST(ClusterE2E, JoinResumesAMovedSessionOnTheNewcomer) {
+  auto cluster = make_cluster(2, {}, {}, "checkpoint_interval = 1");
+  ASSERT_NE(cluster, nullptr);
+  // ShardRing(n) grown by shard n equals ShardRing(n + 1), so the grown
+  // ring names a session whose arc the joiner takes.
+  const cluster::ShardRing grown(3);
+  std::string session;
+  for (int i = 0; session.empty(); ++i) {
+    const std::string candidate = numbered("moved-", i);
+    if (grown.owner(candidate) == 2) session = candidate;
+  }
+  const std::size_t before = cluster->frontend->ring().owner(session);
+  ASSERT_TRUE(open_checkpointed(*cluster, session));
+  EXPECT_EQ(cluster->adapters[before]->executed(), 2u);  // create + open
+
+  ASSERT_TRUE(launch_spare(*cluster, "shard-2"));
+  ASSERT_TRUE(cluster->frontend->join("shard-2").ok());
+  ASSERT_TRUE(cluster->drive_until(
+      [&] { return cluster->frontend->stats().joins_completed == 1; }));
+  ASSERT_EQ(cluster->frontend->ring().owner(session), 2u);
+
+  std::optional<ingress::RemoteOutcome> closed = submit_and_settle(
+      *cluster, session, soak::close_session_text(session));
+  ASSERT_TRUE(closed.has_value());
+  EXPECT_TRUE(closed->status.ok()) << closed->status.to_string();
+  EXPECT_EQ(cluster->adapters[2]->executed(), 1u)
+      << "the close on the newcomer must re-execute zero prior steps";
+  const cluster::ClusterFrontEnd::Stats stats = cluster->frontend->stats();
+  EXPECT_EQ(stats.resumes_shipped, 1u);
+  EXPECT_EQ(stats.resumes_completed, 1u);
+  EXPECT_EQ(cluster->nodes[2]->replication_stats().session_states_imported,
+            1u);
+  cluster->shutdown();
+}
+
+// The leave half: when a checkpointed session's owner leaves, the shard
+// that inherits its arc imports the cached checkpoint before the next
+// request, which then runs one step.
+TEST(ClusterE2E, LeaveResumesTheSessionOnItsNewOwner) {
+  auto cluster = make_cluster(3, {}, {}, "checkpoint_interval = 1");
+  ASSERT_NE(cluster, nullptr);
+  const std::size_t victim = 1;
+  std::string session;
+  for (int i = 0; session.empty(); ++i) {
+    const std::string candidate = numbered("heir-", i);
+    if (cluster->frontend->ring().owner(candidate) == victim) {
+      session = candidate;
+    }
+  }
+  ASSERT_TRUE(open_checkpointed(*cluster, session));
+
+  ASSERT_TRUE(cluster->frontend->leave(victim).ok());
+  ASSERT_TRUE(cluster->drive_until(
+      [&] { return cluster->frontend->stats().leaves_completed == 1; }));
+  const std::size_t heir = cluster->frontend->ring().owner(session);
+  ASSERT_NE(heir, victim);
+
+  std::optional<ingress::RemoteOutcome> closed = submit_and_settle(
+      *cluster, session, soak::close_session_text(session));
+  ASSERT_TRUE(closed.has_value());
+  EXPECT_TRUE(closed->status.ok()) << closed->status.to_string();
+  EXPECT_EQ(cluster->adapters[victim]->executed(), 2u);
+  EXPECT_EQ(cluster->adapters[heir]->executed(), 1u)
+      << "the close on the new owner must re-execute zero prior steps";
+  const cluster::ClusterFrontEnd::Stats stats = cluster->frontend->stats();
+  EXPECT_EQ(stats.resumes_shipped, 1u);
+  EXPECT_EQ(stats.resumes_completed, 1u);
+  EXPECT_EQ(
+      cluster->nodes[heir]->replication_stats().session_states_imported, 1u);
+  cluster->shutdown();
+}
+
+// A checkpointed request on a healthy fleet costs six messages: the
+// submit and its reply on both hops, and the capture and its reply.
+// Nothing is shipped to a shard that does not serve the session.
+TEST(ClusterE2E, CheckpointedRequestCostsSixMessages) {
+  auto cluster = make_cluster(2, {}, {}, "checkpoint_interval = 1");
+  ASSERT_NE(cluster, nullptr);
+  const std::uint64_t before = cluster->network->stats().sent;
+  ASSERT_TRUE(open_checkpointed(*cluster, "six"));
+  // A few more laps, so any message the capture set off lands too.
+  int laps = 0;
+  cluster->drive_until([&] { return ++laps == 3; });
+  EXPECT_EQ(cluster->network->stats().sent - before, 6u);
   cluster->shutdown();
 }
 
