@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Bench trajectory: runs bench_throughput (serialized/concurrent sync
 # rows plus the staged async and in-flight-per-core rows in one binary),
-# bench_im_generation, bench_trace_overhead, bench_resilience
+# bench_im_generation, bench_trace_overhead (median and quartiles of
+# the per-pair enabled/noop tracing overhead), bench_resilience
 # (retry/breaker goodput against a chaotic resource), bench_overload
 # (goodput/shed-rate/p99 as offered load sweeps 1x-10x of pipeline
 # capacity), bench_ingress (in-process vs over-the-wire goodput/p99

@@ -144,7 +144,6 @@ Result<std::unique_ptr<Platform>> Platform::assemble(
     return InvalidArgument(
         "no synthesis semantics: middleware model declares no transitions");
   }
-  controller::ControllerLayer* controller = platform->controller_.get();
   platform->synthesis_ = std::make_unique<synthesis::SynthesisEngine>(
       synthesis_specs.empty() ? "synthesis" : synthesis_specs[0]->id(),
       config.dsml, std::move(lts), context, metrics, *platform->clock_,
@@ -153,15 +152,6 @@ Result<std::unique_ptr<Platform>> Platform::assemble(
       // dispatch failure keeps the old runtime model in force).
       [](const controller::ControlScript&, obs::RequestContext& request) {
         return request.check_deadline("controller");
-      });
-  // Post-commit execution — the parallel phase. execute_script opens the
-  // "controller.script" span covering every command plus the drain of the
-  // events they raised, nested (like the old in-dispatch crossing) under
-  // the request's "synthesis.submit" span.
-  platform->synthesis_->set_executor(
-      [controller](const controller::ControlScript& script,
-                   obs::RequestContext& request) {
-        return controller->execute_script(script, request);
       });
 
   // Controller exceptional conditions flow back to the Synthesis layer
@@ -409,9 +399,8 @@ Status Platform::stop() {
 
 Result<controller::ControlScript> Platform::submit_model_text(
     std::string_view text, obs::RequestContext& context) {
-  Result<model::Model> application_model = model::parse_model(text, dsml_);
-  if (!application_model.ok()) return application_model.status();
-  return submit_model(std::move(application_model.value()), context);
+  // Parsed outside ui.submit; a parse error still fails in the machine.
+  return submit_inline(model::parse_model(text, dsml_), context);
 }
 
 Result<controller::ControlScript> Platform::submit_model_text(
@@ -441,38 +430,7 @@ Result<controller::ControlScript> Platform::submit_woven(
 
 Result<controller::ControlScript> Platform::submit_model(
     model::Model application_model, obs::RequestContext& context) {
-  // No global submit lock: submissions run concurrently. The only serial
-  // section is the synthesis model swap (diff→interpret→commit, under the
-  // synthesis engine's mutex); classification, IM generation, and
-  // controller/broker execution overlap across requests. The guard
-  // registers this submission before the running_ check so stop() either
-  // rejects us or waits for us — never tears us mid-pipeline.
-  InflightGuard inflight(*this);
-  // UI-layer crossing: the root span of the request's trace. The scope
-  // makes the context ambient so bus events published anywhere below are
-  // stamped with this request's id.
-  obs::ContextScope ambient(context);
-  obs::ScopedSpan span(context, "ui.submit", application_model.name());
-  requests_submitted_.add();
-  auto fail = [this](Status status) -> Result<controller::ControlScript> {
-    requests_failed_.add();
-    return status;
-  };
-  if (Status admitted = admit(context); !admitted.ok()) {
-    return fail(std::move(admitted));
-  }
-  Result<controller::ControlScript> script =
-      synthesis_->submit_model(std::move(application_model), context);
-  // Feed the admission EWMA with the observed end-to-end latency (queue
-  // delay included — async contexts are minted at enqueue). Failures
-  // consumed pipeline time all the same, so they count too; admission
-  // sheds never reach this line.
-  admission_.record_latency(context.elapsed());
-  if (!script.ok()) return fail(script.status());
-  if (Status late = deliverable(context); !late.ok()) {
-    return fail(std::move(late));
-  }
-  return script;
+  return submit_inline(std::move(application_model), context);
 }
 
 Status Platform::admit(obs::RequestContext& context) {
@@ -540,25 +498,30 @@ void Platform::ensure_pipeline() {
       });
 }
 
-// ---- staged pipeline (PR 6) ------------------------------------------
+// ---- the request machine ---------------------------------------------
 //
-// A request does not hold a worker end-to-end: it is a StagedRequest
-// hopping synthesis → controller → broker → complete as continuations,
-// parking on the event loop whenever the broker backs off or an attempt
-// overruns. Ownership discipline: exactly one continuation "holds" the
-// request (and may touch its trace) at a time; the deadline watchdog — the
-// only concurrent party — flips `resolved` and invokes the callback but
-// NEVER touches the trace. The chain observes `resolved` at its next
-// touch, closes the spans and releases the inflight slot, so stop() still
-// waits out every admitted request and no span is written concurrently.
+// A submission is a Request hopping synthesis → controller → complete
+// (DESIGN.md §6b): inline, by direct calls on the caller's stack; async,
+// as continuations that park on the event loop while the broker backs
+// off or an attempt overruns. Exactly one hop "holds" the request (and
+// may touch its trace) at a time; the async deadline watchdog — the only
+// concurrent party — flips `resolved` and invokes the callback but NEVER
+// touches the trace. The chain observes `resolved` at its next touch,
+// closes the spans and releases the inflight slot, so stop() still waits
+// out every admitted request and no span is written concurrently.
 
-struct Platform::StagedRequest {
+struct Platform::Request {
+  /// The caller's context (inline, borrowed) or the one minted at
+  /// enqueue (async, published as last_async_context()).
   std::shared_ptr<obs::RequestContext> context;
-  std::string text;
+  bool inline_mode = false;
+  std::string text;  ///< async: parsed by the synthesis stage
+  std::optional<Result<model::Model>> model;
   SubmitCallback callback;
   controller::ControlScript script;  ///< commit result, delivered at the end
   std::uint64_t root_span = 0;       ///< "ui.submit", closed by the chain
-  std::uint64_t queue_span = 0;      ///< "runtime.queue", closed at stage 1
+  std::uint64_t queue_span = 0;      ///< "runtime.queue" (async)
+  std::uint64_t synthesis_span = 0;  ///< "synthesis.submit": commit + run
   std::uint64_t watchdog = 0;        ///< deadline timer id (0 = none)
   std::atomic<bool> resolved{false};
   /// True once real pipeline work began (set just before the synthesis
@@ -570,11 +533,30 @@ struct Platform::StagedRequest {
   std::optional<InflightGuard> inflight;
 };
 
+Result<controller::ControlScript> Platform::submit_inline(
+    Result<model::Model> parsed, obs::RequestContext& context) {
+  return run_inline<Result<controller::ControlScript>>(
+      [&](SubmitCallback done) {
+        Request local;
+        std::shared_ptr<Request> request = run_state(true, local);
+        request->inflight.emplace(*this);  // before admit()'s running_ check
+        request->inline_mode = true;
+        request->context = std::shared_ptr<obs::RequestContext>(
+            std::shared_ptr<void>(), &context);
+        request->callback = std::move(done);
+        std::string_view name;
+        if (parsed.ok()) name = parsed->name();
+        request->root_span = context.open_span("ui.submit", name);
+        request->model.emplace(std::move(parsed));
+        stage_synthesis(std::move(request));
+      });
+}
+
 Status Platform::submit_async(std::string text, SubmitCallback callback,
                               SubmitOptions options) {
-  auto request = std::make_shared<StagedRequest>();
+  auto request = std::make_shared<Request>();
   // The inflight slot registers before the running_ check (same rule as
-  // submit_model): stop() either rejects this request or waits for it.
+  // the inline door): stop() either rejects this request or waits for it.
   request->inflight.emplace(*this);
   if (!running_.load(std::memory_order_acquire)) {
     return FailedPrecondition("platform '" + name_ + "' is not started");
@@ -653,7 +635,7 @@ Status Platform::submit_async(std::string text, SubmitCallback callback,
   return Status::Ok();
 }
 
-bool Platform::staged_abandoned(const std::shared_ptr<StagedRequest>& request) {
+bool Platform::abandoned(const std::shared_ptr<Request>& request) {
   if (!request->resolved.load(std::memory_order_acquire)) return false;
   // The watchdog already delivered kTimeout; the chain owns the trace,
   // so the close-out happens here, at its next touch.
@@ -665,22 +647,23 @@ bool Platform::staged_abandoned(const std::shared_ptr<StagedRequest>& request) {
   return true;
 }
 
-void Platform::finish_staged(const std::shared_ptr<StagedRequest>& request,
-                             Result<controller::ControlScript> outcome) {
+void Platform::finish(const std::shared_ptr<Request>& request,
+                      Result<controller::ControlScript> outcome) {
   // Feed the admission EWMA with the observed end-to-end latency (queue
-  // and park time included — the context was minted at enqueue), but
+  // and park time included — an async context is minted at enqueue), but
   // only for requests that actually ran the pipeline: shed and refused
   // requests resolve in microseconds and would poison the prediction.
   if (request->executed) {
     admission_.record_latency(request->context->elapsed());
   }
-  if (!outcome.ok()) requests_failed_.add();
   const bool won =
       !request->resolved.exchange(true, std::memory_order_acq_rel);
+  // A watchdog that won already counted this request as failed.
+  if (won && !outcome.ok()) requests_failed_.add();
   // Close-through: the root span pops any child spans a timed-out chain
   // left open, keeping the trace a single well-formed tree.
   request->context->close_span(request->root_span);
-  {
+  if (!request->inline_mode) {
     std::lock_guard lock(last_async_mutex_);
     last_async_context_ = request->context;
   }
@@ -691,9 +674,13 @@ void Platform::finish_staged(const std::shared_ptr<StagedRequest>& request,
   request->inflight.reset();
 }
 
-void Platform::submit_continuation(
-    std::size_t stage, const std::shared_ptr<StagedRequest>& request,
-    runtime::Continuation fn) {
+template <typename Fn>
+void Platform::hop(std::size_t stage, const std::shared_ptr<Request>& request,
+                   Fn fn) {
+  if (request->inline_mode) {
+    fn();
+    return;
+  }
   runtime::StagePipeline::SubmitOptions options;
   options.lane = request->context->high_priority() ? runtime::TaskLane::kHigh
                                                    : runtime::TaskLane::kNormal;
@@ -704,72 +691,84 @@ void Platform::submit_continuation(
     // teardown); the request can never complete, so close it out.
     log_warn("platform") << request->context->tag()
                          << " continuation dropped: " << submitted.to_string();
-    finish_staged(request, Unavailable("staged pipeline shut down mid-request"));
+    finish(request, Unavailable("staged pipeline shut down mid-request"));
   }
 }
 
-void Platform::stage_synthesis(std::shared_ptr<StagedRequest> request) {
-  request->context->close_span(request->queue_span);
-  if (staged_abandoned(request)) return;
-  obs::ContextScope ambient(*request->context);
+void Platform::stage_synthesis(std::shared_ptr<Request> request) {
+  obs::RequestContext& context = *request->context;
+  context.close_span(request->queue_span);
+  if (abandoned(request)) return;
+  obs::ContextScope ambient(context);
   requests_submitted_.add();
-  // Dequeue-time admission re-check: queue delay ate into the budget.
-  if (Status admitted = admit(*request->context); !admitted.ok()) {
-    finish_staged(request, std::move(admitted));
+  // Admission (async: re-checked after queue delay ate into the budget).
+  if (Status admitted = admit(context); !admitted.ok()) {
+    finish(request, std::move(admitted));
     return;
   }
-  Result<model::Model> parsed = model::parse_model(request->text, dsml_);
+  if (!request->inline_mode) {
+    request->model.emplace(model::parse_model(request->text, dsml_));
+  }
+  Result<model::Model>& parsed = *request->model;
   if (!parsed.ok()) {
-    finish_staged(request, parsed.status());
+    finish(request, parsed.status());
     return;
   }
-  // Commit only — the serial synthesis window releases before controller
-  // execution is even scheduled (the commit itself never parks).
+  // The serial window is the commit alone; the span runs on through
+  // execution.
   request->executed = true;
+  request->synthesis_span = context.open_span("synthesis.submit",
+                                              parsed->name());
   Result<controller::ControlScript> script =
-      synthesis_->commit_model(std::move(parsed.value()), *request->context);
+      synthesis_->submit_model(std::move(parsed.value()), context);
   if (!script.ok()) {
-    finish_staged(request, script.status());
+    finish(request, script.status());
     return;
   }
   request->script = std::move(script.value());
   if (request->script.empty()) {
-    // Nothing to execute (model unchanged): skip straight to completion.
-    submit_continuation(stage_complete_, request, [this, request] {
-      stage_complete(request, Status::Ok());
-    });
+    stage_controller(std::move(request));  // nothing to run: no hop
     return;
   }
-  submit_continuation(stage_controller_, request,
-                      [this, request] { stage_controller(request); });
+  hop(stage_controller_, request,
+      [this, request] { stage_controller(request); });
 }
 
-void Platform::stage_controller(std::shared_ptr<StagedRequest> request) {
-  if (staged_abandoned(request)) return;
-  obs::ContextScope ambient(*request->context);
-  // The script chain may park in the broker (backoff, attempt overrun);
-  // its completion fires on whatever thread settles the last command and
-  // hops to the completion stage from there. The completion holds the
-  // request, so request->script outlives the run.
-  controller_->execute_script_async(
-      request->script, *request->context, [this, request](Status executed) {
-        submit_continuation(stage_complete_, request,
-                            [this, request, executed] {
-                              stage_complete(request, executed);
-                            });
-      });
+void Platform::stage_controller(std::shared_ptr<Request> request) {
+  if (abandoned(request)) return;
+  obs::RequestContext& context = *request->context;
+  obs::ContextScope ambient(context);
+  // The synthesis span covers commit and execution; it closes here.
+  auto executed = [this, request](Status status) {
+    request->context->close_span(request->synthesis_span);
+    hop(stage_complete_, request, [this, request, status] {
+      stage_complete(request, status);
+    });
+  };
+  if (request->script.empty()) {
+    executed(Status::Ok());  // model unchanged
+  } else if (request->inline_mode) {
+    executed(controller_->execute_script(request->script, context));
+  } else {
+    // The script may park in the broker (backoff, attempt overrun); its
+    // completion fires on whatever thread settles the last command and
+    // hops on from there. It holds the request, so request->script
+    // outlives the run.
+    controller_->execute_script_async(request->script, context,
+                                      std::move(executed));
+  }
 }
 
-void Platform::stage_complete(std::shared_ptr<StagedRequest> request,
+void Platform::stage_complete(std::shared_ptr<Request> request,
                               Status executed) {
-  if (staged_abandoned(request)) return;
+  if (abandoned(request)) return;
   obs::ContextScope ambient(*request->context);
   if (executed.ok()) executed = deliverable(*request->context);
-  if (!executed.ok()) {
-    finish_staged(request, std::move(executed));
-    return;
+  if (executed.ok()) {
+    finish(request, std::move(request->script));
+  } else {
+    finish(request, std::move(executed));
   }
-  finish_staged(request, std::move(request->script));
 }
 
 void Platform::invoke_callback(const SubmitCallback& callback,

@@ -328,30 +328,35 @@ class Platform {
   void invoke_callback(const SubmitCallback& callback,
                        Result<controller::ControlScript> outcome);
 
-  /// One request traversing the staged pipeline (heap state; the request
-  /// owns its context, root span, deadline watchdog and inflight slot).
-  struct StagedRequest;
+  /// One request traversing the request machine (DESIGN.md §6b): on
+  /// the caller's stack in inline mode, on the heap in async mode. It
+  /// owns its root span, deadline watchdog and inflight slot.
+  struct Request;
+  /// The inline door: run the machine on the calling thread. A parse
+  /// error in `parsed` fails the request inside the machine.
+  Result<controller::ControlScript> submit_inline(
+      Result<model::Model> parsed, obs::RequestContext& context);
   /// Lazily create the executor, the stage pipeline over it, the event
   /// loop and the broker's async engine wiring.
   void ensure_pipeline();
-  /// Stage bodies. Each runs as a continuation on a pipeline worker.
-  void stage_synthesis(std::shared_ptr<StagedRequest> request);
-  void stage_controller(std::shared_ptr<StagedRequest> request);
-  void stage_complete(std::shared_ptr<StagedRequest> request,
-                      Status executed);
-  /// Mid-pipeline hop: submit `fn` to `stage` as a never-shed
-  /// continuation.
-  void submit_continuation(std::size_t stage,
-                           const std::shared_ptr<StagedRequest>& request,
-                           runtime::Continuation fn);
+  /// The machine's steps: admit, parse and commit; execute the script;
+  /// the late gate. Each reaches the next through hop().
+  void stage_synthesis(std::shared_ptr<Request> request);
+  void stage_controller(std::shared_ptr<Request> request);
+  void stage_complete(std::shared_ptr<Request> request, Status executed);
+  /// Run `fn`: a direct call in inline mode, a never-shed continuation
+  /// on `stage` in async mode.
+  template <typename Fn>
+  void hop(std::size_t stage, const std::shared_ptr<Request>& request, Fn fn);
   /// True when the deadline watchdog already resolved the request; the
   /// chain (single owner of the trace) closes out and releases its
   /// inflight slot here.
-  bool staged_abandoned(const std::shared_ptr<StagedRequest>& request);
-  /// Terminal stage bookkeeping: record latency, close the root span,
-  /// resolve the callback exactly once, release the inflight slot.
-  void finish_staged(const std::shared_ptr<StagedRequest>& request,
-                     Result<controller::ControlScript> outcome);
+  bool abandoned(const std::shared_ptr<Request>& request);
+  /// Terminal bookkeeping: record latency, count a failure, close the
+  /// root span, resolve the callback exactly once, release the inflight
+  /// slot.
+  void finish(const std::shared_ptr<Request>& request,
+              Result<controller::ControlScript> outcome);
 
   std::string name_;
   model::MetamodelPtr dsml_;

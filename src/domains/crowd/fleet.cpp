@@ -257,12 +257,7 @@ CrowdDevice::CrowdDevice(std::string id, std::uint32_t seed,
       metrics_, obs::steady_clock(),
       [controller](const controller::ControlScript& script,
                    obs::RequestContext& request) {
-        obs::ScopedSpan span(request, "controller.script",
-                             std::to_string(script.commands.size()) +
-                                 " commands");
-        MDSM_RETURN_IF_ERROR(controller->submit_script(script, request));
-        controller->process_pending(request);
-        return Status::Ok();
+        return controller->execute_script(script, request);
       });
   (void)synthesis_->start();
 
@@ -281,6 +276,7 @@ Result<controller::ControlScript> CrowdDevice::submit_model_text(
   // bulk query starts.
   if (!queries_.empty()) context.set_attribute("priority", "high");
   obs::ScopedSpan span(context, "ui.submit", parsed->name());
+  obs::ScopedSpan synthesis(context, "synthesis.submit", parsed->name());
   requests_submitted_.add();
   Result<controller::ControlScript> script =
       synthesis_->submit_model(std::move(parsed.value()), context);

@@ -132,9 +132,6 @@ SsvmHub::SsvmHub(net::Network& network) {
       obs::steady_clock(),
       [controller, registered](const controller::ControlScript& script,
                                obs::RequestContext& request) {
-        obs::ScopedSpan span(request, "controller.script",
-                             std::to_string(script.commands.size()) +
-                                 " commands");
         for (const auto& command : script.commands) {
           if (command.name == "ss.object.register") {
             auto it = command.args.find("id");
@@ -143,9 +140,7 @@ SsvmHub::SsvmHub(net::Network& network) {
             }
           }
         }
-        MDSM_RETURN_IF_ERROR(controller->submit_script(script, request));
-        controller->process_pending(request);
-        return Status::Ok();
+        return controller->execute_script(script, request);
       });
   (void)synthesis_->start();
 }
@@ -156,6 +151,7 @@ Result<controller::ControlScript> SsvmHub::submit_model_text(
   Result<model::Model> parsed = model::parse_model(text, ssml_metamodel());
   if (!parsed.ok()) return parsed.status();
   obs::ScopedSpan span(context, "ui.submit", parsed->name());
+  obs::ScopedSpan synthesis(context, "synthesis.submit", parsed->name());
   requests_submitted_.add();
   Result<controller::ControlScript> script =
       synthesis_->submit_model(std::move(parsed.value()), context);

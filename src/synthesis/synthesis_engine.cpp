@@ -40,31 +40,6 @@ SynthesisEngine::SynthesisEngine(std::string name, model::MetamodelPtr dsml,
 
 Result<controller::ControlScript> SynthesisEngine::submit_model(
     model::Model new_model, obs::RequestContext& context) {
-  obs::ContextScope ambient(context);
-  obs::ScopedSpan span(context, "synthesis.submit", new_model.name());
-  Result<controller::ControlScript> script =
-      commit_core(std::move(new_model), context);
-  if (!script.ok()) return script;
-  // Post-commit execution — outside the serial mutex, still inside this
-  // request's "synthesis.submit" span. Independent submissions overlap
-  // here. An execution failure surfaces to the submitter but does not
-  // roll back the committed model.
-  if (executor_ != nullptr && !script->empty()) {
-    Status executed = executor_(*script, context);
-    if (!executed.ok()) return executed;
-  }
-  return script;
-}
-
-Result<controller::ControlScript> SynthesisEngine::commit_model(
-    model::Model new_model, obs::RequestContext& context) {
-  obs::ContextScope ambient(context);
-  obs::ScopedSpan span(context, "synthesis.submit", new_model.name());
-  return commit_core(std::move(new_model), context);
-}
-
-Result<controller::ControlScript> SynthesisEngine::commit_core(
-    model::Model new_model, obs::RequestContext& context) {
   models_submitted_.add();
   // Checks that do not touch shared synthesis state run before the serial
   // section so rejected submissions never contend with live ones.

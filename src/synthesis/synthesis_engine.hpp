@@ -19,10 +19,10 @@
 // Concurrency: synthesis itself is serial — each submission diffs
 // against (and then replaces) its session's runtime model — so the
 // diff→interpret→dispatch→commit section runs under an internal mutex.
-// Everything after the commit (the executor hook, i.e. actual
-// controller/broker execution) runs *outside* that mutex, which is what
-// lets independent requests overlap: the serial window is only the model
-// swap, not the work.
+// Execution of the returned script is the caller's (the platform's
+// request machine runs it after submit_model() returns), outside that
+// mutex, which is what lets independent requests overlap: the serial
+// window is only the model swap, not the work.
 #pragma once
 
 #include <deque>
@@ -61,8 +61,9 @@ class SynthesisEngine final : public runtime::Component {
   /// *before* the runtime model commits — a dispatch failure keeps the
   /// old model in force (all-or-nothing semantics). It runs under the
   /// engine's serial mutex, so keep it cheap in concurrent deployments
-  /// (the platform wires a deadline check here and does the real work in
-  /// the executor hook; split deployments serialize over the network).
+  /// (the platform wires a deadline check here and executes the returned
+  /// script after the commit; split deployments serialize over the
+  /// network).
   /// The request context rides along so the layer below continues the
   /// request's span tree.
   using Dispatch = std::function<Status(const controller::ControlScript&,
@@ -86,40 +87,21 @@ class SynthesisEngine final : public runtime::Component {
     listener_ = std::move(listener);
   }
 
-  /// Post-commit execution hook: runs *after* the runtime model commits
-  /// and after the serial mutex is released, still inside the request's
-  /// "synthesis.submit" span. This is the parallel phase of the request
-  /// pipeline — the platform wires ControllerLayer::execute_script here.
-  /// Its failure surfaces to the submitter but does not roll the model
-  /// back (the model swap already happened; execution is best-effort
-  /// forward progress, with errors also contained per-command below).
-  void set_executor(Dispatch executor) { executor_ = std::move(executor); }
-
-  /// Full synthesis cycle: validate the new model, compare against the
-  /// current runtime model, interpret the changes, dispatch the script,
-  /// commit the new model as the running one, then execute via the
-  /// executor hook. On any pre-commit failure the previous runtime model
-  /// stays in force. A submit in a retired session (released, and among
-  /// the newest kRetiredSessionCapacity) fails with FailedPrecondition
-  /// and issues nothing. Opens the request's "synthesis.submit" span.
-  /// Safe to call concurrently (submissions serialize on the internal
-  /// mutex up to the commit; execution overlaps).
+  /// The synthesis cycle: validate the new model, compare it against
+  /// the current runtime model of the request's session, interpret the
+  /// changes, dispatch the script and commit the new model as the
+  /// running one; returns the script, which the caller executes. On any
+  /// failure the previous runtime model stays in force. A submit in a
+  /// retired session (released, and among the newest
+  /// kRetiredSessionCapacity) fails with FailedPrecondition and issues
+  /// nothing. Opens no span: the caller's "synthesis.submit" span covers
+  /// this and the execution. Safe to call concurrently (submissions
+  /// serialize on the internal mutex).
   Result<controller::ControlScript> submit_model(model::Model new_model,
                                                  obs::RequestContext& context);
   Result<controller::ControlScript> submit_model(model::Model new_model) {
     return submit_model(std::move(new_model), obs::RequestContext::noop());
   }
-
-  /// The commit phase alone (PR 6 staged pipeline): validate, diff,
-  /// interpret, dispatch and commit under the serial mutex, but do NOT
-  /// run the post-commit executor hook — the staged platform calls this
-  /// from its synthesis stage and hands the returned script to the
-  /// controller stage as a separate continuation, so the serial window
-  /// releases before execution is even scheduled. Opens its own
-  /// "synthesis.submit" span (closed on return: the commit itself never
-  /// parks).
-  Result<controller::ControlScript> commit_model(model::Model new_model,
-                                                 obs::RequestContext& context);
 
   /// Events from the Controller layer (exceptional conditions); recorded
   /// and exposed so domain logic (or tests) can react — e.g. resubmitting
@@ -202,10 +184,6 @@ class SynthesisEngine final : public runtime::Component {
   };
   using SessionMap = std::map<std::string, Session, std::less<>>;
 
-  /// Shared pre-check + serial diff→interpret→dispatch→commit section of
-  /// submit_model()/commit_model() (everything except the executor hook).
-  Result<controller::ControlScript> commit_core(model::Model new_model,
-                                                obs::RequestContext& context);
   /// `key`'s session, or null when it holds no state ("" = default).
   /// Callers hold mutex_.
   [[nodiscard]] const Session* find_session(std::string_view key) const;
@@ -236,7 +214,6 @@ class SynthesisEngine final : public runtime::Component {
   obs::Counter& sessions_released_;
   obs::Counter& sessions_expired_;
   Dispatch dispatch_;
-  Dispatch executor_;
   ModelListener listener_;
   /// Serializes diff → interpret → dispatch → commit → listener. Also
   /// guards every session's model pointer and LTS states.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <memory>
 #include <thread>
 
@@ -382,6 +383,32 @@ TEST_F(PlatformFixture, BadApplicationModelTextIsParseError) {
             ErrorCode::kParseError);
 }
 
+// A model-text parse error is one failed request whichever door it
+// enters: the sync submit counts it exactly as submit_async() does.
+TEST_F(PlatformFixture, ParseErrorCountsTheSameThroughBothDoors) {
+  ASSERT_TRUE(platform->start().ok());
+  obs::Counter& submitted = platform->metrics().counter("requests.submitted");
+  obs::Counter& failed = platform->metrics().counter("requests.failed");
+  EXPECT_EQ(platform->submit_model_text("garbage {{{").status().code(),
+            ErrorCode::kParseError);
+  const std::uint64_t sync_submitted = submitted.value();
+  const std::uint64_t sync_failed = failed.value();
+
+  std::promise<ErrorCode> settled;
+  ASSERT_TRUE(platform
+                  ->submit_async("garbage {{{",
+                                 [&settled](Result<controller::ControlScript> r) {
+                                   settled.set_value(r.status().code());
+                                 })
+                  .ok());
+  EXPECT_EQ(settled.get_future().get(), ErrorCode::kParseError);
+  EXPECT_EQ(sync_submitted, 1u);
+  EXPECT_EQ(sync_failed, 1u);
+  EXPECT_EQ(submitted.value() - sync_submitted, sync_submitted);
+  EXPECT_EQ(failed.value() - sync_failed, sync_failed);
+  EXPECT_TRUE(platform->stop().ok());
+}
+
 // Policies loaded from the middleware model steer classification and
 // selection exactly like programmatically-added ones.
 TEST(PlatformPolicies, ModelLoadedPoliciesSteerClassificationAndSelection) {
@@ -609,6 +636,24 @@ TEST_F(PlatformFixture, SubmissionProducesOneSpanPerLayerCrossed) {
   EXPECT_LE(synthesis->end, ui->end);
   EXPECT_LE(signal->start, call->start);
   EXPECT_LE(call->end, signal->end);
+}
+
+// The sync door runs the request machine inline: it never creates the
+// executor, the stage pipeline or the event loop.
+TEST_F(PlatformFixture, SyncSubmitsNeverCreateThePipeline) {
+  ASSERT_TRUE(platform->start().ok());
+  platform->context().set("bandwidth", Value(5.0));
+  ASSERT_TRUE(platform->submit_model_text(kSessionOpenModel).ok());
+  EXPECT_EQ(platform->submit_model_text("garbage {{{").status().code(),
+            ErrorCode::kParseError);
+  EXPECT_EQ(platform->event_loop(), nullptr);
+  EXPECT_TRUE(platform->stage_stats().empty());
+  const Platform::PipelineStats stats = platform->pipeline_stats();
+  EXPECT_EQ(stats.queue_capacity, 0u);
+  EXPECT_EQ(stats.max_pending, 0u);
+  EXPECT_EQ(stats.max_bounded_pending, 0u);
+  EXPECT_EQ(stats.rejections, 0u);
+  EXPECT_EQ(stats.shed, 0u);
 }
 
 TEST_F(PlatformFixture, ContextFreeSubmissionKeepsLastTrace) {

@@ -8,7 +8,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
+#include <future>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -483,6 +487,204 @@ TEST(Staged, RefusalBurstDoesNotFeedTheAdmissionEwma) {
   // Not one refusal touched the prediction.
   EXPECT_EQ(platform.admission().predicted_latency(), seeded);
   EXPECT_TRUE(platform.stop().ok());
+}
+
+// A request whose budget is already spent races its deadline watchdog
+// against the synthesis stage; whichever resolves it, it counts as one
+// failed request, never two.
+TEST(Staged, ExpiredRequestCountsAsOneFailure) {
+  set_log_level(LogLevel::kOff);
+  PlatformConfig config;
+  config.pipeline_threads = 1;
+  auto fixture =
+      make_staged_platform(config, std::make_unique<FlakyAdapter>("svc", 0));
+  ASSERT_NE(fixture.platform, nullptr);
+  Platform& platform = *fixture.platform;
+  constexpr int kRequests = 500;
+  std::atomic<int> settled{0};
+  std::atomic<int> timeouts{0};
+  for (int i = 0; i < kRequests; ++i) {
+    SubmitOptions options;
+    options.deadline = Duration(0);
+    ASSERT_TRUE(platform
+                    .submit_async(soak::open_session_text(
+                                      "s" + std::to_string(i)),
+                                  [&](Result<controller::ControlScript> r) {
+                                    if (r.status().code() ==
+                                        ErrorCode::kTimeout) {
+                                      ++timeouts;
+                                    }
+                                    ++settled;
+                                  },
+                                  options)
+                    .ok());
+  }
+  // Each side counts the failure before it invokes the callback.
+  while (settled.load() != kRequests) std::this_thread::yield();
+  EXPECT_TRUE(platform.stop().ok());
+  EXPECT_EQ(timeouts.load(), kRequests);
+  EXPECT_EQ(platform.metrics().counter("requests.failed").value(),
+            static_cast<std::uint64_t>(kRequests));
+  set_log_level(LogLevel::kWarn);
+}
+
+// ---- one request machine, two doors ----------------------------------
+
+/// The soak middleware model plus a retune: a live session whose
+/// bandwidth changes issues session.retune → svc.retune and stays live.
+std::string retune_middleware_model() {
+  std::string text(soak::kSoakMiddlewareModel);
+  auto insert_before = [&text](std::string_view anchor,
+                               std::string_view extra) {
+    text.insert(text.find(anchor), extra);
+  };
+  insert_before("    child resources ResourceSpec r1", R"mw(
+    child actions ActionSpec act-retune {
+      name = "bk-retune"
+      child steps StepSpec s4 {
+        op = invoke
+        a = "svc"
+        b = "retune"
+        child args ArgSpec a4 { key = "id" value = "$id" }
+      }
+    }
+    child handlers HandlerSpec h4 { signal = "svc.retune" actions -> act-retune }
+)mw");
+  insert_before("    child mappings CommandMappingSpec m1", R"mw(
+    child actions ActionSpec ca2 {
+      name = "ctl-retune"
+      child steps StepSpec t5 {
+        op = broker-call
+        a = "svc.retune"
+        child args ArgSpec c2a { key = "id" value = "$id" }
+      }
+    }
+    child bindings BindingSpec bind2 { command = "session.retune" actions -> ca2 }
+)mw");
+  insert_before("    child transitions TransitionSpec tr2", R"mw(
+    child transitions TransitionSpec tr3 {
+      from = "live"
+      to = "live"
+      kind = set-attribute
+      class = "Session"
+      feature = "bandwidth"
+      child commands CommandTemplateSpec ct3 {
+        name = "session.retune"
+        child args ArgSpec sa3 { key = "id" value = "%id" }
+      }
+    }
+)mw");
+  return text;
+}
+
+/// What one run of a model sequence left behind.
+struct DoorRun {
+  std::vector<ErrorCode> codes;
+  std::deque<std::string> commands;  ///< the broker CommandTrace
+  std::map<std::string, std::uint64_t> counters;  ///< requests/layers
+  /// Per request that ran a script: the name of controller.script's
+  /// parent span.
+  std::vector<std::string> script_parents;
+};
+
+DoorRun run_sequence(bool async) {
+  struct Step {
+    std::string text;
+    bool expired = false;
+  };
+  const std::vector<Step> steps = {
+      {"model a conforms testlang\n"
+       "object Session s1 { state = open }\n"},
+      {"model a conforms testlang\n"
+       "object Session s1 { state = open bandwidth = 2.0 }\n"},
+      {"model a conforms testlang\n"
+       "object Session s1 { state = open bandwidth = 3.0 }\n",
+       /*expired=*/true},
+      {"garbage {{{"},
+      {"model a conforms testlang\n"
+       "object Session s1 { state = closed bandwidth = 2.0 }\n"},
+  };
+  DoorRun run;
+  model::MetamodelPtr dsml = model::testing::make_test_metamodel();
+  PlatformConfig config;
+  config.dsml = dsml;
+  // A manual loop is never pumped here, so the zero-budget request's
+  // watchdog cannot race the synthesis stage: both doors refuse it at
+  // the same admission check.
+  config.pipeline_threads = 1;
+  config.manual_event_loop = true;
+  auto assembled =
+      Platform::assemble_from_text(retune_middleware_model(), config);
+  EXPECT_TRUE(assembled.ok()) << assembled.status().to_string();
+  if (!assembled.ok()) return run;
+  Platform& platform = **assembled;
+  EXPECT_TRUE(platform
+                  .add_resource_adapter(
+                      std::make_unique<soak::CountingAdapter>("svc"))
+                  .ok());
+  EXPECT_TRUE(platform.start().ok());
+  auto record_parent = [&run](const obs::Trace& trace) {
+    const obs::Span* script = trace.find("controller.script");
+    if (script == nullptr) return;
+    const obs::Span* parent = trace.find_id(script->parent);
+    run.script_parents.push_back(parent == nullptr ? "" : parent->name);
+  };
+  for (const Step& step : steps) {
+    std::optional<Duration> deadline;
+    if (step.expired) deadline = Duration(0);
+    if (async) {
+      SubmitOptions options;
+      options.deadline = deadline;
+      std::promise<ErrorCode> settled;
+      EXPECT_TRUE(platform
+                      .submit_async(step.text,
+                                    [&settled](
+                                        Result<controller::ControlScript> r) {
+                                      settled.set_value(r.status().code());
+                                    },
+                                    options)
+                      .ok());
+      run.codes.push_back(settled.get_future().get());
+      record_parent(platform.last_async_context()->trace());
+    } else {
+      obs::RequestContext context = platform.make_context(deadline);
+      run.codes.push_back(
+          platform.submit_model_text(step.text, context).status().code());
+      record_parent(context.trace());
+    }
+  }
+  EXPECT_TRUE(platform.stop().ok());
+  run.commands = platform.trace().entries();
+  for (const auto& row : platform.metrics().snapshot().counters) {
+    for (std::string_view prefix :
+         {"requests.", "synthesis.", "controller.", "broker."}) {
+      if (row.name.starts_with(prefix)) run.counters[row.name] = row.value;
+    }
+  }
+  return run;
+}
+
+// The sync door and submit_async() run one request machine: the same
+// model sequence — an open, a retune, a request whose deadline is
+// already spent, an invalid model and a close — leaves the same broker
+// trace, counters, statuses and span nesting through either.
+TEST(Staged, SyncAndAsyncDoorsRunOneMachine) {
+  const DoorRun sync = run_sequence(/*async=*/false);
+  const DoorRun async = run_sequence(/*async=*/true);
+  EXPECT_EQ(sync.codes,
+            (std::vector<ErrorCode>{ErrorCode::kOk, ErrorCode::kOk,
+                                    ErrorCode::kTimeout,
+                                    ErrorCode::kParseError, ErrorCode::kOk}));
+  EXPECT_EQ(async.codes, sync.codes);
+  EXPECT_EQ(sync.commands.size(), 4u);  // create, open, retune, close
+  EXPECT_EQ(async.commands, sync.commands);
+  EXPECT_EQ(sync.counters.at("requests.submitted"), 5u);
+  EXPECT_EQ(sync.counters.at("requests.failed"), 2u);
+  EXPECT_EQ(async.counters, sync.counters);
+  // ui.submit > synthesis.submit > controller.script in both modes.
+  EXPECT_EQ(sync.script_parents,
+            (std::vector<std::string>(3, "synthesis.submit")));
+  EXPECT_EQ(async.script_parents, sync.script_parents);
 }
 
 }  // namespace
