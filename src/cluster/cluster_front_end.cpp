@@ -1,5 +1,6 @@
 #include "cluster/cluster_front_end.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "model/diff.hpp"
@@ -9,33 +10,11 @@ namespace mdsm::cluster {
 
 namespace wire = ingress::wire;
 
-namespace {
-
-/// Downstream stub options for the shard at `index`: one client per
-/// shard, each on its own endpoint so reply correlation never crosses
-/// shards.
-ingress::IngressClientOptions downstream_options(const ClusterConfig& config,
-                                                 std::size_t index) {
-  ingress::IngressClientOptions options;
-  options.endpoint = config.endpoint + ".to." + std::to_string(index);
-  options.reply_timeout = config.downstream_reply_timeout;
-  return options;
-}
-
-void raise_acked_version(std::atomic<std::uint64_t>& acked,
-                         std::uint64_t version) {
-  std::uint64_t current = acked.load(std::memory_order_relaxed);
-  while (current < version &&
-         !acked.compare_exchange_weak(current, version,
-                                      std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
 ClusterFrontEnd::ClusterFrontEnd(net::Network& network,
                                  model::Model authoritative)
-    : network_(&network), authoritative_(std::move(authoritative)) {}
+    : network_(&network),
+      door_(network, metrics_),
+      authoritative_(std::move(authoritative)) {}
 
 Result<std::unique_ptr<ClusterFrontEnd>> ClusterFrontEnd::attach(
     net::Network& network, const model::Model& authoritative_model,
@@ -43,84 +22,69 @@ Result<std::unique_ptr<ClusterFrontEnd>> ClusterFrontEnd::attach(
   if (shard_endpoints.empty()) {
     return InvalidArgument("a cluster needs at least one shard endpoint");
   }
-  Result<net::Endpoint*> created = network.create_endpoint(config.endpoint);
-  if (!created.ok()) return created.status();
-
   std::unique_ptr<ClusterFrontEnd> front(
       new ClusterFrontEnd(network, authoritative_model.clone()));
-  front->endpoint_ = network.endpoint_handle(config.endpoint);
-  front->endpoint_name_ = config.endpoint;
+  MDSM_RETURN_IF_ERROR(front->door_.bind(config.endpoint));
+  front->config_ = std::move(config);
   front->ring_ = ShardRing(shard_endpoints.size());
 
-  for (std::size_t i = 0; i < shard_endpoints.size(); ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->endpoint = shard_endpoints[i];
-    Result<std::unique_ptr<ingress::IngressClient>> client =
-        ingress::IngressClient::attach(network, shard_endpoints[i],
-                                       downstream_options(config, i));
-    if (!client.ok()) {
-      front.reset();  // destructor unwinds endpoints created so far
-      return client.status();
-    }
-    shard->client = std::move(client).value();
-    shard->breaker = std::make_unique<broker::CircuitBreaker>(config.health);
-    shard->acked_version.store(1, std::memory_order_relaxed);
-    front->shards_.push_back(std::move(shard));
-  }
-  front->config_ = std::move(config);
-
-  // Session-state replication cadence is model-driven (PR 10): the
-  // MiddlewarePlatform root's `checkpoint_interval` attr says how many
-  // completed sequenced requests a session accrues between checkpoints.
+  // The front door is provisioned from the same MiddlewarePlatform root
+  // as every shard's: one chain (auth, rate limit, deadline), one token.
+  core::IngressSettings settings;
   auto platforms = authoritative_model.objects_of("MiddlewarePlatform");
   if (!platforms.empty()) {
+    settings = core::decode_ingress_settings(*platforms[0]);
+    // Checkpoint cadence is model-driven too: completed sequenced
+    // requests per session between checkpoints.
     front->checkpoint_interval_ =
         platforms[0]->get_int("checkpoint_interval", 0);
   }
+  front->auth_token_ = settings.auth_token;
 
-  Status routes = front->router_.add(
-      wire::kSubmitPattern,
-      [raw = front.get()](const net::Message& message,
-                          const ingress::RouteParams& params) {
-        raw->handle_submit(message, params);
-      });
-  for (std::string_view pattern :
-       {wire::kQueryPattern, wire::kSessionQueryPattern}) {
-    if (!routes.ok()) break;
-    routes = front->router_.add(
-        pattern, [raw = front.get()](const net::Message& message,
-                                     const ingress::RouteParams& params) {
-          raw->handle_query(message, params);
-        });
-  }
-  if (!routes.ok()) {
-    front.reset();
-    return routes;
+  for (const std::string& endpoint : shard_endpoints) {
+    // On failure the destructor unwinds the endpoints created so far.
+    Result<std::unique_ptr<Shard>> shard =
+        front->make_shard(endpoint, front->shards_.size());
+    if (!shard.ok()) return shard.status();
+    front->shards_.push_back(std::move(shard).value());
   }
 
-  // Last: traffic may arrive the moment the handler lands.
   ClusterFrontEnd* raw = front.get();
-  front->endpoint_->set_handler(
-      [raw](const net::Message& message) { raw->on_message(message); });
+  MDSM_RETURN_IF_ERROR(front->door_.provision(
+      settings,
+      [raw](ingress::IngressContext& context) { raw->handle_submit(context); },
+      [raw](ingress::IngressContext& context) { raw->handle_query(context); }));
+  // Last: traffic may arrive the moment the door opens.
+  front->door_.open();
   return front;
 }
 
 ClusterFrontEnd::~ClusterFrontEnd() {
   shutting_down_.store(true, std::memory_order_release);
-  if (endpoint_ != nullptr) {
-    endpoint_->set_handler(nullptr);
-    // Downstream clients resolve their pending forwards on destruction
-    // (settle_forward sees shutting_down_ and only replies, never fails
-    // over); quiescing the public endpoint first means no new ones
-    // arrive.
-    shards_.clear();
-    if (!endpoint_->detached()) network_->remove_endpoint(endpoint_name_);
-  }
+  // Downstream clients resolve their pending forwards on destruction
+  // (settle_forward sees shutting_down_ and only replies, never fails
+  // over); closing the door first means no new ones arrive. The door
+  // unbinds the public endpoint after the body.
+  door_.close();
+  shards_.clear();
 }
 
-std::size_t ClusterFrontEnd::shard_count() const {
-  std::shared_lock lock(topology_mutex_);
-  return shards_.size();
+Result<std::unique_ptr<ClusterFrontEnd::Shard>> ClusterFrontEnd::make_shard(
+    const std::string& endpoint, std::size_t index) {
+  // One client per shard, each on its own endpoint so reply correlation
+  // never crosses shards, carrying the model's auth token.
+  ingress::IngressClientOptions options;
+  options.endpoint = config_.endpoint + ".to." + std::to_string(index);
+  options.auth = auth_token_;
+  options.reply_timeout = config_.downstream_reply_timeout;
+  Result<std::unique_ptr<ingress::IngressClient>> client =
+      ingress::IngressClient::attach(*network_, endpoint, std::move(options));
+  if (!client.ok()) return client.status();
+  auto shard = std::make_unique<Shard>();
+  shard->endpoint = endpoint;
+  shard->client = std::move(client).value();
+  shard->breaker = std::make_unique<broker::CircuitBreaker>(config_.health);
+  return shard;
 }
 
 std::size_t ClusterFrontEnd::active_shard_count() const {
@@ -147,41 +111,15 @@ std::size_t ClusterFrontEnd::shard_for(std::string_view session) const {
   return primary;
 }
 
-void ClusterFrontEnd::on_message(const net::Message& message) {
-  received_.fetch_add(1, std::memory_order_relaxed);
-  std::optional<ingress::Router::Match> match = router_.route(message.topic);
-  if (!match.has_value()) {
-    Result<wire::Request> decoded = wire::decode_request(message.payload);
-    const std::uint64_t id = decoded.ok() ? decoded.value().request_id : 0;
-    refuse(message.from, id,
-           NotFound("no route for topic '" + message.topic + "'"),
-           "no-route");
-    return;
-  }
-  (*match->handler)(message, match->params);
-}
-
-void ClusterFrontEnd::handle_submit(const net::Message& message,
-                                    const ingress::RouteParams& params) {
-  Result<wire::Request> decoded = wire::decode_request(message.payload);
-  if (!decoded.ok()) {
-    refuse(message.from, 0, decoded.status(),
-           wire::is_version_mismatch(decoded.status()) ? "bad-version"
-                                                       : "malformed");
-    return;
-  }
-  wire::Request request = std::move(decoded).value();
-
-  Forward state;
-  state.client = message.from;
-  state.id = request.request_id;
-  state.session = std::string(params.get("session"));
-  state.dsml = std::string(params.get("dsml"));
-  state.text = std::move(request.text);
-  state.high_priority = request.high_priority;
-  if (request.deadline_us > 0) {
-    state.deadline = Duration(request.deadline_us);
-  }
+void ClusterFrontEnd::handle_submit(ingress::IngressContext& context) {
+  wire::Request& request = context.request;
+  Forward state{.client = context.message->from,
+                .id = request.request_id,
+                .session = std::string(context.params->get("session")),
+                .dsml = std::string(context.params->get("dsml")),
+                .text = std::move(request.text),
+                .high_priority = request.high_priority};
+  if (request.deadline_us > 0) state.deadline = Duration(request.deadline_us);
 
   std::size_t target = 0;
   std::optional<Status> refusal;  // decided under the lock, sent outside
@@ -212,7 +150,7 @@ void ClusterFrontEnd::handle_submit(const net::Message& message,
               std::to_string(replica) +
               " are both unhealthy (primary and replica windows open)");
         } else {
-          rerouted_.fetch_add(1, std::memory_order_relaxed);
+          rerouted_.add();
           target = replica;
           state.fallback.reset();  // the replica is the last resort
           state.admission = replica_admit.admission;
@@ -223,7 +161,7 @@ void ClusterFrontEnd::handle_submit(const net::Message& message,
     }
   }
   if (refusal.has_value()) {
-    refuse(message.from, state.id, *refusal, "shard-unavailable");
+    door_.refuse(state.client, state.id, *refusal, "shard-unavailable");
     return;
   }
   forward(std::move(state), target);
@@ -253,13 +191,13 @@ void ClusterFrontEnd::forward(Forward state, std::size_t shard_index) {
     send_forward(shared, shard_index);
     return;
   }
-  resumes_shipped_.fetch_add(1, std::memory_order_relaxed);
+  resumes_shipped_.add();
   const std::int64_t version = checkpoint->first;
   ship_session_state(
       shared->session, version, checkpoint->second, shard_index,
       [this, shared, shard_index, version](bool acked) {
         if (acked) {
-          resumes_completed_.fetch_add(1, std::memory_order_relaxed);
+          resumes_completed_.add();
           std::lock_guard lock(checkpoint_mutex_);
           auto it = checkpoints_.find(shared->session);
           if (it != checkpoints_.end() &&
@@ -278,11 +216,7 @@ void ClusterFrontEnd::forward(Forward state, std::size_t shard_index) {
 
 void ClusterFrontEnd::send_forward(const std::shared_ptr<Forward>& shared,
                                    std::size_t shard_index) {
-  std::shared_ptr<ingress::IngressClient> client;
-  {
-    std::shared_lock lock(topology_mutex_);
-    client = shards_[shard_index]->client;  // null once retired
-  }
+  std::shared_ptr<ingress::IngressClient> client = client_of(shard_index);
 
   ingress::RemoteSubmitOptions options;
   options.deadline = shared->deadline;
@@ -313,14 +247,13 @@ void ClusterFrontEnd::send_forward(const std::shared_ptr<Forward>& shared,
     // mid-teardown, or a draining client closed under us): the callback
     // will never fire, so settle here with a synthetic lost outcome —
     // same failover/refusal path.
-    ingress::RemoteOutcome outcome;
-    outcome.request_id = shared->id;
-    outcome.status = sent.status();
-    outcome.refusal = "reply-lost";
-    settle_forward(*shared, shard_index, outcome);
+    settle_forward(*shared, shard_index,
+                   {.request_id = shared->id,
+                    .status = sent.status(),
+                    .refusal = "reply-lost"});
     return;
   }
-  forwarded_.fetch_add(1, std::memory_order_relaxed);
+  forwarded_.add();
 }
 
 void ClusterFrontEnd::settle_forward(Forward& state, std::size_t shard_index,
@@ -376,7 +309,7 @@ void ClusterFrontEnd::settle_forward(Forward& state, std::size_t shard_index,
     }
 
     if (target.has_value() || gated) {
-      // Deadline accounting (PR 9 bugfix): the wait on the lost reply
+      // Deadline accounting: the wait on the lost reply
       // already spent part of the client's budget — the replica gets
       // only the remainder, and a spent budget is refused instead of
       // producing a reply the client can no longer use.
@@ -384,23 +317,23 @@ void ClusterFrontEnd::settle_forward(Forward& state, std::size_t shard_index,
       if (state.deadline.has_value()) {
         const Duration elapsed = now - state.sent_at;
         if (elapsed >= *state.deadline) {
-          refuse(state.client, state.id,
-                 Timeout("deadline spent waiting on shard " +
-                         std::to_string(shard_index) + "'s lost reply"),
-                 "deadline");
+          door_.refuse(state.client, state.id,
+                       Timeout("deadline spent waiting on shard " +
+                               std::to_string(shard_index) + "'s lost reply"),
+                       "deadline");
           return;
         }
         remaining = *state.deadline - elapsed;
       }
       if (!target.has_value()) {  // gated: both windows are open
-        refuse(state.client, state.id,
-               Unavailable("shard " + std::to_string(shard_index) +
-                           " lost the reply and the failover shard's "
-                           "health window is open"),
-               "shard-unavailable");
+        door_.refuse(state.client, state.id,
+                     Unavailable("shard " + std::to_string(shard_index) +
+                                 " lost the reply and the failover shard's "
+                                 "health window is open"),
+                     "shard-unavailable");
         return;
       }
-      failovers_.fetch_add(1, std::memory_order_relaxed);
+      failovers_.add();
       Forward retry = std::move(state);
       retry.fallback.reset();
       retry.admission = admission;
@@ -412,14 +345,13 @@ void ClusterFrontEnd::settle_forward(Forward& state, std::size_t shard_index,
     // No candidate at all (single-shard ring): fall through and report
     // the loss as-is.
   }
-  wire::Reply reply;
-  reply.request_id = state.id;
-  reply.code = outcome.status.code();
-  reply.refusal = outcome.refusal;
-  reply.message =
-      outcome.status.ok() ? outcome.payload : outcome.status.message();
-  reply.commands = outcome.commands;
-  send_reply(state.client, std::move(reply));
+  door_.reply(state.client,
+              {.request_id = state.id,
+               .code = outcome.status.code(),
+               .refusal = outcome.refusal,
+               .message = outcome.status.ok() ? outcome.payload
+                                              : outcome.status.message(),
+               .commands = outcome.commands});
   // Checkpoint cadence: only COMPLETED requests advance a session's
   // counter (refusals and losses leave no new state worth capturing).
   if (!shutting_down && !lost && outcome.status.ok() &&
@@ -451,13 +383,9 @@ void ClusterFrontEnd::maybe_checkpoint(const std::string& session,
 
 void ClusterFrontEnd::checkpoint_session(const std::string& session,
                                          std::size_t owner) {
-  std::shared_ptr<ingress::IngressClient> client;
-  {
-    std::shared_lock lock(topology_mutex_);
-    if (owner < shards_.size()) client = shards_[owner]->client;
-  }
-  auto abort_capture = [this, &session] {
-    checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
+  std::shared_ptr<ingress::IngressClient> client = client_of(owner);
+  auto abort_capture = [this, session] {
+    checkpoint_failures_.add();
     std::lock_guard lock(checkpoint_mutex_);
     checkpoints_[session].capture_in_flight = false;
   };
@@ -468,15 +396,14 @@ void ClusterFrontEnd::checkpoint_session(const std::string& session,
   wire::Request request;
   Result<std::uint64_t> sent = client->call(
       "checkpoint/" + session, std::move(request),
-      [this, session, owner](const ingress::RemoteOutcome& outcome) {
+      [this, session, owner,
+       abort_capture](const ingress::RemoteOutcome& outcome) {
         if (shutting_down_.load(std::memory_order_acquire)) return;
         if (!outcome.status.ok()) {
-          checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
-          std::lock_guard lock(checkpoint_mutex_);
-          checkpoints_[session].capture_in_flight = false;
+          abort_capture();
           return;
         }
-        checkpoints_taken_.fetch_add(1, std::memory_order_relaxed);
+        checkpoints_taken_.add();
         std::lock_guard lock(checkpoint_mutex_);
         if (outcome.commands == 0) {
           // The session ended on its owner: the checkpoint holds nothing
@@ -501,11 +428,7 @@ void ClusterFrontEnd::ship_session_state(const std::string& session,
                                          const std::string& state_text,
                                          std::size_t index,
                                          std::function<void(bool)> done) {
-  std::shared_ptr<ingress::IngressClient> client;
-  {
-    std::shared_lock lock(topology_mutex_);
-    if (index < shards_.size()) client = shards_[index]->client;
-  }
+  std::shared_ptr<ingress::IngressClient> client = client_of(index);
   Result<model::Value> state = model::parse_value(state_text);
   if (client == nullptr || !state.ok()) {
     done(false);
@@ -547,89 +470,73 @@ std::int64_t ClusterFrontEnd::checkpoint_version(
   return it == checkpoints_.end() ? 0 : it->second.version;
 }
 
-void ClusterFrontEnd::handle_query(const net::Message& message,
-                                   const ingress::RouteParams& params) {
-  Result<wire::Request> decoded = wire::decode_request(message.payload);
-  if (!decoded.ok()) {
-    refuse(message.from, 0, decoded.status(),
-           wire::is_version_mismatch(decoded.status()) ? "bad-version"
-                                                       : "malformed");
+void ClusterFrontEnd::handle_query(ingress::IngressContext& context) {
+  const std::string& to = context.message->from;
+  const std::uint64_t id = context.request.request_id;
+  std::string what(context.params->get("what"));
+  if (std::ranges::find(wire::kQueryViews, what) ==
+      std::ranges::end(wire::kQueryViews)) {
+    // Refused here, as a lone server refuses it: no shard serves it.
+    door_.refuse(to, id, NotFound("unknown query '" + what + "'"),
+                 "no-route");
     return;
   }
-  const std::uint64_t id = decoded.value().request_id;
-  std::string what(params.get("what"));
-  if (std::string_view session = params.get("session"); !session.empty()) {
+  if (std::string_view session = context.params->get("session");
+      !session.empty()) {
     what += "/";
     what += session;
   }
-  query_fanouts_.fetch_add(1, std::memory_order_relaxed);
+  query_fanouts_.add();
 
   // Fan out to every ACTIVE shard (joiners aren't serving yet, leavers
   // already left the ring) and merge: the join fires the client reply
   // when the last downstream outcome (success, refusal or loss) lands.
-  struct Target {
-    std::size_t index;
-    std::shared_ptr<ingress::IngressClient> client;
-  };
-  std::vector<Target> targets;
-  {
-    std::shared_lock lock(topology_mutex_);
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (shards_[i]->state.load(std::memory_order_acquire) ==
-              ShardState::kActive &&
-          shards_[i]->client != nullptr) {
-        targets.push_back(Target{i, shards_[i]->client});
-      }
-    }
-  }
+  std::vector<ShardView> targets = snapshot();
+  std::erase_if(targets, [](const ShardView& view) {
+    return view.state != ShardState::kActive || view.client == nullptr;
+  });
   if (targets.empty()) {
-    refuse(message.from, id, Unavailable("no active shard to query"),
-           "shard-unavailable");
+    door_.refuse(to, id, Unavailable("no active shard to query"),
+                 "shard-unavailable");
     return;
   }
 
   struct Join {
     std::mutex mutex;
     std::size_t remaining = 0;
-    std::vector<std::pair<std::size_t, std::string>> parts;
+    std::vector<std::string> sections;  ///< one per target, in shard order
   };
   auto join = std::make_shared<Join>();
   join->remaining = targets.size();
-  join->parts.resize(targets.size());
-  const std::string to = message.from;
+  join->sections.resize(targets.size());
 
-  auto settle = [this, join, to, id](std::size_t slot, std::size_t shard,
-                                     std::string part) {
+  auto settle = [this, join, to, id](std::size_t slot, std::string section) {
     bool last = false;
     {
       std::lock_guard lock(join->mutex);
-      join->parts[slot] = {shard, std::move(part)};
+      join->sections[slot] = std::move(section);
       last = --join->remaining == 0;
     }
     if (!last) return;
     wire::Reply reply;
     reply.request_id = id;
-    for (const auto& [index, text] : join->parts) {
-      reply.message += "=== shard " + std::to_string(index) + " ===\n";
-      reply.message += text;
-      reply.message += "\n";
-    }
-    send_reply(to, std::move(reply));
+    for (const std::string& section : join->sections) reply.message += section;
+    door_.reply(to, std::move(reply));
   };
 
   for (std::size_t slot = 0; slot < targets.size(); ++slot) {
-    const std::size_t shard = targets[slot].index;
+    std::string header =
+        "=== shard " + std::to_string(targets[slot].index) + " ===\n";
     Result<std::uint64_t> sent = targets[slot].client->query(
-        what, [settle, slot, shard](const ingress::RemoteOutcome& outcome) {
-          settle(slot, shard,
-                 outcome.status.ok()
-                     ? outcome.payload
-                     : "<" + std::string(outcome.refusal.empty()
-                                             ? "error"
-                                             : outcome.refusal) +
-                           ">");
+        what, [settle, slot, header](const ingress::RemoteOutcome& outcome) {
+          const std::string& slug =
+              outcome.refusal.empty() ? "error" : outcome.refusal;
+          settle(slot, header +
+                           (outcome.status.ok() ? outcome.payload
+                                                : "<" + slug + ">") +
+                           "\n");
         });
-    if (!sent.ok()) settle(slot, shard, "<unreachable>");
+    if (!sent.ok()) settle(slot, header + "<unreachable>\n");
   }
 }
 
@@ -644,42 +551,22 @@ Status ClusterFrontEnd::update_model(const model::Model& next_model) {
     encoded = model::encode_changes(changes);
     // The bytes a full-model push would have cost vs what the delta
     // actually costs — the savings BENCH_8 reports.
-    full_bytes_.fetch_add(model::serialize_model(next_model).size(),
-                          std::memory_order_relaxed);
-    delta_bytes_.fetch_add(encoded.to_text().size(),
-                           std::memory_order_relaxed);
-    deltas_shipped_.fetch_add(1, std::memory_order_relaxed);
+    full_bytes_.add(model::serialize_model(next_model).size());
+    delta_bytes_.add(encoded.to_text().size());
+    deltas_shipped_.add();
     authoritative_ = next_model.clone();
     version = model_version_.load(std::memory_order_relaxed) + 1;
     model_version_.store(version, std::memory_order_release);
   }
 
-  struct Target {
-    std::size_t index;
-    std::shared_ptr<ingress::IngressClient> client;
-    ShardState state;
-    bool stale;
-  };
-  std::vector<Target> targets;
-  {
-    std::shared_lock lock(topology_mutex_);
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      targets.push_back(Target{
-          i, shards_[i]->client,
-          shards_[i]->state.load(std::memory_order_acquire),
-          shards_[i]->stale.load(std::memory_order_acquire)});
-    }
-  }
-
   Status first_failure = Status::Ok();
-  for (const Target& t : targets) {
+  for (const ShardView& t : snapshot()) {
     if (t.state == ShardState::kRetired || t.client == nullptr) continue;
     if (t.state == ShardState::kDraining) continue;  // retiring: no new state
     if (t.stale || t.state == ShardState::kJoining) {
       // A diverged (or still-warming) replica can't apply a delta that
       // assumes the previous baseline — the full-sync fallback fires
-      // instead. This is the PR-9 bugfix: the old code shipped nothing
-      // and the shard diverged permanently.
+      // instead.
       kick_full_sync(t.index);
       continue;
     }
@@ -688,23 +575,21 @@ Status ClusterFrontEnd::update_model(const model::Model& next_model) {
     const std::size_t index = t.index;
     Result<std::uint64_t> sent = t.client->call(
         "replicate/model-diff", std::move(request),
-        [this, index, version](const ingress::RemoteOutcome& outcome) {
+        [this, index](const ingress::RemoteOutcome& outcome) {
           // Teardown stragglers must not touch shards_ mid-clear.
           if (shutting_down_.load(std::memory_order_acquire)) return;
           if (outcome.status.ok()) {
-            replication_acks_.fetch_add(1, std::memory_order_relaxed);
-            std::shared_lock lock(topology_mutex_);
-            raise_acked_version(shards_[index]->acked_version, version);
+            replication_acks_.add();
           } else {
             // Send failed, nacked, or the reply was lost: the replica
             // may have missed this delta — stop shipping deltas it can
             // no longer apply and schedule a full-model repair.
-            replication_failures_.fetch_add(1, std::memory_order_relaxed);
+            replication_failures_.add();
             mark_stale(index);
           }
         });
     if (!sent.ok()) {
-      replication_failures_.fetch_add(1, std::memory_order_relaxed);
+      replication_failures_.add();
       mark_stale(index);
       if (first_failure.ok()) first_failure = sent.status();
     }
@@ -738,7 +623,7 @@ void ClusterFrontEnd::kick_full_sync(std::size_t index) {
     version = model_version_.load(std::memory_order_relaxed);
   }
 
-  full_syncs_shipped_.fetch_add(1, std::memory_order_relaxed);
+  full_syncs_shipped_.add();
   Result<std::uint64_t> sent = client->call(
       "replicate/model-full", std::move(request),
       [this, index, version](const ingress::RemoteOutcome& outcome) {
@@ -749,8 +634,7 @@ void ClusterFrontEnd::kick_full_sync(std::size_t index) {
           Shard& shard = *shards_[index];
           shard.full_sync_in_flight.store(false, std::memory_order_release);
           if (outcome.status.ok()) {
-            full_sync_acks_.fetch_add(1, std::memory_order_relaxed);
-            raise_acked_version(shard.acked_version, version);
+            full_sync_acks_.add();
             // Only an ack at the CURRENT version clears staleness — a
             // late ack of an older ship must not mask a newer miss.
             if (version ==
@@ -762,14 +646,14 @@ void ClusterFrontEnd::kick_full_sync(std::size_t index) {
               }
             }
           } else {
-            replication_failures_.fetch_add(1, std::memory_order_relaxed);
+            replication_failures_.add();
             // Stays stale; the next maintain() retries.
           }
         }
         if (warmed) complete_join(index);
       });
   if (!sent.ok()) {
-    replication_failures_.fetch_add(1, std::memory_order_relaxed);
+    replication_failures_.add();
     std::shared_lock lock(topology_mutex_);
     shards_[index]->full_sync_in_flight.store(false,
                                               std::memory_order_release);
@@ -789,19 +673,13 @@ Result<std::size_t> ClusterFrontEnd::join(const std::string& endpoint) {
       }
     }
     index = shards_.size();
-    auto shard = std::make_unique<Shard>();
-    shard->endpoint = endpoint;
-    Result<std::unique_ptr<ingress::IngressClient>> client =
-        ingress::IngressClient::attach(*network_, endpoint,
-                                       downstream_options(config_, index));
-    if (!client.ok()) return client.status();
-    shard->client = std::move(client).value();
-    shard->breaker = std::make_unique<broker::CircuitBreaker>(config_.health);
-    shard->state.store(ShardState::kJoining, std::memory_order_release);
-    shard->stale.store(true, std::memory_order_release);
-    shards_.push_back(std::move(shard));
+    Result<std::unique_ptr<Shard>> shard = make_shard(endpoint, index);
+    if (!shard.ok()) return shard.status();
+    (*shard)->state.store(ShardState::kJoining, std::memory_order_release);
+    (*shard)->stale.store(true, std::memory_order_release);
+    shards_.push_back(std::move(shard).value());
   }
-  joins_started_.fetch_add(1, std::memory_order_relaxed);
+  joins_started_.add();
   // Warm-up: the full-model ship; its ack completes the join.
   kick_full_sync(index);
   return index;
@@ -823,7 +701,7 @@ void ClusterFrontEnd::complete_join(std::size_t index) {
     epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
   last_rebalance_fraction_.store(fraction, std::memory_order_release);
-  joins_completed_.fetch_add(1, std::memory_order_relaxed);
+  joins_completed_.add();
 }
 
 Status ClusterFrontEnd::leave(std::size_t index) {
@@ -850,7 +728,7 @@ Status ClusterFrontEnd::leave(std::size_t index) {
     client = shard.client;
   }
   last_rebalance_fraction_.store(fraction, std::memory_order_release);
-  leaves_started_.fetch_add(1, std::memory_order_relaxed);
+  leaves_started_.add();
   // Close OUTSIDE the ring flip: new submits already route elsewhere;
   // closing refuses any straggler routed under the old epoch (it fails
   // over to the new owner), while pending forwards keep settling on the
@@ -873,7 +751,7 @@ void ClusterFrontEnd::retire(std::size_t index) {
     client = std::move(shard.client);
     shard.client = nullptr;
   }
-  leaves_completed_.fetch_add(1, std::memory_order_relaxed);
+  leaves_completed_.add();
   // The client's destructor runs outside the lock (it unbinds its
   // endpoint and would resolve any stragglers — there are none, the
   // drain condition was pending() == 0).
@@ -884,37 +762,18 @@ void ClusterFrontEnd::mark_stale(std::size_t index) {
   std::shared_lock lock(topology_mutex_);
   if (index >= shards_.size()) return;
   if (!shards_[index]->stale.exchange(true, std::memory_order_acq_rel)) {
-    stale_marks_.fetch_add(1, std::memory_order_relaxed);
+    stale_marks_.add();
   }
 }
 
 std::size_t ClusterFrontEnd::maintain() {
-  struct Entry {
-    std::size_t index;
-    std::shared_ptr<ingress::IngressClient> client;
-    ShardState state;
-    bool stale;
-    bool syncing;
-  };
-  std::vector<Entry> snapshot;
-  {
-    std::shared_lock lock(topology_mutex_);
-    snapshot.reserve(shards_.size());
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      snapshot.push_back(
-          Entry{i, shards_[i]->client,
-                shards_[i]->state.load(std::memory_order_acquire),
-                shards_[i]->stale.load(std::memory_order_acquire),
-                shards_[i]->full_sync_in_flight.load(
-                    std::memory_order_acquire)});
-    }
-  }
+  const std::vector<ShardView> shards = snapshot();
   std::size_t resolved = 0;
   // Expiry callbacks re-enter forward()/settle_forward(); no lock held.
-  for (const Entry& entry : snapshot) {
+  for (const ShardView& entry : shards) {
     if (entry.client != nullptr) resolved += entry.client->expire_overdue();
   }
-  for (const Entry& entry : snapshot) {
+  for (const ShardView& entry : shards) {
     if (entry.state == ShardState::kDraining && entry.client != nullptr &&
         entry.client->pending() == 0) {
       retire(entry.index);
@@ -930,29 +789,24 @@ std::size_t ClusterFrontEnd::maintain() {
   return resolved;
 }
 
-void ClusterFrontEnd::send_reply(const std::string& to, wire::Reply reply) {
-  // Reentrant sends are legal on the simulated bus (handlers run outside
-  // the network lock), so replies go straight out from the delivery
-  // thread — the front-end has no pipeline of its own to keep clear.
-  Status sent = endpoint_->send(to, std::string(wire::kReplyTopic),
-                                wire::encode_reply(reply));
-  if (sent.ok()) {
-    replies_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    reply_failures_.fetch_add(1, std::memory_order_relaxed);
+std::vector<ClusterFrontEnd::ShardView> ClusterFrontEnd::snapshot() const {
+  std::shared_lock lock(topology_mutex_);
+  std::vector<ShardView> views;
+  views.reserve(shards_.size());
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    const Shard& shard = *shards_[i];
+    views.push_back(
+        ShardView{i, shard.client, shard.state.load(std::memory_order_acquire),
+                  shard.stale.load(std::memory_order_acquire),
+                  shard.full_sync_in_flight.load(std::memory_order_acquire)});
   }
+  return views;
 }
 
-void ClusterFrontEnd::refuse(const std::string& to, std::uint64_t request_id,
-                             const Status& status, std::string refusal) {
-  if (refusal.empty()) refusal = std::string(wire::classify_refusal(status));
-  refused_.fetch_add(1, std::memory_order_relaxed);
-  wire::Reply reply;
-  reply.request_id = request_id;
-  reply.code = status.code();
-  reply.refusal = std::move(refusal);
-  reply.message = status.message();
-  send_reply(to, std::move(reply));
+std::shared_ptr<ingress::IngressClient> ClusterFrontEnd::client_of(
+    std::size_t index) const {
+  std::shared_lock lock(topology_mutex_);
+  return index < shards_.size() ? shards_[index]->client : nullptr;
 }
 
 void ClusterFrontEnd::record_health(
@@ -965,43 +819,37 @@ void ClusterFrontEnd::record_health(
         admission, success, network_->clock().now());
   }
   if (transition == broker::CircuitBreaker::Transition::kOpened) {
-    breaker_trips_.fetch_add(1, std::memory_order_relaxed);
+    breaker_trips_.add();
   }
 }
 
 ClusterFrontEnd::Stats ClusterFrontEnd::stats() const {
-  Stats stats;
-  stats.received = received_.load(std::memory_order_relaxed);
-  stats.forwarded = forwarded_.load(std::memory_order_relaxed);
-  stats.rerouted = rerouted_.load(std::memory_order_relaxed);
-  stats.failovers = failovers_.load(std::memory_order_relaxed);
-  stats.refused = refused_.load(std::memory_order_relaxed);
-  stats.replies = replies_.load(std::memory_order_relaxed);
-  stats.reply_failures = reply_failures_.load(std::memory_order_relaxed);
-  stats.query_fanouts = query_fanouts_.load(std::memory_order_relaxed);
-  stats.breaker_trips = breaker_trips_.load(std::memory_order_relaxed);
-  stats.deltas_shipped = deltas_shipped_.load(std::memory_order_relaxed);
-  stats.delta_bytes = delta_bytes_.load(std::memory_order_relaxed);
-  stats.full_bytes = full_bytes_.load(std::memory_order_relaxed);
-  stats.replication_acks =
-      replication_acks_.load(std::memory_order_relaxed);
-  stats.replication_failures =
-      replication_failures_.load(std::memory_order_relaxed);
-  stats.stale_marks = stale_marks_.load(std::memory_order_relaxed);
-  stats.full_syncs_shipped =
-      full_syncs_shipped_.load(std::memory_order_relaxed);
-  stats.full_sync_acks = full_sync_acks_.load(std::memory_order_relaxed);
-  stats.joins_started = joins_started_.load(std::memory_order_relaxed);
-  stats.joins_completed = joins_completed_.load(std::memory_order_relaxed);
-  stats.leaves_started = leaves_started_.load(std::memory_order_relaxed);
-  stats.leaves_completed = leaves_completed_.load(std::memory_order_relaxed);
-  stats.checkpoints_taken = checkpoints_taken_.load(std::memory_order_relaxed);
-  stats.checkpoint_failures =
-      checkpoint_failures_.load(std::memory_order_relaxed);
-  stats.resumes_shipped = resumes_shipped_.load(std::memory_order_relaxed);
-  stats.resumes_completed =
-      resumes_completed_.load(std::memory_order_relaxed);
-  return stats;
+  const ingress::WireDoor::Stats door = door_.stats();
+  return {.received = door.received,
+          .forwarded = forwarded_.value(),
+          .rerouted = rerouted_.value(),
+          .failovers = failovers_.value(),
+          .refused = door.refused,
+          .replies = door.replies,
+          .reply_failures = door.reply_failures,
+          .query_fanouts = query_fanouts_.value(),
+          .breaker_trips = breaker_trips_.value(),
+          .deltas_shipped = deltas_shipped_.value(),
+          .delta_bytes = delta_bytes_.value(),
+          .full_bytes = full_bytes_.value(),
+          .replication_acks = replication_acks_.value(),
+          .replication_failures = replication_failures_.value(),
+          .stale_marks = stale_marks_.value(),
+          .full_syncs_shipped = full_syncs_shipped_.value(),
+          .full_sync_acks = full_sync_acks_.value(),
+          .joins_started = joins_started_.value(),
+          .joins_completed = joins_completed_.value(),
+          .leaves_started = leaves_started_.value(),
+          .leaves_completed = leaves_completed_.value(),
+          .checkpoints_taken = checkpoints_taken_.value(),
+          .checkpoint_failures = checkpoint_failures_.value(),
+          .resumes_shipped = resumes_shipped_.value(),
+          .resumes_completed = resumes_completed_.value()};
 }
 
 }  // namespace mdsm::cluster

@@ -1,56 +1,28 @@
-// The cluster front-end (PR 8, elastic since PR 9): one well-known
-// ingress endpoint fanning a consistent-hash-sharded fleet of
-// ShardNodes out behind it.
+// The cluster front-end: one well-known endpoint fanning a
+// consistent-hash-sharded fleet of ShardNodes out behind it. DESIGN.md
+// §6g–§6i give the full design; in short:
 //
-// Routing: the submit route's {session} capture is the shard key — the
-// ShardRing maps it onto the owning shard, whose IngressServer executes
-// the request. Clients keep speaking the PR-7 wire protocol to ONE
-// endpoint; the front-end forwards via per-shard IngressClients with
-// the original "<client>#<id>" identity stamped as forwarded_for, so
-// traces and the shard-side dedup ledger see one request no matter how
-// many hops (or retries) it took.
-//
-// Health/failover: every shard gets a PR-4 sliding-window breaker fed
-// by forwarding outcomes (a lost reply = failure; a typed refusal means
-// the shard is alive and counts as success). A tripped window reroutes
-// the session's traffic to its ring-designated replica shard at
-// admission time — gated through the REPLICA's breaker too, so a
-// tripped replica is never dogpiled; both windows open refuses
-// "shard-unavailable". An individual lost reply fails over the one
-// request to the replica with the elapsed wait deducted from its
-// deadline budget (a spent deadline refuses "deadline" instead of
-// delivering a reply the client can no longer use). Failover is
-// at-most-once end-to-end: the replica run is a fresh execution, and
-// exactly-once refers to the client-facing callback ledger (one
-// terminal outcome per request, never two).
-//
-// Session resume: the front-end caches the last checkpoint it pulled
-// from each session's holder, and that cache is the only copy outside
-// the shard that holds the session live. forward() ships it ahead of a
-// request whenever the target is not known to hold that version live —
-// failover, breaker reroute, join and leave all take that one path.
-//
-// Replication: update_model() diffs the new authoritative middleware
-// model against the current one and ships the model::diff ChangeList —
-// not full model text — to every current shard's "replicate/model-diff"
-// route, tracking delta vs full-model bytes (the savings BENCH_8
-// reports). A shard whose delta send fails or is nacked is marked
-// STALE: it stops receiving deltas (they would apply against the wrong
-// baseline) and instead gets a full-model ship ("replicate/model-full")
-// on the next maintain()/update_model() cycle, versioned so a late ack
-// of an old full ship never clears staleness spuriously.
-//
-// Elasticity (PR 9): join(endpoint) admits a new shard — it attaches a
-// downstream client, warms the newcomer with the same full-model
-// machinery (stale until the CURRENT model version is acked), and only
-// then splices it into the ring, bumping the topology epoch. leave()
-// removes a shard from the ring immediately (epoch bump), closes its
-// client so no new forwards can race in, lets the pending forwards
-// settle on the old route, and retires the shard once they have. Every
-// routing decision happens under the topology lock against exactly one
-// ring state and is stamped with its epoch; a failover from an older
-// epoch re-resolves its target against the current ring — so no
-// session ever has two live owners.
+// - Door: the public endpoint is a WireDoor provisioned from the
+//   authoritative middleware model, so clients meet the same chain
+//   (auth, rate limit, deadline), refusal slugs and counters as at a
+//   lone IngressServer. Its terminals are routing, not execution.
+// - Routing: the submit route's {session} capture is the shard key. The
+//   owner's IngressServer executes the request; the front-end forwards
+//   it with the original "<client>#<id>" as forwarded_for, so traces
+//   and the shard's dedup ledger see one request across hops.
+// - Health/failover: a sliding-window breaker per shard. An open window
+//   reroutes the session to its ring replica (through the replica's
+//   own breaker); a lost reply fails the one request over, with the
+//   wait deducted from its deadline. One terminal outcome per request.
+// - Session resume: the last checkpoint pulled from each session's
+//   holder is cached here, and forward() ships it ahead of a request to
+//   any target not known to hold that version live.
+// - Replication: update_model() ships model::diff ChangeLists; a shard
+//   that misses one goes stale and gets the full model instead.
+// - Elasticity: join() warms a newcomer before splicing it into the
+//   ring; leave() drops a shard from the ring and retires it once its
+//   pending forwards settle. Every routing decision is stamped with the
+//   topology epoch, so no session ever has two live owners.
 #pragma once
 
 #include <atomic>
@@ -68,11 +40,12 @@
 #include "broker/invocation_policy.hpp"
 #include "cluster/shard_ring.hpp"
 #include "common/status.hpp"
+#include "ingress/door.hpp"
 #include "ingress/ingress_client.hpp"
-#include "ingress/router.hpp"
 #include "ingress/wire.hpp"
 #include "model/model.hpp"
 #include "net/network.hpp"
+#include "obs/metrics.hpp"
 #include "synthesis/synthesis_engine.hpp"
 
 namespace mdsm::cluster {
@@ -115,14 +88,17 @@ class ClusterFrontEnd {
   ClusterFrontEnd& operator=(const ClusterFrontEnd&) = delete;
 
   [[nodiscard]] const std::string& endpoint_name() const noexcept {
-    return endpoint_name_;
+    return door_.name();
+  }
+  /// The front-end's registry: its door's "ingress.*" cells and its own
+  /// "cluster.*" ledger.
+  [[nodiscard]] const obs::MetricsRegistry& metrics() const noexcept {
+    return metrics_;
   }
   /// The ring itself. NOT synchronized against concurrent join/leave —
   /// single-threaded introspection (tests, examples) only; concurrent
   /// callers should use shard_for().
   [[nodiscard]] const ShardRing& ring() const noexcept { return ring_; }
-  /// Slots ever allocated, retired ones included (indices are stable).
-  [[nodiscard]] std::size_t shard_count() const;
   /// Shards currently in the ring.
   [[nodiscard]] std::size_t active_shard_count() const;
   [[nodiscard]] ShardState shard_state(std::size_t index) const;
@@ -252,17 +228,14 @@ class ClusterFrontEnd {
     /// version acks.
     std::atomic<bool> stale{false};
     std::atomic<bool> full_sync_in_flight{false};
-    /// Highest model version this shard acked (delta or full).
-    std::atomic<std::uint64_t> acked_version{0};
   };
 
   ClusterFrontEnd(net::Network& network, model::Model authoritative);
 
-  void on_message(const net::Message& message);
-  void handle_submit(const net::Message& message,
-                     const ingress::RouteParams& params);
-  void handle_query(const net::Message& message,
-                    const ingress::RouteParams& params);
+  /// Door terminals: route a submit through the ring and the health
+  /// windows into forward(); fan a query out to every active shard.
+  void handle_submit(ingress::IngressContext& context);
+  void handle_query(ingress::IngressContext& context);
   /// Forward `state` to `shard_index`. When the session has a cached
   /// checkpoint that shard is not known to hold live, ship it there
   /// first and send the request once the ship settles.
@@ -277,6 +250,10 @@ class ClusterFrontEnd {
   /// shard). Clears staleness — and completes a pending join — when the
   /// ack matches the current model version.
   void kick_full_sync(std::size_t index);
+  /// A fresh slot for `endpoint`: its downstream client (shard `index`)
+  /// and its health window.
+  Result<std::unique_ptr<Shard>> make_shard(const std::string& endpoint,
+                                            std::size_t index);
   /// Splice a warmed joiner into the ring (unique topology lock).
   void complete_join(std::size_t index);
   /// Release a drained leaver's client and mark the slot retired.
@@ -299,19 +276,31 @@ class ClusterFrontEnd {
   /// Drop checkpoint entries idle for kCheckpointIdleTtl (network
   /// clock), at most every half TTL; checkpoint_mutex_ held.
   void sweep_checkpoints(TimePoint now);
-  void send_reply(const std::string& to, ingress::wire::Reply reply);
-  void refuse(const std::string& to, std::uint64_t request_id,
-              const Status& status, std::string refusal);
+  /// One shard's state, read under the topology lock for work that
+  /// runs outside it.
+  struct ShardView {
+    std::size_t index;
+    std::shared_ptr<ingress::IngressClient> client;  ///< null once retired
+    ShardState state;
+    bool stale;
+    bool syncing;  ///< a full-model ship is in flight
+  };
+  [[nodiscard]] std::vector<ShardView> snapshot() const;
+  /// The shard's downstream client; null once retired.
+  [[nodiscard]] std::shared_ptr<ingress::IngressClient> client_of(
+      std::size_t index) const;
   /// Feed the shard's health window; counts breaker trips.
   void record_health(std::size_t shard_index,
                      broker::CircuitBreaker::Admission admission,
                      bool success);
 
   net::Network* network_;
-  std::shared_ptr<net::Endpoint> endpoint_;
-  std::string endpoint_name_;
-  ingress::Router router_;
+  obs::MetricsRegistry metrics_;  ///< declared before the door counting in it
+  ingress::WireDoor door_;
   ClusterConfig config_;
+  /// The model's ingress_auth token, stamped on every downstream request
+  /// so the shards' own auth middleware passes the forwarded hop.
+  std::string auth_token_;
 
   /// Guards the SHAPE of shards_ (append on join, client release on
   /// retire) and every ring_ read/write. Routing paths take it shared
@@ -356,31 +345,35 @@ class ClusterFrontEnd {
   std::int64_t checkpoint_versions_ = 0;  ///< last version stamped
   TimePoint next_checkpoint_sweep_{};
 
-  std::atomic<std::uint64_t> received_{0};
-  std::atomic<std::uint64_t> forwarded_{0};
-  std::atomic<std::uint64_t> rerouted_{0};
-  std::atomic<std::uint64_t> failovers_{0};
-  std::atomic<std::uint64_t> refused_{0};
-  std::atomic<std::uint64_t> replies_{0};
-  std::atomic<std::uint64_t> reply_failures_{0};
-  std::atomic<std::uint64_t> query_fanouts_{0};
-  std::atomic<std::uint64_t> breaker_trips_{0};
-  std::atomic<std::uint64_t> deltas_shipped_{0};
-  std::atomic<std::uint64_t> delta_bytes_{0};
-  std::atomic<std::uint64_t> full_bytes_{0};
-  std::atomic<std::uint64_t> replication_acks_{0};
-  std::atomic<std::uint64_t> replication_failures_{0};
-  std::atomic<std::uint64_t> stale_marks_{0};
-  std::atomic<std::uint64_t> full_syncs_shipped_{0};
-  std::atomic<std::uint64_t> full_sync_acks_{0};
-  std::atomic<std::uint64_t> joins_started_{0};
-  std::atomic<std::uint64_t> joins_completed_{0};
-  std::atomic<std::uint64_t> leaves_started_{0};
-  std::atomic<std::uint64_t> leaves_completed_{0};
-  std::atomic<std::uint64_t> checkpoints_taken_{0};
-  std::atomic<std::uint64_t> checkpoint_failures_{0};
-  std::atomic<std::uint64_t> resumes_shipped_{0};
-  std::atomic<std::uint64_t> resumes_completed_{0};
+  // The front-end's own ledger: "cluster.<field>" cells of metrics_.
+  obs::Counter& forwarded_ = metrics_.counter("cluster.forwarded");
+  obs::Counter& rerouted_ = metrics_.counter("cluster.rerouted");
+  obs::Counter& failovers_ = metrics_.counter("cluster.failovers");
+  obs::Counter& query_fanouts_ = metrics_.counter("cluster.query_fanouts");
+  obs::Counter& breaker_trips_ = metrics_.counter("cluster.breaker_trips");
+  obs::Counter& deltas_shipped_ = metrics_.counter("cluster.deltas_shipped");
+  obs::Counter& delta_bytes_ = metrics_.counter("cluster.delta_bytes");
+  obs::Counter& full_bytes_ = metrics_.counter("cluster.full_bytes");
+  obs::Counter& replication_acks_ =
+      metrics_.counter("cluster.replication_acks");
+  obs::Counter& replication_failures_ =
+      metrics_.counter("cluster.replication_failures");
+  obs::Counter& stale_marks_ = metrics_.counter("cluster.stale_marks");
+  obs::Counter& full_syncs_shipped_ =
+      metrics_.counter("cluster.full_syncs_shipped");
+  obs::Counter& full_sync_acks_ = metrics_.counter("cluster.full_sync_acks");
+  obs::Counter& joins_started_ = metrics_.counter("cluster.joins_started");
+  obs::Counter& joins_completed_ = metrics_.counter("cluster.joins_completed");
+  obs::Counter& leaves_started_ = metrics_.counter("cluster.leaves_started");
+  obs::Counter& leaves_completed_ =
+      metrics_.counter("cluster.leaves_completed");
+  obs::Counter& checkpoints_taken_ =
+      metrics_.counter("cluster.checkpoints_taken");
+  obs::Counter& checkpoint_failures_ =
+      metrics_.counter("cluster.checkpoint_failures");
+  obs::Counter& resumes_shipped_ = metrics_.counter("cluster.resumes_shipped");
+  obs::Counter& resumes_completed_ =
+      metrics_.counter("cluster.resumes_completed");
 };
 
 }  // namespace mdsm::cluster

@@ -54,7 +54,6 @@ Result<std::unique_ptr<ShardNode>> ShardNode::launch(
   if (!platform.ok()) return platform.status();
 
   std::unique_ptr<ShardNode> node(new ShardNode(middleware_model.clone()));
-  node->network_ = &network;
   node->platform_ = std::move(platform).value();
   node->states_imported_ =
       &node->platform_->metrics().counter("platform.session_states_imported");
@@ -63,12 +62,11 @@ Result<std::unique_ptr<ShardNode>> ShardNode::launch(
   }
   MDSM_RETURN_IF_ERROR(node->platform_->start());
 
-  ingress::IngressServerOptions server_options;
-  server_options.endpoint = std::move(options.endpoint);
-  server_options.manual_reply_loop = options.manual_reply_loop;
   Result<std::unique_ptr<ingress::IngressServer>> server =
-      ingress::IngressServer::attach(*node->platform_, network,
-                                     std::move(server_options));
+      ingress::IngressServer::attach(
+          *node->platform_, network,
+          {.endpoint = std::move(options.endpoint),
+           .manual_reply_loop = options.manual_reply_loop});
   if (!server.ok()) {
     (void)node->platform_->stop();
     return server.status();
@@ -82,9 +80,7 @@ ShardNode::~ShardNode() {
   // Same ordering as kill(): unbind the endpoint so no new delivery
   // races the drain, stop the platform while the server is still alive
   // (in-flight submit callbacks capture it), then free the server.
-  if (server_ != nullptr && network_ != nullptr) {
-    (void)network_->remove_endpoint(server_->endpoint_name());
-  }
+  if (server_ != nullptr) server_->door().unbind();
   if (platform_ != nullptr && platform_->running()) (void)platform_->stop();
   server_.reset();
 }
@@ -92,65 +88,54 @@ ShardNode::~ShardNode() {
 void ShardNode::install_replication_route() {
   // Registered before any traffic flows (launch returns the node only
   // after this), satisfying the router's no-concurrent-mutation rule.
-  (void)server_->router().add(
-      "replicate/{what}",
-      [this](const net::Message& message, const ingress::RouteParams& params) {
-        handle_replicate(message, params);
-      });
-  (void)server_->router().add(
-      "checkpoint/{session}",
-      [this](const net::Message& message, const ingress::RouteParams& params) {
-        handle_checkpoint(message, params);
-      });
+  ingress::WireDoor& door = server_->door();
+  (void)door.route("replicate/{what}",
+                   [this](ingress::IngressContext& context) {
+                     handle_replicate(context);
+                   });
+  (void)door.route("checkpoint/{session}",
+                   [this](ingress::IngressContext& context) {
+                     handle_checkpoint(context);
+                   });
 }
 
-void ShardNode::handle_checkpoint(const net::Message& message,
-                                  const ingress::RouteParams& params) {
-  Result<ingress::wire::Request> decoded =
-      ingress::wire::decode_request(message.payload);
-  if (!decoded.ok()) {
-    server_->post_refusal(message.from, 0, decoded.status(),
-                          ingress::wire::is_version_mismatch(decoded.status())
-                              ? "bad-version"
-                              : "malformed");
-    return;
-  }
-  const std::uint64_t id = decoded.value().request_id;
-  const std::string session(params.get("session"));
+void ShardNode::handle_checkpoint(const ingress::IngressContext& context) {
+  ingress::WireDoor& door = server_->door();
+  const std::uint64_t id = context.request.request_id;
+  const std::string session(context.params->get("session"));
   Result<model::Value> state = platform_->export_session_state(session);
   if (!state.ok()) {
-    server_->post_refusal(message.from, id, state.status(), {});
+    door.refuse(context.message->from, id, state.status());
     return;
   }
   {
     std::lock_guard lock(replica_mutex_);
     ++stats_.checkpoints_exported;
   }
-  ingress::wire::Reply reply;
-  reply.request_id = id;
-  reply.message = state.value().to_text();
-  // 0 once the session has ended here (read after the export, so a
-  // session that ends meanwhile reads as ended): nothing to resume.
-  reply.commands = platform_->synthesis().is_live(session) ? 1 : 0;
-  server_->post_reply(message.from, std::move(reply));
+  // `commands` is 0 once the session has ended here (read after the
+  // export, so one that ends meanwhile reads as ended): nothing to resume.
+  door.reply(context.message->from,
+             {.request_id = id,
+              .message = state.value().to_text(),
+              .commands = platform_->synthesis().is_live(session) ? 1 : 0});
 }
 
-void ShardNode::handle_session_state(const net::Message& message,
-                                     std::uint64_t id,
-                                     const ingress::wire::Request& request) {
+void ShardNode::handle_session_state(const ingress::IngressContext& context) {
+  ingress::WireDoor& door = server_->door();
+  const std::string& from = context.message->from;
+  const std::uint64_t id = context.request.request_id;
   // The envelope: [["session", s], ["version", v], ["state", tree]].
-  auto field = [&request](std::string_view key) -> const model::Value* {
-    return request.body.is_list()
-               ? model::find_entry(request.body.as_list(), key)
-               : nullptr;
+  const model::Value& body = context.request.body;
+  auto field = [&body](std::string_view key) -> const model::Value* {
+    return body.is_list() ? model::find_entry(body.as_list(), key) : nullptr;
   };
   const model::Value* session = field("session");
   const model::Value* version = field("version");
   const model::Value* state = field("state");
   if (session == nullptr || !session->is_string() || version == nullptr ||
       !version->is_int() || state == nullptr) {
-    server_->post_refusal(
-        message.from, id,
+    door.refuse(
+        from, id,
         InvalidArgument("session-state envelope needs session/version/state"),
         "malformed");
     return;
@@ -191,78 +176,63 @@ void ShardNode::handle_session_state(const net::Message& message,
     }
   }
   if (!status.ok()) {
-    server_->post_refusal(message.from, id, status, std::move(refusal));
+    door.refuse(from, id, status, std::move(refusal));
     return;
   }
-  ingress::wire::Reply reply;
-  reply.request_id = id;
-  reply.message = "session-state imported";
-  reply.commands = shipped;
-  server_->post_reply(message.from, std::move(reply));
+  door.reply(from, {.request_id = id,
+                    .message = "session-state imported",
+                    .commands = shipped});
 }
 
-void ShardNode::handle_replicate(const net::Message& message,
-                                 const ingress::RouteParams& params) {
-  Result<ingress::wire::Request> decoded =
-      ingress::wire::decode_request(message.payload);
-  if (!decoded.ok()) {
-    server_->post_refusal(message.from, 0, decoded.status(),
-                          ingress::wire::is_version_mismatch(decoded.status())
-                              ? "bad-version"
-                              : "malformed");
+void ShardNode::handle_replicate(const ingress::IngressContext& context) {
+  const std::string_view what = context.params->get("what");
+  if (what == "session-state") {
+    handle_session_state(context);
     return;
   }
-  const std::uint64_t id = decoded.value().request_id;
-  const std::string_view what = params.get("what");
+  // Both model routes end in one reply: the applied change count, or
+  // the refusal of the first failing step.
+  Status status = Status::Ok();
+  std::string refusal;
+  ingress::wire::Reply reply;
+  reply.request_id = context.request.request_id;
   if (what == "model-full") {
     // Full-model ship: the warm-up / stale-repair path. The payload is
     // serialized model text; the node diffs it against its replica so
     // the apply machinery (and the vocabulary re-sync) is shared with
     // the delta path.
     Result<model::Model> full = model::parse_model(
-        decoded.value().text, core::middleware_metamodel());
+        context.request.text, core::middleware_metamodel());
     if (!full.ok()) {
-      server_->post_refusal(message.from, id, full.status(), "malformed");
-      return;
+      status = full.status();
+      refusal = "malformed";
+    } else {
+      status = apply_full_model(full.value());
+      reply.message = "model-full applied";
     }
-    if (Status status = apply_full_model(full.value()); !status.ok()) {
-      server_->post_refusal(message.from, id, status, {});
-      return;
+  } else if (what == "model-diff") {
+    Result<model::ChangeList> changes =
+        model::decode_changes(context.request.body);
+    if (!changes.ok()) {
+      status = changes.status();
+      refusal = "malformed";
+    } else {
+      status = apply_changes(changes.value());
+      reply.message = "model-diff applied";
+      reply.commands = static_cast<std::int64_t>(changes.value().size());
     }
-    ingress::wire::Reply reply;
-    reply.request_id = id;
-    reply.message = "model-full applied";
-    server_->post_reply(message.from, std::move(reply));
+  } else {
+    status =
+        NotFound("unknown replication payload '" + std::string(what) + "'");
+    refusal = "no-route";
+  }
+  ingress::WireDoor& door = server_->door();
+  if (!status.ok()) {
+    door.refuse(context.message->from, reply.request_id, status,
+                std::move(refusal));
     return;
   }
-  if (what == "session-state") {
-    handle_session_state(message, id, decoded.value());
-    return;
-  }
-  if (what != "model-diff") {
-    server_->post_refusal(
-        message.from, id,
-        NotFound("unknown replication payload '" + std::string(what) + "'"),
-        "no-route");
-    return;
-  }
-  Result<model::ChangeList> changes =
-      model::decode_changes(decoded.value().body);
-  if (!changes.ok()) {
-    server_->post_refusal(message.from, id, changes.status(), "malformed");
-    return;
-  }
-  const std::int64_t applied =
-      static_cast<std::int64_t>(changes.value().size());
-  if (Status status = apply_changes(changes.value()); !status.ok()) {
-    server_->post_refusal(message.from, id, status, {});
-    return;
-  }
-  ingress::wire::Reply reply;
-  reply.request_id = id;
-  reply.message = "model-diff applied";
-  reply.commands = applied;
-  server_->post_reply(message.from, std::move(reply));
+  door.reply(context.message->from, std::move(reply));
 }
 
 Status ShardNode::apply_changes(const model::ChangeList& changes) {
@@ -373,7 +343,7 @@ void ShardNode::kill() {
   // object alive: pipeline workers still hold submit callbacks that
   // capture it. stop() drains those callbacks (their replies now fail
   // kUnavailable and are dropped); only then may the server be freed.
-  (void)network_->remove_endpoint(server_->endpoint_name());
+  server_->door().unbind();
   if (platform_ != nullptr && platform_->running()) (void)platform_->stop();
   server_.reset();
 }

@@ -1,16 +1,11 @@
-// One member of the sharded platform cluster (PR 8): a full Platform
-// plus its own IngressServer endpoint on the shared simulated network,
-// and a replica of the cluster's authoritative middleware model.
-//
-// Runtime-model changes (DSK/procedure updates) reach shards as
-// model::diff ChangeLists on the "replicate/{what}" extension route —
-// the front-end ships deltas, never full model text. The node applies
-// the delta to its replica model, then re-decodes only the controller
-// artifacts the delta touched (DscSpec → DscRegistry upsert/remove,
-// ProcedureSpec → ProcedureRepository upsert/remove via
-// core::decode_procedure). The PR-3 version stamps on both registries
-// invalidate cached intent models automatically, so traffic in flight
-// during a replication never executes against a stale vocabulary.
+// One member of the sharded platform cluster: a full Platform behind
+// its own IngressServer endpoint, and a replica of the cluster's
+// authoritative middleware model. Runtime-model changes arrive as
+// model::diff ChangeLists on the internal "replicate/{what}" route; the
+// node applies the delta to its replica and re-decodes only the
+// DscSpec/ProcedureSpec artifacts it touched. The registries' version
+// stamps invalidate cached intent models, so in-flight traffic never
+// executes against a stale vocabulary.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +55,6 @@ class ShardNode {
     return server_->endpoint_name();
   }
   [[nodiscard]] core::Platform& platform() noexcept { return *platform_; }
-  [[nodiscard]] ingress::IngressServer& server() noexcept { return *server_; }
 
   /// Manual reply loop only: drain queued replies.
   std::size_t pump();
@@ -106,27 +100,23 @@ class ShardNode {
   explicit ShardNode(model::Model replica_model)
       : replica_model_(std::move(replica_model)) {}
 
+  /// Register the internal routes on the server's door. They skip the
+  /// middleware chain: only the front-end speaks them.
   void install_replication_route();
-  void handle_replicate(const net::Message& message,
-                        const ingress::RouteParams& params);
+  void handle_replicate(const ingress::IngressContext& context);
   /// Serve "checkpoint/{session}": export this platform's session state
   /// and reply with its text encoding (the front-end's capture path);
   /// the reply's `commands` is 1 while the session is live, 0 once it
   /// has ended.
-  void handle_checkpoint(const net::Message& message,
-                         const ingress::RouteParams& params);
+  void handle_checkpoint(const ingress::IngressContext& context);
   /// "replicate/session-state" payload: version-gate, then import into
   /// the live platform.
-  void handle_session_state(const net::Message& message, std::uint64_t id,
-                            const ingress::wire::Request& request);
+  void handle_session_state(const ingress::IngressContext& context);
   /// apply_changes with replica_mutex_ already held.
   Status apply_changes_locked(const model::ChangeList& changes);
-  /// Upsert/remove the DscSpec/ProcedureSpec artifacts `changes` touch.
-  Status sync_touched_artifacts(const model::ChangeList& changes);
 
   std::unique_ptr<core::Platform> platform_;
   std::unique_ptr<ingress::IngressServer> server_;
-  net::Network* network_ = nullptr;
   bool killed_ = false;
 
   mutable std::mutex replica_mutex_;  ///< guards replica_model_, stats,

@@ -13,6 +13,18 @@ Result<std::unique_ptr<Platform>> Platform::assemble_from_text(
   return assemble(*middleware_model, std::move(config));
 }
 
+IngressSettings decode_ingress_settings(const model::ModelObject& root) {
+  IngressSettings settings;
+  settings.endpoint = root.get_string("ingress_endpoint");
+  settings.auth_token = root.get_string("ingress_auth");
+  settings.default_deadline =
+      Duration(root.get_int("ingress_default_deadline_us", 0));
+  settings.rate_limit = root.get_real("ingress_rate_limit", 0.0);
+  settings.rate_burst = root.get_real("ingress_rate_burst", 0.0);
+  settings.dedup_ttl = Duration(root.get_int("ingress_dedup_ttl_us", 0));
+  return settings;
+}
+
 Result<std::unique_ptr<Platform>> Platform::assemble(
     const model::Model& middleware_model, PlatformConfig config) {
   if (middleware_model.metamodel_ptr() != middleware_metamodel()) {
@@ -71,16 +83,7 @@ Result<std::unique_ptr<Platform>> Platform::assemble(
   // and default wire deadline are model attributes too — a split
   // deployment is described by the same middleware model that describes
   // the platform it fronts.
-  platform->ingress_settings_.endpoint = root.get_string("ingress_endpoint");
-  platform->ingress_settings_.auth_token = root.get_string("ingress_auth");
-  platform->ingress_settings_.default_deadline =
-      Duration(root.get_int("ingress_default_deadline_us", 0));
-  platform->ingress_settings_.rate_limit =
-      root.get_real("ingress_rate_limit", 0.0);
-  platform->ingress_settings_.rate_burst =
-      root.get_real("ingress_rate_burst", 0.0);
-  platform->ingress_settings_.dedup_ttl =
-      Duration(root.get_int("ingress_dedup_ttl_us", 0));
+  platform->ingress_settings_ = decode_ingress_settings(root);
 
   // The component factory holds the layer "code templates"; assembly then
   // instantiates them with the model objects as metadata (paper §V-A).
@@ -540,6 +543,7 @@ Result<controller::ControlScript> Platform::submit_inline(
         Request local;
         std::shared_ptr<Request> request = run_state(true, local);
         request->inflight.emplace(*this);  // before admit()'s running_ check
+        requests_submitted_.add();         // the machine takes it here
         request->inline_mode = true;
         request->context = std::shared_ptr<obs::RequestContext>(
             std::shared_ptr<void>(), &context);
@@ -585,6 +589,15 @@ Status Platform::submit_async(std::string text, SubmitCallback callback,
   const std::string_view remote = request->context->remote_id();
   request->root_span = request->context->open_span(
       "ui.submit", remote.empty() ? std::string_view("staged") : remote);
+  // A budget already spent (admission off lets it through) never takes
+  // a queue slot or a watchdog: the machine resolves it here as
+  // kTimeout, through the callback, as the sync door's admit() does —
+  // counted submitted and failed.
+  if (Status live = request->context->check_deadline("ui"); !live.ok()) {
+    requests_submitted_.add();
+    finish(request, std::move(live));
+    return Status::Ok();
+  }
   request->queue_span = request->context->open_span("runtime.queue");
   // Deadline watchdog: a request whose budget expires while parked
   // between stages resolves with kTimeout *when it expires*, not when
@@ -614,6 +627,7 @@ Status Platform::submit_async(std::string text, SubmitCallback callback,
         !request->resolved.exchange(true, std::memory_order_acq_rel);
     request->context->close_span(request->root_span);  // closes queue span
     if (won) {
+      requests_failed_.add();  // it was counted submitted at enqueue
       if (request->watchdog != 0) loop_->cancel(request->watchdog);
       invoke_callback(request->callback,
                       Unavailable(request->context->tag() +
@@ -632,6 +646,7 @@ Status Platform::submit_async(std::string text, SubmitCallback callback,
     if (request->watchdog != 0) loop_->cancel(request->watchdog);
     return submitted;
   }
+  requests_submitted_.add();  // the machine took it
   return Status::Ok();
 }
 
@@ -700,7 +715,6 @@ void Platform::stage_synthesis(std::shared_ptr<Request> request) {
   context.close_span(request->queue_span);
   if (abandoned(request)) return;
   obs::ContextScope ambient(context);
-  requests_submitted_.add();
   // Admission (async: re-checked after queue delay ate into the budget).
   if (Status admitted = admit(context); !admitted.ok()) {
     finish(request, std::move(admitted));

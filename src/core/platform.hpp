@@ -99,6 +99,12 @@ struct IngressSettings {
   Duration dedup_ttl{0};
 };
 
+/// Read the ingress_* attributes of a MiddlewarePlatform root. Every
+/// door provisioned from a middleware model uses this one decoder: a
+/// platform's ingress server and the cluster front-end before a fleet.
+[[nodiscard]] IngressSettings decode_ingress_settings(
+    const model::ModelObject& platform_root);
+
 class Platform {
  public:
   /// Assemble a platform from a middleware model. The model must conform

@@ -117,12 +117,9 @@ Result<std::uint64_t> IngressClient::submit(std::string_view dsml,
         std::chrono::duration_cast<std::chrono::microseconds>(*options.deadline)
             .count();
   }
-  std::string topic = "submit/";
-  topic.append(dsml);
-  topic.push_back('/');
-  topic.append(session);
   return send_request(
-      std::move(topic), std::move(request),
+      "submit/" + std::string(dsml) + "/" + std::string(session),
+      std::move(request),
       options.wait_includes_deadline ? options.deadline : std::nullopt,
       std::move(callback));
 }
@@ -130,8 +127,7 @@ Result<std::uint64_t> IngressClient::submit(std::string_view dsml,
 Result<std::uint64_t> IngressClient::query(std::string_view what,
                                            Callback callback) {
   if (what.empty()) return InvalidArgument("query needs a subject");
-  return send_request("query/" + std::string(what), wire::Request{}, {},
-                      std::move(callback));
+  return call("query/" + std::string(what), {}, std::move(callback));
 }
 
 Result<std::uint64_t> IngressClient::call(std::string topic,
@@ -235,11 +231,6 @@ std::size_t IngressClient::expire_overdue() {
 void IngressClient::close() {
   std::lock_guard lock(mutex_);
   closed_ = true;
-}
-
-bool IngressClient::closed() const {
-  std::lock_guard lock(mutex_);
-  return closed_;
 }
 
 std::size_t IngressClient::pending() const {

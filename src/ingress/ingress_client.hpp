@@ -103,7 +103,6 @@ class IngressClient {
   /// the shard drops out of the ring, then retires it once pending()
   /// reaches zero. Idempotent.
   void close();
-  [[nodiscard]] bool closed() const;
 
   /// Walk every pending submission whose expiry passed on the network
   /// clock: re-send it under the same request id while its retry budget

@@ -1,23 +1,16 @@
-// The networked ingress front-end (PR 7): turns a Platform from a
-// library into a server. An IngressServer binds an Endpoint on the
-// simulated network, decodes submit/query wire messages, routes them
-// through a pattern Router and an ordered MiddlewareChain, and hands
-// admitted submissions to Platform::submit_async. Every outcome —
-// including the PR-5/PR-6 overload refusals at the platform door — goes
-// back to the sender as a typed refusal reply, so a remote client
-// experiences exactly the backpressure contract an in-process caller
-// does.
-//
-// Replies are posted through a dedicated runtime::EventLoop rather than
-// sent from pipeline workers: completion callbacks hand the encoded
-// reply to the loop and return, keeping network work off the request
-// pipeline and parking no thread (manual mode lets deterministic tests
-// pump the reply queue themselves).
+// The networked ingress server: turns a Platform from a library into a
+// server. It stands behind a WireDoor (door.hpp), which owns the
+// endpoint, routing, decoding, the middleware chain, refusals and the
+// door counters. The server's terminals check the DSML, consult the
+// dedup ledger, hand submissions to Platform::submit_async and answer
+// queries. Platform completions run on pipeline workers, so their
+// replies are posted to a dedicated runtime::EventLoop (manual mode lets
+// deterministic tests pump it); everything else is answered at once on
+// the delivering thread.
 //
 // Lifecycle: attach() → traffic → destroy the server *before* the
-// Network and Platform it fronts (destruction flushes pending replies,
-// then unbinds the endpoint; the PR-7 net lifecycle fixes make a reply
-// racing teardown fail soft with kUnavailable instead of crashing).
+// Network and Platform it fronts (the door closes, pending replies
+// flush, the endpoint unbinds; a reply racing teardown fails soft).
 #pragma once
 
 #include <cstdint>
@@ -29,8 +22,7 @@
 #include <utility>
 
 #include "core/platform.hpp"
-#include "ingress/middleware.hpp"
-#include "ingress/router.hpp"
+#include "ingress/door.hpp"
 #include "ingress/wire.hpp"
 #include "net/network.hpp"
 #include "runtime/event_loop.hpp"
@@ -66,23 +58,14 @@ class IngressServer {
   IngressServer& operator=(const IngressServer&) = delete;
 
   [[nodiscard]] const std::string& endpoint_name() const noexcept {
-    return endpoint_name_;
+    return door_.name();
   }
-  /// Extend routing/middleware before traffic flows (not thread-safe
-  /// against concurrent delivery, by design — same rule as set_handler).
-  [[nodiscard]] Router& router() noexcept { return router_; }
-  [[nodiscard]] MiddlewareChain& middleware() noexcept { return chain_; }
+  /// The server's door. Extension routes (a shard's replicate/{what})
+  /// are added before traffic flows — the same rule as set_handler.
+  [[nodiscard]] WireDoor& door() noexcept { return door_; }
 
   /// Manual reply loop only: send queued replies; returns closures run.
   std::size_t pump();
-
-  /// Dispatch hooks for extension routes registered on router() (the
-  /// cluster's replicate/{what} handlers): send a reply / typed refusal
-  /// through the server's reply loop, with the same accounting the
-  /// built-in routes get.
-  void post_reply(const std::string& to, wire::Reply reply);
-  void post_refusal(const std::string& to, std::uint64_t request_id,
-                    const Status& status, std::string refusal = {});
 
   /// View over the server's delivery counters: the "ingress.<field>"
   /// cells of the platform registry.
@@ -104,21 +87,11 @@ class IngressServer {
   [[nodiscard]] Stats stats() const;
 
  private:
-  IngressServer(core::Platform& platform, net::Network& network);
+  IngressServer(core::Platform& platform, net::Network& network,
+                const IngressServerOptions& options);
 
-  void install_default_chain(const core::IngressSettings& settings);
-  Status install_default_routes();
-
-  void on_message(const net::Message& message);
-  void handle_submit(const net::Message& message, const RouteParams& params);
-  void handle_query(const net::Message& message, const RouteParams& params);
-
-  /// Type + send a refusal for `status` (slug from `refusal`, falling
-  /// back to classify_refusal).
-  void refuse(const std::string& to, std::uint64_t request_id,
-              const Status& status, std::string refusal);
-  /// Post the reply onto the reply loop (manual: until pump()).
-  void send_reply(const std::string& to, wire::Reply reply);
+  void handle_submit(IngressContext& context);
+  void handle_query(IngressContext& context);
 
   /// Dedup ledger (PR 8): answer to a retried "<client>#<id>" submit.
   enum class DedupVerdict {
@@ -134,22 +107,13 @@ class IngressServer {
 
   core::Platform* platform_;
   net::Network* network_;
-  std::shared_ptr<net::Endpoint> endpoint_;  ///< keepalive past removal
-  std::string endpoint_name_;
-  Router router_;
-  MiddlewareChain chain_;
+  WireDoor door_;
+  /// Declared after door_: destroyed (stopped) before the endpoint goes.
   std::unique_ptr<runtime::EventLoop> reply_loop_;
-  TimePoint attach_time_{};
 
-  obs::Counter& received_;
-  obs::Counter& malformed_;
-  obs::Counter& unrouted_;
-  obs::Counter& refused_;
   obs::Counter& accepted_;
   obs::Counter& completed_ok_;
   obs::Counter& completed_error_;
-  obs::Counter& replies_;
-  obs::Counter& reply_failures_;
   obs::Counter& deduped_;
   obs::Counter& dedup_expired_;
   obs::Histogram& service_us_;

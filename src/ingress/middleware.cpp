@@ -8,6 +8,14 @@
 
 namespace mdsm::ingress {
 
+std::string request_identity(const IngressContext& context) {
+  if (!context.request.forwarded_for.empty()) {
+    return context.request.forwarded_for;
+  }
+  return context.message->from + "#" +
+         std::to_string(context.request.request_id);
+}
+
 void MiddlewareChain::add(std::string name, Middleware fn) {
   obs::Counter& refusals =
       metrics_.counter("ingress.middleware." + name + ".refusals");
@@ -63,22 +71,6 @@ bool RateLimiter::admit(std::string_view client, TimePoint now) {
 std::size_t RateLimiter::clients() const {
   std::lock_guard lock(mutex_);
   return buckets_.size();
-}
-
-Middleware make_rate_limit_middleware(double rate_per_second, double burst,
-                                      const Clock& clock) {
-  // Shared state: the chain copies the std::function, so the limiter
-  // lives behind a shared_ptr all copies see.
-  auto limiter = std::make_shared<RateLimiter>(rate_per_second, burst);
-  const Clock* clock_ptr = &clock;
-  return [limiter, clock_ptr](IngressContext& context) {
-    if (limiter->admit(context.message->from, clock_ptr->now())) {
-      return Status::Ok();
-    }
-    context.refusal = "rate-limited";
-    return Unavailable("client '" + context.message->from +
-                       "' exceeded the ingress rate limit");
-  };
 }
 
 }  // namespace mdsm::ingress

@@ -1,18 +1,11 @@
-// Ordered ingress middleware chain (PR 7), after WebFrame's
+// Ordered ingress middleware chain, after WebFrame's
 // ViewMiddlewareChain: each middleware inspects/annotates the decoded
-// request on its way to Platform::submit_async, and the first failure
-// short-circuits the chain into a *typed* refusal reply. The default
-// chain an IngressServer installs is
-//
-//   trace    — stamp the cross-wire request id + session as context
-//              attributes (the platform opens its root span with them)
-//   auth     — shared-secret stub; refusal slug "unauthenticated"
-//   deadline — extract the wire deadline (or apply the model default)
-//              into SubmitOptions; malformed budgets are refused
-//
-// PR-5 admission control stays where it lives — at the platform door
-// inside submit_async — so the ingress chain hands off an annotated
-// request and the overload gates type the refusals the chain forwards.
+// request on its way to a door's terminal, and the first failure
+// short-circuits the chain into a *typed* refusal reply. The chain a
+// middleware model describes (trace, rate-limit, auth, deadline) is
+// installed by WireDoor::install_chain (door.hpp). Admission control
+// stays at the platform door inside submit_async; the chain hands off
+// an annotated request.
 #pragma once
 
 #include <functional>
@@ -44,6 +37,11 @@ struct IngressContext {
   std::string refusal;
 };
 
+/// "<client>#<id>": the retry-stable identity of a request. A request a
+/// front-end forwards keeps the original client's (forwarded_for), so
+/// retries and failovers trace and dedup as one request at every hop.
+[[nodiscard]] std::string request_identity(const IngressContext& context);
+
 /// Returns Ok to pass the request on, any error Status to refuse it.
 using Middleware = std::function<Status(IngressContext&)>;
 
@@ -62,8 +60,6 @@ class MiddlewareChain {
   /// refusal and is returned.
   [[nodiscard]] Status run(IngressContext& context) const;
 
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
   [[nodiscard]] std::vector<std::string> names() const;
 
  private:
@@ -102,12 +98,5 @@ class RateLimiter {
   mutable std::mutex mutex_;
   std::map<std::string, Bucket, std::less<>> buckets_;
 };
-
-/// The middleware the default chain installs when the model sets
-/// ingress_rate_limit > 0: refuses with slug "rate-limited" /
-/// kUnavailable when the sender's bucket is dry. `clock` must outlive
-/// the chain (the ingress passes the network clock).
-[[nodiscard]] Middleware make_rate_limit_middleware(
-    double rate_per_second, double burst, const Clock& clock);
 
 }  // namespace mdsm::ingress

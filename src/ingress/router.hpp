@@ -35,7 +35,6 @@ class RouteParams {
     }
     return {};
   }
-  [[nodiscard]] std::size_t size() const noexcept { return params_.size(); }
 
  private:
   std::vector<std::pair<std::string, std::string>> params_;
@@ -59,7 +58,6 @@ class Router {
   /// Match `topic` against the table; nullopt when no route fits.
   [[nodiscard]] std::optional<Match> route(std::string_view topic) const;
 
-  [[nodiscard]] std::size_t size() const noexcept { return routes_.size(); }
 
  private:
   struct Route {

@@ -19,6 +19,13 @@ Status malformed(std::string_view what) {
 /// keys off it so servers can type the "bad-version" slug.
 constexpr std::string_view kVersionMismatchPrefix = "wire version mismatch";
 
+/// Append the string field `key` unless `value` is empty.
+void put_string(ValueList& fields, std::string_view key,
+                const std::string& value) {
+  if (value.empty()) return;
+  fields.push_back(make_entry(std::string(key), Value(value)));
+}
+
 void put_version(ValueList& fields) {
   fields.push_back(make_entry(
       "wire_version", Value(ValueList{Value(kWireMajor), Value(kWireMinor)})));
@@ -51,9 +58,7 @@ model::Value encode_request(const Request& request) {
   fields.push_back(make_entry(
       "request_id", Value(static_cast<std::int64_t>(request.request_id))));
   fields.push_back(make_entry("text", Value(request.text)));
-  if (!request.auth.empty()) {
-    fields.push_back(make_entry("auth", Value(request.auth)));
-  }
+  put_string(fields, "auth", request.auth);
   if (request.deadline_us != 0) {
     fields.push_back(make_entry("deadline_us", Value(request.deadline_us)));
   }
@@ -63,10 +68,7 @@ model::Value encode_request(const Request& request) {
   if (!request.body.is_none()) {
     fields.push_back(make_entry("body", request.body));
   }
-  if (!request.forwarded_for.empty()) {
-    fields.push_back(
-        make_entry("forwarded_for", Value(request.forwarded_for)));
-  }
+  put_string(fields, "forwarded_for", request.forwarded_for);
   return Value(std::move(fields));
 }
 
@@ -120,12 +122,8 @@ model::Value encode_reply(const Reply& reply) {
       "request_id", Value(static_cast<std::int64_t>(reply.request_id))));
   fields.push_back(
       make_entry("code", Value(static_cast<std::int64_t>(reply.code))));
-  if (!reply.refusal.empty()) {
-    fields.push_back(make_entry("refusal", Value(reply.refusal)));
-  }
-  if (!reply.message.empty()) {
-    fields.push_back(make_entry("message", Value(reply.message)));
-  }
+  put_string(fields, "refusal", reply.refusal);
+  put_string(fields, "message", reply.message);
   if (reply.commands != 0) {
     fields.push_back(make_entry("commands", Value(reply.commands)));
   }

@@ -15,6 +15,7 @@
 // network boundary unchanged.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -33,6 +34,10 @@ inline constexpr std::string_view kQueryPattern = "query/{what}";
 /// runtime model (the unscoped query reads the default session's).
 inline constexpr std::string_view kSessionQueryPattern =
     "query/{what}/{session}";
+/// The views "query/{what}" serves; every door refuses any other
+/// {what} as "no-route".
+inline constexpr std::array<std::string_view, 2> kQueryViews = {
+    "runtime-model", "metrics"};
 
 /// Wire schema version (PR 8). Every encoded message stamps
 /// [major, minor] under "wire_version"; decoders accept any minor of

@@ -21,9 +21,11 @@
 #include "core/middleware_metamodel.hpp"
 #include "core/platform.hpp"
 #include "ingress/ingress_client.hpp"
+#include "ingress/wire.hpp"
 #include "model/diff.hpp"
 #include "model/text_format.hpp"
 #include "net/network.hpp"
+#include "obs/metrics.hpp"
 #include "soak_fixtures.hpp"
 
 namespace mdsm {
@@ -1462,6 +1464,156 @@ TEST(ClusterE2E, QueryFanOutSkipsAJoiningShard) {
                   .ok());
   ASSERT_TRUE(cluster->drive_until([&] { return second->has_value(); }));
   EXPECT_NE((*second)->payload.find("=== shard 2 ==="), std::string::npos);
+  cluster->shutdown();
+}
+
+// The front-end is provisioned from the same middleware model as its
+// shards. With ingress_auth set, a client carrying the model's token is
+// served end to end, and a wrong token is refused "unauthenticated" by
+// the front-end itself: nothing is forwarded and no shard sees it.
+TEST(ClusterE2E, ModelAuthTokenGuardsTheFrontDoor) {
+  ingress::IngressClientOptions trusted;
+  trusted.auth = "sesame";
+  auto cluster = make_cluster(2, {}, trusted, "ingress_auth = \"sesame\"");
+  ASSERT_NE(cluster, nullptr);
+  auto shard_received = [&] {
+    std::uint64_t received = 0;
+    for (auto& node : cluster->nodes) {
+      received +=
+          node->platform().metrics().counter("ingress.received").value();
+    }
+    return received;
+  };
+
+  std::optional<ingress::RemoteOutcome> served;
+  ASSERT_TRUE(cluster->client
+                  ->submit("testlang", "a1", soak::open_session_text("a1"),
+                           [&](const ingress::RemoteOutcome& r) { served = r; })
+                  .ok());
+  ASSERT_TRUE(cluster->drive_until([&] { return served.has_value(); }));
+  EXPECT_TRUE(served->status.ok()) << served->status.to_string();
+  EXPECT_EQ(cluster->frontend->stats().forwarded, 1u);
+  const std::uint64_t seen = shard_received();
+  EXPECT_EQ(seen, 1u);
+
+  ingress::IngressClientOptions wrong;
+  wrong.endpoint = "intruder";
+  wrong.auth = "guess";
+  auto intruder = ingress::IngressClient::attach(
+      *cluster->network, cluster->frontend->endpoint_name(), wrong);
+  ASSERT_TRUE(intruder.ok());
+  std::optional<ingress::RemoteOutcome> denied;
+  ASSERT_TRUE(intruder.value()
+                  ->submit("testlang", "a2", soak::open_session_text("a2"),
+                           [&](const ingress::RemoteOutcome& r) { denied = r; })
+                  .ok());
+  ASSERT_TRUE(cluster->drive_until([&] { return denied.has_value(); }));
+  EXPECT_EQ(denied->status.code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(denied->refusal, "unauthenticated");
+  EXPECT_EQ(cluster->frontend->stats().forwarded, 1u);
+  EXPECT_EQ(cluster->frontend->stats().refused, 1u);
+  EXPECT_EQ(shard_received(), seen);
+  intruder.value().reset();
+  cluster->shutdown();
+}
+
+// Every door answers the same bad input the same way. A lone
+// IngressServer (the shard's, addressed directly) and the cluster
+// front-end get the same six inputs; each answers every one with the
+// same (code, slug) and counts it in the same ingress.refused.<slug>
+// cell of its own registry.
+TEST(DoorParity, BadInputsMeetTheSameRefusalAtEveryDoor) {
+  auto cluster = make_cluster(1, {}, {}, "ingress_auth = \"sesame\"");
+  ASSERT_NE(cluster, nullptr);
+  std::mutex mutex;
+  std::vector<ingress::wire::Reply> replies;
+  auto probe = cluster->network->create_endpoint("probe");
+  ASSERT_TRUE(probe.ok());
+  probe.value()->set_handler([&](const net::Message& message) {
+    auto reply = ingress::wire::decode_reply(message.payload);
+    ASSERT_TRUE(reply.ok());
+    std::lock_guard lock(mutex);
+    replies.push_back(std::move(reply).value());
+  });
+
+  auto request = [](std::int64_t deadline_us, std::string auth) {
+    ingress::wire::Request out;
+    out.request_id = 7;
+    out.text = soak::open_session_text("p1");
+    out.auth = std::move(auth);
+    out.deadline_us = deadline_us;
+    return ingress::wire::encode_request(out);
+  };
+  model::Value foreign = request(0, "sesame");
+  for (model::Value& field : foreign.as_list()) {
+    if (field.as_list()[0] == model::Value("wire_version")) {
+      field.as_list()[1] = model::Value(model::ValueList{
+          model::Value(std::int64_t{ingress::wire::kWireMajor + 1}),
+          model::Value(std::int64_t{0})});
+    }
+  }
+  struct Row {
+    std::string topic;
+    model::Value payload;
+    ErrorCode code;
+    std::string refusal;
+  };
+  const std::vector<Row> rows = {
+      {"submit/testlang/p1", model::Value("garbage"),
+       ErrorCode::kInvalidArgument, "malformed"},
+      {"submit/testlang/p1", foreign, ErrorCode::kInvalidArgument,
+       "bad-version"},
+      {"weird/topic", request(0, "sesame"), ErrorCode::kNotFound, "no-route"},
+      {"submit/testlang/p1", request(0, "guess"),
+       ErrorCode::kFailedPrecondition, "unauthenticated"},
+      {"submit/testlang/p1", request(-5, "sesame"),
+       ErrorCode::kInvalidArgument, "malformed"},
+      {"query/bogus", request(0, "sesame"), ErrorCode::kNotFound, "no-route"},
+  };
+
+  auto answers = [&](const std::string& door) {
+    std::vector<ingress::wire::Reply> out;
+    for (const Row& row : rows) {
+      {
+        std::lock_guard lock(mutex);
+        replies.clear();
+      }
+      EXPECT_TRUE(probe.value()->send(door, row.topic, row.payload).ok());
+      EXPECT_TRUE(cluster->drive_until([&] {
+        std::lock_guard lock(mutex);
+        return !replies.empty();
+      })) << door << " " << row.topic;
+      std::lock_guard lock(mutex);
+      out.push_back(replies.empty() ? ingress::wire::Reply{} : replies[0]);
+    }
+    return out;
+  };
+  const std::vector<ingress::wire::Reply> server =
+      answers(cluster->nodes[0]->endpoint_name());
+  const std::vector<ingress::wire::Reply> frontend =
+      answers(cluster->frontend->endpoint_name());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(server[i].code, rows[i].code) << "server, row " << i;
+    EXPECT_EQ(server[i].refusal, rows[i].refusal) << "server, row " << i;
+    EXPECT_EQ(frontend[i].code, server[i].code) << "front-end, row " << i;
+    EXPECT_EQ(frontend[i].refusal, server[i].refusal) << "front-end, row " << i;
+  }
+
+  const obs::MetricsSnapshot at_server =
+      cluster->nodes[0]->platform().metrics().snapshot();
+  const obs::MetricsSnapshot at_frontend =
+      cluster->frontend->metrics().snapshot();
+  const std::map<std::string, std::uint64_t> expected = {
+      {"malformed", 2}, {"bad-version", 1}, {"no-route", 2},
+      {"unauthenticated", 1}};
+  for (const auto& [slug, count] : expected) {
+    const std::string cell = "ingress.refused." + slug;
+    EXPECT_EQ(at_server.counter_value(cell), count) << cell;
+    EXPECT_EQ(at_frontend.counter_value(cell), count) << cell;
+  }
+  EXPECT_EQ(at_server.counter_value("ingress.refused"), rows.size());
+  EXPECT_EQ(at_frontend.counter_value("ingress.refused"), rows.size());
+  EXPECT_EQ(cluster->frontend->stats().forwarded, 0u);
   cluster->shutdown();
 }
 

@@ -212,6 +212,81 @@ TEST(Overload, AsyncQueueDelaySpanRecorded) {
   EXPECT_GE(queue_delay->count, 1u);
 }
 
+// A request whose budget is already spent when it reaches the async
+// door never takes a queue slot or a stage: the door resolves it at once
+// as kTimeout, through its callback, as the sync door's admission check
+// does. It is counted submitted and failed together, so
+// requests.submitted never trails requests.failed.
+TEST(Overload, SpentDeadlineResolvesAtTheAsyncDoor) {
+  auto fixture = make_overload_platform("", /*pipeline_threads=*/1);
+  ASSERT_NE(fixture.platform, nullptr);
+  Platform& platform = *fixture.platform;
+  ASSERT_FALSE(platform.admission().config().enabled);
+  constexpr int kRequests = 500;
+  int timeouts = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    SubmitOptions options;
+    options.deadline = Duration(0);
+    bool resolved = false;
+    ASSERT_TRUE(platform
+                    .submit_async(soak::open_session_text(numbered("s", i)),
+                                  [&](Result<controller::ControlScript> r) {
+                                    resolved = true;
+                                    if (r.status().code() ==
+                                        ErrorCode::kTimeout) {
+                                      ++timeouts;
+                                    }
+                                  },
+                                  options)
+                    .ok());
+    EXPECT_TRUE(resolved) << "request " << i << " was queued";
+  }
+  EXPECT_EQ(timeouts, kRequests);
+  for (const auto& stage : platform.stage_stats()) {
+    EXPECT_EQ(stage.entered, 0u) << stage.name;
+  }
+  const std::uint64_t submitted =
+      platform.metrics().counter("requests.submitted").value();
+  const std::uint64_t failed =
+      platform.metrics().counter("requests.failed").value();
+  EXPECT_EQ(failed, static_cast<std::uint64_t>(kRequests));
+  EXPECT_GE(submitted, failed);
+  EXPECT_TRUE(platform.stop().ok());
+}
+
+// The request counters are a ledger of the async door: every submission
+// it accepts counts once in requests.submitted, and every one that
+// resolves as an error — a victim shed from the queue included — once
+// in requests.failed.
+TEST(Overload, RequestCountersBalanceUnderShedding) {
+  auto fixture = make_overload_platform(
+      "queue_capacity = 1\n"
+      "  overflow_policy = shed-oldest",
+      /*pipeline_threads=*/1);
+  ASSERT_NE(fixture.platform, nullptr);
+  Platform& platform = *fixture.platform;
+  constexpr int kRequests = 64;
+  std::atomic<int> failed{0};
+  std::atomic<int> settled{0};
+  int accepted = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    Status status = platform.submit_async(
+        soak::open_session_text(numbered("s", i)),
+        [&](Result<controller::ControlScript> outcome) {
+          if (!outcome.ok()) ++failed;
+          ++settled;
+        });
+    if (status.ok()) ++accepted;
+  }
+  while (settled.load() != accepted) std::this_thread::yield();
+  EXPECT_TRUE(platform.stop().ok());
+  EXPECT_GT(platform.pipeline_stats().shed, 0u);
+  EXPECT_EQ(platform.metrics().counter("requests.submitted").value(),
+            static_cast<std::uint64_t>(accepted));
+  EXPECT_EQ(platform.metrics().counter("requests.failed").value(),
+            static_cast<std::uint64_t>(failed.load()));
+}
+
 // The ledger soak (satellite): concurrent submitters against a small
 // bounded shed-oldest queue with chaos faults in the resource layer.
 // Every submission resolves exactly once: refused at the door, shed from
