@@ -5,10 +5,9 @@
 // options open).
 #pragma once
 
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 
 namespace mdsm {
 
@@ -31,28 +30,30 @@ class SteadyClock final : public Clock {
   }
 };
 
-/// Manually advanced virtual time, for deterministic tests.
+/// Manually advanced virtual time, for deterministic tests. Lock-free:
+/// readers on the request path never wait on a writer.
 class SimClock final : public Clock {
  public:
   [[nodiscard]] TimePoint now() const override {
-    std::lock_guard lock(mutex_);
-    return now_;
+    return TimePoint(Duration(now_us_.load()));
   }
 
   /// Move virtual time forward (never backward).
   void advance(Duration delta) {
-    std::lock_guard lock(mutex_);
-    if (delta.count() > 0) now_ += delta;
+    if (delta.count() > 0) now_us_.fetch_add(delta.count());
   }
 
+  /// Move virtual time to `t`, unless it is already later.
   void set(TimePoint t) {
-    std::lock_guard lock(mutex_);
-    if (t > now_) now_ = t;
+    const std::int64_t target = t.time_since_epoch().count();
+    std::int64_t current = now_us_.load();
+    while (current < target &&
+           !now_us_.compare_exchange_weak(current, target)) {
+    }
   }
 
  private:
-  mutable std::mutex mutex_;
-  TimePoint now_{};
+  std::atomic<std::int64_t> now_us_{0};
 };
 
 /// Stopwatch over any Clock; used by benches and adaptation timers.

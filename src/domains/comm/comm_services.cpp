@@ -37,9 +37,11 @@ void CommSessionService::ensure_endpoint(const std::string& address) {
     if (endpoint.ok()) {
       // Participants answer every offer; the handshake counts replies.
       endpoint.value()->set_handler([this, address](const net::Message& m) {
-        if (m.topic.rfind("offer.", 0) == 0) {
-          (void)network_->send(address, m.from, "answer." + m.topic.substr(6),
-                               m.payload);
+        constexpr std::string_view kOffer = "offer.";
+        if (m.topic.starts_with(kOffer)) {
+          std::string answer = "answer.";
+          answer.append(m.topic, kOffer.size());  // one allocation at most
+          (void)network_->send(address, m.from, std::move(answer), m.payload);
         }
       });
     }
@@ -51,10 +53,14 @@ Status CommSessionService::handshake(Session& session,
                                      const std::string& topic) {
   // Offer/answer with every other party; the network simulation applies
   // latency per hop and the service waits for the exchanges to settle.
+  // The offer topic is built once: each offer copies it, the last takes it.
+  std::string offer = "offer." + topic;
+  std::size_t offers = session.parties.size() - session.parties.count(address);
   for (const std::string& peer : session.parties) {
     if (peer == address) continue;
-    MDSM_RETURN_IF_ERROR(
-        network_->send(address, peer, "offer." + topic, Value(session.id)));
+    MDSM_RETURN_IF_ERROR(network_->send(
+        address, peer, --offers == 0 ? std::move(offer) : offer,
+        Value(session.id)));
   }
   network_->run_until_idle();
   negotiation_work();

@@ -1,5 +1,6 @@
 #include "net/network.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/ids.hpp"
@@ -60,9 +61,7 @@ Status Network::remove_endpoint(const std::string& name) {
 }
 
 Endpoint* Network::find_endpoint(std::string_view name) {
-  std::lock_guard lock(mutex_);
-  auto it = endpoints_.find(name);
-  return it == endpoints_.end() ? nullptr : it->second.get();
+  return endpoint_handle(name).get();  // the registry keeps it alive
 }
 
 std::shared_ptr<Endpoint> Network::endpoint_handle(std::string_view name) {
@@ -77,12 +76,12 @@ Status Network::send(const std::string& from, const std::string& to,
   if (!endpoints_.contains(from)) {
     return NotFound("sender endpoint '" + from + "' does not exist");
   }
-  ++stats_.sent;
+  sent_.add();
   // Loss is decided at send time (models the message never making it out).
   if (config_.drop_rate > 0.0) {
     std::uniform_real_distribution<double> uniform(0.0, 1.0);
     if (uniform(rng_) < config_.drop_rate) {
-      ++stats_.dropped;
+      dropped_.add();
       return Status::Ok();  // silent loss, like a real datagram network
     }
   }
@@ -92,50 +91,61 @@ Status Network::send(const std::string& from, const std::string& to,
         0, config_.jitter.count());
     latency += Duration(uniform(rng_));
   }
-  Pending pending;
-  pending.deliver_at = clock_->now() + latency;
-  pending.seq = ++seq_;
-  pending.message.id = next_id();
-  pending.message.from = from;
-  pending.message.to = to;
-  pending.message.topic = std::move(topic);
-  pending.message.payload = std::move(payload);
-  queue_.push(std::move(pending));
+  if (free_slots_.empty()) {
+    free_slots_.push_back(slots_.size());
+    slots_.emplace_back();
+  }
+  const std::size_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  slots_[slot] =
+      Message{next_id(), from, to, std::move(topic), std::move(payload)};
+  queue_.push_back(Pending{clock_->now() + latency, ++seq_, slot});
+  std::push_heap(queue_.begin(), queue_.end(), std::greater<>());
   return Status::Ok();
 }
 
 bool Network::link_up(const std::string& a, const std::string& b) const {
-  if (down_links_.contains(link_key(a, b))) return false;
-  if (partition_.has_value()) {
-    bool a_in = partition_->contains(a);
-    bool b_in = partition_->contains(b);
-    if (a_in != b_in) return false;
+  // No downed link and no partition, the usual case: no lookup at all.
+  if (!down_links_.empty() && down_links_.contains(link_key(a, b))) {
+    return false;
   }
-  return true;
+  return !partition_ || partition_->contains(a) == partition_->contains(b);
 }
 
 std::size_t Network::deliver_due() {
-  return deliver_due_bounded(std::numeric_limits<std::size_t>::max());
+  return deliver(std::numeric_limits<std::size_t>::max(), false);
 }
 
-std::size_t Network::deliver_due_bounded(std::size_t budget) {
+std::size_t Network::run_until_idle(std::size_t max_messages) {
+  return deliver(max_messages, true);
+}
+
+// Blocked and undeliverable messages are popped too, so the queue always
+// drains, but only handled messages spend the budget.
+std::size_t Network::deliver(std::size_t budget, bool advance) {
   std::size_t delivered = 0;
   while (delivered < budget) {
-    Endpoint::Handler handler;
     // Pin the destination for the whole handler call: a concurrent
     // remove_endpoint() defers the Endpoint's destruction until this
     // delivery settles (the handler may reentrantly send through it).
     std::shared_ptr<Endpoint> target;
+    std::shared_ptr<const Endpoint::Handler> handler;
     Message message;
     {
       std::lock_guard lock(mutex_);
-      if (queue_.empty() || queue_.top().deliver_at > clock_->now()) break;
-      message = queue_.top().message;
-      queue_.pop();
+      if (queue_.empty()) break;
+      const TimePoint due = queue_.front().deliver_at;
+      if (advance) clock_->set(due);  // monotonic: never moves time back
+      if (due > clock_->now()) break;
+      std::pop_heap(queue_.begin(), queue_.end(), std::greater<>());
+      const std::size_t slot = queue_.back().slot;
+      queue_.pop_back();
+      message = std::move(slots_[slot]);
+      free_slots_.push_back(slot);
       // Link state is evaluated at delivery time: a link that went down
       // after send still swallows in-flight traffic.
       if (!link_up(message.from, message.to)) {
-        ++stats_.blocked;
+        blocked_.add();
         continue;
       }
       auto it = endpoints_.find(message.to);
@@ -146,41 +156,17 @@ std::size_t Network::deliver_due_bounded(std::size_t budget) {
       // A removed endpoint (or one that never installed a handler) makes
       // the queued message undeliverable — counted, not crashed into.
       if (handler == nullptr) {
-        ++stats_.undeliverable;
+        undeliverable_.add();
         continue;
       }
-      ++stats_.delivered;
     }
+    delivered_.add();
     ++delivered;
     // Outside the lock: handlers may reentrantly send (ping/pong) or
     // inspect the network without self-deadlocking.
-    handler(message);
+    (*handler)(message);
   }
   return delivered;
-}
-
-std::size_t Network::run_until_idle(std::size_t max_messages) {
-  std::size_t total = 0;
-  while (total < max_messages) {
-    {
-      std::lock_guard lock(mutex_);
-      if (queue_.empty()) break;
-      clock_->set(queue_.top().deliver_at);
-    }
-    // Every due message is popped even when blocked/undeliverable, so
-    // the queue shrinks and progress is guaranteed. The bounded budget
-    // keeps a handler that reentrantly sends due-now messages (same-tick
-    // ping/pong) from pinning this pass past the caller's cap.
-    std::size_t round = deliver_due_bounded(max_messages - total);
-    total += round;
-    if (round == 0) {
-      // Nothing delivered at this tick (all blocked/undeliverable): loop
-      // again — the clock advance above is monotonic, so either the
-      // queue drains or time moves forward. No premature idle.
-      continue;
-    }
-  }
-  return total;
 }
 
 void Network::set_link_down(const std::string& a, const std::string& b,
@@ -205,8 +191,8 @@ void Network::clear_partition() {
 }
 
 NetworkStats Network::stats() const {
-  std::lock_guard lock(mutex_);
-  return stats_;
+  return NetworkStats{sent_.value(), delivered_.value(), dropped_.value(),
+                      blocked_.value(), undeliverable_.value()};
 }
 
 std::size_t Network::pending() const {

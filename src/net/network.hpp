@@ -15,12 +15,12 @@
 // trace (single-driver scenarios; concurrent senders race for sequence
 // numbers, which is the point of using threads).
 //
-// Thread-safety (PR 5): all Network state — endpoint registry, message
-// queue, RNG, link/partition state, stats — is guarded by one internal
-// mutex, so endpoints may send from any thread while another drives
-// delivery. Handlers are invoked OUTSIDE the lock (a handler may
-// reentrantly send, as the ping/pong tests do); set_handler() takes a
-// per-endpoint mutex so installing a handler races safely with delivery.
+// Thread-safety: one internal mutex, taken once per send and once per
+// delivery, guards the endpoint registry, queue, RNG and link state, so
+// endpoints may send from any thread while another drives delivery; the
+// counters are relaxed registry cells. Handlers run OUTSIDE the lock (a
+// handler may reentrantly send) on a shared snapshot of the endpoint's
+// handler, so set_handler() races safely with delivery.
 //
 // Endpoint lifecycle (PR 7): endpoints are shared-owned. The delivering
 // thread pins the destination endpoint for the duration of its handler,
@@ -36,13 +36,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <queue>
 #include <random>
 #include <set>
 #include <string>
@@ -51,6 +49,7 @@
 #include "common/clock.hpp"
 #include "common/status.hpp"
 #include "model/value.hpp"
+#include "obs/metrics.hpp"
 
 namespace mdsm::net {
 
@@ -91,11 +90,13 @@ class Endpoint {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   /// Install the message handler (replaces any previous one). Safe to
-  /// call while the network is delivering: in-flight deliveries finish
-  /// against the handler they snapshotted.
+  /// call while the network is delivering, even from the handler itself:
+  /// in-flight deliveries finish against the handler they snapshotted.
   void set_handler(Handler handler) {
+    std::shared_ptr<const Handler> replaced;
+    if (handler) replaced = std::make_shared<const Handler>(std::move(handler));
     std::lock_guard lock(mutex_);
-    handler_ = std::move(handler);
+    handler_.swap(replaced);  // the old handler is released after unlock
   }
 
   /// Send via the owning network. After the network detached this
@@ -115,7 +116,7 @@ class Endpoint {
   Endpoint(std::string name, Network& network)
       : name_(std::move(name)), network_(&network) {}
 
-  [[nodiscard]] Handler handler_snapshot() const {
+  [[nodiscard]] std::shared_ptr<const Handler> handler_snapshot() const {
     std::lock_guard lock(mutex_);
     return handler_;
   }
@@ -127,7 +128,7 @@ class Endpoint {
   /// bug, same as any use-after-free of the Network itself.
   std::atomic<Network*> network_;
   mutable std::mutex mutex_;  ///< guards handler_
-  Handler handler_;
+  std::shared_ptr<const Handler> handler_;  ///< null until installed
 };
 
 /// The simulated message bus.
@@ -180,25 +181,27 @@ class Network {
   void set_partition(const std::set<std::string>& group);
   void clear_partition();
 
-  /// Consistent snapshot of the delivery counters (by value: the live
-  /// struct mutates under the network mutex).
+  /// The delivery counters, read from their registry cells.
   [[nodiscard]] NetworkStats stats() const;
   [[nodiscard]] std::size_t pending() const;
   [[nodiscard]] SimClock& clock() noexcept { return *clock_; }
 
  private:
+  /// Heap entry, trivially copyable so sifting moves no message: the
+  /// message waits in slots_[slot].
   struct Pending {
     TimePoint deliver_at;
     std::uint64_t seq;  ///< tie-break for equal delivery times
-    Message message;
+    std::size_t slot;
     friend bool operator>(const Pending& a, const Pending& b) {
       return std::tie(a.deliver_at, a.seq) > std::tie(b.deliver_at, b.seq);
     }
   };
 
-  /// deliver_due with a delivery budget (run_until_idle's termination
-  /// guarantee against same-tick reentrant send loops).
-  std::size_t deliver_due_bounded(std::size_t budget);
+  /// Delivers up to `budget` messages. With `advance`, the clock moves to
+  /// each next delivery time (run_until_idle); without, delivery stops at
+  /// the first message not yet due (deliver_due).
+  std::size_t deliver(std::size_t budget, bool advance);
 
   /// Caller must hold mutex_.
   [[nodiscard]] bool link_up(const std::string& a,
@@ -209,17 +212,25 @@ class Network {
     return a <= b ? std::pair(a, b) : std::pair(b, a);
   }
 
+  obs::MetricsRegistry metrics_;
+  obs::Counter& sent_ = metrics_.counter("net.sent");
+  obs::Counter& delivered_ = metrics_.counter("net.delivered");
+  obs::Counter& dropped_ = metrics_.counter("net.dropped");
+  obs::Counter& blocked_ = metrics_.counter("net.blocked");
+  obs::Counter& undeliverable_ = metrics_.counter("net.undeliverable");
+
   /// Guards everything below (lock order: mutex_ before an endpoint's
-  /// handler mutex; never the reverse). clock_ has its own internal lock.
+  /// handler mutex; never the reverse).
   mutable std::mutex mutex_;
   SimClock* clock_;
   NetworkConfig config_;
   std::mt19937 rng_;
   std::map<std::string, std::shared_ptr<Endpoint>, std::less<>> endpoints_;
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> queue_;
+  std::vector<Pending> queue_;  ///< min-heap under std::greater<>
+  std::vector<Message> slots_;  ///< queued messages, indexed by Pending::slot
+  std::vector<std::size_t> free_slots_;  ///< slots_ entries not in queue_
   std::set<std::pair<std::string, std::string>> down_links_;
   std::optional<std::set<std::string>> partition_;
-  NetworkStats stats_;
   std::uint64_t seq_ = 0;
 };
 

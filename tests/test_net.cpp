@@ -1,7 +1,9 @@
 // Unit tests for the simulated network substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <random>
 #include <thread>
 
 #include "common/strings.hpp"
@@ -387,6 +389,107 @@ TEST(Network, RemoveEndpointDuringDeliveryIsRaceFree) {
             static_cast<std::uint64_t>(kMessages));
   EXPECT_EQ(handled.load(), stats.delivered);
   EXPECT_EQ(network.pending(), 0u);
+}
+
+
+// A handler may replace itself while it runs: the delivery finishes on the
+// handler it snapshotted (whose captured state stays alive until it
+// returns), and the next message reaches the replacement.
+TEST(Network, HandlerReplacingItselfFinishesOnItsSnapshot) {
+  SimClock clock;
+  Network network(clock, quiet_config());
+  auto a = network.create_endpoint("a").value();
+  auto b = network.create_endpoint("b").value();
+  std::vector<std::string> seen;
+  const std::string label = "first handler, long enough to live on the heap";
+  b->set_handler([&seen, b, label](const Message& m) {
+    b->set_handler(
+        [&seen](const Message& next) { seen.push_back("second:" + next.topic); });
+    seen.push_back(label + ":" + m.topic);  // reads its own captured state
+  });
+  a->send("b", "m1");
+  a->send("b", "m2");
+  EXPECT_EQ(network.run_until_idle(), 2u);
+  EXPECT_EQ(seen, (std::vector<std::string>{label + ":m1", "second:m2"}));
+}
+
+// The handler is looked up at delivery time, not at send time: a message
+// already queued when its handler is replaced reaches the new handler.
+TEST(Network, QueuedMessageReachesReplacementHandler) {
+  SimClock clock;
+  Network network(clock, quiet_config());
+  auto a = network.create_endpoint("a").value();
+  auto b = network.create_endpoint("b").value();
+  int first = 0;
+  int second = 0;
+  b->set_handler([&](const Message&) { ++first; });
+  a->send("b", "m");
+  b->set_handler([&](const Message&) { ++second; });
+  EXPECT_EQ(network.run_until_idle(), 1u);
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+}
+
+// Delivery order is exactly (deliver_at, seq): several senders, jitter,
+// and handlers that fan out reentrantly — with zero base latency, a zero
+// jitter draw makes a reply due on the tick that sent it. The reference
+// replays the network's one jitter draw per send from the same seed and
+// sorts the send log.
+TEST(Network, DeliveryOrderIsDeliverAtThenSequence) {
+  SimClock clock;
+  NetworkConfig config;
+  config.base_latency = Duration(0);
+  config.jitter = Duration(3);
+  config.seed = 5;
+  Network network(clock, config);
+  std::mt19937 reference(config.seed);
+  struct Sent {
+    TimePoint deliver_at;
+    std::size_t seq;
+  };
+  std::vector<Sent> log;
+  std::size_t same_tick = 0;
+  auto send = [&](Endpoint* from, const std::string& to, std::int64_t hops) {
+    std::uniform_int_distribution<std::int64_t> draw(0, config.jitter.count());
+    const Duration latency = config.base_latency + Duration(draw(reference));
+    if (latency.count() == 0) ++same_tick;
+    log.push_back({clock.now() + latency, log.size()});
+    EXPECT_TRUE(
+        from->send(to, numbered("m", static_cast<std::int64_t>(log.back().seq)),
+                   model::Value(hops))
+            .ok());
+  };
+  const std::vector<std::string> names = {"a", "b", "c"};
+  std::vector<Endpoint*> nodes;
+  for (const std::string& name : names) {
+    nodes.push_back(network.create_endpoint(name).value());
+  }
+  std::vector<std::size_t> delivered;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    nodes[i]->set_handler([&, i](const Message& m) {
+      delivered.push_back(std::stoul(m.topic.substr(1)));
+      const std::int64_t hops = m.payload.as_int();
+      if (hops == 0) return;
+      send(nodes[i], names[(i + 1) % 3], hops - 1);
+      send(nodes[i], names[(i + 2) % 3], hops - 1);
+    });
+  }
+  for (int round = 0; round < 4; ++round) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      send(nodes[i], names[(i + 1) % 3], 3);
+    }
+  }
+  network.run_until_idle();
+
+  std::vector<Sent> expected = log;
+  std::sort(expected.begin(), expected.end(), [](const Sent& x, const Sent& y) {
+    return std::tie(x.deliver_at, x.seq) < std::tie(y.deliver_at, y.seq);
+  });
+  std::vector<std::size_t> expected_order;
+  for (const Sent& sent : expected) expected_order.push_back(sent.seq);
+  ASSERT_EQ(log.size(), 12u * (1 + 2 + 4 + 8));
+  EXPECT_EQ(delivered, expected_order);
+  EXPECT_GT(same_tick, 0u);
 }
 
 }  // namespace

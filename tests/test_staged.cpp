@@ -20,6 +20,7 @@
 #include "broker/action.hpp"
 #include "broker/invocation_policy.hpp"
 #include "common/log.hpp"
+#include "common/strings.hpp"
 #include "core/platform.hpp"
 #include "soak_fixtures.hpp"
 
@@ -507,8 +508,7 @@ TEST(Staged, ExpiredRequestCountsAsOneFailure) {
     SubmitOptions options;
     options.deadline = Duration(0);
     ASSERT_TRUE(platform
-                    .submit_async(soak::open_session_text(
-                                      "s" + std::to_string(i)),
+                    .submit_async(soak::open_session_text(numbered("s", i)),
                                   [&](Result<controller::ControlScript> r) {
                                     if (r.status().code() ==
                                         ErrorCode::kTimeout) {
