@@ -132,6 +132,33 @@ TEST(Diff, ContainmentIsNotReportedAsReferenceChange) {
   EXPECT_EQ(changes[0].object_id, "bob");
 }
 
+// An id that keeps its name but changes class is diffed feature by
+// feature name: the shared `label` is compared, the old class's slots
+// read as cleared and the new class's as set, each run in name order.
+TEST(Diff, ClassChangeUnderOneIdIsDiffedByFeatureName) {
+  MetamodelPtr mm = make_test_metamodel();
+  Model before("before", mm);
+  ASSERT_TRUE(before.create("Session", "s1").ok());
+  ASSERT_TRUE(before.create_child("s1", "media", "Media", "x").ok());
+  ASSERT_TRUE(before.set_attribute("x", "kind", Value("video")).ok());
+  ASSERT_TRUE(before.set_attribute("x", "live", Value(true)).ok());
+  ASSERT_TRUE(before.set_attribute("x", "label", Value("old")).ok());
+  Model after("after", mm);
+  ASSERT_TRUE(after.create("Session", "s1").ok());
+  ASSERT_TRUE(
+      after.create_child("s1", "participants", "Participant", "x").ok());
+  ASSERT_TRUE(after.set_attribute("x", "address", Value("x@host")).ok());
+  ASSERT_TRUE(after.set_attribute("x", "priority", Value(2)).ok());
+  ASSERT_TRUE(after.set_attribute("x", "label", Value("new")).ok());
+  EXPECT_EQ(summarize(diff(before, after)),
+            "5 change(s)\n"
+            "  set-attribute x.kind \"video\" => none\n"
+            "  set-attribute x.label \"old\" => \"new\"\n"
+            "  set-attribute x.live true => none\n"
+            "  set-attribute x.address none => \"x@host\"\n"
+            "  set-attribute x.priority none => 2");
+}
+
 TEST(Diff, SummarizeAndToText) {
   MetamodelPtr mm = make_test_metamodel();
   Model before = make_test_model(mm);
