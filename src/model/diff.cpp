@@ -40,7 +40,7 @@ std::string Change::to_text() const {
 namespace {
 
 const Value kNone{};
-const std::vector<std::string> kNoTargets{};
+const Targets kNoTargets{};
 
 bool is_containment(const MetaClass& meta, std::string_view reference) {
   const MetaReference* ref = meta.find_reference(reference);
@@ -70,9 +70,8 @@ void emit_attribute(const ModelObject& object, const std::string& name,
 
 /// One change of `kind` per target in `targets` that `other` lacks.
 void emit_references(ChangeKind kind, const ModelObject& object,
-                     const std::string& name,
-                     const std::vector<std::string>& targets,
-                     const std::vector<std::string>& other, ChangeList& out) {
+                     const std::string& name, const Targets& targets,
+                     const Targets& other, ChangeList& out) {
   for (const auto& target : targets) {
     if (std::find(other.begin(), other.end(), target) != other.end()) continue;
     Change change = object_change(kind, object);
@@ -83,33 +82,55 @@ void emit_references(ChangeKind kind, const ModelObject& object,
 }
 
 /// Attribute/cross-reference state of one object as SetAttribute /
-/// AddReference changes (used for freshly added objects).
+/// AddReference changes (used for freshly added objects), in name order.
 void emit_object_state(const ModelObject& object, ChangeList& out) {
+  const MetaClass& meta = object.meta();
   for (const auto& [name, value] : object.attributes()) {
     emit_attribute(object, name, kNone, value, out);
   }
-  for (const auto& [name, targets] : object.references()) {
-    if (is_containment(object.meta(), name)) continue;
-    emit_references(ChangeKind::kAddReference, object, name, targets,
+  for (std::size_t slot = 0; slot < meta.references().size(); ++slot) {
+    if (meta.references()[slot].containment) continue;
+    emit_references(ChangeKind::kAddReference, object,
+                    meta.references()[slot].name, object.targets_at(slot),
                     kNoTargets, out);
   }
 }
 
-/// Advance `it` to the first entry of a sorted slot table whose name is
-/// not less than `name`; return that entry if its name equals `name`.
+/// Advance `it` to the first entry of a name-ordered slot view whose
+/// name is not less than `name`; return that entry if its name equals
+/// `name`.
 template <typename Iterator>
 Iterator seek(Iterator& it, Iterator end, const std::string& name) {
   while (it != end && it->first < name) ++it;
   return it != end && it->first == name ? it : end;
 }
 
-/// Attribute changes of a surviving object: a merge-join of the two
-/// sorted slot tables. The slots `before` has come first, in name order,
-/// then the slots only `after` has, in name order.
+/// Attribute changes of a surviving object: the slots `before` has come
+/// first, in name order, then the slots only `after` has, in name order.
+/// Within one class that is two walks of the slot order. A class change
+/// gives the two objects different slots, so their name-ordered views
+/// are merge-joined by name instead.
 void diff_attributes(const ModelObject& before, const ModelObject& after,
                      ChangeList& out) {
-  const auto& old_slots = before.attributes();
-  const auto& new_slots = after.attributes();
+  const MetaClass& meta = after.meta();
+  if (&before.meta() == &meta) {
+    for (std::size_t slot = 0; slot < meta.attributes().size(); ++slot) {
+      const Value& old_value = before.value_at(slot);
+      if (!old_value.is_none() && old_value != after.value_at(slot)) {
+        emit_attribute(after, meta.attributes()[slot].name, old_value,
+                       after.value_at(slot), out);
+      }
+    }
+    for (std::size_t slot = 0; slot < meta.attributes().size(); ++slot) {
+      if (before.value_at(slot).is_none() && !after.value_at(slot).is_none()) {
+        emit_attribute(after, meta.attributes()[slot].name, kNone,
+                       after.value_at(slot), out);
+      }
+    }
+    return;
+  }
+  const auto old_slots = before.attributes();
+  const auto new_slots = after.attributes();
   auto cursor = new_slots.begin();
   for (const auto& [name, old_value] : old_slots) {
     auto match = seek(cursor, new_slots.end(), name);
@@ -122,26 +143,40 @@ void diff_attributes(const ModelObject& before, const ModelObject& after,
   auto old_cursor = old_slots.begin();
   for (const auto& [name, new_value] : new_slots) {
     if (seek(old_cursor, old_slots.end(), name) != old_slots.end()) continue;
-    if (new_value != kNone) emit_attribute(after, name, kNone, new_value, out);
+    emit_attribute(after, name, kNone, new_value, out);
   }
 }
 
-/// Cross-reference changes of a surviving object, merge-joined the same
-/// way: removals then additions per slot, `before`'s cross-reference
-/// slots first, then those only `after` has as cross-references.
+/// Cross-reference changes of a surviving object, ordered the same way:
+/// removals then additions per slot, `before`'s cross-reference slots
+/// first, then those only `after` has as cross-references.
 void diff_references(const ModelObject& before, const ModelObject& after,
                      ChangeList& out) {
-  const auto& old_slots = before.references();
-  const auto& new_slots = after.references();
-  const bool same_class = &before.meta() == &after.meta();
-  auto emit = [&](const std::string& name,
-                  const std::vector<std::string>& old_targets,
-                  const std::vector<std::string>& new_targets) {
+  auto emit = [&](const std::string& name, const Targets& old_targets,
+                  const Targets& new_targets) {
     emit_references(ChangeKind::kRemoveReference, after, name, old_targets,
                     new_targets, out);
     emit_references(ChangeKind::kAddReference, after, name, new_targets,
                     old_targets, out);
   };
+  const MetaClass& meta = after.meta();
+  if (&before.meta() == &meta) {
+    for (std::size_t slot = 0; slot < meta.references().size(); ++slot) {
+      const MetaReference& ref = meta.references()[slot];
+      if (!ref.containment && !before.targets_at(slot).empty()) {
+        emit(ref.name, before.targets_at(slot), after.targets_at(slot));
+      }
+    }
+    for (std::size_t slot = 0; slot < meta.references().size(); ++slot) {
+      const MetaReference& ref = meta.references()[slot];
+      if (!ref.containment && before.targets_at(slot).empty()) {
+        emit(ref.name, kNoTargets, after.targets_at(slot));
+      }
+    }
+    return;
+  }
+  const auto old_slots = before.references();
+  const auto new_slots = after.references();
   auto cursor = new_slots.begin();
   for (const auto& [name, old_targets] : old_slots) {
     if (is_containment(before.meta(), name)) continue;
@@ -155,7 +190,7 @@ void diff_references(const ModelObject& before, const ModelObject& after,
     auto match = seek(old_cursor, old_slots.end(), name);
     if (match == old_slots.end()) {
       emit(name, kNoTargets, new_targets);
-    } else if (!same_class && is_containment(before.meta(), name)) {
+    } else if (is_containment(before.meta(), name)) {
       emit(name, match->second, new_targets);
     }
   }

@@ -1,5 +1,6 @@
 #include "model/metamodel.hpp"
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 
@@ -18,18 +19,14 @@ std::string_view to_string(AttrType type) noexcept {
 
 const MetaAttribute* MetaClass::find_attribute(
     std::string_view name) const noexcept {
-  for (const auto& attr : effective_attributes_) {
-    if (attr.name == name) return &attr;
-  }
-  return nullptr;
+  const int slot = attribute_slot(name);
+  return slot < 0 ? nullptr : &effective_attributes_[slot];
 }
 
 const MetaReference* MetaClass::find_reference(
     std::string_view name) const noexcept {
-  for (const auto& ref : effective_references_) {
-    if (ref.name == name) return &ref;
-  }
-  return nullptr;
+  const int slot = reference_slot(name);
+  return slot < 0 ? nullptr : &effective_references_[slot];
 }
 
 MetaClass& Metamodel::add_class(const std::string& name,
@@ -37,44 +34,30 @@ MetaClass& Metamodel::add_class(const std::string& name,
   auto cls = std::make_unique<MetaClass>(name, parent, is_abstract);
   MetaClass* raw = cls.get();
   classes_.push_back(std::move(cls));
-  by_name_[name] = raw;
   finalized_ = false;
   return *raw;
 }
 
 const MetaClass* Metamodel::find_class(std::string_view name) const noexcept {
-  auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : it->second;
+  for (const auto& cls : classes_) {
+    if (cls->name() == name) return cls.get();
+  }
+  return nullptr;
 }
 
 bool Metamodel::is_kind_of(std::string_view cls,
                            std::string_view ancestor) const noexcept {
-  const MetaClass* current = find_class(cls);
-  return current != nullptr && is_kind_of(*current, ancestor);
-}
-
-bool Metamodel::is_kind_of(const MetaClass& cls,
-                           std::string_view ancestor) const noexcept {
-  const MetaClass* current = &cls;
-  while (current != nullptr) {
-    if (current->name() == ancestor) return true;
-    if (current->parent().empty()) return false;
-    current = find_class(current->parent());
-  }
-  return false;
-}
-
-std::vector<const MetaClass*> Metamodel::classes() const {
-  std::vector<const MetaClass*> out;
-  out.reserve(classes_.size());
-  for (const auto& cls : classes_) out.push_back(cls.get());
-  return out;
+  const MetaClass* resolved = find_class(cls);
+  const MetaClass* base = find_class(ancestor);
+  return resolved != nullptr && base != nullptr && resolved->is_kind_of(*base);
 }
 
 Status Metamodel::finalize() {
-  // Duplicate class names are already collapsed by the map; detect them.
-  if (by_name_.size() != classes_.size()) {
-    return InvalidArgument("metamodel '" + name_ + "' has duplicate classes");
+  std::set<std::string_view> class_names;
+  for (const auto& cls : classes_) {
+    if (!class_names.insert(cls->name()).second) {
+      return InvalidArgument("metamodel '" + name_ + "' has duplicate classes");
+    }
   }
   // Parents exist; no inheritance cycles.
   for (const auto& cls : classes_) {
@@ -92,38 +75,28 @@ Status Metamodel::finalize() {
       }
     }
   }
-  // Flatten features root-first so derived classes append after base ones.
-  // Iterate until all classes are resolved (parents may appear later).
-  std::set<std::string> resolved;
-  while (resolved.size() < classes_.size()) {
-    bool progress = false;
-    for (auto& cls : classes_) {
-      if (resolved.contains(cls->name())) continue;
-      if (!cls->parent().empty() && !resolved.contains(cls->parent())) {
-        continue;
-      }
-      cls->effective_attributes_.clear();
-      cls->effective_references_.clear();
-      if (!cls->parent().empty()) {
-        const MetaClass* parent = find_class(cls->parent());
-        cls->effective_attributes_ = parent->effective_attributes_;
-        cls->effective_references_ = parent->effective_references_;
-      }
-      for (const auto& attr : cls->own_attributes_) {
-        cls->effective_attributes_.push_back(attr);
-      }
-      for (const auto& ref : cls->own_references_) {
-        cls->effective_references_.push_back(ref);
-      }
-      resolved.insert(cls->name());
-      progress = true;
-    }
-    if (!progress) {
-      return Internal("metamodel flattening did not converge");
-    }
-  }
-  // Per-class feature checks on the flattened tables.
+  // Flatten each class's features along its ancestor chain, which is also
+  // the set of classes it is a kind of; then sort them into slot order.
+  for (std::size_t i = 0; i < classes_.size(); ++i) classes_[i]->index_ = i;
   for (const auto& cls : classes_) {
+    std::vector<const MetaClass*> chain{cls.get()};
+    while (!chain.back()->parent().empty()) {
+      chain.push_back(find_class(chain.back()->parent()));
+    }
+    cls->effective_attributes_.clear();
+    cls->effective_references_.clear();
+    cls->kinds_.assign(classes_.size(), false);
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+      const MetaClass& ancestor = **it;
+      cls->effective_attributes_.insert(cls->effective_attributes_.end(),
+                                        ancestor.own_attributes_.begin(),
+                                        ancestor.own_attributes_.end());
+      cls->effective_references_.insert(cls->effective_references_.end(),
+                                        ancestor.own_references_.begin(),
+                                        ancestor.own_references_.end());
+      cls->kinds_[ancestor.index_] = true;
+    }
+    // Feature checks on the flattened tables.
     std::set<std::string> names;
     for (const auto& attr : cls->effective_attributes_) {
       if (!names.insert(attr.name).second) {
@@ -135,17 +108,20 @@ Status Metamodel::finalize() {
                                attr.name + "' has no literals");
       }
     }
-    for (const auto& ref : cls->effective_references_) {
+    for (auto& ref : cls->effective_references_) {
       if (!names.insert(ref.name).second) {
         return InvalidArgument("class '" + cls->name() +
                                "' has duplicate feature '" + ref.name + "'");
       }
-      if (find_class(ref.target_class) == nullptr) {
+      ref.target = find_class(ref.target_class);
+      if (ref.target == nullptr) {
         return InvalidArgument("reference '" + cls->name() + "." + ref.name +
                                "' targets unknown class '" +
                                ref.target_class + "'");
       }
     }
+    std::ranges::sort(cls->effective_attributes_, {}, &MetaAttribute::name);
+    std::ranges::sort(cls->effective_references_, {}, &MetaReference::name);
   }
   finalized_ = true;
   return Status::Ok();

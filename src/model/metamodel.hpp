@@ -8,7 +8,6 @@
 // application-level DSML (src/domains/*) are expressed with it.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -34,6 +33,8 @@ struct MetaAttribute {
   Value default_value;     ///< applied at object creation when non-none
 };
 
+class MetaClass;
+
 /// Declaration of one reference slot (a typed link to other objects).
 struct MetaReference {
   std::string name;
@@ -41,11 +42,24 @@ struct MetaReference {
   bool containment = false;  ///< true: parent owns the target objects
   bool many = false;
   bool required = false;     ///< at least one target must be present
+  const MetaClass* target = nullptr;  ///< `target_class`, set by finalize()
 };
+
+/// Slot of the feature named `name` in a feature table, or -1.
+template <typename Feature>
+int find_slot(const std::vector<Feature>& features,
+              std::string_view name) noexcept {
+  for (std::size_t slot = 0; slot < features.size(); ++slot) {
+    if (features[slot].name == name) return static_cast<int>(slot);
+  }
+  return -1;
+}
 
 /// A class in a metamodel. Built via Metamodel::add_class then populated;
 /// effective (inheritance-flattened) feature tables are computed by
-/// Metamodel::finalize().
+/// Metamodel::finalize(), sorted by feature name. A feature's slot is its
+/// index there: objects keep one slot per attribute and per reference,
+/// so walking the slots walks the features in name order.
 class MetaClass {
  public:
   MetaClass(std::string name, std::string parent, bool is_abstract)
@@ -66,14 +80,8 @@ class MetaClass {
     return *this;
   }
 
-  [[nodiscard]] const std::vector<MetaAttribute>& own_attributes() const {
-    return own_attributes_;
-  }
-  [[nodiscard]] const std::vector<MetaReference>& own_references() const {
-    return own_references_;
-  }
-
-  /// Inheritance-flattened features (valid only after finalize()).
+  /// Inheritance-flattened features, sorted by name (valid only after
+  /// finalize()).
   [[nodiscard]] const std::vector<MetaAttribute>& attributes() const {
     return effective_attributes_;
   }
@@ -81,10 +89,24 @@ class MetaClass {
     return effective_references_;
   }
 
+  /// Slot of the named feature, or -1.
+  [[nodiscard]] int attribute_slot(std::string_view name) const noexcept {
+    return find_slot(effective_attributes_, name);
+  }
+  [[nodiscard]] int reference_slot(std::string_view name) const noexcept {
+    return find_slot(effective_references_, name);
+  }
+
   [[nodiscard]] const MetaAttribute* find_attribute(
       std::string_view name) const noexcept;
   [[nodiscard]] const MetaReference* find_reference(
       std::string_view name) const noexcept;
+
+  /// True if this class equals `ancestor` or inherits from it; both
+  /// classes must be of one finalized metamodel.
+  [[nodiscard]] bool is_kind_of(const MetaClass& ancestor) const noexcept {
+    return ancestor.index_ < kinds_.size() && kinds_[ancestor.index_];
+  }
 
  private:
   friend class Metamodel;
@@ -92,10 +114,12 @@ class MetaClass {
   std::string name_;
   std::string parent_;  ///< empty when root
   bool abstract_ = false;
+  std::size_t index_ = 0;  ///< position in the metamodel
   std::vector<MetaAttribute> own_attributes_;
   std::vector<MetaReference> own_references_;
   std::vector<MetaAttribute> effective_attributes_;
   std::vector<MetaReference> effective_references_;
+  std::vector<bool> kinds_;  ///< kinds_[i]: a kind of the i-th class
 };
 
 /// A named set of metaclasses. Immutable after finalize(); models hold a
@@ -114,7 +138,8 @@ class Metamodel {
 
   /// Validate structure (parents exist, no inheritance cycles, unique
   /// feature names, enum attrs have literals, reference targets exist)
-  /// and compute inheritance-flattened feature tables.
+  /// and compute the name-sorted, inheritance-flattened feature tables,
+  /// each class's ancestor set and each reference's target.
   [[nodiscard]] Status finalize();
 
   [[nodiscard]] bool finalized() const noexcept { return finalized_; }
@@ -125,17 +150,10 @@ class Metamodel {
   /// True if `cls` equals `ancestor` or inherits from it (transitively).
   [[nodiscard]] bool is_kind_of(std::string_view cls,
                                 std::string_view ancestor) const noexcept;
-  /// The same, for an already resolved class.
-  [[nodiscard]] bool is_kind_of(const MetaClass& cls,
-                                std::string_view ancestor) const noexcept;
-
-  /// All classes in insertion order.
-  [[nodiscard]] std::vector<const MetaClass*> classes() const;
 
  private:
   std::string name_;
   std::vector<std::unique_ptr<MetaClass>> classes_;
-  std::map<std::string, MetaClass*, std::less<>> by_name_;
   bool finalized_ = false;
 };
 

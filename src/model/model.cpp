@@ -1,6 +1,8 @@
 #include "model/model.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 
 #include "common/strings.hpp"
 
@@ -8,7 +10,8 @@ namespace mdsm::model {
 
 namespace {
 const Value kNoneValue{};
-const std::vector<std::string> kNoTargets{};
+const Targets kNoTargets{};
+const std::string kNoName{};
 
 bool type_matches(const MetaAttribute& attr, const Value& value) {
   switch (attr.type) {
@@ -20,15 +23,41 @@ bool type_matches(const MetaAttribute& attr, const Value& value) {
   }
   return false;
 }
-}  // namespace
 
-const Value& ModelObject::get(std::string_view attribute) const noexcept {
-  auto it = attributes_.find(attribute);
-  return it == attributes_.end() ? kNoneValue : it->second;
+// An object record is the ModelObject followed by its attribute slots and
+// then its reference slots; every part is 8-byte aligned.
+static_assert(sizeof(ModelObject) % alignof(Value) == 0);
+static_assert(sizeof(Value) % alignof(Targets) == 0);
+
+std::size_t record_bytes(const MetaClass& meta) {
+  return sizeof(ModelObject) + meta.attributes().size() * sizeof(Value) +
+         meta.references().size() * sizeof(Targets);
 }
 
-bool ModelObject::has(std::string_view attribute) const noexcept {
-  return attributes_.contains(attribute);
+/// The id-table entry holding `id`, or the empty entry where it belongs.
+template <typename Table>
+auto probe(Table& table, std::string_view id) {
+  const std::size_t mask = table.size() - 1;
+  for (std::size_t i = std::hash<std::string_view>{}(id) & mask;;
+       i = (i + 1) & mask) {
+    if (table[i] == nullptr || table[i]->id() == id) return &table[i];
+  }
+}
+}  // namespace
+
+const std::string& ModelObject::parent_id() const noexcept {
+  return parent_ == nullptr ? kNoName : parent_->id_;
+}
+
+const std::string& ModelObject::containing_reference() const noexcept {
+  return parent_ == nullptr
+             ? kNoName
+             : parent_->meta_->references()[containment_slot_].name;
+}
+
+const Value& ModelObject::get(std::string_view attribute) const noexcept {
+  const int slot = meta_->attribute_slot(attribute);
+  return slot < 0 ? kNoneValue : values_[slot];
 }
 
 std::string ModelObject::get_string(std::string_view attribute,
@@ -54,46 +83,107 @@ bool ModelObject::get_bool(std::string_view attribute, bool fallback) const {
   return v.is_bool() ? v.as_bool() : fallback;
 }
 
-const std::vector<std::string>& ModelObject::targets(
+const Targets& ModelObject::targets(
     std::string_view reference) const noexcept {
-  auto it = references_.find(reference);
-  return it == references_.end() ? kNoTargets : it->second;
+  const int slot = meta_->reference_slot(reference);
+  return slot < 0 ? kNoTargets : targets_[slot];
 }
 
 Model::Model(std::string name, MetamodelPtr metamodel)
     : name_(std::move(name)), metamodel_(std::move(metamodel)) {}
 
-Result<ModelObject*> Model::create(const std::string& class_name,
-                                   const std::string& id) {
+Model::~Model() { destroy(order_); }
+
+Model& Model::operator=(Model&& other) noexcept {
+  // Drop this model's objects, then take over the other's storage whole.
+  if (this != &other) {
+    this->~Model();
+    std::construct_at(this, std::move(other));
+  }
+  return *this;
+}
+
+void Model::reserve(std::size_t objects) {
+  if (objects == 0) return;
+  order_.reserve(order_.size() + objects);
+  expected_ = objects;
+  const std::size_t slots = std::bit_ceil(2 * (order_.size() + objects));
+  if (slots > index_.size()) rehash(slots);
+}
+
+void* Model::allocate(std::size_t bytes) {
+  auto reuse = std::ranges::find(released_, bytes, &Released::first);
+  if (reuse != released_.end()) {
+    void* record = reuse->second;
+    released_.erase(reuse);
+    return record;
+  }
+  if (chunks_.empty() || chunk_used_ + bytes > chunk_size_) {
+    chunk_size_ = std::max(bytes * (expected_ > 0 ? expected_ : 4),
+                           2 * chunk_size_);
+    chunks_.push_back(std::make_unique_for_overwrite<std::byte[]>(chunk_size_));
+    chunk_used_ = 0;
+  }
+  if (expected_ > 0) --expected_;
+  chunk_used_ += bytes;
+  return chunks_.back().get() + chunk_used_ - bytes;
+}
+
+void Model::destroy(const std::vector<const ModelObject*>& objects) noexcept {
+  for (const ModelObject* object : objects) {
+    std::destroy_n(object->values_, object->meta().attributes().size());
+    std::destroy_n(object->targets_, object->meta().references().size());
+    object->~ModelObject();
+  }
+}
+
+void Model::rehash(std::size_t slots) {
+  index_.assign(slots, nullptr);
+  for (const ModelObject* object : order_) {
+    *probe(index_, object->id()) = const_cast<ModelObject*>(object);
+  }
+}
+
+Result<ModelObject*> Model::create(std::string_view class_name,
+                                   std::string_view id) {
   const MetaClass* meta = metamodel_->find_class(class_name);
   if (meta == nullptr) {
-    return NotFound("class '" + class_name + "' not in metamodel '" +
-                    metamodel_->name() + "'");
+    return NotFound("class '" + std::string(class_name) +
+                    "' not in metamodel '" + metamodel_->name() + "'");
   }
   return add_object(*meta, id);
 }
 
 Result<ModelObject*> Model::add_object(const MetaClass& meta,
-                                       const std::string& id) {
+                                       std::string_view id) {
   if (meta.is_abstract()) {
     return InvalidArgument("class '" + meta.name() + "' is abstract");
   }
   if (!is_identifier(id)) {
-    return InvalidArgument("'" + id + "' is not a valid object id");
+    return InvalidArgument("'" + std::string(id) +
+                           "' is not a valid object id");
   }
-  auto created = std::make_unique<ModelObject>(id, meta);
-  ModelObject* object = created.get();
-  if (!objects_.try_emplace(id, std::move(created)).second) {
-    return AlreadyExists("object '" + id + "' already in model");
+  if (2 * (order_.size() + 1) > index_.size()) {
+    rehash(std::bit_ceil(2 * (order_.size() + 1)));
   }
-  // Apply attribute defaults declared in the metamodel.
-  for (const auto& attr : meta.attributes()) {
-    if (!attr.default_value.is_none()) {
-      object->attributes_.emplace(attr.name, attr.default_value);
-    }
+  ModelObject*& entry = *probe(index_, id);
+  if (entry != nullptr) {
+    return AlreadyExists("object '" + std::string(id) + "' already in model");
   }
-  order_.push_back(object);
-  return object;
+  const std::size_t attributes = meta.attributes().size();
+  auto* record = static_cast<std::byte*>(allocate(record_bytes(meta)));
+  auto* values = reinterpret_cast<Value*>(record + sizeof(ModelObject));
+  auto* targets = reinterpret_cast<Targets*>(values + attributes);
+  // Unset slots, then the attribute defaults declared in the metamodel.
+  std::uninitialized_value_construct_n(values, attributes);
+  std::uninitialized_value_construct_n(targets, meta.references().size());
+  for (std::size_t slot = 0; slot < attributes; ++slot) {
+    const Value& default_value = meta.attributes()[slot].default_value;
+    if (!default_value.is_none()) values[slot] = default_value;
+  }
+  entry = ::new (record) ModelObject(id, meta, values, targets);
+  order_.push_back(entry);
+  return entry;
 }
 
 Result<ModelObject*> Model::create_child(const std::string& parent_id,
@@ -104,30 +194,39 @@ Result<ModelObject*> Model::create_child(const std::string& parent_id,
   if (parent == nullptr) {
     return NotFound("parent '" + parent_id + "' not in model");
   }
-  const MetaReference* ref = parent->meta().find_reference(reference);
-  if (ref == nullptr) {
-    return NotFound("class '" + parent->class_name() +
-                    "' has no reference '" + reference + "'");
+  return create_child(*parent, reference, class_name, id);
+}
+
+Result<ModelObject*> Model::create_child(ModelObject& parent,
+                                         std::string_view reference,
+                                         std::string_view class_name,
+                                         std::string_view id) {
+  const int slot = parent.meta().reference_slot(reference);
+  if (slot < 0) {
+    return NotFound("class '" + parent.class_name() + "' has no reference '" +
+                    std::string(reference) + "'");
   }
-  if (!ref->containment) {
-    return InvalidArgument("reference '" + reference +
+  const MetaReference& ref = parent.meta().references()[slot];
+  if (!ref.containment) {
+    return InvalidArgument("reference '" + ref.name +
                            "' is not a containment reference");
   }
   const MetaClass* meta = metamodel_->find_class(class_name);
-  if (meta == nullptr || !metamodel_->is_kind_of(*meta, ref->target_class)) {
-    return InvalidArgument("class '" + class_name + "' is not a kind of '" +
-                           ref->target_class + "'");
+  if (meta == nullptr || !meta->is_kind_of(*ref.target)) {
+    return InvalidArgument("class '" + std::string(class_name) +
+                           "' is not a kind of '" + ref.target_class + "'");
   }
-  if (!ref->many && !parent->targets(reference).empty()) {
-    return FailedPrecondition("single-valued containment '" + reference +
-                              "' of '" + parent_id + "' already filled");
+  Targets& siblings = parent.targets_[slot];
+  if (!ref.many && !siblings.empty()) {
+    return FailedPrecondition("single-valued containment '" + ref.name +
+                              "' of '" + parent.id() + "' already filled");
   }
   Result<ModelObject*> created = add_object(*meta, id);
   if (!created.ok()) return created.status();
   ModelObject* child = created.value();
-  child->parent_id_ = parent_id;
-  child->containing_reference_ = reference;
-  parent->references_[reference].push_back(id);
+  child->parent_ = &parent;
+  child->containment_slot_ = static_cast<std::size_t>(slot);
+  siblings.emplace_back(id);
   return child;
 }
 
@@ -135,23 +234,29 @@ Status Model::set_attribute(const std::string& id,
                             const std::string& attribute, Value value) {
   ModelObject* object = find(id);
   if (object == nullptr) return NotFound("object '" + id + "' not in model");
-  const MetaAttribute* attr = object->meta().find_attribute(attribute);
-  if (attr == nullptr) {
-    return NotFound("class '" + object->class_name() +
-                    "' has no attribute '" + attribute + "'");
+  return set_attribute(*object, attribute, std::move(value));
+}
+
+Status Model::set_attribute(ModelObject& object, std::string_view attribute,
+                            Value value) {
+  const int slot = object.meta().attribute_slot(attribute);
+  if (slot < 0) {
+    return NotFound("class '" + object.class_name() + "' has no attribute '" +
+                    std::string(attribute) + "'");
   }
+  const MetaAttribute& attr = object.meta().attributes()[slot];
   auto check_item = [&](const Value& item) -> Status {
-    if (!type_matches(*attr, item)) {
-      return InvalidArgument("attribute '" + object->class_name() + "." +
-                             attribute + "' expects " +
-                             std::string(to_string(attr->type)) + ", got " +
+    if (!type_matches(attr, item)) {
+      return InvalidArgument("attribute '" + object.class_name() + "." +
+                             attr.name + "' expects " +
+                             std::string(to_string(attr.type)) + ", got " +
                              std::string(to_string(item.kind())));
     }
     return Status::Ok();
   };
-  if (attr->many) {
+  if (attr.many) {
     if (!value.is_list()) {
-      return InvalidArgument("attribute '" + attribute +
+      return InvalidArgument("attribute '" + attr.name +
                              "' is many-valued; expected a list");
     }
     for (const Value& item : value.as_list()) {
@@ -161,10 +266,10 @@ Status Model::set_attribute(const std::string& id,
     MDSM_RETURN_IF_ERROR(check_item(value));
   }
   // Coerce int literals into real-typed single slots for convenience.
-  if (!attr->many && attr->type == AttrType::kReal && value.is_int()) {
+  if (!attr.many && attr.type == AttrType::kReal && value.is_int()) {
     value = Value(static_cast<double>(value.as_int()));
   }
-  object->attributes_[attribute] = std::move(value);
+  object.values_[slot] = std::move(value);
   return Status::Ok();
 }
 
@@ -172,22 +277,8 @@ Status Model::unset_attribute(const std::string& id,
                               const std::string& attribute) {
   ModelObject* object = find(id);
   if (object == nullptr) return NotFound("object '" + id + "' not in model");
-  object->attributes_.erase(attribute);
-  return Status::Ok();
-}
-
-Status Model::check_reference(const ModelObject& object,
-                              const MetaReference& reference,
-                              const std::string& target_id) const {
-  const ModelObject* target = find(target_id);
-  if (target == nullptr) {
-    return NotFound("reference target '" + target_id + "' not in model");
-  }
-  if (!metamodel_->is_kind_of(target->class_name(), reference.target_class)) {
-    return InvalidArgument("target '" + target_id + "' of '" +
-                           object.class_name() + "." + reference.name +
-                           "' is not a kind of '" + reference.target_class +
-                           "'");
+  if (const int slot = object->meta().attribute_slot(attribute); slot >= 0) {
+    object->values_[slot] = Value();
   }
   return Status::Ok();
 }
@@ -196,25 +287,39 @@ Status Model::add_reference(const std::string& id, const std::string& reference,
                             const std::string& target_id) {
   ModelObject* object = find(id);
   if (object == nullptr) return NotFound("object '" + id + "' not in model");
-  const MetaReference* ref = object->meta().find_reference(reference);
-  if (ref == nullptr) {
-    return NotFound("class '" + object->class_name() +
-                    "' has no reference '" + reference + "'");
+  return add_reference(*object, reference, target_id);
+}
+
+Status Model::add_reference(ModelObject& object, std::string_view reference,
+                            std::string_view target_id) {
+  const int slot = object.meta().reference_slot(reference);
+  if (slot < 0) {
+    return NotFound("class '" + object.class_name() + "' has no reference '" +
+                    std::string(reference) + "'");
   }
-  if (ref->containment) {
-    return InvalidArgument("containment reference '" + reference +
+  const MetaReference& ref = object.meta().references()[slot];
+  if (ref.containment) {
+    return InvalidArgument("containment reference '" + ref.name +
                            "' is populated via create_child");
   }
-  MDSM_RETURN_IF_ERROR(check_reference(*object, *ref, target_id));
-  auto& targets = object->references_[reference];
+  const ModelObject* target = find(target_id);
+  if (target == nullptr) {
+    return NotFound("reference target '" + std::string(target_id) +
+                    "' not in model");
+  }
+  if (!target->meta().is_kind_of(*ref.target)) {
+    return InvalidArgument("target '" + std::string(target_id) + "' of '" +
+                           object.class_name() + "." + ref.name +
+                           "' is not a kind of '" + ref.target_class + "'");
+  }
+  Targets& targets = object.targets_[slot];
   if (std::find(targets.begin(), targets.end(), target_id) != targets.end()) {
-    return AlreadyExists("'" + target_id + "' already referenced by '" + id +
-                         "." + reference + "'");
+    return AlreadyExists("'" + std::string(target_id) +
+                         "' already referenced by '" + object.id() + "." +
+                         ref.name + "'");
   }
-  if (!ref->many && !targets.empty()) {
-    targets.clear();  // single-valued: replace
-  }
-  targets.push_back(target_id);
+  if (!ref.many) targets.clear();  // single-valued: replace
+  targets.emplace_back(target_id);
   return Status::Ok();
 }
 
@@ -223,91 +328,76 @@ Status Model::remove_reference(const std::string& id,
                                const std::string& target_id) {
   ModelObject* object = find(id);
   if (object == nullptr) return NotFound("object '" + id + "' not in model");
-  auto it = object->references_.find(reference);
-  if (it == object->references_.end()) {
+  const int slot = object->meta().reference_slot(reference);
+  if (slot < 0 || object->targets_[slot].empty()) {
     return NotFound("reference '" + reference + "' unset on '" + id + "'");
   }
-  auto& targets = it->second;
+  Targets& targets = object->targets_[slot];
   auto pos = std::find(targets.begin(), targets.end(), target_id);
   if (pos == targets.end()) {
     return NotFound("'" + target_id + "' not referenced by '" + id + "." +
                     reference + "'");
   }
   targets.erase(pos);
-  if (targets.empty()) object->references_.erase(it);
   return Status::Ok();
 }
 
 Status Model::remove(const std::string& id) {
   ModelObject* object = find(id);
   if (object == nullptr) return NotFound("object '" + id + "' not in model");
-  // Collect the containment subtree (children before the parent removal).
-  std::vector<std::string> doomed;
-  std::vector<std::string> frontier{id};
-  while (!frontier.empty()) {
-    std::string current = frontier.back();
-    frontier.pop_back();
-    doomed.push_back(current);
-    const ModelObject* node = find(current);
-    for (const auto& ref : node->meta().references()) {
-      if (!ref.containment) continue;
-      for (const std::string& child : node->targets(ref.name)) {
-        frontier.push_back(child);
+  // The containment subtree, each object before the ones it contains.
+  std::vector<const ModelObject*> doomed{object};
+  for (std::size_t i = 0; i < doomed.size(); ++i) {
+    const MetaClass& meta = doomed[i]->meta();
+    for (std::size_t slot = 0; slot < meta.references().size(); ++slot) {
+      if (!meta.references()[slot].containment) continue;
+      for (const std::string& child : doomed[i]->targets_at(slot)) {
+        doomed.push_back(find(child));
       }
     }
   }
-  // Detach from the parent's containment slot.
-  if (!object->parent_id_.empty()) {
-    ModelObject* parent = find(object->parent_id_);
-    if (parent != nullptr) {
-      auto it = parent->references_.find(object->containing_reference_);
-      if (it != parent->references_.end()) {
-        auto& targets = it->second;
-        targets.erase(std::remove(targets.begin(), targets.end(), id),
-                      targets.end());
-        if (targets.empty()) parent->references_.erase(it);
-      }
+  auto is_doomed = [&](std::string_view target) {
+    return std::any_of(doomed.begin(), doomed.end(),
+                       [&](const ModelObject* gone) {
+                         return gone->id() == target;
+                       });
+  };
+  std::erase_if(order_, [&](const ModelObject* candidate) {
+    return std::find(doomed.begin(), doomed.end(), candidate) != doomed.end();
+  });
+  // Scrub references into the subtree, the parent's containment slot
+  // among them, then drop the subtree.
+  for (const ModelObject* survivor : order_) {
+    Targets* targets = survivor->targets_;
+    for (std::size_t slot = 0; slot < survivor->meta().references().size();
+         ++slot) {
+      std::erase_if(targets[slot], is_doomed);
     }
   }
-  // Erase the subtree and scrub dangling cross-references to it.
-  for (const std::string& gone : doomed) {
-    order_.erase(std::remove(order_.begin(), order_.end(), find(gone)),
-                 order_.end());
-    objects_.erase(gone);
+  for (const ModelObject* gone : doomed) {
+    released_.emplace_back(record_bytes(gone->meta()),
+                           const_cast<ModelObject*>(gone));
   }
-  for (auto& [oid, obj] : objects_) {
-    for (auto it = obj->references_.begin(); it != obj->references_.end();) {
-      auto& targets = it->second;
-      targets.erase(std::remove_if(targets.begin(), targets.end(),
-                                   [&](const std::string& t) {
-                                     return std::find(doomed.begin(),
-                                                      doomed.end(),
-                                                      t) != doomed.end();
-                                   }),
-                    targets.end());
-      it = targets.empty() ? obj->references_.erase(it) : std::next(it);
-    }
-  }
+  destroy(doomed);
+  rehash(index_.size());
   return Status::Ok();
 }
 
 const ModelObject* Model::find(std::string_view id) const noexcept {
-  auto it = objects_.find(id);
-  return it == objects_.end() ? nullptr : it->second.get();
+  return index_.empty() ? nullptr : *probe(index_, id);
 }
 
 ModelObject* Model::find(std::string_view id) noexcept {
-  auto it = objects_.find(id);
-  return it == objects_.end() ? nullptr : it->second.get();
+  return index_.empty() ? nullptr : *probe(index_, id);
 }
 
 std::vector<const ModelObject*> Model::objects_of(
     std::string_view class_name) const {
   std::vector<const ModelObject*> out;
+  const MetaClass* cls = metamodel_->find_class(class_name);
+  if (cls == nullptr) return out;
   for (const ModelObject* object : order_) {
-    if (metamodel_->is_kind_of(object->class_name(), class_name)) {
-      out.push_back(object);
-    }
+    if (object->meta().is_kind_of(*cls)) out.push_back(object);
   }
   return out;
 }
@@ -315,7 +405,7 @@ std::vector<const ModelObject*> Model::objects_of(
 std::vector<const ModelObject*> Model::roots() const {
   std::vector<const ModelObject*> out;
   for (const ModelObject* object : order_) {
-    if (object->parent_id().empty()) out.push_back(object);
+    if (object->parent_ == nullptr) out.push_back(object);
   }
   return out;
 }
@@ -337,8 +427,9 @@ Status Model::validate() const {
     const MetaClass& meta = object->meta();
     // Unknown slots cannot occur (set_attribute checks), but required
     // and enum constraints are deferred to validation.
-    for (const auto& attr : meta.attributes()) {
-      const Value& value = object->get(attr.name);
+    for (std::size_t slot = 0; slot < meta.attributes().size(); ++slot) {
+      const MetaAttribute& attr = meta.attributes()[slot];
+      const Value& value = object->value_at(slot);
       if (value.is_none()) {
         if (attr.required) {
           return ConformanceError("object '" + id +
@@ -366,8 +457,9 @@ Status Model::validate() const {
         }
       }
     }
-    for (const auto& ref : meta.references()) {
-      const auto& targets = object->targets(ref.name);
+    for (std::size_t slot = 0; slot < meta.references().size(); ++slot) {
+      const MetaReference& ref = meta.references()[slot];
+      const Targets& targets = object->targets_at(slot);
       if (ref.required && targets.empty()) {
         return ConformanceError("object '" + id +
                                 "' missing required reference '" + ref.name +
@@ -385,7 +477,7 @@ Status Model::validate() const {
                                   ref.name + "' targets missing object '" +
                                   target_id + "'");
         }
-        if (!metamodel_->is_kind_of(target->class_name(), ref.target_class)) {
+        if (!target->meta().is_kind_of(*ref.target)) {
           return ConformanceError("object '" + id + "' reference '" +
                                   ref.name + "' target '" + target_id +
                                   "' has incompatible class '" +
@@ -399,10 +491,18 @@ Status Model::validate() const {
 
 Model Model::clone() const {
   Model copy(name_, metamodel_);
+  copy.reserve(order_.size());
   for (const ModelObject* object : order_) {
-    auto duplicate = std::make_unique<ModelObject>(*object);
-    copy.order_.push_back(duplicate.get());
-    copy.objects_.emplace(object->id(), std::move(duplicate));
+    const MetaClass& meta = object->meta();
+    ModelObject* duplicate = copy.add_object(meta, object->id()).value();
+    std::copy_n(object->values_, meta.attributes().size(),
+                duplicate->values_);
+    std::copy_n(object->targets_, meta.references().size(),
+                duplicate->targets_);
+    if (object->parent_ != nullptr) {
+      duplicate->parent_ = copy.find(object->parent_->id());
+      duplicate->containment_slot_ = object->containment_slot_;
+    }
   }
   return copy;
 }

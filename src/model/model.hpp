@@ -6,11 +6,11 @@
 // model (models@runtime), and src/core instantiates middleware from one.
 #pragma once
 
-#include <map>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
@@ -21,13 +21,79 @@ namespace mdsm::model {
 
 class Model;
 
+/// The ids held by one reference slot.
+using Targets = std::vector<std::string>;
+
+/// A name-ordered view of one object's set slots of one kind: attributes
+/// (set when not none) or references (set when not empty). It iterates
+/// and finds like a std::map from feature name to slot. Its iterators
+/// point into the metaclass and the object, so they outlive the view.
+template <typename Feature, typename Slot>
+class SlotView {
+ public:
+  using value_type = std::pair<const std::string&, const Slot&>;
+
+  class iterator {
+   public:
+    struct Arrow {  ///< what operator-> points through
+      value_type pair;
+      const value_type* operator->() const noexcept { return &pair; }
+    };
+    iterator(const SlotView& view, std::size_t slot) noexcept
+        : features_(view.features_), slots_(view.slots_), slot_(slot) {
+      skip_unset();
+    }
+    value_type operator*() const noexcept {
+      return {(*features_)[slot_].name, slots_[slot_]};
+    }
+    Arrow operator->() const noexcept { return {**this}; }
+    iterator& operator++() noexcept {
+      ++slot_;
+      skip_unset();
+      return *this;
+    }
+    bool operator==(const iterator& other) const noexcept {
+      return slot_ == other.slot_;
+    }
+
+   private:
+    void skip_unset() noexcept {
+      while (slot_ < features_->size() && !is_set(slots_[slot_])) ++slot_;
+    }
+    const std::vector<Feature>* features_;
+    const Slot* slots_;
+    std::size_t slot_;
+  };
+
+  SlotView(const std::vector<Feature>& features, const Slot* slots) noexcept
+      : features_(&features), slots_(slots) {}
+  [[nodiscard]] iterator begin() const noexcept { return {*this, 0}; }
+  [[nodiscard]] iterator end() const noexcept {
+    return {*this, features_->size()};
+  }
+  [[nodiscard]] iterator find(std::string_view name) const noexcept {
+    const int slot = find_slot(*features_, name);
+    return slot >= 0 && is_set(slots_[slot]) ? iterator(*this, slot) : end();
+  }
+
+ private:
+  static bool is_set(const Value& value) noexcept { return !value.is_none(); }
+  static bool is_set(const Targets& targets) noexcept {
+    return !targets.empty();
+  }
+  const std::vector<Feature>* features_;
+  const Slot* slots_;
+};
+
 /// One object in a model. Identity is a model-unique string id; state is
-/// attribute slots (Value) plus reference slots (target ids). Objects are
-/// created and owned by their Model.
+/// one slot per feature of its metaclass, indexed like its effective
+/// feature tables: a Value per attribute (none when unset) and the target
+/// ids per reference. Objects are created and owned by their Model and
+/// keep their address for its life.
 class ModelObject {
  public:
-  ModelObject(std::string id, const MetaClass& meta)
-      : id_(std::move(id)), meta_(&meta) {}
+  ModelObject(const ModelObject&) = delete;
+  ModelObject& operator=(const ModelObject&) = delete;
 
   [[nodiscard]] const std::string& id() const noexcept { return id_; }
   [[nodiscard]] const MetaClass& meta() const noexcept { return *meta_; }
@@ -36,16 +102,14 @@ class ModelObject {
   }
 
   /// Containment context ("" for roots).
-  [[nodiscard]] const std::string& parent_id() const noexcept {
-    return parent_id_;
-  }
-  [[nodiscard]] const std::string& containing_reference() const noexcept {
-    return containing_reference_;
-  }
+  [[nodiscard]] const std::string& parent_id() const noexcept;
+  [[nodiscard]] const std::string& containing_reference() const noexcept;
 
   /// Attribute access. get() returns none for never-set attributes.
   [[nodiscard]] const Value& get(std::string_view attribute) const noexcept;
-  [[nodiscard]] bool has(std::string_view attribute) const noexcept;
+  [[nodiscard]] bool has(std::string_view attribute) const noexcept {
+    return !get(attribute).is_none();
+  }
 
   /// Typed conveniences with fallbacks (for reading optional attrs).
   [[nodiscard]] std::string get_string(std::string_view attribute,
@@ -58,43 +122,53 @@ class ModelObject {
                               bool fallback = false) const;
 
   /// Targets of a reference slot (ids), empty if unset.
-  [[nodiscard]] const std::vector<std::string>& targets(
+  [[nodiscard]] const Targets& targets(
       std::string_view reference) const noexcept;
 
+  /// Slots by index into meta().attributes() / meta().references().
+  [[nodiscard]] const Value& value_at(std::size_t slot) const noexcept {
+    return values_[slot];
+  }
+  [[nodiscard]] const Targets& targets_at(std::size_t slot) const noexcept {
+    return targets_[slot];
+  }
+
   /// All set attribute slots, sorted by name (deterministic iteration).
-  [[nodiscard]] const std::map<std::string, Value, std::less<>>& attributes()
-      const noexcept {
-    return attributes_;
+  [[nodiscard]] SlotView<MetaAttribute, Value> attributes() const noexcept {
+    return {meta_->attributes(), values_};
   }
   /// All set reference slots, sorted by name.
-  [[nodiscard]] const std::map<std::string, std::vector<std::string>,
-                               std::less<>>&
-  references() const noexcept {
-    return references_;
+  [[nodiscard]] SlotView<MetaReference, Targets> references() const noexcept {
+    return {meta_->references(), targets_};
   }
 
  private:
   friend class Model;
 
+  ModelObject(std::string_view id, const MetaClass& meta, Value* values,
+              Targets* targets)
+      : id_(id), meta_(&meta), values_(values), targets_(targets) {}
+
   std::string id_;
   const MetaClass* meta_;
-  std::string parent_id_;
-  std::string containing_reference_;
-  std::map<std::string, Value, std::less<>> attributes_;
-  std::map<std::string, std::vector<std::string>, std::less<>> references_;
+  const ModelObject* parent_ = nullptr;  ///< null for roots
+  std::size_t containment_slot_ = 0;     ///< the parent's reference slot
+  Value* values_;     ///< the record's attribute slots
+  Targets* targets_;  ///< the record's reference slots
 };
 
 /// An object graph conforming (checked by validate()) to a Metamodel.
 class Model {
  public:
   Model(std::string name, MetamodelPtr metamodel);
+  ~Model();
 
-  // Move-only: a Model owns its objects; use clone() for copies.
+  // Move-only: a Model owns its objects; use clone() for copies. A move
+  // moves no object, so pointers and references into them stay valid.
   Model(Model&&) noexcept = default;
-  Model& operator=(Model&&) noexcept = default;
+  Model& operator=(Model&& other) noexcept;
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
   [[nodiscard]] const Metamodel& metamodel() const noexcept {
     return *metamodel_;
   }
@@ -102,9 +176,12 @@ class Model {
     return metamodel_;
   }
 
+  /// Make room for `objects` more objects, like std::vector::reserve.
+  void reserve(std::size_t objects);
+
   /// Create a root object. Fails on unknown/abstract class or id clash.
-  Result<ModelObject*> create(const std::string& class_name,
-                              const std::string& id);
+  Result<ModelObject*> create(std::string_view class_name,
+                              std::string_view id);
 
   /// Create an object contained in `parent_id` via containment reference
   /// `reference`. Checks the reference exists, is containment, targets a
@@ -113,9 +190,15 @@ class Model {
                                     const std::string& reference,
                                     const std::string& class_name,
                                     const std::string& id);
+  Result<ModelObject*> create_child(ModelObject& parent,
+                                    std::string_view reference,
+                                    std::string_view class_name,
+                                    std::string_view id);
 
   /// Set an attribute with static type checking against the metaclass.
   Status set_attribute(const std::string& id, const std::string& attribute,
+                       Value value);
+  Status set_attribute(ModelObject& object, std::string_view attribute,
                        Value value);
 
   /// Clear an attribute slot back to unset.
@@ -124,6 +207,8 @@ class Model {
   /// Add a cross (non-containment) reference target.
   Status add_reference(const std::string& id, const std::string& reference,
                        const std::string& target_id);
+  Status add_reference(ModelObject& object, std::string_view reference,
+                       std::string_view target_id);
 
   Status remove_reference(const std::string& id, const std::string& reference,
                           const std::string& target_id);
@@ -164,25 +249,30 @@ class Model {
 
  private:
   /// create() once the class is resolved.
-  Result<ModelObject*> add_object(const MetaClass& meta,
-                                  const std::string& id);
-  Status check_reference(const ModelObject& object,
-                         const MetaReference& reference,
-                         const std::string& target_id) const;
+  Result<ModelObject*> add_object(const MetaClass& meta, std::string_view id);
+  /// Allocate a record: a released one of its size, else the newest
+  /// chunk's free tail, else a new chunk with room for the records
+  /// reserve() still expects (4 when none) and at least twice the last.
+  void* allocate(std::size_t bytes);
+  /// Run the destructors of every object in `objects` and its slots.
+  static void destroy(const std::vector<const ModelObject*>& objects) noexcept;
+  /// Rebuild the id table with `slots` entries (a power of two).
+  void rehash(std::size_t slots);
 
   std::string name_;
   MetamodelPtr metamodel_;
-  /// Hashes ids for lookup by std::string_view as well as std::string.
-  struct IdHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view id) const noexcept {
-      return std::hash<std::string_view>{}(id);
-    }
-  };
-  std::unordered_map<std::string, std::unique_ptr<ModelObject>, IdHash,
-                     std::equal_to<>>
-      objects_;
   std::vector<const ModelObject*> order_;  ///< creation order
+  /// Open-addressed id table (linear probing), at most half full.
+  std::vector<ModelObject*> index_;
+  /// The object records, in chunks that never move: each record is the
+  /// ModelObject, then its attribute slots, then its reference slots.
+  std::vector<std::unique_ptr<std::byte[]>> chunks_;
+  std::size_t chunk_used_ = 0;  ///< bytes taken from chunks_.back()
+  std::size_t chunk_size_ = 0;  ///< bytes in chunks_.back()
+  std::size_t expected_ = 0;    ///< objects reserve() made room for
+  /// Records remove() freed, for reuse by a record of the same bytes.
+  using Released = std::pair<std::size_t, void*>;
+  std::vector<Released> released_;
 };
 
 }  // namespace mdsm::model

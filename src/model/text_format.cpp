@@ -1,8 +1,8 @@
 #include "model/text_format.hpp"
 
+#include <algorithm>
 #include <array>
 #include <charconv>
-#include <sstream>
 #include <vector>
 
 namespace mdsm::model {
@@ -68,7 +68,7 @@ std::string unescape(std::string_view raw) {
 }
 
 struct PendingReference {
-  std::string_view object_id;
+  ModelObject* holder;
   std::string_view reference;
   std::string_view target_id;
   int line;
@@ -106,15 +106,18 @@ class Parser {
                    "' but metamodel is '" + metamodel_->name() + "'");
     }
     Model model(std::string(name), metamodel_);
+    // Every object opens one brace, so this bounds the object count.
+    model.reserve(static_cast<std::size_t>(
+        std::count(text_.begin() + pos_, text_.end(), '{')));
     while (tok_.kind != TokenKind::kEnd) {
       MDSM_TAKE_WORD(word);
       if (word != "object") return error("expected 'object'");
-      MDSM_RETURN_IF_ERROR(parse_object(model, /*parent_id=*/"", /*ref=*/""));
+      MDSM_RETURN_IF_ERROR(parse_object(model, /*parent=*/nullptr,
+                                        /*containment=*/""));
     }
     for (const PendingReference& pending : pending_refs_) {
-      Status status = model.add_reference(std::string(pending.object_id),
-                                          std::string(pending.reference),
-                                          std::string(pending.target_id));
+      Status status = model.add_reference(*pending.holder, pending.reference,
+                                          pending.target_id);
       if (!status.ok()) return at_line(pending.line, status.message());
     }
     return model;
@@ -264,34 +267,32 @@ class Parser {
   }
 
   // ---- Grammar. ----
-  Status parse_object(Model& model, const std::string& parent_id,
+  Status parse_object(Model& model, ModelObject* parent,
                       std::string_view containment) {
     MDSM_TAKE_WORD(class_name);
-    MDSM_TAKE_WORD(id_text);
-    std::string id(id_text);
+    MDSM_TAKE_WORD(id);
     Result<ModelObject*> created =
-        parent_id.empty()
-            ? model.create(std::string(class_name), id)
-            : model.create_child(parent_id, std::string(containment),
-                                 std::string(class_name), id);
+        parent == nullptr
+            ? model.create(class_name, id)
+            : model.create_child(*parent, containment, class_name, id);
     if (!created.ok()) return error(created.status().message());
+    ModelObject& object = *created.value();
     MDSM_RETURN_IF_ERROR(expect_punct("{"));
     while (!take_punct("}")) {
       if (tok_.kind == TokenKind::kEnd) return error("unexpected EOF");
       MDSM_TAKE_WORD(slot);
       if (slot == "child") {
         MDSM_TAKE_WORD(reference);
-        MDSM_RETURN_IF_ERROR(parse_object(model, id, reference));
+        MDSM_RETURN_IF_ERROR(parse_object(model, &object, reference));
       } else if (take_punct("=")) {
         Result<Value> value = parse_value();
         if (!value.ok()) return value.status();
-        Status status =
-            model.set_attribute(id, std::string(slot), std::move(*value));
+        Status status = model.set_attribute(object, slot, std::move(*value));
         if (!status.ok()) return error(status.message());
       } else if (take_punct("->")) {
         do {
           MDSM_TAKE_WORD(target);
-          pending_refs_.push_back({id_text, slot, target, tok_.line});
+          pending_refs_.push_back({&object, slot, target, tok_.line});
         } while (take_punct(","));
       } else {
         return error("expected '=' or '->' after '" + std::string(slot) +
@@ -369,39 +370,46 @@ class Parser {
 
 #undef MDSM_TAKE_WORD
 
+/// Append every piece to `out`.
+template <typename... Pieces>
+void append(std::string& out, const Pieces&... pieces) {
+  (out += ... += pieces);
+}
+
 void serialize_object(const Model& model, const ModelObject& object,
-                      int indent, std::ostringstream& out) {
-  std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-  out << pad;
+                      std::size_t indent, std::string& out) {
+  const MetaClass& meta = object.meta();
+  out.append(2 * indent, ' ');
   if (object.parent_id().empty()) {
-    out << "object ";
+    out += "object ";
   } else {
-    out << "child " << object.containing_reference() << ' ';
+    append(out, "child ", object.containing_reference(), " ");
   }
-  out << object.class_name() << ' ' << object.id() << " {\n";
-  std::string inner(static_cast<std::size_t>(indent + 1) * 2, ' ');
+  append(out, object.class_name(), " ", object.id(), " {\n");
   for (const auto& [name, value] : object.attributes()) {
-    out << inner << name << " = " << value.to_text() << '\n';
+    out.append(2 * indent + 2, ' ');
+    append(out, name, " = ", value.to_text(), "\n");
   }
-  for (const auto& [name, targets] : object.references()) {
-    const MetaReference* ref = object.meta().find_reference(name);
-    if (ref != nullptr && ref->containment) continue;  // emitted as children
-    out << inner << name << " ->";
+  for (std::size_t slot = 0; slot < meta.references().size(); ++slot) {
+    const Targets& targets = object.targets_at(slot);
+    if (meta.references()[slot].containment || targets.empty()) continue;
+    out.append(2 * indent + 2, ' ');
+    append(out, meta.references()[slot].name, " ->");
     for (std::size_t i = 0; i < targets.size(); ++i) {
-      out << (i == 0 ? " " : ", ") << targets[i];
+      append(out, i == 0 ? " " : ", ", targets[i]);
     }
-    out << '\n';
+    out += '\n';
   }
-  for (const auto& [name, targets] : object.references()) {
-    const MetaReference* ref = object.meta().find_reference(name);
-    if (ref == nullptr || !ref->containment) continue;
-    for (const auto& child_id : targets) {
+  for (std::size_t slot = 0; slot < meta.references().size(); ++slot) {
+    if (!meta.references()[slot].containment) continue;
+    for (const auto& child_id : object.targets_at(slot)) {
       if (const ModelObject* child = model.find(child_id)) {
         serialize_object(model, *child, indent + 1, out);
       }
     }
   }
-  out << pad << "}\n";
+  out.append(2 * indent, ' ');
+  out += "}\n";
 }
 
 }  // namespace
@@ -418,13 +426,14 @@ Result<Value> parse_value(std::string_view text) {
 }
 
 std::string serialize_model(const Model& model) {
-  std::ostringstream out;
-  out << "model " << model.name() << " conforms " << model.metamodel().name()
-      << "\n\n";
-  for (const ModelObject* root : model.roots()) {
-    serialize_object(model, *root, 0, out);
+  std::string out;
+  out.reserve(64 + 64 * model.size());
+  append(out, "model ", model.name(), " conforms ", model.metamodel().name(),
+         "\n\n");
+  for (const ModelObject* root : model.objects()) {
+    if (root->parent_id().empty()) serialize_object(model, *root, 0, out);
   }
-  return out.str();
+  return out;
 }
 
 }  // namespace mdsm::model

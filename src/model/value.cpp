@@ -1,8 +1,7 @@
 #include "model/value.hpp"
 
-#include <iomanip>
-#include <limits>
-#include <sstream>
+#include <array>
+#include <charconv>
 
 namespace mdsm::model {
 
@@ -18,6 +17,9 @@ std::string_view to_string(ValueKind kind) noexcept {
   return "?";
 }
 
+namespace {
+
+/// Quote + escape a string for the textual model format.
 std::string quote(std::string_view raw) {
   std::string out = "\"";
   for (char c : raw) {
@@ -33,24 +35,24 @@ std::string quote(std::string_view raw) {
   return out;
 }
 
+}  // namespace
+
 std::string Value::to_text() const {
   switch (kind()) {
     case ValueKind::kNone: return "none";
     case ValueKind::kBool: return as_bool() ? "true" : "false";
     case ValueKind::kInt: return std::to_string(as_int());
     case ValueKind::kReal: {
-      std::ostringstream out;
-      // max_digits10 guarantees parse(to_text(v)) == v for doubles.
-      out << std::setprecision(std::numeric_limits<double>::max_digits10)
-          << as_real();
-      std::string text = out.str();
-      // Guarantee a real-number marker so the parser round-trips the kind.
-      if (text.find('.') == std::string::npos &&
-          text.find('e') == std::string::npos &&
-          text.find("inf") == std::string::npos &&
-          text.find("nan") == std::string::npos) {
-        text += ".0";
-      }
+      // max_digits10 (17) significant digits guarantee parse(to_text(v))
+      // == v for doubles; "%.17g" form, as std::ostream prints it.
+      std::array<char, 32> buffer;
+      char* end = std::to_chars(buffer.begin(), buffer.end(), as_real(),
+                                std::chars_format::general, 17)
+                      .ptr;
+      std::string text(buffer.begin(), end);
+      // Guarantee a real-number marker so the parser round-trips the kind:
+      // a '.', an exponent's 'e', or the 'n' of inf and nan.
+      if (text.find_first_of(".en") == std::string::npos) text += ".0";
       return text;
     }
     case ValueKind::kString: return quote(as_string());

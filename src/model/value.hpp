@@ -99,9 +99,6 @@ class Value {
       rep_;
 };
 
-/// Quote + escape a string for the textual model format.
-std::string quote(std::string_view raw);
-
 /// A `[key, value]` entry, the shape of every field in the wire
 /// envelopes and session checkpoints.
 Value make_entry(std::string key, Value value);

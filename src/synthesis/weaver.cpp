@@ -26,54 +26,56 @@ Status merge_object(model::Model& woven, const model::Model& concern,
                             object.id() +
                             "' at a different containment position");
   }
-  // Attributes. A default-initialized slot that one concern left alone
-  // and another set explicitly is not distinguishable from two explicit
-  // sets (defaults materialize at creation); treat equal values as
-  // agreement and let the policy decide on true disagreements.
-  for (const auto& [name, value] : object.attributes()) {
-    const model::Value& current = existing->get(name);
-    if (current == value) continue;
+  // Both objects are of one class, so their slots line up.
+  const model::MetaClass& meta = existing->meta();
+  // Attributes, in name order. A default-initialized slot that one
+  // concern left alone and another set explicitly is not distinguishable
+  // from two explicit sets (defaults materialize at creation); treat equal
+  // values as agreement and let the policy decide on true disagreements.
+  for (std::size_t slot = 0; slot < meta.attributes().size(); ++slot) {
+    const model::Value& value = object.value_at(slot);
+    const model::Value& current = existing->value_at(slot);
+    if (value.is_none() || current == value) continue;
+    const model::MetaAttribute& attr = meta.attributes()[slot];
     if (!current.is_none() && config.conflicts == ConflictPolicy::kError) {
       // Ignore disagreements that are merely "my default vs your
       // explicit value": if the slot equals the metamodel default in the
       // woven model, the explicit concern wins silently.
-      const model::MetaAttribute* attr = existing->meta().find_attribute(name);
-      bool woven_is_default =
-          attr != nullptr && !attr->default_value.is_none() &&
-          current == attr->default_value;
-      bool concern_is_default =
-          attr != nullptr && !attr->default_value.is_none() &&
-          value == attr->default_value;
+      const bool has_default = !attr.default_value.is_none();
+      const bool woven_is_default =
+          has_default && current == attr.default_value;
+      const bool concern_is_default =
+          has_default && value == attr.default_value;
       if (!woven_is_default && !concern_is_default) {
         return ConformanceError(
-            "weaving conflict on '" + object.id() + "." + name +
+            "weaving conflict on '" + object.id() + "." + attr.name +
             "': " + current.to_text() + " vs " + value.to_text() +
             " (concern '" + concern.name() + "')");
       }
       if (concern_is_default) continue;  // keep the explicit woven value
     }
-    MDSM_RETURN_IF_ERROR(woven.set_attribute(object.id(), name, value));
+    MDSM_RETURN_IF_ERROR(woven.set_attribute(*existing, attr.name, value));
   }
   // Cross references: union (containment is driven by object creation).
-  for (const auto& [name, targets] : object.references()) {
-    const model::MetaReference* ref = existing->meta().find_reference(name);
-    if (ref == nullptr || ref->containment) continue;
-    for (const std::string& target : targets) {
-      const auto& current = existing->targets(name);
+  for (std::size_t slot = 0; slot < meta.references().size(); ++slot) {
+    const model::MetaReference& ref = meta.references()[slot];
+    if (ref.containment) continue;
+    for (const std::string& target : object.targets_at(slot)) {
+      const model::Targets& current = existing->targets_at(slot);
       if (std::find(current.begin(), current.end(), target) !=
           current.end()) {
         continue;
       }
-      if (!ref->many && !current.empty() && current[0] != target) {
+      if (!ref.many && !current.empty() && current[0] != target) {
         if (config.conflicts == ConflictPolicy::kError) {
           return ConformanceError("weaving conflict on single-valued '" +
-                                  object.id() + "." + name + "': '" +
+                                  object.id() + "." + ref.name + "': '" +
                                   current[0] + "' vs '" + target + "'");
         }
       }
       // Forward references inside a concern are fine here because
       // objects were created in concern order before this pass.
-      Status added = woven.add_reference(object.id(), name, target);
+      Status added = woven.add_reference(*existing, ref.name, target);
       if (!added.ok() && added.code() != ErrorCode::kAlreadyExists) {
         return added;
       }

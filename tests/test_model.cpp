@@ -1,8 +1,13 @@
 // Unit tests for the metamodeling facility: Value, Metamodel, Model.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "model/metamodel.hpp"
 #include "model/model.hpp"
+#include "model/text_format.hpp"
 #include "model_fixtures.hpp"
 
 namespace mdsm::model {
@@ -293,6 +298,97 @@ TEST(Model, CloneIsDeepAndEqualShape) {
   copy.set_attribute("s1", "state", Value("closed"));
   EXPECT_EQ(model.find("s1")->get_string("state"), "open");
   EXPECT_EQ(copy.find("s1")->get_string("state"), "closed");
+}
+
+TEST(Model, ObjectsStayPutWhenTheModelMoves) {
+  MetamodelPtr mm = make_test_metamodel();
+  Result<Model> parsed = parse_model(
+      "model m conforms testlang\n"
+      "object Session s1 { state = open\n"
+      "  child participants Participant alice { address = \"a@host\" } }\n",
+      mm);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  const ModelObject* s1 = parsed.value().find("s1");
+  const ModelObject* alice = parsed.value().find("alice");
+  const std::string& id = alice->id();
+  const Value& state = s1->get("state");
+  const std::string& parent = alice->parent_id();
+  auto shared = std::make_shared<const Model>(std::move(parsed.value()));
+  EXPECT_EQ(shared->find("s1"), s1);
+  EXPECT_EQ(shared->find("alice"), alice);
+  EXPECT_EQ(&shared->find("alice")->id(), &id);
+  EXPECT_EQ(id, "alice");
+  EXPECT_EQ(state, Value("open"));
+  EXPECT_EQ(parent, "s1");
+  EXPECT_EQ(alice->containing_reference(), "participants");
+  EXPECT_TRUE(shared->validate().ok());
+  // Move assignment drops the target's objects and keeps the source's.
+  Model target = make_test_model(mm);
+  Model moved = shared->clone();
+  const ModelObject* moved_s1 = moved.find("s1");
+  target = std::move(moved);
+  EXPECT_EQ(target.find("s1"), moved_s1);
+  EXPECT_EQ(target.find("bob"), nullptr);
+  EXPECT_EQ(serialize_model(target), serialize_model(*shared));
+}
+
+TEST(Model, MutatingACloneLeavesTheSourceTextUnchanged) {
+  MetamodelPtr mm = make_test_metamodel();
+  const Model source = make_test_model(mm);
+  const std::string text = serialize_model(source);
+  Model copy = source.clone();
+  ASSERT_TRUE(copy.set_attribute("s1", "state", Value("closed")).ok());
+  ASSERT_TRUE(copy.unset_attribute("s1", "bandwidth").ok());
+  ASSERT_TRUE(copy.add_reference("s1", "initiator", "bob").ok());
+  ASSERT_TRUE(copy.remove("alice").ok());
+  ASSERT_TRUE(
+      copy.create_child("s1", "participants", "Participant", "carol").ok());
+  ASSERT_TRUE(copy.set_attribute("carol", "address", Value("c@host")).ok());
+  EXPECT_EQ(serialize_model(source), text);
+  EXPECT_NE(serialize_model(copy), text);
+  EXPECT_TRUE(source.validate().ok());
+  EXPECT_TRUE(copy.validate().ok());
+}
+
+TEST(Model, RemovedObjectsFreeTheirSlotsForReuse) {
+  MetamodelPtr mm = make_test_metamodel();
+  Model model = make_test_model(mm);
+  for (int round = 0; round < 50; ++round) {
+    const std::string id = "guest" + std::to_string(round);
+    ASSERT_TRUE(
+        model.create_child("s1", "participants", "Participant", id).ok());
+    ASSERT_TRUE(model.set_attribute(id, "address", Value(id + "@host")).ok());
+    ASSERT_TRUE(model.add_reference("s1", "initiator", id).ok());
+    ASSERT_TRUE(model.remove(id).ok());
+  }
+  EXPECT_EQ(model.size(), 4u);
+  EXPECT_EQ(model.children("s1", "participants").size(), 2u);
+  EXPECT_TRUE(model.find("s1")->targets("initiator").empty());
+  EXPECT_TRUE(model.validate().ok());
+}
+
+TEST(Model, AttributeAndReferenceViewsReadLikeNameOrderedMaps) {
+  MetamodelPtr mm = make_test_metamodel();
+  Model model = make_test_model(mm);
+  const ModelObject* s1 = model.find("s1");
+  std::vector<std::string> names;
+  for (const auto& [name, value] : s1->attributes()) names.push_back(name);
+  EXPECT_EQ(names, (std::vector<std::string>{"bandwidth", "state"}));
+  names.clear();
+  for (const auto& [name, targets] : s1->references()) {
+    names.push_back(name + ":" + std::to_string(targets.size()));
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"initiator:1", "media:1",
+                                             "participants:2"}));
+  auto it = s1->attributes().find("state");
+  ASSERT_TRUE(it != s1->attributes().end());
+  EXPECT_EQ(it->first, "state");
+  EXPECT_EQ(it->second, Value("open"));
+  EXPECT_TRUE(s1->attributes().find("label") == s1->attributes().end());
+  EXPECT_TRUE(s1->attributes().find("ghost") == s1->attributes().end());
+  // Slots follow the names: bandwidth, label, state, tags.
+  EXPECT_EQ(s1->meta().attribute_slot("state"), 2);
+  EXPECT_EQ(s1->meta().attribute_slot("ghost"), -1);
 }
 
 TEST(Model, TypedGettersWithFallbacks) {
