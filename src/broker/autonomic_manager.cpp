@@ -15,6 +15,7 @@ AutonomicManager::AutonomicManager(runtime::EventBus& bus,
       adaptations_(metrics.counter("autonomic.reactions")),
       detected_(metrics.counter("autonomic.symptoms_detected")),
       reaction_failures_(metrics.counter("autonomic.reaction_failures")),
+      reaction_span_(metrics, "autonomic.reaction"),
       execute_steps_(std::move(execute_steps)) {}
 
 AutonomicManager::~AutonomicManager() {
@@ -84,7 +85,7 @@ Status AutonomicManager::raise_request(const std::string& request,
     obs::RequestContext* request_context = obs::current();
     std::uint64_t span = 0;
     if (request_context != nullptr) {
-      span = request_context->open_span("autonomic.reaction", plan.name);
+      span = request_context->open_span(reaction_span_, plan.name);
     }
     Status executed = execute_steps_(plan.steps, args);
     if (request_context != nullptr) request_context->close_span(span);

@@ -89,6 +89,7 @@ class AutonomicManager {
   obs::Counter& adaptations_;  ///< "autonomic.reactions"
   obs::Counter& detected_;     ///< "autonomic.symptoms_detected"
   obs::Counter& reaction_failures_;
+  obs::SpanName reaction_span_;
   StepExecutor execute_steps_;
   std::vector<Symptom> symptoms_;
   std::vector<ChangePlan> plans_;

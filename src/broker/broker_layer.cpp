@@ -17,6 +17,8 @@ BrokerLayer::BrokerLayer(std::string name, runtime::EventBus& bus,
       calls_handled_(metrics.counter("broker.calls")),
       events_received_(metrics.counter("broker.events_received")),
       events_dispatched_(metrics.counter("broker.events")),
+      call_span_(metrics, "broker.call"),
+      event_span_(metrics, "broker.event"),
       resources_(bus, metrics) {
   autonomic_ = std::make_unique<AutonomicManager>(
       bus, context, metrics,
@@ -102,8 +104,7 @@ void BrokerLayer::start_call(const Call& broker_call,
   // The span is closed when the step run finishes, not by a ScopedSpan:
   // in async mode the call may park and complete on another thread long
   // after this frame unwinds.
-  const std::uint64_t span = context.open_span("broker.call",
-                                               broker_call.name);
+  const std::uint64_t span = context.open_span(call_span_, broker_call.name);
   Status deadline = context.check_deadline("broker");
   Result<const Action*> action = deadline.ok()
                                      ? select_action(broker_call.name)
@@ -129,7 +130,7 @@ Status BrokerLayer::handle_event(const std::string& topic,
     return Status::Ok();
   }
   obs::ContextScope ambient(context);
-  obs::ScopedSpan span(context, "broker.event", topic);
+  obs::ScopedSpan span(context, event_span_, topic);
   events_dispatched_.add();
   Args args;
   args["event.topic"] = model::Value(topic);

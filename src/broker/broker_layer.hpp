@@ -146,6 +146,8 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
   obs::Counter& calls_handled_;
   obs::Counter& events_received_;
   obs::Counter& events_dispatched_;  ///< "broker.events"
+  obs::SpanName call_span_;
+  obs::SpanName event_span_;
   StateManager state_;
   policy::PolicySet policies_;
   ResourceManager resources_;

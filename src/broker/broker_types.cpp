@@ -2,15 +2,28 @@
 
 namespace mdsm::broker {
 
-std::string format_invocation(const std::string& name, const Args& args) {
-  std::string out = name + "(";
+namespace {
+
+void append_invocation(std::string& out, const std::string& name,
+                       const Args& args) {
+  out += name;
+  out += '(';
   bool first = true;
   for (const auto& [key, value] : args) {
     if (!first) out += ", ";
     first = false;
-    out += key + "=" + value.to_text();
+    out += key;
+    out += '=';
+    value.append_text(out);
   }
-  out += ")";
+  out += ')';
+}
+
+}  // namespace
+
+std::string format_invocation(const std::string& name, const Args& args) {
+  std::string out;
+  append_invocation(out, name, args);
   return out;
 }
 
@@ -30,8 +43,13 @@ Result<model::Value> require_arg(const Args& args, std::string_view key,
 
 void CommandTrace::record(const std::string& resource,
                           const std::string& command, const Args& args) {
-  // Format outside the lock; only the append is serialized.
-  std::string entry = resource + "." + format_invocation(command, args);
+  // Format outside the lock, in this thread's buffer (its capacity is
+  // reused), then copy once at the exact size the ring holds it at; only
+  // the append is serialized.
+  thread_local std::string buffer;
+  buffer.assign(resource).append(1, '.');
+  append_invocation(buffer, command, args);
+  std::string entry(buffer);
   recorded_.add();
   std::lock_guard lock(mutex_);
   if (entries_.size() == kCapacity) {

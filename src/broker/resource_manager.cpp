@@ -19,6 +19,8 @@ ResourceManager::ResourceManager(runtime::EventBus& bus,
       fallbacks_counter_(metrics.counter("broker.fallbacks")),
       overruns_counter_(metrics.counter("broker.attempt_overruns")),
       late_completions_counter_(metrics.counter("broker.late_completions")),
+      attempt_span_(metrics, "broker.attempt"),
+      fallback_span_(metrics, "broker.fallback"),
       trace_(metrics) {}
 
 Status ResourceManager::add_adapter(std::unique_ptr<ResourceAdapter> adapter) {
@@ -318,8 +320,8 @@ void ResourceManager::start_attempt(std::shared_ptr<Invocation> call) {
   ++call->attempt;
   if (call->attempt > 1) retries_counter_.add();
   const std::uint64_t span = context.open_span(
-      "broker.attempt", call->resource + "." + call->command + "#" +
-                            std::to_string(call->attempt));
+      attempt_span_, call->resource + "." + call->command + "#" +
+                         std::to_string(call->attempt));
   const TimePoint started = clock.now();
   auto settled = std::make_shared<std::atomic<bool>>(false);
   std::uint64_t overrun_timer = 0;
@@ -474,7 +476,7 @@ void ResourceManager::degrade(const std::shared_ptr<Invocation>& call,
                     model::Value(policy.fallback_resource),
                     model::Value(call->command)}));
   std::uint64_t span = call->context->open_span(
-      "broker.fallback", call->resource + "->" + policy.fallback_resource);
+      fallback_span_, call->resource + "->" + policy.fallback_resource);
   const bool tag_degraded = policy.tag_degraded;
   execute_attempt(
       *fallback, policy.fallback_resource, call->command, call->args,

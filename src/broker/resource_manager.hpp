@@ -223,6 +223,8 @@ class ResourceManager {
   obs::Counter& fallbacks_counter_;
   obs::Counter& overruns_counter_;
   obs::Counter& late_completions_counter_;
+  obs::SpanName attempt_span_;
+  obs::SpanName fallback_span_;
   std::function<void(Duration)> sleep_hook_;  ///< null = real sleep
   runtime::EventLoop* loop_ = nullptr;  ///< null = invoke_async runs inline
   std::function<void(std::function<void()>)> resume_;  ///< worker hand-off

@@ -22,6 +22,8 @@ ControllerLayer::ControllerLayer(std::string name, broker::BrokerApi& broker,
       case2_executions_(metrics.counter("controller.case2")),
       errors_(metrics.counter("controller.errors")),
       events_handled_(metrics.counter("controller.events_handled")),
+      script_span_(metrics, "controller.script"),
+      signal_span_(metrics, "controller.signal"),
       generator_(dscs_, repository_, context, metrics, generator_config),
       engine_(broker, bus, context, metrics) {}
 
@@ -208,7 +210,7 @@ void ControllerLayer::start_script(const ControlScript& script,
   run->inline_mode = inline_mode;
   run->done = std::move(done);
   run->script_span = context.open_span(
-      "controller.script",
+      script_span_,
       std::to_string(run->script->commands.size()) + " commands");
   if (Status deadline = context.check_deadline("controller");
       !deadline.ok()) {
@@ -250,7 +252,7 @@ void ControllerLayer::drive_script(std::shared_ptr<ScriptRun> run) {
       command = &run->signal;
     }
     const std::uint64_t span =
-        run->context->open_span("controller.signal", command->name);
+        run->context->open_span(signal_span_, command->name);
     if (event) {
       events_handled_.add();
       // Events are handled by Case-1 actions bound to the topic; an

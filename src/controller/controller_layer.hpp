@@ -202,6 +202,8 @@ class ControllerLayer final : public runtime::Component {
   obs::Counter& case2_executions_;
   obs::Counter& errors_;
   obs::Counter& events_handled_;
+  obs::SpanName script_span_;
+  obs::SpanName signal_span_;
   DscRegistry dscs_;
   ProcedureRepository repository_;
   IntentModelGenerator generator_;

@@ -20,6 +20,7 @@ ExecutionEngine::ExecutionEngine(broker::BrokerApi& broker,
       broker_calls_(metrics.counter("controller.broker_calls")),
       procedure_pushes_(metrics.counter("controller.procedure_pushes")),
       executions_(metrics.counter("controller.eu_executions")),
+      eu_span_(metrics, "controller.eu"),
       config_(config) {}
 
 model::Value ExecutionEngine::resolve(const model::Value& value,
@@ -154,8 +155,7 @@ Status ExecutionEngine::exec_instruction(const Instruction& instruction,
       procedure_pushes_.add();
       Frame child{};
       child.node = node->children[index].get();
-      child.span = context.open_span("controller.eu",
-                                     child.node->procedure->name);
+      child.span = context.open_span(eu_span_, child.node->procedure->name);
       stack.push_back(child);  // invalidates callers' top-frame refs
       break;
     }
@@ -266,7 +266,7 @@ void ExecutionEngine::start(const IntentModel* intent_model,
   initial.node = flat == nullptr ? intent_model->root.get() : nullptr;
   initial.flat = flat;
   run->root_span = context.open_span(
-      "controller.eu",
+      eu_span_,
       flat == nullptr ? std::string_view(initial.node->procedure->name)
                       : std::string_view("action"));
   run->stack.push_back(initial);

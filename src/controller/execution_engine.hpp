@@ -175,6 +175,7 @@ class ExecutionEngine {
   obs::Counter& broker_calls_;
   obs::Counter& procedure_pushes_;
   obs::Counter& executions_;
+  obs::SpanName eu_span_;
   std::atomic<std::size_t> max_stack_depth_{0};  ///< high-water gauge
   Sender sender_;
   EngineConfig config_;

@@ -550,7 +550,7 @@ Result<controller::ControlScript> Platform::submit_inline(
         request->callback = std::move(done);
         std::string_view name;
         if (parsed.ok()) name = parsed->name();
-        request->root_span = context.open_span("ui.submit", name);
+        request->root_span = context.open_span(submit_span_, name);
         request->model.emplace(std::move(parsed));
         stage_synthesis(std::move(request));
       });
@@ -588,7 +588,7 @@ Status Platform::submit_async(std::string text, SubmitCallback callback,
   // trace trees correlated.
   const std::string_view remote = request->context->remote_id();
   request->root_span = request->context->open_span(
-      "ui.submit", remote.empty() ? std::string_view("staged") : remote);
+      submit_span_, remote.empty() ? std::string_view("staged") : remote);
   // A budget already spent (admission off lets it through) never takes
   // a queue slot or a watchdog: the machine resolves it here as
   // kTimeout, through the callback, as the sync door's admit() does —
@@ -598,7 +598,7 @@ Status Platform::submit_async(std::string text, SubmitCallback callback,
     finish(request, std::move(live));
     return Status::Ok();
   }
-  request->queue_span = request->context->open_span("runtime.queue");
+  request->queue_span = request->context->open_span(queue_span_);
   // Deadline watchdog: a request whose budget expires while parked
   // between stages resolves with kTimeout *when it expires*, not when
   // some stage eventually notices. The loser of the resolved race only
@@ -731,7 +731,7 @@ void Platform::stage_synthesis(std::shared_ptr<Request> request) {
   // The serial window is the commit alone; the span runs on through
   // execution.
   request->executed = true;
-  request->synthesis_span = context.open_span("synthesis.submit",
+  request->synthesis_span = context.open_span(synthesis_span_,
                                               parsed->name());
   Result<controller::ControlScript> script =
       synthesis_->submit_model(std::move(parsed.value()), context);

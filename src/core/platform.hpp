@@ -438,6 +438,9 @@ class Platform {
   obs::Counter& callback_failures_ = metrics_.counter("ui.callback_failures");
   obs::Counter& states_imported_ =
       metrics_.counter("platform.session_states_imported");
+  obs::SpanName submit_span_{metrics_, "ui.submit"};
+  obs::SpanName queue_span_{metrics_, "runtime.queue"};
+  obs::SpanName synthesis_span_{metrics_, "synthesis.submit"};
 };
 
 }  // namespace mdsm::core

@@ -39,9 +39,11 @@ void CommSessionService::ensure_endpoint(const std::string& address) {
       endpoint.value()->set_handler([this, address](const net::Message& m) {
         constexpr std::string_view kOffer = "offer.";
         if (m.topic.starts_with(kOffer)) {
-          std::string answer = "answer.";
-          answer.append(m.topic, kOffer.size());  // one allocation at most
-          (void)network_->send(address, m.from, std::move(answer), m.payload);
+          // Built in this thread's buffer, whose capacity every answer
+          // reuses: send() copies the topic into the message's slot.
+          thread_local std::string answer;
+          answer.assign("answer.").append(m.topic, kOffer.size());
+          (void)network_->send(address, m.from, answer, m.payload);
         }
       });
     }
@@ -53,14 +55,12 @@ Status CommSessionService::handshake(Session& session,
                                      const std::string& topic) {
   // Offer/answer with every other party; the network simulation applies
   // latency per hop and the service waits for the exchanges to settle.
-  // The offer topic is built once: each offer copies it, the last takes it.
-  std::string offer = "offer." + topic;
-  std::size_t offers = session.parties.size() - session.parties.count(address);
+  // The offer topic is built once; every offer reads it as a view.
+  const std::string offer = "offer." + topic;
   for (const std::string& peer : session.parties) {
     if (peer == address) continue;
-    MDSM_RETURN_IF_ERROR(network_->send(
-        address, peer, --offers == 0 ? std::move(offer) : offer,
-        Value(session.id)));
+    MDSM_RETURN_IF_ERROR(
+        network_->send(address, peer, offer, Value(session.id)));
   }
   network_->run_until_idle();
   negotiation_work();
@@ -86,8 +86,9 @@ Status CommSessionService::teardown_session(const std::string& session_id) {
   // Close every stream first (signaling), then drop the session.
   for (auto& [stream_id, stream] : (*session)->streams) {
     if (stream.open) {
+      const std::string teardown = "teardown." + stream_id;
       for (const std::string& party : (*session)->parties) {
-        (void)network_->send(party, party, "teardown." + stream_id, {});
+        (void)network_->send(party, party, teardown, {});
       }
     }
   }

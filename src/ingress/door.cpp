@@ -168,7 +168,7 @@ void WireDoor::serve(const net::Message& message, const RouteParams* params,
 }
 
 void WireDoor::reply(const std::string& to, wire::Reply reply) {
-  Status sent = endpoint_->send(to, std::string(wire::kReplyTopic),
+  Status sent = endpoint_->send(to, wire::kReplyTopic,
                                 wire::encode_reply(reply));
   if (sent.ok()) {
     replies_.add();

@@ -89,7 +89,7 @@ Result<std::uint64_t> IngressClient::send_request(
     ++stats_.submitted;
   }
 
-  Status sent = endpoint_->send(server_endpoint_, std::move(topic),
+  Status sent = endpoint_->send(server_endpoint_, topic,
                                 wire::encode_request(request));
   if (!sent.ok()) {
     std::lock_guard lock(mutex_);

@@ -20,8 +20,8 @@ std::string_view to_string(ValueKind kind) noexcept {
 namespace {
 
 /// Quote + escape a string for the textual model format.
-std::string quote(std::string_view raw) {
-  std::string out = "\"";
+void append_quoted(std::string& out, std::string_view raw) {
+  out += '"';
   for (char c : raw) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -32,42 +32,49 @@ std::string quote(std::string_view raw) {
     }
   }
   out += '"';
-  return out;
 }
 
 }  // namespace
 
 std::string Value::to_text() const {
+  std::string out;
+  append_text(out);
+  return out;
+}
+
+void Value::append_text(std::string& out) const {
   switch (kind()) {
-    case ValueKind::kNone: return "none";
-    case ValueKind::kBool: return as_bool() ? "true" : "false";
-    case ValueKind::kInt: return std::to_string(as_int());
+    case ValueKind::kNone: out += "none"; return;
+    case ValueKind::kBool: out += as_bool() ? "true" : "false"; return;
+    case ValueKind::kInt: out += std::to_string(as_int()); return;
     case ValueKind::kReal: {
+      std::array<char, 32> buffer;
       // max_digits10 (17) significant digits guarantee parse(to_text(v))
       // == v for doubles; "%.17g" form, as std::ostream prints it.
-      std::array<char, 32> buffer;
-      char* end = std::to_chars(buffer.begin(), buffer.end(), as_real(),
-                                std::chars_format::general, 17)
-                      .ptr;
-      std::string text(buffer.begin(), end);
+      const std::string_view text(
+          buffer.begin(), std::to_chars(buffer.begin(), buffer.end(),
+                                        as_real(), std::chars_format::general,
+                                        17)
+                              .ptr);
+      out += text;
       // Guarantee a real-number marker so the parser round-trips the kind:
       // a '.', an exponent's 'e', or the 'n' of inf and nan.
-      if (text.find_first_of(".en") == std::string::npos) text += ".0";
-      return text;
+      if (text.find_first_of(".en") == std::string_view::npos) out += ".0";
+      return;
     }
-    case ValueKind::kString: return quote(as_string());
+    case ValueKind::kString: append_quoted(out, as_string()); return;
     case ValueKind::kList: {
-      std::string out = "[";
+      out += '[';
       const auto& items = as_list();
       for (std::size_t i = 0; i < items.size(); ++i) {
         if (i > 0) out += ", ";
-        out += items[i].to_text();
+        items[i].append_text(out);
       }
       out += ']';
-      return out;
+      return;
     }
   }
-  return "none";
+  out += "none";
 }
 
 Value make_entry(std::string key, Value value) {

@@ -85,6 +85,8 @@ class Value {
   /// Canonical textual form, parseable back by the text format
   /// ("none", "true", "42", "3.5", "\"hi\"", "[1, 2]").
   [[nodiscard]] std::string to_text() const;
+  /// Appends to_text() to `out`.
+  void append_text(std::string& out) const;
 
   friend bool operator==(const Value& a, const Value& b) noexcept {
     return a.rep_ == b.rep_;

@@ -2,13 +2,26 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/ids.hpp"
 #include "common/log.hpp"
 
 namespace mdsm::net {
 
-Status Endpoint::send(const std::string& to, std::string topic,
+void Endpoint::set_handler(Handler handler) {
+  std::shared_ptr<const Handler> replaced;  // released after both locks
+  if (handler) replaced = std::make_shared<const Handler>(std::move(handler));
+  std::lock_guard lock(set_mutex_);
+  // Attached, delivery reads the handler under the network's mutex;
+  // detached, no delivery reads it any more.
+  Network* network = network_.load(std::memory_order_acquire);
+  std::unique_lock<std::mutex> network_lock;
+  if (network != nullptr) network_lock = std::unique_lock(network->mutex_);
+  handler_.swap(replaced);
+}
+
+Status Endpoint::send(const std::string& to, std::string_view topic,
                       model::Value payload) {
   // Pin the owner outside any lock: a concurrent detach flips the
   // pointer to null, and we either observe it (refuse) or the still-live
@@ -18,7 +31,7 @@ Status Endpoint::send(const std::string& to, std::string topic,
     return Unavailable("endpoint '" + name_ +
                        "' is detached from its network");
   }
-  return network->send(name_, to, std::move(topic), std::move(payload));
+  return network->send(name_, to, topic, std::move(payload));
 }
 
 Network::Network(SimClock& clock, NetworkConfig config)
@@ -71,7 +84,7 @@ std::shared_ptr<Endpoint> Network::endpoint_handle(std::string_view name) {
 }
 
 Status Network::send(const std::string& from, const std::string& to,
-                     std::string topic, model::Value payload) {
+                     std::string_view topic, model::Value payload) {
   std::lock_guard lock(mutex_);
   if (!endpoints_.contains(from)) {
     return NotFound("sender endpoint '" + from + "' does not exist");
@@ -97,8 +110,13 @@ Status Network::send(const std::string& from, const std::string& to,
   }
   const std::size_t slot = free_slots_.back();
   free_slots_.pop_back();
-  slots_[slot] =
-      Message{next_id(), from, to, std::move(topic), std::move(payload)};
+  // Assigned in place: a reused slot's strings keep their capacity.
+  Message& message = slots_[slot];
+  message.id = next_id();
+  message.from.assign(from);
+  message.to.assign(to);
+  message.topic.assign(topic);
+  message.payload = std::move(payload);
   queue_.push_back(Pending{clock_->now() + latency, ++seq_, slot});
   std::push_heap(queue_.begin(), queue_.end(), std::greater<>());
   return Status::Ok();
@@ -121,50 +139,57 @@ std::size_t Network::run_until_idle(std::size_t max_messages) {
 }
 
 // Blocked and undeliverable messages are popped too, so the queue always
-// drains, but only handled messages spend the budget.
+// drains, but only handled messages spend the budget. One lock per
+// message frees the slot handled before, pops the next and reads its
+// handler.
 std::size_t Network::deliver(std::size_t budget, bool advance) {
   std::size_t delivered = 0;
-  while (delivered < budget) {
+  std::optional<std::size_t> handled;  // slot whose handler just returned
+  for (;;) {
     // Pin the destination for the whole handler call: a concurrent
     // remove_endpoint() defers the Endpoint's destruction until this
     // delivery settles (the handler may reentrantly send through it).
     std::shared_ptr<Endpoint> target;
     std::shared_ptr<const Endpoint::Handler> handler;
-    Message message;
+    const Message* message = nullptr;
     {
       std::lock_guard lock(mutex_);
-      if (queue_.empty()) break;
+      if (handled) release(*std::exchange(handled, std::nullopt));
+      if (delivered == budget || queue_.empty()) break;
       const TimePoint due = queue_.front().deliver_at;
       if (advance) clock_->set(due);  // monotonic: never moves time back
       if (due > clock_->now()) break;
       std::pop_heap(queue_.begin(), queue_.end(), std::greater<>());
       const std::size_t slot = queue_.back().slot;
       queue_.pop_back();
-      message = std::move(slots_[slot]);
-      free_slots_.push_back(slot);
+      const Message& queued = slots_[slot];
       // Link state is evaluated at delivery time: a link that went down
       // after send still swallows in-flight traffic.
-      if (!link_up(message.from, message.to)) {
+      if (!link_up(queued.from, queued.to)) {
         blocked_.add();
+        release(slot);
         continue;
       }
-      auto it = endpoints_.find(message.to);
+      auto it = endpoints_.find(queued.to);
       if (it != endpoints_.end()) {
         target = it->second;
-        handler = target->handler_snapshot();
+        handler = target->handler_;
       }
       // A removed endpoint (or one that never installed a handler) makes
       // the queued message undeliverable — counted, not crashed into.
       if (handler == nullptr) {
         undeliverable_.add();
+        release(slot);
         continue;
       }
+      handled = slot;
+      message = &queued;
     }
     delivered_.add();
     ++delivered;
     // Outside the lock: handlers may reentrantly send (ping/pong) or
     // inspect the network without self-deadlocking.
-    (*handler)(message);
+    (*handler)(*message);
   }
   return delivered;
 }

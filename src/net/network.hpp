@@ -16,11 +16,13 @@
 // numbers, which is the point of using threads).
 //
 // Thread-safety: one internal mutex, taken once per send and once per
-// delivery, guards the endpoint registry, queue, RNG and link state, so
-// endpoints may send from any thread while another drives delivery; the
-// counters are relaxed registry cells. Handlers run OUTSIDE the lock (a
-// handler may reentrantly send) on a shared snapshot of the endpoint's
-// handler, so set_handler() races safely with delivery.
+// delivery, guards the endpoint registry, queue, RNG, link state and the
+// attached endpoints' handlers, so endpoints may send from any thread while
+// another drives delivery; the counters are relaxed registry cells. Handlers
+// run OUTSIDE the lock (a handler may reentrantly send) on a shared snapshot
+// of the endpoint's handler, so set_handler() races safely with delivery.
+// A message stays in its (never moving) queue slot until its handler
+// returns; the slot, and its payload, are freed at the next lock.
 //
 // Endpoint lifecycle (PR 7): endpoints are shared-owned. The delivering
 // thread pins the destination endpoint for the duration of its handler,
@@ -36,14 +38,16 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <random>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -92,18 +96,13 @@ class Endpoint {
   /// Install the message handler (replaces any previous one). Safe to
   /// call while the network is delivering, even from the handler itself:
   /// in-flight deliveries finish against the handler they snapshotted.
-  void set_handler(Handler handler) {
-    std::shared_ptr<const Handler> replaced;
-    if (handler) replaced = std::make_shared<const Handler>(std::move(handler));
-    std::lock_guard lock(mutex_);
-    handler_.swap(replaced);  // the old handler is released after unlock
-  }
+  void set_handler(Handler handler);
 
   /// Send via the owning network. After the network detached this
   /// endpoint (remove_endpoint() or Network destruction), returns
   /// kUnavailable — the handle-holding caller learns the endpoint is
   /// gone instead of dereferencing a dangling pointer.
-  Status send(const std::string& to, std::string topic,
+  Status send(const std::string& to, std::string_view topic,
               model::Value payload = {});
 
   /// True once the owning network dropped this endpoint.
@@ -116,19 +115,16 @@ class Endpoint {
   Endpoint(std::string name, Network& network)
       : name_(std::move(name)), network_(&network) {}
 
-  [[nodiscard]] std::shared_ptr<const Handler> handler_snapshot() const {
-    std::lock_guard lock(mutex_);
-    return handler_;
-  }
-
   std::string name_;
   /// The owning network, nulled at detach. A send racing the *detach* is
   /// safe (it observes nullptr or a still-live network); a send racing
   /// actual Network destruction from another thread is a caller ordering
   /// bug, same as any use-after-free of the Network itself.
   std::atomic<Network*> network_;
-  mutable std::mutex mutex_;  ///< guards handler_
-  std::shared_ptr<const Handler> handler_;  ///< null until installed
+  std::mutex set_mutex_;  ///< serializes set_handler(); taken before mutex_
+  /// Null until installed; while attached, swapped and read under the
+  /// network's mutex.
+  std::shared_ptr<const Handler> handler_;
 };
 
 /// The simulated message bus.
@@ -159,7 +155,7 @@ class Network {
   /// Queue a message for future delivery (applies latency/jitter/loss at
   /// send time, link state at delivery time).
   Status send(const std::string& from, const std::string& to,
-              std::string topic, model::Value payload);
+              std::string_view topic, model::Value payload);
 
   /// Deliver every message due at or before the current virtual time.
   std::size_t deliver_due();
@@ -203,6 +199,12 @@ class Network {
   /// the first message not yet due (deliver_due).
   std::size_t deliver(std::size_t budget, bool advance);
 
+  /// Frees a slot, dropping its payload. Caller must hold mutex_.
+  void release(std::size_t slot) {
+    slots_[slot].payload = {};
+    free_slots_.push_back(slot);
+  }
+
   /// Caller must hold mutex_.
   [[nodiscard]] bool link_up(const std::string& a,
                              const std::string& b) const;
@@ -219,16 +221,22 @@ class Network {
   obs::Counter& blocked_ = metrics_.counter("net.blocked");
   obs::Counter& undeliverable_ = metrics_.counter("net.undeliverable");
 
-  /// Guards everything below (lock order: mutex_ before an endpoint's
-  /// handler mutex; never the reverse).
+  struct NameHash : std::hash<std::string_view> {
+    using is_transparent = void;
+  };
+  friend class Endpoint;  // set_handler() swaps under mutex_
+
+  /// Guards everything below and the attached endpoints' handler_.
   mutable std::mutex mutex_;
   SimClock* clock_;
   NetworkConfig config_;
   std::mt19937 rng_;
-  std::map<std::string, std::shared_ptr<Endpoint>, std::less<>> endpoints_;
+  std::unordered_map<std::string, std::shared_ptr<Endpoint>, NameHash,
+                     std::equal_to<>>
+      endpoints_;
   std::vector<Pending> queue_;  ///< min-heap under std::greater<>
-  std::vector<Message> slots_;  ///< queued messages, indexed by Pending::slot
-  std::vector<std::size_t> free_slots_;  ///< slots_ entries not in queue_
+  std::deque<Message> slots_;  ///< by Pending::slot; never move
+  std::vector<std::size_t> free_slots_;  ///< neither queued nor in a handler
   std::set<std::pair<std::string, std::string>> down_links_;
   std::optional<std::set<std::string>> partition_;
   std::uint64_t seq_ = 0;

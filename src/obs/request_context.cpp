@@ -64,13 +64,29 @@ std::uint64_t RequestContext::open_span(std::string_view name,
   return trace_.open(name, detail);
 }
 
+std::uint64_t RequestContext::open_span(const SpanName& name,
+                                        std::string_view detail) {
+  if (!enabled_) return 0;
+  return trace_.open(name.name, detail, &name);
+}
+
 void RequestContext::close_span(std::uint64_t span_id) {
   if (!enabled_ || span_id == 0) return;
   trace_.close(span_id);
   if (metrics_ == nullptr) return;
   const Span* span = trace_.find_id(span_id);
   if (span == nullptr) return;
-  metrics_->histogram("latency." + span->name).record(span->elapsed());
+  const SpanName* kind =
+      span->kind != nullptr && span->kind->metrics == metrics_ ? span->kind
+                                                               : nullptr;
+  Histogram* latency =
+      kind != nullptr ? kind->latency.load(std::memory_order_acquire) : nullptr;
+  if (latency == nullptr) {
+    latency = &metrics_->histogram("latency." + span->name);
+    // Racing first closes resolve the same cell.
+    if (kind != nullptr) kind->latency.store(latency, std::memory_order_release);
+  }
+  latency->record(span->elapsed());
 }
 
 RequestContext* current() noexcept { return g_current; }

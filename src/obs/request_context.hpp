@@ -14,6 +14,7 @@
 // observable behavior is unchanged.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -32,6 +33,19 @@ namespace mdsm::obs {
 /// Process-wide steady clock, the default time source for contexts
 /// minted outside a platform (and platforms with no injected clock).
 const Clock& steady_clock() noexcept;
+
+/// A span name held, next to its counters, by a component that opens the
+/// span on every request. Its "latency.<name>" cell in `metrics` is
+/// resolved at the first close, so later closes build no name and take no
+/// registry lock; a context recording into another registry looks the
+/// name up as usual.
+struct SpanName {
+  SpanName(MetricsRegistry& registry, std::string_view span)
+      : name(span), metrics(&registry) {}
+  const std::string name;
+  MetricsRegistry* const metrics;  ///< must outlive the name
+  mutable std::atomic<Histogram*> latency{nullptr};
+};
 
 class RequestContext {
  public:
@@ -83,6 +97,8 @@ class RequestContext {
   /// the metrics histogram "latency.<span name>" when metrics are
   /// attached. Both are no-ops on a disabled context.
   std::uint64_t open_span(std::string_view name, std::string_view detail = {});
+  /// Same, through a component-held name: the close skips the lookup.
+  std::uint64_t open_span(const SpanName& name, std::string_view detail = {});
   void close_span(std::uint64_t span_id);
 
   /// Free-form request attributes ("priority" = "high", tenant tags, …)
@@ -134,6 +150,9 @@ class RequestContext {
 class ScopedSpan {
  public:
   ScopedSpan(RequestContext& context, std::string_view name,
+             std::string_view detail = {})
+      : context_(&context), id_(context.open_span(name, detail)) {}
+  ScopedSpan(RequestContext& context, const SpanName& name,
              std::string_view detail = {})
       : context_(&context), id_(context.open_span(name, detail)) {}
   ~ScopedSpan() { context_->close_span(id_); }

@@ -6,9 +6,11 @@
 
 namespace mdsm::obs {
 
-std::uint64_t Trace::open(std::string_view name, std::string_view detail) {
+std::uint64_t Trace::open(std::string_view name, std::string_view detail,
+                          const SpanName* kind) {
   Span span;
   span.id = next_id();
+  span.kind = kind;
   if (!open_.empty()) {
     const Span& parent = spans_[open_.back()];
     span.parent = parent.id;

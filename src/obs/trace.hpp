@@ -15,6 +15,8 @@
 
 namespace mdsm::obs {
 
+struct SpanName;
+
 struct Span {
   std::uint64_t id = 0;      ///< process-unique (common/ids)
   std::uint64_t parent = 0;  ///< enclosing span id; 0 = root
@@ -24,6 +26,9 @@ struct Span {
   TimePoint start{};
   TimePoint end{};
   bool closed = false;
+  /// The component-held name it was opened through (RequestContext),
+  /// whose resolved latency cell its close records into; null otherwise.
+  const SpanName* kind = nullptr;
 
   [[nodiscard]] Duration elapsed() const noexcept { return end - start; }
 };
@@ -33,7 +38,8 @@ class Trace {
   explicit Trace(const Clock& clock) : clock_(&clock) {}
 
   /// Open a span as a child of the innermost open span; returns its id.
-  std::uint64_t open(std::string_view name, std::string_view detail = {});
+  std::uint64_t open(std::string_view name, std::string_view detail = {},
+                     const SpanName* kind = nullptr);
 
   /// Close `span_id`. Any spans opened inside it that are still open are
   /// closed too (error paths unwind without visiting every close).

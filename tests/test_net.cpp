@@ -492,5 +492,116 @@ TEST(Network, DeliveryOrderIsDeliverAtThenSequence) {
   EXPECT_GT(same_tick, 0u);
 }
 
+// A message lives in its queue slot until its handler returns: a handler
+// that sends enough to grow the slot storage many times over still reads
+// its own message unchanged (long strings, so a moved-from or freed slot
+// would show).
+TEST(Network, ReentrantSendsLeaveTheHandledMessageInPlace) {
+  SimClock clock;
+  Network network(clock, quiet_config());
+  auto a = network.create_endpoint("a-sender-with-a-long-name").value();
+  auto b = network.create_endpoint("b-receiver-with-a-long-name").value();
+  (void)network.create_endpoint("sink");
+  const std::string topic = "a topic longer than the small-string buffer";
+  const model::Value payload("a payload longer than the small-string buffer");
+  std::uint64_t id = 0;
+  bool intact = false;
+  b->set_handler([&](const Message& m) {
+    id = m.id;
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_TRUE(b->send("sink", "fan-out topic, also heap allocated").ok());
+    }
+    intact = m.id == id && m.from == "a-sender-with-a-long-name" &&
+             m.to == "b-receiver-with-a-long-name" && m.topic == topic &&
+             m.payload == payload;
+  });
+  ASSERT_TRUE(a->send("b-receiver-with-a-long-name", topic, payload).ok());
+  EXPECT_EQ(network.run_until_idle(), 1u);  // the sink has no handler
+  EXPECT_NE(id, 0u);
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(network.stats().undeliverable, 10000u);
+  EXPECT_EQ(network.pending(), 0u);
+}
+
+// A blocked or undeliverable message frees its slot when it is popped:
+// nothing stays queued, and the next message lands in the same slot as
+// the one handled before them.
+TEST(Network, BlockedAndUndeliverableMessagesFreeTheirSlots) {
+  SimClock clock;
+  Network network(clock, quiet_config());
+  auto a = network.create_endpoint("a").value();
+  auto b = network.create_endpoint("b").value();
+  (void)network.create_endpoint("mute");
+  std::vector<const Message*> slots;
+  b->set_handler([&](const Message& m) { slots.push_back(&m); });
+
+  ASSERT_TRUE(a->send("b", "first").ok());
+  EXPECT_EQ(network.run_until_idle(), 1u);
+  network.set_link_down("a", "b", true);
+  ASSERT_TRUE(a->send("b", "blocked").ok());
+  EXPECT_EQ(network.run_until_idle(), 0u);
+  EXPECT_EQ(network.pending(), 0u);
+  network.set_link_down("a", "b", false);
+  ASSERT_TRUE(a->send("mute", "undeliverable").ok());
+  EXPECT_EQ(network.run_until_idle(), 0u);
+  EXPECT_EQ(network.pending(), 0u);
+  ASSERT_TRUE(a->send("b", "second").ok());
+  EXPECT_EQ(network.run_until_idle(), 1u);
+
+  const NetworkStats stats = network.stats();
+  EXPECT_EQ(stats.blocked, 1u);
+  EXPECT_EQ(stats.undeliverable, 1u);
+  ASSERT_EQ(slots.size(), 2u);
+  EXPECT_EQ(slots[0], slots[1]);
+}
+
+// The handler is read under the network's mutex while set_handler swaps
+// it from another thread: every message is handled exactly once, by one
+// of the two handlers.
+TEST(Network, SetHandlerRacingDeliveryHandlesEachMessageOnce) {
+  SimClock clock;
+  Network network(clock, quiet_config());
+  auto a = network.create_endpoint("a").value();
+  auto b = network.create_endpoint("b").value();
+  constexpr int kMessages = 2000;
+  std::vector<std::atomic<int>> hits(kMessages);
+  std::atomic<int> by_first{0};
+  std::atomic<int> by_second{0};
+  auto handler = [&](std::atomic<int>& counter) {
+    return [&hits, by = &counter](const Message& m) {
+      hits[static_cast<std::size_t>(m.payload.as_int())].fetch_add(1);
+      by->fetch_add(1);
+    };
+  };
+  b->set_handler(handler(by_first));
+  for (int i = 0; i < kMessages; ++i) {
+    ASSERT_TRUE(a->send("b", "m", model::Value(std::int64_t{i})).ok());
+    clock.advance(std::chrono::microseconds(1));  // one message per tick
+  }
+
+  std::atomic<bool> swapping{false};
+  std::thread swapper([&] {
+    swapping = true;
+    for (int i = 0; i < 10000; ++i) {
+      b->set_handler(handler(i % 2 == 0 ? by_second : by_first));
+    }
+  });
+  std::thread driver([&] {
+    while (!swapping) std::this_thread::yield();
+    while (network.pending() > 0) {
+      clock.advance(std::chrono::microseconds(1));
+      network.deliver_due();
+    }
+  });
+  swapper.join();
+  driver.join();
+
+  for (int i = 0; i < kMessages; ++i) {
+    EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "message " << i;
+  }
+  EXPECT_EQ(by_first.load() + by_second.load(), kMessages);
+  EXPECT_EQ(network.stats().delivered, static_cast<std::uint64_t>(kMessages));
+}
+
 }  // namespace
 }  // namespace mdsm::net

@@ -3,9 +3,10 @@
 // binary rather than a case in a shared test program.
 //
 // A warmed 24-party media retune is one offer/answer round: 23 offers and
-// 23 answers. Each message may allocate once, for the topic string it
-// owns ("offer.retune.voice" is longer than the small-string buffer);
-// queueing, delivery and the handler call allocate nothing.
+// 23 answers. A message lives in a queue slot whose strings keep their
+// capacity, so once warmed only the handshake's offer topic
+// ("offer.retune.voice", longer than the small-string buffer) allocates;
+// queueing, delivery, the answers and the handler calls allocate nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,18 +23,27 @@ std::atomic<std::size_t> allocations{0};
 
 // The replacements are never inlined: GCC would otherwise see free() or
 // operator delete meet a pointer from malloc() at an inlined call site and
-// warn of a mismatched pair.
-[[gnu::noinline]] void* operator new(std::size_t size) {
+// warn of a mismatched pair. The nothrow forms (std::stable_sort's buffer)
+// are replaced too, so that every form meets the replaced delete.
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
   if (counting.load(std::memory_order_relaxed)) {
     allocations.fetch_add(1, std::memory_order_relaxed);
   }
-  if (void* memory = std::malloc(size == 0 ? 1 : size)) return memory;
+  return std::malloc(size == 0 ? 1 : size);
+}
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (void* memory = operator new(size, std::nothrow)) return memory;
   throw std::bad_alloc();
 }
 [[gnu::noinline]] void operator delete(void* memory) noexcept {
   std::free(memory);
 }
 [[gnu::noinline]] void operator delete(void* memory, std::size_t) noexcept {
+  std::free(memory);
+}
+[[gnu::noinline]] void operator delete(void* memory,
+                                       const std::nothrow_t&) noexcept {
   std::free(memory);
 }
 
@@ -61,6 +71,30 @@ TEST(NetworkAllocations, WarmedConferenceRetuneAllocatesOncePerMessage) {
   const std::uint64_t messages = network.stats().delivered - delivered_before;
   EXPECT_EQ(messages, 46u);
   EXPECT_LE(allocations.load(), messages);
+}
+
+// The same round, pinned to what is left: the handshake builds its offer
+// topic once and every message reuses a warmed slot.
+TEST(NetworkAllocations, WarmedConferenceRetuneAllocatesOncePerHandshake) {
+  SimClock clock;
+  net::Network network(clock);
+  CommSessionService service(network);
+  ASSERT_TRUE(service.create_session("conf").ok());
+  for (int i = 0; i < 24; ++i) {
+    ASSERT_TRUE(service.add_party("conf", numbered("p", i)).ok());
+  }
+  ASSERT_TRUE(service.open_stream("conf", "voice", "audio", "standard", true)
+                  .ok());
+  ASSERT_TRUE(service.retune_stream("conf", "voice", "low").ok());  // warm
+
+  const std::uint64_t delivered_before = network.stats().delivered;
+  allocations = 0;
+  counting = true;
+  const Status status = service.retune_stream("conf", "voice", "high");
+  counting = false;
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(network.stats().delivered - delivered_before, 46u);
+  EXPECT_LE(allocations.load(), 2u);
 }
 
 }  // namespace
