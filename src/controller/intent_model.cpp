@@ -317,13 +317,6 @@ Result<IntentModelPtr> IntentModelGenerator::generate_cached(
   return generated;
 }
 
-void IntentModelGenerator::invalidate_cache() {
-  for (CacheShard& shard : cache_) {
-    std::lock_guard lock(shard.mutex);
-    shard.entries.clear();
-  }
-}
-
 GeneratorStats IntentModelGenerator::stats() const {
   return {.generated = generated_.value(),
           .validated = validated_.value(),

@@ -110,8 +110,6 @@ class IntentModelGenerator {
   /// guards hold, dependencies complete, no DSC repeats along any path.
   Status validate(const IntentModel& intent_model) const;
 
-  void invalidate_cache();
-
   /// Consistent-enough snapshot of the counters (each counter is exact;
   /// cross-counter sums may be momentarily torn under concurrency).
   [[nodiscard]] GeneratorStats stats() const;

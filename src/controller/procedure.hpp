@@ -103,18 +103,6 @@ class ProcedureRepository {
   [[nodiscard]] std::vector<ProcedurePtr> classified_by_pinned(
       std::string_view dsc) const;
 
-  /// Visit each candidate for `dsc` in registration order without
-  /// materializing a vector. Runs under the shared lock: the visitor
-  /// must not mutate the repository and must not recurse into locked
-  /// repository methods.
-  template <typename Visitor>
-  void for_each_classified_by(std::string_view dsc, Visitor&& visit) const {
-    std::shared_lock lock(mutex_);
-    auto it = by_classifier_.find(dsc);
-    if (it == by_classifier_.end()) return;
-    for (const ProcedurePtr& procedure : it->second) visit(*procedure);
-  }
-
   [[nodiscard]] std::size_t size() const;
 
   /// Monotone version bumped on every mutation (IM cache invalidation).

@@ -41,9 +41,6 @@ class StaticController {
                    policy::ContextStore& context);
 
   void set_table(DispatchTable table) { table_ = std::move(table); }
-  [[nodiscard]] std::size_t table_size() const noexcept {
-    return table_.size();
-  }
 
   /// Direct table dispatch; unknown commands fail.
   Result<model::Value> execute(const Command& command);

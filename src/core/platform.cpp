@@ -182,11 +182,10 @@ Platform::~Platform() {
   // into every layer. The loop stops before the executor drains — no
   // more timer-driven resumes — but stays alive through the drain so
   // draining tasks can still call schedule() (dropped silently after
-  // stop()). Then the stage pipeline (holds Executor*), then the loop.
+  // stop()). Then the loop.
   running_.store(false, std::memory_order_release);
   if (loop_ != nullptr) loop_->stop();
   pipeline_.reset();
-  stages_.reset();
   loop_.reset();
   if (error_subscription_ != 0) bus_.unsubscribe(error_subscription_);
 }
@@ -472,12 +471,10 @@ void Platform::ensure_pipeline() {
   pipeline_->set_clock(clock_);
   // The staged core: logical per-stage queues over the shared executor,
   // plus the event loop that parks requests between stages.
-  stages_ = std::make_unique<runtime::StagePipeline>(*pipeline_, *clock_,
-                                                     metrics_);
-  stage_synthesis_ = stages_->add_stage("synthesis");
-  stage_controller_ = stages_->add_stage("controller");
-  stage_broker_ = stages_->add_stage("broker");
-  stage_complete_ = stages_->add_stage("complete");
+  stage_synthesis_ = pipeline_->add_stage("synthesis");
+  stage_controller_ = pipeline_->add_stage("controller");
+  stage_broker_ = pipeline_->add_stage("broker");
+  stage_complete_ = pipeline_->add_stage("complete");
   runtime::EventLoopConfig loop_config;
   loop_config.clock = clock_;
   loop_config.threaded = !manual_loop_;
@@ -490,10 +487,9 @@ void Platform::ensure_pipeline() {
   // back onto workers through the broker stage.
   broker_->resources().set_async_engine(
       loop_.get(), [this](std::function<void()> fn) {
-        runtime::StagePipeline::SubmitOptions options;
-        options.continuation = true;
-        Status submitted =
-            stages_->submit(stage_broker_, std::move(fn), options);
+        Status submitted = pipeline_->submit({.run = std::move(fn),
+                                              .continuation = true,
+                                              .stage = stage_broker_});
         if (!submitted.ok()) {
           log_warn("platform") << "broker continuation dropped: "
                                << submitted.to_string();
@@ -616,13 +612,14 @@ Status Platform::submit_async(std::string text, SubmitCallback callback,
                                   " deadline expired in the staged pipeline"));
         });
   }
-  runtime::StagePipeline::SubmitOptions stage_options;
-  stage_options.lane = request->context->high_priority()
-                           ? runtime::TaskLane::kHigh
-                           : runtime::TaskLane::kNormal;
+  runtime::Executor::Task task;
+  task.run = [this, request] { stage_synthesis(request); };
+  task.lane = request->context->high_priority() ? runtime::TaskLane::kHigh
+                                                : runtime::TaskLane::kNormal;
+  task.stage = stage_synthesis_;
   // kShedOldest victims resolve their callback exactly once, then the
   // shed handler (chain owner: the request never started) closes out.
-  stage_options.on_shed = [this, request] {
+  task.on_shed = [this, request] {
     const bool won =
         !request->resolved.exchange(true, std::memory_order_acq_rel);
     request->context->close_span(request->root_span);  // closes queue span
@@ -636,9 +633,7 @@ Status Platform::submit_async(std::string text, SubmitCallback callback,
     }
     request->inflight.reset();
   };
-  Status submitted = stages_->submit(
-      stage_synthesis_, [this, request] { stage_synthesis(request); },
-      stage_options);
+  Status submitted = pipeline_->submit(std::move(task));
   if (!submitted.ok()) {
     // Door refusal (kReject/full queue): undo — no callback, the caller
     // gets the status.
@@ -690,17 +685,19 @@ void Platform::finish(const std::shared_ptr<Request>& request,
 }
 
 template <typename Fn>
-void Platform::hop(std::size_t stage, const std::shared_ptr<Request>& request,
-                   Fn fn) {
+void Platform::hop(std::uint32_t stage,
+                   const std::shared_ptr<Request>& request, Fn fn) {
   if (request->inline_mode) {
     fn();
     return;
   }
-  runtime::StagePipeline::SubmitOptions options;
-  options.lane = request->context->high_priority() ? runtime::TaskLane::kHigh
-                                                   : runtime::TaskLane::kNormal;
-  options.continuation = true;  // admitted work is never refused mid-chain
-  Status submitted = stages_->submit(stage, std::move(fn), options);
+  // Admitted work is never refused mid-chain: the hop is a continuation.
+  Status submitted = pipeline_->submit(
+      {.run = std::move(fn),
+       .lane = request->context->high_priority() ? runtime::TaskLane::kHigh
+                                                 : runtime::TaskLane::kNormal,
+       .continuation = true,
+       .stage = stage});
   if (!submitted.ok()) {
     // Only reachable when the executor is shutting down (destructor
     // teardown); the request can never complete, so close it out.
@@ -812,11 +809,10 @@ Platform::PipelineStats Platform::pipeline_stats() const {
   return stats;
 }
 
-std::vector<runtime::StagePipeline::StageStats> Platform::stage_stats()
-    const {
+std::vector<runtime::Executor::StageStats> Platform::stage_stats() const {
   std::lock_guard lock(pipeline_mutex_);
-  if (stages_ == nullptr) return {};
-  return stages_->stats();
+  if (pipeline_ == nullptr) return {};
+  return pipeline_->stage_stats();
 }
 
 Result<controller::ControlScript> Platform::submit_model(

@@ -37,7 +37,6 @@
 #include "runtime/event_bus.hpp"
 #include "runtime/event_loop.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/stage.hpp"
 #include "synthesis/synthesis_engine.hpp"
 #include "synthesis/weaver.hpp"
 
@@ -271,7 +270,7 @@ class Platform {
   /// Per-stage queue depth / delay statistics of the staged pipeline
   /// (empty before the first async submission). Stage order: synthesis,
   /// controller, broker, complete.
-  [[nodiscard]] std::vector<runtime::StagePipeline::StageStats> stage_stats()
+  [[nodiscard]] std::vector<runtime::Executor::StageStats> stage_stats()
       const;
   /// The staged pipeline's event loop (timers for retry backoff, attempt
   /// overruns and deadline watchdogs). Null before the first async
@@ -342,8 +341,8 @@ class Platform {
   /// error in `parsed` fails the request inside the machine.
   Result<controller::ControlScript> submit_inline(
       Result<model::Model> parsed, obs::RequestContext& context);
-  /// Lazily create the executor, the stage pipeline over it, the event
-  /// loop and the broker's async engine wiring.
+  /// Lazily create the executor and its stages, the event loop and the
+  /// broker's async engine wiring.
   void ensure_pipeline();
   /// The machine's steps: admit, parse and commit; execute the script;
   /// the late gate. Each reaches the next through hop().
@@ -353,7 +352,8 @@ class Platform {
   /// Run `fn`: a direct call in inline mode, a never-shed continuation
   /// on `stage` in async mode.
   template <typename Fn>
-  void hop(std::size_t stage, const std::shared_ptr<Request>& request, Fn fn);
+  void hop(std::uint32_t stage, const std::shared_ptr<Request>& request,
+           Fn fn);
   /// True when the deadline watchdog already resolved the request; the
   /// chain (single owner of the trace) closes out and releases its
   /// inflight slot here.
@@ -412,16 +412,16 @@ class Platform {
   std::size_t inflight_ = 0;
   mutable std::mutex pipeline_mutex_;  ///< guards lazy pipeline_ creation
   std::unique_ptr<runtime::Executor> pipeline_;
-  /// Staged-core companions of the executor (created together under
-  /// pipeline_mutex_; destroyed after the executor joins). The loop
-  /// outlives the executor's drain because queued tasks may still
-  /// schedule timers; after stop() those are silently dropped.
-  std::unique_ptr<runtime::StagePipeline> stages_;
+  /// The executor's companion (created with it under pipeline_mutex_;
+  /// destroyed after the executor joins). The loop outlives the
+  /// executor's drain because queued tasks may still schedule timers;
+  /// after stop() those are silently dropped.
   std::unique_ptr<runtime::EventLoop> loop_;
-  std::size_t stage_synthesis_ = 0;
-  std::size_t stage_controller_ = 0;
-  std::size_t stage_broker_ = 0;
-  std::size_t stage_complete_ = 0;
+  // The executor's stages (add_stage() indices).
+  std::uint32_t stage_synthesis_ = 0;
+  std::uint32_t stage_controller_ = 0;
+  std::uint32_t stage_broker_ = 0;
+  std::uint32_t stage_complete_ = 0;
   bool manual_loop_ = false;
   unsigned pipeline_threads_ = 0;
   /// Queue bound + overflow policy decoded from the middleware model's

@@ -204,7 +204,9 @@ const QueryAggregate* CrowdProvider::query(std::string_view id) const {
 
 CrowdDevice::CrowdDevice(std::string id, std::uint32_t seed,
                          net::Network& network, SimClock& clock)
-    : id_(std::move(id)), seed_(seed), timers_(clock) {
+    : id_(std::move(id)),
+      seed_(seed),
+      timers_({.clock = &clock, .threaded = false}) {
   broker_ = std::make_unique<broker::BrokerLayer>(id_ + "-broker", bus_,
                                                   context_, metrics_);
   (void)broker_->resources().add_adapter(
@@ -328,7 +330,7 @@ void CrowdDevice::sample(const std::string& query_id) {
   schedule(query_id);  // periodic: re-arm
 }
 
-std::size_t CrowdDevice::run_due() { return timers_.run_due(); }
+std::size_t CrowdDevice::run_due() { return timers_.poll(); }
 
 std::size_t CrowdDevice::active_queries() const noexcept {
   return queries_.size();

@@ -17,7 +17,7 @@
 #include "common/clock.hpp"
 #include "controller/controller_layer.hpp"
 #include "net/network.hpp"
-#include "runtime/timer_service.hpp"
+#include "runtime/event_loop.hpp"
 #include "synthesis/synthesis_engine.hpp"
 
 namespace mdsm::crowd {
@@ -116,7 +116,7 @@ class CrowdDevice {
   std::string id_;
   std::uint32_t seed_;
   net::Endpoint* endpoint_ = nullptr;
-  runtime::TimerService timers_;
+  runtime::EventLoop timers_;  ///< manual mode: run_due() polls it
   runtime::EventBus bus_;
   policy::ContextStore context_;
   obs::MetricsRegistry metrics_;

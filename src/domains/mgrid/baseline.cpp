@@ -18,18 +18,14 @@ HandcraftedMgridBroker::HandcraftedMgridBroker(MicrogridPlant& plant,
           broker::Args args;
           args["id"] = storage;
           args["mode"] = Value("discharge");
-          if (resources_.invoke("plant", "storage.mode", args).ok()) {
-            ++rebalances_;
-          }
+          (void)resources_.invoke("plant", "storage.mode", args);
           return;
         }
         Value sheddable = context_->get("load.sheddable");
         if (sheddable.is_string()) {
           broker::Args args;
           args["id"] = sheddable;
-          if (resources_.invoke("plant", "load.shed", args).ok()) {
-            ++rebalances_;
-          }
+          (void)resources_.invoke("plant", "load.shed", args);
         }
       });
 }

@@ -26,9 +26,6 @@ class HandcraftedMgridBroker final : public broker::BrokerApi {
   [[nodiscard]] const broker::CommandTrace& trace() const override {
     return resources_.trace();
   }
-  [[nodiscard]] std::uint64_t rebalances() const noexcept {
-    return rebalances_;
-  }
 
  private:
   runtime::EventBus* bus_;
@@ -36,7 +33,6 @@ class HandcraftedMgridBroker final : public broker::BrokerApi {
   obs::MetricsRegistry metrics_;
   broker::ResourceManager resources_;
   std::uint64_t subscription_ = 0;
-  std::uint64_t rebalances_ = 0;
 };
 
 /// Self-contained baseline bundle (own plant/bus/context).

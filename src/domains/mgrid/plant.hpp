@@ -72,9 +72,6 @@ class MicrogridPlant {
   [[nodiscard]] const GeneratorState* generator(std::string_view id) const;
   [[nodiscard]] const LoadState* load(std::string_view id) const;
   [[nodiscard]] const StorageState* storage(std::string_view id) const;
-  [[nodiscard]] std::size_t device_count() const noexcept {
-    return generators_.size() + loads_.size() + storages_.size();
-  }
 
  private:
   void check_balance();

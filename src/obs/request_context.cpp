@@ -19,7 +19,6 @@ RequestContext::RequestContext(const Clock& clock, MetricsRegistry* metrics,
       tag_("req-" + std::to_string(id_)),
       clock_(&clock),
       metrics_(metrics),
-      wall_start_(std::chrono::system_clock::now()),
       steady_start_(clock.now()),
       trace_(clock) {
   if (deadline.has_value()) deadline_ = steady_start_ + *deadline;

@@ -67,13 +67,6 @@ class RequestContext {
   [[nodiscard]] const std::string& tag() const noexcept { return tag_; }
   [[nodiscard]] const Clock& clock() const noexcept { return *clock_; }
   [[nodiscard]] MetricsRegistry* metrics() const noexcept { return metrics_; }
-  [[nodiscard]] std::chrono::system_clock::time_point wall_start()
-      const noexcept {
-    return wall_start_;
-  }
-  [[nodiscard]] TimePoint steady_start() const noexcept {
-    return steady_start_;
-  }
   [[nodiscard]] Duration elapsed() const noexcept {
     return clock_->now() - steady_start_;
   }
@@ -139,7 +132,6 @@ class RequestContext {
   std::string tag_;
   const Clock* clock_;
   MetricsRegistry* metrics_ = nullptr;
-  std::chrono::system_clock::time_point wall_start_{};
   TimePoint steady_start_{};
   std::optional<TimePoint> deadline_;
   std::vector<std::pair<std::string, std::string>> attributes_;

@@ -19,8 +19,7 @@ const Clock& process_steady_clock() noexcept {
 EventLoop::EventLoop(EventLoopConfig config)
     : config_(config),
       clock_(config.clock != nullptr ? config.clock
-                                     : &process_steady_clock()),
-      timers_(*clock_) {
+                                     : &process_steady_clock()) {
   if (config_.threaded) {
     thread_ = std::thread([this] { run(); });
   }
@@ -43,7 +42,10 @@ std::uint64_t EventLoop::schedule(Duration delay, std::function<void()> fn) {
   {
     std::lock_guard lock(mutex_);
     if (stop_) return 0;
-    id = timers_.schedule(delay, std::move(fn));
+    id = next_timer_id_++;
+    const TimePoint deadline = clock_->now() + delay;
+    timers_.emplace(std::pair(deadline, id), std::move(fn));
+    deadlines_.emplace(id, deadline);
   }
   // The new deadline may be nearer than what the loop thread is waiting
   // for; wake it to recompute.
@@ -53,7 +55,18 @@ std::uint64_t EventLoop::schedule(Duration delay, std::function<void()> fn) {
 
 bool EventLoop::cancel(std::uint64_t timer_id) {
   std::lock_guard lock(mutex_);
-  return timers_.cancel(timer_id);
+  auto deadline = deadlines_.find(timer_id);
+  if (deadline == deadlines_.end()) return false;
+  timers_.erase(std::pair(deadline->second, timer_id));
+  deadlines_.erase(deadline);
+  return true;
+}
+
+std::function<void()> EventLoop::retire(Timers::iterator timer) {
+  std::function<void()> fn = std::move(timer->second);
+  deadlines_.erase(timer->first.second);
+  timers_.erase(timer);
+  return fn;
 }
 
 void EventLoop::run_contained(const std::function<void()>& fn) {
@@ -85,17 +98,18 @@ void EventLoop::run() {
         ran = true;
         continue;
       }
-      if (std::optional<TimerService::Callback> due =
-              timers_.take_due(clock_->now())) {
+      if (!timers_.empty() &&
+          timers_.begin()->first.first <= clock_->now()) {
+        std::function<void()> fn = retire(timers_.begin());
         lock.unlock();
-        run_contained(*due);
+        run_contained(fn);
         lock.lock();
         ran = true;
       }
     }
     if (stop_) return;
-    if (std::optional<TimePoint> next = timers_.next_deadline()) {
-      Duration wait = *next - clock_->now();
+    if (!timers_.empty()) {
+      Duration wait = timers_.begin()->first.first - clock_->now();
       if (config_.poll_cap.count() > 0 && wait > config_.poll_cap) {
         // Virtual clocks advance silently; re-check at the cap.
         wait = config_.poll_cap;
@@ -105,7 +119,7 @@ void EventLoop::run() {
       // Nothing pending: only post()/schedule()/stop() can create work,
       // and all three notify.
       wake_.wait(lock, [this] {
-        return stop_ || !posted_.empty() || timers_.pending() != 0;
+        return stop_ || !posted_.empty() || !timers_.empty();
       });
     }
   }
@@ -115,13 +129,16 @@ std::size_t EventLoop::poll() {
   std::size_t ran = 0;
   std::unique_lock lock(mutex_);
   // Bound both drains by what existed at entry: work created by the
-  // closures we run belongs to the next poll.
+  // closures we run belongs to the next poll. Due timers are snapshotted
+  // by id (a count would let a zero-delay timer scheduled by a callback
+  // take the turn of a due one that callback cancelled).
   std::size_t post_budget = posted_.size();
   const TimePoint now = clock_->now();
-  // Exact due-prefix count: zero-delay timers scheduled by the closures
-  // we run land past the budget (equal deadlines insert at the upper
-  // bound), so they wait for the next poll.
-  std::size_t timer_budget = timers_.due_count(now);
+  std::vector<std::uint64_t> due;
+  for (auto it = timers_.begin();
+       it != timers_.end() && it->first.first <= now; ++it) {
+    due.push_back(it->first.second);
+  }
   while (post_budget > 0 && !posted_.empty()) {
     --post_budget;
     std::function<void()> fn = std::move(posted_.front());
@@ -131,12 +148,13 @@ std::size_t EventLoop::poll() {
     lock.lock();
     ++ran;
   }
-  while (timer_budget > 0) {
-    --timer_budget;
-    std::optional<TimerService::Callback> due = timers_.take_due(now);
-    if (!due.has_value()) break;
+  for (std::uint64_t id : due) {
+    auto deadline = deadlines_.find(id);
+    if (deadline == deadlines_.end()) continue;  // cancelled mid-poll
+    std::function<void()> fn =
+        retire(timers_.find(std::pair(deadline->second, id)));
     lock.unlock();
-    run_contained(*due);
+    run_contained(fn);
     lock.lock();
     ++ran;
   }
@@ -156,10 +174,10 @@ std::size_t EventLoop::flush() {
       ++ran;
       continue;
     }
-    std::optional<TimerService::Callback> next = timers_.take_earliest();
-    if (!next.has_value()) break;
+    if (timers_.empty()) break;
+    std::function<void()> fn = retire(timers_.begin());
     lock.unlock();
-    run_contained(*next);
+    run_contained(fn);
     lock.lock();
     ++ran;
   }
@@ -168,11 +186,9 @@ std::size_t EventLoop::flush() {
 
 void EventLoop::stop() {
   {
+    // Idempotent: a second caller still joins below, so it never
+    // returns before the thread is gone.
     std::lock_guard lock(mutex_);
-    if (stop_) {
-      // Already stopping; fall through to the join (idempotent, and a
-      // second caller must not return before the thread is gone).
-    }
     stop_ = true;
   }
   wake_.notify_all();
@@ -181,7 +197,7 @@ void EventLoop::stop() {
 
 std::size_t EventLoop::pending_timers() const {
   std::lock_guard lock(mutex_);
-  return timers_.pending();
+  return timers_.size();
 }
 
 std::size_t EventLoop::pending_posts() const {

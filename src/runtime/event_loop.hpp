@@ -1,9 +1,9 @@
 // The event-driven core of the request pipeline (PR 6). An EventLoop
-// owns a TimerService behind a mutex and runs posted closures and due
-// timer callbacks — on its own thread in threaded mode, or whenever the
-// owner pumps poll() in manual mode (deterministic tests drive a
-// SimClock and poll after each advance; nothing ever fires from a
-// hidden thread they didn't ask for).
+// owns its deadline timers behind a mutex and runs posted closures and
+// due timer callbacks — on its own thread in threaded mode, or whenever
+// the owner pumps poll() in manual mode (deterministic tests and the
+// crowdsensing devices drive a SimClock and poll after each advance;
+// nothing ever fires from a hidden thread they didn't ask for).
 //
 // The loop is what lets a parked request consume *no* thread: retry
 // backoff, attempt-timeout reclassification and deadline watchdogs are
@@ -18,12 +18,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <mutex>
-#include <optional>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 
 #include "common/clock.hpp"
-#include "runtime/timer_service.hpp"
 
 namespace mdsm::runtime {
 
@@ -62,11 +63,13 @@ class EventLoop {
   /// Cancel a scheduled timer; false if it already fired or is unknown.
   bool cancel(std::uint64_t timer_id);
 
-  /// Manual pump: run every post and every timer due *at entry* once,
-  /// then return the number of closures run. Timers scheduled during the
-  /// pump defer to the next poll (same tick discipline as
-  /// TimerService::run_due), so a SimClock test sees exactly one round
-  /// of work per advance+poll.
+  /// Manual pump: run every post and every timer due *at entry* once, in
+  /// deadline order, then return the number of closures run (a closure
+  /// that throws counts: it ran). The due timers are snapshotted by id at
+  /// entry: one that a callback cancels is skipped, and one a callback
+  /// schedules — even with zero delay — defers to the next poll, so a
+  /// SimClock test sees exactly one round of work per advance+poll and a
+  /// self-rescheduling timer fires once per poll.
   std::size_t poll();
 
   /// Shutdown drain: run posts and fire every pending timer immediately,
@@ -89,17 +92,26 @@ class EventLoop {
   [[nodiscard]] std::uint64_t callback_failures() const;
 
  private:
+  /// Timers ordered by (deadline, id): ids grow, so equal deadlines fire
+  /// in schedule order.
+  using Timers = std::map<std::pair<TimePoint, std::uint64_t>,
+                          std::function<void()>>;
+
   void run();  ///< threaded-mode loop body
   /// Run one closure outside the lock with exception containment.
   void run_contained(const std::function<void()>& fn);
+  /// Remove a pending timer (caller holds mutex_); returns its callback.
+  std::function<void()> retire(Timers::iterator timer);
 
   EventLoopConfig config_;
   const Clock* clock_;
   mutable std::mutex mutex_;
   std::condition_variable wake_;
   std::deque<std::function<void()>> posted_;
-  TimerService timers_;  ///< guarded by mutex_ (TimerService itself is not
-                         ///< thread-safe); callbacks run unlocked
+  // Guarded by mutex_; callbacks run unlocked.
+  Timers timers_;
+  std::unordered_map<std::uint64_t, TimePoint> deadlines_;  ///< id → key
+  std::uint64_t next_timer_id_ = 1;
   std::atomic<std::uint64_t> failures_{0};
   bool stop_ = false;
   std::thread thread_;  ///< joined by stop()

@@ -1,5 +1,9 @@
 #include "runtime/executor.hpp"
 
+#include <algorithm>
+#include <string>
+#include <utility>
+
 #include "common/log.hpp"
 
 namespace mdsm::runtime {
@@ -17,6 +21,13 @@ const Clock& process_clock() noexcept {
   return clock;
 }
 
+/// Raise a high-water mark whose writers all hold the executor mutex.
+void raise_max(std::atomic<std::size_t>& mark, std::size_t candidate) {
+  if (candidate > mark.load(std::memory_order_relaxed)) {
+    mark.store(candidate, std::memory_order_relaxed);
+  }
+}
+
 }  // namespace
 
 Executor::Executor(unsigned thread_count, obs::MetricsRegistry& metrics)
@@ -25,6 +36,7 @@ Executor::Executor(unsigned thread_count, obs::MetricsRegistry& metrics)
 Executor::Executor(ExecutorConfig config, obs::MetricsRegistry& metrics)
     : config_(config),
       clock_(&process_clock()),
+      metrics_(metrics),
       task_failures_(metrics.counter("runtime.executor_task_failures")),
       rejections_(metrics.counter("runtime.executor_rejections")),
       shed_(metrics.counter("runtime.executor_shed")),
@@ -55,6 +67,30 @@ void Executor::shutdown() {
   }
 }
 
+std::uint32_t Executor::add_stage(std::string name) {
+  const std::string prefix = "stage." + name + ".";
+  std::lock_guard lock(mutex_);
+  stages_.push_back(Stage{.name = std::move(name),
+                          .delay = metrics_.histogram(prefix + "delay_us"),
+                          .entered = metrics_.counter(prefix + "entered"),
+                          .shed = metrics_.counter(prefix + "shed")});
+  return static_cast<std::uint32_t>(stages_.size() - 1);
+}
+
+std::vector<Executor::StageStats> Executor::stage_stats() const {
+  std::vector<StageStats> out;
+  std::lock_guard lock(mutex_);
+  out.reserve(stages_.size());
+  for (const Stage& stage : stages_) {
+    out.push_back(StageStats{.name = stage.name,
+                             .depth = stage.depth,
+                             .max_depth = stage.max_depth,
+                             .entered = stage.entered.value(),
+                             .shed = stage.shed.value()});
+  }
+  return out;
+}
+
 Status Executor::reject(const char* why) {
   rejections_.add();
   return Unavailable(std::string("executor refused task: ") + why);
@@ -71,6 +107,9 @@ Status Executor::submit(Task task) {
   std::function<void()> shed_victim;
   {
     std::unique_lock lock(mutex_);
+    if (task.stage != kNoStage && task.stage >= stages_.size()) {
+      return InvalidArgument("no stage " + std::to_string(task.stage));
+    }
     if (shutting_down_) return reject("shutdown in progress");
     // The capacity bound governs the entry backlog only: continuation
     // hops carry already-admitted requests, so they neither count toward
@@ -105,6 +144,10 @@ Status Executor::submit(Task task) {
             for (auto it = lane.begin(); it != lane.end(); ++it) {
               if (it->continuation) continue;
               shed_victim = std::move(it->on_shed);
+              if (it->stage != kNoStage) {
+                --stages_[it->stage].depth;
+                stages_[it->stage].shed.add();
+              }
               lane.erase(it);
               --bounded_pending_;
               return true;
@@ -119,22 +162,17 @@ Status Executor::submit(Task task) {
     }
     queued.enqueued_at = clock_->now();
     queued.continuation = task.continuation;
+    queued.stage = task.stage;
     queues_[static_cast<int>(task.lane)].push_back(std::move(queued));
-    std::size_t depth = queued_unlocked();
-    std::size_t seen = max_pending_.load(std::memory_order_relaxed);
-    while (depth > seen &&
-           !max_pending_.compare_exchange_weak(seen, depth,
-                                               std::memory_order_relaxed)) {
-    }
+    raise_max(max_pending_, queued_unlocked());
     if (!task.continuation) {
       ++bounded_pending_;
-      std::size_t bounded_seen =
-          max_bounded_pending_.load(std::memory_order_relaxed);
-      while (bounded_pending_ > bounded_seen &&
-             !max_bounded_pending_.compare_exchange_weak(
-                 bounded_seen, bounded_pending_,
-                 std::memory_order_relaxed)) {
-      }
+      raise_max(max_bounded_pending_, bounded_pending_);
+    }
+    if (task.stage != kNoStage) {
+      Stage& stage = stages_[task.stage];
+      stage.max_depth = std::max(stage.max_depth, ++stage.depth);
+      stage.entered.add();
     }
   }
   wake_.notify_one();
@@ -198,7 +236,14 @@ void Executor::worker_loop() {
       lane.pop_front();
       if (!next.continuation) --bounded_pending_;
       ++active_;
-      queue_delay_.record(clock_->now() - next.enqueued_at);
+      // One stamp and one clock read serve both delay histograms.
+      const Duration waited = clock_->now() - next.enqueued_at;
+      queue_delay_.record(waited);
+      if (next.stage != kNoStage) {
+        Stage& stage = stages_[next.stage];
+        --stage.depth;
+        stage.delay.record(waited);
+      }
       task = std::move(next.run);
       space_.notify_one();
     }

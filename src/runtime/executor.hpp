@@ -12,13 +12,24 @@
 // work. Every queued task is stamped at enqueue; the dequeue records the
 // queue delay in the "runtime.queue_delay_us" histogram so admission
 // control can see queue pressure building.
+//
+// Stages (PR 6's staged core) are logical queues over the one worker
+// pool: a request traversing the four layers hops between named stages,
+// each hop a one-shot task tagged with its stage's index, and releases
+// the worker between hops. Every stage keeps its own depth, high-water
+// mark and enqueue→dequeue delay histogram ("stage.<name>.delay_us"), so
+// overload shows *where* in the pipeline requests pile up. The stage
+// delay is the same measurement as runtime.queue_delay_us, taken once.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -58,6 +69,14 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
+  /// Task::stage of a task accounted to no stage.
+  static constexpr std::uint32_t kNoStage =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// Register a stage; returns its index for Task::stage. Resolves the
+  /// stage's "stage.<name>.delay_us", ".entered" and ".shed" cells.
+  std::uint32_t add_stage(std::string name);
+
   /// A submission with overload metadata. `on_shed` (optional) is invoked
   /// — outside the executor lock — if the task is dropped by kShedOldest
   /// before it ever ran, so callers can resolve completions exactly once.
@@ -70,6 +89,9 @@ class Executor {
     /// does — admission happened once at the door, and refusing a hop
     /// would strand the request's completion.
     bool continuation = false;
+    /// add_stage() index whose gauges and delay histogram account the
+    /// task while it is queued.
+    std::uint32_t stage = kNoStage;
   };
 
   /// Enqueue a task. Safe from any thread, including worker threads.
@@ -80,6 +102,7 @@ class Executor {
   /// "runtime.executor_rejections" cell). Tasks submitted from a worker
   /// thread of this executor bypass the capacity bound: blocking or
   /// rejecting a worker's own continuation could deadlock a full queue.
+  /// A Task::stage that add_stage() never returned is kInvalidArgument.
   ///
   /// A task that throws does not kill the worker or the process: the
   /// exception is caught, counted in task_failures() (the
@@ -135,12 +158,33 @@ class Executor {
     return shed_.value();
   }
 
+  struct StageStats {
+    std::string name;
+    std::size_t depth = 0;      ///< currently queued, not yet started
+    std::size_t max_depth = 0;  ///< deepest the stage queue ever got
+    std::uint64_t entered = 0;  ///< accepted submissions (".entered")
+    std::uint64_t shed = 0;     ///< dropped by kShedOldest while queued
+                                ///< (".shed")
+  };
+  /// One row per stage, in add_stage() order.
+  [[nodiscard]] std::vector<StageStats> stage_stats() const;
+
  private:
   struct Queued {
     std::function<void()> run;
     std::function<void()> on_shed;
     TimePoint enqueued_at;
     bool continuation = false;
+    std::uint32_t stage = kNoStage;
+  };
+
+  struct Stage {
+    std::string name;
+    obs::Histogram& delay;  ///< "stage.<name>.delay_us"
+    obs::Counter& entered;
+    obs::Counter& shed;
+    std::size_t depth = 0;      ///< guarded by mutex_
+    std::size_t max_depth = 0;  ///< guarded by mutex_
   };
 
   void worker_loop();
@@ -151,6 +195,7 @@ class Executor {
 
   ExecutorConfig config_;
   const Clock* clock_;
+  obs::MetricsRegistry& metrics_;
   obs::Counter& task_failures_;
   obs::Counter& rejections_;
   obs::Counter& shed_;
@@ -160,12 +205,14 @@ class Executor {
   std::condition_variable idle_;
   std::condition_variable space_;  ///< kBlock submitters wait here
   std::deque<Queued> queues_[2];   ///< indexed by TaskLane
+  std::vector<Stage> stages_;      ///< guarded by mutex_; add-only
   std::vector<std::thread> workers_;
   unsigned active_ = 0;
   unsigned blocked_submitters_ = 0;
   std::size_t bounded_pending_ = 0;  ///< queued non-continuation tasks
   bool shutting_down_ = false;
   bool joined_ = false;
+  // Written under mutex_, read lock-free by the accessors.
   std::atomic<std::size_t> max_pending_{0};
   std::atomic<std::size_t> max_bounded_pending_{0};
 };

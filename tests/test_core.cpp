@@ -639,7 +639,7 @@ TEST_F(PlatformFixture, SubmissionProducesOneSpanPerLayerCrossed) {
 }
 
 // The sync door runs the request machine inline: it never creates the
-// executor, the stage pipeline or the event loop.
+// executor, its stages or the event loop.
 TEST_F(PlatformFixture, SyncSubmitsNeverCreateThePipeline) {
   ASSERT_TRUE(platform->start().ok());
   platform->context().set("bandwidth", Value(5.0));

@@ -451,7 +451,7 @@ TEST(CountOnce, TypedViewsEqualTheirRegistryCells) {
   const broker::BrokerLayer& broker = platform.broker();
   const ingress::IngressServer::Stats wire = (*server)->stats();
   const core::Platform::PipelineStats pipeline = platform.pipeline_stats();
-  const std::vector<runtime::StagePipeline::StageStats> stages =
+  const std::vector<runtime::Executor::StageStats> stages =
       platform.stage_stats();
   ASSERT_EQ(stages.size(), 4u);
   struct Row {

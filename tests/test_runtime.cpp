@@ -1,5 +1,5 @@
 // Unit tests for the generic runtime environment: components, factory,
-// event bus, executor, timers.
+// event bus, executor and its stages, event loop and its timers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,8 +16,6 @@
 #include "runtime/event_bus.hpp"
 #include "runtime/event_loop.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/stage.hpp"
-#include "runtime/timer_service.hpp"
 
 namespace mdsm::runtime {
 namespace {
@@ -433,139 +431,6 @@ TEST(Executor, QueueDelayRecordedOnInjectedClock) {
   EXPECT_GE(delay->sum_us, 750u);
 }
 
-// ------------------------------------------------------------ TimerService
-
-TEST(TimerService, FiresInDeadlineOrderWhenDue) {
-  SimClock clock;
-  TimerService timers(clock);
-  std::vector<int> fired;
-  timers.schedule(std::chrono::milliseconds(10), [&] { fired.push_back(2); });
-  timers.schedule(std::chrono::milliseconds(5), [&] { fired.push_back(1); });
-  EXPECT_EQ(timers.run_due(), 0u);  // nothing due yet
-  clock.advance(std::chrono::milliseconds(7));
-  EXPECT_EQ(timers.run_due(), 1u);
-  clock.advance(std::chrono::milliseconds(7));
-  EXPECT_EQ(timers.run_due(), 1u);
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-  EXPECT_EQ(timers.pending(), 0u);
-}
-
-TEST(TimerService, CancelPreventsFiring) {
-  SimClock clock;
-  TimerService timers(clock);
-  bool fired = false;
-  auto id = timers.schedule(std::chrono::milliseconds(1), [&] { fired = true; });
-  EXPECT_TRUE(timers.cancel(id));
-  EXPECT_FALSE(timers.cancel(id));  // second cancel: unknown
-  clock.advance(std::chrono::milliseconds(5));
-  timers.run_due();
-  EXPECT_FALSE(fired);
-}
-
-// Regression (PR 6): a callback that schedules a new timer during
-// run_due() — even a zero-delay one — defers it to the *next* tick. It
-// must never fire in the same drain (that made a tick's work depend on
-// callback order) and never be skipped or double-fired.
-TEST(TimerService, CallbackScheduledTimerDefersToNextTick) {
-  SimClock clock;
-  TimerService timers(clock);
-  int fired = 0;
-  timers.schedule(Duration(0), [&] {
-    ++fired;
-    timers.schedule(Duration(0), [&] { ++fired; });
-  });
-  EXPECT_EQ(timers.run_due(), 1u);  // only the timer due at entry fires
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(timers.pending(), 1u);  // the chained timer is parked, not lost
-  EXPECT_EQ(timers.run_due(), 1u);  // ...and fires exactly once next tick
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(timers.pending(), 0u);
-}
-
-// A self-rescheduling heartbeat must not spin run_due() forever: each
-// drain fires exactly one generation.
-TEST(TimerService, SelfReschedulingTimerFiresOncePerDrain) {
-  SimClock clock;
-  TimerService timers(clock);
-  int generation = 0;
-  std::function<void()> beat = [&] {
-    ++generation;
-    timers.schedule(Duration(0), beat);
-  };
-  timers.schedule(Duration(0), beat);
-  for (int tick = 1; tick <= 5; ++tick) {
-    EXPECT_EQ(timers.run_due(), 1u);
-    EXPECT_EQ(generation, tick);
-  }
-  EXPECT_EQ(timers.pending(), 1u);
-}
-
-// Callbacks may cancel a timer that is due but not yet fired in the same
-// drain; the drain skips it without double-firing anything.
-TEST(TimerService, CallbackMayCancelLaterDueTimer) {
-  SimClock clock;
-  TimerService timers(clock);
-  int fired = 0;
-  std::uint64_t victim = 0;
-  timers.schedule(Duration(1), [&] {
-    ++fired;
-    EXPECT_TRUE(timers.cancel(victim));
-  });
-  victim = timers.schedule(Duration(2), [&] { ++fired; });
-  clock.advance(Duration(10));
-  EXPECT_EQ(timers.run_due(), 1u);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(timers.pending(), 0u);
-}
-
-TEST(TimerService, ThrowingCallbackDoesNotAbortTheDrain) {
-  SimClock clock;
-  TimerService timers(clock);
-  std::vector<int> fired;
-  timers.schedule(Duration(1), [&] { fired.push_back(1); });
-  timers.schedule(Duration(2), [&]() -> void {
-    throw std::runtime_error("timer fault injected");
-  });
-  timers.schedule(Duration(3), [&] { fired.push_back(3); });
-  clock.advance(Duration(10));
-  // All three ran (the throwing one counts as fired: it was retired and
-  // invoked); the timers behind the fault still fired.
-  EXPECT_EQ(timers.run_due(), 3u);
-  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
-  EXPECT_EQ(timers.callback_failures(), 1u);
-  EXPECT_EQ(timers.pending(), 0u);
-}
-
-TEST(TimerService, CancelScalesViaIdIndex) {
-  SimClock clock;
-  TimerService timers(clock);
-  // Many pending timers, cancelled out of schedule order — the id index
-  // must stay in lockstep with the deadline map through the churn.
-  std::vector<std::uint64_t> ids;
-  int fired = 0;
-  for (int i = 0; i < 200; ++i) {
-    ids.push_back(timers.schedule(Duration(100 + i), [&] { ++fired; }));
-  }
-  for (std::size_t i = 0; i < ids.size(); i += 2) {
-    EXPECT_TRUE(timers.cancel(ids[i]));
-  }
-  EXPECT_EQ(timers.pending(), 100u);
-  clock.advance(Duration(1'000));
-  EXPECT_EQ(timers.run_due(), 100u);
-  EXPECT_EQ(fired, 100);
-  // Every cancelled and fired id is now unknown.
-  for (std::uint64_t id : ids) EXPECT_FALSE(timers.cancel(id));
-}
-
-TEST(TimerService, NextDeadlineReported) {
-  SimClock clock;
-  TimerService timers(clock);
-  EXPECT_FALSE(timers.next_deadline().has_value());
-  timers.schedule(std::chrono::milliseconds(3), [] {});
-  ASSERT_TRUE(timers.next_deadline().has_value());
-  EXPECT_EQ(*timers.next_deadline(), clock.now() + Duration(3000));
-}
-
 // ------------------------------------------------------------- EventLoop
 
 TEST(EventLoop, ManualModeRunsNothingUntilPolled) {
@@ -579,6 +444,33 @@ TEST(EventLoop, ManualModeRunsNothingUntilPolled) {
   clock.advance(Duration(10));
   EXPECT_EQ(loop.poll(), 1u);
   EXPECT_EQ(ran, 2);
+}
+
+TEST(EventLoop, FiresTimersInDeadlineOrderWhenDue) {
+  SimClock clock;
+  EventLoop loop(EventLoopConfig{.clock = &clock, .threaded = false});
+  std::vector<int> fired;
+  loop.schedule(std::chrono::milliseconds(10), [&] { fired.push_back(2); });
+  loop.schedule(std::chrono::milliseconds(5), [&] { fired.push_back(1); });
+  EXPECT_EQ(loop.poll(), 0u);  // nothing due yet
+  clock.advance(std::chrono::milliseconds(7));
+  EXPECT_EQ(loop.poll(), 1u);
+  clock.advance(std::chrono::milliseconds(7));
+  EXPECT_EQ(loop.poll(), 1u);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  EXPECT_EQ(loop.pending_timers(), 0u);
+}
+
+TEST(EventLoop, TimerFiresAtItsDeadline) {
+  SimClock clock;
+  EventLoop loop(EventLoopConfig{.clock = &clock, .threaded = false});
+  int fired = 0;
+  loop.schedule(std::chrono::milliseconds(3), [&] { ++fired; });
+  clock.advance(Duration(2'999));
+  EXPECT_EQ(loop.poll(), 0u);
+  clock.advance(Duration(1));
+  EXPECT_EQ(loop.poll(), 1u);
+  EXPECT_EQ(fired, 1);
 }
 
 // Tick discipline carries through the loop: a callback that schedules a
@@ -597,6 +489,82 @@ TEST(EventLoop, TimerScheduledDuringPollDefersToNextPoll) {
   EXPECT_EQ(fired, 2);
 }
 
+// Regression (PR 6): a timer scheduled by a timer callback — even with
+// zero delay — is parked until the *next* poll. It must never fire in the
+// same poll (that made a tick's work depend on callback order) and never
+// be skipped or double-fired.
+TEST(EventLoop, CallbackScheduledTimerIsParkedUntilNextPoll) {
+  SimClock clock;
+  EventLoop loop(EventLoopConfig{.clock = &clock, .threaded = false});
+  int fired = 0;
+  loop.schedule(Duration(0), [&] {
+    ++fired;
+    loop.schedule(Duration(0), [&] { ++fired; });
+  });
+  EXPECT_EQ(loop.poll(), 1u);  // only the timer due at entry fires
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(loop.pending_timers(), 1u);  // parked, not lost
+  EXPECT_EQ(loop.poll(), 1u);  // ...and fires exactly once next poll
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(loop.pending_timers(), 0u);
+}
+
+// A self-rescheduling heartbeat must not spin poll() forever: each poll
+// fires exactly one generation.
+TEST(EventLoop, SelfReschedulingTimerFiresOncePerPoll) {
+  SimClock clock;
+  EventLoop loop(EventLoopConfig{.clock = &clock, .threaded = false});
+  int generation = 0;
+  std::function<void()> beat = [&] {
+    ++generation;
+    loop.schedule(Duration(0), beat);
+  };
+  loop.schedule(Duration(0), beat);
+  for (int tick = 1; tick <= 5; ++tick) {
+    EXPECT_EQ(loop.poll(), 1u);
+    EXPECT_EQ(generation, tick);
+  }
+  EXPECT_EQ(loop.pending_timers(), 1u);
+}
+
+// Callbacks may cancel a timer that is due but not yet fired in the same
+// poll; the poll skips it without double-firing anything.
+TEST(EventLoop, CallbackMayCancelLaterDueTimer) {
+  SimClock clock;
+  EventLoop loop(EventLoopConfig{.clock = &clock, .threaded = false});
+  int fired = 0;
+  std::uint64_t victim = 0;
+  loop.schedule(Duration(1), [&] {
+    ++fired;
+    EXPECT_TRUE(loop.cancel(victim));
+  });
+  victim = loop.schedule(Duration(2), [&] { ++fired; });
+  clock.advance(Duration(10));
+  EXPECT_EQ(loop.poll(), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(loop.pending_timers(), 0u);
+}
+
+// Regression: a callback that cancels a due timer and schedules a
+// zero-delay one in its place must not hand the cancelled timer's turn
+// to the new one. poll() snapshots the due ids, not their count.
+TEST(EventLoop, TimerReplacingACancelledDueTimerWaitsForNextPoll) {
+  SimClock clock;
+  EventLoop loop(EventLoopConfig{.clock = &clock, .threaded = false});
+  std::vector<int> fired;
+  std::uint64_t victim = 0;
+  loop.schedule(Duration(0), [&] {
+    fired.push_back(1);
+    EXPECT_TRUE(loop.cancel(victim));
+    loop.schedule(Duration(0), [&] { fired.push_back(3); });
+  });
+  victim = loop.schedule(Duration(0), [&] { fired.push_back(2); });
+  EXPECT_EQ(loop.poll(), 1u);
+  EXPECT_EQ(fired, (std::vector<int>{1}));
+  EXPECT_EQ(loop.poll(), 1u);
+  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
+}
+
 TEST(EventLoop, CancelPreventsScheduledCallback) {
   SimClock clock;
   EventLoop loop(EventLoopConfig{.clock = &clock, .threaded = false});
@@ -606,6 +574,42 @@ TEST(EventLoop, CancelPreventsScheduledCallback) {
   clock.advance(Duration(10));
   loop.poll();
   EXPECT_FALSE(fired);
+}
+
+// A cancelled timer's id is forgotten: cancelling it again reports it
+// unknown, and nothing of it stays pending.
+TEST(EventLoop, CancelledTimerIdIsForgotten) {
+  SimClock clock;
+  EventLoop loop(EventLoopConfig{.clock = &clock, .threaded = false});
+  bool fired = false;
+  auto id = loop.schedule(std::chrono::milliseconds(1), [&] { fired = true; });
+  EXPECT_TRUE(loop.cancel(id));
+  EXPECT_FALSE(loop.cancel(id));  // second cancel: unknown
+  EXPECT_EQ(loop.pending_timers(), 0u);
+  clock.advance(std::chrono::milliseconds(5));
+  EXPECT_EQ(loop.poll(), 0u);
+  EXPECT_FALSE(fired);
+}
+
+TEST(EventLoop, CancelScalesViaIdIndex) {
+  SimClock clock;
+  EventLoop loop(EventLoopConfig{.clock = &clock, .threaded = false});
+  // Many pending timers, cancelled out of schedule order — the id index
+  // must stay in lockstep with the deadline order through the churn.
+  std::vector<std::uint64_t> ids;
+  int fired = 0;
+  for (int i = 0; i < 200; ++i) {
+    ids.push_back(loop.schedule(Duration(100 + i), [&] { ++fired; }));
+  }
+  for (std::size_t i = 0; i < ids.size(); i += 2) {
+    EXPECT_TRUE(loop.cancel(ids[i]));
+  }
+  EXPECT_EQ(loop.pending_timers(), 100u);
+  clock.advance(Duration(1'000));
+  EXPECT_EQ(loop.poll(), 100u);
+  EXPECT_EQ(fired, 100);
+  // Every cancelled and fired id is now unknown.
+  for (std::uint64_t id : ids) EXPECT_FALSE(loop.cancel(id));
 }
 
 // flush() is the shutdown drain: every pending timer runs immediately,
@@ -657,36 +661,60 @@ TEST(EventLoop, ThrowingCallbackIsContained) {
   set_log_level(LogLevel::kWarn);
 }
 
-// --------------------------------------------------------- StagePipeline
+TEST(EventLoop, ThrowingTimerDoesNotAbortThePoll) {
+  set_log_level(LogLevel::kOff);
+  SimClock clock;
+  EventLoop loop(EventLoopConfig{.clock = &clock, .threaded = false});
+  std::vector<int> fired;
+  loop.schedule(Duration(1), [&] { fired.push_back(1); });
+  loop.schedule(Duration(2), [&]() -> void {
+    throw std::runtime_error("timer fault injected");
+  });
+  loop.schedule(Duration(3), [&] { fired.push_back(3); });
+  clock.advance(Duration(10));
+  // All three ran (the throwing one counts: it was retired and invoked);
+  // the timers behind the fault still fired.
+  EXPECT_EQ(loop.poll(), 3u);
+  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
+  EXPECT_EQ(loop.callback_failures(), 1u);
+  EXPECT_EQ(loop.pending_timers(), 0u);
+  set_log_level(LogLevel::kWarn);
+}
 
-TEST(StagePipeline, TracksPerStageDepthAndDelay) {
+// ------------------------------------------------------- Executor stages
+
+TEST(Executor, StagesTrackDepthAndDelay) {
   obs::MetricsRegistry metrics;
   SimClock sim;
   Executor executor(ExecutorConfig{.thread_count = 1}, metrics);
-  StagePipeline stages(executor, sim, metrics);
-  const std::size_t synthesis = stages.add_stage("synthesis");
-  const std::size_t broker = stages.add_stage("broker");
-  ASSERT_EQ(stages.stage_count(), 2u);
+  executor.set_clock(&sim);
+  const std::uint32_t synthesis = executor.add_stage("synthesis");
+  const std::uint32_t broker = executor.add_stage("broker");
   std::atomic<bool> gate{false};
   executor.submit([&gate] {
     while (!gate.load()) std::this_thread::yield();
   });
   while (executor.pending() != 0) std::this_thread::yield();
   std::atomic<int> ran{0};
-  ASSERT_TRUE(stages.submit(synthesis, [&ran] { ++ran; }).ok());
-  ASSERT_TRUE(stages.submit(broker, [&ran] { ++ran; }).ok());
-  EXPECT_EQ(stages.depth(synthesis), 1u);
-  EXPECT_EQ(stages.depth(broker), 1u);
+  for (std::uint32_t stage : {synthesis, broker}) {
+    Status accepted =
+        executor.submit({.run = [&ran] { ++ran; }, .stage = stage});
+    ASSERT_TRUE(accepted.ok());
+  }
+  auto stats = executor.stage_stats();
+  ASSERT_EQ(stats.size(), 2u);
+  EXPECT_EQ(stats[0].depth, 1u);
+  EXPECT_EQ(stats[1].depth, 1u);
   sim.advance(std::chrono::microseconds(500));
   gate = true;
   executor.drain();
   EXPECT_EQ(ran.load(), 2);
-  const auto stats = stages.stats();
-  ASSERT_EQ(stats.size(), 2u);
+  stats = executor.stage_stats();
   EXPECT_EQ(stats[0].name, "synthesis");
   EXPECT_EQ(stats[0].depth, 0u);
   EXPECT_EQ(stats[0].max_depth, 1u);
   EXPECT_EQ(stats[0].entered, 1u);
+  EXPECT_FALSE(executor.submit({.run = [] {}, .stage = 2}).ok());  // no stage
   const auto snapshot = metrics.snapshot();
   const auto* delay = snapshot.histogram("stage.synthesis.delay_us");
   ASSERT_NE(delay, nullptr);
@@ -696,26 +724,28 @@ TEST(StagePipeline, TracksPerStageDepthAndDelay) {
 
 // Continuations of admitted work bypass the executor's capacity bound:
 // a full queue must never strand a mid-pipeline hop.
-TEST(StagePipeline, ContinuationBypassesCapacityBound) {
+TEST(Executor, StageContinuationBypassesCapacityBound) {
   obs::MetricsRegistry metrics;
   Executor executor(ExecutorConfig{.thread_count = 1,
                                    .queue_capacity = 1,
                                    .overflow_policy = OverflowPolicy::kReject},
                     metrics);
-  SteadyClock clock;
-  StagePipeline stages(executor, clock, metrics);
-  const std::size_t stage = stages.add_stage("s");
+  const std::uint32_t stage = executor.add_stage("s");
   std::atomic<bool> gate{false};
   executor.submit([&gate] {
     while (!gate.load()) std::this_thread::yield();
   });
   while (executor.pending() != 0) std::this_thread::yield();
   std::atomic<int> ran{0};
-  ASSERT_TRUE(stages.submit(stage, [&ran] { ++ran; }).ok());  // fills queue
-  EXPECT_FALSE(stages.submit(stage, [&ran] { ++ran; }).ok());  // entry refused
-  StagePipeline::SubmitOptions hop;
+  auto entry = [&] {
+    return Executor::Task{.run = [&ran] { ++ran; }, .stage = stage};
+  };
+  ASSERT_TRUE(executor.submit(entry()).ok());   // fills the queue
+  EXPECT_FALSE(executor.submit(entry()).ok());  // entry refused
+  EXPECT_EQ(executor.stage_stats()[0].entered, 1u);  // refusals don't count
+  Executor::Task hop = entry();
   hop.continuation = true;
-  EXPECT_TRUE(stages.submit(stage, [&ran] { ++ran; }, hop).ok());
+  EXPECT_TRUE(executor.submit(std::move(hop)).ok());
   gate = true;
   executor.drain();
   EXPECT_EQ(ran.load(), 2);
@@ -723,15 +753,13 @@ TEST(StagePipeline, ContinuationBypassesCapacityBound) {
 
 // A shed entry submission fires its on_shed hook and counts against the
 // stage, so the caller can resolve the callback of work that never ran.
-TEST(StagePipeline, ShedEntryRunsOnShedAndCounts) {
+TEST(Executor, ShedStageEntryRunsOnShedAndCounts) {
   obs::MetricsRegistry metrics;
   Executor executor(
       ExecutorConfig{.thread_count = 1,
                      .queue_capacity = 1,
                      .overflow_policy = OverflowPolicy::kShedOldest}, metrics);
-  SteadyClock clock;
-  StagePipeline stages(executor, clock, metrics);
-  const std::size_t stage = stages.add_stage("s");
+  const std::uint32_t stage = executor.add_stage("s");
   std::atomic<bool> gate{false};
   executor.submit([&gate] {
     while (!gate.load()) std::this_thread::yield();
@@ -739,15 +767,18 @@ TEST(StagePipeline, ShedEntryRunsOnShedAndCounts) {
   while (executor.pending() != 0) std::this_thread::yield();
   std::atomic<int> shed{0};
   std::atomic<int> ran{0};
-  StagePipeline::SubmitOptions entry;
-  entry.on_shed = [&shed] { ++shed; };
-  ASSERT_TRUE(stages.submit(stage, [&ran] { ++ran; }, entry).ok());
-  ASSERT_TRUE(stages.submit(stage, [&ran] { ++ran; }, entry).ok());
+  auto entry = [&] {
+    return Executor::Task{.run = [&ran] { ++ran; },
+                          .on_shed = [&shed] { ++shed; },
+                          .stage = stage};
+  };
+  ASSERT_TRUE(executor.submit(entry()).ok());
+  ASSERT_TRUE(executor.submit(entry()).ok());
   EXPECT_EQ(shed.load(), 1);
   gate = true;
   executor.drain();
   EXPECT_EQ(ran.load(), 1);
-  const auto stats = stages.stats();
+  const auto stats = executor.stage_stats();
   EXPECT_EQ(stats[0].shed, 1u);
   EXPECT_EQ(stats[0].depth, 0u);  // shed work leaves no ghost depth
 }

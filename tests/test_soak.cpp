@@ -1,7 +1,7 @@
 // Multi-threaded soak of a running Platform: N threads hammering
 // make_context()/submit_model_text() against a chaotic resource adapter
 // (clean failures, thrown exceptions, stalls), with EventBus
-// subscribe/unsubscribe and TimerService churn in the background. The
+// subscribe/unsubscribe and event-loop timer churn in the background. The
 // assertions are ledger reconciliations — every submission must be
 // accounted for exactly once across the metrics registry, the layer
 // stats, the resource trace and the chaos counters; nothing lost,
@@ -25,8 +25,8 @@
 #include "common/log.hpp"
 #include "common/strings.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/event_loop.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/timer_service.hpp"
 #include "soak_fixtures.hpp"
 
 namespace mdsm {
@@ -159,21 +159,20 @@ TEST_F(SoakTest, BackgroundBusAndTimerChurnDoesNotDisturbSubmissions) {
       }
     });
   }
-  // TimerService churn: each thread drives its own service (the class is
-  // documented single-threaded; the rule is enforced by this usage).
+  // Timer churn: a manual-mode event loop pumped by its own thread.
   std::atomic<std::uint64_t> timers_fired{0};
   background.emplace_back([&] {
-    runtime::TimerService timers(obs::steady_clock());
+    runtime::EventLoop timers(runtime::EventLoopConfig{
+        .clock = &obs::steady_clock(), .threaded = false});
     while (!stop.load(std::memory_order_relaxed)) {
-      auto keep = timers.schedule(Duration(0), [&timers_fired] {
+      timers.schedule(Duration(0), [&timers_fired] {
         timers_fired.fetch_add(1, std::memory_order_relaxed);
       });
       auto cancelled = timers.schedule(Duration(1'000'000), [] {});
       timers.cancel(cancelled);
-      timers.run_due();
-      (void)keep;
+      timers.poll();
     }
-    timers.run_due();
+    timers.poll();
   });
 
   // The storm is under way before the first submission, however fast
