@@ -35,9 +35,9 @@ using namespace mdsm;
 class NullBroker : public broker::BrokerApi {
  public:
   using broker::BrokerApi::call;
-  Result<model::Value> call(const broker::Call&,
-                            obs::RequestContext&) override {
-    return model::Value(true);
+  runtime::Task<Result<model::Value>> call(const broker::Call&,
+                                           obs::RequestContext&) override {
+    co_return model::Value(true);
   }
   [[nodiscard]] const broker::CommandTrace& trace() const override {
     return trace_;
@@ -109,7 +109,7 @@ int main() {
   constexpr int kCommands = 20000;
   Stopwatch watch(clock);
   for (int i = 0; i < kCommands; ++i) {
-    (void)adaptive.execute_command({"deliver", {}});
+    (void)runtime::run_inline(adaptive.execute_command({"deliver", {}}));
   }
   double adaptive_static_us = watch.elapsed_ms() * 1000.0 / kCommands;
   watch.reset();
@@ -143,7 +143,8 @@ int main() {
     watch.reset();
     context.set("network", model::Value(network));
     for (int i = 0; i < kBatch; ++i) {
-      auto adapted = adaptive.execute_command({"deliver", {}});
+      auto adapted =
+          runtime::run_inline(adaptive.execute_command({"deliver", {}}));
       if (!adapted.ok()) {
         std::printf("adaptive episode failed: %s\n",
                     adapted.status().to_string().c_str());

@@ -33,9 +33,9 @@ using controller::SelectionStrategy;
 class NullBroker : public broker::BrokerApi {
  public:
   using broker::BrokerApi::call;
-  Result<model::Value> call(const broker::Call&,
-                            obs::RequestContext&) override {
-    return model::Value(true);
+  runtime::Task<Result<model::Value>> call(const broker::Call&,
+                                           obs::RequestContext&) override {
+    co_return model::Value(true);
   }
   [[nodiscard]] const broker::CommandTrace& trace() const override {
     return trace_;

@@ -23,9 +23,9 @@ using model::Value;
 class NullBroker : public broker::BrokerApi {
  public:
   using broker::BrokerApi::call;
-  Result<model::Value> call(const broker::Call&,
-                            obs::RequestContext&) override {
-    return model::Value(true);
+  runtime::Task<Result<model::Value>> call(const broker::Call&,
+                                           obs::RequestContext&) override {
+    co_return model::Value(true);
   }
   [[nodiscard]] const broker::CommandTrace& trace() const override {
     return trace_;
@@ -147,7 +147,7 @@ void BM_BrokerCallUnguarded(benchmark::State& state) {
   BrokerFixtureState fixture;
   broker::Call call{"plain.op", {{"id", Value("x")}}};
   for (auto _ : state) {
-    auto result = fixture.layer.call(call);
+    auto result = runtime::run_inline(fixture.layer.call(call));
     benchmark::DoNotOptimize(result);
   }
   fixture.layer.resources().clear_trace();
@@ -158,7 +158,7 @@ void BM_BrokerCallGuardedSelection(benchmark::State& state) {
   BrokerFixtureState fixture;
   broker::Call call{"guarded.op", {{"id", Value("x")}}};
   for (auto _ : state) {
-    auto result = fixture.layer.call(call);
+    auto result = runtime::run_inline(fixture.layer.call(call));
     benchmark::DoNotOptimize(result);
   }
   fixture.layer.resources().clear_trace();
@@ -197,7 +197,7 @@ void BM_ControllerCase1(benchmark::State& state) {
   ControllerFixtureState fixture;
   controller::Command command{"op.case1", {}};
   for (auto _ : state) {
-    auto result = fixture.layer.execute_command(command);
+    auto result = runtime::run_inline(fixture.layer.execute_command(command));
     benchmark::DoNotOptimize(result);
   }
 }
@@ -207,7 +207,7 @@ void BM_ControllerCase2Cached(benchmark::State& state) {
   ControllerFixtureState fixture;
   controller::Command command{"op", {}};
   for (auto _ : state) {
-    auto result = fixture.layer.execute_command(command);
+    auto result = runtime::run_inline(fixture.layer.execute_command(command));
     benchmark::DoNotOptimize(result);
   }
 }
@@ -220,7 +220,7 @@ void BM_ControllerCase2NoCache(benchmark::State& state) {
   std::int64_t tick = 0;
   for (auto _ : state) {
     fixture.context.set("churn", Value(++tick));
-    auto result = fixture.layer.execute_command(command);
+    auto result = runtime::run_inline(fixture.layer.execute_command(command));
     benchmark::DoNotOptimize(result);
   }
 }

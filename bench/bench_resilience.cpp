@@ -30,6 +30,7 @@ using mdsm::Duration;
 using mdsm::SteadyClock;
 using mdsm::Stopwatch;
 namespace broker = mdsm::broker;
+namespace runtime = mdsm::runtime;
 
 /// The well-behaved resource underneath the chaos wrapper.
 class EchoAdapter final : public broker::ResourceAdapter {
@@ -80,7 +81,10 @@ RunResult run(double fail_rate, const broker::InvocationPolicy* policy,
   for (int i = 0; i < invokes; ++i) {
     mdsm::obs::RequestContext context(clock);
     Stopwatch watch(clock);
-    if (layer.resources().invoke("svc", "op", {}, context).ok()) ++ok;
+    if (runtime::run_inline(layer.resources().invoke("svc", "op", {}, context))
+            .ok()) {
+      ++ok;
+    }
     latencies.push_back(watch.elapsed_ms() * 1000.0);
   }
   RunResult out;

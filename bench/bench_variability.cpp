@@ -29,9 +29,9 @@ using model::Value;
 class NullBroker : public broker::BrokerApi {
  public:
   using broker::BrokerApi::call;
-  Result<model::Value> call(const broker::Call&,
-                            obs::RequestContext&) override {
-    return model::Value(true);
+  runtime::Task<Result<model::Value>> call(const broker::Call&,
+                                           obs::RequestContext&) override {
+    co_return model::Value(true);
   }
   [[nodiscard]] const broker::CommandTrace& trace() const override {
     return trace_;
@@ -153,7 +153,8 @@ int main() {
       continue;
     }
     bool chosen = im_contains(*(*intent)->root, c.expected_leaf);
-    bool executed = layer.engine().execute(**intent, {}).ok();
+    bool executed =
+        runtime::run_inline(layer.engine().execute(*intent, {})).ok();
     std::printf("| %-9s | %-15s | %-24s | %-18s | %10.2f | %-7s |\n",
                 c.domain, c.dsc, c.context_key, c.expected_leaf, cycle_us,
                 chosen && executed ? "OK" : "WRONG");

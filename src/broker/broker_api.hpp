@@ -5,10 +5,9 @@
 // model-based broker are interchangeable behind the same port.
 #pragma once
 
-#include <functional>
-
 #include "broker/broker_types.hpp"
 #include "obs/request_context.hpp"
+#include "runtime/task.hpp"
 
 namespace mdsm::broker {
 
@@ -18,28 +17,18 @@ class BrokerApi {
 
   /// Execute one broker operation on behalf of the layer above. The
   /// request context carries the caller's span tree; implementations
-  /// open one "broker.call" span per crossing.
-  virtual Result<model::Value> call(const Call& call,
-                                    obs::RequestContext& context) = 0;
+  /// open one "broker.call" span per crossing. The task runs when it is
+  /// awaited (DESIGN.md §6e): the model-based BrokerLayer may park it
+  /// across a slow resource invocation, suspending the awaiting layer
+  /// instead of a thread; stub and handcrafted brokers complete at once.
+  /// `call` and `context` must outlive the task; sync callers run it
+  /// through runtime::run_inline().
+  virtual runtime::Task<Result<model::Value>> call(
+      const Call& call, obs::RequestContext& context) = 0;
 
   /// Context-less convenience for callers outside a traced request.
-  Result<model::Value> call(const Call& broker_call) {
+  runtime::Task<Result<model::Value>> call(const Call& broker_call) {
     return call(broker_call, obs::RequestContext::noop());
-  }
-
-  /// Completion of call_async(); invoked exactly once, possibly inline
-  /// on the calling thread (fast path) or later from another thread.
-  using CallCallback = std::function<void(Result<model::Value>)>;
-
-  /// Asynchronous variant used by the staged execution core (PR 6).
-  /// The default wraps the synchronous call() and completes inline, so
-  /// stub and handcrafted brokers participate in the staged pipeline
-  /// unchanged; the model-based BrokerLayer overrides it to suspend the
-  /// request across slow resource invocations instead of holding the
-  /// worker. `context` must outlive the invocation.
-  virtual void call_async(const Call& broker_call,
-                          obs::RequestContext& context, CallCallback done) {
-    done(call(broker_call, context));
   }
 
   /// The trace of resource commands issued so far (Exp-1 compares these).

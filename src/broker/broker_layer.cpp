@@ -1,7 +1,3 @@
-#include <atomic>
-#include <mutex>
-#include <optional>
-
 #include "broker/broker_layer.hpp"
 
 #include "common/log.hpp"
@@ -23,7 +19,8 @@ BrokerLayer::BrokerLayer(std::string name, runtime::EventBus& bus,
   autonomic_ = std::make_unique<AutonomicManager>(
       bus, context, metrics,
       [this](const std::vector<ActionStep>& steps, const Args& args) {
-        Result<model::Value> result = execute_steps(steps, args);
+        Result<model::Value> result =
+            runtime::run_inline(execute_steps(steps, args));
         return result.ok() ? Status::Ok() : result.status();
       });
 }
@@ -83,27 +80,12 @@ Result<const Action*> BrokerLayer::select_action(
   return best;
 }
 
-Result<model::Value> BrokerLayer::call(const Call& call,
-                                       obs::RequestContext& context) {
-  return run_inline<Result<model::Value>>([&](CallCallback done) {
-    start_call(call, context, true, std::move(done));
-  });
-}
-
-void BrokerLayer::call_async(const Call& broker_call,
-                             obs::RequestContext& context,
-                             CallCallback done) {
-  start_call(broker_call, context, false, std::move(done));
-}
-
-void BrokerLayer::start_call(const Call& broker_call,
-                             obs::RequestContext& context, bool inline_mode,
-                             CallCallback done) {
+runtime::Task<Result<model::Value>> BrokerLayer::call(
+    const Call& broker_call, obs::RequestContext& context) {
   obs::ContextScope ambient(context);
   calls_handled_.add();
-  // The span is closed when the step run finishes, not by a ScopedSpan:
-  // in async mode the call may park and complete on another thread long
-  // after this frame unwinds.
+  // The steps close the span when they finish, not a ScopedSpan: the
+  // call may park and complete on another thread.
   const std::uint64_t span = context.open_span(call_span_, broker_call.name);
   Status deadline = context.check_deadline("broker");
   Result<const Action*> action = deadline.ok()
@@ -111,13 +93,11 @@ void BrokerLayer::start_call(const Call& broker_call,
                                      : Result<const Action*>(deadline);
   if (!action.ok()) {
     context.close_span(span);
-    done(action.status());
-    return;
+    return runtime::ready<Result<model::Value>>(action.status());
   }
   MDSM_LOG_DEBUG("broker") << name() << " call " << broker_call.name
                            << " -> action " << (*action)->name;
-  run_steps((*action)->steps, broker_call.args, context, inline_mode, span,
-            std::move(done));
+  return run_steps((*action)->steps, broker_call.args, context, span);
 }
 
 Status BrokerLayer::handle_event(const std::string& topic,
@@ -136,73 +116,52 @@ Status BrokerLayer::handle_event(const std::string& topic,
   args["event.topic"] = model::Value(topic);
   args["event.payload"] = std::move(payload);
   Result<model::Value> result =
-      execute_steps((*action)->steps, args, context);
+      runtime::run_inline(execute_steps((*action)->steps, args, context));
   return result.ok() ? Status::Ok() : result.status();
 }
 
-// ---- the step state machine (inline or async; DESIGN.md §6b) --------
+// ---- the step coroutine (DESIGN.md §6b/§6e) -------------------------
 //
-// Only kInvoke can suspend: inline it is ResourceManager::invoke(), async
-// it is invoke_async(), which may park and resume the run on the thread
-// that settles the resource invocation.
+// Only kInvoke can suspend: it awaits ResourceManager::invoke(), which
+// parks when the request may park and the invocation waits on a loop
+// timer or an async resource.
 
-struct BrokerLayer::StepRun {
-  const std::vector<ActionStep>* steps = nullptr;
-  const Args* call_args = nullptr;  ///< the caller's, or `owned_args`
-  Args owned_args;                  ///< async mode: the run's own copy
-  obs::RequestContext* context = nullptr;
-  bool inline_mode = false;
-  std::uint64_t span = 0;  ///< the caller's "broker.call" span (0 = none)
-  CallCallback done;
-  model::Value result;
-  std::optional<Result<model::Value>> pending;  ///< settled kInvoke outcome
-  std::size_t index = 0;
-};
-
-Result<model::Value> BrokerLayer::execute_steps(
+runtime::Task<Result<model::Value>> BrokerLayer::execute_steps(
     const std::vector<ActionStep>& steps, const Args& call_args,
     obs::RequestContext& context) {
-  return run_inline<Result<model::Value>>([&](CallCallback done) {
-    run_steps(steps, call_args, context, true, 0, std::move(done));
-  });
+  return run_steps(steps, call_args, context, 0);
 }
 
-void BrokerLayer::run_steps(const std::vector<ActionStep>& steps,
-                            const Args& call_args,
-                            obs::RequestContext& context, bool inline_mode,
-                            std::uint64_t span, CallCallback done) {
-  StepRun local;
-  std::shared_ptr<StepRun> run = run_state(inline_mode, local);
-  run->steps = &steps;
-  run->call_args = &call_args;
-  if (!inline_mode) {  // the caller's args may not outlive an async run
-    run->owned_args = call_args;
-    run->call_args = &run->owned_args;
+runtime::Task<Result<model::Value>> BrokerLayer::run_steps(
+    const std::vector<ActionStep>& steps, const Args& call_args,
+    obs::RequestContext& context, std::uint64_t span) {
+  obs::ContextScope ambient(context);
+  model::Value result;
+  Status failed;
+  for (const ActionStep& step : steps) {
+    if (step.op != StepOp::kInvoke) {
+      if (Status status = exec_step(step, call_args, result); !status.ok()) {
+        failed = std::move(status);
+        break;
+      }
+      continue;
+    }
+    Args resolved = resolve_args(step.args, call_args, *context_);
+    Result<model::Value> invoked =
+        co_await resources_.invoke(step.a, step.b, resolved, context);
+    if (!invoked.ok()) {
+      failed = invoked.status();
+      break;
+    }
+    result = std::move(invoked.value());
   }
-  run->context = &context;
-  run->inline_mode = inline_mode;
-  run->span = span;
-  run->done = std::move(done);
-  drive_steps(std::move(run));
+  context.close_span(span);
+  if (!failed.ok()) co_return failed;
+  co_return std::move(result);
 }
 
-void BrokerLayer::finish(StepRun& run, Result<model::Value> outcome) {
-  run.context->close_span(run.span);
-  run.done(std::move(outcome));
-}
-
-bool BrokerLayer::consume_pending(StepRun& run) {
-  Result<model::Value> invoked = std::move(*run.pending);
-  run.pending.reset();
-  if (!invoked.ok()) {
-    finish(run, invoked.status());
-    return false;
-  }
-  run.result = std::move(invoked.value());
-  return true;
-}
-
-Status BrokerLayer::exec_step(const ActionStep& step, StepRun& run) {
+Status BrokerLayer::exec_step(const ActionStep& step, const Args& call_args,
+                              model::Value& result) {
   if (step.op == StepOp::kGuard) {
     Result<bool> holds = step.guard.evaluate_bool(*context_);
     if (!holds.ok()) return holds.status();
@@ -213,7 +172,7 @@ Status BrokerLayer::exec_step(const ActionStep& step, StepRun& run) {
     return Status::Ok();
   }
   // The remaining synchronous steps each apply one required argument.
-  Args resolved = resolve_args(step.args, *run.call_args, *context_);
+  Args resolved = resolve_args(step.args, call_args, *context_);
   Result<model::Value> value = require_arg(
       resolved, step.op == StepOp::kEmit ? "payload" : "value",
       to_string(step.op));
@@ -229,7 +188,7 @@ Status BrokerLayer::exec_step(const ActionStep& step, StepRun& run) {
       bus_->publish(step.a, name(), std::move(value.value()));
       break;
     case StepOp::kResult:
-      run.result = std::move(value.value());
+      result = std::move(value.value());
       break;
     case StepOp::kGuard:
     case StepOp::kInvoke:
@@ -237,45 +196,6 @@ Status BrokerLayer::exec_step(const ActionStep& step, StepRun& run) {
                       "' reached exec_step");
   }
   return Status::Ok();
-}
-
-void BrokerLayer::drive_steps(std::shared_ptr<StepRun> run) {
-  obs::ContextScope ambient(*run->context);
-  const std::vector<ActionStep>& steps = *run->steps;
-  while (run->index < steps.size()) {
-    const ActionStep& step = steps[run->index++];
-    if (step.op != StepOp::kInvoke) {
-      if (Status status = exec_step(step, *run); !status.ok()) {
-        finish(*run, std::move(status));
-        return;
-      }
-      continue;
-    }
-    Args resolved = resolve_args(step.args, *run->call_args, *context_);
-    if (run->inline_mode) {
-      run->pending.emplace(
-          resources_.invoke(step.a, step.b, resolved, *run->context));
-    } else {
-      // Trampoline: 0 = driver still in this frame, 1 = driver parked,
-      // 2 = completion fired inline. Whoever arrives second owns the
-      // continuation, so inline completions stay in this loop (no
-      // recursion) and true parks resume on the settling thread.
-      auto turn = std::make_shared<std::atomic<int>>(0);
-      resources_.invoke_async(
-          step.a, step.b, resolved, *run->context,
-          [this, run, turn](Result<model::Value> invoked) {
-            run->pending.emplace(std::move(invoked));
-            if (turn->exchange(2, std::memory_order_acq_rel) == 1) {
-              if (consume_pending(*run)) drive_steps(run);
-            }
-          });
-      if (turn->exchange(1, std::memory_order_acq_rel) == 0) {
-        return;  // parked: the completion resumes the run
-      }
-    }
-    if (!consume_pending(*run)) return;
-  }
-  finish(*run, std::move(run->result));
 }
 
 }  // namespace mdsm::broker

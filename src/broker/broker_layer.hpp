@@ -64,21 +64,13 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
   using BrokerApi::call;
 
   /// Select (via the signal's handler + guards + priority) and execute an
-  /// action for the call. Returns the action's result value (none if the
-  /// action set none). Opens one "broker.call" span per crossing. Runs
-  /// the step state machine in inline mode: it completes before it
-  /// returns.
-  Result<model::Value> call(const Call& call,
-                            obs::RequestContext& context) override;
-
-  /// call() in async mode: the action's steps run as a resumable state
-  /// machine, so a kInvoke that parks in ResourceManager (retry backoff,
-  /// attempt overrun) suspends this call instead of a thread; the
-  /// surviving steps resume on whatever thread settles the resource
-  /// invocation. `context` must outlive the call; `done` fires exactly
-  /// once (inline when every step completes synchronously).
-  void call_async(const Call& broker_call, obs::RequestContext& context,
-                  CallCallback done) override;
+  /// action for the call. Yields the action's result value (none if the
+  /// action set none). Opens one "broker.call" span per crossing. A
+  /// kInvoke that parks in the ResourceManager (retry backoff, attempt
+  /// overrun) suspends the call, and the surviving steps resume on
+  /// whatever thread settles the resource invocation.
+  runtime::Task<Result<model::Value>> call(
+      const Call& broker_call, obs::RequestContext& context) override;
 
   [[nodiscard]] const CommandTrace& trace() const override {
     return resources_.trace();
@@ -86,22 +78,16 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
 
   /// Event entry point: events are signals too (paper §VI treats calls
   /// and events uniformly); dispatches the bound handler if any.
-  Status handle_event(const std::string& topic, model::Value payload,
-                      obs::RequestContext& context);
-  Status handle_event(const std::string& topic, model::Value payload = {}) {
-    return handle_event(topic, std::move(payload),
-                        obs::RequestContext::noop());
-  }
+  Status handle_event(
+      const std::string& topic, model::Value payload = {},
+      obs::RequestContext& context = obs::RequestContext::noop());
 
   /// Execute a step sequence against this layer (shared by actions and
-  /// autonomic change plans), in inline mode.
-  Result<model::Value> execute_steps(const std::vector<ActionStep>& steps,
-                                     const Args& call_args,
-                                     obs::RequestContext& context);
-  Result<model::Value> execute_steps(const std::vector<ActionStep>& steps,
-                                     const Args& call_args) {
-    return execute_steps(steps, call_args, obs::RequestContext::noop());
-  }
+  /// autonomic change plans). `steps` and `call_args` must outlive the
+  /// task; action step lists are never removed once registered.
+  runtime::Task<Result<model::Value>> execute_steps(
+      const std::vector<ActionStep>& steps, const Args& call_args,
+      obs::RequestContext& context = obs::RequestContext::noop());
 
   // -- statistics
 
@@ -119,27 +105,13 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
   [[nodiscard]] Result<const Action*> select_action(
       const std::string& signal) const;
 
-  /// Open the "broker.call" span, select the action and run its steps.
-  void start_call(const Call& broker_call, obs::RequestContext& context,
-                  bool inline_mode, CallCallback done);
-  /// Shared state of one step run (step cursor, copied args, accumulated
-  /// result, the pending invoke outcome in flight).
-  struct StepRun;
-  /// Run `steps` (which must outlive the run: action step lists are
-  /// never removed once registered); `span` (0 = none) is closed when
-  /// the run finishes.
-  void run_steps(const std::vector<ActionStep>& steps,
-                 const Args& call_args, obs::RequestContext& context,
-                 bool inline_mode, std::uint64_t span, CallCallback done);
-  /// Drive steps from the run's cursor until done or a kInvoke parks.
-  void drive_steps(std::shared_ptr<StepRun> run);
-  /// Execute one synchronous (non-kInvoke) step.
-  Status exec_step(const ActionStep& step, StepRun& run);
-  /// Close the run's span and resolve it.
-  void finish(StepRun& run, Result<model::Value> outcome);
-  /// Consume run->pending after a kInvoke settles; false means the run
-  /// failed and `done` has already been invoked.
-  bool consume_pending(StepRun& run);
+  /// The step coroutine; closes `span` (0 = none) when the steps finish.
+  runtime::Task<Result<model::Value>> run_steps(
+      const std::vector<ActionStep>& steps, const Args& call_args,
+      obs::RequestContext& context, std::uint64_t span);
+  /// Execute one synchronous (non-kInvoke) step; kResult sets `result`.
+  Status exec_step(const ActionStep& step, const Args& call_args,
+                   model::Value& result);
 
   runtime::EventBus* bus_;
   policy::ContextStore* context_;

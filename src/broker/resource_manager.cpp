@@ -1,4 +1,5 @@
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "broker/resource_manager.hpp"
@@ -109,128 +110,173 @@ CircuitBreaker::State ResourceManager::breaker_state(
                             : breaker->state();
 }
 
-// ---- the invocation state machine (inline or async; DESIGN.md §6b) ----
+// ---- the invocation coroutine (DESIGN.md §6b/§6e) ------------------
 //
-// In async mode the per-attempt timeout is a timer that *disowns* an
-// overrunning attempt: each attempt carries a settle flag, and whoever
-// flips it first (adapter completion or the overrun timer) owns the
-// outcome, the breaker record and the span close; the loser only bumps
-// a counter. That single-owner discipline is also what keeps the
-// request's Trace single-writer even though attempts, timers and retries
-// run on different threads.
+// An async attempt races the adapter's answer against the overrun timer:
+// whoever flips `settled` first owns the outcome, and with it the breaker
+// record and the span close once the invocation resumes; the loser only
+// bumps a counter. `answered` holds the adapter itself to one answer, so
+// one that completes and then throws settles once. An answer that
+// arrives before execute_async() returns is taken on the awaiting stack
+// (the `turn` race of runtime::Task); a later one resumes the invocation
+// on the answering thread. A timer that wins does not wait for
+// execute_async() to return: it resumes the invocation on a worker while
+// the adapter is still grinding. That single-owner discipline is also
+// what keeps the request's Trace single-writer.
 
-struct ResourceManager::Invocation {
-  std::shared_ptr<ResourceAdapter> adapter;
-  std::shared_ptr<PolicyState> state;
-  std::string resource;
-  std::string command;
-  Args args;
-  obs::RequestContext* context = nullptr;
-  bool inline_mode = false;
-  InvokeCallback done;
-  RetryBackoff backoff{Duration(0), Duration(0), 0};
-  int attempt = 0;  ///< attempts issued so far
-  /// Belt-and-braces: the state machine resolves exactly once by
-  /// construction; the flag turns a logic bug into a dropped duplicate
-  /// instead of a double completion.
-  std::atomic<bool> resolved{false};
+struct ResourceManager::Attempt {
+  /// What the adapter's answer and the overrun timer share; it outlives
+  /// the awaiter when the timer disowns the attempt.
+  struct Race {
+    std::coroutine_handle<> waiter;
+    obs::RequestContext* context = nullptr;
+    std::string resource;
+    std::string command;
+    Duration timeout{0};
+    int number = 0;
+    std::uint64_t timer = 0;
+    std::atomic<bool> answered{false};
+    std::atomic<bool> settled{false};
+    /// kRunning while execute_async() runs, then kParked; the settling
+    /// answer sets kAnswered, a winning timer kTaken.
+    std::atomic<int> turn{kRunning};
+    std::optional<Result<model::Value>> outcome;
+  };
+  enum : int { kRunning, kParked, kAnswered, kTaken };
 
-  void resolve(Result<model::Value> outcome) {
-    if (resolved.exchange(true, std::memory_order_acq_rel)) return;
-    done(std::move(outcome));
+  ResourceManager* manager;
+  ResourceAdapter* adapter;
+  const std::string* resource;
+  const std::string* command;
+  const Args* args;
+  obs::RequestContext* context;
+  bool parks;        ///< false: execute() on the awaiting thread
+  Duration timeout;  ///< overrun budget (0 = no timer)
+  int number;        ///< attempt number, for the overrun message
+  std::optional<Result<model::Value>> outcome;  ///< answered inline
+  std::shared_ptr<Race> race;
+
+  bool await_ready() {
+    if (parks) return false;
+    outcome.emplace(
+        manager->execute_attempt(*adapter, *resource, *command, *args));
+    return true;
+  }
+  bool await_suspend(std::coroutine_handle<> waiter);
+  Result<model::Value> await_resume() {
+    return outcome.has_value() ? std::move(*outcome)
+                               : std::move(*race->outcome);
   }
 };
 
-void ResourceManager::set_async_engine(
-    runtime::EventLoop* loop,
-    std::function<void(std::function<void()>)> resume) {
-  loop_ = loop;
-  resume_ = std::move(resume);
+bool ResourceManager::Attempt::await_suspend(std::coroutine_handle<> waiter) {
+  // Once execute_async() starts, a winning timer may resume the waiter
+  // and end this awaiter: from there on only the locals are touched.
+  auto race = std::make_shared<Race>();
+  race->waiter = waiter;
+  race->context = context;
+  race->resource = *resource;
+  race->command = *command;
+  race->timeout = timeout;
+  race->number = number;
+  this->race = race;
+  ResourceManager* rm = manager;
+  ResourceAdapter* target = adapter;
+  rm->trace_.record(*resource, *command, *args);
+  MDSM_LOG_DEBUG("resource-manager")
+      << *resource << "." << format_invocation(*command, *args);
+  if (timeout.count() > 0) {
+    race->timer = rm->loop_->schedule(timeout, [rm, race] {
+      if (race->settled.exchange(true, std::memory_order_acq_rel)) return;
+      rm->overruns_counter_.add();
+      race->outcome.emplace(Timeout(
+          "resource '" + race->resource + "' attempt " +
+          std::to_string(race->number) + " of '" + race->command +
+          "' exceeded its " + std::to_string(race->timeout.count()) +
+          "us budget (disowned)"));
+      // Resume on a worker, not the loop thread: the retry decision may
+      // issue the next attempt at once.
+      rm->resume_on_worker([race] {
+        race->turn.exchange(kTaken, std::memory_order_acq_rel);
+        obs::ContextScope ambient(*race->context);
+        race->waiter.resume();
+      });
+    });
+  }
+  auto answer = [rm, race](Result<model::Value> settled) {
+    if (race->answered.exchange(true, std::memory_order_acq_rel)) return;
+    if (race->settled.exchange(true, std::memory_order_acq_rel)) {
+      // The overrun timer already disowned this attempt; its actual
+      // outcome, success or not, arrives too late to matter.
+      rm->late_completions_counter_.add();
+      return;
+    }
+    if (race->timer != 0) rm->loop_->cancel(race->timer);
+    race->outcome.emplace(std::move(settled));
+    if (race->turn.exchange(kAnswered, std::memory_order_acq_rel) ==
+        kParked) {
+      obs::ContextScope ambient(*race->context);
+      race->waiter.resume();
+    }
+  };
+  try {
+    target->execute_async(race->command, *args, answer);
+  } catch (const std::exception& e) {
+    answer(rm->contain(race->resource, race->command, e.what()));
+  } catch (...) {
+    answer(rm->contain(race->resource, race->command, nullptr));
+  }
+  return race->turn.exchange(kParked, std::memory_order_acq_rel) !=
+         kAnswered;
 }
 
 void ResourceManager::resume_on_worker(std::function<void()> fn) {
-  if (resume_ != nullptr) {
-    resume_(std::move(fn));
-  } else {
+  if (executor_ == nullptr ||
+      !executor_->submit({.run = fn, .continuation = true, .stage = stage_})
+           .ok()) {
     loop_->post(std::move(fn));
   }
 }
 
-Result<model::Value> ResourceManager::invoke(const std::string& resource,
-                                             const std::string& command,
-                                             const Args& args,
-                                             obs::RequestContext& context) {
-  return run_inline<Result<model::Value>>([&](InvokeCallback done) {
-    start_invocation(resource, command, args, context, true,
-                     std::move(done));
-  });
+Status ResourceManager::contain(const std::string& resource,
+                                const std::string& command,
+                                const char* what) {
+  exceptions_counter_.add();
+  if (what == nullptr) {
+    log_error("resource-manager")
+        << resource << "." << command << " threw a non-std::exception";
+    return ExecutionError("resource adapter '" + resource +
+                          "' threw a non-std::exception during '" + command +
+                          "'");
+  }
+  log_error("resource-manager")
+      << resource << "." << command << " threw: " << what;
+  return ExecutionError("resource adapter '" + resource + "' threw during '" +
+                        command + "': " + what);
 }
 
-void ResourceManager::invoke_async(const std::string& resource,
-                                   const std::string& command,
-                                   const Args& args,
-                                   obs::RequestContext& context,
-                                   InvokeCallback done) {
-  if (done == nullptr) done = [](Result<model::Value>) {};
-  // No event engine wired (tests and split deployments that never built
-  // a staged pipeline): run inline on the calling thread.
-  start_invocation(resource, command, args, context, loop_ == nullptr,
-                   std::move(done));
-}
-
-void ResourceManager::execute_attempt(ResourceAdapter& adapter,
-                                      const std::string& resource,
-                                      const std::string& command,
-                                      const Args& args, bool inline_mode,
-                                      ResourceAdapter::Completion done) {
+Result<model::Value> ResourceManager::execute_attempt(
+    ResourceAdapter& adapter, const std::string& resource,
+    const std::string& command, const Args& args) {
   trace_.record(resource, command, args);
   MDSM_LOG_DEBUG("resource-manager")
       << resource << "." << format_invocation(command, args);
   // Adapters are plugin code over external resources; this is the fault
   // boundary. An escaping exception must degrade to a Status, not unwind
   // through the controller's EU stack (which would strand queued signals
-  // for the next request to pick up). The completion runs outside the
-  // try, so a throw from the layers above is never misattributed to the
-  // adapter.
-  std::optional<Result<model::Value>> outcome;
+  // for the next request to pick up).
   try {
-    if (!inline_mode) {
-      // Settle at most once, even for the pathological adapter that
-      // completes and then throws.
-      auto once = std::make_shared<std::atomic<bool>>(false);
-      done = [once, done = std::move(done)](Result<model::Value> settled) {
-        if (!once->exchange(true, std::memory_order_acq_rel)) {
-          done(std::move(settled));
-        }
-      };
-      adapter.execute_async(command, args, done);
-      return;
-    }
-    outcome.emplace(adapter.execute(command, args));
+    return adapter.execute(command, args);
   } catch (const std::exception& e) {
-    exceptions_counter_.add();
-    log_error("resource-manager")
-        << resource << "." << command << " threw: " << e.what();
-    outcome.emplace(ExecutionError("resource adapter '" + resource +
-                                   "' threw during '" + command +
-                                   "': " + e.what()));
+    return contain(resource, command, e.what());
   } catch (...) {
-    exceptions_counter_.add();
-    log_error("resource-manager")
-        << resource << "." << command << " threw a non-std::exception";
-    outcome.emplace(ExecutionError("resource adapter '" + resource +
-                                   "' threw a non-std::exception during '" +
-                                   command + "'"));
+    return contain(resource, command, nullptr);
   }
-  done(std::move(*outcome));
 }
 
-void ResourceManager::start_invocation(const std::string& resource,
-                                       const std::string& command,
-                                       const Args& args,
-                                       obs::RequestContext& context,
-                                       bool inline_mode,
-                                       InvokeCallback done) {
+runtime::Task<Result<model::Value>> ResourceManager::invoke(
+    const std::string& resource, const std::string& command,
+    const Args& args, obs::RequestContext& context) {
   // Pin the adapter (and its policy) under a brief shared lock, execute
   // unlocked: a concurrent remove_adapter() unregisters immediately while
   // this call finishes on the pinned instance, and an adapter that
@@ -241,221 +287,167 @@ void ResourceManager::start_invocation(const std::string& resource,
   {
     std::shared_lock lock(mutex_);
     auto it = adapters_.find(resource);
-    if (it == adapters_.end()) {
-      lock.unlock();
-      done(NotFound("no resource adapter '" + resource + "'"));
-      return;
+    if (it != adapters_.end()) {
+      adapter = it->second;
+      auto policy_it = policies_.find(resource);
+      if (policy_it != policies_.end()) state = policy_it->second;
     }
-    adapter = it->second;
-    auto policy_it = policies_.find(resource);
-    if (policy_it != policies_.end()) state = policy_it->second;
   }
+  if (adapter == nullptr) {
+    return runtime::ready<Result<model::Value>>(
+        NotFound("no resource adapter '" + resource + "'"));
+  }
+  const bool parks = loop_ != nullptr && context.may_park();
   if (state == nullptr) {
     // Fire-once fast path (no policy): the deadline gate around the
     // resource call itself — a request with no budget left must not
-    // issue the command at all — then a single attempt whose completion
-    // is the resolution.
+    // issue the command at all — then a single attempt, on this thread
+    // unless it may park.
     if (Status gate = context.check_deadline("broker.invoke"); !gate.ok()) {
-      done(gate);
-      return;
+      return runtime::ready<Result<model::Value>>(std::move(gate));
     }
-    execute_attempt(*adapter, resource, command, args, inline_mode,
-                    std::move(done));
-    return;
+    if (!parks) {
+      return runtime::ready(execute_attempt(*adapter, resource, command, args));
+    }
   }
-  auto call = std::make_shared<Invocation>();
-  call->adapter = std::move(adapter);
-  call->state = state;
-  call->resource = resource;
-  call->command = command;
-  call->args = args;
-  call->context = &context;
-  call->inline_mode = inline_mode;
-  call->done = std::move(done);
+  return invocation(std::move(adapter), std::move(state), resource, command,
+                    args, context, parks);
+}
+
+runtime::Task<Result<model::Value>> ResourceManager::invocation(
+    std::shared_ptr<ResourceAdapter> adapter,
+    std::shared_ptr<PolicyState> state, const std::string& resource,
+    const std::string& command, const Args& args,
+    obs::RequestContext& context, bool parks) {
+  // Awaited as named locals: GCC 12 miscompiles some co_awaits of a
+  // braced temporary awaiter with non-trivial members.
+  auto attempt_on = [&](ResourceAdapter& target, const std::string& name,
+                        Duration timeout, int number) {
+    return Attempt{.manager = this,
+                   .adapter = &target,
+                   .resource = &name,
+                   .command = &command,
+                   .args = &args,
+                   .context = &context,
+                   .parks = parks,
+                   .timeout = timeout,
+                   .number = number};
+  };
+  if (state == nullptr) {
+    Attempt only = attempt_on(*adapter, resource, Duration(0), 1);
+    co_return co_await only;
+  }
+  const InvocationPolicy& policy = state->policy;
+  const Clock& clock = context.clock();
   // One jitter chain per logical invoke; the per-chain seed keeps soak
   // runs repeatable without sharing RNG state across threads.
-  call->backoff = RetryBackoff(
-      state->policy.initial_backoff, state->policy.max_backoff,
-      state->policy.jitter_seed +
-          state->chains.fetch_add(1, std::memory_order_relaxed));
-  start_attempt(std::move(call));
-}
-
-void ResourceManager::start_attempt(std::shared_ptr<Invocation> call) {
-  const InvocationPolicy& policy = call->state->policy;
-  obs::RequestContext& context = *call->context;
-  const Clock& clock = context.clock();
-  CircuitBreaker::AdmitResult admitted{};
-  if (call->state->breaker != nullptr) {
-    admitted = call->state->breaker->admit(clock.now());
-    if (admitted.admission == CircuitBreaker::Admission::kReject) {
-      breaker_open_counter_.add();
-      MDSM_LOG_DEBUG("resource-manager")
-          << call->resource << "." << call->command
-          << " fast-failed: circuit open";
-      degrade(call, Unavailable("circuit open for resource '" +
-                                call->resource + "' ('" + call->command +
-                                "' fast-failed)"));
-      return;
-    }
-  }
-  // The deadline budget gates every attempt, not just layer crossings:
-  // a stalled previous attempt must not let this one start over budget.
-  if (Status gate = context.check_deadline("broker.invoke"); !gate.ok()) {
-    if (call->state->breaker != nullptr &&
-        admitted.admission == CircuitBreaker::Admission::kProbe) {
-      // The admitted probe never ran; retire its slot (as a failure, so
-      // the breaker re-opens) rather than leaking it — a leaked probe
-      // slot would reject every future probe and wedge the breaker
-      // half-open forever. Closed-state admissions need no retiring and
-      // must not record a synthetic outcome in the window.
-      publish_transition(call->resource, call->state->breaker->on_result(
-                                             admitted.admission, false,
-                                             clock.now()));
-    }
-    exhausted_counter_.add();
-    call->resolve(gate);
-    return;
-  }
-  ++call->attempt;
-  if (call->attempt > 1) retries_counter_.add();
-  const std::uint64_t span = context.open_span(
-      attempt_span_, call->resource + "." + call->command + "#" +
-                         std::to_string(call->attempt));
-  const TimePoint started = clock.now();
-  auto settled = std::make_shared<std::atomic<bool>>(false);
-  std::uint64_t overrun_timer = 0;
-  if (!call->inline_mode && policy.attempt_timeout.count() > 0) {
-    // The overrun timer makes the attempt timeout *preemptive*: when it
-    // wins the settle race the attempt is disowned — failed against the
-    // breaker, retried or degraded right away — while the adapter is
-    // still grinding on some other thread.
-    overrun_timer = loop_->schedule(
-        policy.attempt_timeout,
-        [this, call, settled, admission = admitted.admission, span,
-         started] {
-          if (settled->exchange(true, std::memory_order_acq_rel)) return;
-          overruns_counter_.add();
-          Status timed_out = Timeout(
-              "resource '" + call->resource + "' attempt " +
-              std::to_string(call->attempt) + " of '" + call->command +
-              "' exceeded its " +
-              std::to_string(
-                  call->state->policy.attempt_timeout.count()) +
-              "us budget (disowned)");
-          // Settle on a worker, not the loop thread: the retry decision
-          // may issue the next attempt inline.
-          resume_on_worker([this, call, admission, span, started,
-                            timed_out = std::move(timed_out)] {
-            attempt_settled(call, admission, span, started, timed_out);
-          });
-        });
-  }
-  execute_attempt(
-      *call->adapter, call->resource, call->command, call->args,
-      call->inline_mode,
-      [this, call, settled, overrun_timer, admission = admitted.admission,
-       span, started](Result<model::Value> outcome) {
-        if (settled->exchange(true, std::memory_order_acq_rel)) {
-          // The overrun timer already disowned this attempt; its actual
-          // outcome — success or not — arrives too late to matter.
-          late_completions_counter_.add();
-          return;
-        }
-        if (overrun_timer != 0) loop_->cancel(overrun_timer);
-        attempt_settled(call, admission, span, started, std::move(outcome));
-      });
-}
-
-void ResourceManager::attempt_settled(const std::shared_ptr<Invocation>& call,
-                                      CircuitBreaker::Admission admission,
-                                      std::uint64_t span, TimePoint started,
-                                      Result<model::Value> outcome) {
-  const InvocationPolicy& policy = call->state->policy;
-  obs::RequestContext& context = *call->context;
-  const Clock& clock = context.clock();
-  const Duration took = clock.now() - started;
-  context.close_span(span);
-  const bool success = outcome.ok();
-  if (call->state->breaker != nullptr) {
-    publish_transition(call->resource, call->state->breaker->on_result(
-                                           admission, success, clock.now()));
-  }
-  if (success) {
-    call->resolve(std::move(outcome));
-    return;
-  }
-  Status last_status = outcome.status();
-  // Cooperative per-attempt timeout (inline mode): a synchronous adapter
-  // cannot be preempted, but a failure that stalled past the attempt
-  // budget is a timeout fault (retryable), whatever the adapter claimed.
-  if (call->inline_mode && policy.attempt_timeout.count() > 0 &&
-      took >= policy.attempt_timeout) {
-    last_status = Timeout(
-        "resource '" + call->resource + "' attempt " +
-        std::to_string(call->attempt) + " of '" + call->command +
-        "' exceeded its " + std::to_string(policy.attempt_timeout.count()) +
-        "us budget (" + last_status.to_string() + ")");
-  }
-  if (!retryable(last_status.code())) {
-    // Permanent fault (authoring/registry error): retrying or degrading
-    // to a fallback would only mask it.
-    call->resolve(std::move(last_status));
-    return;
-  }
-  if (call->attempt >= policy.max_attempts) {
-    exhausted_counter_.add();
-    log_warn("resource-manager")
-        << call->resource << "." << call->command << " failed after "
-        << policy.max_attempts << " attempts: " << last_status.to_string();
-    degrade(call, std::move(last_status));
-    return;
-  }
-  Duration delay = call->backoff.next();
-  if (std::optional<TimePoint> deadline = context.deadline()) {
-    const Duration remaining = *deadline - clock.now();
-    if (remaining.count() <= 0 || delay >= remaining) {
-      // Waiting the backoff would only deliver a late failure; give up
-      // with the budget intact rather than returning late.
-      exhausted_counter_.add();
-      degrade(call, Timeout("resource '" + call->resource +
-                            "' retry budget exhausted after attempt " +
-                            std::to_string(call->attempt) + " of '" +
-                            call->command + "' (" + last_status.to_string() +
-                            ")"));
-      return;
-    }
-  }
-  if (call->inline_mode) {
-    // Recursion depth is bounded by policy.max_attempts.
-    if (delay.count() > 0) {
-      if (sleep_hook_ != nullptr) {
-        sleep_hook_(delay);
-      } else {
-        std::this_thread::sleep_for(delay);
+  RetryBackoff backoff(policy.initial_backoff, policy.max_backoff,
+                       policy.jitter_seed + state->chains.fetch_add(
+                                                1, std::memory_order_relaxed));
+  Status fault;  ///< what the fallback stands in for
+  for (int attempt = 1;; ++attempt) {
+    CircuitBreaker::AdmitResult admitted{};
+    if (state->breaker != nullptr) {
+      admitted = state->breaker->admit(clock.now());
+      if (admitted.admission == CircuitBreaker::Admission::kReject) {
+        breaker_open_counter_.add();
+        MDSM_LOG_DEBUG("resource-manager")
+            << resource << "." << command << " fast-failed: circuit open";
+        fault = Unavailable("circuit open for resource '" + resource +
+                            "' ('" + command + "' fast-failed)");
+        break;
       }
     }
-    start_attempt(call);
-    return;
+    // The deadline budget gates every attempt, not just layer crossings:
+    // a stalled previous attempt must not let this one start over budget.
+    if (Status gate = context.check_deadline("broker.invoke"); !gate.ok()) {
+      if (state->breaker != nullptr &&
+          admitted.admission == CircuitBreaker::Admission::kProbe) {
+        // The admitted probe never ran; retire its slot (as a failure, so
+        // the breaker re-opens) rather than leaking it — a leaked probe
+        // slot would reject every future probe and wedge the breaker
+        // half-open forever. Closed-state admissions need no retiring and
+        // must not record a synthetic outcome in the window.
+        publish_transition(resource,
+                           state->breaker->on_result(admitted.admission,
+                                                     false, clock.now()));
+      }
+      exhausted_counter_.add();
+      co_return gate;
+    }
+    if (attempt > 1) retries_counter_.add();
+    const std::uint64_t span = context.open_span(
+        attempt_span_,
+        resource + "." + command + "#" + std::to_string(attempt));
+    const TimePoint started = clock.now();
+    Attempt issued =
+        attempt_on(*adapter, resource, policy.attempt_timeout, attempt);
+    Result<model::Value> outcome = co_await issued;
+    const Duration took = clock.now() - started;
+    context.close_span(span);
+    if (state->breaker != nullptr) {
+      publish_transition(resource,
+                         state->breaker->on_result(admitted.admission,
+                                                   outcome.ok(), clock.now()));
+    }
+    if (outcome.ok()) co_return std::move(outcome);
+    fault = outcome.status();
+    // Cooperative per-attempt timeout (an attempt that could not park):
+    // a synchronous adapter cannot be preempted, but a failure that
+    // stalled past the attempt budget is a timeout fault (retryable),
+    // whatever the adapter claimed.
+    if (!parks && policy.attempt_timeout.count() > 0 &&
+        took >= policy.attempt_timeout) {
+      fault = Timeout("resource '" + resource + "' attempt " +
+                      std::to_string(attempt) + " of '" + command +
+                      "' exceeded its " +
+                      std::to_string(policy.attempt_timeout.count()) +
+                      "us budget (" + fault.to_string() + ")");
+    }
+    if (!retryable(fault.code())) {
+      // Permanent fault (authoring/registry error): retrying or degrading
+      // to a fallback would only mask it.
+      co_return fault;
+    }
+    if (attempt >= policy.max_attempts) {
+      exhausted_counter_.add();
+      log_warn("resource-manager")
+          << resource << "." << command << " failed after "
+          << policy.max_attempts << " attempts: " << fault.to_string();
+      break;
+    }
+    const Duration delay = backoff.next();
+    if (std::optional<TimePoint> deadline = context.deadline()) {
+      const Duration remaining = *deadline - clock.now();
+      if (remaining.count() <= 0 || delay >= remaining) {
+        // Waiting the backoff would only deliver a late failure; give up
+        // with the budget intact rather than returning late.
+        exhausted_counter_.add();
+        fault = Timeout("resource '" + resource +
+                        "' retry budget exhausted after attempt " +
+                        std::to_string(attempt) + " of '" + command + "' (" +
+                        fault.to_string() + ")");
+        break;
+      }
+    }
+    if (delay.count() <= 0) continue;
+    if (parks) {
+      // The park: no worker holds this request while the backoff
+      // elapses. It resumes on the loop and hops to a worker.
+      co_await runtime::EventLoop::Sleep{loop_, delay, &context};
+      runtime::Executor::Hop hop{executor_, stage_,
+                                 runtime::TaskLane::kNormal, &context};
+      (void)co_await hop;  // refused at shutdown: carry on on the loop
+    } else if (sleep_hook_ != nullptr) {
+      sleep_hook_(delay);
+    } else {
+      std::this_thread::sleep_for(delay);
+    }
   }
-  if (delay.count() <= 0) {
-    // Degenerate zero backoff: hop through a worker to bound recursion.
-    resume_on_worker([this, call] { start_attempt(call); });
-    return;
-  }
-  // The park: no worker holds this request while the backoff elapses.
-  loop_->schedule(delay, [this, call] {
-    resume_on_worker([this, call] { start_attempt(call); });
-  });
-}
-
-void ResourceManager::degrade(const std::shared_ptr<Invocation>& call,
-                              Status primary_status) {
-  const InvocationPolicy& policy = call->state->policy;
-  if (policy.fallback_resource.empty()) {
-    call->resolve(std::move(primary_status));
-    return;
-  }
+  // Degraded path: fire-once on the fallback adapter; a success is tagged
+  // ["degraded", value] when the policy asks for it, a failure surfaces
+  // the primary fault (the more informative one).
+  if (policy.fallback_resource.empty()) co_return fault;
   std::shared_ptr<ResourceAdapter> fallback;
   {
     std::shared_lock lock(mutex_);
@@ -464,38 +456,26 @@ void ResourceManager::degrade(const std::shared_ptr<Invocation>& call,
   }
   if (fallback == nullptr) {
     log_warn("resource-manager")
-        << call->resource << " fallback '" << policy.fallback_resource
+        << resource << " fallback '" << policy.fallback_resource
         << "' is not registered";
-    call->resolve(std::move(primary_status));
-    return;
+    co_return fault;
   }
   fallbacks_counter_.add();
-  bus_->publish("resource.degraded", call->resource,
+  bus_->publish("resource.degraded", resource,
                 model::Value(model::ValueList{
-                    model::Value(call->resource),
+                    model::Value(resource),
                     model::Value(policy.fallback_resource),
-                    model::Value(call->command)}));
-  std::uint64_t span = call->context->open_span(
-      fallback_span_, call->resource + "->" + policy.fallback_resource);
-  const bool tag_degraded = policy.tag_degraded;
-  execute_attempt(
-      *fallback, policy.fallback_resource, call->command, call->args,
-      call->inline_mode,
-      [call, span, tag_degraded, primary_status = std::move(primary_status)](
-          Result<model::Value> outcome) {
-        call->context->close_span(span);
-        if (!outcome.ok()) {
-          // The degraded path failed too; surface the primary fault.
-          call->resolve(primary_status);
-          return;
-        }
-        if (!tag_degraded) {
-          call->resolve(std::move(outcome));
-          return;
-        }
-        call->resolve(model::Value(model::ValueList{
-            model::Value("degraded"), std::move(outcome.value())}));
-      });
+                    model::Value(command)}));
+  const std::uint64_t span = context.open_span(
+      fallback_span_, resource + "->" + policy.fallback_resource);
+  Attempt degraded =
+      attempt_on(*fallback, policy.fallback_resource, Duration(0), 1);
+  Result<model::Value> outcome = co_await degraded;
+  context.close_span(span);
+  if (!outcome.ok()) co_return fault;
+  if (!policy.tag_degraded) co_return std::move(outcome);
+  co_return model::Value(model::ValueList{model::Value("degraded"),
+                                          std::move(outcome.value())});
 }
 
 void ResourceManager::publish_transition(

@@ -26,6 +26,8 @@
 #include "obs/request_context.hpp"
 #include "runtime/event_bus.hpp"
 #include "runtime/event_loop.hpp"
+#include "runtime/executor.hpp"
+#include "runtime/task.hpp"
 
 namespace mdsm::broker {
 
@@ -124,46 +126,37 @@ class ResourceManager {
   /// "broker.adapter_exceptions") — an adapter can never unwind the
   /// layers above it. Retries consume `context`'s deadline budget: the
   /// invocation never issues an attempt (or waits a backoff) past the
-  /// request deadline. The context-free overload runs under the shared
-  /// noop context (no deadline, no spans).
-  /// Runs the invocation state machine inline (DESIGN.md §6b): attempts
-  /// are the adapter's execute(), backoff waits through the sleep hook,
-  /// and a failure that stalled past policy.attempt_timeout becomes a
-  /// retryable kTimeout. It completes before it returns, on any thread.
-  Result<model::Value> invoke(const std::string& resource,
-                              const std::string& command, const Args& args,
-                              obs::RequestContext& context);
-  Result<model::Value> invoke(const std::string& resource,
-                              const std::string& command, const Args& args) {
-    return invoke(resource, command, args, obs::RequestContext::noop());
+  /// request deadline. The default context is the shared noop one (no
+  /// deadline, no spans).
+  ///
+  /// One coroutine serves both doors (DESIGN.md §6b/§6e). When
+  /// `context` may park and an event loop is wired, attempts go through
+  /// the adapter's execute_async(), a backoff parks the invocation on a
+  /// loop timer, and an attempt that overruns policy.attempt_timeout is
+  /// *disowned* by a timer (counted in "broker.attempt_overruns",
+  /// recorded as a breaker failure, retried or degraded at once) while
+  /// its late completion is discarded ("broker.late_completions").
+  /// Otherwise attempts are the adapter's execute(), backoff waits
+  /// through the sleep hook, and a failure that stalled past
+  /// policy.attempt_timeout becomes a retryable kTimeout; the task then
+  /// completes without parking.
+  runtime::Task<Result<model::Value>> invoke(
+      const std::string& resource, const std::string& command,
+      const Args& args,
+      obs::RequestContext& context = obs::RequestContext::noop());
+
+  /// Wire the event-driven engine: retry backoff and
+  /// attempt-timeout timers go to `loop`; a parked invocation resumes as
+  /// a task on `executor`'s `stage` (the platform's broker stage), or on
+  /// the loop when `executor` is null. Both must outlive steady-state
+  /// traffic; configure at assembly time. Unwired, no invocation parks.
+  void set_async_engine(
+      runtime::EventLoop* loop, runtime::Executor* executor = nullptr,
+      std::uint32_t stage = runtime::Executor::kNoStage) {
+    loop_ = loop;
+    executor_ = executor;
+    stage_ = stage;
   }
-
-  using InvokeCallback = std::function<void(Result<model::Value>)>;
-
-  /// Wire the event-driven engine (PR 6): retry backoff and
-  /// attempt-timeout timers go to `loop`; continuations hop back onto
-  /// pipeline workers through `resume` (the platform submits them to its
-  /// broker stage). Both must outlive steady-state traffic; configure at
-  /// assembly time. Unwired, invoke_async() runs in inline mode on the
-  /// calling thread.
-  void set_async_engine(runtime::EventLoop* loop,
-                        std::function<void(std::function<void()>)> resume);
-
-  /// The same invocation state machine as invoke() — bounded retries,
-  /// breaker, fallback, per-attempt deadline gates — in *async mode*:
-  /// attempts go through the adapter's execute_async(), backoff parks
-  /// the invocation on an event-loop timer, and an attempt that overruns
-  /// policy.attempt_timeout is *disowned* by a timer (counted in
-  /// "broker.attempt_overruns", recorded as a breaker failure, retried
-  /// or degraded immediately) instead of cooperatively reclassified
-  /// after the adapter finally returns; the disowned attempt's late
-  /// completion is discarded ("broker.late_completions"). `context` must
-  /// outlive the invocation — the staged request state owns it. `done`
-  /// is invoked exactly once, on whatever thread settles the final
-  /// attempt (a pipeline worker, the event loop, or the caller inline).
-  void invoke_async(const std::string& resource, const std::string& command,
-                    const Args& args, obs::RequestContext& context,
-                    InvokeCallback done);
 
   [[nodiscard]] const CommandTrace& trace() const noexcept { return trace_; }
   /// Reset the command trace (benchmarks between phases). The previous
@@ -181,36 +174,27 @@ class ResourceManager {
     std::atomic<std::uint64_t> chains{0};
   };
 
-  /// Shared state of one policy-managed invocation (all attempts +
-  /// fallback), in either mode.
-  struct Invocation;
-  /// Pin the adapter and policy, then run the invocation: fire-once
-  /// without a policy, else the attempt state machine.
-  void start_invocation(const std::string& resource,
-                        const std::string& command, const Args& args,
-                        obs::RequestContext& context, bool inline_mode,
-                        InvokeCallback done);
-  /// Issue attempt `call->attempt + 1`, gated by breaker and deadline.
-  void start_attempt(std::shared_ptr<Invocation> call);
-  /// Settle one attempt (exactly once: adapter completion or, in async
-  /// mode, the overrun timer, whichever wins the per-attempt flag):
-  /// breaker accounting, span close, then resolve / retry / degrade.
-  void attempt_settled(const std::shared_ptr<Invocation>& call,
-                       CircuitBreaker::Admission admission,
-                       std::uint64_t span, TimePoint started,
-                       Result<model::Value> outcome);
-  /// One physical attempt: trace record, metrics, exception containment;
-  /// execute() inline, execute_async() otherwise.
-  void execute_attempt(ResourceAdapter& adapter, const std::string& resource,
-                       const std::string& command, const Args& args,
-                       bool inline_mode, ResourceAdapter::Completion done);
-  /// Degraded path: fire-once on the fallback adapter; a success is
-  /// tagged ["degraded", value] when the policy asks for it, a failure
-  /// surfaces `primary_status` (the more informative fault).
-  void degrade(const std::shared_ptr<Invocation>& call,
-               Status primary_status);
-  /// Async mode: hand a continuation to a pipeline worker (the resume_
-  /// hook, else the loop).
+  /// The invocation past the fire-once fast path: policy loop, or one
+  /// attempt that may park.
+  runtime::Task<Result<model::Value>> invocation(
+      std::shared_ptr<ResourceAdapter> adapter,
+      std::shared_ptr<PolicyState> state, const std::string& resource,
+      const std::string& command, const Args& args,
+      obs::RequestContext& context, bool parks);
+  /// The attempt awaitable: execute() on the awaiting thread, or
+  /// execute_async() raced against the overrun timer.
+  struct Attempt;
+  /// One physical attempt on the calling thread: trace record, execute()
+  /// with exception containment.
+  Result<model::Value> execute_attempt(ResourceAdapter& adapter,
+                                       const std::string& resource,
+                                       const std::string& command,
+                                       const Args& args);
+  /// Count and log an exception the adapter let escape; the status it
+  /// degrades to.
+  Status contain(const std::string& resource, const std::string& command,
+                 const char* what);
+  /// Hand a resumption to a pipeline worker (else to the loop).
   void resume_on_worker(std::function<void()> fn);
   void publish_transition(const std::string& resource,
                           CircuitBreaker::Transition transition);
@@ -226,8 +210,9 @@ class ResourceManager {
   obs::SpanName attempt_span_;
   obs::SpanName fallback_span_;
   std::function<void(Duration)> sleep_hook_;  ///< null = real sleep
-  runtime::EventLoop* loop_ = nullptr;  ///< null = invoke_async runs inline
-  std::function<void(std::function<void()>)> resume_;  ///< worker hand-off
+  runtime::EventLoop* loop_ = nullptr;  ///< null = nothing parks
+  runtime::Executor* executor_ = nullptr;  ///< null = resume on the loop
+  std::uint32_t stage_ = runtime::Executor::kNoStage;
   /// Reader/writer lock over the adapter and policy maps only — never
   /// held across adapter execution (an adapter event can re-enter
   /// invoke() on the same thread via the bus and the autonomic manager,

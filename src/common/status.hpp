@@ -6,8 +6,6 @@
 // recoverable errors and reserve exceptions for programming errors.
 #pragma once
 
-#include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -154,28 +152,6 @@ class Result {
   }
   std::variant<T, Status> rep_;
 };
-
-/// Inline mode of the layers' resumable state machines: `start` is given
-/// a completion that must fire before `start` returns, and its outcome
-/// becomes the return value. The sync entry points of the Broker and
-/// Controller layers are thin wrappers over this.
-template <typename T, typename Start>
-T run_inline(Start&& start) {
-  std::optional<T> outcome;
-  std::forward<Start>(start)(
-      [&outcome](T settled) { outcome.emplace(std::move(settled)); });
-  return std::move(outcome).value();
-}
-
-/// The state of one run of such a machine. An inline run finishes before
-/// its entry point returns, so its state is the caller's `local`, behind
-/// a non-owning pointer (nothing parks, so nothing retains it); an async
-/// run may outlive its caller and gets heap state.
-template <typename T>
-std::shared_ptr<T> run_state(bool inline_mode, T& local) {
-  return inline_mode ? std::shared_ptr<T>(std::shared_ptr<void>(), &local)
-                     : std::make_shared<T>();
-}
 
 /// Propagate an error Status from an expression that yields Status.
 #define MDSM_RETURN_IF_ERROR(expr)                    \

@@ -1,7 +1,5 @@
 #include "controller/controller_layer.hpp"
 
-#include <atomic>
-
 #include "common/log.hpp"
 
 namespace mdsm::controller {
@@ -153,178 +151,109 @@ SelectionStrategy ControllerLayer::selection_strategy() const {
   return SelectionStrategy::kMinCost;
 }
 
-// ---- the signal state machine (inline or async; DESIGN.md §6b) ------
+// ---- the signal coroutines (DESIGN.md §6b/§6e) ----------------------
 //
-// Commands run through the engine's entry point of the run's mode. In
-// async mode a command whose broker call parks suspends the run, and the
-// rest — remaining commands, then the signal-queue drain — resumes on
-// the settling thread.
+// A script runs its commands, then drains the signal queue. A command
+// whose broker call parks suspends the run, and the rest resumes on the
+// settling thread.
 
-struct ControllerLayer::ScriptRun {
-  const ControlScript* script = nullptr;  ///< null for a bare drain
-  obs::RequestContext* context = nullptr;
-  bool inline_mode = false;
-  ScriptCallback done;
-  std::uint64_t script_span = 0;  ///< "controller.script", closed at end
-  std::size_t index = 0;          ///< next script command
-  std::size_t drained = 0;        ///< queued signals processed so far
-  Command signal;                 ///< the drained signal in flight
-};
-
-Result<model::Value> ControllerLayer::execute_command(
-    const Command& command, obs::RequestContext& context) {
-  return run_inline<Result<model::Value>>([&](CommandCallback done) {
-    run_command(command, context, true, std::move(done));
-  });
-}
-
-Status ControllerLayer::execute_script(const ControlScript& script,
-                                       obs::RequestContext& context) {
-  return run_inline<Status>([&](ScriptCallback done) {
-    start_script(script, context, true, std::move(done));
-  });
-}
-
-void ControllerLayer::execute_script_async(const ControlScript& script,
-                                           obs::RequestContext& context,
-                                           ScriptCallback done) {
-  start_script(script, context, false, std::move(done));
-}
-
-std::size_t ControllerLayer::process_pending(obs::RequestContext& context) {
-  auto run = std::make_shared<ScriptRun>();
-  run->context = &context;
-  run->inline_mode = true;
-  run->done = [](Status) {};
-  drive_script(run);
-  return run->drained;
-}
-
-void ControllerLayer::start_script(const ControlScript& script,
-                                   obs::RequestContext& context,
-                                   bool inline_mode, ScriptCallback done) {
+runtime::Task<Status> ControllerLayer::execute_script(
+    const ControlScript& script, obs::RequestContext& context) {
   obs::ContextScope ambient(context);
-  auto run = std::make_shared<ScriptRun>();
-  run->script = &script;
-  run->context = &context;
-  run->inline_mode = inline_mode;
-  run->done = std::move(done);
-  run->script_span = context.open_span(
-      script_span_,
-      std::to_string(run->script->commands.size()) + " commands");
+  const std::uint64_t script_span = context.open_span(
+      script_span_, std::to_string(script.commands.size()) + " commands");
   if (Status deadline = context.check_deadline("controller");
       !deadline.ok()) {
-    context.close_span(run->script_span);
-    run->done(deadline);
-    return;
+    context.close_span(script_span);
+    co_return deadline;
   }
-  drive_script(std::move(run));
+  for (const Command& command : script.commands) {
+    signals_received_.add();
+    script_signals_.add();
+    co_await run_signal(command, false, context);
+  }
+  co_await drain(context);
+  context.close_span(script_span);
+  co_return Status::Ok();
 }
 
-void ControllerLayer::drive_script(std::shared_ptr<ScriptRun> run) {
-  obs::ContextScope ambient(*run->context);
+runtime::Task<std::size_t> ControllerLayer::drain(
+    obs::RequestContext& context) {
+  obs::ContextScope ambient(context);
   // Signals enqueued during processing (events raised by executions) are
   // drained too, up to a sanity bound. Pop one signal per lock hold:
   // executions themselves run unlocked, so concurrent drainers interleave
   // instead of serializing on the queue.
   constexpr std::size_t kMaxBatch = 100000;
-  while (true) {
-    const Command* command = nullptr;
-    bool event = false;
-    if (run->script != nullptr && run->index < run->script->commands.size()) {
-      command = &run->script->commands[run->index++];
-      signals_received_.add();
-      script_signals_.add();
-    } else {
-      // Script done: drain the signal queue (event signals the executions
-      // raised — kEmit → subscribed topic — and submitted calls).
-      if (run->drained >= kMaxBatch) break;
-      Signal signal;
-      {
-        std::lock_guard lock(queue_mutex_);
-        if (queue_.empty()) break;
-        signal = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      ++run->drained;
-      event = signal.kind == SignalKind::kEvent;
-      run->signal = Command{std::move(signal.name), std::move(signal.args)};
-      command = &run->signal;
+  std::size_t drained = 0;
+  while (drained < kMaxBatch) {
+    Signal signal;
+    {
+      std::lock_guard lock(queue_mutex_);
+      if (queue_.empty()) break;
+      signal = std::move(queue_.front());
+      queue_.pop_front();
     }
-    const std::uint64_t span =
-        run->context->open_span(signal_span_, command->name);
-    if (event) {
-      events_handled_.add();
-      // Events are handled by Case-1 actions bound to the topic; an
-      // unbound event is simply observed (layers subscribe selectively).
-      std::shared_lock lock(config_mutex_);
-      if (!bindings_.contains(command->name)) {
-        lock.unlock();
-        run->context->close_span(span);
-        continue;
-      }
-    }
-    // Trampoline: inline completions continue this loop; a parked
-    // command's completion re-enters drive_script on the settling thread.
-    // Errors are counted and published as "controller.error" events, not
-    // returned — one bad command must not wedge the script or the queue.
-    auto turn = std::make_shared<std::atomic<int>>(0);
-    CommandCallback settled = [this, run, turn, span, command,
-                               event](Result<model::Value> outcome) {
-      if (!outcome.ok()) {
-        errors_.add();
-        bus_->publish("controller.error", name(),
-                      model::Value((event ? command->name
-                                          : command->to_text()) +
-                                   ": " + outcome.status().to_string()));
-      }
-      run->context->close_span(span);
-      if (turn->exchange(2, std::memory_order_acq_rel) == 1) {
-        drive_script(run);
-      }
-    };
-    if (event) {
-      run_case1(*command, *run->context, run->inline_mode,
-                std::move(settled));
-    } else {
-      run_command(*command, *run->context, run->inline_mode,
-                  std::move(settled));
-    }
-    if (turn->exchange(1, std::memory_order_acq_rel) == 0) {
-      return;  // parked: the command's completion resumes the run
-    }
+    ++drained;
+    const Command command{std::move(signal.name), std::move(signal.args)};
+    co_await run_signal(command, signal.kind == SignalKind::kEvent, context);
   }
-  run->context->close_span(run->script_span);
-  run->done(Status::Ok());
+  co_return drained;
 }
 
-void ControllerLayer::run_command(const Command& command,
-                                  obs::RequestContext& context,
-                                  bool inline_mode, CommandCallback done) {
+runtime::Task<> ControllerLayer::run_signal(const Command& command,
+                                            bool event,
+                                            obs::RequestContext& context) {
+  const std::uint64_t span = context.open_span(signal_span_, command.name);
+  if (event) {
+    events_handled_.add();
+    // Events are handled by Case-1 actions bound to the topic; an
+    // unbound event is simply observed (layers subscribe selectively).
+    bool bound = false;
+    {
+      std::shared_lock lock(config_mutex_);
+      bound = bindings_.contains(command.name);
+    }
+    if (!bound) {
+      context.close_span(span);
+      co_return;
+    }
+  }
+  // Errors are counted and published as "controller.error" events, not
+  // returned — one bad command must not wedge the script or the queue.
+  runtime::Task<Result<model::Value>> run =
+      event ? run_case1(command, context) : execute_command(command, context);
+  Result<model::Value> outcome = co_await std::move(run);
+  if (!outcome.ok()) {
+    errors_.add();
+    bus_->publish("controller.error", name(),
+                  model::Value((event ? command.name : command.to_text()) +
+                               ": " + outcome.status().to_string()));
+  }
+  context.close_span(span);
+}
+
+// Classification and action selection run when the command is issued;
+// the task handed back is the engine run (or an error, at once).
+
+runtime::Task<Result<model::Value>> ControllerLayer::execute_command(
+    const Command& command, obs::RequestContext& context) {
   obs::ContextScope ambient(context);
   if (Status deadline = context.check_deadline("controller");
       !deadline.ok()) {
-    done(deadline);
-    return;
+    return runtime::ready<Result<model::Value>>(std::move(deadline));
   }
   Result<Case> which = classify(command);
-  if (!which.ok()) {
-    done(which.status());
-    return;
-  }
+  if (!which.ok()) return runtime::ready<Result<model::Value>>(which.status());
   MDSM_LOG_DEBUG("controller")
       << name() << " " << command.to_text() << " -> "
       << (*which == Case::kCase1 ? "case1" : "case2");
-  if (*which == Case::kCase1) {
-    run_case1(command, context, inline_mode, std::move(done));
-  } else {
-    run_case2(command, context, inline_mode, std::move(done));
-  }
+  return *which == Case::kCase1 ? run_case1(command, context)
+                                : run_case2(command, context);
 }
 
-void ControllerLayer::run_case1(const Command& command,
-                                obs::RequestContext& context,
-                                bool inline_mode, CommandCallback done) {
+runtime::Task<Result<model::Value>> ControllerLayer::run_case1(
+    const Command& command, obs::RequestContext& context) {
   // Select under the shared lock, execute outside it (action nodes are
   // never removed, so `best` — and its body — outlive the run).
   const ControllerAction* best = nullptr;
@@ -332,9 +261,8 @@ void ControllerLayer::run_case1(const Command& command,
     std::shared_lock lock(config_mutex_);
     auto it = bindings_.find(command.name);
     if (it == bindings_.end()) {
-      lock.unlock();
-      done(NotFound("no action bound to command '" + command.name + "'"));
-      return;
+      return runtime::ready<Result<model::Value>>(NotFound(
+          "no action bound to command '" + command.name + "'"));
     }
     for (const std::string& action_name : it->second) {
       auto action_it = actions_.find(action_name);
@@ -346,19 +274,17 @@ void ControllerLayer::run_case1(const Command& command,
     }
   }
   if (best == nullptr) {
-    done(FailedPrecondition("no applicable action for command '" +
-                            command.name + "' in current context"));
-    return;
+    return runtime::ready<Result<model::Value>>(
+        FailedPrecondition("no applicable action for command '" +
+                           command.name + "' in current context"));
   }
   case1_executions_.add();
   commands_executed_.add();
-  engine_.start(nullptr, &best->body, command.args, context, inline_mode,
-                std::move(done));
+  return engine_.execute_flat(best->body, command.args, context);
 }
 
-void ControllerLayer::run_case2(const Command& command,
-                                obs::RequestContext& context,
-                                bool inline_mode, CommandCallback done) {
+runtime::Task<Result<model::Value>> ControllerLayer::run_case2(
+    const Command& command, obs::RequestContext& context) {
   std::string dsc;
   {
     std::shared_lock lock(config_mutex_);
@@ -366,28 +292,20 @@ void ControllerLayer::run_case2(const Command& command,
     dsc = it != command_dsc_.end() ? it->second : command.name;
   }
   if (!dscs_.contains(dsc)) {
-    done(NotFound("command '" + command.name +
-                  "' resolves to unknown DSC '" + dsc + "'"));
-    return;
+    return runtime::ready<Result<model::Value>>(
+        NotFound("command '" + command.name +
+                 "' resolves to unknown DSC '" + dsc + "'"));
   }
   Result<IntentModelPtr> intent_model =
       generator_.generate_cached(dsc, selection_strategy());
   if (!intent_model.ok()) {
-    done(intent_model.status());
-    return;
+    return runtime::ready<Result<model::Value>>(intent_model.status());
   }
   case2_executions_.add();
   commands_executed_.add();
-  const IntentModelPtr& pinned = intent_model.value();
-  if (!inline_mode) {
-    // The cache may evict the IM while the run is parked mid-execution:
-    // the completion capture keeps it alive.
-    done = [pinned, done = std::move(done)](Result<model::Value> r) {
-      done(std::move(r));
-    };
-  }
-  engine_.start(pinned.get(), nullptr, command.args, context, inline_mode,
-                std::move(done));
+  // The run pins the IM: the cache may evict it while the run is parked.
+  return engine_.execute(std::move(intent_model.value()), command.args,
+                         context);
 }
 
 ControllerStats ControllerLayer::stats() const {

@@ -123,45 +123,33 @@ class ControllerLayer final : public runtime::Component {
   }
   Status submit_command(Command command);
 
-  /// Execute every command of a script inline on the calling thread —
-  /// the parallel phase of the request pipeline. Each command runs under
-  /// its own "controller.signal" span with the same error containment as
-  /// process_pending() (errors are counted and published, not returned),
-  /// then the signal queue — event signals raised by the executions — is
-  /// drained. Safe to call concurrently from many request threads.
-  Status execute_script(const ControlScript& script,
-                        obs::RequestContext& context);
-  Status execute_script(const ControlScript& script) {
-    return execute_script(script, obs::RequestContext::noop());
-  }
+  /// Execute every command of a script, then drain the signal queue
+  /// (event signals raised by the executions) — the controller stage of
+  /// the request pipeline. Each command runs under its own
+  /// "controller.signal" span with the same error containment as
+  /// process_pending() (errors are counted and published, not returned).
+  /// A command whose broker call parks suspends the script, and the
+  /// remaining commands, then the drain, resume on the settling thread
+  /// (DESIGN.md §6e). `script` and `context` must outlive the task. Safe
+  /// to run concurrently from many request threads.
+  runtime::Task<Status> execute_script(
+      const ControlScript& script,
+      obs::RequestContext& context = obs::RequestContext::noop());
 
   /// Drain the signal queue; returns the number of signals processed.
   /// Errors are counted and published as "controller.error" events, not
   /// thrown — one bad command must not wedge the queue. Each drained
   /// signal runs under its own "controller.signal" span of `context`.
-  std::size_t process_pending(obs::RequestContext& context);
-  std::size_t process_pending() {
-    return process_pending(obs::RequestContext::noop());
+  std::size_t process_pending(
+      obs::RequestContext& context = obs::RequestContext::noop()) {
+    return runtime::run_inline(drain(context));
   }
 
-  /// Synchronous single-command path (classification + execution).
-  Result<model::Value> execute_command(const Command& command,
-                                       obs::RequestContext& context);
-  Result<model::Value> execute_command(const Command& command) {
-    return execute_command(command, obs::RequestContext::noop());
-  }
-
-  using CommandCallback = ExecutionEngine::ExecuteCallback;
-  using ScriptCallback = std::function<void(Status)>;
-
-  /// The three entry points above run the controller's one signal state
-  /// machine inline; execute_script_async() runs it async (DESIGN.md
-  /// §6b): a command whose broker call parks suspends the script, and
-  /// the remaining commands, then the drain, resume on the settling
-  /// thread. Error containment is identical; `done` fires exactly once,
-  /// after the drain. `script` and `context` must outlive the run.
-  void execute_script_async(const ControlScript& script,
-                            obs::RequestContext& context, ScriptCallback done);
+  /// Single-command path (classification + execution). `command` and
+  /// `context` must outlive the task.
+  runtime::Task<Result<model::Value>> execute_command(
+      const Command& command,
+      obs::RequestContext& context = obs::RequestContext::noop());
 
   /// Snapshot of the counters (each exact; cross-counter sums may tear
   /// momentarily while requests are in flight).
@@ -175,22 +163,17 @@ class ControllerLayer final : public runtime::Component {
   void enqueue(Signal signal);
   Result<Case> classify(const Command& command) const;
   [[nodiscard]] SelectionStrategy selection_strategy() const;
-  /// Shared state of one script run or queue drain.
-  struct ScriptRun;
-  /// Open the "controller.script" span, gate on the deadline, then drive.
-  void start_script(const ControlScript& script, obs::RequestContext& context,
-                    bool inline_mode, ScriptCallback done);
-  /// Drive script commands from the run's cursor, then drain the signal
-  /// queue, until done or a command parks.
-  void drive_script(std::shared_ptr<ScriptRun> run);
-  /// Classification + execution of one command. `command` is only read
-  /// before the first suspension point (the engine copies its args).
-  void run_command(const Command& command, obs::RequestContext& context,
-                   bool inline_mode, CommandCallback done);
-  void run_case1(const Command& command, obs::RequestContext& context,
-                 bool inline_mode, CommandCallback done);
-  void run_case2(const Command& command, obs::RequestContext& context,
-                 bool inline_mode, CommandCallback done);
+  /// Drain the signal queue (event signals the executions raised —
+  /// kEmit → subscribed topic — and submitted calls); yields the count.
+  runtime::Task<std::size_t> drain(obs::RequestContext& context);
+  /// One signal under its "controller.signal" span, with the error
+  /// containment of a script run or a drain.
+  runtime::Task<> run_signal(const Command& command, bool event,
+                             obs::RequestContext& context);
+  runtime::Task<Result<model::Value>> run_case1(const Command& command,
+                                                obs::RequestContext& context);
+  runtime::Task<Result<model::Value>> run_case2(const Command& command,
+                                                obs::RequestContext& context);
 
   broker::BrokerApi* broker_;
   runtime::EventBus* bus_;

@@ -1,7 +1,6 @@
 #include "controller/execution_engine.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/log.hpp"
 #include "common/strings.hpp"
@@ -67,24 +66,6 @@ void ExecutionEngine::set_memory(const std::string& key, model::Value value) {
   memory_[key] = std::move(value);
 }
 
-Result<model::Value> ExecutionEngine::execute(
-    const IntentModel& intent_model, const broker::Args& command_args,
-    obs::RequestContext& context) {
-  return run_inline<Result<model::Value>>([&](ExecuteCallback done) {
-    start(&intent_model, nullptr, command_args, context, true,
-          std::move(done));
-  });
-}
-
-Result<model::Value> ExecutionEngine::execute_flat(
-    const std::vector<Instruction>& body, const broker::Args& command_args,
-    obs::RequestContext& context) {
-  return run_inline<Result<model::Value>>([&](ExecuteCallback done) {
-    start(nullptr, &body, command_args, context, true,
-          std::move(done));
-  });
-}
-
 const Instruction* ExecutionEngine::fetch(std::vector<Frame>& stack,
                                           obs::RequestContext& context) {
   // Fetch the next instruction of the top frame; an exhausted frame
@@ -127,7 +108,7 @@ Status ExecutionEngine::exec_instruction(const Instruction& instruction,
       break;
     }
     case OpCode::kBrokerCall:
-      // drive() dispatches this op itself (it is the only instruction
+      // run() dispatches this op itself (it is the only instruction
       // that can suspend a run).
       return Internal("kBrokerCall reached exec_instruction");
     case OpCode::kCallDep: {
@@ -157,6 +138,7 @@ Status ExecutionEngine::exec_instruction(const Instruction& instruction,
       child.node = node->children[index].get();
       child.span = context.open_span(eu_span_, child.node->procedure->name);
       stack.push_back(child);  // invalidates callers' top-frame refs
+      raise_depth(stack.size());
       break;
     }
     case OpCode::kSetMem: {
@@ -218,142 +200,81 @@ Status ExecutionEngine::exec_instruction(const Instruction& instruction,
   return Status::Ok();
 }
 
-// ---- the stack machine (inline or async; DESIGN.md §6b) -------------
+// ---- the stack machine (DESIGN.md §6b/§6e) --------------------------
 //
-// Only kBrokerCall can suspend: inline (execute(), execute_flat()) it is
-// BrokerApi::call(), async (the controller's async entry) it is
-// call_async(), which may park and resume the surviving instructions on
-// whatever thread completes the call.
+// Only kBrokerCall can suspend: it awaits BrokerApi::call(), which may
+// park and resume the surviving instructions on whatever thread
+// completes the call.
 
-struct ExecutionEngine::RunState {
-  const broker::Args* command_args = nullptr;  ///< caller's or `owned_args`
-  broker::Args owned_args;  ///< async mode: the run's own copy
-  obs::RequestContext* context = nullptr;
-  bool inline_mode = false;
-  ExecuteCallback done;
-  std::uint64_t root_span = 0;
-  std::vector<Frame> stack;
-  model::Value result;
-  std::size_t steps = 0;
-  std::optional<Result<model::Value>> pending;  ///< settled broker call
-};
+void ExecutionEngine::raise_depth(std::size_t depth) {
+  std::size_t seen = max_stack_depth_.load(std::memory_order_relaxed);
+  while (depth > seen && !max_stack_depth_.compare_exchange_weak(
+                             seen, depth, std::memory_order_relaxed)) {
+  }
+}
 
-void ExecutionEngine::start(const IntentModel* intent_model,
-                            const std::vector<Instruction>* flat,
-                            const broker::Args& command_args,
-                            obs::RequestContext& context, bool inline_mode,
-                            ExecuteCallback done) {
+runtime::Task<Result<model::Value>> ExecutionEngine::run(
+    IntentModelPtr intent_model, const std::vector<Instruction>* flat,
+    const broker::Args& command_args, obs::RequestContext& context) {
   if (flat == nullptr && intent_model->root == nullptr) {
-    done(InvalidArgument("intent model has no root procedure"));
-    return;
+    co_return InvalidArgument("intent model has no root procedure");
   }
   executions_.add();
-  RunState local;
-  std::shared_ptr<RunState> run = run_state(inline_mode, local);
-  run->command_args = &command_args;
-  if (!inline_mode) {  // the caller's args may not outlive an async run
-    run->owned_args = command_args;
-    run->command_args = &run->owned_args;
-  }
-  run->context = &context;
-  run->inline_mode = inline_mode;
-  run->done = std::move(done);
+  obs::ContextScope ambient(context);
   // One "controller.eu" span per procedure frame. The root frame's span
-  // is closed by finish(), closing through any spans left open by frames
-  // still on the stack when a run fails; it is kept in the run state
-  // because an async run can outlive this frame.
+  // is closed last, closing through any spans left open by frames still
+  // on the stack when a run fails.
   Frame initial{};
   initial.node = flat == nullptr ? intent_model->root.get() : nullptr;
   initial.flat = flat;
-  run->root_span = context.open_span(
+  const std::uint64_t root_span = context.open_span(
       eu_span_,
       flat == nullptr ? std::string_view(initial.node->procedure->name)
                       : std::string_view("action"));
-  run->stack.push_back(initial);
-  drive(std::move(run));
-}
-
-void ExecutionEngine::finish(const std::shared_ptr<RunState>& run,
-                             Result<model::Value> outcome) {
-  run->context->close_span(run->root_span);
-  run->done(std::move(outcome));
-}
-
-bool ExecutionEngine::consume_call(const std::shared_ptr<RunState>& run) {
-  Result<model::Value> value = std::move(*run->pending);
-  run->pending.reset();
-  if (!value.ok()) {
-    finish(run, value.status());
-    return false;
-  }
-  run->result = value.value();
-  set_memory("last.result", std::move(value.value()));
-  return true;
-}
-
-void ExecutionEngine::drive(std::shared_ptr<RunState> run) {
-  obs::ContextScope ambient(*run->context);
-  while (true) {
-    // Atomic running-max: CAS loop so concurrent runs never regress it.
-    std::size_t depth = run->stack.size();
-    std::size_t seen = max_stack_depth_.load(std::memory_order_relaxed);
-    while (depth > seen &&
-           !max_stack_depth_.compare_exchange_weak(
-               seen, depth, std::memory_order_relaxed)) {
-    }
-    const Instruction* instruction = fetch(run->stack, *run->context);
-    if (instruction == nullptr) break;
-    if (++run->steps > config_.max_steps) {
-      finish(run, ExecutionError("execution exceeded " +
-                                 std::to_string(config_.max_steps) +
-                                 " steps"));
-      return;
+  std::vector<Frame> stack{initial};
+  raise_depth(1);
+  model::Value result;
+  Status failed;
+  std::size_t steps = 0;
+  while (const Instruction* instruction = fetch(stack, context)) {
+    if (++steps > config_.max_steps) {
+      failed = ExecutionError("execution exceeded " +
+                              std::to_string(config_.max_steps) + " steps");
+      break;
     }
     // The EU loop is the controller's steady-state: checking here (not
     // just at the layer crossing) stops a long instruction stream as soon
     // as the budget runs out instead of at the next broker call.
-    if (Status budget = run->context->check_deadline("controller.engine");
+    if (Status budget = context.check_deadline("controller.engine");
         !budget.ok()) {
-      finish(run, budget);
-      return;
+      failed = std::move(budget);
+      break;
     }
     instructions_.add();
     if (instruction->op == OpCode::kBrokerCall) {
       broker_calls_.add();
       broker::Call call;
       call.name = instruction->a;
-      call.args = resolve_all(instruction->args, *run->command_args);
-      if (run->inline_mode) {
-        run->pending.emplace(broker_->call(call, *run->context));
-      } else {
-        // Trampoline (same discipline as BrokerLayer::drive_steps): the
-        // second arrival at the turnstile owns the continuation, so
-        // inline completions keep looping here instead of recursing.
-        auto turn = std::make_shared<std::atomic<int>>(0);
-        broker_->call_async(
-            call, *run->context,
-            [this, run, turn](Result<model::Value> value) {
-              run->pending.emplace(std::move(value));
-              if (turn->exchange(2, std::memory_order_acq_rel) == 1) {
-                if (consume_call(run)) drive(run);
-              }
-            });
-        if (turn->exchange(1, std::memory_order_acq_rel) == 0) {
-          return;  // parked: the broker completion resumes the run
-        }
+      call.args = resolve_all(instruction->args, command_args);
+      Result<model::Value> value = co_await broker_->call(call, context);
+      if (!value.ok()) {
+        failed = value.status();
+        break;
       }
-      if (!consume_call(run)) return;
+      result = value.value();
+      set_memory("last.result", std::move(value.value()));
       continue;
     }
-    Status status =
-        exec_instruction(*instruction, run->stack.back().node, run->stack,
-                         run->result, *run->command_args, *run->context);
-    if (!status.ok()) {
-      finish(run, status);
-      return;
+    if (Status status = exec_instruction(*instruction, stack.back().node,
+                                         stack, result, command_args, context);
+        !status.ok()) {
+      failed = std::move(status);
+      break;
     }
   }
-  finish(run, std::move(run->result));
+  context.close_span(root_span);
+  if (!failed.ok()) co_return failed;
+  co_return std::move(result);
 }
 
 EngineStats ExecutionEngine::stats() const {

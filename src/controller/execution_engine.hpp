@@ -63,30 +63,25 @@ class ExecutionEngine {
   /// Case 2: execute a generated intent model. Dependencies are resolved
   /// through the IM's matched children, never looked up dynamically.
   /// Every procedure frame (root and kCallDep pushes) runs under its own
-  /// "controller.eu" span of `context`. Runs the stack machine in inline
-  /// mode (each kBrokerCall is a synchronous BrokerApi::call()), so it
-  /// completes before it returns.
-  Result<model::Value> execute(const IntentModel& intent_model,
-                               const broker::Args& command_args,
-                               obs::RequestContext& context);
-  Result<model::Value> execute(const IntentModel& intent_model,
-                               const broker::Args& command_args) {
-    return execute(intent_model, command_args, obs::RequestContext::noop());
+  /// "controller.eu" span of `context`. Each kBrokerCall awaits
+  /// BrokerApi::call(); one that parks suspends the run, and the
+  /// surviving instructions resume on whatever thread completes the call
+  /// (DESIGN.md §6e). The run pins `intent_model`, so a cache eviction
+  /// mid-run cannot free it; `command_args` and `context` must outlive
+  /// the task.
+  runtime::Task<Result<model::Value>> execute(
+      IntentModelPtr intent_model, const broker::Args& command_args,
+      obs::RequestContext& context = obs::RequestContext::noop()) {
+    return run(std::move(intent_model), nullptr, command_args, context);
   }
 
   /// Case 1: execute a flat instruction sequence (a predefined action).
   /// kCallDep is illegal here (actions have no matched dependencies).
-  Result<model::Value> execute_flat(const std::vector<Instruction>& body,
-                                    const broker::Args& command_args,
-                                    obs::RequestContext& context);
-  Result<model::Value> execute_flat(const std::vector<Instruction>& body,
-                                    const broker::Args& command_args) {
-    return execute_flat(body, command_args, obs::RequestContext::noop());
+  runtime::Task<Result<model::Value>> execute_flat(
+      const std::vector<Instruction>& body, const broker::Args& command_args,
+      obs::RequestContext& context = obs::RequestContext::noop()) {
+    return run({}, &body, command_args, context);
   }
-
-  /// Completion of a run; invoked exactly once (inline when no broker
-  /// call parks).
-  using ExecuteCallback = std::function<void(Result<model::Value>)>;
 
   /// Engine memory ("memory management" ops). Shared across executions —
   /// procedures use it to pass data between calls, tests inspect it.
@@ -126,7 +121,7 @@ class ExecutionEngine {
   const Instruction* fetch(std::vector<Frame>& stack,
                            obs::RequestContext& context);
   /// Execute one non-broker instruction (kBrokerCall, the only op that
-  /// can suspend a run, is dispatched by drive()). `node` is the current
+  /// can suspend a run, is dispatched by run()). `node` is the current
   /// frame's IM node (null in flat runs); kCallDep pushes onto `stack`.
   Status exec_instruction(const Instruction& instruction,
                           const IntentModelNode* node,
@@ -134,34 +129,14 @@ class ExecutionEngine {
                           const broker::Args& command_args,
                           obs::RequestContext& context);
 
-  /// The owning controller runs the machine in the mode of its own entry
-  /// point through start().
-  friend class ControllerLayer;
-
-  /// Stack-machine state of one run.
-  struct RunState;
-  /// Start a run of `intent_model` (Case 2) or of `flat` (Case 1, when
-  /// non-null): opens the root "controller.eu" span, then drives. In
-  /// async mode each kBrokerCall goes through BrokerApi::call_async(),
-  /// and one that parks suspends the run; `intent_model` / `flat` and
-  /// `context` must then outlive it (the controller keeps the IM alive
-  /// by capturing its shared_ptr in `done`; action bodies are never
-  /// removed), while `command_args` is copied into the run state.
-  void start(const IntentModel* intent_model,
-             const std::vector<Instruction>* flat,
-             const broker::Args& command_args,
-             obs::RequestContext& context, bool inline_mode,
-             ExecuteCallback done);
-  /// Drive the stack machine until the run completes or a broker call
-  /// parks it.
-  void drive(std::shared_ptr<RunState> run);
-  /// Consume the settled broker-call outcome; false = run failed and
-  /// finished.
-  bool consume_call(const std::shared_ptr<RunState>& run);
-  /// Close the root span (closing through any frames still open) and
-  /// resolve the run.
-  void finish(const std::shared_ptr<RunState>& run,
-              Result<model::Value> outcome);
+  /// The stack machine: a run of `intent_model` (Case 2) or of `flat`
+  /// (Case 1, when non-null) under its root "controller.eu" span.
+  runtime::Task<Result<model::Value>> run(
+      IntentModelPtr intent_model, const std::vector<Instruction>* flat,
+      const broker::Args& command_args, obs::RequestContext& context);
+  /// Raise the stack-depth high-water gauge to `depth` (a frame was
+  /// pushed); a CAS loop, so concurrent runs never regress it.
+  void raise_depth(std::size_t depth);
 
   model::Value resolve(const model::Value& value,
                        const broker::Args& command_args) const;

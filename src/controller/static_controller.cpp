@@ -17,7 +17,8 @@ Result<model::Value> StaticController::execute(const Command& command) {
                     command.name + "'");
   }
   ++executed_;
-  return engine_.execute_flat(it->second, command.args);
+  return runtime::run_inline(
+      engine_.execute_flat(it->second, command.args));
 }
 
 Status StaticController::reload(const ReloadFn& reload) {

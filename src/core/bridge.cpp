@@ -40,10 +40,9 @@ Status PlatformBridge::connect(Platform& source, Platform& target,
             resolved[key] = value;
           }
         }
-        Result<model::Value> outcome = target_ptr->controller()
-                                           .execute_command(
-                                               {stored.target_command,
-                                                std::move(resolved)});
+        Result<model::Value> outcome = runtime::run_inline(
+            target_ptr->controller().execute_command(
+                {stored.target_command, std::move(resolved)}));
         if (outcome.ok()) {
           ++forwarded_;
           log_.push_back(name_ + ": " + event.topic + " -> " +

@@ -401,7 +401,7 @@ Status Platform::stop() {
 
 Result<controller::ControlScript> Platform::submit_model_text(
     std::string_view text, obs::RequestContext& context) {
-  // Parsed outside ui.submit; a parse error still fails in the machine.
+  // Parsed outside ui.submit; a parse error still fails in the coroutine.
   return submit_inline(model::parse_model(text, dsml_), context);
 }
 
@@ -485,37 +485,30 @@ void Platform::ensure_pipeline() {
   loop_ = std::make_unique<runtime::EventLoop>(loop_config);
   // Broker invocations park their retries/overruns on the loop and hop
   // back onto workers through the broker stage.
-  broker_->resources().set_async_engine(
-      loop_.get(), [this](std::function<void()> fn) {
-        Status submitted = pipeline_->submit({.run = std::move(fn),
-                                              .continuation = true,
-                                              .stage = stage_broker_});
-        if (!submitted.ok()) {
-          log_warn("platform") << "broker continuation dropped: "
-                               << submitted.to_string();
-        }
-      });
+  broker_->resources().set_async_engine(loop_.get(), pipeline_.get(),
+                                        stage_broker_);
 }
 
-// ---- the request machine ---------------------------------------------
+// ---- the request coroutine -------------------------------------------
 //
-// A submission is a Request hopping synthesis → controller → complete
-// (DESIGN.md §6b): inline, by direct calls on the caller's stack; async,
-// as continuations that park on the event loop while the broker backs
-// off or an attempt overruns. Exactly one hop "holds" the request (and
-// may touch its trace) at a time; the async deadline watchdog — the only
-// concurrent party — flips `resolved` and invokes the callback but NEVER
-// touches the trace. The chain observes `resolved` at its next touch,
-// closes the spans and releases the inflight slot, so stop() still waits
-// out every admitted request and no span is written concurrently.
+// A submission is a Request served by one coroutine, synthesis →
+// controller → complete (DESIGN.md §6b/§6e): at the inline door on the
+// caller's stack; at the async door as stage hops that park on the event
+// loop while the broker backs off or an attempt overruns. Exactly one
+// party "holds" the request (and may touch its trace) at a time; the
+// async deadline watchdog — the only concurrent party — flips `resolved`
+// and invokes the callback but NEVER touches the trace. The coroutine
+// observes `resolved` at its next stage, closes the spans and releases
+// the inflight slot, so stop() still waits out every admitted request
+// and no span is written concurrently.
 
 struct Platform::Request {
   /// The caller's context (inline, borrowed) or the one minted at
   /// enqueue (async, published as last_async_context()).
   std::shared_ptr<obs::RequestContext> context;
-  bool inline_mode = false;
+  runtime::Executor* pipeline = nullptr;  ///< async: the stage executor
   std::string text;  ///< async: parsed by the synthesis stage
-  std::optional<Result<model::Model>> model;
+  std::optional<Result<model::Model>> model;  ///< inline: parsed at the door
   SubmitCallback callback;
   controller::ControlScript script;  ///< commit result, delivered at the end
   std::uint64_t root_span = 0;       ///< "ui.submit", closed by the chain
@@ -534,22 +527,21 @@ struct Platform::Request {
 
 Result<controller::ControlScript> Platform::submit_inline(
     Result<model::Model> parsed, obs::RequestContext& context) {
-  return run_inline<Result<controller::ControlScript>>(
-      [&](SubmitCallback done) {
-        Request local;
-        std::shared_ptr<Request> request = run_state(true, local);
-        request->inflight.emplace(*this);  // before admit()'s running_ check
-        requests_submitted_.add();         // the machine takes it here
-        request->inline_mode = true;
-        request->context = std::shared_ptr<obs::RequestContext>(
-            std::shared_ptr<void>(), &context);
-        request->callback = std::move(done);
-        std::string_view name;
-        if (parsed.ok()) name = parsed->name();
-        request->root_span = context.open_span(submit_span_, name);
-        request->model.emplace(std::move(parsed));
-        stage_synthesis(std::move(request));
-      });
+  std::optional<Result<controller::ControlScript>> outcome;
+  Request request;
+  request.inflight.emplace(*this);  // before admit()'s running_ check
+  requests_submitted_.add();        // the coroutine takes it here
+  request.context = std::shared_ptr<obs::RequestContext>(
+      std::shared_ptr<void>(), &context);
+  request.callback = [&outcome](Result<controller::ControlScript> settled) {
+    outcome.emplace(std::move(settled));
+  };
+  std::string_view name;
+  if (parsed.ok()) name = parsed->name();
+  request.root_span = context.open_span(submit_span_, name);
+  request.model.emplace(std::move(parsed));
+  runtime::run_inline(serve(request));
+  return std::move(*outcome);
 }
 
 Status Platform::submit_async(std::string text, SubmitCallback callback,
@@ -562,8 +554,10 @@ Status Platform::submit_async(std::string text, SubmitCallback callback,
     return FailedPrecondition("platform '" + name_ + "' is not started");
   }
   ensure_pipeline();
+  request->pipeline = pipeline_.get();
   request->context = std::make_shared<obs::RequestContext>(*clock_, &metrics_,
                                                            options.deadline);
+  request->context->allow_parking();
   if (options.high_priority) {
     request->context->set_attribute("priority", "high");
   }
@@ -586,12 +580,12 @@ Status Platform::submit_async(std::string text, SubmitCallback callback,
   request->root_span = request->context->open_span(
       submit_span_, remote.empty() ? std::string_view("staged") : remote);
   // A budget already spent (admission off lets it through) never takes
-  // a queue slot or a watchdog: the machine resolves it here as
-  // kTimeout, through the callback, as the sync door's admit() does —
-  // counted submitted and failed.
+  // a queue slot or a watchdog: it resolves here as kTimeout, through
+  // the callback, as the sync door's admit() does — counted submitted
+  // and failed.
   if (Status live = request->context->check_deadline("ui"); !live.ok()) {
     requests_submitted_.add();
-    finish(request, std::move(live));
+    finish(*request, std::move(live));
     return Status::Ok();
   }
   request->queue_span = request->context->open_span(queue_span_);
@@ -613,7 +607,11 @@ Status Platform::submit_async(std::string text, SubmitCallback callback,
         });
   }
   runtime::Executor::Task task;
-  task.run = [this, request] { stage_synthesis(request); };
+  task.run = [this, request] {
+    // The chain owns itself; its completion keeps the request alive.
+    obs::ContextScope ambient(*request->context);
+    runtime::start_detached(serve(*request), [request] {});
+  };
   task.lane = request->context->high_priority() ? runtime::TaskLane::kHigh
                                                 : runtime::TaskLane::kNormal;
   task.stage = stage_synthesis_;
@@ -641,142 +639,109 @@ Status Platform::submit_async(std::string text, SubmitCallback callback,
     if (request->watchdog != 0) loop_->cancel(request->watchdog);
     return submitted;
   }
-  requests_submitted_.add();  // the machine took it
+  requests_submitted_.add();  // the coroutine took it
   return Status::Ok();
 }
 
-bool Platform::abandoned(const std::shared_ptr<Request>& request) {
-  if (!request->resolved.load(std::memory_order_acquire)) return false;
+bool Platform::abandoned(Request& request, const Status& hopped) {
+  if (!hopped.ok()) {
+    // Only reachable when the executor is shutting down (destructor
+    // teardown); the request can never complete, so close it out.
+    log_warn("platform") << request.context->tag()
+                         << " continuation dropped: " << hopped.to_string();
+    finish(request, Unavailable("staged pipeline shut down mid-request"));
+    return true;
+  }
+  if (!request.resolved.load(std::memory_order_acquire)) return false;
   // The watchdog already delivered kTimeout; the chain owns the trace,
   // so the close-out happens here, at its next touch.
-  if (request->executed) {
-    admission_.record_latency(request->context->elapsed());
+  if (request.executed) {
+    admission_.record_latency(request.context->elapsed());
   }
-  request->context->close_span(request->root_span);
-  request->inflight.reset();
+  request.context->close_span(request.root_span);
+  request.inflight.reset();
   return true;
 }
 
-void Platform::finish(const std::shared_ptr<Request>& request,
+void Platform::finish(Request& request,
                       Result<controller::ControlScript> outcome) {
   // Feed the admission EWMA with the observed end-to-end latency (queue
   // and park time included — an async context is minted at enqueue), but
   // only for requests that actually ran the pipeline: shed and refused
   // requests resolve in microseconds and would poison the prediction.
-  if (request->executed) {
-    admission_.record_latency(request->context->elapsed());
+  if (request.executed) {
+    admission_.record_latency(request.context->elapsed());
   }
   const bool won =
-      !request->resolved.exchange(true, std::memory_order_acq_rel);
+      !request.resolved.exchange(true, std::memory_order_acq_rel);
   // A watchdog that won already counted this request as failed.
   if (won && !outcome.ok()) requests_failed_.add();
   // Close-through: the root span pops any child spans a timed-out chain
   // left open, keeping the trace a single well-formed tree.
-  request->context->close_span(request->root_span);
-  if (!request->inline_mode) {
+  request.context->close_span(request.root_span);
+  if (request.pipeline != nullptr) {
     std::lock_guard lock(last_async_mutex_);
-    last_async_context_ = request->context;
+    last_async_context_ = request.context;
   }
   if (won) {
-    if (request->watchdog != 0) loop_->cancel(request->watchdog);
-    invoke_callback(request->callback, std::move(outcome));
+    if (request.watchdog != 0) loop_->cancel(request.watchdog);
+    invoke_callback(request.callback, std::move(outcome));
   }
-  request->inflight.reset();
+  request.inflight.reset();
 }
 
-template <typename Fn>
-void Platform::hop(std::uint32_t stage,
-                   const std::shared_ptr<Request>& request, Fn fn) {
-  if (request->inline_mode) {
-    fn();
-    return;
-  }
+runtime::Executor::Hop Platform::hop(Request& request, std::uint32_t stage) {
   // Admitted work is never refused mid-chain: the hop is a continuation.
-  Status submitted = pipeline_->submit(
-      {.run = std::move(fn),
-       .lane = request->context->high_priority() ? runtime::TaskLane::kHigh
-                                                 : runtime::TaskLane::kNormal,
-       .continuation = true,
-       .stage = stage});
-  if (!submitted.ok()) {
-    // Only reachable when the executor is shutting down (destructor
-    // teardown); the request can never complete, so close it out.
-    log_warn("platform") << request->context->tag()
-                         << " continuation dropped: " << submitted.to_string();
-    finish(request, Unavailable("staged pipeline shut down mid-request"));
-  }
+  return {request.pipeline, stage,
+          request.context->high_priority() ? runtime::TaskLane::kHigh
+                                           : runtime::TaskLane::kNormal,
+          request.context.get()};
 }
 
-void Platform::stage_synthesis(std::shared_ptr<Request> request) {
-  obs::RequestContext& context = *request->context;
-  context.close_span(request->queue_span);
-  if (abandoned(request)) return;
+runtime::Task<> Platform::serve(Request& request) {
+  obs::RequestContext& context = *request.context;
+  context.close_span(request.queue_span);
+  if (abandoned(request)) co_return;
   obs::ContextScope ambient(context);
   // Admission (async: re-checked after queue delay ate into the budget).
   if (Status admitted = admit(context); !admitted.ok()) {
     finish(request, std::move(admitted));
-    return;
+    co_return;
   }
-  if (!request->inline_mode) {
-    request->model.emplace(model::parse_model(request->text, dsml_));
+  if (!request.model.has_value()) {
+    request.model.emplace(model::parse_model(request.text, dsml_));
   }
-  Result<model::Model>& parsed = *request->model;
+  Result<model::Model>& parsed = *request.model;
   if (!parsed.ok()) {
     finish(request, parsed.status());
-    return;
+    co_return;
   }
   // The serial window is the commit alone; the span runs on through
   // execution.
-  request->executed = true;
-  request->synthesis_span = context.open_span(synthesis_span_,
-                                              parsed->name());
+  request.executed = true;
+  request.synthesis_span = context.open_span(synthesis_span_, parsed->name());
   Result<controller::ControlScript> script =
       synthesis_->submit_model(std::move(parsed.value()), context);
   if (!script.ok()) {
     finish(request, script.status());
-    return;
+    co_return;
   }
-  request->script = std::move(script.value());
-  if (request->script.empty()) {
-    stage_controller(std::move(request));  // nothing to run: no hop
-    return;
+  request.script = std::move(script.value());
+  Status executed;
+  if (!request.script.empty()) {  // an unchanged model has nothing to run
+    Status hopped = co_await hop(request, stage_controller_);
+    if (abandoned(request, hopped)) co_return;
+    // The script may park in the broker (backoff, attempt overrun); the
+    // rest of the request resumes on whatever thread settles it.
+    executed = co_await controller_->execute_script(request.script, context);
   }
-  hop(stage_controller_, request,
-      [this, request] { stage_controller(request); });
-}
-
-void Platform::stage_controller(std::shared_ptr<Request> request) {
-  if (abandoned(request)) return;
-  obs::RequestContext& context = *request->context;
-  obs::ContextScope ambient(context);
   // The synthesis span covers commit and execution; it closes here.
-  auto executed = [this, request](Status status) {
-    request->context->close_span(request->synthesis_span);
-    hop(stage_complete_, request, [this, request, status] {
-      stage_complete(request, status);
-    });
-  };
-  if (request->script.empty()) {
-    executed(Status::Ok());  // model unchanged
-  } else if (request->inline_mode) {
-    executed(controller_->execute_script(request->script, context));
-  } else {
-    // The script may park in the broker (backoff, attempt overrun); its
-    // completion fires on whatever thread settles the last command and
-    // hops on from there. It holds the request, so request->script
-    // outlives the run.
-    controller_->execute_script_async(request->script, context,
-                                      std::move(executed));
-  }
-}
-
-void Platform::stage_complete(std::shared_ptr<Request> request,
-                              Status executed) {
-  if (abandoned(request)) return;
-  obs::ContextScope ambient(*request->context);
-  if (executed.ok()) executed = deliverable(*request->context);
+  context.close_span(request.synthesis_span);
+  Status hopped = co_await hop(request, stage_complete_);
+  if (abandoned(request, hopped)) co_return;
+  if (executed.ok()) executed = deliverable(context);
   if (executed.ok()) {
-    finish(request, std::move(request->script));
+    finish(request, std::move(request.script));
   } else {
     finish(request, std::move(executed));
   }

@@ -37,6 +37,7 @@
 #include "runtime/event_bus.hpp"
 #include "runtime/event_loop.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/task.hpp"
 #include "synthesis/synthesis_engine.hpp"
 #include "synthesis/weaver.hpp"
 
@@ -333,36 +334,32 @@ class Platform {
   void invoke_callback(const SubmitCallback& callback,
                        Result<controller::ControlScript> outcome);
 
-  /// One request traversing the request machine (DESIGN.md §6b): on
-  /// the caller's stack in inline mode, on the heap in async mode. It
-  /// owns its root span, deadline watchdog and inflight slot.
+  /// One request traversing the request coroutine (DESIGN.md §6b): on
+  /// the caller's stack at the inline door, on the heap at the async
+  /// one. It owns its root span, deadline watchdog and inflight slot.
   struct Request;
-  /// The inline door: run the machine on the calling thread. A parse
-  /// error in `parsed` fails the request inside the machine.
+  /// The inline door: run the coroutine on the calling thread. A parse
+  /// error in `parsed` fails the request inside it.
   Result<controller::ControlScript> submit_inline(
       Result<model::Model> parsed, obs::RequestContext& context);
   /// Lazily create the executor and its stages, the event loop and the
   /// broker's async engine wiring.
   void ensure_pipeline();
-  /// The machine's steps: admit, parse and commit; execute the script;
-  /// the late gate. Each reaches the next through hop().
-  void stage_synthesis(std::shared_ptr<Request> request);
-  void stage_controller(std::shared_ptr<Request> request);
-  void stage_complete(std::shared_ptr<Request> request, Status executed);
-  /// Run `fn`: a direct call in inline mode, a never-shed continuation
-  /// on `stage` in async mode.
-  template <typename Fn>
-  void hop(std::uint32_t stage, const std::shared_ptr<Request>& request,
-           Fn fn);
-  /// True when the deadline watchdog already resolved the request; the
-  /// chain (single owner of the trace) closes out and releases its
-  /// inflight slot here.
-  bool abandoned(const std::shared_ptr<Request>& request);
+  /// The request coroutine: admit, parse and commit; execute the script;
+  /// the late gate. An async request hops between stages. It ends in
+  /// finish(), or in abandoned()'s close-out.
+  runtime::Task<> serve(Request& request);
+  /// The hop to `stage`: a stage task for an async request, none inline.
+  runtime::Executor::Hop hop(Request& request, std::uint32_t stage);
+  /// True when the chain must stop here: its hop was refused (the
+  /// executor is shutting down; the request finishes as kUnavailable), or
+  /// the deadline watchdog already resolved it (the chain, single owner
+  /// of the trace, closes out and releases its inflight slot).
+  bool abandoned(Request& request, const Status& hopped = Status::Ok());
   /// Terminal bookkeeping: record latency, count a failure, close the
   /// root span, resolve the callback exactly once, release the inflight
   /// slot.
-  void finish(const std::shared_ptr<Request>& request,
-              Result<controller::ControlScript> outcome);
+  void finish(Request& request, Result<controller::ControlScript> outcome);
 
   std::string name_;
   model::MetamodelPtr dsml_;

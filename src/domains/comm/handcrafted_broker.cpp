@@ -20,7 +20,7 @@ HandcraftedCommBroker::HandcraftedCommBroker(CommSessionService& service,
         broker::Args args;
         args["session"] = session;
         args["address"] = event.payload;
-        if (resources_.invoke("comm", "party.reconnect", args).ok()) {
+        if (invoke("party.reconnect", args).ok()) {
           ++recoveries_;
           bus_->publish("ncb.party.recovered", "handcrafted-ncb",
                         event.payload);
@@ -41,8 +41,13 @@ std::string HandcraftedCommBroker::select_quality() const {
   return "standard";
 }
 
-Result<Value> HandcraftedCommBroker::call(const broker::Call& call,
-                                          obs::RequestContext& context) {
+Result<Value> HandcraftedCommBroker::invoke(const char* command,
+                                            const broker::Args& args) {
+  return runtime::run_inline(resources_.invoke("comm", command, args));
+}
+
+runtime::Task<Result<Value>> HandcraftedCommBroker::call(
+    const broker::Call& call, obs::RequestContext& context) {
   // The baseline participates in request tracing on the same terms as the
   // model-based broker (Exp-2 compares like with like).
   obs::ScopedSpan span(context, "broker.call", call.name);
@@ -53,41 +58,40 @@ Result<Value> HandcraftedCommBroker::call(const broker::Call& call,
   if (call.name == "ncb.session.create") {
     broker::Args args;
     args["id"] = arg("id");
-    Result<Value> invoked = resources_.invoke("comm", "session.create", args);
-    if (!invoked.ok()) return invoked;
+    Result<Value> invoked = invoke("session.create", args);
+    if (!invoked.ok()) co_return invoked;
     state_.set("sessions.active", Value(state_.get("sessions.active").is_int()
                                             ? state_.get("sessions.active").as_int() + 1
                                             : 1));
     context_->set("active.session", arg("id"));
     bus_->publish("ncb.session.created", "handcrafted-ncb", arg("id"));
-    return invoked;
+    co_return invoked;
   }
   if (call.name == "ncb.session.teardown") {
     broker::Args args;
     args["id"] = arg("id");
-    Result<Value> invoked =
-        resources_.invoke("comm", "session.teardown", args);
-    if (!invoked.ok()) return invoked;
+    Result<Value> invoked = invoke("session.teardown", args);
+    if (!invoked.ok()) co_return invoked;
     bus_->publish("ncb.session.closed", "handcrafted-ncb", arg("id"));
-    return invoked;
+    co_return invoked;
   }
   if (call.name == "ncb.party.add") {
     broker::Args args;
     args["session"] = arg("session");
     args["address"] = arg("address");
-    return resources_.invoke("comm", "party.add", args);
+    co_return invoke("party.add", args);
   }
   if (call.name == "ncb.party.remove") {
     broker::Args args;
     args["session"] = arg("session");
     args["address"] = arg("address");
-    return resources_.invoke("comm", "party.remove", args);
+    co_return invoke("party.remove", args);
   }
   if (call.name == "ncb.party.reconnect") {
     broker::Args args;
     args["session"] = arg("session");
     args["address"] = arg("address");
-    return resources_.invoke("comm", "party.reconnect", args);
+    co_return invoke("party.reconnect", args);
   }
   if (call.name == "ncb.media.open") {
     broker::Args args;
@@ -96,22 +100,22 @@ Result<Value> HandcraftedCommBroker::call(const broker::Call& call,
     args["kind"] = arg("kind");
     args["live"] = arg("live");
     args["quality"] = Value(select_quality());
-    return resources_.invoke("comm", "media.open", args);
+    co_return invoke("media.open", args);
   }
   if (call.name == "ncb.media.close") {
     broker::Args args;
     args["session"] = arg("session");
     args["id"] = arg("id");
-    return resources_.invoke("comm", "media.close", args);
+    co_return invoke("media.close", args);
   }
   if (call.name == "ncb.media.retune") {
     broker::Args args;
     args["session"] = arg("session");
     args["id"] = arg("id");
     args["quality"] = arg("quality");
-    return resources_.invoke("comm", "media.retune", args);
+    co_return invoke("media.retune", args);
   }
-  return NotFound("handcrafted NCB has no operation '" + call.name + "'");
+  co_return NotFound("handcrafted NCB has no operation '" + call.name + "'");
 }
 
 }  // namespace mdsm::comm

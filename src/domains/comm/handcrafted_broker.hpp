@@ -28,8 +28,8 @@ class HandcraftedCommBroker final : public broker::BrokerApi {
   ~HandcraftedCommBroker() override;
 
   using broker::BrokerApi::call;
-  Result<model::Value> call(const broker::Call& call,
-                            obs::RequestContext& context) override;
+  runtime::Task<Result<model::Value>> call(
+      const broker::Call& call, obs::RequestContext& context) override;
   [[nodiscard]] const broker::CommandTrace& trace() const override {
     return resources_.trace();
   }
@@ -41,6 +41,8 @@ class HandcraftedCommBroker final : public broker::BrokerApi {
 
  private:
   [[nodiscard]] std::string select_quality() const;
+  /// One command to the comm services, run to completion.
+  Result<model::Value> invoke(const char* command, const broker::Args& args);
 
   runtime::EventBus* bus_;
   policy::ContextStore* context_;

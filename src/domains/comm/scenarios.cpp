@@ -152,7 +152,8 @@ Status run_scenario(const Scenario& scenario, broker::BrokerApi& broker,
   for (const ScenarioStep& step : scenario.steps) {
     switch (step.kind) {
       case ScenarioStep::Kind::kCall: {
-        Result<model::Value> outcome = broker.call(step.call);
+        Result<model::Value> outcome =
+            runtime::run_inline(broker.call(step.call));
         if (!outcome.ok()) {
           return Status(outcome.status().code(),
                         scenario.name + " step '" + step.call.name +

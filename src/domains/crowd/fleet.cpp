@@ -259,7 +259,8 @@ CrowdDevice::CrowdDevice(std::string id, std::uint32_t seed,
       metrics_, obs::steady_clock(),
       [controller](const controller::ControlScript& script,
                    obs::RequestContext& request) {
-        return controller->execute_script(script, request);
+        return runtime::run_inline(
+            controller->execute_script(script, request));
       });
   (void)synthesis_->start();
 

@@ -18,14 +18,16 @@ HandcraftedMgridBroker::HandcraftedMgridBroker(MicrogridPlant& plant,
           broker::Args args;
           args["id"] = storage;
           args["mode"] = Value("discharge");
-          (void)resources_.invoke("plant", "storage.mode", args);
+          (void)runtime::run_inline(
+              resources_.invoke("plant", "storage.mode", args));
           return;
         }
         Value sheddable = context_->get("load.sheddable");
         if (sheddable.is_string()) {
           broker::Args args;
           args["id"] = sheddable;
-          (void)resources_.invoke("plant", "load.shed", args);
+          (void)runtime::run_inline(
+              resources_.invoke("plant", "load.shed", args));
         }
       });
 }
@@ -34,8 +36,8 @@ HandcraftedMgridBroker::~HandcraftedMgridBroker() {
   bus_->unsubscribe(subscription_);
 }
 
-Result<Value> HandcraftedMgridBroker::call(const broker::Call& call,
-                                           obs::RequestContext& context) {
+runtime::Task<Result<Value>> HandcraftedMgridBroker::call(
+    const broker::Call& call, obs::RequestContext& context) {
   // The baseline participates in request tracing on the same terms as the
   // model-based broker (Exp-1/2 compare like with like).
   obs::ScopedSpan span(context, "broker.call", call.name);
@@ -47,34 +49,36 @@ Result<Value> HandcraftedMgridBroker::call(const broker::Call& call,
                      std::initializer_list<const char*> keys) {
     broker::Args args;
     for (const char* key : keys) args[key] = arg(key);
-    return resources_.invoke("plant", command, args);
+    return runtime::run_inline(resources_.invoke("plant", command, args));
   };
   if (call.name == "mgv.gen.provision") {
-    return forward("gen.add", {"id", "capacity", "renewable"});
+    co_return forward("gen.add", {"id", "capacity", "renewable"});
   }
-  if (call.name == "mgv.gen.start") return forward("gen.start", {"id"});
-  if (call.name == "mgv.gen.stop") return forward("gen.stop", {"id"});
-  if (call.name == "mgv.gen.set") return forward("gen.set", {"id", "kw"});
+  if (call.name == "mgv.gen.start") co_return forward("gen.start", {"id"});
+  if (call.name == "mgv.gen.stop") co_return forward("gen.stop", {"id"});
+  if (call.name == "mgv.gen.set") co_return forward("gen.set", {"id", "kw"});
   if (call.name == "mgv.load.provision") {
-    return forward("load.add", {"id", "demand", "critical"});
+    co_return forward("load.add", {"id", "demand", "critical"});
   }
-  if (call.name == "mgv.load.connect") return forward("load.connect", {"id"});
-  if (call.name == "mgv.load.shed") return forward("load.shed", {"id"});
+  if (call.name == "mgv.load.connect") {
+    co_return forward("load.connect", {"id"});
+  }
+  if (call.name == "mgv.load.shed") co_return forward("load.shed", {"id"});
   if (call.name == "mgv.storage.provision") {
-    return forward("storage.add", {"id", "capacity"});
+    co_return forward("storage.add", {"id", "capacity"});
   }
   if (call.name == "mgv.storage.mode") {
-    return forward("storage.mode", {"id", "mode"});
+    co_return forward("storage.mode", {"id", "mode"});
   }
   if (call.name == "mgv.device.remove") {
-    return forward("device.remove", {"id"});
+    co_return forward("device.remove", {"id"});
   }
-  if (call.name == "mgv.plant.step") return forward("plant.step", {"hours"});
+  if (call.name == "mgv.plant.step") co_return forward("plant.step", {"hours"});
   if (call.name == "mgv.grid.mode") {
     context_->set("grid.mode", arg("mode"));
-    return Value(true);
+    co_return Value(true);
   }
-  return NotFound("handcrafted MHB has no operation '" + call.name + "'");
+  co_return NotFound("handcrafted MHB has no operation '" + call.name + "'");
 }
 
 namespace {
@@ -217,7 +221,8 @@ Status run_mgrid_scenario(const MgridScenario& scenario,
   for (const MgridStep& step : scenario.steps) {
     switch (step.kind) {
       case MgridStep::Kind::kCall: {
-        Result<Value> outcome = broker.call(step.call);
+        Result<Value> outcome =
+            runtime::run_inline(broker.call(step.call));
         if (!outcome.ok()) {
           return Status(outcome.status().code(),
                         scenario.name + " step '" + step.call.name +

@@ -21,8 +21,8 @@ class HandcraftedMgridBroker final : public broker::BrokerApi {
   ~HandcraftedMgridBroker() override;
 
   using broker::BrokerApi::call;
-  Result<model::Value> call(const broker::Call& call,
-                            obs::RequestContext& context) override;
+  runtime::Task<Result<model::Value>> call(
+      const broker::Call& call, obs::RequestContext& context) override;
   [[nodiscard]] const broker::CommandTrace& trace() const override {
     return resources_.trace();
   }

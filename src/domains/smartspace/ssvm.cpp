@@ -140,7 +140,8 @@ SsvmHub::SsvmHub(net::Network& network) {
             }
           }
         }
-        return controller->execute_script(script, request);
+        return runtime::run_inline(
+            controller->execute_script(script, request));
       });
   (void)synthesis_->start();
 }

@@ -123,11 +123,20 @@ class RequestContext {
     return attribute(kSessionAttribute);
   }
 
+  /// Whether the request may park (DESIGN.md §6e). The door that creates
+  /// the request records it once: the async door's requests may wait on
+  /// loop timers and disown overrunning attempts, an inline request
+  /// never leaves its caller's thread. Only the resource manager's leaf
+  /// awaitables read it.
+  void allow_parking() noexcept { may_park_ = true; }
+  [[nodiscard]] bool may_park() const noexcept { return may_park_; }
+
  private:
   struct NoopTag {};
   explicit RequestContext(NoopTag) noexcept;
 
   bool enabled_ = true;
+  bool may_park_ = false;
   std::uint64_t id_ = 0;
   std::string tag_;
   const Clock* clock_;

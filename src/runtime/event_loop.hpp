@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -25,6 +26,7 @@
 #include <utility>
 
 #include "common/clock.hpp"
+#include "obs/request_context.hpp"
 
 namespace mdsm::runtime {
 
@@ -59,6 +61,26 @@ class EventLoop {
   /// Run `fn` on the loop once `delay` has elapsed on the loop's clock.
   /// Returns a timer id for cancel(). Safe from any thread.
   std::uint64_t schedule(Duration delay, std::function<void()> fn);
+
+  /// Awaitable park on a timer (DESIGN.md §6e): the awaiting coroutine
+  /// resumes on the loop once `delay` has elapsed on the loop's clock,
+  /// with `ambient` installed as its ambient request context. No thread
+  /// holds it meanwhile. A stopped loop refuses the timer, and the
+  /// coroutine goes on at once.
+  struct Sleep {
+    EventLoop* loop;
+    Duration delay;
+    obs::RequestContext* ambient;
+
+    bool await_ready() const noexcept { return false; }
+    bool await_suspend(std::coroutine_handle<> waiter) const {
+      return loop->schedule(delay, [waiter, ambient = ambient] {
+        obs::ContextScope scope(*ambient);
+        waiter.resume();
+      }) != 0;
+    }
+    void await_resume() const noexcept {}
+  };
 
   /// Cancel a scheduled timer; false if it already fired or is unknown.
   bool cancel(std::uint64_t timer_id);

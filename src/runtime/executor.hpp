@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -36,6 +37,7 @@
 #include "common/clock.hpp"
 #include "common/status.hpp"
 #include "obs/metrics.hpp"
+#include "obs/request_context.hpp"
 
 namespace mdsm::runtime {
 
@@ -110,6 +112,37 @@ class Executor {
   /// serving and drain() still returns.
   Status submit(std::function<void()> task);
   Status submit(Task task);
+
+  /// Awaitable hop onto a stage (DESIGN.md §6e): the awaiting coroutine
+  /// resumes as a never-shed continuation task on a worker, with
+  /// `ambient` installed as its ambient request context. A hop with no
+  /// executor stays on the awaiting thread; a refused one (shutdown has
+  /// begun) does not suspend, and co_await yields the refusal.
+  struct Hop {
+    Executor* executor;
+    std::uint32_t stage;
+    TaskLane lane;
+    obs::RequestContext* ambient;
+    Status refused;
+
+    bool await_ready() const noexcept { return executor == nullptr; }
+    bool await_suspend(std::coroutine_handle<> waiter) {
+      // Once submitted, a worker may resume the waiter (and end this
+      // awaiter) before submit() returns: touch no member after it.
+      Status submitted = executor->submit(
+          {.run = [waiter, ambient = ambient] {
+             obs::ContextScope scope(*ambient);
+             waiter.resume();
+           },
+           .lane = lane,
+           .continuation = true,
+           .stage = stage});
+      if (submitted.ok()) return true;
+      refused = std::move(submitted);
+      return false;
+    }
+    Status await_resume() { return std::move(refused); }
+  };
 
   /// Block until the queue is empty, no submitter is blocked waiting for
   /// space, and every worker is idle.

@@ -33,8 +33,15 @@ model::Value instantiate(const model::Value& value,
 
 ChangeInterpreter::ChangeInterpreter(const Lts& lts,
                                      model::MetamodelPtr metamodel,
-                                     const policy::ContextStore& context)
-    : lts_(&lts), metamodel_(std::move(metamodel)), context_(&context) {}
+                                     const policy::ContextStore& context,
+                                     obs::MetricsRegistry& metrics)
+    : lts_(&lts),
+      metamodel_(std::move(metamodel)),
+      context_(&context),
+      changes_processed_(metrics.counter("synthesis.changes_processed")),
+      transitions_fired_(metrics.counter("synthesis.transitions_fired")),
+      unhandled_changes_(metrics.counter("synthesis.unhandled_changes")),
+      guard_blocked_(metrics.counter("synthesis.guard_blocked")) {}
 
 bool ChangeInterpreter::trigger_matches(const Trigger& trigger,
                                         const model::Change& change) const {
@@ -59,7 +66,7 @@ Result<controller::ControlScript> ChangeInterpreter::interpret(
   controller::ControlScript script;
   script.id = next_tagged_id("script");
   for (const model::Change& change : changes) {
-    ++stats_.changes_processed;
+    changes_processed_.add();
     // Creation enters the initial state before matching, so AddObject
     // transitions are written from the initial state.
     if (change.kind == model::ChangeKind::kAddObject) {
@@ -77,21 +84,21 @@ Result<controller::ControlScript> ChangeInterpreter::interpret(
       Result<bool> open = transition.guard.evaluate_bool(*context_);
       if (!open.ok()) return open.status();
       if (!*open) {
-        ++stats_.guard_blocked;
+        guard_blocked_.add();
         continue;
       }
       fired = &transition;
       break;  // first matching open transition wins (deterministic)
     }
     if (fired == nullptr) {
-      if (!matched_any) ++stats_.unhandled_changes;
+      if (!matched_any) unhandled_changes_.add();
       // Removal of an untracked/unmatched object still clears state.
       if (change.kind == model::ChangeKind::kRemoveObject) {
         states.erase(change.object_id);
       }
       continue;
     }
-    ++stats_.transitions_fired;
+    transitions_fired_.add();
     states[change.object_id] = fired->to;
     for (const CommandTemplate& command_template : fired->commands) {
       controller::Command command;

@@ -11,17 +11,11 @@
 
 #include "controller/script.hpp"
 #include "model/diff.hpp"
+#include "obs/metrics.hpp"
 #include "policy/context.hpp"
 #include "synthesis/lts.hpp"
 
 namespace mdsm::synthesis {
-
-struct InterpreterStats {
-  std::uint64_t changes_processed = 0;
-  std::uint64_t transitions_fired = 0;
-  std::uint64_t unhandled_changes = 0;  ///< no matching transition
-  std::uint64_t guard_blocked = 0;      ///< matched but guard failed
-};
 
 /// Object id → current LTS state, for one session.
 using LtsStates = std::map<std::string, std::string, std::less<>>;
@@ -29,9 +23,14 @@ using LtsStates = std::map<std::string, std::string, std::less<>>;
 class ChangeInterpreter {
  public:
   /// The metamodel is consulted for class-kind matching in triggers; the
-  /// context supplies guard variables.
+  /// context supplies guard variables. Counts go to `metrics` (cells
+  /// resolved here, which must outlive the interpreter):
+  /// "synthesis.changes_processed", "synthesis.transitions_fired",
+  /// "synthesis.unhandled_changes" (no matching transition) and
+  /// "synthesis.guard_blocked" (matched, but the guard was closed).
   ChangeInterpreter(const Lts& lts, model::MetamodelPtr metamodel,
-                    const policy::ContextStore& context);
+                    const policy::ContextStore& context,
+                    obs::MetricsRegistry& metrics);
 
   /// Turn a change list into a control script. `new_model` supplies
   /// "%attr:" template lookups. The objects' entries in `states` advance
@@ -41,10 +40,6 @@ class ChangeInterpreter {
                                               const model::Model& new_model,
                                               LtsStates& states);
 
-  [[nodiscard]] const InterpreterStats& stats() const noexcept {
-    return stats_;
-  }
-
  private:
   [[nodiscard]] bool trigger_matches(const Trigger& trigger,
                                      const model::Change& change) const;
@@ -52,7 +47,10 @@ class ChangeInterpreter {
   const Lts* lts_;
   model::MetamodelPtr metamodel_;
   const policy::ContextStore* context_;
-  InterpreterStats stats_;
+  obs::Counter& changes_processed_;
+  obs::Counter& transitions_fired_;
+  obs::Counter& unhandled_changes_;
+  obs::Counter& guard_blocked_;
 };
 
 }  // namespace mdsm::synthesis

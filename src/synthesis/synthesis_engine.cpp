@@ -15,7 +15,7 @@ SynthesisEngine::SynthesisEngine(std::string name, model::MetamodelPtr dsml,
     : Component(std::move(name)),
       dsml_(dsml),
       lts_(std::move(lts)),
-      interpreter_(lts_, dsml, context),
+      interpreter_(lts_, dsml, context, metrics),
       models_submitted_(metrics.counter("synthesis.models")),
       scripts_dispatched_(metrics.counter("synthesis.scripts")),
       commands_generated_(metrics.counter("synthesis.commands")),

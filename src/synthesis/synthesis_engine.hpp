@@ -20,7 +20,7 @@
 // against (and then replaces) its session's runtime model — so the
 // diff→interpret→dispatch→commit section runs under an internal mutex.
 // Execution of the returned script is the caller's (the platform's
-// request machine runs it after submit_model() returns), outside that
+// request coroutine runs it after submit_model() returns), outside that
 // mutex, which is what lets independent requests overlap: the serial
 // window is only the model swap, not the work.
 #pragma once
@@ -126,9 +126,6 @@ class SynthesisEngine final : public runtime::Component {
                                      std::string_view session = {}) const;
   /// The named sessions holding state, sorted.
   [[nodiscard]] std::vector<std::string> live_sessions() const;
-  [[nodiscard]] const ChangeInterpreter& interpreter() const noexcept {
-    return interpreter_;
-  }
   /// Snapshot of the counters (each exact; cross-counter sums may tear
   /// momentarily while submissions are in flight).
   [[nodiscard]] SynthesisStats stats() const;

@@ -56,7 +56,8 @@ struct BrokerFixture : ::testing::Test {
 
 TEST_F(BrokerFixture, InvokeRoutesAndTraces) {
   Args args{{"codec", Value("opus")}};
-  auto result = layer.resources().invoke("audio", "start", args);
+  auto result =
+      runtime::run_inline(layer.resources().invoke("audio", "start", args));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->as_string(), "ok:start");
   ASSERT_EQ(layer.trace().size(), 1u);
@@ -65,14 +66,17 @@ TEST_F(BrokerFixture, InvokeRoutesAndTraces) {
 }
 
 TEST_F(BrokerFixture, InvokeUnknownResourceFails) {
-  EXPECT_EQ(layer.resources().invoke("video", "start", {}).status().code(),
+  EXPECT_EQ(runtime::run_inline(layer.resources().invoke("video", "start", {}))
+                .status()
+                .code(),
             ErrorCode::kNotFound);
   EXPECT_EQ(layer.trace().size(), 0u);
 }
 
 TEST_F(BrokerFixture, FailedCommandStillAppearsInTrace) {
   resource->fail_next = true;
-  EXPECT_FALSE(layer.resources().invoke("audio", "start", {}).ok());
+  EXPECT_FALSE(
+      runtime::run_inline(layer.resources().invoke("audio", "start", {})).ok());
   EXPECT_EQ(layer.trace().size(), 1u);  // issued, then failed
 }
 
@@ -120,7 +124,8 @@ TEST_F(BrokerFixture, ActionStepsExecuteInOrderWithTemplates) {
     EXPECT_EQ(e.payload, Value("s42"));
   });
 
-  auto result = layer.call({"session.open", {{"id", Value("s42")}}});
+  auto result = runtime::run_inline(
+      layer.call({"session.open", {{"id", Value("s42")}}}));
   ASSERT_TRUE(result.ok()) << result.status().to_string();
   EXPECT_EQ(*result, Value("s42"));
   EXPECT_EQ(layer.state().get("session.count"), Value(1));
@@ -155,11 +160,11 @@ TEST_F(BrokerFixture, GuardStepAbortsAction) {
                   invoke_step("audio", "start")};
   ASSERT_TRUE(layer.register_action(std::move(action)).ok());
   ASSERT_TRUE(layer.bind_handler("go", {"guarded"}).ok());
-  EXPECT_EQ(layer.call({"go", {}}).status().code(),
+  EXPECT_EQ(runtime::run_inline(layer.call({"go", {}})).status().code(),
             ErrorCode::kFailedPrecondition);
   EXPECT_EQ(layer.trace().size(), 0u);  // aborted before invoke
   context.set("ready", Value(true));
-  EXPECT_TRUE(layer.call({"go", {}}).ok());
+  EXPECT_TRUE(runtime::run_inline(layer.call({"go", {}})).ok());
   EXPECT_EQ(layer.trace().size(), 1u);
 }
 
@@ -180,23 +185,24 @@ TEST_F(BrokerFixture, HandlerSelectsByGuardAndPriority) {
   ASSERT_TRUE(layer.bind_handler("start", {"eco", "hq"}).ok());
 
   context.set("bandwidth", Value(1.0));
-  ASSERT_TRUE(layer.call({"start", {}}).ok());
+  ASSERT_TRUE(runtime::run_inline(layer.call({"start", {}})).ok());
   EXPECT_EQ(layer.trace().entries().back(), "audio.start-low()");
 
   context.set("bandwidth", Value(5.0));
-  ASSERT_TRUE(layer.call({"start", {}}).ok());
+  ASSERT_TRUE(runtime::run_inline(layer.call({"start", {}})).ok());
   EXPECT_EQ(layer.trace().entries().back(), "audio.start-high()");
 }
 
 TEST_F(BrokerFixture, UnhandledCallAndNoApplicableAction) {
-  EXPECT_EQ(layer.call({"nope", {}}).status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(runtime::run_inline(layer.call({"nope", {}})).status().code(),
+            ErrorCode::kNotFound);
   Action never;
   never.name = "never";
   auto guard = policy::Expression::parse("false");
   never.guard = std::move(guard.value());
   ASSERT_TRUE(layer.register_action(std::move(never)).ok());
   ASSERT_TRUE(layer.bind_handler("x", {"never"}).ok());
-  EXPECT_EQ(layer.call({"x", {}}).status().code(),
+  EXPECT_EQ(runtime::run_inline(layer.call({"x", {}})).status().code(),
             ErrorCode::kFailedPrecondition);
 }
 
@@ -323,7 +329,8 @@ TEST_F(BrokerFixture, ThrowingAdapterIsContainedAsExecutionError) {
   set_log_level(LogLevel::kOff);
   ASSERT_TRUE(
       layer.resources().add_adapter(std::make_unique<ThrowingResource>()).ok());
-  auto result = layer.resources().invoke("video", "start", {});
+  auto result =
+      runtime::run_inline(layer.resources().invoke("video", "start", {}));
   EXPECT_EQ(result.status().code(), ErrorCode::kExecutionError);
   EXPECT_NE(result.status().message().find("threw during 'start'"),
             std::string::npos)
@@ -344,7 +351,7 @@ TEST_F(BrokerFixture, StepMissingRequiredArgIsExecutionError) {
   action.steps = {bare};
   ASSERT_TRUE(layer.register_action(std::move(action)).ok());
   ASSERT_TRUE(layer.bind_handler("go-bad", {"bad-set"}).ok());
-  auto status = layer.call({"go-bad", {}}).status();
+  auto status = runtime::run_inline(layer.call({"go-bad", {}})).status();
   EXPECT_EQ(status.code(), ErrorCode::kExecutionError);
   EXPECT_NE(status.message().find("missing required arg 'value'"),
             std::string::npos)

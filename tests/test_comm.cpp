@@ -84,12 +84,16 @@ TEST_F(ServiceFixture, AdapterMapsCommandsAndErrors) {
                   .add_adapter(std::make_unique<CommServiceAdapter>(service))
                   .ok());
   ASSERT_TRUE(
-      resources.invoke("comm", "session.create", {{"id", Value("s1")}}).ok());
-  EXPECT_FALSE(
-      resources.invoke("comm", "party.remove",
-                       {{"session", Value("s1")}, {"address", Value("x")}})
+      runtime::run_inline(
+          resources.invoke("comm", "session.create", {{"id", Value("s1")}}))
           .ok());
-  EXPECT_EQ(resources.invoke("comm", "no.such.command", {}).status().code(),
+  EXPECT_FALSE(
+      runtime::run_inline(resources.invoke("comm", "party.remove",
+                       {{"session", Value("s1")}, {"address", Value("x")}}))
+          .ok());
+  EXPECT_EQ(runtime::run_inline(resources.invoke("comm", "no.such.command", {}))
+                .status()
+                .code(),
             ErrorCode::kNotFound);
 }
 

@@ -3,10 +3,17 @@
 // Case 1/Case 2 classification, and the static (non-adaptive) baseline.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
+#include <functional>
+#include <optional>
 #include <random>
+#include <utility>
 
 #include "controller/controller_layer.hpp"
+#include "broker/broker_layer.hpp"
 #include "controller/static_controller.hpp"
+#include "runtime/event_loop.hpp"
 
 namespace mdsm::controller {
 namespace {
@@ -17,11 +24,11 @@ using model::Value;
 class StubBroker : public broker::BrokerApi {
  public:
   using broker::BrokerApi::call;
-  Result<Value> call(const broker::Call& call,
-                     obs::RequestContext&) override {
+  runtime::Task<Result<Value>> call(const broker::Call& call,
+                                    obs::RequestContext&) override {
     trace_.record("broker", call.name, call.args);
-    if (fail_on == call.name) return Unavailable("injected broker fault");
-    return Value("ok:" + call.name);
+    if (fail_on == call.name) co_return Unavailable("injected broker fault");
+    co_return Value("ok:" + call.name);
   }
   [[nodiscard]] const broker::CommandTrace& trace() const override {
     return trace_;
@@ -122,8 +129,8 @@ TEST_F(ControllerFixture, GeneratesChainAndExecutes) {
   EXPECT_EQ((*intent)->node_count, 3);
   EXPECT_TRUE(layer.generator().validate(**intent).ok());
 
-  auto value =
-      layer.engine().execute(**intent, {{"id", Value("s1")}});
+  auto value = runtime::run_inline(
+      layer.engine().execute(*intent, {{"id", Value("s1")}}));
   ASSERT_TRUE(value.ok()) << value.status().to_string();
   // Stack semantics: session.begin, then the dependency chain, then the
   // instruction after call_dep resumes (commit last).
@@ -133,6 +140,8 @@ TEST_F(ControllerFixture, GeneratesChainAndExecutes) {
   EXPECT_EQ(entries[1], "broker.net-direct()");
   EXPECT_EQ(entries[2], "broker.media.allocate()");
   EXPECT_EQ(entries[3], "broker.session.commit(id=\"s1\")");
+  // Three frames were on the stack at once: root, alloc-av, net-direct.
+  EXPECT_EQ(layer.engine().stats().max_stack_depth, 3u);
 }
 
 TEST_F(ControllerFixture, SelectionMinCostVsMaxQuality) {
@@ -273,7 +282,9 @@ TEST_F(ControllerFixture, MissingInstructionArgIsExecutionError) {
   Instruction bare_set_mem;
   bare_set_mem.op = OpCode::kSetMem;
   bare_set_mem.a = "x";
-  auto status = layer.engine().execute_flat({bare_set_mem}, {}).status();
+  auto status =
+      runtime::run_inline(layer.engine().execute_flat({bare_set_mem}, {}))
+          .status();
   EXPECT_EQ(status.code(), ErrorCode::kExecutionError);
   EXPECT_NE(status.message().find("missing required arg 'value'"),
             std::string::npos)
@@ -283,12 +294,17 @@ TEST_F(ControllerFixture, MissingInstructionArgIsExecutionError) {
   Instruction bare_emit;
   bare_emit.op = OpCode::kEmit;
   bare_emit.a = "topic";
-  EXPECT_EQ(layer.engine().execute_flat({bare_emit}, {}).status().code(),
+  EXPECT_EQ(runtime::run_inline(layer.engine().execute_flat({bare_emit}, {}))
+                .status()
+                .code(),
             ErrorCode::kExecutionError);
 
   Instruction bare_result;
   bare_result.op = OpCode::kResult;
-  EXPECT_EQ(layer.engine().execute_flat({bare_result}, {}).status().code(),
+  EXPECT_EQ(
+      runtime::run_inline(layer.engine().execute_flat({bare_result}, {}))
+          .status()
+          .code(),
             ErrorCode::kExecutionError);
 }
 
@@ -326,7 +342,7 @@ TEST_F(ControllerFixture, EngineMemoryEventAndResultOps) {
   };
   Value seen;
   bus.subscribe("tick", [&](const runtime::Event& e) { seen = e.payload; });
-  auto value = layer.engine().execute_flat(body, {});
+  auto value = runtime::run_inline(layer.engine().execute_flat(body, {}));
   ASSERT_TRUE(value.ok());
   EXPECT_EQ(*value, Value(41));
   EXPECT_EQ(seen, Value(41));
@@ -338,27 +354,35 @@ TEST_F(ControllerFixture, EngineMemoryEventAndResultOps) {
 
 TEST_F(ControllerFixture, EngineGuardFailureAborts) {
   std::vector<Instruction> body = {guard("false"), broker_call("never")};
-  EXPECT_EQ(layer.engine().execute_flat(body, {}).status().code(),
+  EXPECT_EQ(runtime::run_inline(layer.engine().execute_flat(body, {}))
+                .status()
+                .code(),
             ErrorCode::kExecutionError);
   EXPECT_EQ(broker.trace().size(), 0u);
 }
 
 TEST_F(ControllerFixture, CallDepIllegalInFlatExecution) {
   std::vector<Instruction> body = {call_dep("anything")};
-  EXPECT_EQ(layer.engine().execute_flat(body, {}).status().code(),
+  EXPECT_EQ(runtime::run_inline(layer.engine().execute_flat(body, {}))
+                .status()
+                .code(),
             ErrorCode::kExecutionError);
 }
 
 TEST_F(ControllerFixture, BrokerFaultPropagates) {
   broker.fail_on = "boom";
   std::vector<Instruction> body = {broker_call("boom")};
-  EXPECT_EQ(layer.engine().execute_flat(body, {}).status().code(),
+  EXPECT_EQ(runtime::run_inline(layer.engine().execute_flat(body, {}))
+                .status()
+                .code(),
             ErrorCode::kUnavailable);
 }
 
 TEST_F(ControllerFixture, SendRequiresSenderAndUsesIt) {
   std::vector<Instruction> body = {send("peer", "sync", Value("m"))};
-  EXPECT_EQ(layer.engine().execute_flat(body, {}).status().code(),
+  EXPECT_EQ(runtime::run_inline(layer.engine().execute_flat(body, {}))
+                .status()
+                .code(),
             ErrorCode::kExecutionError);
   std::vector<std::string> sent;
   layer.engine().set_sender([&](const std::string& to,
@@ -366,7 +390,7 @@ TEST_F(ControllerFixture, SendRequiresSenderAndUsesIt) {
     sent.push_back(to + "/" + topic + "/" + payload.to_text());
     return Status::Ok();
   });
-  ASSERT_TRUE(layer.engine().execute_flat(body, {}).ok());
+  ASSERT_TRUE(runtime::run_inline(layer.engine().execute_flat(body, {})).ok());
   ASSERT_EQ(sent.size(), 1u);
   EXPECT_EQ(sent[0], "peer/sync/\"m\"");
 }
@@ -384,13 +408,13 @@ TEST_F(ControllerFixture, StepBudgetStopsRunawayEu) {
   ExecutionEngine tight(broker, bus, context, metrics, config);
   auto intent = layer.generator().generate("loop", SelectionStrategy::kMinCost);
   ASSERT_TRUE(intent.ok());
-  EXPECT_EQ(tight.execute(**intent, {}).status().code(),
+  EXPECT_EQ(runtime::run_inline(tight.execute(*intent, {})).status().code(),
             ErrorCode::kExecutionError);
 }
 
 TEST_F(ControllerFixture, LastResultStoredInMemory) {
   std::vector<Instruction> body = {broker_call("ping")};
-  ASSERT_TRUE(layer.engine().execute_flat(body, {}).ok());
+  ASSERT_TRUE(runtime::run_inline(layer.engine().execute_flat(body, {})).ok());
   EXPECT_EQ(layer.engine().memory("last.result"), Value("ok:ping"));
 }
 
@@ -402,7 +426,8 @@ TEST_F(ControllerFixture, Case1ViaBoundAction) {
   action.body = {broker_call("x.do", {{"id", Value("$id")}})};
   ASSERT_TRUE(layer.register_action(std::move(action)).ok());
   ASSERT_TRUE(layer.bind_action("x", {"do-x"}).ok());
-  auto value = layer.execute_command({"x", {{"id", Value("i1")}}});
+  auto value = runtime::run_inline(
+      layer.execute_command({"x", {{"id", Value("i1")}}}));
   ASSERT_TRUE(value.ok());
   EXPECT_EQ(layer.stats().case1_executions, 1u);
   EXPECT_EQ(broker.trace().entries()[0], "broker.x.do(id=\"i1\")");
@@ -412,10 +437,10 @@ TEST_F(ControllerFixture, Case2ViaDscMapping) {
   add_dsc("op.y");
   ASSERT_TRUE(layer.add_procedure(leaf("py", "op.y")).ok());
   ASSERT_TRUE(layer.map_command("y", "op.y").ok());
-  ASSERT_TRUE(layer.execute_command({"y", {}}).ok());
+  ASSERT_TRUE(runtime::run_inline(layer.execute_command({"y", {}})).ok());
   EXPECT_EQ(layer.stats().case2_executions, 1u);
   // A command named exactly like a DSC needs no explicit mapping.
-  ASSERT_TRUE(layer.execute_command({"op.y", {}}).ok());
+  ASSERT_TRUE(runtime::run_inline(layer.execute_command({"op.y", {}})).ok());
   EXPECT_EQ(layer.stats().case2_executions, 2u);
 }
 
@@ -428,14 +453,14 @@ TEST_F(ControllerFixture, ClassificationPolicyOverridesDefaults) {
   ASSERT_TRUE(layer.register_action(std::move(action)).ok());
   ASSERT_TRUE(layer.bind_action("op.z", {"flat-z"}).ok());
   // Default (bound action wins): Case 1.
-  ASSERT_TRUE(layer.execute_command({"op.z", {}}).ok());
+  ASSERT_TRUE(runtime::run_inline(layer.execute_command({"op.z", {}})).ok());
   EXPECT_EQ(layer.stats().case1_executions, 1u);
   // Policy: commands force Case 2 when flexibility mode is on.
   ASSERT_TRUE(layer.classification_policies()
                   .add("flexible", "mode == \"dynamic\"", "case2", 10)
                   .ok());
   context.set("mode", Value("dynamic"));
-  ASSERT_TRUE(layer.execute_command({"op.z", {}}).ok());
+  ASSERT_TRUE(runtime::run_inline(layer.execute_command({"op.z", {}})).ok());
   EXPECT_EQ(layer.stats().case2_executions, 1u);
 }
 
@@ -451,10 +476,10 @@ TEST_F(ControllerFixture, SelectionPolicyPicksStrategy) {
                   .add("hq", "tier == \"premium\"", "max-quality", 5)
                   .ok());
   context.set("tier", Value("premium"));
-  ASSERT_TRUE(layer.execute_command({"op", {}}).ok());
+  ASSERT_TRUE(runtime::run_inline(layer.execute_command({"op", {}})).ok());
   EXPECT_EQ(broker.trace().entries().back(), "broker.lux()");
   context.set("tier", Value("basic"));
-  ASSERT_TRUE(layer.execute_command({"op", {}}).ok());
+  ASSERT_TRUE(runtime::run_inline(layer.execute_command({"op", {}})).ok());
   EXPECT_EQ(broker.trace().entries().back(), "broker.cheap()");
 }
 
@@ -495,7 +520,9 @@ TEST_F(ControllerFixture, EventSignalsHandledByBoundActions) {
 TEST_F(ControllerFixture, ConfigurationErrors) {
   EXPECT_EQ(layer.bind_action("cmd", {"ghost"}).code(), ErrorCode::kNotFound);
   EXPECT_EQ(layer.map_command("cmd", "ghost").code(), ErrorCode::kNotFound);
-  EXPECT_EQ(layer.execute_command({"nowhere", {}}).status().code(),
+  EXPECT_EQ(runtime::run_inline(layer.execute_command({"nowhere", {}}))
+                .status()
+                .code(),
             ErrorCode::kNotFound);
 }
 
@@ -601,13 +628,98 @@ TEST_P(GeneratorProperty, GeneratedImsAlwaysValid) {
       EXPECT_EQ((*intent)->root_dsc, root);
       EXPECT_GT((*intent)->node_count, 0);
       // And it must be executable end-to-end.
-      EXPECT_TRUE(layer.engine().execute(**intent, {}).ok());
+      EXPECT_TRUE(
+          runtime::run_inline(layer.engine().execute(*intent, {})).ok());
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratorProperty,
                          ::testing::Values(3u, 7u, 11u, 19u, 23u, 31u));
+
+
+// ---- constant stack ------------------------------------------------
+
+/// Run `body` on a thread whose stack is 256 KiB: a layer that nested a
+/// call frame per inline completion would overflow it long before
+/// 100,000 calls.
+void on_small_stack(std::function<void()> body) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 256 * 1024), 0);
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(
+                &thread, &attr,
+                [](void* fn) -> void* {
+                  (*static_cast<std::function<void()>*>(fn))();
+                  return nullptr;
+                },
+                &body),
+            0);
+  pthread_join(thread, nullptr);
+  pthread_attr_destroy(&attr);
+}
+
+constexpr std::size_t kStackCalls = 100'000;
+
+// Both doors: run_inline() on the sync side, and a detached start with a
+// context that may park on the async side, where every call still
+// completes at once.
+TEST_F(ControllerFixture, InlineCompletionsKeepTheStackFlat) {
+  const std::vector<Instruction> body(kStackCalls, broker_call("op"));
+  obs::RequestContext parking;
+  parking.allow_parking();
+  on_small_stack([&] {
+    Result<Value> sync =
+        runtime::run_inline(layer.engine().execute_flat(body, {}));
+    EXPECT_TRUE(sync.ok()) << sync.status().to_string();
+    std::optional<Result<Value>> async;
+    runtime::start_detached(
+        layer.engine().execute_flat(body, {}, parking),
+        [&async](Result<Value> done) { async.emplace(std::move(done)); });
+    ASSERT_TRUE(async.has_value());
+    EXPECT_TRUE(async->ok()) << async->status().to_string();
+  });
+  EXPECT_EQ(metrics.counter("controller.broker_calls").value(),
+            2 * kStackCalls);
+}
+
+TEST(BrokerStack, InlineCompletionsKeepTheStackFlat) {
+  class InlineAdapter final : public broker::ResourceAdapter {
+   public:
+    InlineAdapter() : ResourceAdapter("svc") {}
+    Result<Value> execute(const std::string&, const broker::Args&) override {
+      return Value(true);
+    }
+  };
+  runtime::EventBus bus;
+  policy::ContextStore store;
+  obs::MetricsRegistry metrics;
+  broker::BrokerLayer layer("stack", bus, store, metrics);
+  runtime::EventLoop loop{{.threaded = false}};
+  layer.resources().set_async_engine(&loop, nullptr);
+  ASSERT_TRUE(
+      layer.resources().add_adapter(std::make_unique<InlineAdapter>()).ok());
+  broker::Action action;
+  action.name = "many";
+  action.steps.assign(kStackCalls, broker::invoke_step("svc", "tick"));
+  ASSERT_TRUE(layer.register_action(std::move(action)).ok());
+  ASSERT_TRUE(layer.bind_handler("many", {"many"}).ok());
+  const broker::Call call{"many", {}};
+  obs::RequestContext parking;
+  parking.allow_parking();
+  on_small_stack([&] {
+    Result<Value> sync = runtime::run_inline(layer.call(call));
+    EXPECT_TRUE(sync.ok()) << sync.status().to_string();
+    std::optional<Result<Value>> async;
+    runtime::start_detached(
+        layer.call(call, parking),
+        [&async](Result<Value> done) { async.emplace(std::move(done)); });
+    ASSERT_TRUE(async.has_value());
+    EXPECT_TRUE(async->ok()) << async->status().to_string();
+  });
+  EXPECT_EQ(metrics.counter("broker.commands").value(), 2 * kStackCalls);
+}
 
 }  // namespace
 }  // namespace mdsm::controller

@@ -496,15 +496,15 @@ object MiddlewarePlatform mw {
   ASSERT_TRUE((*platform)->start().ok());
   auto& controller = (*platform)->controller();
   // Default classification: bound action wins → Case 1 ("flat").
-  ASSERT_TRUE(controller.execute_command({"op", {}}).ok());
+  ASSERT_TRUE(runtime::run_inline(controller.execute_command({"op", {}})).ok());
   EXPECT_EQ((*platform)->trace().entries().back(), "svc.op(via=\"flat\")");
   // Classification policy flips to Case 2; default selection = min-cost.
   (*platform)->context().set("mode", Value("dynamic"));
-  ASSERT_TRUE(controller.execute_command({"op", {}}).ok());
+  ASSERT_TRUE(runtime::run_inline(controller.execute_command({"op", {}})).ok());
   EXPECT_EQ((*platform)->trace().entries().back(), "svc.op(via=\"cheap\")");
   // Selection policy flips the strategy to max-quality.
   (*platform)->context().set("tier", Value("premium"));
-  ASSERT_TRUE(controller.execute_command({"op", {}}).ok());
+  ASSERT_TRUE(runtime::run_inline(controller.execute_command({"op", {}})).ok());
   EXPECT_EQ((*platform)->trace().entries().back(), "svc.op(via=\"lux\")");
 }
 

@@ -105,7 +105,7 @@ TEST(ModelAllocations, WarmedConferenceRetuneSubmit) {
   // The offer/answer round allocates once (its offer topic), which
   // test_net_alloc pins on its own.
   std::printf("allocations per retune submit: %zu\n", allocations.load());
-  EXPECT_LE(allocations.load(), 60u);
+  EXPECT_LE(allocations.load(), 49u);
 }
 
 }  // namespace

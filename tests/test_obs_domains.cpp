@@ -128,7 +128,7 @@ TEST(DomainObservability, HandcraftedBaselinesTraceBrokerCalls) {
   broker::Call create;
   create.name = "ncb.session.create";
   create.args["id"] = model::Value(std::string("s1"));
-  ASSERT_TRUE(ncb->broker.call(create, request).ok());
+  ASSERT_TRUE(runtime::run_inline(ncb->broker.call(create, request)).ok());
   EXPECT_EQ(request.trace().count("broker.call"), 1u);
   EXPECT_EQ(request.trace().find("broker.call")->detail,
             "ncb.session.create");
@@ -140,13 +140,13 @@ TEST(DomainObservability, HandcraftedBaselinesTraceBrokerCalls) {
   provision.args["id"] = model::Value(std::string("g1"));
   provision.args["capacity"] = model::Value(4.0);
   provision.args["renewable"] = model::Value(true);
-  ASSERT_TRUE(mg->broker.call(provision, mg_request).ok());
+  ASSERT_TRUE(runtime::run_inline(mg->broker.call(provision, mg_request)).ok());
   EXPECT_EQ(mg_request.trace().count("broker.call"), 1u);
   // The legacy one-argument overload still works (runs against noop()).
   broker::Call start;
   start.name = "mgv.gen.start";
   start.args["id"] = model::Value(std::string("g1"));
-  ASSERT_TRUE(mg->broker.call(start).ok());
+  ASSERT_TRUE(runtime::run_inline(mg->broker.call(start)).ok());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -171,11 +172,11 @@ class ScriptedAdapter final : public ResourceAdapter {
   }
 };
 
-/// The two entry points of ResourceManager's one invocation state
-/// machine: the sync invoke() runs it inline (backoff waits through the
-/// sleep hook, which advances the SimClock), invoke_async() on a manual
-/// event loop parks each backoff on a loop timer that the pump reaches
-/// by stepping the same SimClock.
+/// The two doors of ResourceManager's one invocation coroutine: run
+/// inline, it waits backoffs through the sleep hook, which advances the
+/// SimClock; started detached for a request that may park, on a manual
+/// event loop, it parks each backoff on a loop timer that the pump
+/// reaches by stepping the same SimClock.
 enum class Entry { kInvoke, kInvokeAsync };
 
 /// One broker layer over a ScriptedAdapter "svc", driven through one
@@ -216,20 +217,28 @@ struct Rig {
 
   Result<Value> invoke(const std::string& resource,
                        obs::RequestContext& context) {
+    const std::string command = "start";
+    const broker::Args args;
     if (entry == Entry::kInvoke) {
-      return layer.resources().invoke(resource, "start", {}, context);
+      return runtime::run_inline(
+          layer.resources().invoke(resource, command, args, context));
     }
+    // The async door: a request that may park, started detached.
+    context.allow_parking();
     std::optional<Result<Value>> outcome;
-    layer.resources().invoke_async(
-        resource, "start", {}, context,
-        [&outcome](Result<Value> settled) { outcome.emplace(settled); });
+    runtime::start_detached(
+        layer.resources().invoke(resource, command, args, context),
+        [this, &outcome](Result<Value> settled) {
+          ++callbacks;
+          outcome.emplace(settled);
+        });
     // Pump: run what is due; when idle, step virtual time towards the
     // next parked backoff.
     while (!outcome.has_value() &&
            loop.pending_timers() + loop.pending_posts() > 0) {
       if (loop.poll() == 0) clock.advance(Duration(1));
     }
-    if (!outcome.has_value()) return Internal("invoke_async never settled");
+    if (!outcome.has_value()) return Internal("invoke never settled");
     return *outcome;
   }
 
@@ -241,6 +250,7 @@ struct Rig {
   SimClock clock;
   runtime::EventLoop loop{{.clock = &clock, .threaded = false}};
   ScriptedAdapter* primary = nullptr;
+  int callbacks = 0;  ///< async door: completions delivered
 };
 
 struct ResilienceFixture : ::testing::Test {
@@ -381,6 +391,63 @@ TEST_F(ResilienceFixture, AttemptTimeoutReclassifiesSlowFailuresAsRetryable) {
   ASSERT_TRUE(result.ok()) << result.status().to_string();
   EXPECT_EQ(r.primary->executed, 2);
   EXPECT_EQ(r.counter("broker.retries"), 1u);
+}
+
+/// An async resource that misbehaves inside execute_async(): it
+/// completes and then throws, or throws without completing.
+class ThrowingAsyncAdapter final : public ResourceAdapter {
+ public:
+  ThrowingAsyncAdapter(std::string name, bool complete_first)
+      : ResourceAdapter(std::move(name)), complete_first_(complete_first) {}
+
+  Result<Value> execute(const std::string&, const broker::Args&) override {
+    return Internal("the async door never calls execute()");
+  }
+  void execute_async(const std::string& command, const broker::Args&,
+                     Completion done) override {
+    if (complete_first_) done(Value("ok:" + command));
+    throw std::runtime_error("fault after dispatch");
+  }
+
+ private:
+  bool complete_first_;
+};
+
+// The attempt settles exactly once: a completion that is followed by a
+// throw keeps its outcome, and a throw with no completion degrades to
+// ExecutionError. Both count one contained exception and one trace
+// entry, with and without a policy (whose overrun timer is armed).
+TEST_F(ResilienceFixture, MisbehavingAsyncAdapterSettlesOnce) {
+  for (bool complete_first : {true, false}) {
+    for (bool with_policy : {false, true}) {
+      SCOPED_TRACE(std::string(complete_first ? "done-then-throw" : "throw") +
+                   (with_policy ? ", policy" : ", fire-once"));
+      Rig r(Entry::kInvokeAsync);
+      ASSERT_TRUE(r.layer.resources()
+                      .add_adapter(std::make_unique<ThrowingAsyncAdapter>(
+                          "odd", complete_first))
+                      .ok());
+      if (with_policy) {
+        InvocationPolicy policy;
+        policy.max_attempts = 1;
+        policy.attempt_timeout = Duration(1'000);
+        ASSERT_TRUE(r.layer.resources().set_policy("odd", policy).ok());
+      }
+      obs::RequestContext context = r.make_context();
+      auto result = r.invoke("odd", context);
+      r.loop.flush();
+      EXPECT_EQ(r.callbacks, 1);
+      EXPECT_EQ(r.layer.trace().size(), 1u);
+      EXPECT_EQ(r.counter("broker.adapter_exceptions"), 1u);
+      EXPECT_EQ(r.counter("broker.late_completions"), 0u);
+      if (complete_first) {
+        ASSERT_TRUE(result.ok()) << result.status().to_string();
+        EXPECT_EQ(result->as_string(), "ok:start");
+      } else {
+        EXPECT_EQ(result.status().code(), ErrorCode::kExecutionError);
+      }
+    }
+  }
 }
 
 TEST_F(ResilienceFixture, FallbackTagsDegradedResultAndPublishesEvent) {
@@ -537,7 +604,8 @@ TEST_F(ResilienceFixture, LegacyContextFreeInvokeRunsThePolicy) {
   policy.initial_backoff = Duration(0);
   ASSERT_TRUE(r.layer.resources().set_policy("svc", policy).ok());
   r.primary->fail_times(1, Unavailable("flaky"));
-  auto result = r.layer.resources().invoke("svc", "start", {});
+  auto result =
+      runtime::run_inline(r.layer.resources().invoke("svc", "start", {}));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(r.counter("broker.retries"), 1u);
 }
@@ -716,7 +784,8 @@ TEST_F(ResilienceSoak, ChaosStallsRunInVirtualTimeThroughTheSleeperHook) {
   ASSERT_TRUE(layer.resources().set_policy("svc", policy).ok());
 
   obs::RequestContext context(clock);
-  auto result = layer.resources().invoke("svc", "start", {}, context);
+  auto result = runtime::run_inline(
+      layer.resources().invoke("svc", "start", {}, context));
   // Both attempts stalled past the 1 s attempt budget and failed: the
   // surfaced fault is the reclassified Timeout, not chaos's Unavailable.
   EXPECT_EQ(result.status().code(), ErrorCode::kTimeout);

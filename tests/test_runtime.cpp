@@ -16,6 +16,7 @@
 #include "runtime/event_bus.hpp"
 #include "runtime/event_loop.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/task.hpp"
 
 namespace mdsm::runtime {
 namespace {
@@ -782,6 +783,72 @@ TEST(Executor, ShedStageEntryRunsOnShedAndCounts) {
   EXPECT_EQ(stats[0].shed, 1u);
   EXPECT_EQ(stats[0].depth, 0u);  // shed work leaves no ghost depth
 }
+
+
+// ---- Task ----------------------------------------------------------
+
+Task<int> ready(int value) { co_return value; }
+
+Task<long> sum_of_ready(int count) {
+  long sum = 0;
+  for (int i = 0; i < count; ++i) sum += co_await ready(i);
+  co_return sum;
+}
+
+TEST(Task, InlineCompletionsDoNotNest) {
+  // A frame per completion would overflow the stack long before this.
+  EXPECT_EQ(run_inline(sum_of_ready(1'000'000)), 499'999'500'000L);
+}
+
+/// A leaf that parks until the test resumes it from another thread.
+struct Parked {
+  std::coroutine_handle<>* slot;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> waiter) { *slot = waiter; }
+  int await_resume() const noexcept { return 41; }
+};
+
+Task<int> parks(std::coroutine_handle<>* slot) {
+  co_return co_await Parked{slot} + 1;
+}
+
+Task<std::string> awaits_parked(std::coroutine_handle<>* slot) {
+  const int value = co_await parks(slot);
+  co_return std::to_string(value);
+}
+
+TEST(Task, ParkedChildResumesItsParentOnTheSettlingThread) {
+  std::coroutine_handle<> slot;
+  std::string result;
+  std::thread::id finished_on;
+  start_detached(awaits_parked(&slot), [&](std::string value) {
+    result = std::move(value);
+    finished_on = std::this_thread::get_id();
+  });
+  ASSERT_TRUE(slot);
+  EXPECT_TRUE(result.empty());
+  std::thread settler([&slot] { slot.resume(); });
+  const std::thread::id settler_id = settler.get_id();
+  settler.join();
+  EXPECT_EQ(result, "42");
+  EXPECT_EQ(finished_on, settler_id);
+}
+
+Task<> throws() {
+  throw std::runtime_error("inside a task");
+  co_return;
+}
+
+Task<int> catches() {
+  try {
+    co_await throws();
+  } catch (const std::runtime_error&) {
+    co_return 1;
+  }
+  co_return 0;
+}
+
+TEST(Task, ExceptionsReachTheAwaiter) { EXPECT_EQ(run_inline(catches()), 1); }
 
 }  // namespace
 }  // namespace mdsm::runtime

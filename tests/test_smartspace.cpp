@@ -25,12 +25,12 @@ TEST(SmartObjectNode, LocalStackDrivesDevice) {
   net::Network network(clock);
   SmartObjectNode node("lamp", "light", network);
   EXPECT_FALSE(node.device().power);
-  auto result = node.controller().execute_command(
-      {"so.power", {{"value", Value(true)}}});
+  auto result = runtime::run_inline(node.controller().execute_command(
+      {"so.power", {{"value", Value(true)}}}));
   ASSERT_TRUE(result.ok()) << result.status().to_string();
   EXPECT_TRUE(node.device().power);
-  ASSERT_TRUE(node.controller()
-                  .execute_command({"so.level", {{"value", Value(70)}}})
+  ASSERT_TRUE(runtime::run_inline(node.controller().execute_command(
+                                      {"so.level", {{"value", Value(70)}}}))
                   .ok());
   EXPECT_EQ(node.device().level, 70);
 }
@@ -106,8 +106,8 @@ object SmartSpace room {
   EXPECT_EQ(lamp.device().level, 100);
   EXPECT_TRUE(lamp.device().power);
   // The script stays installed: a second event re-runs it.
-  (void)lamp.controller().execute_command({"so.level",
-                                           {{"value", Value(10)}}});
+  (void)runtime::run_inline(lamp.controller().execute_command(
+      {"so.level", {{"value", Value(10)}}}));
   lamp.raise_event("user.entered");
   EXPECT_EQ(lamp.device().level, 100);
 }

@@ -99,7 +99,7 @@ TEST_F(SynthesisFixture, StateGatesWhichTransitionFires) {
   skip.set_attribute("s1", "state", Value("closed"));
   ASSERT_TRUE(engine.submit_model(std::move(skip)).ok());
   EXPECT_EQ(dispatched.size(), 1u);  // only the create
-  EXPECT_GT(engine.interpreter().stats().unhandled_changes, 0u);
+  EXPECT_GT(metrics.counter("synthesis.unhandled_changes").value(), 0u);
   EXPECT_EQ(engine.state_of("s1"), "created");
 }
 
@@ -132,7 +132,7 @@ TEST_F(SynthesisFixture, GuardBlocksTransition) {
                           });
   ASSERT_TRUE(guarded.submit_model(base_model()).ok());
   EXPECT_TRUE(out.empty());
-  EXPECT_GT(guarded.interpreter().stats().guard_blocked, 0u);
+  EXPECT_GT(metrics.counter("synthesis.guard_blocked").value(), 0u);
   // With context set, a *new* object fires the transition.
   context.set("allowed", Value(true));
   model::Model two = base_model("m2");
@@ -233,9 +233,9 @@ TEST_F(SynthesisFixture, StatsAccumulate) {
   EXPECT_EQ(engine.stats().models_submitted, 1u);
   EXPECT_EQ(engine.stats().scripts_dispatched, 1u);
   EXPECT_EQ(engine.stats().commands_generated, 1u);
-  EXPECT_EQ(engine.interpreter().stats().transitions_fired, 1u);
+  EXPECT_EQ(metrics.counter("synthesis.transitions_fired").value(), 1u);
   // AddObject + default-applied state attr = 2 changes processed.
-  EXPECT_GE(engine.interpreter().stats().changes_processed, 2u);
+  EXPECT_GE(metrics.counter("synthesis.changes_processed").value(), 2u);
 }
 
 }  // namespace
