@@ -121,31 +121,35 @@ CircuitBreaker::State ResourceManager::breaker_state(
 // (the `turn` race of runtime::Task); a later one resumes the invocation
 // on the answering thread. A timer that wins does not wait for
 // execute_async() to return: it resumes the invocation on a worker while
-// the adapter is still grinding. That single-owner discipline is also
-// what keeps the request's Trace single-writer.
+// the adapter is still grinding, so the race owns everything the adapter
+// may still touch (the adapter itself, its arguments). That
+// single-owner discipline is also what keeps the request's Trace
+// single-writer.
 
 struct ResourceManager::Attempt {
   /// What the adapter's answer and the overrun timer share; it outlives
-  /// the awaiter when the timer disowns the attempt.
+  /// the awaiter, and the invocation, when the timer disowns the attempt.
   struct Race {
     std::coroutine_handle<> waiter;
     obs::RequestContext* context = nullptr;
+    std::shared_ptr<ResourceAdapter> adapter;
     std::string resource;
     std::string command;
+    Args args;
     Duration timeout{0};
     int number = 0;
     std::uint64_t timer = 0;
     std::atomic<bool> answered{false};
     std::atomic<bool> settled{false};
     /// kRunning while execute_async() runs, then kParked; the settling
-    /// answer sets kAnswered, a winning timer kTaken.
+    /// answer sets kAnswered. A winning timer resumes the waiter as it is.
     std::atomic<int> turn{kRunning};
     std::optional<Result<model::Value>> outcome;
   };
-  enum : int { kRunning, kParked, kAnswered, kTaken };
+  enum : int { kRunning, kParked, kAnswered };
 
   ResourceManager* manager;
-  ResourceAdapter* adapter;
+  const std::shared_ptr<ResourceAdapter>* adapter;
   const std::string* resource;
   const std::string* command;
   const Args* args;
@@ -156,10 +160,36 @@ struct ResourceManager::Attempt {
   std::optional<Result<model::Value>> outcome;  ///< answered inline
   std::shared_ptr<Race> race;
 
+  /// One physical attempt: the trace entry, recorded first so a failed
+  /// command still appears (it was issued), the debug line, then `call`
+  /// behind the fault boundary. Adapters are plugin code over external
+  /// resources: an exception escaping them degrades to a Status handed
+  /// to `answer`, never unwinds through the controller's EU stack (which
+  /// would strand queued signals for the next request to pick up).
+  template <typename Call, typename Answer>
+  static void issue(ResourceManager& rm, const std::string& resource,
+                    const std::string& command, const Args& args, Call call,
+                    Answer& answer) {
+    rm.trace_.record(resource, command, args);
+    MDSM_LOG_DEBUG("resource-manager")
+        << resource << "." << format_invocation(command, args);
+    try {
+      call();
+    } catch (const std::exception& e) {
+      answer(rm.contain(resource, command, e.what()));
+    } catch (...) {
+      answer(rm.contain(resource, command, nullptr));
+    }
+  }
+
   bool await_ready() {
     if (parks) return false;
-    outcome.emplace(
-        manager->execute_attempt(*adapter, *resource, *command, *args));
+    auto answer = [this](Result<model::Value> answered) {
+      outcome.emplace(std::move(answered));
+    };
+    issue(
+        *manager, *resource, *command, *args,
+        [&] { answer((*adapter)->execute(*command, *args)); }, answer);
     return true;
   }
   bool await_suspend(std::coroutine_handle<> waiter);
@@ -170,39 +200,19 @@ struct ResourceManager::Attempt {
 };
 
 bool ResourceManager::Attempt::await_suspend(std::coroutine_handle<> waiter) {
-  // Once execute_async() starts, a winning timer may resume the waiter
-  // and end this awaiter: from there on only the locals are touched.
+  // Once the timer is armed it may resume the waiter and end this awaiter
+  // and the invocation: from there on only the race and `rm` are touched.
   auto race = std::make_shared<Race>();
   race->waiter = waiter;
   race->context = context;
+  race->adapter = *adapter;
   race->resource = *resource;
   race->command = *command;
+  race->args = *args;
   race->timeout = timeout;
   race->number = number;
   this->race = race;
   ResourceManager* rm = manager;
-  ResourceAdapter* target = adapter;
-  rm->trace_.record(*resource, *command, *args);
-  MDSM_LOG_DEBUG("resource-manager")
-      << *resource << "." << format_invocation(*command, *args);
-  if (timeout.count() > 0) {
-    race->timer = rm->loop_->schedule(timeout, [rm, race] {
-      if (race->settled.exchange(true, std::memory_order_acq_rel)) return;
-      rm->overruns_counter_.add();
-      race->outcome.emplace(Timeout(
-          "resource '" + race->resource + "' attempt " +
-          std::to_string(race->number) + " of '" + race->command +
-          "' exceeded its " + std::to_string(race->timeout.count()) +
-          "us budget (disowned)"));
-      // Resume on a worker, not the loop thread: the retry decision may
-      // issue the next attempt at once.
-      rm->resume_on_worker([race] {
-        race->turn.exchange(kTaken, std::memory_order_acq_rel);
-        obs::ContextScope ambient(*race->context);
-        race->waiter.resume();
-      });
-    });
-  }
   auto answer = [rm, race](Result<model::Value> settled) {
     if (race->answered.exchange(true, std::memory_order_acq_rel)) return;
     if (race->settled.exchange(true, std::memory_order_acq_rel)) {
@@ -219,23 +229,37 @@ bool ResourceManager::Attempt::await_suspend(std::coroutine_handle<> waiter) {
       race->waiter.resume();
     }
   };
-  try {
-    target->execute_async(race->command, *args, answer);
-  } catch (const std::exception& e) {
-    answer(rm->contain(race->resource, race->command, e.what()));
-  } catch (...) {
-    answer(rm->contain(race->resource, race->command, nullptr));
-  }
+  auto call = [rm, &race, &answer] {
+    if (race->timeout.count() > 0) {
+      race->timer = rm->loop_->schedule(race->timeout, [rm, race] {
+        if (race->settled.exchange(true, std::memory_order_acq_rel)) return;
+        rm->overruns_counter_.add();
+        race->outcome.emplace(Timeout(
+            "resource '" + race->resource + "' attempt " +
+            std::to_string(race->number) + " of '" + race->command +
+            "' exceeded its " + std::to_string(race->timeout.count()) +
+            "us budget (disowned)"));
+        // Resume on a worker, not the loop thread: the retry decision
+        // may issue the next attempt at once.
+        std::function<void()> resume = [race] {
+          obs::ContextScope ambient(*race->context);
+          race->waiter.resume();
+        };
+        if (rm->executor_ == nullptr ||
+            !rm->executor_
+                 ->submit({.run = resume,
+                           .continuation = true,
+                           .stage = rm->stage_})
+                 .ok()) {
+          rm->loop_->post(std::move(resume));
+        }
+      });
+    }
+    race->adapter->execute_async(race->command, race->args, answer);
+  };
+  issue(*rm, race->resource, race->command, race->args, call, answer);
   return race->turn.exchange(kParked, std::memory_order_acq_rel) !=
          kAnswered;
-}
-
-void ResourceManager::resume_on_worker(std::function<void()> fn) {
-  if (executor_ == nullptr ||
-      !executor_->submit({.run = fn, .continuation = true, .stage = stage_})
-           .ok()) {
-    loop_->post(std::move(fn));
-  }
 }
 
 Status ResourceManager::contain(const std::string& resource,
@@ -253,25 +277,6 @@ Status ResourceManager::contain(const std::string& resource,
       << resource << "." << command << " threw: " << what;
   return ExecutionError("resource adapter '" + resource + "' threw during '" +
                         command + "': " + what);
-}
-
-Result<model::Value> ResourceManager::execute_attempt(
-    ResourceAdapter& adapter, const std::string& resource,
-    const std::string& command, const Args& args) {
-  trace_.record(resource, command, args);
-  MDSM_LOG_DEBUG("resource-manager")
-      << resource << "." << format_invocation(command, args);
-  // Adapters are plugin code over external resources; this is the fault
-  // boundary. An escaping exception must degrade to a Status, not unwind
-  // through the controller's EU stack (which would strand queued signals
-  // for the next request to pick up).
-  try {
-    return adapter.execute(command, args);
-  } catch (const std::exception& e) {
-    return contain(resource, command, e.what());
-  } catch (...) {
-    return contain(resource, command, nullptr);
-  }
 }
 
 runtime::Task<Result<model::Value>> ResourceManager::invoke(
@@ -294,35 +299,14 @@ runtime::Task<Result<model::Value>> ResourceManager::invoke(
     }
   }
   if (adapter == nullptr) {
-    return runtime::ready<Result<model::Value>>(
-        NotFound("no resource adapter '" + resource + "'"));
+    co_return NotFound("no resource adapter '" + resource + "'");
   }
   const bool parks = loop_ != nullptr && context.may_park();
-  if (state == nullptr) {
-    // Fire-once fast path (no policy): the deadline gate around the
-    // resource call itself — a request with no budget left must not
-    // issue the command at all — then a single attempt, on this thread
-    // unless it may park.
-    if (Status gate = context.check_deadline("broker.invoke"); !gate.ok()) {
-      return runtime::ready<Result<model::Value>>(std::move(gate));
-    }
-    if (!parks) {
-      return runtime::ready(execute_attempt(*adapter, resource, command, args));
-    }
-  }
-  return invocation(std::move(adapter), std::move(state), resource, command,
-                    args, context, parks);
-}
-
-runtime::Task<Result<model::Value>> ResourceManager::invocation(
-    std::shared_ptr<ResourceAdapter> adapter,
-    std::shared_ptr<PolicyState> state, const std::string& resource,
-    const std::string& command, const Args& args,
-    obs::RequestContext& context, bool parks) {
   // Awaited as named locals: GCC 12 miscompiles some co_awaits of a
   // braced temporary awaiter with non-trivial members.
-  auto attempt_on = [&](ResourceAdapter& target, const std::string& name,
-                        Duration timeout, int number) {
+  auto attempt_on = [&](const std::shared_ptr<ResourceAdapter>& target,
+                        const std::string& name, Duration timeout,
+                        int number) {
     return Attempt{.manager = this,
                    .adapter = &target,
                    .resource = &name,
@@ -334,7 +318,13 @@ runtime::Task<Result<model::Value>> ResourceManager::invocation(
                    .number = number};
   };
   if (state == nullptr) {
-    Attempt only = attempt_on(*adapter, resource, Duration(0), 1);
+    // Fire-once (no policy): the deadline gate around the resource call
+    // itself — a request with no budget left must not issue the command
+    // at all — then a single attempt.
+    if (Status gate = context.check_deadline("broker.invoke"); !gate.ok()) {
+      co_return gate;
+    }
+    Attempt only = attempt_on(adapter, resource, Duration(0), 1);
     co_return co_await only;
   }
   const InvocationPolicy& policy = state->policy;
@@ -381,7 +371,7 @@ runtime::Task<Result<model::Value>> ResourceManager::invocation(
         resource + "." + command + "#" + std::to_string(attempt));
     const TimePoint started = clock.now();
     Attempt issued =
-        attempt_on(*adapter, resource, policy.attempt_timeout, attempt);
+        attempt_on(adapter, resource, policy.attempt_timeout, attempt);
     Result<model::Value> outcome = co_await issued;
     const Duration took = clock.now() - started;
     context.close_span(span);
@@ -435,9 +425,8 @@ runtime::Task<Result<model::Value>> ResourceManager::invocation(
       // The park: no worker holds this request while the backoff
       // elapses. It resumes on the loop and hops to a worker.
       co_await runtime::EventLoop::Sleep{loop_, delay, &context};
-      runtime::Executor::Hop hop{executor_, stage_,
-                                 runtime::TaskLane::kNormal, &context};
-      (void)co_await hop;  // refused at shutdown: carry on on the loop
+      co_await runtime::Executor::Hop{executor_, stage_,
+                                      runtime::TaskLane::kNormal, &context};
     } else if (sleep_hook_ != nullptr) {
       sleep_hook_(delay);
     } else {
@@ -469,7 +458,7 @@ runtime::Task<Result<model::Value>> ResourceManager::invocation(
   const std::uint64_t span = context.open_span(
       fallback_span_, resource + "->" + policy.fallback_resource);
   Attempt degraded =
-      attempt_on(*fallback, policy.fallback_resource, Duration(0), 1);
+      attempt_on(fallback, policy.fallback_resource, Duration(0), 1);
   Result<model::Value> outcome = co_await degraded;
   context.close_span(span);
   if (!outcome.ok()) co_return fault;

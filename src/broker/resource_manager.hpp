@@ -174,28 +174,13 @@ class ResourceManager {
     std::atomic<std::uint64_t> chains{0};
   };
 
-  /// The invocation past the fire-once fast path: policy loop, or one
-  /// attempt that may park.
-  runtime::Task<Result<model::Value>> invocation(
-      std::shared_ptr<ResourceAdapter> adapter,
-      std::shared_ptr<PolicyState> state, const std::string& resource,
-      const std::string& command, const Args& args,
-      obs::RequestContext& context, bool parks);
   /// The attempt awaitable: execute() on the awaiting thread, or
   /// execute_async() raced against the overrun timer.
   struct Attempt;
-  /// One physical attempt on the calling thread: trace record, execute()
-  /// with exception containment.
-  Result<model::Value> execute_attempt(ResourceAdapter& adapter,
-                                       const std::string& resource,
-                                       const std::string& command,
-                                       const Args& args);
   /// Count and log an exception the adapter let escape; the status it
   /// degrades to.
   Status contain(const std::string& resource, const std::string& command,
                  const char* what);
-  /// Hand a resumption to a pipeline worker (else to the loop).
-  void resume_on_worker(std::function<void()> fn);
   void publish_transition(const std::string& resource,
                           CircuitBreaker::Transition transition);
   runtime::EventBus* bus_;

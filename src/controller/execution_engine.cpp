@@ -141,59 +141,36 @@ Status ExecutionEngine::exec_instruction(const Instruction& instruction,
       raise_depth(stack.size());
       break;
     }
-    case OpCode::kSetMem: {
-      broker::Args resolved = resolve_all(instruction.args, command_args);
-      Result<model::Value> value =
-          broker::require_arg(resolved, "value", "set-mem");
-      if (!value.ok()) return value.status();
-      set_memory(instruction.a, std::move(value.value()));
-      break;
-    }
     case OpCode::kEraseMem: {
       std::lock_guard lock(memory_mutex_);
       memory_.erase(instruction.a);
       break;
     }
-    case OpCode::kEmit: {
-      broker::Args resolved = resolve_all(instruction.args, command_args);
-      Result<model::Value> payload =
-          broker::require_arg(resolved, "payload", "emit");
-      if (!payload.ok()) return payload.status();
-      bus_->publish(instruction.a, "controller",
-                    std::move(payload.value()));
-      break;
-    }
-    case OpCode::kSend: {
-      if (sender_ == nullptr) {
+    default: {
+      // The remaining instructions each apply one required argument.
+      const OpCode op = instruction.op;
+      if (op == OpCode::kSend && sender_ == nullptr) {
         return ExecutionError(
             "send instruction but no message sender installed");
       }
       broker::Args resolved = resolve_all(instruction.args, command_args);
-      Result<model::Value> payload =
-          broker::require_arg(resolved, "payload", "send");
-      if (!payload.ok()) return payload.status();
-      model::Value destination = resolve(model::Value(instruction.a),
-                                         command_args);
-      std::string to = destination.is_string() ? destination.as_string()
-                                               : instruction.a;
-      Status sent = sender_(to, instruction.b, std::move(payload.value()));
-      if (!sent.ok()) return sent;
-      break;
-    }
-    case OpCode::kSetContext: {
-      broker::Args resolved = resolve_all(instruction.args, command_args);
-      Result<model::Value> value =
-          broker::require_arg(resolved, "value", "set-context");
+      Result<model::Value> value = broker::require_arg(
+          resolved,
+          op == OpCode::kEmit || op == OpCode::kSend ? "payload" : "value",
+          to_string(op));
       if (!value.ok()) return value.status();
-      context_->set(instruction.a, std::move(value.value()));
-      break;
-    }
-    case OpCode::kResult: {
-      broker::Args resolved = resolve_all(instruction.args, command_args);
-      Result<model::Value> value =
-          broker::require_arg(resolved, "value", "result");
-      if (!value.ok()) return value.status();
-      result = std::move(value.value());
+      if (op == OpCode::kSend) {
+        model::Value to = resolve(model::Value(instruction.a), command_args);
+        return sender_(to.is_string() ? to.as_string() : instruction.a,
+                       instruction.b, std::move(value.value()));
+      }
+      model::Value& v = value.value();
+      if (op == OpCode::kSetMem) set_memory(instruction.a, std::move(v));
+      if (op == OpCode::kEmit) {
+        bus_->publish(instruction.a, "controller", std::move(v));
+      }
+      if (op == OpCode::kSetContext) context_->set(instruction.a, std::move(v));
+      if (op == OpCode::kResult) result = std::move(v);
       break;
     }
   }

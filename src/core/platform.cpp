@@ -178,12 +178,12 @@ Result<std::unique_ptr<Platform>> Platform::assemble(
 }
 
 Platform::~Platform() {
-  // Join the async pipeline first: queued submissions may still reach
-  // into every layer. The loop stops before the executor drains — no
-  // more timer-driven resumes — but stays alive through the drain so
-  // draining tasks can still call schedule() (dropped silently after
-  // stop()). Then the loop.
+  // Close the door and run out every admitted request, as stop() does: a
+  // chain parked on a loop timer is resumed, not dropped with the loop,
+  // so its frames and its request are freed. Then the loop stops (no
+  // more timer-driven resumes) and the executor joins.
   running_.store(false, std::memory_order_release);
+  drain_requests();
   if (loop_ != nullptr) loop_->stop();
   pipeline_.reset();
   loop_.reset();
@@ -371,12 +371,20 @@ Status Platform::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) {
     return Status::Ok();
   }
+  drain_requests();
+  MDSM_RETURN_IF_ERROR(synthesis_->stop());
+  MDSM_RETURN_IF_ERROR(controller_->stop());
+  MDSM_RETURN_IF_ERROR(broker_->stop());
+  return Status::Ok();
+}
+
+void Platform::drain_requests() {
   // Drain the async pipeline (queued tasks run to completion — rejected
   // by the gate or finishing normally), then wait out every in-flight
-  // submission before stopping the layers under them. Staged requests
-  // hold an inflight slot from the door to their terminal continuation,
-  // so the wait also covers requests parked on event-loop timers — the
-  // threaded loop keeps firing them; a manual loop must be pumped here.
+  // submission. Staged requests hold an inflight slot from the door to
+  // their terminal continuation, so the wait also covers requests parked
+  // on event-loop timers — the threaded loop keeps firing them; a manual
+  // loop must be pumped here.
   if (pipeline_ != nullptr) pipeline_->drain();
   if (loop_ != nullptr && !loop_->threaded()) {
     while (true) {
@@ -389,14 +397,8 @@ Status Platform::stop() {
       std::this_thread::yield();  // sync submissions drain on their own
     }
   }
-  {
-    std::unique_lock inflight(inflight_mutex_);
-    inflight_cv_.wait(inflight, [this] { return inflight_ == 0; });
-  }
-  MDSM_RETURN_IF_ERROR(synthesis_->stop());
-  MDSM_RETURN_IF_ERROR(controller_->stop());
-  MDSM_RETURN_IF_ERROR(broker_->stop());
-  return Status::Ok();
+  std::unique_lock inflight(inflight_mutex_);
+  inflight_cv_.wait(inflight, [this] { return inflight_ == 0; });
 }
 
 Result<controller::ControlScript> Platform::submit_model_text(
@@ -643,15 +645,7 @@ Status Platform::submit_async(std::string text, SubmitCallback callback,
   return Status::Ok();
 }
 
-bool Platform::abandoned(Request& request, const Status& hopped) {
-  if (!hopped.ok()) {
-    // Only reachable when the executor is shutting down (destructor
-    // teardown); the request can never complete, so close it out.
-    log_warn("platform") << request.context->tag()
-                         << " continuation dropped: " << hopped.to_string();
-    finish(request, Unavailable("staged pipeline shut down mid-request"));
-    return true;
-  }
+bool Platform::abandoned(Request& request) {
   if (!request.resolved.load(std::memory_order_acquire)) return false;
   // The watchdog already delivered kTimeout; the chain owns the trace,
   // so the close-out happens here, at its next touch.
@@ -729,16 +723,16 @@ runtime::Task<> Platform::serve(Request& request) {
   request.script = std::move(script.value());
   Status executed;
   if (!request.script.empty()) {  // an unchanged model has nothing to run
-    Status hopped = co_await hop(request, stage_controller_);
-    if (abandoned(request, hopped)) co_return;
+    co_await hop(request, stage_controller_);
+    if (abandoned(request)) co_return;
     // The script may park in the broker (backoff, attempt overrun); the
     // rest of the request resumes on whatever thread settles it.
     executed = co_await controller_->execute_script(request.script, context);
   }
   // The synthesis span covers commit and execution; it closes here.
   context.close_span(request.synthesis_span);
-  Status hopped = co_await hop(request, stage_complete_);
-  if (abandoned(request, hopped)) co_return;
+  co_await hop(request, stage_complete_);
+  if (abandoned(request)) co_return;
   if (executed.ok()) executed = deliverable(context);
   if (executed.ok()) {
     finish(request, std::move(request.script));

@@ -351,15 +351,17 @@ class Platform {
   runtime::Task<> serve(Request& request);
   /// The hop to `stage`: a stage task for an async request, none inline.
   runtime::Executor::Hop hop(Request& request, std::uint32_t stage);
-  /// True when the chain must stop here: its hop was refused (the
-  /// executor is shutting down; the request finishes as kUnavailable), or
-  /// the deadline watchdog already resolved it (the chain, single owner
-  /// of the trace, closes out and releases its inflight slot).
-  bool abandoned(Request& request, const Status& hopped = Status::Ok());
+  /// True when the chain must stop here: the deadline watchdog already
+  /// resolved it (the chain, single owner of the trace, closes out and
+  /// releases its inflight slot).
+  bool abandoned(Request& request);
   /// Terminal bookkeeping: record latency, count a failure, close the
   /// root span, resolve the callback exactly once, release the inflight
   /// slot.
   void finish(Request& request, Result<controller::ControlScript> outcome);
+  /// Run the queued async submissions and wait out every in-flight one
+  /// (stop() and the destructor).
+  void drain_requests();
 
   std::string name_;
   model::MetamodelPtr dsml_;

@@ -116,32 +116,29 @@ class Executor {
   /// Awaitable hop onto a stage (DESIGN.md §6e): the awaiting coroutine
   /// resumes as a never-shed continuation task on a worker, with
   /// `ambient` installed as its ambient request context. A hop with no
-  /// executor stays on the awaiting thread; a refused one (shutdown has
-  /// begun) does not suspend, and co_await yields the refusal.
+  /// executor, or a refused one (shutdown has begun), goes on on the
+  /// awaiting thread.
   struct Hop {
     Executor* executor;
     std::uint32_t stage;
     TaskLane lane;
     obs::RequestContext* ambient;
-    Status refused;
 
     bool await_ready() const noexcept { return executor == nullptr; }
-    bool await_suspend(std::coroutine_handle<> waiter) {
+    bool await_suspend(std::coroutine_handle<> waiter) const {
       // Once submitted, a worker may resume the waiter (and end this
       // awaiter) before submit() returns: touch no member after it.
-      Status submitted = executor->submit(
-          {.run = [waiter, ambient = ambient] {
-             obs::ContextScope scope(*ambient);
-             waiter.resume();
-           },
-           .lane = lane,
-           .continuation = true,
-           .stage = stage});
-      if (submitted.ok()) return true;
-      refused = std::move(submitted);
-      return false;
+      return executor
+          ->submit({.run = [waiter, ambient = ambient] {
+                      obs::ContextScope scope(*ambient);
+                      waiter.resume();
+                    },
+                    .lane = lane,
+                    .continuation = true,
+                    .stage = stage})
+          .ok();
     }
-    Status await_resume() { return std::move(refused); }
+    void await_resume() const noexcept {}
   };
 
   /// Block until the queue is empty, no submitter is blocked waiting for

@@ -16,8 +16,8 @@
 // the same thread has nobody to race, and skips the atomic.
 //
 // A layer's entry may do its synchronous part when called and hand back
-// a ready() task, or the coroutine that does the rest. A Task's
-// reference parameters must outlive it: await it in the same
+// the coroutine of the layer below, or a ready() task when it refuses.
+// A Task's reference parameters must outlive it: await it in the same
 // full-expression, or keep the referents alive in the awaiting frame or
 // in the root that owns the request.
 #pragma once
@@ -177,7 +177,10 @@ struct PromiseBase : PooledFrame {
 template <typename T>
 struct ValueSlot {
   std::optional<T> value;
-  void return_value(T result) { value.emplace(std::move(result)); }
+  template <typename U>
+  void return_value(U&& result) {
+    value.emplace(std::forward<U>(result));
+  }
   T take() { return std::move(*value); }
 };
 
@@ -214,9 +217,7 @@ class [[nodiscard]] Task {
   };
   using Handle = std::coroutine_handle<promise_type>;
 
-  Task(Task&& other) noexcept
-      : handle_(std::exchange(other.handle_, {})),
-        ready_(std::move(other.ready_)) {}
+  Task(Task&& other) noexcept : handle_(std::exchange(other.handle_, {})) {}
   Task& operator=(Task&&) = delete;
   ~Task() {
     if (handle_) handle_.destroy();
@@ -224,27 +225,22 @@ class [[nodiscard]] Task {
 
   struct Awaiter {
     Task* task;
-    bool await_ready() const noexcept { return !task->handle_; }
+    bool await_ready() const noexcept { return false; }
     bool await_suspend(std::coroutine_handle<> parent) noexcept {
       task->handle_.promise().continuation = parent;
       return !task->handle_.promise().start(task->handle_);
     }
-    T await_resume() { return task->result(); }
+    T await_resume() { return task->handle_.promise().result(); }
   };
   Awaiter operator co_await() && noexcept { return Awaiter{this}; }
 
  private:
-  Task() = default;
   explicit Task(Handle handle) noexcept : handle_(handle) {}
-  T result() { return handle_ ? handle_.promise().result() : ready_.take(); }
 
   template <typename U>
   friend U run_inline(Task<U> task);
-  template <typename U>
-  friend Task<U> ready(U value);
 
   Handle handle_;
-  detail::ValueSlot<T> ready_;  ///< the value of a task made by ready()
 };
 
 /// Run `task` to completion on the calling thread and return its result:
@@ -253,20 +249,19 @@ class [[nodiscard]] Task {
 /// return with the frame still referencing this stack.
 template <typename T>
 T run_inline(Task<T> task) {
-  if (task.handle_ && !task.handle_.promise().start(task.handle_)) {
+  if (!task.handle_.promise().start(task.handle_)) {
     std::fputs("runtime::run_inline: an inline task parked\n", stderr);
     std::abort();
   }
-  return task.result();
+  return task.handle_.promise().result();
 }
 
-/// A task that is already complete, with no frame: what a layer's entry
-/// hands back when it finished its work before any suspension point.
+/// A task that completes with `value` as soon as it is awaited: what a
+/// layer's entry hands back when it refuses a request before calling the
+/// layer below (the refusal is the rare path; its frame is pooled).
 template <typename T>
 Task<T> ready(T value) {
-  Task<T> task;
-  task.ready_.return_value(std::move(value));
-  return task;
+  co_return std::move(value);
 }
 
 /// Start `task` detached: it runs on the calling thread until it

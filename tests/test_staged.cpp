@@ -687,5 +687,139 @@ TEST(Staged, SyncAndAsyncDoorsRunOneMachine) {
   EXPECT_EQ(async.script_parents, sync.script_parents);
 }
 
+/// A synchronous adapter that outlasts its attempt budget: execute()
+/// sleeps, then reads its arguments and its own name, as an adapter
+/// still working on the command would. The async door runs it through
+/// the default execute_async(), so the overrun timer disowns it while
+/// it is still inside execute().
+class SlowReadingAdapter final : public broker::ResourceAdapter {
+ public:
+  SlowReadingAdapter(std::string name, Duration stall,
+                     std::atomic<int>* started, std::atomic<int>* finished)
+      : ResourceAdapter(std::move(name)),
+        stall_(stall),
+        started_(started),
+        finished_(finished) {}
+
+  Result<model::Value> execute(const std::string& command,
+                               const broker::Args& args) override {
+    started_->fetch_add(1);
+    std::this_thread::sleep_for(stall_);
+    std::string seen = name() + "." + command;
+    for (const auto& [key, value] : args) {
+      seen += " " + key + "=" + value.to_text();
+    }
+    finished_->fetch_add(1);
+    return model::Value(seen);
+  }
+
+ private:
+  Duration stall_;
+  std::atomic<int>* started_;
+  std::atomic<int>* finished_;
+};
+
+// Disowned attempts outlive their invocation: every attempt overruns
+// its budget while the adapter keeps working, the retries (after a
+// loop-timer backoff, on other workers) overrun too, and the request
+// finishes while all three executions are still running. The adapter,
+// already removed from the registry, and the arguments each execution
+// reads must stay alive until it returns (ASan checks the reads).
+TEST(Staged, DisownedAttemptsKeepTheirAdapterAndArguments) {
+  set_log_level(LogLevel::kOff);
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  std::atomic<int> callbacks{0};
+  PlatformConfig config;
+  config.pipeline_threads = 4;
+  auto fixture = make_staged_platform(
+      config, std::make_unique<SlowReadingAdapter>(
+                  "svc", std::chrono::milliseconds(100), &started, &finished));
+  ASSERT_NE(fixture.platform, nullptr);
+  Platform& platform = *fixture.platform;
+  broker::InvocationPolicy policy;
+  policy.max_attempts = 3;
+  policy.initial_backoff = std::chrono::milliseconds(1);
+  policy.max_backoff = std::chrono::milliseconds(2);
+  policy.attempt_timeout = std::chrono::milliseconds(2);
+  ASSERT_TRUE(platform.broker().resources().set_policy("svc", policy).ok());
+  ASSERT_TRUE(platform
+                  .submit_async(soak::open_session_text("s1"),
+                                [&callbacks](Result<controller::ControlScript>) {
+                                  ++callbacks;
+                                })
+                  .ok());
+  const auto wall_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (started.load() < 1 &&
+         std::chrono::steady_clock::now() < wall_deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(platform.broker().resources().remove_adapter("svc").ok());
+  while ((callbacks.load() < 1 || finished.load() < started.load()) &&
+         std::chrono::steady_clock::now() < wall_deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(callbacks.load(), 1);
+  EXPECT_EQ(started.load(), 3);
+  EXPECT_EQ(finished.load(), 3);
+  const obs::MetricsSnapshot metrics = platform.metrics().snapshot();
+  EXPECT_EQ(metrics.counter_value("broker.attempt_overruns"), 3u);
+  EXPECT_EQ(metrics.counter_value("broker.retries"), 2u);
+  EXPECT_TRUE(platform.stop().ok());
+  // Every disowned execution has answered (late) by now.
+  EXPECT_EQ(platform.metrics().snapshot().counter_value(
+                "broker.late_completions"),
+            3u);
+  set_log_level(LogLevel::kWarn);
+}
+
+// A platform destroyed without stop() while a request is parked on a
+// backoff timer runs the request out first, as stop() would: the retry
+// runs, the callback fires once, and the parked chain's frames and
+// request are freed (LSan checks), with a threaded loop and a manual one.
+TEST(Staged, DestroyingAPlatformRunsOutParkedRequests) {
+  set_log_level(LogLevel::kOff);
+  for (bool manual : {false, true}) {
+    SCOPED_TRACE(manual ? "manual loop" : "threaded loop");
+    std::atomic<int> callbacks{0};
+    std::atomic<int> succeeded{0};
+    SimClock sim;
+    PlatformConfig config;
+    config.pipeline_threads = 1;
+    config.manual_event_loop = manual;
+    if (manual) config.clock = &sim;
+    auto fixture = make_staged_platform(
+        config, std::make_unique<FlakyAdapter>("svc", /*failures=*/1));
+    ASSERT_NE(fixture.platform, nullptr);
+    broker::InvocationPolicy policy;
+    policy.max_attempts = 2;
+    policy.initial_backoff = std::chrono::milliseconds(20);
+    policy.max_backoff = std::chrono::milliseconds(20);
+    ASSERT_TRUE(
+        fixture.platform->broker().resources().set_policy("svc", policy).ok());
+    ASSERT_TRUE(fixture.platform
+                    ->submit_async(soak::open_session_text("s1"),
+                                   [&](Result<controller::ControlScript> r) {
+                                     ++callbacks;
+                                     if (r.ok()) ++succeeded;
+                                   })
+                    .ok());
+    runtime::EventLoop* loop = fixture.platform->event_loop();
+    ASSERT_NE(loop, nullptr);
+    const auto wall_deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (loop->pending_timers() < 1 && callbacks.load() == 0 &&
+           std::chrono::steady_clock::now() < wall_deadline) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(callbacks.load(), 0);  // parked on the backoff timer
+    fixture.platform.reset();
+    EXPECT_EQ(callbacks.load(), 1);
+    EXPECT_EQ(succeeded.load(), 1);
+  }
+  set_log_level(LogLevel::kWarn);
+}
+
 }  // namespace
 }  // namespace mdsm::core
