@@ -68,6 +68,7 @@
 #include "ingress/ingress_client.hpp"
 #include "model/text_format.hpp"
 #include "net/network.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 
@@ -407,11 +408,11 @@ Result<Row> run_step(const BenchConfig& config, std::size_t shards,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  const cluster::ClusterFrontEnd::Stats frontend_stats =
-      fleet.value()->frontend->stats();
-  row.failovers = frontend_stats.failovers;
-  row.rerouted = frontend_stats.rerouted;
-  row.breaker_trips = frontend_stats.breaker_trips;
+  const obs::MetricsSnapshot frontend_cells =
+      fleet.value()->frontend->metrics().snapshot();
+  row.failovers = frontend_cells.counter_value("cluster.failovers");
+  row.rerouted = frontend_cells.counter_value("cluster.rerouted");
+  row.breaker_trips = frontend_cells.counter_value("cluster.breaker_trips");
   fleet.value().reset();  // joins the driver; detach resolves stragglers
   ledger.finalize(row, elapsed_s);
   return row;
@@ -525,11 +526,11 @@ Result<RebalanceRow> run_rebalance_step(const BenchConfig& config,
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
-  const cluster::ClusterFrontEnd::Stats stats =
-      fleet.value()->frontend->stats();
-  row.joins_completed = stats.joins_completed;
-  row.leaves_completed = stats.leaves_completed;
-  row.full_sync_acks = stats.full_sync_acks;
+  const obs::MetricsSnapshot cells =
+      fleet.value()->frontend->metrics().snapshot();
+  row.joins_completed = cells.counter_value("cluster.joins_completed");
+  row.leaves_completed = cells.counter_value("cluster.leaves_completed");
+  row.full_sync_acks = cells.counter_value("cluster.full_sync_acks");
   fleet.value().reset();  // joins the driver; detach resolves stragglers
 
   Row scratch;
@@ -733,12 +734,12 @@ Result<ResumeRow> run_resume_step(const BenchConfig& base,
   row.survivor_probe_executions =
       fleet.value()->adapters[1]->probe_executions();
 
-  const cluster::ClusterFrontEnd::Stats stats = frontend.stats();
-  row.checkpoints_taken = stats.checkpoints_taken;
-  row.resumes_shipped = stats.resumes_shipped;
-  row.resumes_completed = stats.resumes_completed;
-  row.failovers = stats.failovers;
-  row.rerouted = stats.rerouted;
+  const obs::MetricsSnapshot cells = frontend.metrics().snapshot();
+  row.checkpoints_taken = cells.counter_value("cluster.checkpoints_taken");
+  row.resumes_shipped = cells.counter_value("cluster.resumes_shipped");
+  row.resumes_completed = cells.counter_value("cluster.resumes_completed");
+  row.failovers = cells.counter_value("cluster.failovers");
+  row.rerouted = cells.counter_value("cluster.rerouted");
   row.messages = fleet.value()->network->stats().sent;
   fleet.value().reset();  // joins the driver; detach resolves stragglers
 
@@ -782,17 +783,17 @@ Result<ReplicationRow> measure_replication(const BenchConfig& config) {
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (fleet.value()->frontend->stats().replication_acks < 2 &&
+  const obs::MetricsRegistry& metrics = fleet.value()->frontend->metrics();
+  while (metrics.snapshot().counter_value("cluster.replication_acks") < 2 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  const cluster::ClusterFrontEnd::Stats stats =
-      fleet.value()->frontend->stats();
+  const obs::MetricsSnapshot cells = metrics.snapshot();
   ReplicationRow row;
   row.shards = 2;
-  row.delta_bytes = stats.delta_bytes;
-  row.full_bytes = stats.full_bytes;
-  row.acks = stats.replication_acks;
+  row.delta_bytes = cells.counter_value("cluster.delta_bytes");
+  row.full_bytes = cells.counter_value("cluster.full_bytes");
+  row.acks = cells.counter_value("cluster.replication_acks");
   return row;
 }
 

@@ -193,8 +193,8 @@ Result<Row> run_step(const BenchConfig& config, double multiplier,
   const auto snapshot = platform->metrics().snapshot();
   row.shed_expired = snapshot.counter_value("ui.shed_expired");
   row.shed_predicted = snapshot.counter_value("ui.shed_predicted");
+  row.queue_rejections = snapshot.counter_value("runtime.executor_rejections");
   const core::Platform::PipelineStats stats = platform->pipeline_stats();
-  row.queue_rejections = stats.rejections;
   row.max_pending = stats.max_pending;
   row.max_bounded_pending = stats.max_bounded_pending;
   MDSM_RETURN_IF_ERROR(platform->stop());

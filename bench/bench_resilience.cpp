@@ -92,7 +92,9 @@ RunResult run(double fail_rate, const broker::InvocationPolicy* policy,
   out.median_us = percentile(latencies, 0.5);
   out.p99_us = percentile(latencies, 0.99);
   out.attempts_per_invoke =
-      static_cast<double>(chaos_view->stats().executed) / invokes;
+      static_cast<double>(
+          chaos_view->metrics().snapshot().counter_value("chaos.executed")) /
+      invokes;
   return out;
 }
 

@@ -23,6 +23,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -160,11 +161,14 @@ int main() {
   model::Model next = middleware.value().clone();
   (void)next.set_attribute("cvm", "name", model::Value(std::string("cvm-v2")));
   (void)frontend.value()->update_model(next);
-  drive([&] { return frontend.value()->stats().replication_acks >= 3; });
-  const cluster::ClusterFrontEnd::Stats repl = frontend.value()->stats();
+  // The front-end counts in its own registry; read a cell by name.
+  auto cell = [&](std::string_view name) {
+    return static_cast<unsigned long long>(
+        frontend.value()->metrics().snapshot().counter_value(name));
+  };
+  drive([&] { return cell("cluster.replication_acks") >= 3; });
   std::printf("\n-- replication: %llu delta bytes (full model: %llu) --\n",
-              static_cast<unsigned long long>(repl.delta_bytes),
-              static_cast<unsigned long long>(repl.full_bytes));
+              cell("cluster.delta_bytes"), cell("cluster.full_bytes"));
 
   // 6. Elasticity (PR 9): a fourth shard joins live. join() warms it
   //    with a full-model sync first and only then splices the ring —
@@ -175,7 +179,7 @@ int main() {
     std::printf("join refused: %s\n", joined.status().to_string().c_str());
     return 1;
   }
-  drive([&] { return frontend.value()->stats().joins_completed == 1; });
+  drive([&] { return cell("cluster.joins_completed") == 1; });
   std::printf("  active shards: %zu  epoch: %llu  moved keyspace: %.2f\n",
               frontend.value()->active_shard_count(),
               static_cast<unsigned long long>(frontend.value()->epoch()),
@@ -199,7 +203,7 @@ int main() {
     std::printf("leave refused: %s\n", left.to_string().c_str());
     return 1;
   }
-  drive([&] { return frontend.value()->stats().leaves_completed == 1; });
+  drive([&] { return cell("cluster.leaves_completed") == 1; });
   std::printf("  active shards: %zu  epoch: %llu  retired: %s\n",
               frontend.value()->active_shard_count(),
               static_cast<unsigned long long>(frontend.value()->epoch()),
@@ -229,13 +233,10 @@ int main() {
   for (const auto& [slug, count] : tally) {
     std::printf("  %-10s %d\n", slug.c_str(), count);
   }
-  const cluster::ClusterFrontEnd::Stats stats = frontend.value()->stats();
   std::printf("front-end: forwarded=%llu failovers=%llu rerouted=%llu "
               "breaker_trips=%llu\n",
-              static_cast<unsigned long long>(stats.forwarded),
-              static_cast<unsigned long long>(stats.failovers),
-              static_cast<unsigned long long>(stats.rerouted),
-              static_cast<unsigned long long>(stats.breaker_trips));
+              cell("cluster.forwarded"), cell("cluster.failovers"),
+              cell("cluster.rerouted"), cell("cluster.breaker_trips"));
 
   // 9. Orderly teardown: client, front-end, shards, network.
   client.value().reset();

@@ -75,7 +75,8 @@ object Connection standup {
   show_trace(platform, mark);
   std::printf("    autonomic adaptations so far: %llu\n",
               static_cast<unsigned long long>(
-                  platform.broker().autonomic().adaptations()));
+                  platform.metrics().snapshot().counter_value(
+                      "autonomic.reactions")));
   for (const std::string& line :
        platform.broker().autonomic().adaptation_log()) {
     std::printf("    log: %s\n", line.c_str());

@@ -55,7 +55,8 @@ object Microgrid grid {
               "adaptation(s))\n",
               plant.net_power_kw(),
               static_cast<unsigned long long>(
-                  platform.broker().autonomic().adaptations()));
+                  platform.metrics().snapshot().counter_value(
+                      "autonomic.reactions")));
   for (const std::string& line :
        platform.broker().autonomic().adaptation_log()) {
     std::printf("    log: %s\n", line.c_str());

@@ -28,6 +28,7 @@
 #include "ingress/ingress_client.hpp"
 #include "ingress/ingress_server.hpp"
 #include "net/network.hpp"
+#include "obs/metrics.hpp"
 
 using namespace mdsm;
 
@@ -166,13 +167,18 @@ int main() {
     std::printf("  %-10s %d\n", slug.c_str(), count);
   }
 
-  const ingress::IngressServer::Stats stats = server.value()->stats();
+  // The server counts in its platform's registry.
+  const obs::MetricsSnapshot cells = platform.value()->metrics().snapshot();
   std::printf("\nserver ledger: received=%llu accepted=%llu refused=%llu "
               "replies=%llu\n",
-              static_cast<unsigned long long>(stats.received),
-              static_cast<unsigned long long>(stats.accepted),
-              static_cast<unsigned long long>(stats.refused),
-              static_cast<unsigned long long>(stats.replies));
+              static_cast<unsigned long long>(
+                  cells.counter_value("ingress.received")),
+              static_cast<unsigned long long>(
+                  cells.counter_value("ingress.accepted")),
+              static_cast<unsigned long long>(
+                  cells.counter_value("ingress.refused")),
+              static_cast<unsigned long long>(
+                  cells.counter_value("ingress.replies")));
 
   // 6. Orderly teardown: platform first (drains the pipeline), then the
   //    ingress pair, then the network.

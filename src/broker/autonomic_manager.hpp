@@ -65,12 +65,6 @@ class AutonomicManager {
   /// detection). Selects the highest-priority applicable plan.
   Status raise_request(const std::string& request, const Args& args = {});
 
-  [[nodiscard]] std::uint64_t adaptations() const noexcept {
-    return adaptations_.value();
-  }
-  [[nodiscard]] std::uint64_t symptoms_detected() const noexcept {
-    return detected_.value();
-  }
   /// Copy of the adaptation log (events fire on request threads).
   [[nodiscard]] std::vector<std::string> adaptation_log() const {
     std::lock_guard lock(log_mutex_);

@@ -89,18 +89,6 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
       const std::vector<ActionStep>& steps, const Args& call_args,
       obs::RequestContext& context = obs::RequestContext::noop());
 
-  // -- statistics
-
-  /// "broker.calls": every call crossing.
-  [[nodiscard]] std::uint64_t calls_handled() const noexcept {
-    return calls_handled_.value();
-  }
-  /// "broker.events_received": every event, handled or not (only the
-  /// handled ones count in "broker.events").
-  [[nodiscard]] std::uint64_t events_handled() const noexcept {
-    return events_received_.value();
-  }
-
  private:
   [[nodiscard]] Result<const Action*> select_action(
       const std::string& signal) const;
@@ -115,9 +103,9 @@ class BrokerLayer final : public runtime::Component, public BrokerApi {
 
   runtime::EventBus* bus_;
   policy::ContextStore* context_;
-  obs::Counter& calls_handled_;
-  obs::Counter& events_received_;
-  obs::Counter& events_dispatched_;  ///< "broker.events"
+  obs::Counter& calls_handled_;      ///< "broker.calls": every crossing
+  obs::Counter& events_received_;    ///< every event, handled or not
+  obs::Counter& events_dispatched_;  ///< "broker.events": handled ones
   obs::SpanName call_span_;
   obs::SpanName event_span_;
   StateManager state_;

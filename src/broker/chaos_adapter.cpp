@@ -24,10 +24,10 @@ double ChaosAdapter::draw() {
 
 Result<model::Value> ChaosAdapter::execute(const std::string& command,
                                            const Args& args) {
-  executed_.fetch_add(1, std::memory_order_relaxed);
+  executed_.add();
   if (config_.delay_rate > 0.0 && config_.delay.count() > 0 &&
       draw() < config_.delay_rate) {
-    delayed_.fetch_add(1, std::memory_order_relaxed);
+    delayed_.add();
     if (config_.sleeper) {
       config_.sleeper(config_.delay);
     } else {
@@ -35,27 +35,17 @@ Result<model::Value> ChaosAdapter::execute(const std::string& command,
     }
   }
   if (config_.throw_rate > 0.0 && draw() < config_.throw_rate) {
-    threw_.fetch_add(1, std::memory_order_relaxed);
+    threw_.add();
     throw std::runtime_error("chaos: adapter '" + name() +
                              "' threw on '" + command + "'");
   }
   if (config_.fail_rate > 0.0 && draw() < config_.fail_rate) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
+    failed_.add();
     return Unavailable("chaos: resource '" + name() + "' unavailable for '" +
                        command + "'");
   }
-  passed_.fetch_add(1, std::memory_order_relaxed);
+  passed_.add();
   return inner_->execute(command, args);
-}
-
-ChaosStats ChaosAdapter::stats() const noexcept {
-  ChaosStats out;
-  out.executed = executed_.load(std::memory_order_relaxed);
-  out.failed = failed_.load(std::memory_order_relaxed);
-  out.threw = threw_.load(std::memory_order_relaxed);
-  out.delayed = delayed_.load(std::memory_order_relaxed);
-  out.passed = passed_.load(std::memory_order_relaxed);
-  return out;
 }
 
 }  // namespace mdsm::broker

@@ -7,10 +7,10 @@
 //
 // Thread-safe: concurrent execute() calls draw from one seeded RNG under
 // a mutex (deterministic fault *rates*, not a deterministic fault
-// sequence, once calls interleave), and the stats are atomics.
+// sequence, once calls interleave). The adapter counts executed, failed,
+// threw, delayed and passed under "chaos." in a registry it owns.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -18,6 +18,7 @@
 
 #include "broker/resource_manager.hpp"
 #include "common/clock.hpp"
+#include "obs/metrics.hpp"
 
 namespace mdsm::broker {
 
@@ -34,15 +35,6 @@ struct ChaosConfig {
   std::function<void(Duration)> sleeper;
 };
 
-/// Point-in-time copy of a ChaosAdapter's injection counters.
-struct ChaosStats {
-  std::uint64_t executed = 0;  ///< total execute() calls observed
-  std::uint64_t failed = 0;    ///< commands that returned injected errors
-  std::uint64_t threw = 0;     ///< commands that threw injected exceptions
-  std::uint64_t delayed = 0;   ///< commands stalled by `delay`
-  std::uint64_t passed = 0;    ///< commands delegated to the inner adapter
-};
-
 class ChaosAdapter final : public ResourceAdapter {
  public:
   /// Wraps `inner`, keeping its name so the decorated resource is a
@@ -53,7 +45,10 @@ class ChaosAdapter final : public ResourceAdapter {
   Result<model::Value> execute(const std::string& command,
                                const Args& args) override;
 
-  [[nodiscard]] ChaosStats stats() const noexcept;
+  /// The adapter's "chaos.*" cells.
+  [[nodiscard]] const obs::MetricsRegistry& metrics() const noexcept {
+    return metrics_;
+  }
   [[nodiscard]] ResourceAdapter& inner() noexcept { return *inner_; }
 
  private:
@@ -64,11 +59,12 @@ class ChaosAdapter final : public ResourceAdapter {
   ChaosConfig config_;
   std::mutex rng_mutex_;
   std::mt19937_64 rng_;
-  std::atomic<std::uint64_t> executed_{0};
-  std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> threw_{0};
-  std::atomic<std::uint64_t> delayed_{0};
-  std::atomic<std::uint64_t> passed_{0};
+  obs::MetricsRegistry metrics_;  ///< declared before the cells in it
+  obs::Counter& executed_ = metrics_.counter("chaos.executed");  ///< calls
+  obs::Counter& failed_ = metrics_.counter("chaos.failed");    ///< errors
+  obs::Counter& threw_ = metrics_.counter("chaos.threw");      ///< throws
+  obs::Counter& delayed_ = metrics_.counter("chaos.delayed");  ///< stalls
+  obs::Counter& passed_ = metrics_.counter("chaos.passed");  ///< delegated
 };
 
 }  // namespace mdsm::broker

@@ -19,10 +19,16 @@ ResourceManager::ResourceManager(runtime::EventBus& bus,
           metrics.counter("broker.breaker_transitions")),
       fallbacks_counter_(metrics.counter("broker.fallbacks")),
       overruns_counter_(metrics.counter("broker.attempt_overruns")),
-      late_completions_counter_(metrics.counter("broker.late_completions")),
+      late_completions_(std::make_shared<LateCompletions>(
+          &metrics.counter("broker.late_completions"))),
       attempt_span_(metrics, "broker.attempt"),
       fallback_span_(metrics, "broker.fallback"),
       trace_(metrics) {}
+
+ResourceManager::~ResourceManager() {
+  std::lock_guard lock(late_completions_->mutex);
+  late_completions_->cell = nullptr;
+}
 
 Status ResourceManager::add_adapter(std::unique_ptr<ResourceAdapter> adapter) {
   if (adapter == nullptr) return InvalidArgument("null resource adapter");
@@ -137,6 +143,9 @@ struct ResourceManager::Attempt {
     std::string command;
     Args args;
     Duration timeout{0};
+    /// The manager's late-completion holder; set only when a timer is
+    /// armed, the one way an answer can come late.
+    std::shared_ptr<LateCompletions> late;
     int number = 0;
     std::uint64_t timer = 0;
     std::atomic<bool> answered{false};
@@ -213,12 +222,15 @@ bool ResourceManager::Attempt::await_suspend(std::coroutine_handle<> waiter) {
   race->number = number;
   this->race = race;
   ResourceManager* rm = manager;
+  if (timeout.count() > 0) race->late = rm->late_completions_;
   auto answer = [rm, race](Result<model::Value> settled) {
     if (race->answered.exchange(true, std::memory_order_acq_rel)) return;
     if (race->settled.exchange(true, std::memory_order_acq_rel)) {
       // The overrun timer already disowned this attempt; its actual
-      // outcome, success or not, arrives too late to matter.
-      rm->late_completions_counter_.add();
+      // outcome, success or not, arrives too late to matter, perhaps
+      // after the manager is gone: touch nothing of it but `late`.
+      std::lock_guard lock(race->late->mutex);
+      if (race->late->cell != nullptr) race->late->cell->add();
       return;
     }
     if (race->timer != 0) rm->loop_->cancel(race->timer);

@@ -15,6 +15,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -93,6 +94,9 @@ class ResourceManager {
   /// "broker.fallbacks" (degraded invocations attempted). `metrics` must
   /// outlive the manager.
   ResourceManager(runtime::EventBus& bus, obs::MetricsRegistry& metrics);
+  ~ResourceManager();
+  ResourceManager(const ResourceManager&) = delete;
+  ResourceManager& operator=(const ResourceManager&) = delete;
 
   Status add_adapter(std::unique_ptr<ResourceAdapter> adapter);
   /// Unregisters immediately; in-flight invoke()s finish on the pinned
@@ -191,7 +195,14 @@ class ResourceManager {
   obs::Counter& breaker_transitions_counter_;
   obs::Counter& fallbacks_counter_;
   obs::Counter& overruns_counter_;
-  obs::Counter& late_completions_counter_;
+  /// "broker.late_completions", shared with every disowned attempt: an
+  /// adapter may answer one from its own thread after the manager is
+  /// gone, and then the answer finds the cell null and only drops.
+  struct LateCompletions {
+    obs::Counter* cell;  ///< guarded by mutex; null once the manager is gone
+    std::mutex mutex;
+  };
+  std::shared_ptr<LateCompletions> late_completions_;
   obs::SpanName attempt_span_;
   obs::SpanName fallback_span_;
   std::function<void(Duration)> sleep_hook_;  ///< null = real sleep

@@ -823,33 +823,4 @@ void ClusterFrontEnd::record_health(
   }
 }
 
-ClusterFrontEnd::Stats ClusterFrontEnd::stats() const {
-  const ingress::WireDoor::Stats door = door_.stats();
-  return {.received = door.received,
-          .forwarded = forwarded_.value(),
-          .rerouted = rerouted_.value(),
-          .failovers = failovers_.value(),
-          .refused = door.refused,
-          .replies = door.replies,
-          .reply_failures = door.reply_failures,
-          .query_fanouts = query_fanouts_.value(),
-          .breaker_trips = breaker_trips_.value(),
-          .deltas_shipped = deltas_shipped_.value(),
-          .delta_bytes = delta_bytes_.value(),
-          .full_bytes = full_bytes_.value(),
-          .replication_acks = replication_acks_.value(),
-          .replication_failures = replication_failures_.value(),
-          .stale_marks = stale_marks_.value(),
-          .full_syncs_shipped = full_syncs_shipped_.value(),
-          .full_sync_acks = full_sync_acks_.value(),
-          .joins_started = joins_started_.value(),
-          .joins_completed = joins_completed_.value(),
-          .leaves_started = leaves_started_.value(),
-          .leaves_completed = leaves_completed_.value(),
-          .checkpoints_taken = checkpoints_taken_.value(),
-          .checkpoint_failures = checkpoint_failures_.value(),
-          .resumes_shipped = resumes_shipped_.value(),
-          .resumes_completed = resumes_completed_.value()};
-}
-
 }  // namespace mdsm::cluster

@@ -119,22 +119,22 @@ class ClusterFrontEnd {
   /// downstream client, start the full-model warm-up, and splice it
   /// into the ring once the warm-up acks at the current model version.
   /// Returns the new shard's index immediately; completion is
-  /// observable via shard_state() / stats().joins_completed.
+  /// observable via shard_state() / the "cluster.joins_completed" cell.
   Result<std::size_t> join(const std::string& endpoint);
 
   /// Begin retiring shard `index`: remove it from the ring (new submits
   /// for its arcs route to the survivors at the bumped epoch), close
   /// its downstream client, and retire it once every pending forward
   /// has settled on the old route. Refuses to retire the last active
-  /// shard. Completion is observable via shard_state() /
-  /// stats().leaves_completed.
+  /// shard. Completion is observable via shard_state() / the
+  /// "cluster.leaves_completed" cell.
   Status leave(std::size_t index);
 
   /// Replace the authoritative middleware model: diff, ship the
   /// ChangeList to every current shard (stale shards get a full-model
   /// ship instead), adopt `next_model` as the new baseline. Returns the
   /// first immediate send failure (delivery outcomes arrive
-  /// asynchronously and land in stats()).
+  /// asynchronously and land in the "cluster.replication_*" cells).
   Status update_model(const model::Model& next_model);
 
   /// Housekeeping for simulation drivers: expire overdue downstream
@@ -142,39 +142,6 @@ class ClusterFrontEnd {
   /// re-ship the full model to stale shards, and drop idle checkpoint
   /// entries. Returns outcomes resolved.
   std::size_t maintain();
-
-  struct Stats {
-    std::uint64_t received = 0;    ///< wire messages from clients
-    std::uint64_t forwarded = 0;   ///< submits relayed to a shard
-    std::uint64_t rerouted = 0;    ///< sent to the replica: breaker open
-    std::uint64_t failovers = 0;   ///< re-forwarded after a lost reply
-    std::uint64_t refused = 0;     ///< refused at the front-end itself
-    std::uint64_t replies = 0;     ///< replies returned to clients
-    std::uint64_t reply_failures = 0;
-    std::uint64_t query_fanouts = 0;  ///< query/* broadcast to all shards
-    std::uint64_t breaker_trips = 0;  ///< health windows opened
-    // Replication ledger:
-    std::uint64_t deltas_shipped = 0;  ///< update_model() calls that diffed
-    std::uint64_t delta_bytes = 0;     ///< ChangeList bytes actually sent
-    std::uint64_t full_bytes = 0;      ///< full-model bytes NOT sent
-    std::uint64_t replication_acks = 0;
-    std::uint64_t replication_failures = 0;
-    // Full-sync / staleness ledger (PR 9):
-    std::uint64_t stale_marks = 0;       ///< shards marked divergent
-    std::uint64_t full_syncs_shipped = 0;  ///< full-model ships sent
-    std::uint64_t full_sync_acks = 0;      ///< ...that the shard accepted
-    // Elasticity ledger (PR 9):
-    std::uint64_t joins_started = 0;
-    std::uint64_t joins_completed = 0;   ///< warm shard spliced into ring
-    std::uint64_t leaves_started = 0;
-    std::uint64_t leaves_completed = 0;  ///< drained shard retired
-    // Session-state replication ledger (PR 10):
-    std::uint64_t checkpoints_taken = 0;   ///< captures pulled from owners
-    std::uint64_t checkpoint_failures = 0;  ///< captures lost or refused
-    std::uint64_t resumes_shipped = 0;    ///< forwards that shipped a ckpt
-    std::uint64_t resumes_completed = 0;  ///< ...whose import acked
-  };
-  [[nodiscard]] Stats stats() const;
 
   /// Version of the last checkpoint captured for `session` (0 = none) —
   /// exposed for tests. Versions come from one front-end-wide sequence,

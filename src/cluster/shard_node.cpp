@@ -53,10 +53,8 @@ Result<std::unique_ptr<ShardNode>> ShardNode::launch(
                                std::move(options.platform_config));
   if (!platform.ok()) return platform.status();
 
-  std::unique_ptr<ShardNode> node(new ShardNode(middleware_model.clone()));
-  node->platform_ = std::move(platform).value();
-  node->states_imported_ =
-      &node->platform_->metrics().counter("platform.session_states_imported");
+  std::unique_ptr<ShardNode> node(
+      new ShardNode(middleware_model.clone(), std::move(platform).value()));
   if (options.provision != nullptr) {
     MDSM_RETURN_IF_ERROR(options.provision(*node->platform_));
   }
@@ -75,6 +73,22 @@ Result<std::unique_ptr<ShardNode>> ShardNode::launch(
   node->install_replication_route();
   return node;
 }
+
+ShardNode::ShardNode(model::Model replica_model,
+                     std::unique_ptr<core::Platform> platform)
+    : platform_(std::move(platform)),
+      replica_model_(std::move(replica_model)),
+      deltas_applied_(platform_->metrics().counter("shard.deltas_applied")),
+      changes_applied_(platform_->metrics().counter("shard.changes_applied")),
+      full_syncs_applied_(
+          platform_->metrics().counter("shard.full_syncs_applied")),
+      procedures_synced_(
+          platform_->metrics().counter("shard.procedures_synced")),
+      dscs_synced_(platform_->metrics().counter("shard.dscs_synced")),
+      checkpoints_exported_(
+          platform_->metrics().counter("shard.checkpoints_exported")),
+      states_rejected_stale_(platform_->metrics().counter(
+          "shard.session_states_rejected_stale")) {}
 
 ShardNode::~ShardNode() {
   // Same ordering as kill(): unbind the endpoint so no new delivery
@@ -108,10 +122,7 @@ void ShardNode::handle_checkpoint(const ingress::IngressContext& context) {
     door.refuse(context.message->from, id, state.status());
     return;
   }
-  {
-    std::lock_guard lock(replica_mutex_);
-    ++stats_.checkpoints_exported;
-  }
+  checkpoints_exported_.add();
   // `commands` is 0 once the session has ended here (read after the
   // export, so one that ends meanwhile reads as ended): nothing to resume.
   door.reply(context.message->from,
@@ -154,7 +165,7 @@ void ShardNode::handle_session_state(const ingress::IngressContext& context) {
         [hash](const auto& entry) { return entry.first == hash; });
     if (it != imported_versions_.end() && shipped < it->second) {
       // Strictly older: a delayed ship must never roll a session back.
-      ++stats_.session_states_rejected_stale;
+      states_rejected_stale_.add();
       status = FailedPrecondition(
           "checkpoint v" + std::to_string(shipped) + " for session '" + key +
           "' is older than imported v" + std::to_string(it->second));
@@ -248,7 +259,7 @@ Status ShardNode::apply_full_model(const model::Model& full) {
   if (!changes.empty()) {
     MDSM_RETURN_IF_ERROR(apply_changes_locked(changes));
   }
-  ++stats_.full_syncs_applied;
+  full_syncs_applied_.add();
   return Status::Ok();
 }
 
@@ -312,7 +323,7 @@ Status ShardNode::apply_changes_locked(const model::ChangeList& changes) {
       controller::Dsc dsc = decode_dsc(*spec);
       (void)controller.dscs().remove(dsc.name);
       MDSM_RETURN_IF_ERROR(controller.dscs().add(std::move(dsc)));
-      ++stats_.dscs_synced;
+      dscs_synced_.add();
     } else {
       touched_procedures.push_back(spec);
     }
@@ -324,11 +335,11 @@ Status ShardNode::apply_changes_locked(const model::ChangeList& changes) {
     (void)controller.repository().remove(procedure.value().name);
     MDSM_RETURN_IF_ERROR(
         controller.add_procedure(std::move(procedure.value())));
-    ++stats_.procedures_synced;
+    procedures_synced_.add();
   }
 
-  ++stats_.deltas_applied;
-  stats_.changes_applied += changes.size();
+  deltas_applied_.add();
+  changes_applied_.add(changes.size());
   return Status::Ok();
 }
 
@@ -346,13 +357,6 @@ void ShardNode::kill() {
   server_->door().unbind();
   if (platform_ != nullptr && platform_->running()) (void)platform_->stop();
   server_.reset();
-}
-
-ShardNode::Stats ShardNode::replication_stats() const {
-  std::lock_guard lock(replica_mutex_);
-  Stats out = stats_;
-  out.session_states_imported = states_imported_->value();
-  return out;
 }
 
 }  // namespace mdsm::cluster

@@ -5,7 +5,9 @@
 // node applies the delta to its replica and re-decodes only the
 // DscSpec/ProcedureSpec artifacts it touched. The registries' version
 // stamps invalidate cached intent models, so in-flight traffic never
-// executes against a stale vocabulary.
+// executes against a stale vocabulary. The node counts its replication
+// ledger under "shard." in its platform's registry, so a shard's
+// query/metrics reports it.
 #pragma once
 
 #include <cstdint>
@@ -77,28 +79,13 @@ class ShardNode {
   /// carrying the serialized model text.
   Status apply_full_model(const model::Model& full);
 
-  struct Stats {
-    std::uint64_t deltas_applied = 0;   ///< replication payloads accepted
-    std::uint64_t changes_applied = 0;  ///< individual changes in them
-    std::uint64_t full_syncs_applied = 0;  ///< full-model ships accepted
-    std::uint64_t procedures_synced = 0;
-    std::uint64_t dscs_synced = 0;
-    // Session-state replication (PR 10).
-    std::uint64_t checkpoints_exported = 0;  ///< "checkpoint/{session}" serves
-    /// Session-state imports applied: the platform's
-    /// "platform.session_states_imported" cell.
-    std::uint64_t session_states_imported = 0;
-    std::uint64_t session_states_rejected_stale = 0;  ///< version-gated drops
-  };
-  [[nodiscard]] Stats replication_stats() const;
-
   /// Sessions whose last imported checkpoint version the gate keeps:
   /// the newest this many (8 bytes of hash and 8 of version each).
   static constexpr std::size_t kCheckpointGateCapacity = 1024;
 
  private:
-  explicit ShardNode(model::Model replica_model)
-      : replica_model_(std::move(replica_model)) {}
+  ShardNode(model::Model replica_model,
+            std::unique_ptr<core::Platform> platform);
 
   /// Register the internal routes on the server's door. They skip the
   /// middleware chain: only the front-end speaks them.
@@ -119,11 +106,18 @@ class ShardNode {
   std::unique_ptr<ingress::IngressServer> server_;
   bool killed_ = false;
 
-  mutable std::mutex replica_mutex_;  ///< guards replica_model_, stats,
-                                      ///< the gate and each import
+  mutable std::mutex replica_mutex_;  ///< guards replica_model_, the gate
+                                      ///< and each import
   model::Model replica_model_;
-  Stats stats_;
-  const obs::Counter* states_imported_ = nullptr;  ///< the platform's cell
+
+  // The replication ledger: "shard.<name>" cells of the platform registry.
+  obs::Counter& deltas_applied_;   ///< replication payloads accepted
+  obs::Counter& changes_applied_;  ///< individual changes in them
+  obs::Counter& full_syncs_applied_;  ///< full-model ships accepted
+  obs::Counter& procedures_synced_;
+  obs::Counter& dscs_synced_;
+  obs::Counter& checkpoints_exported_;  ///< "checkpoint/{session}" serves
+  obs::Counter& states_rejected_stale_;  ///< version-gated session ships
 
   /// The checkpoint version gate: {hash of session key, last imported
   /// version}, oldest first, at most kCheckpointGateCapacity entries.

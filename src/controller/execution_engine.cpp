@@ -254,12 +254,4 @@ runtime::Task<Result<model::Value>> ExecutionEngine::run(
   co_return std::move(result);
 }
 
-EngineStats ExecutionEngine::stats() const {
-  return {.instructions = instructions_.value(),
-          .broker_calls = broker_calls_.value(),
-          .procedure_pushes = procedure_pushes_.value(),
-          .max_stack_depth = max_stack_depth_.load(std::memory_order_relaxed),
-          .executions = executions_.value()};
-}
-
 }  // namespace mdsm::controller

@@ -28,16 +28,6 @@
 
 namespace mdsm::controller {
 
-/// View over the engine's registry cells ("controller.*", DESIGN.md §6a)
-/// plus its stack-depth high-water gauge.
-struct EngineStats {
-  std::uint64_t instructions = 0;
-  std::uint64_t broker_calls = 0;
-  std::uint64_t procedure_pushes = 0;
-  std::size_t max_stack_depth = 0;
-  std::uint64_t executions = 0;
-};
-
 struct EngineConfig {
   std::size_t max_steps = 1'000'000;   ///< runaway-EU backstop
   std::size_t max_stack_depth = 256;
@@ -101,9 +91,11 @@ class ExecutionEngine {
     return memory_;
   }
 
-  /// Snapshot of the counters (each exact; cross-counter sums may tear
-  /// momentarily under concurrent executions).
-  [[nodiscard]] EngineStats stats() const;
+  /// Deepest the intent-model frame stack ever got (a high-water mark;
+  /// the engine's counts are "controller.*" cells).
+  [[nodiscard]] std::size_t max_stack_depth() const noexcept {
+    return max_stack_depth_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct Frame {

@@ -762,8 +762,6 @@ Platform::PipelineStats Platform::pipeline_stats() const {
   if (pipeline_ != nullptr) {
     stats.max_pending = pipeline_->max_pending();
     stats.max_bounded_pending = pipeline_->max_bounded_pending();
-    stats.rejections = pipeline_->rejections();
-    stats.shed = pipeline_->shed_tasks();
   }
   return stats;
 }

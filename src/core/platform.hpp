@@ -254,8 +254,9 @@ class Platform {
   [[nodiscard]] AdmissionController& admission() noexcept {
     return admission_;
   }
-  /// Overload counters of the async request pipeline. Zeroes before the
-  /// first async submission (the executor is created lazily).
+  /// Backlog bounds of the async request pipeline. Zeroes before the
+  /// first async submission (the executor is created lazily); its
+  /// rejections and sheds are the "runtime.executor_*" cells.
   struct PipelineStats {
     std::size_t queue_capacity = 0;  ///< configured bound (0 = unbounded)
     std::size_t max_pending = 0;     ///< deepest the queue ever got
@@ -264,8 +265,6 @@ class Platform {
     /// pipeline max_pending also counts mid-request hops and may
     /// legitimately exceed the capacity.
     std::size_t max_bounded_pending = 0;
-    std::uint64_t rejections = 0;    ///< submits refused (kReject/shutdown)
-    std::uint64_t shed = 0;          ///< queued tasks dropped (kShedOldest)
   };
   [[nodiscard]] PipelineStats pipeline_stats() const;
   /// Per-stage queue depth / delay statistics of the staged pipeline

@@ -190,13 +190,4 @@ void WireDoor::refuse(const std::string& to, std::uint64_t request_id,
   reply(to, std::move(out));
 }
 
-WireDoor::Stats WireDoor::stats() const {
-  return {.received = received_.value(),
-          .malformed = malformed_.value(),
-          .unrouted = unrouted_.value(),
-          .refused = refused_.value(),
-          .replies = replies_.value(),
-          .reply_failures = reply_failures_.value()};
-}
-
 }  // namespace mdsm::ingress

@@ -76,17 +76,6 @@ class WireDoor {
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
-  /// View over the door's cells.
-  struct Stats {
-    std::uint64_t received = 0;        ///< wire messages seen
-    std::uint64_t malformed = 0;       ///< undecodable payloads
-    std::uint64_t unrouted = 0;        ///< no route matched the topic
-    std::uint64_t refused = 0;         ///< typed refusals sent
-    std::uint64_t replies = 0;         ///< replies handed to the network
-    std::uint64_t reply_failures = 0;  ///< the network refused the send
-  };
-  [[nodiscard]] Stats stats() const;
-
  private:
   void on_message(const net::Message& message);
   /// Decode and answer one message; `terminal` is null for a topic no

@@ -41,8 +41,8 @@ IngressClient::~IngressClient() {
       unresolved.emplace_back(id, std::move(call.callback));
     }
     pending_.clear();
-    stats_.expired += unresolved.size();
   }
+  expired_.add(unresolved.size());
   for (auto& [id, callback] : unresolved) {
     if (callback == nullptr) continue;
     RemoteOutcome outcome;
@@ -86,7 +86,6 @@ Result<std::uint64_t> IngressClient::send_request(
       call.request = request;
     }
     pending_.emplace(id, std::move(call));
-    ++stats_.submitted;
   }
 
   Status sent = endpoint_->send(server_endpoint_, topic,
@@ -94,9 +93,9 @@ Result<std::uint64_t> IngressClient::send_request(
   if (!sent.ok()) {
     std::lock_guard lock(mutex_);
     pending_.erase(id);
-    --stats_.submitted;
     return sent;
   }
+  submitted_.add();
   return id;
 }
 
@@ -142,8 +141,7 @@ Result<std::uint64_t> IngressClient::call(std::string topic,
 void IngressClient::on_reply(const net::Message& message) {
   Result<wire::Reply> decoded = wire::decode_reply(message.payload);
   if (!decoded.ok()) {
-    std::lock_guard lock(mutex_);
-    ++stats_.stray_replies;
+    stray_replies_.add();
     return;
   }
   const wire::Reply& reply = decoded.value();
@@ -155,17 +153,13 @@ void IngressClient::on_reply(const net::Message& message) {
     if (it == pending_.end()) {
       // Late reply for an expired entry, or corruption: either way
       // the callback already fired, so only the ledger moves.
-      ++stats_.stray_replies;
+      stray_replies_.add();
       return;
     }
     callback = std::move(it->second.callback);
     pending_.erase(it);
-    if (reply.code == ErrorCode::kOk) {
-      ++stats_.resolved_ok;
-    } else {
-      ++stats_.refused;
-    }
   }
+  (reply.code == ErrorCode::kOk ? resolved_ok_ : refused_).add();
 
   if (callback == nullptr) return;
   RemoteOutcome outcome;
@@ -197,15 +191,15 @@ std::size_t IngressClient::expire_overdue() {
         --call.retries_left;
         call.expires_at = now + call.budget;
         resends.emplace_back(call.topic, call.request);
-        ++stats_.retried;
+        retried_.add();
         ++it;
         continue;
       }
       overdue.emplace_back(it->first, std::move(call.callback));
       it = pending_.erase(it);
     }
-    stats_.expired += overdue.size();
   }
+  expired_.add(overdue.size());
   // Sends and callbacks outside the lock: a reply may race in during
   // the resend (it finds the still-pending entry) and callbacks may
   // legally resubmit.
@@ -236,11 +230,6 @@ void IngressClient::close() {
 std::size_t IngressClient::pending() const {
   std::lock_guard lock(mutex_);
   return pending_.size();
-}
-
-IngressClient::Stats IngressClient::stats() const {
-  std::lock_guard lock(mutex_);
-  return stats_;
 }
 
 }  // namespace mdsm::ingress

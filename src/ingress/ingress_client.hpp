@@ -11,6 +11,9 @@
 // kTimeout / "reply-lost". A callback therefore fires exactly once per
 // accepted submit: on the reply, or on expiry, or at detach (client
 // destruction) — never twice, never zero.
+//
+// The client counts submitted, resolved_ok, refused, expired,
+// stray_replies and retried under "client." in a registry it owns.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +29,7 @@
 #include "common/status.hpp"
 #include "ingress/wire.hpp"
 #include "net/network.hpp"
+#include "obs/metrics.hpp"
 
 namespace mdsm::ingress {
 
@@ -115,16 +119,10 @@ class IngressClient {
     return endpoint_name_;
   }
   [[nodiscard]] std::size_t pending() const;
-
-  struct Stats {
-    std::uint64_t submitted = 0;      ///< requests that left the endpoint
-    std::uint64_t resolved_ok = 0;    ///< replies carrying kOk
-    std::uint64_t refused = 0;        ///< replies carrying a typed refusal
-    std::uint64_t expired = 0;        ///< written off as "reply-lost"
-    std::uint64_t stray_replies = 0;  ///< replies with no pending entry
-    std::uint64_t retried = 0;        ///< overdue requests re-sent
-  };
-  [[nodiscard]] Stats stats() const;
+  /// The client's "client.*" cells.
+  [[nodiscard]] const obs::MetricsRegistry& metrics() const noexcept {
+    return metrics_;
+  }
 
  private:
   IngressClient(net::Network& network, std::string server_endpoint,
@@ -152,11 +150,23 @@ class IngressClient {
   std::string server_endpoint_;
   IngressClientOptions options_;
 
-  mutable std::mutex mutex_;  ///< guards pending_, next_id_, stats_, closed_
+  mutable std::mutex mutex_;  ///< guards pending_, next_id_, closed_
   std::unordered_map<std::uint64_t, PendingCall> pending_;
   std::uint64_t next_id_ = 1;
   bool closed_ = false;
-  Stats stats_;
+
+  obs::MetricsRegistry metrics_;  ///< declared before the cells in it
+  /// Requests that left the endpoint.
+  obs::Counter& submitted_ = metrics_.counter("client.submitted");
+  obs::Counter& resolved_ok_ = metrics_.counter("client.resolved_ok");
+  /// Replies carrying a typed refusal.
+  obs::Counter& refused_ = metrics_.counter("client.refused");
+  /// Written off as "reply-lost" (on expiry or at detach).
+  obs::Counter& expired_ = metrics_.counter("client.expired");
+  /// Replies with no pending entry.
+  obs::Counter& stray_replies_ = metrics_.counter("client.stray_replies");
+  /// Overdue requests re-sent.
+  obs::Counter& retried_ = metrics_.counter("client.retried");
 };
 
 }  // namespace mdsm::ingress

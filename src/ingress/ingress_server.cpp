@@ -221,19 +221,4 @@ void IngressServer::record_outcome(const std::string& key,
   }
 }
 
-IngressServer::Stats IngressServer::stats() const {
-  const WireDoor::Stats door = door_.stats();
-  return {.received = door.received,
-          .malformed = door.malformed,
-          .unrouted = door.unrouted,
-          .refused = door.refused,
-          .accepted = accepted_.value(),
-          .completed_ok = completed_ok_.value(),
-          .completed_error = completed_error_.value(),
-          .replies = door.replies,
-          .reply_failures = door.reply_failures,
-          .deduped = deduped_.value(),
-          .dedup_expired = dedup_expired_.value()};
-}
-
 }  // namespace mdsm::ingress

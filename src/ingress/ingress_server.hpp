@@ -67,25 +67,6 @@ class IngressServer {
   /// Manual reply loop only: send queued replies; returns closures run.
   std::size_t pump();
 
-  /// View over the server's delivery counters: the "ingress.<field>"
-  /// cells of the platform registry.
-  struct Stats {
-    std::uint64_t received = 0;     ///< wire messages seen
-    std::uint64_t malformed = 0;    ///< undecodable payloads
-    std::uint64_t unrouted = 0;     ///< no route matched the topic
-    std::uint64_t refused = 0;      ///< typed refusals sent (door + chain)
-    std::uint64_t accepted = 0;     ///< handed to submit_async, Ok at door
-    std::uint64_t completed_ok = 0; ///< pipeline outcomes delivered Ok
-    std::uint64_t completed_error = 0;
-    std::uint64_t replies = 0;        ///< replies handed to the network
-    std::uint64_t reply_failures = 0; ///< network refused the reply send
-    std::uint64_t deduped = 0;        ///< retried submits answered/absorbed
-                                      ///< by the ledger, not re-executed
-    std::uint64_t dedup_expired = 0;  ///< completed entries dropped by TTL
-                                      ///< (the retry re-executed as fresh)
-  };
-  [[nodiscard]] Stats stats() const;
-
  private:
   IngressServer(core::Platform& platform, net::Network& network,
                 const IngressServerOptions& options);

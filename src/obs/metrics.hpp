@@ -3,9 +3,10 @@
 // pipeline. The hot path is lock-cheap — counters, gauges and histogram
 // buckets are relaxed atomics; the registry mutex is only taken to
 // resolve a metric name to its (stable) cell. Components resolve their
-// cells once, at construction, and each event bumps exactly one cell: a
-// component's typed stats() view reads those same cells, so there is no
-// second copy of any count.
+// cells once, at construction, and each event bumps exactly one cell.
+// Callers read a count by its cell name — a snapshot row or the
+// query/metrics route — never from a typed copy; the few typed views
+// left (DESIGN.md §6a) read those same cells.
 //
 // Snapshots are value copies so callers can diff them across a workload
 // without racing the recorders (models@runtime discipline applied to the

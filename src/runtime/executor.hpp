@@ -100,15 +100,15 @@ class Executor {
   /// Returns Ok when the task was accepted, kUnavailable when it was
   /// refused — the queue is at capacity under kReject, or shutdown has
   /// begun (a task enqueued after shutdown would never run; refusing is
-  /// the only honest answer). Refusals count into rejections() (the
-  /// "runtime.executor_rejections" cell). Tasks submitted from a worker
+  /// the only honest answer). Refusals count in the
+  /// "runtime.executor_rejections" cell. Tasks submitted from a worker
   /// thread of this executor bypass the capacity bound: blocking or
   /// rejecting a worker's own continuation could deadlock a full queue.
   /// A Task::stage that add_stage() never returned is kInvalidArgument.
   ///
   /// A task that throws does not kill the worker or the process: the
-  /// exception is caught, counted in task_failures() (the
-  /// "runtime.executor_task_failures" cell) and logged; the pool keeps
+  /// exception is caught, counted in the
+  /// "runtime.executor_task_failures" cell and logged; the pool keeps
   /// serving and drain() still returns.
   Status submit(std::function<void()> task);
   Status submit(Task task);
@@ -175,18 +175,6 @@ class Executor {
   [[nodiscard]] std::size_t max_bounded_pending() const noexcept {
     return max_bounded_pending_.load(std::memory_order_relaxed);
   }
-  /// Tasks whose invocation threw (contained, never propagated).
-  [[nodiscard]] std::uint64_t task_failures() const noexcept {
-    return task_failures_.value();
-  }
-  /// Submits refused (queue full under kReject, or after shutdown).
-  [[nodiscard]] std::uint64_t rejections() const noexcept {
-    return rejections_.value();
-  }
-  /// Queued tasks dropped by kShedOldest before running.
-  [[nodiscard]] std::uint64_t shed_tasks() const noexcept {
-    return shed_.value();
-  }
 
   struct StageStats {
     std::string name;
@@ -226,9 +214,9 @@ class Executor {
   ExecutorConfig config_;
   const Clock* clock_;
   obs::MetricsRegistry& metrics_;
-  obs::Counter& task_failures_;
-  obs::Counter& rejections_;
-  obs::Counter& shed_;
+  obs::Counter& task_failures_;  ///< tasks that threw (contained)
+  obs::Counter& rejections_;  ///< submits refused: full (kReject) or shut down
+  obs::Counter& shed_;        ///< queued tasks dropped by kShedOldest
   obs::Histogram& queue_delay_;
   mutable std::mutex mutex_;
   std::condition_variable wake_;

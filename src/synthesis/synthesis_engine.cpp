@@ -283,14 +283,6 @@ void SynthesisEngine::restore_state(std::string_view session,
   std::swap(it->second, restored);
 }
 
-SynthesisStats SynthesisEngine::stats() const {
-  return {.models_submitted = models_submitted_.value(),
-          .scripts_dispatched = scripts_dispatched_.value(),
-          .commands_generated = commands_generated_.value(),
-          .rejected_models = rejected_models_.value(),
-          .controller_events = controller_events_.value()};
-}
-
 std::vector<std::string> SynthesisEngine::event_log() const {
   std::lock_guard lock(event_mutex_);
   return {event_log_.begin(), event_log_.end()};

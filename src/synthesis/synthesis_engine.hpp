@@ -46,15 +46,6 @@
 
 namespace mdsm::synthesis {
 
-/// View over the engine's registry cells ("synthesis.*", DESIGN.md §6a).
-struct SynthesisStats {
-  std::uint64_t models_submitted = 0;
-  std::uint64_t scripts_dispatched = 0;
-  std::uint64_t commands_generated = 0;
-  std::uint64_t rejected_models = 0;
-  std::uint64_t controller_events = 0;
-};
-
 class SynthesisEngine final : public runtime::Component {
  public:
   /// `dispatch` delivers a generated control script to the layer below
@@ -106,7 +97,7 @@ class SynthesisEngine final : public runtime::Component {
   /// Events from the Controller layer (exceptional conditions); recorded
   /// and exposed so domain logic (or tests) can react — e.g. resubmitting
   /// a degraded model. The log keeps the newest kEventLogCapacity
-  /// entries; the total stays readable as stats().controller_events.
+  /// entries; the total stays readable as "synthesis.controller_events".
   /// Safe to call concurrently (published from request threads
   /// mid-execution).
   void handle_controller_event(const std::string& topic,
@@ -126,9 +117,6 @@ class SynthesisEngine final : public runtime::Component {
                                      std::string_view session = {}) const;
   /// The named sessions holding state, sorted.
   [[nodiscard]] std::vector<std::string> live_sessions() const;
-  /// Snapshot of the counters (each exact; cross-counter sums may tear
-  /// momentarily while submissions are in flight).
-  [[nodiscard]] SynthesisStats stats() const;
   /// The newest controller events, oldest first.
   [[nodiscard]] std::vector<std::string> event_log() const;
   static constexpr std::size_t kEventLogCapacity = 64;

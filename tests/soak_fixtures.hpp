@@ -14,8 +14,11 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 
@@ -162,6 +165,54 @@ class CountingAdapter final : public broker::ResourceAdapter {
 
  private:
   std::atomic<std::uint64_t> executed_{0};
+};
+
+/// The soak platform's "svc" resource, plus two levers: executions for
+/// session "bad" fail (a controller error), and hold_next() parks the
+/// next execution on its worker until release().
+class LeverAdapter final : public broker::ResourceAdapter {
+ public:
+  LeverAdapter() : ResourceAdapter("svc") {}
+
+  Result<model::Value> execute(const std::string& command,
+                               const broker::Args& args) override {
+    auto id = args.find("id");
+    if (id != args.end() && id->second == model::Value("bad")) {
+      return Unavailable("svc refuses session 'bad'");
+    }
+    std::unique_lock lock(mutex_);
+    if (hold_) {
+      hold_ = false;
+      parked_ = true;
+      changed_.notify_all();
+      changed_.wait(lock, [this] { return !parked_; });
+    }
+    return model::Value("done:" + command);
+  }
+
+  void hold_next() {
+    std::lock_guard lock(mutex_);
+    hold_ = true;
+  }
+  /// Whether the held execution parked within 10 s.
+  bool wait_parked() {
+    std::unique_lock lock(mutex_);
+    return changed_.wait_for(lock, std::chrono::seconds(10),
+                             [this] { return parked_; });
+  }
+  void release() {
+    {
+      std::lock_guard lock(mutex_);
+      parked_ = false;
+    }
+    changed_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  bool hold_ = false;
+  bool parked_ = false;
 };
 
 /// An assembled, started soak platform with its chaos wrapper handles.

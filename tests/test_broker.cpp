@@ -8,6 +8,7 @@
 #include "broker/chaos_adapter.hpp"
 #include "common/log.hpp"
 #include "common/strings.hpp"
+#include "metrics_fixtures.hpp"
 
 namespace mdsm::broker {
 namespace {
@@ -132,7 +133,7 @@ TEST_F(BrokerFixture, ActionStepsExecuteInOrderWithTemplates) {
   EXPECT_EQ(context.get("last.session"), Value("s42"));
   EXPECT_EQ(events, 1);
   EXPECT_EQ(layer.trace().entries()[0], "audio.allocate(session=\"s42\")");
-  EXPECT_EQ(layer.calls_handled(), 1u);
+  EXPECT_EQ(cell_value(metrics, "broker.calls"), 1u);
 }
 
 TEST_F(BrokerFixture, TemplateResolutionRules) {
@@ -227,7 +228,7 @@ TEST_F(BrokerFixture, EventsDispatchBoundActionsAndIgnoreUnbound) {
   EXPECT_EQ(layer.trace().entries().back(), "audio.reconnect(why=\"s1\")");
   // Unbound events are fine.
   EXPECT_TRUE(layer.handle_event("resource.ignored", {}).ok());
-  EXPECT_EQ(layer.events_handled(), 2u);
+  EXPECT_EQ(cell_value(metrics, "broker.events_received"), 2u);
 }
 
 // ---------------------------------------------------- Autonomic manager
@@ -246,8 +247,8 @@ TEST_F(BrokerFixture, SymptomTriggersChangePlan) {
   ASSERT_TRUE(layer.autonomic().add_plan(std::move(plan)).ok());
 
   resource->fire("link.lost");
-  EXPECT_EQ(layer.autonomic().symptoms_detected(), 1u);
-  EXPECT_EQ(layer.autonomic().adaptations(), 1u);
+  EXPECT_EQ(cell_value(metrics, "autonomic.symptoms_detected"), 1u);
+  EXPECT_EQ(cell_value(metrics, "autonomic.reactions"), 1u);
   EXPECT_EQ(layer.trace().entries().back(), "audio.reconnect()");
   ASSERT_GE(layer.autonomic().adaptation_log().size(), 2u);
 }
@@ -268,10 +269,10 @@ TEST_F(BrokerFixture, SymptomConditionGatesDetection) {
 
   context.set("load", Value(0.5));
   resource->fire("load");
-  EXPECT_EQ(layer.autonomic().adaptations(), 0u);
+  EXPECT_EQ(cell_value(metrics, "autonomic.reactions"), 0u);
   context.set("load", Value(0.95));
   resource->fire("load");
-  EXPECT_EQ(layer.autonomic().adaptations(), 1u);
+  EXPECT_EQ(cell_value(metrics, "autonomic.reactions"), 1u);
   EXPECT_EQ(context.get("mode"), Value("degraded"));
 }
 
@@ -366,21 +367,21 @@ TEST_F(BrokerFixture, ChaosAdapterInjectsFaultsDeterministicallyAtRateOne) {
   all_fail.fail_rate = 1.0;
   ChaosAdapter fails(std::make_unique<FakeResource>("f"), all_fail);
   EXPECT_EQ(fails.execute("go", {}).status().code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(fails.stats().failed, 1u);
-  EXPECT_EQ(fails.stats().passed, 0u);
+  EXPECT_EQ(cell_value(fails.metrics(), "chaos.failed"), 1u);
+  EXPECT_EQ(cell_value(fails.metrics(), "chaos.passed"), 0u);
 
   ChaosConfig all_throw;
   all_throw.throw_rate = 1.0;
   ChaosAdapter throws(std::make_unique<FakeResource>("t"), all_throw);
   EXPECT_THROW((void)throws.execute("go", {}), std::runtime_error);
-  EXPECT_EQ(throws.stats().threw, 1u);
+  EXPECT_EQ(cell_value(throws.metrics(), "chaos.threw"), 1u);
 
   ChaosAdapter clean(std::make_unique<FakeResource>("c"), ChaosConfig{});
   auto result = clean.execute("go", {});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->as_string(), "ok:go");
-  EXPECT_EQ(clean.stats().passed, 1u);
-  EXPECT_EQ(clean.stats().executed, 1u);
+  EXPECT_EQ(cell_value(clean.metrics(), "chaos.passed"), 1u);
+  EXPECT_EQ(cell_value(clean.metrics(), "chaos.executed"), 1u);
 }
 
 TEST_F(BrokerFixture, ChaosAdapterForwardsInnerEventsAndName) {

@@ -26,6 +26,7 @@
 #include "model/text_format.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
+#include "metrics_fixtures.hpp"
 #include "soak_fixtures.hpp"
 
 namespace mdsm {
@@ -190,6 +191,16 @@ struct ClusterDeployment {
   std::unique_ptr<cluster::ClusterFrontEnd> frontend;
   std::unique_ptr<ingress::IngressClient> client;
 
+  /// The front-end's counter cell `name`, read checked.
+  [[nodiscard]] std::uint64_t front(std::string_view name) const {
+    return cell_value(frontend->metrics(), name);
+  }
+  /// Shard `index`'s counter cell `name` (its platform's registry).
+  [[nodiscard]] std::uint64_t shard(std::size_t index,
+                                    std::string_view name) const {
+    return cell_value(nodes[index]->platform().metrics(), name);
+  }
+
   /// Deliver, pump every shard's replies, run the front-end's expiry
   /// housekeeping, repeat until `done`. `advance` > 0 moves the SimClock
   /// each lap so reply timeouts (and therefore failover) can fire.
@@ -340,11 +351,12 @@ TEST(ClusterE2E, SessionStickyRoutingMatchesTheRing) {
               expected_executions[shard])
         << "shard " << shard;
   }
-  const cluster::ClusterFrontEnd::Stats stats = cluster->frontend->stats();
-  EXPECT_EQ(stats.forwarded, static_cast<std::uint64_t>(kSessions));
-  EXPECT_EQ(stats.replies, static_cast<std::uint64_t>(kSessions));
-  EXPECT_EQ(stats.failovers, 0u);
-  EXPECT_EQ(stats.rerouted, 0u);
+  EXPECT_EQ(cluster->front("cluster.forwarded"),
+            static_cast<std::uint64_t>(kSessions));
+  EXPECT_EQ(cluster->front("ingress.replies"),
+            static_cast<std::uint64_t>(kSessions));
+  EXPECT_EQ(cluster->front("cluster.failovers"), 0u);
+  EXPECT_EQ(cluster->front("cluster.rerouted"), 0u);
 
   // Stickiness: resubmitting a session lands on the same shard.
   const std::string session = "s0";
@@ -385,7 +397,7 @@ TEST(ClusterE2E, QueryFansOutAndMergesEveryShard) {
               std::string::npos)
         << merged->payload;
   }
-  EXPECT_EQ(cluster->frontend->stats().query_fanouts, 1u);
+  EXPECT_EQ(cluster->front("cluster.query_fanouts"), 1u);
   cluster->shutdown();
 }
 
@@ -424,19 +436,20 @@ TEST(ClusterE2E, ModelDiffReplicationSyncsEveryShard) {
 
   ASSERT_TRUE(cluster->frontend->update_model(next.value()).ok());
   ASSERT_TRUE(cluster->drive_until(
-      [&] { return cluster->frontend->stats().replication_acks == 2; }));
+      [&] { return cluster->front("cluster.replication_acks") == 2; }));
 
-  const cluster::ClusterFrontEnd::Stats stats = cluster->frontend->stats();
-  EXPECT_EQ(stats.deltas_shipped, 1u);
-  EXPECT_EQ(stats.replication_failures, 0u);
+  EXPECT_EQ(cluster->front("cluster.deltas_shipped"), 1u);
+  EXPECT_EQ(cluster->front("cluster.replication_failures"), 0u);
   // The headline economy: the delta is a fraction of a full-model push.
-  EXPECT_GT(stats.delta_bytes, 0u);
-  EXPECT_LT(stats.delta_bytes, stats.full_bytes / 4);
+  EXPECT_GT(cluster->front("cluster.delta_bytes"), 0u);
+  EXPECT_LT(cluster->front("cluster.delta_bytes"),
+            cluster->front("cluster.full_bytes") / 4);
 
   for (auto& node : cluster->nodes) {
-    const cluster::ShardNode::Stats replication = node->replication_stats();
-    EXPECT_EQ(replication.deltas_applied, 1u);
-    EXPECT_GE(replication.procedures_synced, 1u);
+    const obs::MetricsSnapshot replication =
+        node->platform().metrics().snapshot();
+    EXPECT_EQ(cell_value(replication, "shard.deltas_applied"), 1u);
+    EXPECT_GE(cell_value(replication, "shard.procedures_synced"), 1u);
     // The new procedure is live in the shard's controller.
     const controller::Procedure* synced =
         node->platform().controller().repository().find("path-cheap");
@@ -446,7 +459,7 @@ TEST(ClusterE2E, ModelDiffReplicationSyncsEveryShard) {
 
   // Re-shipping an identical model is a no-op, not an empty broadcast.
   ASSERT_TRUE(cluster->frontend->update_model(next.value()).ok());
-  EXPECT_EQ(cluster->frontend->stats().deltas_shipped, 1u);
+  EXPECT_EQ(cluster->front("cluster.deltas_shipped"), 1u);
 
   // And the replicated vocabulary actually serves traffic.
   Ledger ledger;
@@ -458,6 +471,52 @@ TEST(ClusterE2E, ModelDiffReplicationSyncsEveryShard) {
   {
     std::lock_guard lock(ledger.mutex);
     EXPECT_EQ(ledger.refusals[""], 1);
+  }
+  cluster->shutdown();
+}
+
+// A shard's replication ledger lives in its platform's registry, so the
+// front-end's query/metrics fan-out reports every shard's applied delta.
+TEST(ClusterE2E, ShardReplicationLedgerIsQueryable) {
+  auto cluster = make_cluster(2);
+  ASSERT_NE(cluster, nullptr);
+  auto next =
+      model::parse_model(grown_model_text(), core::middleware_metamodel());
+  ASSERT_TRUE(next.ok()) << next.status().to_string();
+  const std::size_t changes =
+      model::diff(*cluster->middleware, next.value()).size();
+  ASSERT_GT(changes, 0u);
+  ASSERT_TRUE(cluster->frontend->update_model(next.value()).ok());
+  ASSERT_TRUE(cluster->drive_until(
+      [&] { return cluster->front("cluster.replication_acks") == 2; }));
+
+  std::mutex mutex;
+  std::optional<ingress::RemoteOutcome> merged;
+  ASSERT_TRUE(cluster->client
+                  ->query("metrics",
+                          [&](const ingress::RemoteOutcome& outcome) {
+                            std::lock_guard lock(mutex);
+                            merged = outcome;
+                          })
+                  .ok());
+  ASSERT_TRUE(cluster->drive_until([&] {
+    std::lock_guard lock(mutex);
+    return merged.has_value();
+  }));
+  ASSERT_TRUE(merged->status.ok()) << merged->status.to_string();
+  const std::string& payload = merged->payload;
+  for (int shard = 0; shard < 2; ++shard) {
+    const std::size_t begin =
+        payload.find(numbered("=== shard ", shard) + " ===");
+    ASSERT_NE(begin, std::string::npos) << payload;
+    const std::string section =
+        payload.substr(begin, payload.find("=== shard ", begin + 1) - begin);
+    EXPECT_NE(section.find("\nshard.deltas_applied 1\n"), std::string::npos)
+        << section;
+    EXPECT_NE(section.find("\nshard.changes_applied " +
+                           std::to_string(changes) + "\n"),
+              std::string::npos)
+        << section;
   }
   cluster->shutdown();
 }
@@ -506,9 +565,8 @@ TEST(ClusterE2E, FailoverResolvesEveryRequestExactlyOnce) {
       EXPECT_EQ(count, 1) << "request " << id;  // zero lost, zero duplicated
     }
   }
-  cluster::ClusterFrontEnd::Stats stats = cluster->frontend->stats();
-  EXPECT_GE(stats.failovers, 1u);
-  EXPECT_GE(stats.breaker_trips, 1u);
+  EXPECT_GE(cluster->front("cluster.failovers"), 1u);
+  EXPECT_GE(cluster->front("cluster.breaker_trips"), 1u);
 
   // Exactly-once execution: the dead shard ran nothing, the survivors
   // ran each failed-over session exactly once.
@@ -547,8 +605,9 @@ TEST(ClusterE2E, FailoverResolvesEveryRequestExactlyOnce) {
     std::lock_guard lock(second_wave.mutex);
     EXPECT_EQ(second_wave.refusals[""], static_cast<int>(more.size()));
   }
-  stats = cluster->frontend->stats();
-  EXPECT_GE(stats.rerouted + stats.failovers, victim_sessions.size() + 1);
+  EXPECT_GE(
+      cluster->front("cluster.rerouted") + cluster->front("cluster.failovers"),
+      victim_sessions.size() + 1);
   cluster->shutdown();
 }
 
@@ -618,17 +677,14 @@ TEST(ClusterE2E, StaleShardIsRepairedByFullModelSync) {
   // maintain() notices the staleness and re-ships the FULL model; the
   // version-matched ack clears it and the shard converges.
   ASSERT_TRUE(cluster->drive_until([&] {
-    return cluster->frontend->stats().full_sync_acks >= 1;
+    return cluster->front("cluster.full_sync_acks") >= 1;
   }));
 
-  cluster::ClusterFrontEnd::Stats stats = cluster->frontend->stats();
-  EXPECT_GE(stats.replication_failures, 1u);
-  EXPECT_EQ(stats.stale_marks, 1u);
-  EXPECT_GE(stats.full_syncs_shipped, 1u);
+  EXPECT_GE(cluster->front("cluster.replication_failures"), 1u);
+  EXPECT_EQ(cluster->front("cluster.stale_marks"), 1u);
+  EXPECT_GE(cluster->front("cluster.full_syncs_shipped"), 1u);
 
-  const cluster::ShardNode::Stats repaired =
-      cluster->nodes[1]->replication_stats();
-  EXPECT_GE(repaired.full_syncs_applied, 1u);
+  EXPECT_GE(cluster->shard(1, "shard.full_syncs_applied"), 1u);
   const controller::Procedure* restored =
       cluster->nodes[1]->platform().controller().repository().find(
           "path-direct");
@@ -637,7 +693,8 @@ TEST(ClusterE2E, StaleShardIsRepairedByFullModelSync) {
 
   // Staleness cleared: the NEXT update ships shard 1 a plain delta
   // again, and it acks.
-  const std::uint64_t acks_before = stats.replication_acks;
+  const std::uint64_t acks_before =
+      cluster->front("cluster.replication_acks");
   auto grown =
       model::parse_model(grown_model_text(), core::middleware_metamodel());
   ASSERT_TRUE(grown.ok());
@@ -651,7 +708,7 @@ TEST(ClusterE2E, StaleShardIsRepairedByFullModelSync) {
   ASSERT_TRUE(third.ok());
   ASSERT_TRUE(cluster->frontend->update_model(third.value()).ok());
   ASSERT_TRUE(cluster->drive_until([&] {
-    return cluster->frontend->stats().replication_acks >= acks_before + 2;
+    return cluster->front("cluster.replication_acks") >= acks_before + 2;
   }));
   EXPECT_NE(cluster->nodes[1]->platform().controller().repository().find(
                 "path-cheap"),
@@ -696,7 +753,7 @@ TEST(ClusterE2E, FailoverConsultsTheReplicaBreaker) {
     std::lock_guard lock(first.mutex);
     EXPECT_EQ(first.refusals[""], static_cast<int>(owned_by_1.size()));
   }
-  EXPECT_GE(cluster->frontend->stats().breaker_trips, 1u);
+  EXPECT_GE(cluster->front("cluster.breaker_trips"), 1u);
 
   // Phase 2: kill shard 2. Sessions owned by 2 whose ring replica is
   // the already-tripped shard 1 lose their reply, and the failover hop
@@ -733,8 +790,7 @@ TEST(ClusterE2E, FailoverConsultsTheReplicaBreaker) {
 
   // Phase 3: with shard 2's window now open too, the same placement is
   // refused at ADMISSION — both windows open, nothing is forwarded.
-  const std::uint64_t forwarded_before =
-      cluster->frontend->stats().forwarded;
+  const std::uint64_t forwarded_before = cluster->front("cluster.forwarded");
   Ledger third;
   std::vector<std::string> more;
   for (int i = 1000; more.size() < 3; ++i) {
@@ -758,7 +814,7 @@ TEST(ClusterE2E, FailoverConsultsTheReplicaBreaker) {
     EXPECT_EQ(third.refusals["shard-unavailable"],
               static_cast<int>(more.size()));
   }
-  EXPECT_EQ(cluster->frontend->stats().forwarded, forwarded_before);
+  EXPECT_EQ(cluster->front("cluster.forwarded"), forwarded_before);
   cluster->shutdown();
 }
 
@@ -824,7 +880,7 @@ TEST(ClusterE2E, FailoverDeductsTheDeadlineAlreadySpent) {
     std::lock_guard lock(roomy.mutex);
     EXPECT_EQ(roomy.refusals[""], 3);
   }
-  EXPECT_GE(cluster->frontend->stats().failovers, 3u);
+  EXPECT_GE(cluster->front("cluster.failovers"), 3u);
   cluster->shutdown();
 }
 
@@ -843,7 +899,7 @@ TEST(ClusterE2E, JoinWarmsTheNewcomerThenServesMovedSessions) {
   ASSERT_TRUE(next.ok());
   ASSERT_TRUE(cluster->frontend->update_model(next.value()).ok());
   ASSERT_TRUE(cluster->drive_until(
-      [&] { return cluster->frontend->stats().replication_acks >= 4; }));
+      [&] { return cluster->front("cluster.replication_acks") >= 4; }));
 
   // Stand up the spare (on the stale baseline) and admit it.
   ASSERT_TRUE(launch_spare(*cluster, "shard-4"));
@@ -858,7 +914,7 @@ TEST(ClusterE2E, JoinWarmsTheNewcomerThenServesMovedSessions) {
   EXPECT_FALSE(cluster->frontend->join("shard-0").ok());
 
   ASSERT_TRUE(cluster->drive_until(
-      [&] { return cluster->frontend->stats().joins_completed == 1; }));
+      [&] { return cluster->front("cluster.joins_completed") == 1; }));
   EXPECT_EQ(cluster->frontend->shard_state(4),
             cluster::ClusterFrontEnd::ShardState::kActive);
   EXPECT_EQ(cluster->frontend->active_shard_count(), 5u);
@@ -867,7 +923,7 @@ TEST(ClusterE2E, JoinWarmsTheNewcomerThenServesMovedSessions) {
   EXPECT_GT(cluster->frontend->last_rebalance_fraction(), 0.0);
   EXPECT_LE(cluster->frontend->last_rebalance_fraction(), 1.5 / 5.0);
   // The warm-up shipped the CURRENT model, not the launch baseline.
-  EXPECT_GE(cluster->nodes[4]->replication_stats().full_syncs_applied, 1u);
+  EXPECT_GE(cluster->shard(4, "shard.full_syncs_applied"), 1u);
   EXPECT_NE(cluster->nodes[4]->platform().controller().repository().find(
                 "path-cheap"),
             nullptr);
@@ -945,7 +1001,7 @@ TEST(ClusterE2E, LeaveDrainsInFlightForwardsThenRetires) {
   // retires.
   ASSERT_TRUE(cluster->drive_until([&] {
     return ledger.total() == static_cast<int>(sessions.size()) &&
-           cluster->frontend->stats().leaves_completed == 1;
+           cluster->front("cluster.leaves_completed") == 1;
   }));
   EXPECT_EQ(cluster->frontend->shard_state(victim),
             cluster::ClusterFrontEnd::ShardState::kRetired);
@@ -981,7 +1037,7 @@ TEST(ClusterE2E, LeaveDrainsInFlightForwardsThenRetires) {
   // The ring floor: the last active shard may never leave.
   ASSERT_TRUE(cluster->frontend->leave(0).ok());
   ASSERT_TRUE(cluster->drive_until(
-      [&] { return cluster->frontend->stats().leaves_completed == 2; }));
+      [&] { return cluster->front("cluster.leaves_completed") == 2; }));
   EXPECT_FALSE(cluster->frontend->leave(2).ok());
   cluster->shutdown();
 }
@@ -1011,13 +1067,13 @@ TEST(ClusterE2E, ElasticResizeUnderLoadKeepsCallbacksExactlyOnce) {
   ASSERT_TRUE(cluster->frontend->join("shard-4").ok());
   blast(20);  // races the warm-up; routed on the pre-join ring
   ASSERT_TRUE(cluster->drive_until(
-      [&] { return cluster->frontend->stats().joins_completed == 1; }));
+      [&] { return cluster->front("cluster.joins_completed") == 1; }));
   blast(20);  // routed on the grown ring
   ASSERT_TRUE(cluster->frontend->leave(0).ok());
   blast(20);  // routed on the shrunk ring while shard 0 drains
   ASSERT_TRUE(cluster->drive_until([&] {
     return ledger.total() == submitted &&
-           cluster->frontend->stats().leaves_completed == 1;
+           cluster->front("cluster.leaves_completed") == 1;
   }));
 
   {
@@ -1033,7 +1089,7 @@ TEST(ClusterE2E, ElasticResizeUnderLoadKeepsCallbacksExactlyOnce) {
     executed += adapter->executed();
   }
   EXPECT_EQ(executed, static_cast<std::uint64_t>(2 * submitted));
-  EXPECT_EQ(cluster->frontend->stats().failovers, 0u);
+  EXPECT_EQ(cluster->front("cluster.failovers"), 0u);
   cluster->shutdown();
 }
 
@@ -1071,18 +1127,15 @@ TEST(ClusterE2E, FailoverResumesSessionFromReplicatedCheckpoint) {
                   .ok());
   ASSERT_TRUE(cluster->drive_until([&] {
     return ledger.total() == 1 &&
-           cluster->frontend->stats().checkpoints_taken >= 1;
+           cluster->front("cluster.checkpoints_taken") >= 1;
   }));
   EXPECT_EQ(cluster->frontend->checkpoint_version(session), 1);
-  EXPECT_GE(cluster->nodes[owner]->replication_stats().checkpoints_exported,
-            1u);
+  EXPECT_GE(cluster->shard(owner, "shard.checkpoints_exported"), 1u);
   EXPECT_EQ(cluster->adapters[owner]->executed(), 2u);  // create + open
   EXPECT_EQ(cluster->adapters[replica]->executed(), 0u);
   // Nothing is shipped while the owner serves: the replica's own
   // runtime stays untouched until a failover actually needs it.
-  EXPECT_EQ(cluster->nodes[replica]->replication_stats()
-                .session_states_imported,
-            0u);
+  EXPECT_EQ(cluster->shard(replica, "platform.session_states_imported"), 0u);
 
   // Kill the owner and close the session. The forward times out, the
   // failover ships the cached checkpoint, the replica imports it, and
@@ -1108,15 +1161,12 @@ TEST(ClusterE2E, FailoverResumesSessionFromReplicatedCheckpoint) {
   EXPECT_EQ(cluster->adapters[replica]->executed(), 1u)
       << "the resumed close must re-execute zero prior steps";
 
-  const cluster::ClusterFrontEnd::Stats stats = cluster->frontend->stats();
-  EXPECT_GE(stats.failovers, 1u);
-  EXPECT_GE(stats.checkpoints_taken, 1u);
-  EXPECT_GE(stats.resumes_shipped, 1u);
-  EXPECT_GE(stats.resumes_completed, 1u);
-  const cluster::ShardNode::Stats replica_stats =
-      cluster->nodes[replica]->replication_stats();
-  EXPECT_EQ(replica_stats.session_states_imported, 1u);
-  EXPECT_EQ(replica_stats.session_states_rejected_stale, 0u);
+  EXPECT_GE(cluster->front("cluster.failovers"), 1u);
+  EXPECT_GE(cluster->front("cluster.checkpoints_taken"), 1u);
+  EXPECT_GE(cluster->front("cluster.resumes_shipped"), 1u);
+  EXPECT_GE(cluster->front("cluster.resumes_completed"), 1u);
+  EXPECT_EQ(cluster->shard(replica, "platform.session_states_imported"), 1u);
+  EXPECT_EQ(cluster->shard(replica, "shard.session_states_rejected_stale"), 0u);
   cluster->shutdown();
 }
 
@@ -1177,8 +1227,7 @@ TEST(ClusterE2E, StaleCheckpointNeverAppliesOverNewer) {
   // Version 2 imports.
   ingress::RemoteOutcome first = ship(2, newer.value());
   EXPECT_TRUE(first.status.ok()) << first.status.to_string();
-  EXPECT_EQ(cluster->nodes[0]->replication_stats().session_states_imported,
-            1u);
+  EXPECT_EQ(cluster->shard(0, "platform.session_states_imported"), 1u);
   const std::string text = platform.runtime_model_text("gate");
   EXPECT_NE(text.find("open"), std::string::npos) << text;
 
@@ -1193,10 +1242,8 @@ TEST(ClusterE2E, StaleCheckpointNeverAppliesOverNewer) {
   EXPECT_TRUE(again.status.ok()) << again.status.to_string();
   EXPECT_EQ(platform.runtime_model_text("gate"), text);
 
-  const cluster::ShardNode::Stats stats =
-      cluster->nodes[0]->replication_stats();
-  EXPECT_EQ(stats.session_states_rejected_stale, 1u);
-  EXPECT_EQ(stats.session_states_imported, 1u);
+  EXPECT_EQ(cluster->shard(0, "shard.session_states_rejected_stale"), 1u);
+  EXPECT_EQ(cluster->shard(0, "platform.session_states_imported"), 1u);
   raw.value().reset();
   cluster->shutdown();
 }
@@ -1258,7 +1305,7 @@ TEST(ClusterE2E, IdleCheckpointEntriesAreDropped) {
   // Open `session` and wait until its checkpoint is captured, so no
   // capture is in flight when the clock jumps.
   auto open = [&](const std::string& session) {
-    const std::uint64_t taken = cluster->frontend->stats().checkpoints_taken;
+    const std::uint64_t taken = cluster->front("cluster.checkpoints_taken");
     std::optional<ingress::RemoteOutcome> reply;
     EXPECT_TRUE(cluster->client
                     ->submit("testlang", session,
@@ -1269,7 +1316,7 @@ TEST(ClusterE2E, IdleCheckpointEntriesAreDropped) {
                     .ok());
     EXPECT_TRUE(cluster->drive_until([&] {
       return reply.has_value() &&
-             cluster->frontend->stats().checkpoints_taken > taken;
+             cluster->front("cluster.checkpoints_taken") > taken;
     }));
   };
   for (const char* session : {"a", "b", "c", "d"}) open(session);
@@ -1277,7 +1324,7 @@ TEST(ClusterE2E, IdleCheckpointEntriesAreDropped) {
 
   // d closes: its owner reports the session ended, so the entry goes at
   // once.
-  const std::uint64_t taken = cluster->frontend->stats().checkpoints_taken;
+  const std::uint64_t taken = cluster->front("cluster.checkpoints_taken");
   std::optional<ingress::RemoteOutcome> closed;
   ASSERT_TRUE(cluster->client
                   ->submit("testlang", "d", soak::close_session_text("d"),
@@ -1287,7 +1334,7 @@ TEST(ClusterE2E, IdleCheckpointEntriesAreDropped) {
                   .ok());
   ASSERT_TRUE(cluster->drive_until([&] {
     return closed.has_value() &&
-           cluster->frontend->stats().checkpoints_taken > taken;
+           cluster->front("cluster.checkpoints_taken") > taken;
   }));
   EXPECT_TRUE(closed->status.ok()) << closed->status.to_string();
   EXPECT_EQ(cluster->frontend->checkpointed_sessions(), 3u);
@@ -1303,7 +1350,7 @@ TEST(ClusterE2E, IdleCheckpointEntriesAreDropped) {
   open("a");
   EXPECT_EQ(cluster->frontend->checkpointed_sessions(), 1u);
   EXPECT_GT(cluster->frontend->checkpoint_version("a"), last);
-  EXPECT_EQ(cluster->frontend->stats().checkpoint_failures, 0u);
+  EXPECT_EQ(cluster->front("cluster.checkpoint_failures"), 0u);
   cluster->shutdown();
 }
 
@@ -1354,7 +1401,7 @@ TEST(ClusterE2E, JoinResumesAMovedSessionOnTheNewcomer) {
   ASSERT_TRUE(launch_spare(*cluster, "shard-2"));
   ASSERT_TRUE(cluster->frontend->join("shard-2").ok());
   ASSERT_TRUE(cluster->drive_until(
-      [&] { return cluster->frontend->stats().joins_completed == 1; }));
+      [&] { return cluster->front("cluster.joins_completed") == 1; }));
   ASSERT_EQ(cluster->frontend->ring().owner(session), 2u);
 
   std::optional<ingress::RemoteOutcome> closed = submit_and_settle(
@@ -1363,11 +1410,9 @@ TEST(ClusterE2E, JoinResumesAMovedSessionOnTheNewcomer) {
   EXPECT_TRUE(closed->status.ok()) << closed->status.to_string();
   EXPECT_EQ(cluster->adapters[2]->executed(), 1u)
       << "the close on the newcomer must re-execute zero prior steps";
-  const cluster::ClusterFrontEnd::Stats stats = cluster->frontend->stats();
-  EXPECT_EQ(stats.resumes_shipped, 1u);
-  EXPECT_EQ(stats.resumes_completed, 1u);
-  EXPECT_EQ(cluster->nodes[2]->replication_stats().session_states_imported,
-            1u);
+  EXPECT_EQ(cluster->front("cluster.resumes_shipped"), 1u);
+  EXPECT_EQ(cluster->front("cluster.resumes_completed"), 1u);
+  EXPECT_EQ(cluster->shard(2, "platform.session_states_imported"), 1u);
   cluster->shutdown();
 }
 
@@ -1389,7 +1434,7 @@ TEST(ClusterE2E, LeaveResumesTheSessionOnItsNewOwner) {
 
   ASSERT_TRUE(cluster->frontend->leave(victim).ok());
   ASSERT_TRUE(cluster->drive_until(
-      [&] { return cluster->frontend->stats().leaves_completed == 1; }));
+      [&] { return cluster->front("cluster.leaves_completed") == 1; }));
   const std::size_t heir = cluster->frontend->ring().owner(session);
   ASSERT_NE(heir, victim);
 
@@ -1400,11 +1445,9 @@ TEST(ClusterE2E, LeaveResumesTheSessionOnItsNewOwner) {
   EXPECT_EQ(cluster->adapters[victim]->executed(), 2u);
   EXPECT_EQ(cluster->adapters[heir]->executed(), 1u)
       << "the close on the new owner must re-execute zero prior steps";
-  const cluster::ClusterFrontEnd::Stats stats = cluster->frontend->stats();
-  EXPECT_EQ(stats.resumes_shipped, 1u);
-  EXPECT_EQ(stats.resumes_completed, 1u);
-  EXPECT_EQ(
-      cluster->nodes[heir]->replication_stats().session_states_imported, 1u);
+  EXPECT_EQ(cluster->front("cluster.resumes_shipped"), 1u);
+  EXPECT_EQ(cluster->front("cluster.resumes_completed"), 1u);
+  EXPECT_EQ(cluster->shard(heir, "platform.session_states_imported"), 1u);
   cluster->shutdown();
 }
 
@@ -1454,7 +1497,7 @@ TEST(ClusterE2E, QueryFanOutSkipsAJoiningShard) {
 
   // Once the join completes the newcomer serves queries like anyone.
   ASSERT_TRUE(cluster->drive_until(
-      [&] { return cluster->frontend->stats().joins_completed == 1; }));
+      [&] { return cluster->front("cluster.joins_completed") == 1; }));
   auto second = std::make_shared<std::optional<ingress::RemoteOutcome>>();
   ASSERT_TRUE(cluster->client
                   ->query("metrics",
@@ -1492,7 +1535,7 @@ TEST(ClusterE2E, ModelAuthTokenGuardsTheFrontDoor) {
                   .ok());
   ASSERT_TRUE(cluster->drive_until([&] { return served.has_value(); }));
   EXPECT_TRUE(served->status.ok()) << served->status.to_string();
-  EXPECT_EQ(cluster->frontend->stats().forwarded, 1u);
+  EXPECT_EQ(cluster->front("cluster.forwarded"), 1u);
   const std::uint64_t seen = shard_received();
   EXPECT_EQ(seen, 1u);
 
@@ -1510,8 +1553,8 @@ TEST(ClusterE2E, ModelAuthTokenGuardsTheFrontDoor) {
   ASSERT_TRUE(cluster->drive_until([&] { return denied.has_value(); }));
   EXPECT_EQ(denied->status.code(), ErrorCode::kFailedPrecondition);
   EXPECT_EQ(denied->refusal, "unauthenticated");
-  EXPECT_EQ(cluster->frontend->stats().forwarded, 1u);
-  EXPECT_EQ(cluster->frontend->stats().refused, 1u);
+  EXPECT_EQ(cluster->front("cluster.forwarded"), 1u);
+  EXPECT_EQ(cluster->front("ingress.refused"), 1u);
   EXPECT_EQ(shard_received(), seen);
   intruder.value().reset();
   cluster->shutdown();
@@ -1613,7 +1656,7 @@ TEST(DoorParity, BadInputsMeetTheSameRefusalAtEveryDoor) {
   }
   EXPECT_EQ(at_server.counter_value("ingress.refused"), rows.size());
   EXPECT_EQ(at_frontend.counter_value("ingress.refused"), rows.size());
-  EXPECT_EQ(cluster->frontend->stats().forwarded, 0u);
+  EXPECT_EQ(cluster->front("cluster.forwarded"), 0u);
   cluster->shutdown();
 }
 

@@ -7,6 +7,7 @@
 #include "domains/comm/cvm.hpp"
 #include "domains/comm/handcrafted_broker.hpp"
 #include "domains/comm/scenarios.hpp"
+#include "metrics_fixtures.hpp"
 
 namespace mdsm::comm {
 namespace {
@@ -233,7 +234,7 @@ TEST(Equivalence, FailureRecoveryHappensOnBothSides) {
   ASSERT_TRUE(run_scenario(recovery, handcrafted->broker,
                            handcrafted->service, handcrafted->context)
                   .ok());
-  EXPECT_EQ((*cvm)->platform->broker().autonomic().adaptations(), 1u);
+  EXPECT_EQ(cell_value((*cvm)->platform->metrics(), "autonomic.reactions"), 1u);
   EXPECT_EQ(handcrafted->broker.recoveries(), 1u);
   EXPECT_EQ((*cvm)->platform->trace().entries().back(),
             "comm.party.reconnect(address=\"bob\", session=\"c7\")");

@@ -14,6 +14,7 @@
 #include "broker/broker_layer.hpp"
 #include "controller/static_controller.hpp"
 #include "runtime/event_loop.hpp"
+#include "metrics_fixtures.hpp"
 
 namespace mdsm::controller {
 namespace {
@@ -141,7 +142,7 @@ TEST_F(ControllerFixture, GeneratesChainAndExecutes) {
   EXPECT_EQ(entries[2], "broker.media.allocate()");
   EXPECT_EQ(entries[3], "broker.session.commit(id=\"s1\")");
   // Three frames were on the stack at once: root, alloc-av, net-direct.
-  EXPECT_EQ(layer.engine().stats().max_stack_depth, 3u);
+  EXPECT_EQ(layer.engine().max_stack_depth(), 3u);
 }
 
 TEST_F(ControllerFixture, SelectionMinCostVsMaxQuality) {
@@ -349,7 +350,7 @@ TEST_F(ControllerFixture, EngineMemoryEventAndResultOps) {
   EXPECT_EQ(context.get("done"), Value(true));
   EXPECT_TRUE(layer.engine().memory("x").is_none());
   EXPECT_EQ(layer.engine().memory("y"), Value(41));
-  EXPECT_GE(layer.engine().stats().instructions, 6u);
+  EXPECT_GE(cell_value(metrics, "controller.instructions"), 6u);
 }
 
 TEST_F(ControllerFixture, EngineGuardFailureAborts) {

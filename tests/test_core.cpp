@@ -13,6 +13,7 @@
 
 #include "core/platform.hpp"
 #include "core/spec_decode.hpp"
+#include "metrics_fixtures.hpp"
 #include "model_fixtures.hpp"
 
 namespace mdsm::core {
@@ -299,7 +300,7 @@ TEST_F(PlatformFixture, BrokerGuardSelectsLowQualityUnderLowBandwidth) {
 TEST_F(PlatformFixture, AutonomicRuleLoadedFromModelFires) {
   ASSERT_TRUE(platform->start().ok());
   adapter->fire("link.down");
-  EXPECT_EQ(platform->broker().autonomic().adaptations(), 1u);
+  EXPECT_EQ(cell_value(platform->metrics(), "autonomic.reactions"), 1u);
   ASSERT_EQ(platform->trace().entries().size(), 1u);
   EXPECT_EQ(platform->trace().entries()[0], "svc.reconnect()");
 }
@@ -652,8 +653,10 @@ TEST_F(PlatformFixture, SyncSubmitsNeverCreateThePipeline) {
   EXPECT_EQ(stats.queue_capacity, 0u);
   EXPECT_EQ(stats.max_pending, 0u);
   EXPECT_EQ(stats.max_bounded_pending, 0u);
-  EXPECT_EQ(stats.rejections, 0u);
-  EXPECT_EQ(stats.shed, 0u);
+  // No executor, so none of its cells: nothing was rejected or shed.
+  const obs::MetricsSnapshot metrics = platform->metrics().snapshot();
+  EXPECT_EQ(metrics.counter("runtime.executor_rejections"), nullptr);
+  EXPECT_EQ(metrics.counter("runtime.executor_shed"), nullptr);
 }
 
 TEST_F(PlatformFixture, ContextFreeSubmissionKeepsLastTrace) {

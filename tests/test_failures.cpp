@@ -8,6 +8,7 @@
 #include "domains/crowd/fleet.hpp"
 #include "domains/mgrid/mgridvm.hpp"
 #include "domains/smartspace/ssvm.hpp"
+#include "metrics_fixtures.hpp"
 
 namespace mdsm {
 namespace {
@@ -34,7 +35,7 @@ object Connection c1 {
   // reported through the event path, not as a submission failure.
   ASSERT_TRUE(script.ok()) << script.status().to_string();
   EXPECT_EQ(platform.controller().stats().errors, 1u);
-  EXPECT_GE(platform.synthesis().stats().controller_events, 1u);
+  EXPECT_GE(cell_value(platform.metrics(), "synthesis.controller_events"), 1u);
   ASSERT_FALSE(platform.synthesis().event_log().empty());
   EXPECT_NE(platform.synthesis().event_log()[0].find("media.open"),
             std::string::npos);
@@ -75,7 +76,8 @@ object Microgrid grid {
 )")
                   .ok());
   // Plan fired (symptom detected) but the shed was refused.
-  EXPECT_GE(platform.broker().autonomic().symptoms_detected(), 1u);
+  EXPECT_GE(cell_value(platform.metrics(), "autonomic.symptoms_detected"),
+            1u);
   EXPECT_TRUE((*vm)->plant.load("icu")->connected);
   EXPECT_LT((*vm)->plant.net_power_kw(), 0.0);  // honest: still unbalanced
   // The trace shows the attempted shed (issued, then refused).

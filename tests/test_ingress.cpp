@@ -25,6 +25,7 @@
 #include "ingress/router.hpp"
 #include "ingress/wire.hpp"
 #include "net/network.hpp"
+#include "metrics_fixtures.hpp"
 #include "soak_fixtures.hpp"
 
 namespace mdsm {
@@ -343,12 +344,14 @@ TEST(IngressE2E, SubmitCompletesOverTheWire) {
   EXPECT_EQ(context->remote_id(), "client#1");
   EXPECT_EQ(context->attribute("ingress.session"), "s1");
 
-  const ingress::IngressServer::Stats stats = deployment->server->stats();
-  EXPECT_EQ(stats.received, 1u);
-  EXPECT_EQ(stats.accepted, 1u);
-  EXPECT_EQ(stats.completed_ok, 1u);
-  EXPECT_EQ(stats.replies, 1u);
-  EXPECT_EQ(deployment->client->stats().resolved_ok, 1u);
+  const obs::MetricsSnapshot server =
+      deployment->platform->metrics().snapshot();
+  EXPECT_EQ(cell_value(server, "ingress.received"), 1u);
+  EXPECT_EQ(cell_value(server, "ingress.accepted"), 1u);
+  EXPECT_EQ(cell_value(server, "ingress.completed_ok"), 1u);
+  EXPECT_EQ(cell_value(server, "ingress.replies"), 1u);
+  EXPECT_EQ(cell_value(deployment->client->metrics(), "client.resolved_ok"),
+            1u);
   deployment->shutdown();
 }
 
@@ -407,9 +410,10 @@ TEST(IngressE2E, MalformedAndUnroutedMessagesAreRefusedNotDropped) {
   EXPECT_EQ(replies[1].refusal, "no-route");
   EXPECT_EQ(replies[1].request_id, 99u);
 
-  const ingress::IngressServer::Stats stats = deployment->server->stats();
-  EXPECT_EQ(stats.malformed, 1u);
-  EXPECT_EQ(stats.unrouted, 1u);
+  const obs::MetricsSnapshot server =
+      deployment->platform->metrics().snapshot();
+  EXPECT_EQ(cell_value(server, "ingress.malformed"), 1u);
+  EXPECT_EQ(cell_value(server, "ingress.unrouted"), 1u);
   deployment->shutdown();
 }
 
@@ -531,18 +535,20 @@ TEST(IngressE2E, OverloadRefusalsPropagateAsTypedRepliesUnderLoad) {
     EXPECT_GT(ledger.refusals[""], 0);
   }
 
-  const ingress::IngressServer::Stats stats = deployment->server->stats();
-  EXPECT_EQ(stats.received, static_cast<std::uint64_t>(kSubmissions));
-  EXPECT_EQ(stats.accepted + stats.refused,
+  const obs::MetricsSnapshot server =
+      deployment->platform->metrics().snapshot();
+  const std::uint64_t refused = cell_value(server, "ingress.refused");
+  EXPECT_EQ(cell_value(server, "ingress.received"),
             static_cast<std::uint64_t>(kSubmissions));
-  EXPECT_GT(stats.refused, 0u);
-  const ingress::IngressClient::Stats client_stats =
-      deployment->client->stats();
-  EXPECT_EQ(client_stats.resolved_ok + client_stats.refused,
+  EXPECT_EQ(cell_value(server, "ingress.accepted") + refused,
             static_cast<std::uint64_t>(kSubmissions));
-  EXPECT_EQ(deployment->platform->metrics().snapshot().counter_value(
-                "ingress.refused.overload"),
-            stats.refused);
+  EXPECT_GT(refused, 0u);
+  const obs::MetricsSnapshot client =
+      deployment->client->metrics().snapshot();
+  EXPECT_EQ(cell_value(client, "client.resolved_ok") +
+                cell_value(client, "client.refused"),
+            static_cast<std::uint64_t>(kSubmissions));
+  EXPECT_EQ(server.counter_value("ingress.refused.overload"), refused);
   deployment->shutdown();
 }
 
@@ -572,8 +578,11 @@ TEST(IngressE2E, LostRepliesExpireExactlyOnceUnderDropRate) {
   // Drain everything the network did deliver: the pipeline settles when
   // each accepted submission has completed, then the replies flush.
   ASSERT_TRUE(deployment->drive_until([&] {
-    const ingress::IngressServer::Stats stats = deployment->server->stats();
-    return stats.accepted == stats.completed_ok + stats.completed_error &&
+    const obs::MetricsSnapshot server =
+        deployment->platform->metrics().snapshot();
+    return cell_value(server, "ingress.accepted") ==
+               cell_value(server, "ingress.completed_ok") +
+                   cell_value(server, "ingress.completed_error") &&
            deployment->server->pump() == 0 &&
            deployment->network->pending() == 0;
   }));
@@ -592,10 +601,13 @@ TEST(IngressE2E, LostRepliesExpireExactlyOnceUnderDropRate) {
     // certainty; each shows up as the typed "reply-lost" outcome.
     EXPECT_GT(ledger.refusals["reply-lost"], 0);
   }
-  const ingress::IngressClient::Stats stats = deployment->client->stats();
-  EXPECT_EQ(stats.resolved_ok + stats.refused + stats.expired,
+  const obs::MetricsSnapshot client =
+      deployment->client->metrics().snapshot();
+  const std::uint64_t expired = cell_value(client, "client.expired");
+  EXPECT_EQ(cell_value(client, "client.resolved_ok") +
+                cell_value(client, "client.refused") + expired,
             static_cast<std::uint64_t>(kSubmissions));
-  EXPECT_GT(stats.expired, 0u);
+  EXPECT_GT(expired, 0u);
   EXPECT_EQ(deployment->client->pending(), 0u);
   deployment->shutdown();
 }
@@ -970,7 +982,8 @@ TEST(IngressE2E, DuplicateSubmitIsServedFromTheLedgerNotReExecuted) {
     EXPECT_EQ(replies[1].code, replies[0].code);
     EXPECT_EQ(replies[1].commands, replies[0].commands);
   }
-  EXPECT_EQ(deployment->server->stats().deduped, 1u);
+  EXPECT_EQ(cell_value(deployment->platform->metrics(), "ingress.deduped"),
+            1u);
   deployment->shutdown();
 }
 
@@ -1022,13 +1035,13 @@ TEST(IngressE2E, RetryBudgetHealsLossesWithoutDoubleExecution) {
     // all-attempts-lost probability is well under 10%.
     EXPECT_GE(ledger.refusals[""], kSubmissions * 3 / 4);
   }
-  const ingress::IngressClient::Stats stats = deployment->client->stats();
-  EXPECT_GT(stats.retried, 0u);
+  EXPECT_GT(cell_value(deployment->client->metrics(), "client.retried"), 0u);
   // The dedup ledger absorbed replays of already-executed requests: the
   // adapter never ran a session twice.
   EXPECT_LE(deployment->svc->executed(),
             static_cast<std::uint64_t>(2 * kSubmissions));
-  EXPECT_GT(deployment->server->stats().deduped, 0u);
+  EXPECT_GT(cell_value(deployment->platform->metrics(), "ingress.deduped"),
+            0u);
   deployment->shutdown();
 }
 
@@ -1096,7 +1109,10 @@ TEST(IngressE2E, InFlightDedupEntrySurvivesCapacityPressure) {
                          "submit/testlang/pin", payload)
                   .ok());
   ASSERT_TRUE(deployment->drive_until(
-      [&] { return deployment->server->stats().deduped >= 1; }));
+      [&] {
+        return cell_value(deployment->platform->metrics(),
+                          "ingress.deduped") >= 1;
+      }));
   {
     std::lock_guard lock(mutex);
     EXPECT_TRUE(replies.empty()) << "absorbed retry must not reply early";
@@ -1126,9 +1142,10 @@ TEST(IngressE2E, InFlightDedupEntrySurvivesCapacityPressure) {
     EXPECT_EQ(replies[1].commands, replies[0].commands);
   }
   EXPECT_EQ(gate->executed(), 2u + 2u * kFlood);  // never re-executed
-  const ingress::IngressServer::Stats stats = deployment->server->stats();
-  EXPECT_EQ(stats.accepted, 1u + kFlood);
-  EXPECT_EQ(stats.deduped, 2u);
+  const obs::MetricsSnapshot server =
+      deployment->platform->metrics().snapshot();
+  EXPECT_EQ(cell_value(server, "ingress.accepted"), 1u + kFlood);
+  EXPECT_EQ(cell_value(server, "ingress.deduped"), 2u);
   deployment->shutdown();
 }
 
@@ -1174,8 +1191,10 @@ TEST(IngressE2E, DedupLedgerExpiresCompletedEntriesByTtl) {
   // Within the TTL: a ledger replay, not an execution.
   resend();
   ASSERT_TRUE(deployment->drive_until([&] { return replies_seen() == 2; }));
-  EXPECT_EQ(deployment->server->stats().deduped, 1u);
-  EXPECT_EQ(deployment->server->stats().accepted, 1u);
+  const obs::MetricsSnapshot within_ttl =
+      deployment->platform->metrics().snapshot();
+  EXPECT_EQ(cell_value(within_ttl, "ingress.deduped"), 1u);
+  EXPECT_EQ(cell_value(within_ttl, "ingress.accepted"), 1u);
   EXPECT_EQ(deployment->svc->executed(), 2u);
 
   // Past the TTL (the dedup clock is the NETWORK's): the entry expires
@@ -1186,10 +1205,11 @@ TEST(IngressE2E, DedupLedgerExpiresCompletedEntriesByTtl) {
   deployment->clock.advance(std::chrono::seconds(2));
   resend();
   ASSERT_TRUE(deployment->drive_until([&] { return replies_seen() == 3; }));
-  const ingress::IngressServer::Stats stats = deployment->server->stats();
-  EXPECT_EQ(stats.dedup_expired, 1u);
-  EXPECT_EQ(stats.accepted, 2u);
-  EXPECT_EQ(stats.deduped, 1u);
+  const obs::MetricsSnapshot past_ttl =
+      deployment->platform->metrics().snapshot();
+  EXPECT_EQ(cell_value(past_ttl, "ingress.dedup_expired"), 1u);
+  EXPECT_EQ(cell_value(past_ttl, "ingress.accepted"), 2u);
+  EXPECT_EQ(cell_value(past_ttl, "ingress.deduped"), 1u);
   {
     std::lock_guard lock(mutex);
     EXPECT_EQ(replies[2].code, ErrorCode::kOk);

@@ -5,6 +5,7 @@
 
 #include "domains/mgrid/baseline.hpp"
 #include "domains/mgrid/mgridvm.hpp"
+#include "metrics_fixtures.hpp"
 
 namespace mdsm::mgrid {
 namespace {
@@ -192,7 +193,7 @@ object Microgrid grid {
 )")
                   .ok());
   // heater pushed demand to 6 kW > 3 kW generation → imbalance → shed.
-  EXPECT_GE(platform.broker().autonomic().adaptations(), 1u);
+  EXPECT_GE(cell_value(platform.metrics(), "autonomic.reactions"), 1u);
   EXPECT_FALSE((*vm)->plant.load("heater")->connected);
   EXPECT_GE((*vm)->plant.net_power_kw(), 0.0);
 }

@@ -14,6 +14,7 @@
 #include "common/log.hpp"
 #include "common/strings.hpp"
 #include "core/platform.hpp"
+#include "metrics_fixtures.hpp"
 #include "soak_fixtures.hpp"
 
 namespace mdsm::core {
@@ -36,8 +37,12 @@ struct OverloadPlatform {
   soak::CountingAdapter* svc = nullptr;
 };
 
-OverloadPlatform make_overload_platform(std::string_view extra_attrs,
-                                        unsigned pipeline_threads = 2) {
+/// Assembles and starts the overload platform around `adapter`; null
+/// `platform` when any step fails.
+OverloadPlatform make_overload_platform(
+    std::string_view extra_attrs,
+    std::unique_ptr<broker::ResourceAdapter> adapter,
+    unsigned pipeline_threads = 2) {
   OverloadPlatform out;
   out.dsml = model::testing::make_test_metamodel();
   PlatformConfig config;
@@ -47,12 +52,21 @@ OverloadPlatform make_overload_platform(std::string_view extra_attrs,
       Platform::assemble_from_text(overload_model_text(extra_attrs), config);
   if (!assembled.ok()) return out;
   out.platform = std::move(assembled.value());
-  auto svc = std::make_unique<soak::CountingAdapter>("svc");
-  out.svc = svc.get();
-  if (!out.platform->add_resource_adapter(std::move(svc)).ok() ||
+  if (!out.platform->add_resource_adapter(std::move(adapter)).ok() ||
       !out.platform->start().ok()) {
     out.platform.reset();
   }
+  return out;
+}
+
+/// The same around a soak::CountingAdapter, kept as `svc`.
+OverloadPlatform make_overload_platform(std::string_view extra_attrs,
+                                        unsigned pipeline_threads = 2) {
+  auto svc = std::make_unique<soak::CountingAdapter>("svc");
+  soak::CountingAdapter* counting = svc.get();
+  OverloadPlatform out =
+      make_overload_platform(extra_attrs, std::move(svc), pipeline_threads);
+  out.svc = counting;
   return out;
 }
 
@@ -257,12 +271,16 @@ TEST(Overload, SpentDeadlineResolvesAtTheAsyncDoor) {
 // The request counters are a ledger of the async door: every submission
 // it accepts counts once in requests.submitted, and every one that
 // resolves as an error — a victim shed from the queue included — once
-// in requests.failed.
+// in requests.failed. The first request holds the only worker until
+// every submit is queued, so the one-slot queue sheds on each later one.
 TEST(Overload, RequestCountersBalanceUnderShedding) {
+  auto held = std::make_unique<soak::LeverAdapter>();
+  soak::LeverAdapter& svc = *held;
+  svc.hold_next();
   auto fixture = make_overload_platform(
       "queue_capacity = 1\n"
       "  overflow_policy = shed-oldest",
-      /*pipeline_threads=*/1);
+      std::move(held), /*pipeline_threads=*/1);
   ASSERT_NE(fixture.platform, nullptr);
   Platform& platform = *fixture.platform;
   constexpr int kRequests = 64;
@@ -277,10 +295,14 @@ TEST(Overload, RequestCountersBalanceUnderShedding) {
           ++settled;
         });
     if (status.ok()) ++accepted;
+    if (i == 0) {
+      ASSERT_TRUE(svc.wait_parked());
+    }
   }
+  svc.release();
   while (settled.load() != accepted) std::this_thread::yield();
   EXPECT_TRUE(platform.stop().ok());
-  EXPECT_GT(platform.pipeline_stats().shed, 0u);
+  EXPECT_GT(cell_value(platform.metrics(), "runtime.executor_shed"), 0u);
   EXPECT_EQ(platform.metrics().counter("requests.submitted").value(),
             static_cast<std::uint64_t>(accepted));
   EXPECT_EQ(platform.metrics().counter("requests.failed").value(),
@@ -350,15 +372,17 @@ TEST(Overload, ConcurrentLedgerAccountsForEverySubmission) {
   // The ledger balances: nothing lost, nothing double-counted.
   EXPECT_EQ(accepted.load() + refused.load(), kThreads * kPerThread);
   EXPECT_EQ(completed_ok.load() + completed_failed.load(), accepted.load());
-  const Platform::PipelineStats stats = platform->pipeline_stats();
   // The bound held under pressure. On the staged pipeline the bound
   // governs entry submissions only — continuation hops of admitted
   // requests ride above it — so the bounded gauge is the one to check.
-  EXPECT_LE(stats.max_bounded_pending, 4u);
+  EXPECT_LE(platform->pipeline_stats().max_bounded_pending, 4u);
   // Shed tasks resolved through their callbacks (counted as failed) and
   // in the shed counter; with shed-oldest the door never refuses.
-  EXPECT_EQ(refused.load(), static_cast<int>(stats.rejections));
-  EXPECT_GE(completed_failed.load(), static_cast<int>(stats.shed));
+  const obs::MetricsSnapshot metrics = platform->metrics().snapshot();
+  EXPECT_EQ(refused.load(), static_cast<int>(cell_value(
+                                metrics, "runtime.executor_rejections")));
+  EXPECT_GE(completed_failed.load(),
+            static_cast<int>(cell_value(metrics, "runtime.executor_shed")));
   set_log_level(LogLevel::kWarn);
 }
 

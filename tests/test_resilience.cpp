@@ -24,6 +24,7 @@
 #include "common/strings.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/event_loop.hpp"
+#include "metrics_fixtures.hpp"
 #include "soak_fixtures.hpp"
 
 namespace mdsm {
@@ -592,7 +593,7 @@ TEST_F(ResilienceFixture, AutonomicSymptomReactsToBreakerOpen) {
     (void)r.invoke("svc", context);
     EXPECT_EQ(r.layer.resources().breaker_state("svc"),
               CircuitBreaker::State::kOpen);
-    EXPECT_EQ(r.layer.autonomic().adaptations(), 1u);
+    EXPECT_EQ(cell_value(r.metrics, "autonomic.reactions"), 1u);
     EXPECT_EQ(r.store.get("mode"), Value("safe"));
   });
 }
@@ -671,7 +672,10 @@ TEST_F(ResilienceSoak, SeededChaosBelowRetryBudgetIsInvisibleToUsers) {
   }
   platform.bus().unsubscribe(error_sub);
 
-  const broker::ChaosStats chaos = soaked.chaos->stats();
+  const obs::MetricsSnapshot chaos = soaked.chaos->metrics().snapshot();
+  const std::uint64_t executed = cell_value(chaos, "chaos.executed");
+  const std::uint64_t passed = cell_value(chaos, "chaos.passed");
+  const std::uint64_t failed = cell_value(chaos, "chaos.failed");
   const obs::MetricsSnapshot snapshot = platform.metrics().snapshot();
   // Zero user-visible failures...
   EXPECT_EQ(platform.controller().stats().errors, 0u);
@@ -679,15 +683,15 @@ TEST_F(ResilienceSoak, SeededChaosBelowRetryBudgetIsInvisibleToUsers) {
   EXPECT_EQ(snapshot.counter_value("broker.retry_exhausted"), 0u);
   // ...yet real faults were injected and absorbed by retries: every
   // chaos fault triggered exactly one retry, nothing more.
-  EXPECT_GT(chaos.failed, 0u);
-  EXPECT_EQ(snapshot.counter_value("broker.retries"), chaos.failed);
+  EXPECT_GT(failed, 0u);
+  EXPECT_EQ(snapshot.counter_value("broker.retries"), failed);
   // Physical-attempt accounting is airtight across layers.
-  EXPECT_EQ(snapshot.counter_value("broker.commands"), chaos.executed);
-  EXPECT_EQ(platform.trace().size(), chaos.executed);
-  EXPECT_EQ(chaos.passed, soaked.inner->executed());
+  EXPECT_EQ(snapshot.counter_value("broker.commands"), executed);
+  EXPECT_EQ(platform.trace().size(), executed);
+  EXPECT_EQ(passed, soaked.inner->executed());
   // Fault-free arithmetic at the logical level: two logical commands per
   // session, all of which ultimately succeeded.
-  EXPECT_EQ(chaos.passed, 2u * kSessions);
+  EXPECT_EQ(passed, 2u * kSessions);
 
   EXPECT_TRUE(platform.stop().ok());
 }
@@ -729,9 +733,13 @@ TEST_F(ResilienceSoak, ConcurrentChaosLedgerReconcilesWithRetries) {
   // Command failures are contained per command; submissions always return.
   EXPECT_EQ(ok_submissions.load(), kTotal);
 
-  const broker::ChaosStats chaos = soaked.chaos->stats();
+  const obs::MetricsSnapshot chaos = soaked.chaos->metrics().snapshot();
+  const std::uint64_t executed = cell_value(chaos, "chaos.executed");
+  const std::uint64_t passed = cell_value(chaos, "chaos.passed");
+  const std::uint64_t failed = cell_value(chaos, "chaos.failed");
+  const std::uint64_t threw = cell_value(chaos, "chaos.threw");
   const obs::MetricsSnapshot snapshot = platform.metrics().snapshot();
-  const std::uint64_t faults = chaos.failed + chaos.threw;
+  const std::uint64_t faults = failed + threw;
   const std::uint64_t retries = snapshot.counter_value("broker.retries");
   const std::uint64_t exhausted =
       snapshot.counter_value("broker.retry_exhausted");
@@ -742,12 +750,11 @@ TEST_F(ResilienceSoak, ConcurrentChaosLedgerReconcilesWithRetries) {
   EXPECT_EQ(platform.controller().stats().errors, exhausted);
   EXPECT_EQ(snapshot.counter_value("controller.errors"), exhausted);
   // Physical attempts reconcile across trace, metrics and chaos.
-  EXPECT_EQ(snapshot.counter_value("broker.commands"), chaos.executed);
-  EXPECT_EQ(platform.trace().size(), chaos.executed);
-  EXPECT_EQ(snapshot.counter_value("broker.adapter_exceptions"),
-            chaos.threw);
-  EXPECT_EQ(chaos.executed, chaos.passed + chaos.failed + chaos.threw);
-  EXPECT_EQ(chaos.passed, soaked.inner->executed());
+  EXPECT_EQ(snapshot.counter_value("broker.commands"), executed);
+  EXPECT_EQ(platform.trace().size(), executed);
+  EXPECT_EQ(snapshot.counter_value("broker.adapter_exceptions"), threw);
+  EXPECT_EQ(executed, passed + failed + threw);
+  EXPECT_EQ(passed, soaked.inner->executed());
   EXPECT_GT(faults, 0u);
 
   EXPECT_TRUE(platform.stop().ok());

@@ -27,6 +27,7 @@
 #include "obs/metrics.hpp"
 #include "runtime/event_loop.hpp"
 #include "runtime/executor.hpp"
+#include "metrics_fixtures.hpp"
 #include "soak_fixtures.hpp"
 
 namespace mdsm {
@@ -104,7 +105,11 @@ TEST_F(SoakTest, ConcurrentSubmissionsReconcileUnderChaos) {
   EXPECT_EQ(unique_ids.size(), kTotal);
 
   // Ledger reconciliation across all four layers plus the chaos wrapper.
-  const broker::ChaosStats chaos = soaked.chaos->stats();
+  const obs::MetricsSnapshot chaos = soaked.chaos->metrics().snapshot();
+  const std::uint64_t executed = cell_value(chaos, "chaos.executed");
+  const std::uint64_t passed = cell_value(chaos, "chaos.passed");
+  const std::uint64_t failed = cell_value(chaos, "chaos.failed");
+  const std::uint64_t threw = cell_value(chaos, "chaos.threw");
   const obs::MetricsSnapshot snapshot = platform.metrics().snapshot();
   EXPECT_EQ(snapshot.counter_value("requests.submitted"), kTotal);
   EXPECT_EQ(snapshot.counter_value("synthesis.models"), kTotal);
@@ -112,7 +117,7 @@ TEST_F(SoakTest, ConcurrentSubmissionsReconcileUnderChaos) {
   EXPECT_EQ(platform.controller().stats().commands_executed, kTotal);
   // Each chaos fault fails exactly one command; each failed command is
   // one controller error, reported once on the bus.
-  const std::uint64_t faults = chaos.threw + chaos.failed;
+  const std::uint64_t faults = threw + failed;
   EXPECT_EQ(platform.controller().stats().errors, faults);
   EXPECT_EQ(snapshot.counter_value("controller.errors"), faults);
   EXPECT_EQ(error_events.load(), faults);
@@ -120,16 +125,15 @@ TEST_F(SoakTest, ConcurrentSubmissionsReconcileUnderChaos) {
   // ones whose adapter then threw.
   EXPECT_EQ(snapshot.counter_value("broker.commands"),
             platform.trace().size());
-  EXPECT_EQ(platform.trace().size(), chaos.executed);
-  EXPECT_EQ(snapshot.counter_value("broker.adapter_exceptions"),
-            chaos.threw);
+  EXPECT_EQ(platform.trace().size(), executed);
+  EXPECT_EQ(snapshot.counter_value("broker.adapter_exceptions"), threw);
   // Chaos outcomes partition its observations; only clean passes reach
   // the wrapped resource.
-  EXPECT_EQ(chaos.executed, chaos.passed + chaos.failed + chaos.threw);
-  EXPECT_EQ(chaos.passed, soaked.inner->executed());
+  EXPECT_EQ(executed, passed + failed + threw);
+  EXPECT_EQ(passed, soaked.inner->executed());
   // With a 25% combined fault rate over >=160 commands, both paths ran.
   EXPECT_GT(faults, 0u);
-  EXPECT_GT(chaos.passed, 0u);
+  EXPECT_GT(passed, 0u);
 
   EXPECT_TRUE(platform.stop().ok());
 }
@@ -266,9 +270,7 @@ TEST_F(SoakTest, ExecutorDrainSurvivesThrowingTasksUnderLoad) {
   EXPECT_EQ(completed.load(),
             static_cast<std::int64_t>(kThreads * kPerThread -
                                       expected_failures));
-  EXPECT_EQ(executor.task_failures(), expected_failures);
-  EXPECT_EQ(metrics.snapshot().counter_value(
-                "runtime.executor_task_failures"),
+  EXPECT_EQ(cell_value(metrics, "runtime.executor_task_failures"),
             expected_failures);
 
   // The pool is still serviceable after containing the faults.

@@ -12,6 +12,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -771,6 +772,79 @@ TEST(Staged, DisownedAttemptsKeepTheirAdapterAndArguments) {
   EXPECT_EQ(platform.metrics().snapshot().counter_value(
                 "broker.late_completions"),
             3u);
+  set_log_level(LogLevel::kWarn);
+}
+
+/// Answers nothing itself: execute_async() keeps every completion, and
+/// the test calls them from its own thread when it chooses.
+class HeldAnswerAdapter final : public broker::ResourceAdapter {
+ public:
+  HeldAnswerAdapter(std::string name, std::mutex* mutex,
+                    std::vector<Completion>* held)
+      : ResourceAdapter(std::move(name)), mutex_(mutex), held_(held) {}
+
+  Result<model::Value> execute(const std::string& command,
+                               const broker::Args&) override {
+    return model::Value("sync:" + command);  // unused; async path below
+  }
+
+  void execute_async(const std::string&, const broker::Args&,
+                     Completion done) override {
+    std::lock_guard lock(*mutex_);
+    held_->push_back(std::move(done));
+  }
+
+ private:
+  std::mutex* mutex_;
+  std::vector<Completion>* held_;
+};
+
+// An adapter may answer a disowned attempt from its own thread after
+// the platform is gone: the platform waits only for admitted requests,
+// not for adapters. The late answer is dropped and touches none of the
+// freed platform (ASan checks).
+TEST(Staged, LateAnswerAfterTeardownIsDropped) {
+  set_log_level(LogLevel::kOff);
+  std::mutex mutex;
+  std::vector<broker::ResourceAdapter::Completion> held;
+  std::atomic<int> callbacks{0};
+  PlatformConfig config;
+  config.pipeline_threads = 2;
+  auto fixture = make_staged_platform(
+      config, std::make_unique<HeldAnswerAdapter>("svc", &mutex, &held));
+  ASSERT_NE(fixture.platform, nullptr);
+  broker::InvocationPolicy policy;
+  policy.max_attempts = 1;
+  policy.attempt_timeout = std::chrono::milliseconds(3);
+  ASSERT_TRUE(fixture.platform->broker()
+                  .resources()
+                  .set_policy("svc", policy)
+                  .ok());
+  auto count = [&callbacks](Result<controller::ControlScript>) {
+    ++callbacks;
+  };
+  ASSERT_TRUE(
+      fixture.platform->submit_async(soak::open_session_text("s1"), count)
+          .ok());
+  const auto wall_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (callbacks.load() < 1 &&
+         std::chrono::steady_clock::now() < wall_deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(callbacks.load(), 1);
+  EXPECT_EQ(fixture.platform->metrics().snapshot().counter_value(
+                "broker.attempt_overruns"),
+            1u);
+  fixture.platform.reset();
+
+  std::thread adapter_thread([&mutex, &held] {
+    std::lock_guard lock(mutex);
+    for (auto& done : held) done(model::Value("late"));
+  });
+  adapter_thread.join();
+  EXPECT_EQ(held.size(), 1u);
+  EXPECT_EQ(callbacks.load(), 1);
   set_log_level(LogLevel::kWarn);
 }
 

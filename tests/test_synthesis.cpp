@@ -2,6 +2,7 @@
 // and the submit → compare → interpret → dispatch cycle.
 #include <gtest/gtest.h>
 
+#include "metrics_fixtures.hpp"
 #include "model_fixtures.hpp"
 #include "synthesis/synthesis_engine.hpp"
 
@@ -149,7 +150,7 @@ TEST_F(SynthesisFixture, InvalidModelRejectedAndRuntimeModelUnchanged) {
   EXPECT_EQ(engine.submit_model(std::move(bad)).status().code(),
             ErrorCode::kConformanceError);
   EXPECT_EQ(engine.runtime_model()->size(), 1u);  // previous model in force
-  EXPECT_EQ(engine.stats().rejected_models, 1u);
+  EXPECT_EQ(cell_value(metrics, "synthesis.rejected_models"), 1u);
 }
 
 TEST_F(SynthesisFixture, WrongMetamodelRejected) {
@@ -189,7 +190,7 @@ TEST_F(SynthesisFixture, IdenticalResubmissionDispatchesNothing) {
 
 TEST_F(SynthesisFixture, ControllerEventsRecorded) {
   engine.handle_controller_event("controller.error", Value("cmd failed"));
-  EXPECT_EQ(engine.stats().controller_events, 1u);
+  EXPECT_EQ(cell_value(metrics, "synthesis.controller_events"), 1u);
   ASSERT_EQ(engine.event_log().size(), 1u);
   EXPECT_EQ(engine.event_log()[0], "controller.error: \"cmd failed\"");
 }
@@ -204,9 +205,7 @@ TEST_F(SynthesisFixture, ControllerEventLogIsBoundedNewestLast) {
   ASSERT_EQ(log.size(), 64u);
   EXPECT_EQ(log.front(), "controller.error: 936");
   EXPECT_EQ(log.back(), "controller.error: 999");
-  EXPECT_EQ(engine.stats().controller_events, 1000u);
-  EXPECT_EQ(metrics.snapshot().counter_value("synthesis.controller_events"),
-            1000u);
+  EXPECT_EQ(cell_value(metrics, "synthesis.controller_events"), 1000u);
 }
 
 TEST_F(SynthesisFixture, TemplateEscapesAndUnknownsPassThrough) {
@@ -230,9 +229,9 @@ TEST_F(SynthesisFixture, TemplateEscapesAndUnknownsPassThrough) {
 
 TEST_F(SynthesisFixture, StatsAccumulate) {
   ASSERT_TRUE(engine.submit_model(base_model()).ok());
-  EXPECT_EQ(engine.stats().models_submitted, 1u);
-  EXPECT_EQ(engine.stats().scripts_dispatched, 1u);
-  EXPECT_EQ(engine.stats().commands_generated, 1u);
+  EXPECT_EQ(cell_value(metrics, "synthesis.models"), 1u);
+  EXPECT_EQ(cell_value(metrics, "synthesis.scripts"), 1u);
+  EXPECT_EQ(cell_value(metrics, "synthesis.commands"), 1u);
   EXPECT_EQ(metrics.counter("synthesis.transitions_fired").value(), 1u);
   // AddObject + default-applied state attr = 2 changes processed.
   EXPECT_GE(metrics.counter("synthesis.changes_processed").value(), 2u);
