@@ -99,6 +99,29 @@ object Connection c1 {
 }
 BENCHMARK(BM_ModelParseText);
 
+void BM_ModelClone(benchmark::State& state) {
+  // The copy an incremental model edit starts from: a Connection with
+  // range(0) participants and two media, as in perfbench's conference.
+  std::string text = "model conf conforms cml\nobject Connection c {\n"
+                     "  state = active\n  topology = conference\n";
+  for (int i = 0; i < state.range(0); ++i) {
+    text += "  child participants Participant p" + std::to_string(i) +
+            " { address = \"p" + std::to_string(i) + "\" }\n";
+  }
+  text += "  child media Medium voice { kind = audio }\n"
+          "  child media Medium cam { kind = video }\n}\n";
+  auto parsed = model::parse_model(text, comm::cml_metamodel());
+  if (!parsed.ok()) {
+    state.SkipWithError("conference does not parse");
+    return;
+  }
+  for (auto _ : state) {
+    model::Model copy = parsed->clone();
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_ModelClone)->Arg(24);
+
 void BM_MiddlewareModelParse(benchmark::State& state) {
   // The dominant cost of the non-adaptive reload path in Exp-4.
   for (auto _ : state) {

@@ -403,8 +403,9 @@ void Platform::drain_requests() {
 
 Result<controller::ControlScript> Platform::submit_model_text(
     std::string_view text, obs::RequestContext& context) {
-  // Parsed outside ui.submit; a parse error still fails in the coroutine.
-  return submit_inline(model::parse_model(text, dsml_), context);
+  // Read outside ui.submit; a parse error still fails in the coroutine.
+  return submit_inline(synthesis_->read_text(text, context.session()),
+                       context);
 }
 
 Result<controller::ControlScript> Platform::submit_model_text(
@@ -434,7 +435,9 @@ Result<controller::ControlScript> Platform::submit_woven(
 
 Result<controller::ControlScript> Platform::submit_model(
     model::Model application_model, obs::RequestContext& context) {
-  return submit_inline(std::move(application_model), context);
+  return submit_inline(
+      synthesis::SynthesisEngine::Draft{.model = std::move(application_model)},
+      context);
 }
 
 Status Platform::admit(obs::RequestContext& context) {
@@ -509,8 +512,9 @@ struct Platform::Request {
   /// enqueue (async, published as last_async_context()).
   std::shared_ptr<obs::RequestContext> context;
   runtime::Executor* pipeline = nullptr;  ///< async: the stage executor
-  std::string text;  ///< async: parsed by the synthesis stage
-  std::optional<Result<model::Model>> model;  ///< inline: parsed at the door
+  std::string text;  ///< async: read by the synthesis stage
+  /// Inline: read at the door.
+  std::optional<Result<synthesis::SynthesisEngine::Draft>> draft;
   SubmitCallback callback;
   controller::ControlScript script;  ///< commit result, delivered at the end
   std::uint64_t root_span = 0;       ///< "ui.submit", closed by the chain
@@ -528,7 +532,8 @@ struct Platform::Request {
 };
 
 Result<controller::ControlScript> Platform::submit_inline(
-    Result<model::Model> parsed, obs::RequestContext& context) {
+    Result<synthesis::SynthesisEngine::Draft> read,
+    obs::RequestContext& context) {
   std::optional<Result<controller::ControlScript>> outcome;
   Request request;
   request.inflight.emplace(*this);  // before admit()'s running_ check
@@ -539,9 +544,9 @@ Result<controller::ControlScript> Platform::submit_inline(
     outcome.emplace(std::move(settled));
   };
   std::string_view name;
-  if (parsed.ok()) name = parsed->name();
+  if (read.ok()) name = read->model.name();
   request.root_span = context.open_span(submit_span_, name);
-  request.model.emplace(std::move(parsed));
+  request.draft.emplace(std::move(read));
   runtime::run_inline(serve(request));
   return std::move(*outcome);
 }
@@ -702,20 +707,22 @@ runtime::Task<> Platform::serve(Request& request) {
     finish(request, std::move(admitted));
     co_return;
   }
-  if (!request.model.has_value()) {
-    request.model.emplace(model::parse_model(request.text, dsml_));
+  if (!request.draft.has_value()) {
+    request.draft.emplace(
+        synthesis_->read_text(request.text, context.session()));
   }
-  Result<model::Model>& parsed = *request.model;
-  if (!parsed.ok()) {
-    finish(request, parsed.status());
+  Result<synthesis::SynthesisEngine::Draft>& read = *request.draft;
+  if (!read.ok()) {
+    finish(request, read.status());
     co_return;
   }
   // The serial window is the commit alone; the span runs on through
   // execution.
   request.executed = true;
-  request.synthesis_span = context.open_span(synthesis_span_, parsed->name());
+  request.synthesis_span =
+      context.open_span(synthesis_span_, read->model.name());
   Result<controller::ControlScript> script =
-      synthesis_->submit_model(std::move(parsed.value()), context);
+      synthesis_->submit(std::move(read.value()), context);
   if (!script.ok()) {
     finish(request, script.status());
     co_return;

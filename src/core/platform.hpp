@@ -338,9 +338,10 @@ class Platform {
   /// one. It owns its root span, deadline watchdog and inflight slot.
   struct Request;
   /// The inline door: run the coroutine on the calling thread. A parse
-  /// error in `parsed` fails the request inside it.
+  /// error in `read` fails the request inside it.
   Result<controller::ControlScript> submit_inline(
-      Result<model::Model> parsed, obs::RequestContext& context);
+      Result<synthesis::SynthesisEngine::Draft> read,
+      obs::RequestContext& context);
   /// Lazily create the executor and its stages, the event loop and the
   /// broker's async engine wiring.
   void ensure_pipeline();

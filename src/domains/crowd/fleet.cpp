@@ -4,7 +4,6 @@
 
 #include "common/log.hpp"
 #include "domains/crowd/csml.hpp"
-#include "model/text_format.hpp"
 
 namespace mdsm::crowd {
 
@@ -271,18 +270,19 @@ CrowdDevice::CrowdDevice(std::string id, std::uint32_t seed,
 Result<controller::ControlScript> CrowdDevice::submit_model_text(
     std::string_view text, obs::RequestContext& context) {
   obs::ContextScope ambient(context);
-  Result<model::Model> parsed = model::parse_model(text, csml_metamodel());
-  if (!parsed.ok()) return parsed.status();
+  Result<synthesis::SynthesisEngine::Draft> read =
+      synthesis_->read_text(text, context.session());
+  if (!read.ok()) return read.status();
   // On-the-fly updates to an already-sampling device (retune/stop of a
   // running query) are control-plane traffic: tag the request so shared
   // bounded pipelines dequeue it through the high-priority lane ahead of
   // bulk query starts.
   if (!queries_.empty()) context.set_attribute("priority", "high");
-  obs::ScopedSpan span(context, "ui.submit", parsed->name());
-  obs::ScopedSpan synthesis(context, "synthesis.submit", parsed->name());
+  obs::ScopedSpan span(context, "ui.submit", read->model.name());
+  obs::ScopedSpan synthesis(context, "synthesis.submit", read->model.name());
   requests_submitted_.add();
   Result<controller::ControlScript> script =
-      synthesis_->submit_model(std::move(parsed.value()), context);
+      synthesis_->submit(std::move(read.value()), context);
   if (!script.ok()) requests_failed_.add();
   return script;
 }

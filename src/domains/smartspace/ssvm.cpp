@@ -1,6 +1,5 @@
 #include "domains/smartspace/ssvm.hpp"
 
-#include "model/text_format.hpp"
 
 namespace mdsm::smartspace {
 
@@ -149,13 +148,14 @@ SsvmHub::SsvmHub(net::Network& network) {
 Result<controller::ControlScript> SsvmHub::submit_model_text(
     std::string_view text, obs::RequestContext& context) {
   obs::ContextScope ambient(context);
-  Result<model::Model> parsed = model::parse_model(text, ssml_metamodel());
-  if (!parsed.ok()) return parsed.status();
-  obs::ScopedSpan span(context, "ui.submit", parsed->name());
-  obs::ScopedSpan synthesis(context, "synthesis.submit", parsed->name());
+  Result<synthesis::SynthesisEngine::Draft> read =
+      synthesis_->read_text(text, context.session());
+  if (!read.ok()) return read.status();
+  obs::ScopedSpan span(context, "ui.submit", read->model.name());
+  obs::ScopedSpan synthesis(context, "synthesis.submit", read->model.name());
   requests_submitted_.add();
   Result<controller::ControlScript> script =
-      synthesis_->submit_model(std::move(parsed.value()), context);
+      synthesis_->submit(std::move(read.value()), context);
   if (!script.ok()) requests_failed_.add();
   return script;
 }

@@ -198,6 +198,12 @@ void diff_references(const ModelObject& before, const ModelObject& after,
 
 }  // namespace
 
+void diff_object(const ModelObject& before, const ModelObject& after,
+                 ChangeList& out) {
+  diff_attributes(before, after, out);
+  diff_references(before, after, out);
+}
+
 ChangeList diff(const Model& old_model, const Model& new_model) {
   ChangeList out;
 
@@ -230,9 +236,7 @@ ChangeList diff(const Model& old_model, const Model& new_model) {
 
   // Mutations on surviving objects, in new-model creation order.
   for (std::size_t i = 0; i < new_objects.size(); ++i) {
-    if (before[i] == nullptr) continue;
-    diff_attributes(*before[i], *new_objects[i], out);
-    diff_references(*before[i], *new_objects[i], out);
+    if (before[i] != nullptr) diff_object(*before[i], *new_objects[i], out);
   }
   return out;
 }

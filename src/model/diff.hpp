@@ -48,6 +48,12 @@ using ChangeList = std::vector<Change>;
 /// then attribute and reference changes on surviving objects.
 ChangeList diff(const Model& old_model, const Model& new_model);
 
+/// The attribute and cross-reference changes turning `before` into
+/// `after`, two versions of one object (same id), appended to `out` in
+/// diff()'s order. diff() runs it on every object both models hold.
+void diff_object(const ModelObject& before, const ModelObject& after,
+                 ChangeList& out);
+
 /// "3 changes: +obj a, -obj b, ~attr c.x" — for logs and tests.
 std::string summarize(const ChangeList& changes);
 

@@ -170,20 +170,40 @@ Result<ModelObject*> Model::add_object(const MetaClass& meta,
   if (entry != nullptr) {
     return AlreadyExists("object '" + std::string(id) + "' already in model");
   }
+  // Unset slots, then the attribute defaults declared in the metamodel.
+  entry = append_record(meta, id, nullptr);
+  clear_slots(*entry);
+  return entry;
+}
+
+ModelObject* Model::append_record(const MetaClass& meta, std::string_view id,
+                                  const ModelObject* source) {
   const std::size_t attributes = meta.attributes().size();
+  const std::size_t references = meta.references().size();
   auto* record = static_cast<std::byte*>(allocate(record_bytes(meta)));
   auto* values = reinterpret_cast<Value*>(record + sizeof(ModelObject));
   auto* targets = reinterpret_cast<Targets*>(values + attributes);
-  // Unset slots, then the attribute defaults declared in the metamodel.
-  std::uninitialized_value_construct_n(values, attributes);
-  std::uninitialized_value_construct_n(targets, meta.references().size());
-  for (std::size_t slot = 0; slot < attributes; ++slot) {
-    const Value& default_value = meta.attributes()[slot].default_value;
-    if (!default_value.is_none()) values[slot] = default_value;
+  if (source == nullptr) {
+    std::uninitialized_value_construct_n(values, attributes);
+    std::uninitialized_value_construct_n(targets, references);
+  } else {
+    std::uninitialized_copy_n(source->values_, attributes, values);
+    std::uninitialized_copy_n(source->targets_, references, targets);
   }
-  entry = ::new (record) ModelObject(id, meta, values, targets);
-  order_.push_back(entry);
-  return entry;
+  auto* object = ::new (record) ModelObject(id, meta, values, targets);
+  object->position_ = static_cast<std::uint32_t>(order_.size());
+  order_.push_back(object);
+  return object;
+}
+
+void Model::clear_slots(ModelObject& object) {
+  const MetaClass& meta = object.meta();
+  for (std::size_t slot = 0; slot < meta.attributes().size(); ++slot) {
+    object.values_[slot] = meta.attributes()[slot].default_value;
+  }
+  for (std::size_t slot = 0; slot < meta.references().size(); ++slot) {
+    if (!meta.references()[slot].containment) object.targets_[slot].clear();
+  }
 }
 
 Result<ModelObject*> Model::create_child(const std::string& parent_id,
@@ -225,7 +245,7 @@ Result<ModelObject*> Model::create_child(ModelObject& parent,
   if (!created.ok()) return created.status();
   ModelObject* child = created.value();
   child->parent_ = &parent;
-  child->containment_slot_ = static_cast<std::size_t>(slot);
+  child->containment_slot_ = static_cast<std::uint32_t>(slot);
   siblings.emplace_back(id);
   return child;
 }
@@ -365,6 +385,10 @@ Status Model::remove(const std::string& id) {
   std::erase_if(order_, [&](const ModelObject* candidate) {
     return std::find(doomed.begin(), doomed.end(), candidate) != doomed.end();
   });
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    const_cast<ModelObject*>(order_[i])->position_ =
+        static_cast<std::uint32_t>(i);
+  }
   // Scrub references into the subtree, the parent's containment slot
   // among them, then drop the subtree.
   for (const ModelObject* survivor : order_) {
@@ -491,17 +515,28 @@ Status Model::validate() const {
 
 Model Model::clone() const {
   Model copy(name_, metamodel_);
-  copy.reserve(order_.size());
+  copy.order_.reserve(order_.size());
   for (const ModelObject* object : order_) {
-    const MetaClass& meta = object->meta();
-    ModelObject* duplicate = copy.add_object(meta, object->id()).value();
-    std::copy_n(object->values_, meta.attributes().size(),
-                duplicate->values_);
-    std::copy_n(object->targets_, meta.references().size(),
-                duplicate->targets_);
+    copy.chunk_size_ += record_bytes(object->meta());
+  }
+  copy.chunks_.push_back(
+      std::make_unique_for_overwrite<std::byte[]>(copy.chunk_size_));
+  // Creation order puts each parent before its children, so a parent's
+  // copy is found by its creation index.
+  for (const ModelObject* object : order_) {
+    ModelObject* duplicate =
+        copy.append_record(object->meta(), object->id(), object);
+    duplicate->containment_slot_ = object->containment_slot_;
     if (object->parent_ != nullptr) {
-      duplicate->parent_ = copy.find(object->parent_->id());
-      duplicate->containment_slot_ = object->containment_slot_;
+      duplicate->parent_ = copy.order_[object->parent_->position_];
+    }
+  }
+  // The same ids in a table of the same size take the same entries.
+  copy.index_.resize(index_.size());
+  for (std::size_t i = 0; i < index_.size(); ++i) {
+    if (index_[i] != nullptr) {
+      copy.index_[i] =
+          const_cast<ModelObject*>(copy.order_[index_[i]->position_]);
     }
   }
   return copy;

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -152,7 +153,8 @@ class ModelObject {
   std::string id_;
   const MetaClass* meta_;
   const ModelObject* parent_ = nullptr;  ///< null for roots
-  std::size_t containment_slot_ = 0;     ///< the parent's reference slot
+  std::uint32_t containment_slot_ = 0;   ///< the parent's reference slot
+  std::uint32_t position_ = 0;           ///< index in the creation order
   Value* values_;     ///< the record's attribute slots
   Targets* targets_;  ///< the record's reference slots
 };
@@ -204,6 +206,11 @@ class Model {
   /// Clear an attribute slot back to unset.
   Status unset_attribute(const std::string& id, const std::string& attribute);
 
+  /// Return `object`'s attributes to their metamodel defaults and clear
+  /// its cross-references: the slots create() gives it. Its children
+  /// stay. A parser re-reads one object's slots into a copy this way.
+  void clear_slots(ModelObject& object);
+
   /// Add a cross (non-containment) reference target.
   Status add_reference(const std::string& id, const std::string& reference,
                        const std::string& target_id);
@@ -244,12 +251,16 @@ class Model {
   /// literals legal, reference targets exist and are type-compatible.
   [[nodiscard]] Status validate() const;
 
-  /// Deep copy (same metamodel, same ids).
+  /// Deep copy (same metamodel, ids and creation order) in one chunk.
   [[nodiscard]] Model clone() const;
 
  private:
   /// create() once the class is resolved.
   Result<ModelObject*> add_object(const MetaClass& meta, std::string_view id);
+  /// Place a record for `id` last in creation order: its slots unset, or
+  /// copies of `source`'s. The id table is the caller's.
+  ModelObject* append_record(const MetaClass& meta, std::string_view id,
+                             const ModelObject* source);
   /// Allocate a record: a released one of its size, else the newest
   /// chunk's free tail, else a new chunk with room for the records
   /// reserve() still expects (4 when none) and at least twice the last.

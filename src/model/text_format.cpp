@@ -88,8 +88,9 @@ struct PendingReference {
 /// token, so the parse stops at the first fault in reading order.
 class Parser {
  public:
-  Parser(std::string_view text, MetamodelPtr metamodel)
-      : text_(text), metamodel_(std::move(metamodel)) {
+  Parser(std::string_view text, MetamodelPtr metamodel,
+         std::vector<ObjectSpan>* spans = nullptr)
+      : text_(text), metamodel_(std::move(metamodel)), spans_(spans) {
     advance();
   }
 
@@ -107,20 +108,33 @@ class Parser {
     }
     Model model(std::string(name), metamodel_);
     // Every object opens one brace, so this bounds the object count.
-    model.reserve(static_cast<std::size_t>(
-        std::count(text_.begin() + pos_, text_.end(), '{')));
+    const auto braces = static_cast<std::size_t>(
+        std::count(text_.begin() + pos_, text_.end(), '{'));
+    model.reserve(braces);
+    if (spans_ != nullptr) spans_->reserve(braces);
     while (tok_.kind != TokenKind::kEnd) {
       MDSM_TAKE_WORD(word);
       if (word != "object") return error("expected 'object'");
       MDSM_RETURN_IF_ERROR(parse_object(model, /*parent=*/nullptr,
-                                        /*containment=*/""));
+                                        /*containment=*/"", offset(word)));
     }
-    for (const PendingReference& pending : pending_refs_) {
-      Status status = model.add_reference(*pending.holder, pending.reference,
-                                          pending.target_id);
-      if (!status.ok()) return at_line(pending.line, status.message());
-    }
+    MDSM_RETURN_IF_ERROR(resolve_references(model));
     return model;
+  }
+
+  /// Re-read the slots of `object`, whose '{' is at `open`, into it: the
+  /// object rule's body, except that each `child` must open the next of
+  /// `children` (their spans in this text) and is skipped whole, and the
+  /// body must close at `close`.
+  Status reread(Model& model, ModelObject& object, std::size_t open,
+                std::size_t close, const std::vector<ObjectSpan>& children) {
+    seek(open + 1);
+    skips_ = &children;
+    MDSM_RETURN_IF_ERROR(parse_body(model, object));
+    if (next_skip_ != children.size() || close_ != close) {
+      return error("the object's children or braces moved");
+    }
+    return resolve_references(model);
   }
 
   /// Parse exactly one standalone value (no model header, no metamodel
@@ -175,6 +189,13 @@ class Parser {
     } else {
       lex_fail("unexpected character '" + std::string(1, c) + "'");
     }
+  }
+
+  /// Lex on from byte `pos` (a token boundary; line numbers go stale).
+  void seek(std::size_t pos) {
+    pos_ = pos;
+    tok_.kind = TokenKind::kEnd;
+    advance();
   }
 
   void take(TokenKind kind, std::size_t length) {
@@ -266,9 +287,16 @@ class Parser {
     return expected(what);
   }
 
+  /// The byte offset of `token` (a view into the text) in the text.
+  std::uint32_t offset(std::string_view token) const {
+    return static_cast<std::uint32_t>(token.data() - text_.data());
+  }
+
   // ---- Grammar. ----
+  /// An object from its class name on; its `object`/`child` keyword is
+  /// at `header`.
   Status parse_object(Model& model, ModelObject* parent,
-                      std::string_view containment) {
+                      std::string_view containment, std::uint32_t header) {
     MDSM_TAKE_WORD(class_name);
     MDSM_TAKE_WORD(id);
     Result<ModelObject*> created =
@@ -277,13 +305,30 @@ class Parser {
             : model.create_child(*parent, containment, class_name, id);
     if (!created.ok()) return error(created.status().message());
     ModelObject& object = *created.value();
+    const std::size_t index = model.size() - 1;
+    const std::string_view brace = tok_.text;
     MDSM_RETURN_IF_ERROR(expect_punct("{"));
-    while (!take_punct("}")) {
+    if (spans_ != nullptr) spans_->push_back({header, offset(brace), 0});
+    MDSM_RETURN_IF_ERROR(parse_body(model, object));
+    if (spans_ != nullptr) (*spans_)[index].close = close_;
+    return Status::Ok();
+  }
+
+  /// An object's slots and children, through its '}' (at close_ after).
+  Status parse_body(Model& model, ModelObject& object) {
+    while (!at_punct("}")) {
       if (tok_.kind == TokenKind::kEnd) return error("unexpected EOF");
       MDSM_TAKE_WORD(slot);
-      if (slot == "child") {
+      if (slot == "child" && skips_ != nullptr) {
+        if (next_skip_ == skips_->size() ||
+            (*skips_)[next_skip_].header != offset(slot)) {
+          return error("unexpected child");
+        }
+        seek((*skips_)[next_skip_++].close + 1);
+      } else if (slot == "child") {
         MDSM_TAKE_WORD(reference);
-        MDSM_RETURN_IF_ERROR(parse_object(model, &object, reference));
+        MDSM_RETURN_IF_ERROR(
+            parse_object(model, &object, reference, offset(slot)));
       } else if (take_punct("=")) {
         Result<Value> value = parse_value();
         if (!value.ok()) return value.status();
@@ -298,6 +343,18 @@ class Parser {
         return error("expected '=' or '->' after '" + std::string(slot) +
                      "'");
       }
+    }
+    close_ = offset(tok_.text);
+    advance();
+    return Status::Ok();
+  }
+
+  /// Add the cross-references read so far, in reading order.
+  Status resolve_references(Model& model) {
+    for (const PendingReference& pending : pending_refs_) {
+      Status status = model.add_reference(*pending.holder, pending.reference,
+                                          pending.target_id);
+      if (!status.ok()) return at_line(pending.line, status.message());
     }
     return Status::Ok();
   }
@@ -366,6 +423,11 @@ class Parser {
   std::string lex_error_;
   MetamodelPtr metamodel_;
   std::vector<PendingReference> pending_refs_;
+  std::vector<ObjectSpan>* spans_;  ///< filled by creation index, if set
+  std::uint32_t close_ = 0;         ///< the last body's '}'
+  /// reread(): the children to skip, in order, and the next one.
+  const std::vector<ObjectSpan>* skips_ = nullptr;
+  std::size_t next_skip_ = 0;
 };
 
 #undef MDSM_TAKE_WORD
@@ -414,11 +476,73 @@ void serialize_object(const Model& model, const ModelObject& object,
 
 }  // namespace
 
-Result<Model> parse_model(std::string_view text, MetamodelPtr metamodel) {
+Result<Model> parse_model(std::string_view text, MetamodelPtr metamodel,
+                          std::vector<ObjectSpan>* spans) {
   if (metamodel == nullptr || !metamodel->finalized()) {
     return InvalidArgument("parse_model requires a finalized metamodel");
   }
-  return Parser(text, std::move(metamodel)).run();
+  if (text.size() > UINT32_MAX) spans = nullptr;
+  return Parser(text, std::move(metamodel), spans).run();
+}
+
+std::optional<Edit> read_edit(const Model& base, const ModelText& source,
+                              std::string_view text) {
+  const std::vector<ObjectSpan>& spans = source.spans;
+  const std::string_view old_text = source.text;
+  if (spans.size() != base.size() || text.size() > UINT32_MAX) {
+    return std::nullopt;
+  }
+  // The bytes that differ: [first, old_last) of the old text, the same
+  // window shifted by the growth in the new one.
+  const auto first = static_cast<std::size_t>(
+      std::mismatch(old_text.begin(), old_text.end(), text.begin(), text.end())
+          .first -
+      old_text.begin());
+  const auto tail = static_cast<std::size_t>(
+      std::mismatch(old_text.rbegin(), old_text.rend() - first, text.rbegin(),
+                    text.rend() - first)
+          .first -
+      old_text.rbegin());
+  const std::size_t old_last = old_text.size() - tail;
+  auto moved = [&](const ObjectSpan& span) {  // the span in the new text
+    auto at = [&](std::uint32_t offset) {
+      return offset < old_last ? offset
+                               : static_cast<std::uint32_t>(
+                                     offset + text.size() - old_text.size());
+    };
+    return ObjectSpan{at(span.header), at(span.open), at(span.close)};
+  };
+  // Spans are in creation order, which is text order: the last object
+  // whose braces hold the window is the innermost, and its descendants
+  // follow it.
+  std::size_t edited = spans.size();
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].open < first && old_last <= spans[i].close) edited = i;
+  }
+  if (edited == spans.size()) return std::nullopt;
+  const ObjectSpan& span = spans[edited];
+  std::vector<ObjectSpan> children;  // in the new text
+  for (std::size_t i = edited + 1;
+       i < spans.size() && spans[i].header < span.close;) {
+    const ObjectSpan& child = spans[i];
+    if (first <= child.close && child.header < old_last) return std::nullopt;
+    children.push_back(moved(child));
+    while (++i < spans.size() && spans[i].header < child.close) {
+    }
+  }
+  Edit edit{base.clone(), {}, {}};
+  ModelObject& object = *edit.model.find(base.objects()[edited]->id());
+  edit.model.clear_slots(object);
+  Parser parser(text, base.metamodel_ptr());
+  if (!parser.reread(edit.model, object, span.open, moved(span).close,
+                     children)
+           .ok()) {
+    return std::nullopt;
+  }
+  diff_object(*base.objects()[edited], object, edit.changes);
+  edit.spans.reserve(spans.size());
+  for (const ObjectSpan& each : spans) edit.spans.push_back(moved(each));
+  return edit;
 }
 
 Result<Value> parse_value(std::string_view text) {

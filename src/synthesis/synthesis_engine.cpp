@@ -20,6 +20,8 @@ SynthesisEngine::SynthesisEngine(std::string name, model::MetamodelPtr dsml,
       scripts_dispatched_(metrics.counter("synthesis.scripts")),
       commands_generated_(metrics.counter("synthesis.commands")),
       rejected_models_(metrics.counter("synthesis.rejected_models")),
+      incremental_edits_(metrics.counter("model.incremental_edits")),
+      incremental_fallbacks_(metrics.counter("model.incremental_fallbacks")),
       controller_events_(metrics.counter("synthesis.controller_events")),
       sessions_live_(metrics.gauge("synthesis.sessions_live")),
       sessions_released_(metrics.counter("synthesis.sessions_released")),
@@ -38,8 +40,41 @@ SynthesisEngine::SynthesisEngine(std::string name, model::MetamodelPtr dsml,
       active_states_.end());
 }
 
-Result<controller::ControlScript> SynthesisEngine::submit_model(
-    model::Model new_model, obs::RequestContext& context) {
+Result<SynthesisEngine::Draft> SynthesisEngine::read_text(
+    std::string_view text, std::string_view session) {
+  ModelPtr base;
+  std::shared_ptr<const model::ModelText> source;
+  {
+    std::lock_guard lock(mutex_);
+    if (const Session* found = find_session(session); found != nullptr) {
+      base = found->model;
+      source = found->text;
+    }
+  }
+  auto read = std::make_shared<model::ModelText>(std::string(text));
+  if (source != nullptr) {
+    if (std::optional<model::Edit> edit =
+            model::read_edit(*base, *source, text)) {
+      incremental_edits_.add();
+      read->spans = std::move(edit->spans);
+      return Draft{std::move(edit->model), std::move(base),
+                   std::move(edit->changes), std::move(read)};
+    }
+    incremental_fallbacks_.add();
+  }
+  Result<model::Model> parsed = model::parse_model(text, dsml_, &read->spans);
+  if (!parsed.ok()) {
+    models_submitted_.add();
+    rejected_models_.add();
+    return parsed.status();
+  }
+  return Draft{std::move(parsed.value()), nullptr, std::nullopt,
+               std::move(read)};
+}
+
+Result<controller::ControlScript> SynthesisEngine::submit(
+    Draft draft, obs::RequestContext& context) {
+  model::Model& new_model = draft.model;
   models_submitted_.add();
   // Checks that do not touch shared synthesis state run before the serial
   // section so rejected submissions never contend with live ones.
@@ -92,8 +127,12 @@ Result<controller::ControlScript> SynthesisEngine::submit_model(
         session = &created.emplace(Session{.model = empty_model_});
       }
     }
-    // Model comparator.
-    model::ChangeList changes = model::diff(*session->model, new_model);
+    // Model comparator: a draft read against the model still in force
+    // brings its changes; any other is compared whole.
+    model::ChangeList changes =
+        draft.changes.has_value() && draft.base == session->model
+            ? std::move(*draft.changes)
+            : model::diff(*session->model, new_model);
     MDSM_LOG_DEBUG("synthesis") << name() << ": " << changes.size()
                                 << " change(s) between runtime and new model";
     // Change interpreter. Interpreter state mutates as transitions fire;
@@ -119,6 +158,7 @@ Result<controller::ControlScript> SynthesisEngine::submit_model(
     previous = std::exchange(
         session->model,
         std::make_shared<const model::Model>(std::move(new_model)));
+    std::swap(session->text, draft.text);  // the old text goes with draft
     if (listener_ != nullptr) listener_(session->model);
     if (!key.empty()) {
       if (at_rest(*session)) {

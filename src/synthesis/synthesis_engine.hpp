@@ -19,6 +19,7 @@
 // Concurrency: synthesis itself is serial — each submission diffs
 // against (and then replaces) its session's runtime model — so the
 // diff→interpret→dispatch→commit section runs under an internal mutex.
+// Reading a submitted text (read_text) runs before it, outside.
 // Execution of the returned script is the caller's (the platform's
 // request coroutine runs it after submit_model() returns), outside that
 // mutex, which is what lets independent requests overlap: the serial
@@ -39,6 +40,7 @@
 #include "controller/script.hpp"
 #include "model/diff.hpp"
 #include "model/model.hpp"
+#include "model/text_format.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_context.hpp"
 #include "runtime/component.hpp"
@@ -78,8 +80,31 @@ class SynthesisEngine final : public runtime::Component {
     listener_ = std::move(listener);
   }
 
+  /// A submitted model, read before the serial section. A model text is
+  /// read against its session's committed model (the base) and the
+  /// text that model was read from (DESIGN.md §6j).
+  struct Draft {
+    model::Model model;
+    ModelPtr base;  ///< the committed model `changes` lead from
+    /// diff(*base, model), when the text was read as a local edit.
+    std::optional<model::ChangeList> changes;
+    /// The text `model` was read from, kept with the commit; null for a
+    /// model submitted as a Model.
+    std::shared_ptr<const model::ModelText> text;
+  };
+
+  /// Read model text for a submit in `session`. When the session keeps
+  /// the text of its committed model and the bytes that differ lie among
+  /// one object's own slots, only that object is re-read, into a copy of
+  /// the committed model ("model.incremental_edits"); otherwise the text
+  /// is parsed whole ("model.incremental_fallbacks" when a text was
+  /// kept). A parse error counts as a rejected model and is the error
+  /// parse_model() gives. Runs outside the serial mutex.
+  Result<Draft> read_text(std::string_view text, std::string_view session);
+
   /// The synthesis cycle: validate the new model, compare it against
-  /// the current runtime model of the request's session, interpret the
+  /// the current runtime model of the request's session (a draft read
+  /// against that very model brings its changes along), interpret the
   /// changes, dispatch the script and commit the new model as the
   /// running one; returns the script, which the caller executes. On any
   /// failure the previous runtime model stays in force. A submit in a
@@ -88,8 +113,12 @@ class SynthesisEngine final : public runtime::Component {
   /// nothing. Opens no span: the caller's "synthesis.submit" span covers
   /// this and the execution. Safe to call concurrently (submissions
   /// serialize on the internal mutex).
+  Result<controller::ControlScript> submit(Draft draft,
+                                           obs::RequestContext& context);
   Result<controller::ControlScript> submit_model(model::Model new_model,
-                                                 obs::RequestContext& context);
+                                                 obs::RequestContext& context) {
+    return submit(Draft{.model = std::move(new_model)}, context);
+  }
   Result<controller::ControlScript> submit_model(model::Model new_model) {
     return submit_model(std::move(new_model), obs::RequestContext::noop());
   }
@@ -164,6 +193,8 @@ class SynthesisEngine final : public runtime::Component {
   struct Session {
     ModelPtr model;         ///< "an empty model if the system has just
                             ///< been started"
+    /// The text `model` was read from, if it was submitted as text.
+    std::shared_ptr<const model::ModelText> text;
     LtsStates lts_states;
     TimePoint last_used{};  ///< named sessions: last commit or restore
   };
@@ -194,6 +225,8 @@ class SynthesisEngine final : public runtime::Component {
   obs::Counter& scripts_dispatched_;
   obs::Counter& commands_generated_;
   obs::Counter& rejected_models_;
+  obs::Counter& incremental_edits_;
+  obs::Counter& incremental_fallbacks_;
   obs::Counter& controller_events_;
   obs::Gauge& sessions_live_;
   obs::Counter& sessions_released_;

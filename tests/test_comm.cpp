@@ -4,10 +4,12 @@
 // across all eight evaluation scenarios.
 #include <gtest/gtest.h>
 
+#include "conference_fixture.hpp"
 #include "domains/comm/cvm.hpp"
 #include "domains/comm/handcrafted_broker.hpp"
 #include "domains/comm/scenarios.hpp"
 #include "metrics_fixtures.hpp"
+#include "model/text_format.hpp"
 
 namespace mdsm::comm {
 namespace {
@@ -176,6 +178,101 @@ object Connection c1 {
                   .ok());
   EXPECT_EQ(platform.trace().entries().back(),
             "comm.session.teardown(id=\"c1\")");
+}
+
+// Every failure mode of TextFormat.MalformedInputErrorTable, spliced
+// into an accepted conference: the submit fails as parse_model() alone
+// does, counts one rejected model, and leaves the committed model and
+// its kept text in place (the next retune is still read incrementally).
+TEST(Cvm, MalformedEditsFailAsTheParserDoes) {
+  auto cvm = make_cvm();
+  ASSERT_TRUE(cvm.ok()) << cvm.status().to_string();
+  core::Platform& platform = *(*cvm)->platform;
+  const std::string base = testing::conference_text("standard", "standard");
+  ASSERT_TRUE(platform.submit_model_text(base).ok());
+  const std::string committed = platform.runtime_model_text();
+  struct Splice {
+    std::string_view find;
+    std::string_view replace;
+    bool cut = false;  ///< drop the text after the replacement
+  };
+  const Splice splices[] = {
+      {"quality = standard }", "quality = \"stan", true},
+      {"quality = standard }", "quality = \"st\nan\" }"},
+      {"quality = standard", "quality = +5"},
+      {"quality = standard", "quality = 99999999999999999999"},
+      {"quality = standard", "quality = @"},
+      {"object Connection conf {", "object Connection conf"},
+      {"Medium cam", "Ghost cam"},
+      {"Medium cam", "CommElement cam"},
+      {"Medium cam", "Medium voice"},
+      {"topology = conference", "topology = conference initiator -> ghost"},
+      {"topology = conference", "topology = conference participants -> p00"},
+      {"conforms cml", "conforms other"},
+      {"conforms cml", "conformz cml"},
+      {" conforms cml", "\n", true},
+      {"}\n}\n", "}\n", true},
+      {"quality = standard }", "quality = }"},
+      {"quality = standard", "ghost = 1"},
+      {"quality = standard", "quality standard"},
+  };
+  for (const Splice& splice : splices) {
+    std::string text = base;
+    const std::size_t at = text.find(splice.find);
+    ASSERT_NE(at, std::string::npos) << splice.find;
+    text.replace(at, splice.cut ? std::string::npos : splice.find.size(),
+                 splice.replace);
+    Result<model::Model> alone = model::parse_model(text, cml_metamodel());
+    ASSERT_FALSE(alone.ok()) << text;
+    const std::uint64_t rejected =
+        cell_value(platform.metrics(), "synthesis.rejected_models");
+    Result<controller::ControlScript> submitted =
+        platform.submit_model_text(text);
+    ASSERT_FALSE(submitted.ok()) << text;
+    EXPECT_EQ(submitted.status().code(), alone.status().code()) << text;
+    EXPECT_EQ(submitted.status().message(), alone.status().message());
+    EXPECT_EQ(cell_value(platform.metrics(), "synthesis.rejected_models"),
+              rejected + 1)
+        << text;
+    EXPECT_EQ(platform.runtime_model_text(), committed) << text;
+  }
+  const std::uint64_t edits =
+      cell_value(platform.metrics(), "model.incremental_edits");
+  ASSERT_TRUE(platform
+                  .submit_model_text(
+                      testing::conference_text("high", "standard"))
+                  .ok());
+  EXPECT_EQ(cell_value(platform.metrics(), "model.incremental_edits"),
+            edits + 1);
+}
+
+// perfbench's conference_edits traffic: each request retunes one medium
+// and every 8th also slides the membership window, so 7 in 8 are read
+// as local edits and the slides are parsed whole.
+TEST(Cvm, ConferenceEditsReadSevenInEightIncrementally) {
+  auto cvm = make_cvm();
+  ASSERT_TRUE(cvm.ok()) << cvm.status().to_string();
+  core::Platform& platform = *(*cvm)->platform;
+  ASSERT_TRUE(platform
+                  .submit_model_text(
+                      testing::conference_text("standard", "standard"))
+                  .ok());
+  const char* qualities[] = {"low", "standard", "high"};
+  int quality[] = {1, 1};
+  int first = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const int medium = i % 2;
+    quality[medium] = (quality[medium] + 1 + i % 3 % 2) % 3;
+    if (i % 8 == 7) ++first;
+    Result<controller::ControlScript> script =
+        platform.submit_model_text(testing::conference_text(
+            qualities[quality[0]], qualities[quality[1]], first));
+    ASSERT_TRUE(script.ok()) << i << ": " << script.status().to_string();
+    EXPECT_EQ(script->commands.size(), i % 8 == 7 ? 3u : 1u) << i;
+  }
+  EXPECT_EQ(cell_value(platform.metrics(), "model.incremental_edits"), 1750u);
+  EXPECT_EQ(cell_value(platform.metrics(), "model.incremental_fallbacks"),
+            250u);
 }
 
 TEST(Cvm, ControllerUsesBothCases) {

@@ -3,8 +3,7 @@
 // binary rather than a case in a shared test program.
 //
 // The model text is the 24-party conference of perfbench's
-// conference_edits workload: one Connection with 24 Participants and two
-// Media. A model keeps its objects and their slots in one chunked store,
+// conference_edits workload (conference_fixture.hpp). A model keeps its objects and their slots in one chunked store,
 // so a parse allocates a few times per model, not a few times per object.
 #include <gtest/gtest.h>
 
@@ -13,7 +12,7 @@
 #include <cstdlib>
 #include <new>
 
-#include "common/strings.hpp"
+#include "conference_fixture.hpp"
 #include "domains/comm/cvm.hpp"
 #include "model/text_format.hpp"
 
@@ -51,23 +50,7 @@ std::atomic<std::size_t> allocations{0};
 namespace mdsm::comm {
 namespace {
 
-/// The conference with both media at `voice` and `cam` quality.
-std::string conference_text(const char* voice, const char* cam) {
-  std::string out =
-      "model conf conforms cml\nobject Connection conf {\n"
-      "  state = active\n  topology = conference\n";
-  for (int i = 0; i < 24; ++i) {
-    const std::string id = numbered("p", i);
-    out += "  child participants Participant " + id + " { address = \"" + id +
-           "\" }\n";
-  }
-  out += "  child media Medium voice { kind = audio quality = ";
-  out += voice;
-  out += " }\n  child media Medium cam { kind = video quality = ";
-  out += cam;
-  out += " }\n}\n";
-  return out;
-}
+using testing::conference_text;
 
 TEST(ModelAllocations, ConferenceParseAllocatesPerModelNotPerObject) {
   const std::string text = conference_text("standard", "standard");
@@ -105,7 +88,33 @@ TEST(ModelAllocations, WarmedConferenceRetuneSubmit) {
   // The offer/answer round allocates once (its offer topic), which
   // test_net_alloc pins on its own.
   std::printf("allocations per retune submit: %zu\n", allocations.load());
-  EXPECT_LE(allocations.load(), 49u);
+  EXPECT_LE(allocations.load(), 42u);
+}
+
+// A retune is read as a local edit of the committed model's text; a
+// window slide (one participant out, one in) is parsed whole.
+TEST(ModelAllocations, RetuneIsIncrementalAndWindowSlideFallsBack) {
+  Result<std::unique_ptr<Cvm>> cvm = make_cvm();
+  ASSERT_TRUE(cvm.ok()) << cvm.status().to_string();
+  core::Platform& platform = *cvm.value()->platform;
+  auto count = [&](std::string_view cell) {
+    return platform.metrics().snapshot().counter_value(cell);
+  };
+  ASSERT_TRUE(
+      platform.submit_model_text(conference_text("standard", "standard"))
+          .ok());
+  EXPECT_EQ(count("model.incremental_edits"), 0u);
+  EXPECT_EQ(count("model.incremental_fallbacks"), 0u);  // no text kept yet
+  ASSERT_TRUE(
+      platform.submit_model_text(conference_text("high", "standard")).ok());
+  EXPECT_EQ(count("model.incremental_edits"), 1u);
+  EXPECT_EQ(count("model.incremental_fallbacks"), 0u);
+  Result<controller::ControlScript> slide =
+      platform.submit_model_text(conference_text("high", "standard", 1));
+  ASSERT_TRUE(slide.ok()) << slide.status().to_string();
+  EXPECT_EQ(slide->commands.size(), 2u);  // one party out, one in
+  EXPECT_EQ(count("model.incremental_edits"), 1u);
+  EXPECT_EQ(count("model.incremental_fallbacks"), 1u);
 }
 
 }  // namespace

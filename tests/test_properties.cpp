@@ -4,17 +4,24 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
 #include <random>
 
 #include "common/strings.hpp"
+#include "conference_fixture.hpp"
+#include "core/middleware_metamodel.hpp"
+#include "domains/comm/cml.hpp"
+#include "domains/comm/cvm.hpp"
 #include "model/diff.hpp"
 #include "model/text_format.hpp"
 #include "model_fixtures.hpp"
+#include "soak_fixtures.hpp"
 #include "synthesis/weaver.hpp"
 
 namespace mdsm::model {
 namespace {
 
+using comm::testing::conference_text;
 using testing::make_test_metamodel;
 
 /// Deterministic random model over the shared test metamodel.
@@ -229,6 +236,172 @@ TEST_P(ModelProperty, CloneIsDeepEquivalentAndIndependent) {
   copy.remove(roots[0]->id());
   EXPECT_FALSE(diff(a, copy).empty());
   EXPECT_TRUE(a.validate().ok());
+}
+
+/// One seeded edit of a model text: an attribute changed, unset or set
+/// twice, a cross-reference or child block cut, an id renamed, a class
+/// swapped, the header renamed, or whitespace or a comment inserted.
+/// The cuts, run backwards, are the additions.
+std::string seeded_edit(const std::string& text, std::mt19937& rng) {
+  auto all = [&](std::string_view needle) {
+    std::vector<std::size_t> at;
+    for (std::size_t i = text.find(needle); i != std::string::npos;
+         i = text.find(needle, i + 1)) {
+      at.push_back(i);
+    }
+    return at;
+  };
+  auto pick = [&](const std::vector<std::size_t>& at) {
+    return at[std::uniform_int_distribution<std::size_t>(0, at.size() - 1)(
+        rng)];
+  };
+  auto word_end = [&](std::size_t i) {
+    if (text[i] == '"') return text.find('"', i + 1) + 1;
+    return text.find_first_of(" \n}", i);
+  };
+  auto word_start = [&](std::size_t i) {
+    return text.find_last_of(" \n{", i - 1) + 1;
+  };
+  std::string out = text;
+  const std::vector<std::size_t> sets = all(" = ");
+  const std::vector<std::size_t> refs = all(" -> ");
+  const std::vector<std::size_t> children = all("child ");
+  const std::vector<std::size_t> headers = all(" {");
+  switch (rng() % 10) {
+    case 0:  // attribute change, to a value seen elsewhere or a literal
+      if (!sets.empty()) {
+        const std::size_t at = pick(sets) + 3;
+        const char* literals[] = {"open", "closed", "7", "2.5", "true",
+                                  "\"s\"", "[\"t\"]", "none", "high"};
+        std::string value;
+        if (rng() % 2 == 0) {
+          const std::size_t from = pick(sets) + 3;
+          value = text.substr(from, word_end(from) - from);
+        } else {
+          value = literals[rng() % std::size(literals)];
+        }
+        out.replace(at, word_end(at) - at, value);
+      }
+      break;
+    case 1:  // attribute unset
+      if (!sets.empty()) {
+        const std::size_t at = pick(sets);
+        const std::size_t begin = word_start(at);
+        out.erase(begin, word_end(at + 3) - begin);
+      }
+      break;
+    case 2:  // attribute set twice
+      if (!sets.empty()) {
+        const std::size_t at = pick(sets);
+        const std::size_t begin = word_start(at);
+        out.insert(begin, text.substr(begin, word_end(at + 3) - begin) + " ");
+      }
+      break;
+    case 3:  // cross-reference cut
+      if (!refs.empty()) {
+        const std::size_t begin = word_start(pick(refs));
+        out.erase(begin, text.find_first_of("\n}", begin) - begin);
+      }
+      break;
+    case 4:  // child block cut
+      if (!children.empty()) {
+        const std::size_t begin = pick(children);
+        std::size_t end = text.find('{', begin);
+        for (int depth = 0; end < text.size(); ++end) {
+          if (text[end] == '{') ++depth;
+          if (text[end] == '}' && --depth == 0) break;
+        }
+        out.erase(begin, end + 1 - begin);
+      }
+      break;
+    case 5:  // id rename
+      if (!headers.empty()) out.insert(pick(headers), "x");
+      break;
+    case 6:  // class swap: one header's class to another's
+      if (headers.size() > 1) {
+        auto class_at = [&](std::size_t header) {
+          const std::size_t id = word_start(header);
+          return word_start(id - 1);
+        };
+        const std::size_t to = class_at(pick(headers));
+        const std::size_t from = class_at(pick(headers));
+        out.replace(to, word_end(to) - to,
+                    text.substr(from, word_end(from) - from));
+      }
+      break;
+    case 7:  // header rename
+      out.insert(text.find(" conforms"), "2");
+      break;
+    case 8:  // whitespace
+      out.insert(rng() % text.size(), rng() % 2 == 0 ? " " : "\n ");
+      break;
+    default: {  // comment
+      const std::vector<std::size_t> lines = all("\n");
+      out.insert(pick(lines) + 1, "  # note\n");
+    }
+  }
+  return out;
+}
+
+struct EditTally {
+  int incremental = 0;
+  int fallback = 0;
+};
+
+/// Read `to` as an edit of `from`: when the incremental path takes it,
+/// its model, changes and spans must be the full parse's.
+void expect_edit_equals_full_parse(const std::string& from,
+                                   const std::string& to,
+                                   const MetamodelPtr& mm, EditTally& tally) {
+  ModelText base_text{from, {}};
+  Result<Model> base = parse_model(from, mm, &base_text.spans);
+  if (!base.ok()) return;
+  std::optional<Edit> edit = read_edit(*base, base_text, to);
+  if (!edit.has_value()) {
+    ++tally.fallback;
+    return;
+  }
+  ++tally.incremental;
+  std::vector<ObjectSpan> spans;
+  Result<Model> full = parse_model(to, mm, &spans);
+  ASSERT_TRUE(full.ok()) << full.status().to_string() << "\n" << to;
+  EXPECT_EQ(edit->changes, diff(*base, *full))
+      << summarize(edit->changes) << " vs " << summarize(diff(*base, *full))
+      << "\n" << from << "---\n" << to;
+  EXPECT_EQ(serialize_model(edit->model), serialize_model(*full)) << to;
+  EXPECT_EQ(edit->spans, spans) << to;
+  ASSERT_EQ(edit->model.size(), full->size());
+  for (std::size_t i = 0; i < full->size(); ++i) {
+    EXPECT_EQ(edit->model.objects()[i]->id(), full->objects()[i]->id());
+  }
+}
+
+// The incremental read of an edit is the full parse plus diff, byte for
+// byte, over random models and the fixture texts, in both directions.
+TEST_P(ModelProperty, IncrementalEditEqualsFullParseAndDiff) {
+  MetamodelPtr mm = make_test_metamodel();
+  const MetamodelPtr middleware = core::middleware_metamodel();
+  const std::pair<std::string, MetamodelPtr> bases[] = {
+      {serialize_model(random_model(mm, GetParam())), mm},
+      {conference_text("standard", "low"), comm::cml_metamodel()},
+      {std::string(comm::cvm_middleware_model_text()), middleware},
+      {soak::open_session_text("x"), mm},
+      {std::string(soak::kSoakMiddlewareModel), middleware},
+  };
+  std::mt19937 rng(GetParam());
+  EditTally tally;
+  for (const auto& [text, metamodel] : bases) {
+    for (int i = 0; i < 60; ++i) {
+      const std::string edited = seeded_edit(text, rng);
+      expect_edit_equals_full_parse(text, edited, metamodel, tally);
+      expect_edit_equals_full_parse(edited, text, metamodel, tally);
+    }
+  }
+  expect_edit_equals_full_parse(conference_text("standard", "low"),
+                                conference_text("high", "low"),
+                                comm::cml_metamodel(), tally);
+  EXPECT_GT(tally.incremental, 0);
+  EXPECT_GT(tally.fallback, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ModelProperty,

@@ -4,6 +4,7 @@
 
 #include "metrics_fixtures.hpp"
 #include "model_fixtures.hpp"
+#include "model/text_format.hpp"
 #include "synthesis/synthesis_engine.hpp"
 
 namespace mdsm::synthesis {
@@ -56,6 +57,28 @@ struct SynthesisFixture : ::testing::Test {
     m.create("Session", "s1");
     m.set_attribute("s1", "state", Value("idle"));
     return m;
+  }
+
+  /// An open session at `bandwidth` with one participant at `address`.
+  static std::string session_text(std::string_view bandwidth,
+                                  std::string_view address = "a") {
+    return "model m conforms testlang\nobject Session s1 {\n"
+           "  state = open\n  bandwidth = " +
+           std::string(bandwidth) +
+           "\n  child participants Participant p1 { address = \"" +
+           std::string(address) + "\" }\n}\n";
+  }
+
+  Result<controller::ControlScript> submit_text(std::string_view text) {
+    Result<SynthesisEngine::Draft> draft = engine.read_text(text, "");
+    if (!draft.ok()) return draft.status();
+    return engine.submit(std::move(draft.value()),
+                         obs::RequestContext::noop());
+  }
+
+  /// The model `text` parses to, serialized.
+  std::string parsed_text(std::string_view text) {
+    return model::serialize_model(model::parse_model(text, mm).value());
   }
 };
 
@@ -235,6 +258,57 @@ TEST_F(SynthesisFixture, StatsAccumulate) {
   EXPECT_EQ(metrics.counter("synthesis.transitions_fired").value(), 1u);
   // AddObject + default-applied state attr = 2 changes processed.
   EXPECT_GE(metrics.counter("synthesis.changes_processed").value(), 2u);
+}
+
+// A commit in the same session lands between a draft's read and its
+// submit. The draft's changes lead from a model no longer in force, so
+// the engine compares the draft with the model it actually replaces.
+TEST_F(SynthesisFixture, DraftOvertakenByACommitDiffsAgainstTheModelInForce) {
+  ASSERT_TRUE(submit_text(session_text("1.5")).ok());
+  Result<SynthesisEngine::Draft> late =
+      engine.read_text(session_text("2.5"), "");
+  ASSERT_TRUE(late.ok()) << late.status().to_string();
+  ASSERT_TRUE(late->changes.has_value());  // read as a local edit of 1.5
+  ASSERT_TRUE(submit_text(session_text("3.5")).ok());
+  dispatched.clear();
+  ASSERT_TRUE(engine.submit(std::move(late.value()),
+                            obs::RequestContext::noop()).ok());
+  ASSERT_EQ(dispatched.size(), 1u);
+  EXPECT_EQ(dispatched[0].name, "session.retune");
+  EXPECT_EQ(dispatched[0].args.at("old"), Value(3.5));
+  EXPECT_EQ(dispatched[0].args.at("new"), Value(2.5));
+  EXPECT_EQ(engine.runtime_model_text(), parsed_text(session_text("2.5")));
+  // The text kept is the one committed last.
+  ASSERT_TRUE(submit_text(session_text("1.5")).ok());
+  EXPECT_EQ(dispatched.back().args.at("old"), Value(2.5));
+  EXPECT_EQ(cell_value(metrics, "model.incremental_edits"), 3u);
+  EXPECT_EQ(cell_value(metrics, "model.incremental_fallbacks"), 0u);
+}
+
+// A model that replaces the committed one other than by text (a restored
+// checkpoint, a typed submit) drops the kept text: an edit of the old
+// text is compared with the model in force, not read against the text.
+TEST_F(SynthesisFixture, KeptTextNeverOutlivesItsModel) {
+  const std::string edited = session_text("2.5");
+  for (bool restore : {true, false}) {
+    ASSERT_TRUE(submit_text(session_text("1.5")).ok());
+    model::Model replacement =
+        model::parse_model(session_text("1.5", "b"), mm).value();
+    if (restore) {
+      engine.restore_state("", std::move(replacement),
+                           {{"s1", "open"}, {"p1", "joined"}});
+    } else {
+      ASSERT_TRUE(engine.submit_model(std::move(replacement)).ok());
+    }
+    const SynthesisEngine::ModelPtr in_force = engine.runtime_model();
+    Result<SynthesisEngine::Draft> draft = engine.read_text(edited, "");
+    ASSERT_TRUE(draft.ok()) << draft.status().to_string();
+    EXPECT_FALSE(draft->changes.has_value());
+    EXPECT_EQ(model::diff(*in_force, draft->model).size(), 2u);
+    ASSERT_TRUE(engine.submit(std::move(draft.value()),
+                              obs::RequestContext::noop()).ok());
+    EXPECT_EQ(engine.runtime_model_text(), parsed_text(edited)) << restore;
+  }
 }
 
 }  // namespace
